@@ -322,6 +322,11 @@ impl ClusterObserver {
         let connect = self.config.connect_timeout;
         let read = self.config.read_timeout;
         let request = self.request.as_slice();
+        // The waiting is done in parallel — the tick is bounded by the
+        // slowest server, not the sum — the decoding one body after the
+        // other on this thread: N decoders at once are a burst of CPU
+        // that, on a host shared with the servers, stalls their
+        // requests for the length of the tick.
         type ScrapeResult = (SocketAddr, Vec<u8>, Result<Vec<Metric>, ScrapeError>);
         let mut results: Vec<ScrapeResult> = Vec::with_capacity(jobs.len());
         std::thread::scope(|scope| {
@@ -329,25 +334,24 @@ impl ClusterObserver {
                 .into_iter()
                 .map(|(addr, mut buf)| {
                     scope.spawn(move || {
-                        let result = http_get_into(addr, request, connect, read, &mut buf)
-                            .and_then(|body| {
-                                let text = std::str::from_utf8(&buf[body..]).map_err(|_| {
-                                    ScrapeError::Parse("body is not valid UTF-8".into())
-                                })?;
-                                parse_metrics(text)
-                            });
-                        (addr, buf, result)
+                        let body = http_get_into(addr, request, connect, read, &mut buf);
+                        (buf, body)
                     })
                 })
                 .collect();
             for (&addr, handle) in addrs.iter().zip(handles) {
-                results.push(handle.join().unwrap_or_else(|_| {
+                let (buf, body) = handle.join().unwrap_or_else(|_| {
                     (
-                        addr,
                         Vec::new(),
                         Err(ScrapeError::Parse("scrape thread panicked".into())),
                     )
-                }));
+                });
+                let result = body.and_then(|body| {
+                    let text = std::str::from_utf8(&buf[body..])
+                        .map_err(|_| ScrapeError::Parse("body is not valid UTF-8".into()))?;
+                    parse_metrics(text)
+                });
+                results.push((addr, buf, result));
             }
         });
         let now = Instant::now();

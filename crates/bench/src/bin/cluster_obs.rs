@@ -13,6 +13,11 @@
 //!    accounted, imbalance ≥ 1 (it is max/mean by construction).
 //! 3. **Energy monotonicity** — the wall-clock energy account grows
 //!    strictly across ticks, and the proportionality ratio is ≥ 1.
+//! 4. **Transition stall** — `begin_transition` (a digest snapshot on
+//!    every default-sized server, broadcast in one round trip) returns
+//!    within [`BEGIN_TRANSITION_LIMIT`] in a release build: the client
+//!    serves nothing while it runs, so this is the delay spike a
+//!    transition costs.
 //!
 //! `--smoke` is the CI entry point: fewer keys, hard assertions,
 //! non-zero exit on regression.
@@ -20,7 +25,7 @@
 //! Run with: `cargo run --release -p proteus-bench --bin cluster_obs -- --smoke`
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use proteus_agg::{ClusterObserver, ObserverConfig};
@@ -31,6 +36,14 @@ use proteus_obs::{HistogramSnapshot, MetricValue, MetricsServer};
 use proteus_store::{ShardedStore, StoreConfig};
 
 const N: usize = 4;
+
+/// What a server started with no flags holds; the digest, and so the
+/// snapshot's cost, is sized from it.
+const SERVER_CAPACITY_BYTES: u64 = 64 << 20;
+
+/// About one loopback round trip plus one pass over the counters is
+/// 1–2 ms; the per-counter collapse this replaced took 25–45 ms.
+const BEGIN_TRANSITION_LIMIT: Duration = Duration::from_millis(10);
 
 fn merged_command_histogram(metrics: &[proteus_obs::Metric]) -> HistogramSnapshot {
     let mut merged = HistogramSnapshot::empty();
@@ -49,7 +62,13 @@ fn main() {
     let keys_n: u32 = if smoke { 300 } else { 3000 };
 
     let servers: Vec<CacheServer> = (0..N)
-        .map(|_| CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(8 << 20)).unwrap())
+        .map(|_| {
+            CacheServer::spawn(
+                "127.0.0.1:0",
+                CacheConfig::with_capacity(SERVER_CAPACITY_BYTES),
+            )
+            .unwrap()
+        })
         .collect();
     let addrs: Vec<SocketAddr> = servers.iter().map(CacheServer::addr).collect();
     let endpoints: Vec<MetricsServer> = servers
@@ -85,11 +104,29 @@ fn main() {
     observer.tick();
     let joules_after_first = observer.energy().joules();
 
+    let begin = Instant::now();
     cluster.begin_transition(N - 1).unwrap();
+    let first_stall = begin.elapsed();
     for k in &keys {
         cluster.fetch(k, &db).unwrap();
     }
     cluster.end_transition();
+    // The first window also pays the first touch of four lazily zeroed
+    // digests (a page fault per 4 KiB of counters); the window back up
+    // is what every later transition costs, and the one that is gated.
+    let begin = Instant::now();
+    cluster.begin_transition(N).unwrap();
+    let stall = begin.elapsed();
+    cluster.end_transition();
+    println!(
+        "  begin_transition   : {first_stall:?} first, {stall:?} warmed \
+         (limit {BEGIN_TRANSITION_LIMIT:?} in release)"
+    );
+    // An unoptimised build is several times slower and proves nothing.
+    assert!(
+        cfg!(debug_assertions) || stall <= BEGIN_TRANSITION_LIMIT,
+        "opening a transition window stalled the client for {stall:?}"
+    );
     // A tiny real interval so the second tick integrates nonzero time
     // and per-server rates are well-defined.
     std::thread::sleep(Duration::from_millis(50));

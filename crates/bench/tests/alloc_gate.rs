@@ -9,7 +9,7 @@
 //! sibling tests on concurrent threads, and their allocations would
 //! bleed into our measurement windows otherwise.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::time::Duration;
 
 use proteus_agg::{build_request, http_get_into, METRICS_PATH};
@@ -96,6 +96,25 @@ fn hot_paths_stay_within_allocation_budget() {
          page views have regressed to copying"
     );
 
+    // Warmed overwriting puts on the slab backend copy the value into
+    // a page and update the digest twice (the old item's remove, the
+    // new item's insert) by iterating the key's counter indices in
+    // place. Budget zero: an index `Vec` per digest update — two per
+    // put — is the regression this pins.
+    let value = [5u8; 128];
+    let slab_put = min_allocations(3, || {
+        for i in 0..GET_OPS {
+            let key = (i % 512).to_le_bytes();
+            let outcome = slab.put(&key, &value[..], SimTime::ZERO);
+            assert!(outcome.stored, "overwrite rejected");
+        }
+    });
+    assert_eq!(
+        slab_put, 0,
+        "warmed slab puts allocated {slab_put} times over {GET_OPS} ops — \
+         the digest update or the slab write path allocates again"
+    );
+
     // Borrowed parsing over a reused buffer pool: after a warm-up
     // drain sizes the pool, steady state allocates only the per-command
     // key list for multi-gets, never the key or value bytes.
@@ -147,6 +166,10 @@ fn hot_paths_stay_within_allocation_budget() {
     let responder = std::thread::spawn(move || {
         for _ in 0..SCRAPES {
             if let Ok((mut stream, _)) = listener.accept() {
+                // Closing with the request unread resets the connection
+                // under the client's read.
+                let mut request = [0u8; 512];
+                let _ = stream.read(&mut request);
                 let _ = stream.write_all(&canned);
             }
         }

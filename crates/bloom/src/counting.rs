@@ -65,13 +65,10 @@ impl CountingBloomFilter {
     /// Creates an empty filter with an explicit overflow policy.
     #[must_use]
     pub fn with_policy(config: BloomConfig, policy: OverflowPolicy) -> Self {
-        let total_bits = config.counters as u64 * u64::from(config.counter_bits);
-        // One spare word so two-word reads at the tail never bounds-check.
-        let words = (total_bits.div_ceil(64) + 1) as usize;
         CountingBloomFilter {
             config,
             policy,
-            words: vec![0; words],
+            words: vec![0; storage_words(config)],
             items: 0,
             overflows: 0,
         }
@@ -156,10 +153,8 @@ impl CountingBloomFilter {
 
     /// Inserts a key (the `do_item_link` path).
     pub fn insert(&mut self, key: &[u8]) {
-        let plan = self.plan();
         let max = self.counter_max();
-        let indices: Vec<usize> = plan.indices(key).collect();
-        for i in indices {
+        for i in self.plan().indices(key) {
             let c = self.get_counter(i);
             if c == max {
                 self.overflows += 1;
@@ -183,10 +178,8 @@ impl CountingBloomFilter {
     /// left at zero; with [`OverflowPolicy::Wrap`] it wraps to the
     /// maximum (modelling Eq. 5's underflow).
     pub fn remove(&mut self, key: &[u8]) {
-        let plan = self.plan();
         let max = self.counter_max();
-        let indices: Vec<usize> = plan.indices(key).collect();
-        for i in indices {
+        for i in self.plan().indices(key) {
             let c = self.get_counter(i);
             match (c, self.policy) {
                 (0, OverflowPolicy::Saturate) => {}
@@ -217,9 +210,7 @@ impl CountingBloomFilter {
     /// estimation range).
     #[must_use]
     pub fn estimate_cardinality(&self) -> Option<f64> {
-        let zeros = (0..self.config.counters)
-            .filter(|&i| self.get_counter(i) == 0)
-            .count();
+        let zeros = self.config.counters - count_nonzero(&self.words, self.config.counter_bits);
         if zeros == 0 {
             return None;
         }
@@ -234,6 +225,13 @@ impl CountingBloomFilter {
     /// at snapshot time.
     #[must_use]
     pub fn snapshot(&self) -> BloomFilter {
+        collapse(self.config, &self.words)
+    }
+
+    /// The collapse one counter at a time: the oracle the word-parallel
+    /// [`snapshot`](Self::snapshot) is tested against.
+    #[cfg(test)]
+    fn snapshot_per_counter(&self) -> BloomFilter {
         let mut bits = BloomFilter::new(self.config);
         for i in 0..self.config.counters {
             if self.get_counter(i) != 0 {
@@ -248,6 +246,168 @@ impl CountingBloomFilter {
         self.words.fill(0);
         self.items = 0;
         self.overflows = 0;
+    }
+}
+
+/// Words holding `l` packed `b`-bit counters, plus one spare so
+/// two-word reads at the tail never bounds-check.
+fn storage_words(config: BloomConfig) -> usize {
+    let total_bits = config.counters as u64 * u64::from(config.counter_bits);
+    (total_bits.div_ceil(64) + 1) as usize
+}
+
+/// Collapses packed `b`-bit counters a whole storage word at a time:
+/// calls `visit(first, nonzero)` once per word, in order, where
+/// `first` is the index of the first counter that *starts* in the word
+/// and bit `j` of `nonzero` says whether counter `first + j` is nonzero
+/// (bits past the word's last counter are clear).
+///
+/// The counters form one bit string `S`, counter `i` at bits
+/// `i·b .. (i+1)·b`. **Fold:** OR-ing `S` with itself shifted down by
+/// `1..b-1` leaves at bit `p` the OR of `S[p .. p+b]`, so bit `i·b`
+/// says whether counter `i` is nonzero; the other bits mix two
+/// neighbouring counters and are masked off. The shifts run over the
+/// bit string, not over one word — each word borrows the low bits of
+/// the next — so a counter that straddles a word boundary folds exactly
+/// like one that does not. (The spare last word and the bits past `l·b`
+/// are never written, so they fold to zero.) **Pack:** the surviving
+/// bits sit `b` apart; step `s` slides every second group of `2^s` bits
+/// down beside its neighbour (a shift by `2^s·(b-1)`, an OR, a mask), so
+/// after at most six steps they are contiguous. Nothing depends on how
+/// many counters are nonzero: no branch on the data, the same work for
+/// an empty digest and a full one.
+fn for_each_word(words: &[u64], b: u32, mut visit: impl FnMut(usize, u64)) {
+    // Bit k·b for every k with k·b < 64: the counter starts of a word
+    // whose first counter sits at bit 0.
+    let grid = (0..64)
+        .step_by(b as usize)
+        .fold(0u64, |grid, p| grid | 1 << p);
+    // (shift, mask) per pack step: groups of g bits every g·b become
+    // groups of 2g bits every 2g·b.
+    let mut steps = [(0u32, 0u64); 6];
+    let mut used = 0;
+    let mut g = 1;
+    while g < 64u32.div_ceil(b) {
+        let group = u64::MAX >> (64 - 2 * g);
+        let mask = (0..64)
+            .step_by((2 * g * b) as usize)
+            .fold(0u64, |mask, p| mask | group << p);
+        steps[used] = (g * (b - 1), mask);
+        used += 1;
+        g *= 2;
+    }
+    // Each word moves the grid by 64 mod b against the counters.
+    let (per_word, slip) = (64 / b as usize, 64 % b);
+    let (mut first, mut offset) = (0usize, 0u32);
+    for pair in words.windows(2) {
+        let (lo, hi) = (pair[0], pair[1]);
+        let mut folded = lo;
+        for k in 1..b {
+            folded |= (lo >> k) | (hi << (64 - k));
+        }
+        let mut nonzero = (folded >> offset) & grid;
+        for &(shift, mask) in &steps[..used] {
+            nonzero = (nonzero | nonzero >> shift) & mask;
+        }
+        visit(first, nonzero);
+        first += per_word;
+        if offset >= slip {
+            offset -= slip;
+        } else {
+            offset += b - slip;
+            first += 1;
+        }
+    }
+}
+
+/// How many of the packed counters are nonzero.
+fn count_nonzero(words: &[u64], b: u32) -> usize {
+    let mut count = 0;
+    for_each_word(words, b, |_, nonzero| {
+        count += nonzero.count_ones() as usize
+    });
+    count
+}
+
+/// The plain filter with bit `i` set iff counter `i` of `words` is
+/// nonzero.
+fn collapse(config: BloomConfig, words: &[u64]) -> BloomFilter {
+    let mut bits = vec![0u64; config.counters.div_ceil(64)];
+    for_each_word(words, config.counter_bits, |first, nonzero| {
+        // Append at bit `first`. Words past the last counter report
+        // nothing, possibly at an index past the end of `bits`.
+        let (word, shift) = (first / 64, (first % 64) as u32);
+        if let Some(low) = bits.get_mut(word) {
+            *low |= nonzero << shift;
+        }
+        if let Some(high) = bits.get_mut(word + 1) {
+            *high |= nonzero >> 1 >> (63 - shift);
+        }
+    });
+    BloomFilter::from_words(config, bits)
+}
+
+/// The union of several same-configuration digests, collapsed once.
+///
+/// A sharded cache keeps one [`CountingBloomFilter`] per shard and
+/// broadcasts one digest. [`add`](Self::add) ORs a shard's packed
+/// counters into the union bit for bit — one pass over plain words, the
+/// only work done while that shard is locked. A counter of the union is
+/// nonzero exactly when it is nonzero in some shard (its value is not a
+/// count), so [`snapshot`](Self::snapshot) equals the union of the
+/// shards' own snapshots, at the cost of one collapse instead of one
+/// per shard.
+///
+/// # Example
+///
+/// ```
+/// use proteus_bloom::{BloomConfig, CounterUnion, CountingBloomFilter};
+///
+/// let cfg = BloomConfig::new(1 << 12, 3, 4);
+/// let (mut a, mut b) = (CountingBloomFilter::new(cfg), CountingBloomFilter::new(cfg));
+/// a.insert(b"page:1");
+/// b.insert(b"page:2");
+/// let mut union = CounterUnion::new(cfg);
+/// union.add(&a);
+/// union.add(&b);
+/// let digest = union.snapshot();
+/// assert!(digest.contains(b"page:1") && digest.contains(b"page:2"));
+/// ```
+#[derive(Debug)]
+pub struct CounterUnion {
+    config: BloomConfig,
+    words: Vec<u64>,
+}
+
+impl CounterUnion {
+    /// The empty union for filters of `config`.
+    #[must_use]
+    pub fn new(config: BloomConfig) -> Self {
+        CounterUnion {
+            config,
+            words: vec![0; storage_words(config)],
+        }
+    }
+
+    /// ORs `filter`'s counters into the union.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `filter` has a different configuration.
+    pub fn add(&mut self, filter: &CountingBloomFilter) {
+        assert_eq!(
+            self.config, filter.config,
+            "cannot union differently-configured filters"
+        );
+        for (union, word) in self.words.iter_mut().zip(&filter.words) {
+            *union |= word;
+        }
+    }
+
+    /// The collapse of everything added so far.
+    #[must_use]
+    pub fn snapshot(&self) -> BloomFilter {
+        collapse(self.config, &self.words)
     }
 }
 
@@ -392,6 +552,119 @@ mod tests {
                 snap.contains(&key),
                 "divergence at key {i}"
             );
+        }
+    }
+
+    /// A length whose last counter straddles a word boundary, so its
+    /// high bits are the last ones before the spare word (65 for the
+    /// widths that divide 64 and never straddle).
+    fn straddling_len(b: u32) -> usize {
+        (1..=64usize)
+            .find(|l| ((l - 1) * b as usize) % 64 + b as usize > 64)
+            .unwrap_or(65)
+    }
+
+    fn assert_collapse_matches_oracle(f: &CountingBloomFilter) {
+        let (fast, oracle) = (f.snapshot(), f.snapshot_per_counter());
+        let cfg = f.config();
+        assert_eq!(fast.words(), oracle.words(), "{cfg:?}");
+        assert_eq!(fast.set_bits(), oracle.set_bits(), "{cfg:?}");
+        assert_eq!(
+            f.estimate_cardinality(),
+            oracle.estimate_cardinality(),
+            "{cfg:?}"
+        );
+    }
+
+    #[test]
+    fn collapse_matches_oracle_for_arbitrary_counter_values() {
+        use crate::indexing::splitmix64;
+        for b in 1..=16u32 {
+            for l in [1, 2, 63, 64, 65, 127, 1000, straddling_len(b)] {
+                let mut f = CountingBloomFilter::new(BloomConfig::new(l, b, 1));
+                let max = f.counter_max();
+                // A third of the counters nonzero, any value, so runs
+                // of zeros and of nonzeros both cross word boundaries.
+                for i in 0..l {
+                    let r = splitmix64((u64::from(b) << 32) | i as u64);
+                    if r.is_multiple_of(3) {
+                        f.set_counter(i, 1 + (r >> 8) % max);
+                    }
+                }
+                assert_collapse_matches_oracle(&f);
+                // Every counter nonzero, then every counter at its top
+                // bit only: the fold must reach all b bits.
+                (0..l).for_each(|i| f.set_counter(i, max));
+                assert_collapse_matches_oracle(&f);
+                assert_eq!(f.snapshot().set_bits(), l);
+                (0..l).for_each(|i| f.set_counter(i, 1 << (b - 1)));
+                assert_collapse_matches_oracle(&f);
+                assert_eq!(f.snapshot().set_bits(), l);
+            }
+        }
+    }
+
+    #[test]
+    fn union_snapshot_equals_union_of_snapshots() {
+        let cfg = BloomConfig::new(1000, 3, 4).with_seed(5);
+        let mut shards = vec![CountingBloomFilter::new(cfg); 3];
+        for i in 0..300u64 {
+            // Overlapping key sets, and key 7 often enough to saturate.
+            shards[(i % 3) as usize].insert(&(i / 2).to_le_bytes());
+            shards[(i % 2) as usize].insert(&7u64.to_le_bytes());
+        }
+        let mut union = CounterUnion::new(cfg);
+        let mut expected = vec![0u64; 1000usize.div_ceil(64)];
+        for shard in &shards {
+            union.add(shard);
+            let bits = shard.snapshot_per_counter();
+            expected
+                .iter_mut()
+                .zip(bits.words())
+                .for_each(|(e, w)| *e |= w);
+        }
+        assert_eq!(union.snapshot(), BloomFilter::from_words(cfg, expected));
+        assert_eq!(CounterUnion::new(cfg).snapshot(), BloomFilter::new(cfg));
+    }
+
+    #[test]
+    #[should_panic(expected = "differently-configured")]
+    fn union_rejects_other_configurations() {
+        let f = CountingBloomFilter::new(BloomConfig::new(1000, 3, 4));
+        CounterUnion::new(BloomConfig::new(1000, 4, 4)).add(&f);
+    }
+
+    proptest::proptest! {
+        /// The word-parallel collapse equals the per-counter oracle for
+        /// every width, for lengths that are not multiples of 64, under
+        /// both overflow policies, after interleaved inserts and removes
+        /// over a key space small enough to saturate narrow counters.
+        #[test]
+        fn collapse_matches_oracle_after_churn(
+            b in 1u32..=16,
+            len in proptest::prop_oneof![
+                proptest::strategy::Just(0usize),
+                proptest::strategy::Just(1usize),
+                proptest::strategy::Just(63usize),
+                proptest::strategy::Just(65usize),
+                2usize..700,
+            ],
+            wrap in proptest::strategy::any::<bool>(),
+            h in 1u32..6,
+            ops in proptest::collection::vec((proptest::strategy::any::<bool>(), 0u8..48), 0..400),
+        ) {
+            // 0 stands for the width's straddling length.
+            let l = if len == 0 { straddling_len(b) } else { len };
+            let policy = if wrap { OverflowPolicy::Wrap } else { OverflowPolicy::Saturate };
+            let mut f = CountingBloomFilter::with_policy(BloomConfig::new(l, b, h), policy);
+            for (insert, key) in ops {
+                if insert {
+                    f.insert(&[key]);
+                } else {
+                    f.remove(&[key]);
+                }
+            }
+            assert_collapse_matches_oracle(&f);
         }
     }
 

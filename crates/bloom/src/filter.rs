@@ -72,9 +72,7 @@ impl BloomFilter {
 
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let plan = self.plan();
-        let indices: Vec<usize> = plan.indices(key).collect();
-        for i in indices {
+        for i in self.plan().indices(key) {
             self.set_raw_bit(i);
         }
     }
@@ -122,13 +120,15 @@ impl BloomFilter {
         &self.words
     }
 
-    /// Rebuilds a filter from its configuration and raw words.
+    /// Rebuilds a filter from its configuration and raw words
+    /// (`counter_bits` is normalized to 1, as in [`new`](Self::new)).
     ///
     /// # Panics
     ///
     /// Panics if `words` has the wrong length for the configuration.
     #[must_use]
-    pub fn from_words(config: BloomConfig, words: Vec<u64>) -> Self {
+    pub fn from_words(mut config: BloomConfig, words: Vec<u64>) -> Self {
+        config.counter_bits = 1;
         let expect = (config.counters as u64).div_ceil(64) as usize;
         assert_eq!(words.len(), expect, "word count mismatch");
         let set_bits = words.iter().map(|w| w.count_ones() as usize).sum();
@@ -137,37 +137,6 @@ impl BloomFilter {
             words,
             set_bits,
         }
-    }
-
-    /// Whether `other` has the same dimensions and hashing (and thus
-    /// can be meaningfully compared or combined with this filter).
-    #[must_use]
-    pub fn same_shape(&self, other: &BloomFilter) -> bool {
-        self.config.counters == other.config.counters
-            && self.config.hashes == other.config.hashes
-            && self.config.seed == other.config.seed
-    }
-
-    /// Unions `other` into this filter (bitwise OR). Because every key
-    /// hashes identically in same-shape filters, the union answers
-    /// `contains` exactly as if all keys had been inserted into one
-    /// filter — this is how per-shard digests collapse into one
-    /// server-wide digest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the filters differ in counters, hashes, or seed.
-    pub fn union_with(&mut self, other: &BloomFilter) {
-        assert!(
-            self.same_shape(other),
-            "cannot union differently-shaped filters: {:?} vs {:?}",
-            self.config,
-            other.config
-        );
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-        self.set_bits = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 
     /// Clears all bits.

@@ -14,6 +14,8 @@
 //!   the cache's item link/unlink path), with a choice of
 //!   [`OverflowPolicy`]: saturating (the safe system default) or
 //!   wrapping (the behaviour Eq. 5's false-negative analysis models).
+//! - [`CounterUnion`] — several same-configuration digests (a sharded
+//!   cache's) collapsed into one broadcast filter in one pass.
 //! - [`BloomFilter`] — a plain bit-array filter, used as the compact
 //!   broadcast form of a digest ("a few KB each", Section IV-A).
 //! - [`DigestSnapshot`] — the serialized wire form exchanged via the
@@ -49,6 +51,6 @@ mod indexing;
 mod snapshot;
 
 pub use config::BloomConfig;
-pub use counting::{CountingBloomFilter, OverflowPolicy};
+pub use counting::{CounterUnion, CountingBloomFilter, OverflowPolicy};
 pub use filter::BloomFilter;
 pub use snapshot::{DigestSnapshot, SnapshotError};

@@ -15,6 +15,9 @@ use crate::filter::BloomFilter;
 /// Magic prefix identifying a serialized digest (`"PBF1"`).
 const MAGIC: [u8; 4] = *b"PBF1";
 
+/// Bytes before the words: magic, counters, hashes, seed.
+const HEADER: usize = 4 + 8 + 4 + 8;
+
 /// A serializable snapshot of one cache server's digest.
 ///
 /// # Example
@@ -47,9 +50,6 @@ pub enum SnapshotError {
     BadMagic,
     /// A header field held an impossible value.
     BadHeader(&'static str),
-    /// Two snapshots could not be merged because their filters differ
-    /// in counters, hashes, or seed.
-    ShapeMismatch,
 }
 
 impl fmt::Display for SnapshotError {
@@ -60,17 +60,22 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::BadMagic => write!(f, "snapshot magic mismatch"),
             SnapshotError::BadHeader(field) => write!(f, "invalid snapshot header field: {field}"),
-            SnapshotError::ShapeMismatch => {
-                write!(f, "cannot merge snapshots with different filter shapes")
-            }
         }
     }
 }
 
 impl Error for SnapshotError {}
 
+/// Wraps a broadcast filter without copying it — what a server does
+/// with the digest it just built.
+impl From<BloomFilter> for DigestSnapshot {
+    fn from(filter: BloomFilter) -> Self {
+        DigestSnapshot { filter }
+    }
+}
+
 impl DigestSnapshot {
-    /// Wraps an existing broadcast filter.
+    /// Wraps a copy of an existing broadcast filter.
     #[must_use]
     pub fn from_filter(filter: &BloomFilter) -> Self {
         DigestSnapshot {
@@ -96,13 +101,13 @@ impl DigestSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let cfg = self.filter.config();
         let words = self.filter.words();
-        let mut out = Vec::with_capacity(4 + 8 + 4 + 8 + words.len() * 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&(cfg.counters as u64).to_le_bytes());
-        out.extend_from_slice(&cfg.hashes.to_le_bytes());
-        out.extend_from_slice(&cfg.seed.to_le_bytes());
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
+        let mut out = vec![0; self.encoded_len()];
+        out[0..4].copy_from_slice(&MAGIC);
+        out[4..12].copy_from_slice(&(cfg.counters as u64).to_le_bytes());
+        out[12..16].copy_from_slice(&cfg.hashes.to_le_bytes());
+        out[16..24].copy_from_slice(&cfg.seed.to_le_bytes());
+        for (bytes, word) in out[HEADER..].chunks_exact_mut(8).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
@@ -114,7 +119,6 @@ impl DigestSnapshot {
     /// Returns a [`SnapshotError`] if the buffer is truncated, has the
     /// wrong magic, or declares impossible dimensions.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        const HEADER: usize = 4 + 8 + 4 + 8;
         if bytes.len() < HEADER {
             return Err(SnapshotError::Truncated {
                 needed: HEADER,
@@ -152,27 +156,10 @@ impl DigestSnapshot {
         })
     }
 
-    /// Merges `other` into this snapshot (bitwise union of the
-    /// filters). Each key lives in exactly one cache shard, so the
-    /// union of same-shape per-shard snapshots is identical to the
-    /// snapshot an unsharded digest of the same contents would give.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::ShapeMismatch`] if the filters differ
-    /// in counters, hashes, or seed.
-    pub fn merge(&mut self, other: &DigestSnapshot) -> Result<(), SnapshotError> {
-        if !self.filter.same_shape(&other.filter) {
-            return Err(SnapshotError::ShapeMismatch);
-        }
-        self.filter.union_with(&other.filter);
-        Ok(())
-    }
-
     /// Serialized size in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        4 + 8 + 4 + 8 + self.filter.words().len() * 8
+        HEADER + self.filter.words().len() * 8
     }
 }
 
@@ -265,63 +252,5 @@ mod tests {
         let e = SnapshotError::Truncated { needed: 10, got: 2 };
         assert!(e.to_string().contains("10"));
         assert!(!SnapshotError::BadMagic.to_string().is_empty());
-        assert!(!SnapshotError::ShapeMismatch.to_string().is_empty());
-    }
-
-    #[test]
-    fn merge_unions_membership() {
-        let cfg = BloomConfig::new(5000, 4, 4).with_seed(11);
-        let mut a = CountingBloomFilter::new(cfg);
-        let mut b = CountingBloomFilter::new(cfg);
-        for i in 0..300u64 {
-            a.insert(&i.to_le_bytes());
-        }
-        for i in 300..600u64 {
-            b.insert(&i.to_le_bytes());
-        }
-        let mut merged = DigestSnapshot::from_filter(&a.snapshot());
-        merged
-            .merge(&DigestSnapshot::from_filter(&b.snapshot()))
-            .unwrap();
-        for i in 0..600u64 {
-            assert!(merged.filter().contains(&i.to_le_bytes()), "key {i}");
-        }
-    }
-
-    #[test]
-    fn merge_equals_unsharded_digest() {
-        // Partition one key set across 4 "shards"; the union of the
-        // shard snapshots must be bit-identical to a single digest of
-        // all keys (each key lives in exactly one shard).
-        let cfg = BloomConfig::new(5000, 4, 4).with_seed(7);
-        let mut whole = CountingBloomFilter::new(cfg);
-        let mut shards: Vec<CountingBloomFilter> =
-            (0..4).map(|_| CountingBloomFilter::new(cfg)).collect();
-        for i in 0..1000u64 {
-            let key = i.to_le_bytes();
-            whole.insert(&key);
-            shards[(i % 4) as usize].insert(&key);
-        }
-        let mut merged = DigestSnapshot::from_filter(&shards[0].snapshot());
-        for shard in &shards[1..] {
-            merged
-                .merge(&DigestSnapshot::from_filter(&shard.snapshot()))
-                .unwrap();
-        }
-        assert_eq!(merged.filter(), &whole.snapshot());
-    }
-
-    #[test]
-    fn merge_rejects_shape_mismatch() {
-        let a = DigestSnapshot::from_filter(&BloomFilter::new(BloomConfig::new(5000, 4, 4)));
-        let wrong_size =
-            DigestSnapshot::from_filter(&BloomFilter::new(BloomConfig::new(4096, 4, 4)));
-        let wrong_seed = DigestSnapshot::from_filter(&BloomFilter::new(
-            BloomConfig::new(5000, 4, 4).with_seed(99),
-        ));
-        let mut m = a.clone();
-        assert_eq!(m.merge(&wrong_size), Err(SnapshotError::ShapeMismatch));
-        assert_eq!(m.merge(&wrong_seed), Err(SnapshotError::ShapeMismatch));
-        assert_eq!(m, a, "failed merges must leave the snapshot untouched");
     }
 }

@@ -2,11 +2,33 @@
 
 use proptest::prelude::*;
 use proteus_bloom::{
-    config, BloomConfig, BloomFilter, CountingBloomFilter, DigestSnapshot, OverflowPolicy,
+    config, BloomConfig, BloomFilter, CounterUnion, CountingBloomFilter, DigestSnapshot,
+    OverflowPolicy,
 };
 
 fn keys_strategy() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..300)
+}
+
+/// Filter lengths that are not multiples of 64: one counter, one short
+/// of and one past a word, and (`0`) the width's own straddling length.
+fn odd_len_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        Just(63usize),
+        Just(65usize),
+        2usize..700
+    ]
+}
+
+/// A length whose last counter straddles a storage-word boundary, so
+/// its high bits are the last before the filter's spare word (65 for
+/// the widths that divide 64 and never straddle).
+fn straddling_len(b: u32) -> usize {
+    (1..=64usize)
+        .find(|l| ((l - 1) * b as usize) % 64 + b as usize > 64)
+        .unwrap_or(65)
 }
 
 proptest! {
@@ -93,6 +115,66 @@ proptest! {
         }
     }
 
+    /// Collapse equivalence against an oracle that shares no code with
+    /// it: with saturating counters and no removes, counter `i` is
+    /// nonzero exactly when some key touched it — which is bit `i` of a
+    /// plain filter fed the same keys. Equal words and equal `set_bits`
+    /// for every counter width, including those that straddle words.
+    /// (The per-counter oracle itself is `#[cfg(test)]` inside the
+    /// crate, where the same property also runs after removes and under
+    /// wrapping counters.)
+    #[test]
+    fn collapse_equals_plain_filter_for_every_width(
+        b in 1u32..=16,
+        len in odd_len_strategy(),
+        h in 1u32..6,
+        keys in prop::collection::vec(0u8..48, 0..400),
+    ) {
+        let l = if len == 0 { straddling_len(b) } else { len };
+        let cfg = BloomConfig::new(l, b, h);
+        let mut counting = CountingBloomFilter::new(cfg);
+        let mut plain = BloomFilter::new(cfg);
+        for k in &keys {
+            counting.insert(&[*k]);
+            plain.insert(&[*k]);
+        }
+        let snap = counting.snapshot();
+        prop_assert_eq!(snap.words(), plain.words());
+        prop_assert_eq!(snap.set_bits(), plain.set_bits());
+        prop_assert_eq!(snap, plain);
+    }
+
+    /// After any interleaving of inserts and removes that saturates (or
+    /// wraps) narrow counters, the collapse still answers membership
+    /// exactly as the counters do, counts its own bits right, and
+    /// estimates the same cardinality.
+    #[test]
+    fn collapse_agrees_with_counters_after_churn(
+        b in 1u32..=16,
+        len in odd_len_strategy(),
+        wrap in any::<bool>(),
+        h in 1u32..6,
+        ops in prop::collection::vec((any::<bool>(), 0u8..48), 0..400),
+    ) {
+        let l = if len == 0 { straddling_len(b) } else { len };
+        let policy = if wrap { OverflowPolicy::Wrap } else { OverflowPolicy::Saturate };
+        let mut f = CountingBloomFilter::with_policy(BloomConfig::new(l, b, h), policy);
+        for (insert, key) in ops {
+            if insert {
+                f.insert(&[key]);
+            } else {
+                f.remove(&[key]);
+            }
+        }
+        let snap = f.snapshot();
+        for key in 0u8..64 {
+            prop_assert_eq!(snap.contains(&[key]), f.contains(&[key]), "key {}", key);
+        }
+        let ones: usize = snap.words().iter().map(|w| w.count_ones() as usize).sum();
+        prop_assert_eq!(snap.set_bits(), ones);
+        prop_assert_eq!(snap.estimate_cardinality(), f.estimate_cardinality());
+    }
+
     /// Snapshot wire serialization round-trips exactly.
     #[test]
     fn snapshot_bytes_roundtrip(
@@ -150,18 +232,20 @@ proptest! {
     }
 
     /// Sharding invariance: partition any key set across any shard
-    /// count, snapshot each shard's digest, and merge — the result is
-    /// bit-identical to one digest over the whole set. This is the
-    /// property that lets a sharded cache answer `SET_BLOOM_FILTER`
-    /// one shard at a time.
+    /// count, OR the shards' counters into one union and collapse it —
+    /// the result is bit-identical to one digest over the whole set,
+    /// and to the OR of the shards' own snapshots. This is the property
+    /// that lets a sharded cache answer `SET_BLOOM_FILTER` one shard at
+    /// a time.
     #[test]
-    fn merged_shard_snapshots_equal_unsharded_digest(
+    fn shard_union_equals_unsharded_digest(
         keys in keys_strategy(),
         shard_count in 1usize..9,
         l in 64usize..8192,
+        b in 1u32..=16,
         h in 1u32..8,
     ) {
-        let cfg = BloomConfig::new(l, 4, h);
+        let cfg = BloomConfig::new(l, b, h);
         let mut whole = CountingBloomFilter::new(cfg);
         let mut shards: Vec<CountingBloomFilter> =
             (0..shard_count).map(|_| CountingBloomFilter::new(cfg)).collect();
@@ -172,11 +256,16 @@ proptest! {
             let shard = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shard_count;
             shards[shard].insert(&k.to_le_bytes());
         }
-        let mut merged = DigestSnapshot::from_filter(&shards[0].snapshot());
-        for shard in &shards[1..] {
-            merged.merge(&DigestSnapshot::from_filter(&shard.snapshot())).unwrap();
+        let mut union = CounterUnion::new(cfg);
+        let mut ored = vec![0u64; l.div_ceil(64)];
+        for shard in &shards {
+            union.add(shard);
+            let bits = shard.snapshot();
+            ored.iter_mut().zip(bits.words()).for_each(|(o, w)| *o |= w);
         }
-        prop_assert_eq!(merged.filter(), &whole.snapshot());
-        prop_assert_eq!(merged.filter().set_bits(), whole.snapshot().set_bits());
+        let merged = union.snapshot();
+        prop_assert_eq!(&merged, &whole.snapshot());
+        prop_assert_eq!(merged.set_bits(), whole.snapshot().set_bits());
+        prop_assert_eq!(merged, BloomFilter::from_words(cfg, ored));
     }
 }

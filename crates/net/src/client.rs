@@ -871,21 +871,21 @@ impl CacheClient {
         }
     }
 
-    /// Takes a fresh digest snapshot on the server and downloads it:
-    /// `get SET_BLOOM_FILTER` followed by `get BLOOM_FILTER`, decoded
-    /// into a [`BloomFilter`]. Returns `None` if the server answered
-    /// with a miss (no snapshot available).
+    /// Takes a fresh digest snapshot on the server and downloads it in
+    /// one round trip: the multi-key `get SET_BLOOM_FILTER BLOOM_FILTER`,
+    /// whose keys the server serves in order, decoded into a
+    /// [`BloomFilter`]. Returns `None` if the server answered either
+    /// key with a miss (no snapshot available).
     ///
     /// # Errors
     ///
     /// Returns transport errors or a decode failure
     /// ([`NetError::BadDigest`]).
     pub fn snapshot_digest(&self) -> Result<Option<BloomFilter>, NetError> {
-        let taken = self.get(DIGEST_SNAPSHOT_KEY)?;
-        if taken.is_none() {
-            return Ok(None);
+        match &self.get_many(&[DIGEST_SNAPSHOT_KEY, DIGEST_KEY])?[..] {
+            [Some(_taken), Some(bytes)] => Ok(Some(decode_digest(bytes)?)),
+            _ => Ok(None),
         }
-        self.fetch_digest()
     }
 
     /// Downloads the last digest snapshot (`get BLOOM_FILTER`) without
@@ -895,11 +895,14 @@ impl CacheClient {
     ///
     /// Returns transport errors or a decode failure.
     pub fn fetch_digest(&self) -> Result<Option<BloomFilter>, NetError> {
-        match self.get(DIGEST_KEY)? {
-            Some(bytes) => Ok(Some(DigestSnapshot::from_bytes(&bytes)?.into_filter())),
-            None => Ok(None),
-        }
+        self.get(DIGEST_KEY)?
+            .map(|bytes| decode_digest(&bytes))
+            .transpose()
     }
+}
+
+fn decode_digest(bytes: &[u8]) -> Result<BloomFilter, NetError> {
+    Ok(DigestSnapshot::from_bytes(bytes)?.into_filter())
 }
 
 #[cfg(test)]

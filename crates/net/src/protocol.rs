@@ -36,7 +36,9 @@
 //! `get SET_BLOOM_FILTER` makes the server snapshot its digest, and
 //! `get BLOOM_FILTER` retrieves the snapshot bytes as a normal value —
 //! "it exactly follows Memcached protocol, and should be compatible
-//! with all Memcached client packages".
+//! with all Memcached client packages". The keys of a multi-key `get`
+//! are served in order, so `get SET_BLOOM_FILTER BLOOM_FILTER` takes a
+//! snapshot and returns it in one round trip.
 
 use std::io::{BufRead, IoSlice, Write};
 

@@ -501,12 +501,13 @@ impl Drop for CacheServer {
 
 /// Classifies a parsed command for per-class latency recording. The
 /// reserved digest keys are traffic of their own class even though they
-/// arrive as plain `get`s.
+/// arrive as plain `get`s — one key at a time, or both in the one
+/// multi-key `get` a client's digest broadcast sends.
 pub(crate) fn op_class_of(cmd: &RawCommand<'_>) -> OpClass {
+    let reserved = |key: &[u8]| key == DIGEST_SNAPSHOT_KEY || key == DIGEST_KEY;
     match cmd {
-        RawCommand::Get { key } if *key == DIGEST_SNAPSHOT_KEY || *key == DIGEST_KEY => {
-            OpClass::Digest
-        }
+        RawCommand::Get { key } if reserved(key) => OpClass::Digest,
+        RawCommand::MultiGet { keys } if keys.iter().all(|key| reserved(key)) => OpClass::Digest,
         RawCommand::Get { .. } => OpClass::Get,
         RawCommand::MultiGet { .. } => OpClass::MultiGet,
         RawCommand::Set { .. } => OpClass::Set,
@@ -851,8 +852,11 @@ fn numeric_op(shared: &Shared, key: &[u8], op: impl FnOnce(u64) -> u64) -> Respo
 /// or `None` on a miss (multi-key gets omit misses).
 fn lookup(shared: &Shared, key: &[u8]) -> Option<(u32, SharedBytes)> {
     if key == DIGEST_SNAPSHOT_KEY {
-        let snapshot = shared.engine.digest_snapshot();
-        let bytes: SharedBytes = DigestSnapshot::from_filter(&snapshot).to_bytes().into();
+        // Built and encoded outside the snapshot lock, which is held
+        // only to swap the finished bytes in.
+        let bytes: SharedBytes = DigestSnapshot::from(shared.engine.digest_snapshot())
+            .to_bytes()
+            .into();
         *shared.snapshot.lock() = Some(bytes);
         // The server-side half of a digest broadcast: this is the event
         // the aggregator correlates with the client's DigestBroadcast.

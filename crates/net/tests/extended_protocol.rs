@@ -81,6 +81,104 @@ fn flush_all_clears_everything_including_digest() {
     server.stop();
 }
 
+/// The digest broadcast is one request: `snapshot_digest` sends both
+/// reserved keys as one multi-key `get`, the server counts it as one
+/// digest-class command, and the semantics of the two keys are what
+/// they were as two requests.
+#[test]
+fn snapshot_digest_is_one_round_trip_with_the_same_semantics() {
+    use proteus_obs::OpClass;
+    let server = server();
+    let served = |class| server.metrics().ops().snapshot(class).count();
+    let client = CacheClient::connect(server.addr()).unwrap();
+    let keys: Vec<Vec<u8>> = (0..200u32).map(|i| format!("k{i}").into_bytes()).collect();
+    for key in &keys {
+        client.set(key, b"v").unwrap();
+    }
+    // Nothing to fetch before the first snapshot.
+    assert_eq!(client.fetch_digest().unwrap(), None);
+    assert_eq!(served(OpClass::Digest), 1);
+
+    let digest = client.snapshot_digest().unwrap().unwrap();
+    assert_eq!(served(OpClass::Digest), 2, "one command, not two");
+    assert_eq!(served(OpClass::MultiGet), 0, "and it is not a data get");
+    assert_eq!(served(OpClass::Get), 0);
+    for key in &keys {
+        assert!(digest.contains(key), "{:?}", String::from_utf8_lossy(key));
+    }
+
+    // Snapshot isolation: `get BLOOM_FILTER` keeps returning the last
+    // snapshot, bit for bit, while later sets land in the live digest.
+    for i in 0..200u32 {
+        client.set(format!("late{i}").as_bytes(), b"v").unwrap();
+    }
+    assert_eq!(client.fetch_digest().unwrap().as_ref(), Some(&digest));
+    let fresh = client.snapshot_digest().unwrap().unwrap();
+    assert!(fresh.contains(b"late0") && fresh.set_bits() > digest.set_bits());
+    server.stop();
+}
+
+/// The reply bytes of the two reserved keys — asked for one by one or
+/// in one multi-key `get` — against bytes built without the server's
+/// collapse: with no removes, the digest of a key set is the plain
+/// filter of that key set, in the `PBF1` encoding.
+#[test]
+fn digest_replies_are_byte_exact_on_every_plane() {
+    use proteus_bloom::{BloomFilter, DigestSnapshot};
+    use proteus_net::{uring_supported, EngineKind, ServerConfig};
+    use std::io::{Read, Write};
+    let config = CacheConfig::with_capacity(1 << 20);
+    let keys: Vec<Vec<u8>> = (0..300u32)
+        .map(|i| format!("key:{i}").into_bytes())
+        .collect();
+    let mut expected = BloomFilter::new(config.digest);
+    keys.iter().for_each(|key| expected.insert(key));
+    let pbf1 = DigestSnapshot::from(expected).to_bytes();
+    let value = |key: &str, data: &[u8]| {
+        let mut reply = format!("VALUE {key} 0 {}\r\n", data.len()).into_bytes();
+        reply.extend_from_slice(data);
+        reply.extend_from_slice(b"\r\n");
+        reply
+    };
+    let taken = value("SET_BLOOM_FILTER", b"OK");
+    let digest = value("BLOOM_FILTER", &pbf1);
+    let one_by_one = [&taken[..], b"END\r\n", &digest, b"END\r\n"].concat();
+    let together = [&taken[..], &digest, b"END\r\n"].concat();
+
+    let mut engines = vec![EngineKind::Threaded];
+    if cfg!(target_os = "linux") {
+        engines.push(EngineKind::Reactor { loops: 2 });
+        if uring_supported() {
+            engines.push(EngineKind::Uring { loops: 2 });
+        }
+    }
+    for engine in engines {
+        let server =
+            CacheServer::spawn_with("127.0.0.1:0", config, ServerConfig { engine }).unwrap();
+        let client = CacheClient::connect(server.addr()).unwrap();
+        for key in &keys {
+            client.set(key, b"v").unwrap();
+        }
+        let ask = |request: &[u8]| {
+            let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
+            sock.write_all(request).unwrap();
+            sock.write_all(b"quit\r\n").unwrap();
+            let mut reply = Vec::new();
+            sock.read_to_end(&mut reply).unwrap();
+            reply
+        };
+        assert!(
+            ask(b"get SET_BLOOM_FILTER\r\nget BLOOM_FILTER\r\n") == one_by_one,
+            "two requests on {engine:?}"
+        );
+        assert!(
+            ask(b"get SET_BLOOM_FILTER BLOOM_FILTER\r\n") == together,
+            "one request on {engine:?}"
+        );
+        server.stop();
+    }
+}
+
 #[test]
 fn exptime_is_honored_over_the_wire() {
     use proteus_net::{read_response, write_command, Command, Response};

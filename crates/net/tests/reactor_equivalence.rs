@@ -32,7 +32,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use proteus_cache::CacheConfig;
-use proteus_net::{uring_supported, write_command, CacheServer, Command, EngineKind, ServerConfig};
+use proteus_net::{
+    uring_supported, write_command, CacheServer, Command, EngineKind, ServerConfig, DIGEST_KEY,
+    DIGEST_SNAPSHOT_KEY,
+};
 use proteus_obs::MetricValue;
 
 /// One server per plane, oracle (threaded) first. The uring plane
@@ -182,6 +185,17 @@ fn command_strategy() -> impl Strategy<Value = Command> {
         Just(Command::FlushAll),
         Just(Command::Version),
         Just(Command::Quit),
+        // The paper's reserved keys: take a digest snapshot, download
+        // it, and both in the one request a digest broadcast sends.
+        Just(Command::Get {
+            key: DIGEST_SNAPSHOT_KEY.to_vec()
+        }),
+        Just(Command::Get {
+            key: DIGEST_KEY.to_vec()
+        }),
+        Just(Command::MultiGet {
+            keys: vec![DIGEST_SNAPSHOT_KEY.to_vec(), DIGEST_KEY.to_vec()]
+        }),
     ]
 }
 

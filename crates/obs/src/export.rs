@@ -544,7 +544,6 @@ impl MetricsServer {
     ) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(AtomicScrapeStats::default());
         let stop = Arc::clone(&shutdown);
@@ -553,8 +552,14 @@ impl MetricsServer {
             .name("proteus-metrics".into())
             .spawn(move || {
                 let mut workers: Vec<JoinHandle<()>> = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
+                loop {
+                    // Blocks until a scraper connects; `stop` raises
+                    // the flag and then connects to get it looked at.
+                    let accepted = listener.accept();
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             // Reap finished workers before admitting.
                             workers.retain(|w| !w.is_finished());
@@ -589,10 +594,14 @@ impl MetricsServer {
                                 }
                             }
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
+                        // Out of descriptors or memory (EMFILE, ENFILE,
+                        // ENOMEM, ENOBUFS): retrying at once would spin,
+                        // so wait — `stop` unparks — for some to free up.
+                        Err(e) if matches!(e.raw_os_error(), Some(23 | 24 | 12 | 105)) => {
+                            std::thread::park_timeout(Duration::from_millis(10));
                         }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                        // A connection that died in the backlog.
+                        Err(_) => {}
                     }
                 }
                 // Let in-flight scrapes finish (each is bounded by the
@@ -631,9 +640,16 @@ impl MetricsServer {
     /// Stops the accept loop and joins the server thread (which in turn
     /// joins any in-flight scrape workers).
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        self.shutdown.store(true, Ordering::SeqCst);
+        handle.thread().unpark();
+        // The loop is blocked in `accept`: a connection of our own wakes it.
+        // Should even that fail (no descriptor left), the thread is left
+        // behind rather than joined, which would never return.
+        if TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok() {
+            let _ = handle.join();
         }
     }
 }
@@ -1066,6 +1082,25 @@ mod tests {
         s.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 404"), "{out}");
         plain.stop();
+    }
+
+    /// The accept loop blocks in `accept` (no polling), so `stop` has
+    /// to wake it: an idle server stops at once, a stopped one stays
+    /// stopped, and nothing listens afterwards.
+    #[test]
+    fn stop_wakes_an_idle_accept_loop() {
+        let source: MetricSource = Arc::new(sample_metrics);
+        let mut server = MetricsServer::spawn("127.0.0.1:0", source).unwrap();
+        let addr = server.local_addr();
+        let begin = std::time::Instant::now();
+        server.stop();
+        server.stop();
+        assert!(
+            begin.elapsed() < Duration::from_millis(500),
+            "stop took {:?}",
+            begin.elapsed()
+        );
+        assert!(TcpStream::connect(addr).is_err(), "listener still open");
     }
 
     #[test]
