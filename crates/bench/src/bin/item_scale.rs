@@ -11,12 +11,18 @@
 //!    gate is RSS ≤ 1.6× accounted: per-item index overhead plus page
 //!    rounding, with no allocator blow-up.
 //! 2. **Warmed gets** — random reads over the resident set with the
-//!    counting global allocator: the gate is exactly zero allocations
-//!    per hit (a page view is a refcount bump).
+//!    counting global allocator, through the path the server runs (a
+//!    borrowed read copied out under the shard lock): the gate is
+//!    exactly zero allocations per hit.
 //! 3. **Eviction churn** — mixed-size writes past capacity so every
 //!    store evicts. Gates: set p99 stays stable from the first half
 //!    of the run to the second (no accumulating fragmentation stall),
 //!    and the slab's page accounting still covers its live bytes.
+//! 4. **Quarter fill** — a second engine of the same capacity filled
+//!    to a quarter with the churn phase's mixed sizes, so each shard
+//!    has a partly filled page in every size class. Pages commit
+//!    lazily, so resident memory must follow the data actually held
+//!    (RSS ≤ 1.5× live key+value bytes), not the pages reserved.
 //!
 //! Run with: `cargo run --release --bin item_scale`
 //!
@@ -41,15 +47,25 @@ const KEY_LEN: usize = 12;
 const ITEM_OVERHEAD: u64 = 64;
 /// Acceptance bar: resident memory over accounted bytes.
 const RSS_BAR: f64 = 1.6;
+/// Acceptance bar at a quarter fill: resident memory over live
+/// key+value bytes.
+const QUARTER_RSS_BAR: f64 = 1.5;
 /// Churn p99 in the second half may not exceed this multiple of the
 /// first half (wall-clock is noisy; drift is what we're after).
 const P99_DRIFT_BAR: f64 = 5.0;
 
 /// Builds the fixed-width key for item `i` without allocating.
 fn key_of(i: u64, buf: &mut [u8; KEY_LEN]) -> &[u8] {
-    buf[..4].copy_from_slice(b"itm:");
-    buf[4..].copy_from_slice(&i.to_le_bytes());
+    *buf = tagged_key(b"itm:", i);
     &buf[..]
+}
+
+/// The fixed-width key `<tag><i>`; each phase writes under its own tag.
+fn tagged_key(tag: &[u8; 4], i: u64) -> [u8; KEY_LEN] {
+    let mut key = [0u8; KEY_LEN];
+    key[..4].copy_from_slice(tag);
+    key[4..].copy_from_slice(&i.to_le_bytes());
+    key
 }
 
 /// Resident set size of this process, from `/proc/self/status`.
@@ -128,13 +144,17 @@ fn main() {
 
     // Phase 2: warmed random gets, counted exactly.
     let gets = items.min(2_000_000);
+    let mut out = Vec::with_capacity(VALUE_LEN);
     let get_started = Instant::now();
     let ((), warm) = measure(|| {
         for i in 0..gets {
-            let key_idx = splitmix64(i) % items;
-            let hit = engine.get(key_of(key_idx, &mut key_buf), SimTime::ZERO);
+            let key = key_of(splitmix64(i) % items, &mut key_buf);
+            out.clear();
+            let hit = engine.with_key_shard(key, |e| {
+                e.get(key, SimTime::ZERO).map(|v| out.extend_from_slice(v))
+            });
             assert!(hit.is_some(), "resident key missing");
-            std::hint::black_box(&hit);
+            std::hint::black_box(&out);
         }
     });
     let get_elapsed = get_started.elapsed();
@@ -157,9 +177,7 @@ fn main() {
     let mut churn_value = Vec::with_capacity(2048);
     let mut evictions = 0u64;
     for i in 0..warmup + churn_ops {
-        let mut churn_key = [0u8; KEY_LEN];
-        churn_key[..4].copy_from_slice(b"chn:");
-        churn_key[4..].copy_from_slice(&i.to_le_bytes());
+        let churn_key = tagged_key(b"chn:", i);
         let size = content_size_for(&churn_key, 16, 2048);
         churn_value.clear();
         churn_value.resize(size, (i % 251) as u8);
@@ -191,6 +209,34 @@ fn main() {
         "slab claims {} live bytes in only {} page bytes",
         slab_after.live_bytes(),
         slab_after.page_bytes_total(),
+    );
+
+    // Phase 4: the same capacity a quarter full of the churn phase's
+    // mixed sizes, so every shard holds a partly filled page in each of
+    // ~17 size classes. The first engine stays alive, so nothing it
+    // holds can be recycled into this one.
+    let quarter =
+        ShardedEngine::new(CacheConfig::with_capacity(capacity).storage(StorageKind::Slab));
+    let quarter_rss_before = rss_bytes().unwrap_or(0);
+    let mut i = 0u64;
+    while quarter.bytes_used() < capacity / 4 {
+        let key = tagged_key(b"qtr:", i);
+        churn_value.clear();
+        churn_value.resize(content_size_for(&key, 16, 2048), (i % 251) as u8);
+        quarter.put(&key[..], &churn_value[..], SimTime::ZERO);
+        i += 1;
+    }
+    let quarter_rss = rss_bytes().unwrap_or(0).saturating_sub(quarter_rss_before);
+    let quarter_slab = quarter.slab_stats().expect("slab backend configured");
+    let quarter_ratio = quarter_rss as f64 / quarter_slab.live_bytes() as f64;
+    println!(
+        "quarter fill: {} mixed-size items, live {} MiB, RSS delta {} MiB ({quarter_ratio:.3}x), \
+         {} pages reserved ({} MiB)",
+        quarter.len(),
+        quarter_slab.live_bytes() >> 20,
+        quarter_rss >> 20,
+        quarter_slab.pages_allocated,
+        quarter_slab.page_bytes_total() >> 20,
     );
 
     if let Ok(path) = write_csv(
@@ -228,7 +274,12 @@ fn main() {
         );
         assert_eq!(
             warm.allocations, 0,
-            "warmed gets allocated — page views have regressed to copying"
+            "warmed gets allocated — the borrowed read under the shard lock allocates"
+        );
+        assert!(
+            quarter_ratio <= QUARTER_RSS_BAR,
+            "a quarter-full cache is resident at {quarter_ratio:.3}x its live bytes \
+             (bar {QUARTER_RSS_BAR}x) — pages are committed before they are written"
         );
         assert!(
             drift <= P99_DRIFT_BAR,

@@ -3,17 +3,17 @@
 use std::fmt;
 use std::sync::Arc;
 
-/// A reference-counted, immutable view of value bytes.
+/// A reference-counted, immutable buffer of value bytes: one heap
+/// allocation per value, shared by refcount. Cloning is a refcount
+/// bump, and the bytes live for as long as any holder keeps a clone.
 ///
-/// Until the slab store existed this was a plain `Arc<[u8]>`: one
-/// heap allocation per value, shared by refcount. Slab storage packs
-/// many values into one 1 MiB page, so a value is now a *window* into
-/// a shared backing buffer: the buffer is either a whole-value heap
-/// allocation (heap backend, `off == 0`, `len == buf.len()`) or a
-/// refcounted slab page (slab backend, `off`/`len` select the value's
-/// chunk region). Either way the zero-copy contract of DESIGN.md §9 is
-/// unchanged: cloning is a refcount bump, a cache hit never copies
-/// bytes, and the bytes live for as long as any holder keeps the view.
+/// This is how the heap backend stores values and how values cross
+/// ownership boundaries (client replies, the simulator, tools). The
+/// slab backend owns its pages outright and never hands out a
+/// reference into them: its reads borrow under the shard lock
+/// ([`CacheEngine::get`](crate::CacheEngine::get)) or copy out into a
+/// fresh `SharedBytes` ([`ShardedEngine::get`](crate::ShardedEngine::get))
+/// — DESIGN.md §9.
 ///
 /// # Example
 ///
@@ -28,61 +28,34 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct SharedBytes {
     buf: Arc<[u8]>,
-    off: u32,
-    len: u32,
 }
 
 impl SharedBytes {
-    /// A view of `buf[off..off + len]`. Used by the slab store to hand
-    /// out page-backed values; plain conversions go through `From`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window falls outside `buf` or exceeds 4 GiB
-    /// (values on the wire are capped far below either limit).
-    #[must_use]
-    pub fn view(buf: Arc<[u8]>, off: usize, len: usize) -> SharedBytes {
-        assert!(off.checked_add(len).is_some_and(|end| end <= buf.len()));
-        SharedBytes {
-            buf,
-            off: u32::try_from(off).expect("buffer offset exceeds u32"),
-            len: u32::try_from(len).expect("value length exceeds u32"),
-        }
-    }
-
-    /// The viewed bytes.
+    /// The bytes.
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off as usize..self.off as usize + self.len as usize]
+        &self.buf
     }
 
-    /// Length of the view in bytes.
+    /// Length in bytes.
     #[must_use]
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.buf.len()
     }
 
-    /// Whether the view is empty.
+    /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 
-    /// Whether two views alias the same bytes of the same backing
-    /// buffer — the zero-copy assertion (`Arc::ptr_eq` before the
-    /// window existed). Two hits on one cached value are `ptr_eq`;
-    /// equal bytes in different buffers are not.
+    /// Whether two handles alias one allocation — the zero-copy
+    /// assertion. A clone is `ptr_eq` to its source; equal bytes in
+    /// different buffers are not.
     #[must_use]
     pub fn ptr_eq(a: &SharedBytes, b: &SharedBytes) -> bool {
-        Arc::ptr_eq(&a.buf, &b.buf) && a.off == b.off && a.len == b.len
-    }
-
-    /// Number of live references to the backing buffer (diagnostics;
-    /// the slab store uses this to prove pages quiesced).
-    #[must_use]
-    pub fn ref_count(this: &SharedBytes) -> usize {
-        Arc::strong_count(&this.buf)
+        Arc::ptr_eq(&a.buf, &b.buf)
     }
 }
 
@@ -108,8 +81,7 @@ impl Default for SharedBytes {
 
 impl From<Arc<[u8]>> for SharedBytes {
     fn from(buf: Arc<[u8]>) -> Self {
-        let len = u32::try_from(buf.len()).expect("value length exceeds u32");
-        SharedBytes { buf, off: 0, len }
+        SharedBytes { buf }
     }
 }
 
@@ -137,8 +109,8 @@ impl<const N: usize> From<&[u8; N]> for SharedBytes {
     }
 }
 
-/// Content equality: two views are equal when their bytes are equal,
-/// matching the old `Arc<[u8]>` semantics. Identity is [`ptr_eq`].
+/// Content equality: two buffers are equal when their bytes are
+/// equal. Identity is [`ptr_eq`].
 ///
 /// [`ptr_eq`]: SharedBytes::ptr_eq
 impl PartialEq for SharedBytes {
@@ -166,19 +138,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conversions_and_views_roundtrip() {
+    fn conversions_roundtrip() {
         let whole = SharedBytes::from(vec![1u8, 2, 3, 4]);
         assert_eq!(&whole[..], &[1, 2, 3, 4]);
         assert_eq!(whole.len(), 4);
         assert!(!whole.is_empty());
-
-        let page: Arc<[u8]> = vec![0u8, 9, 9, 9, 0, 0].into();
-        let window = SharedBytes::view(Arc::clone(&page), 1, 3);
-        assert_eq!(&window[..], &[9, 9, 9]);
-        assert_eq!(window.len(), 3);
-
-        let empty = SharedBytes::default();
-        assert!(empty.is_empty());
+        assert_eq!(
+            SharedBytes::from(&[9u8, 9][..]),
+            SharedBytes::from(&[9u8, 9])
+        );
+        assert!(SharedBytes::default().is_empty());
     }
 
     #[test]
@@ -186,27 +155,9 @@ mod tests {
         let a = SharedBytes::from(&b"shared"[..]);
         let b = SharedBytes::clone(&a);
         assert!(SharedBytes::ptr_eq(&a, &b));
-        assert_eq!(SharedBytes::ref_count(&a), 2);
         // Equal bytes in a different buffer are == but not ptr_eq.
         let c = SharedBytes::from(&b"shared"[..]);
         assert_eq!(a, c);
         assert!(!SharedBytes::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn distinct_windows_of_one_page_are_not_ptr_eq() {
-        let page: Arc<[u8]> = vec![7u8; 64].into();
-        let a = SharedBytes::view(Arc::clone(&page), 0, 8);
-        let b = SharedBytes::view(Arc::clone(&page), 8, 8);
-        let a2 = SharedBytes::view(Arc::clone(&page), 0, 8);
-        assert!(!SharedBytes::ptr_eq(&a, &b));
-        assert!(SharedBytes::ptr_eq(&a, &a2));
-    }
-
-    #[test]
-    #[should_panic(expected = "assertion")]
-    fn out_of_bounds_view_panics() {
-        let page: Arc<[u8]> = vec![0u8; 8].into();
-        let _ = SharedBytes::view(page, 4, 8);
     }
 }

@@ -14,8 +14,9 @@ use crate::SharedBytes;
 const NIL: u32 = u32::MAX;
 
 /// How many extra LRU evictions a slab placement may perform when the
-/// store reports `Full` (fragmentation or view-pinned pages) before the
-/// item falls back to the heap path. Bounds the worst-case `set`.
+/// store reports `Full` (every page of the budget held by other size
+/// classes) before the item falls back to the heap path. Bounds the
+/// worst-case `set`.
 const SLAB_EVICT_RETRY_LIMIT: u32 = 64;
 
 /// FNV-1a with a splitmix64-style finalizer. The finalizer matters:
@@ -307,26 +308,23 @@ impl CacheEngine {
             .map(|idx| slot_value(&self.slots, &self.store, idx))
     }
 
-    /// Like [`get`](Self::get), but hands back the value's shared
-    /// buffer. A hit is a refcount bump — no byte copy, no allocation —
-    /// whichever backend holds the bytes (the slab store hands out a
-    /// window into its page), so this is the lookup the concurrent TCP
-    /// tier uses under its shard mutex.
+    /// Like [`get`](Self::get), but hands back a value that outlives
+    /// the borrow of the engine: a refcount bump on the heap backend
+    /// (which stores each value as a [`SharedBytes`]), one allocation
+    /// and one copy on the slab backend (which owns its pages and lends
+    /// them only as `&[u8]`). The convenience path for tests, the
+    /// simulator and tools; the server reads through
+    /// [`get`](Self::get) under its shard lock instead.
     pub fn get_shared(&mut self, key: &[u8], now: SimTime) -> Option<SharedBytes> {
-        self.hit_slot(key, now).map(|idx| self.shared_view(idx))
+        self.hit_slot(key, now).map(|idx| self.owned_value(idx))
     }
 
-    /// The shared view of a live slot's value (refcount bump only).
-    fn shared_view(&self, idx: u32) -> SharedBytes {
-        let slot = &self.slots[idx as usize];
-        match &slot.repr {
+    /// An owned handle on a live slot's value (see
+    /// [`get_shared`](Self::get_shared) for what it costs).
+    fn owned_value(&self, idx: u32) -> SharedBytes {
+        match &self.slots[idx as usize].repr {
             ValueRepr::Heap(item) => SharedBytes::clone(&item.value),
-            ValueRepr::Slab(loc) => self
-                .store
-                .as_ref()
-                .expect("slab slot without slab store")
-                .value_view(*loc, slot.klen as usize, slot.vlen as usize),
-            ValueRepr::Free => unreachable!("viewing a free slot"),
+            _ => SharedBytes::from(slot_value(&self.slots, &self.store, idx)),
         }
     }
 
@@ -387,12 +385,12 @@ impl CacheEngine {
             .map(|idx| slot_value(&self.slots, &self.store, idx))
     }
 
-    /// [`peek`](Self::peek) returning the shared value buffer (refcount
-    /// bump, no byte copy, no side effects).
+    /// [`peek`](Self::peek) returning an owned value (no side effects;
+    /// costs what [`get_shared`](Self::get_shared) costs).
     #[must_use]
     pub fn peek_shared(&self, key: &[u8]) -> Option<SharedBytes> {
         self.find_slot(key, hash_key(key))
-            .map(|idx| self.shared_view(idx))
+            .map(|idx| self.owned_value(idx))
     }
 
     /// Presence probe for compound storage commands (`add`/`replace`):
@@ -522,10 +520,10 @@ impl CacheEngine {
             match self.place_slab(key, value.as_ref(), &mut evicted) {
                 Some(loc) => ValueRepr::Slab(loc),
                 None => {
-                    // Oversize for the class table, or pages pinned /
-                    // fragmented beyond the retry budget: the heap path
-                    // always succeeds, so a within-budget set never
-                    // fails outright.
+                    // Oversize for the class table, or pages fragmented
+                    // across classes beyond the retry budget: the heap
+                    // path always succeeds, so a within-budget set
+                    // never fails outright.
                     self.store
                         .as_mut()
                         .expect("checked is_some")
@@ -894,7 +892,7 @@ mod tests {
         assert!(SharedBytes::ptr_eq(&a, &p));
         assert_eq!(&a[..], b"shared");
         assert_eq!(c.stats().hits, 2);
-        // The buffer outlives deletion for holders of the view.
+        // The buffer outlives deletion for whoever holds a clone.
         assert!(c.delete(b"k"));
         assert_eq!(&a[..], b"shared");
     }
@@ -946,14 +944,13 @@ mod tests {
     }
 
     #[test]
-    fn slab_incr_rewrite_under_a_pinned_view_keeps_accounting_exact() {
+    fn slab_incr_rewrite_with_a_reader_holding_the_old_value_stays_in_the_slab() {
         // The server's incr path (probe → expiry_of → peek →
         // put_with_deadline) rewrites the counter while a client may
-        // still hold the get result pinning the counter's page. With a
-        // single-page budget the rewrite cannot go back to the pinned
-        // page, so it must heap-fallback — counted, with per-class
-        // accounting staying exact — and return to the slab once the
-        // view drops.
+        // still hold an earlier get's result. The slab owns its pages,
+        // so that result is a copy: even with a single-page budget the
+        // rewrite reuses the counter's own chunk — no heap fallback, no
+        // second page — and the reader's copy keeps the old bytes.
         let mut c = CacheEngine::new(
             CacheConfig::with_capacity(1 << 16)
                 .item_overhead(0)
@@ -963,13 +960,12 @@ mod tests {
                 .digest(BloomConfig::new(1 << 14, 4, 4)),
         );
         c.put(b"ctr", b"41".to_vec(), T0);
-        let pin = c.get_shared(b"ctr", T0).unwrap();
-        assert_eq!(&pin[..], b"41");
+        let held = c.get_shared(b"ctr", T0).unwrap();
 
         // The server's numeric_op composition.
         assert!(c.probe(b"ctr", T0));
         let deadline = c.expiry_of(b"ctr").unwrap();
-        let current: u64 = std::str::from_utf8(&c.peek_shared(b"ctr").unwrap())
+        let current: u64 = std::str::from_utf8(c.peek(b"ctr").unwrap())
             .unwrap()
             .parse()
             .unwrap();
@@ -977,27 +973,13 @@ mod tests {
             c.put_with_deadline(b"ctr", (current + 1).to_string().into_bytes(), T0, deadline);
         assert!(outcome.stored);
 
-        // New value visible; the outstanding view still reads the old
-        // bytes; the fallback is counted, not silent.
         assert_eq!(c.get(b"ctr", T0).unwrap(), b"42");
-        assert_eq!(&pin[..], b"41", "pinned view must not be rewritten");
+        assert_eq!(&held[..], b"41", "a reader's copy is never rewritten");
         let stats = c.slab_stats().unwrap();
-        assert_eq!(stats.heap_fallbacks, 1, "fallback must be counted");
-        let slab_live: u64 = stats.classes.iter().map(|cl| cl.live_bytes).sum();
-        assert_eq!(slab_live, 0, "old chunk freed, new value on the heap");
+        assert_eq!(stats.heap_fallbacks, 0);
+        assert_eq!(stats.pages_allocated, 1);
+        assert_eq!(stats.live_bytes(), 5);
         assert_eq!(c.bytes_used(), 5, "key + value, single accounting model");
-        c.assert_storage_consistent();
-
-        // View dropped: the next rewrite lands back in the slab with no
-        // further fallbacks and exact per-class bytes.
-        drop(pin);
-        c.put_with_deadline(b"ctr", b"43".to_vec(), T0, deadline);
-        assert_eq!(c.get(b"ctr", T0).unwrap(), b"43");
-        let stats = c.slab_stats().unwrap();
-        assert_eq!(stats.heap_fallbacks, 1, "no new fallback once unpinned");
-        let slab_live: u64 = stats.classes.iter().map(|cl| cl.live_bytes).sum();
-        assert_eq!(slab_live, 5);
-        assert_eq!(c.bytes_used(), 5);
         c.assert_storage_consistent();
     }
 
@@ -1070,24 +1052,18 @@ mod tests {
     }
 
     #[test]
-    fn slab_get_shared_is_a_window_into_the_page() {
+    fn slab_get_shared_is_an_owned_copy() {
         let mut c = slab_engine(1 << 16);
         c.put(b"k", b"slabbed".to_vec(), T0);
         let a = c.get_shared(b"k", T0).unwrap();
         let b = c.get_shared(b"k", T0).unwrap();
-        assert!(SharedBytes::ptr_eq(&a, &b), "hits alias the page window");
-        assert_eq!(&a[..], b"slabbed");
-        // The page outlives deletion for holders of a view.
+        assert!(!SharedBytes::ptr_eq(&a, &b), "each hit copies out");
+        assert_eq!((&a[..], &b[..]), (&b"slabbed"[..], &b"slabbed"[..]));
+        // The copy outlives deletion and the chunk's reuse.
         assert!(c.delete(b"k"));
+        c.put(b"x", b"rewrite".to_vec(), T0);
         assert_eq!(&a[..], b"slabbed");
-        // Two keys in one page: distinct windows, same backing buffer.
-        c.put(b"x", b"one".to_vec(), T0);
-        c.put(b"y", b"two".to_vec(), T0);
-        let x = c.peek_shared(b"x").unwrap();
-        let y = c.peek_shared(b"y").unwrap();
-        assert!(!SharedBytes::ptr_eq(&x, &y));
-        assert_eq!(&x[..], b"one");
-        assert_eq!(&y[..], b"two");
+        assert_eq!(&c.peek_shared(b"x").unwrap()[..], b"rewrite");
     }
 
     #[test]

@@ -150,7 +150,10 @@ impl ShardedEngine {
     /// Runs `f` under the lock of `key`'s shard, folding any counter
     /// movement into the global atomic statistics. This is the engine's
     /// unit of atomicity: compound per-key operations (`add`,
-    /// `replace`, `incr`, …) run their probe and write inside one call.
+    /// `replace`, `incr`, …) run their probe and write inside one call,
+    /// and a borrowed read ([`CacheEngine::get`]) is consumed inside
+    /// one. `f` must not block or make a syscall: every other key of
+    /// the shard waits on it.
     pub fn with_key_shard<T>(&self, key: &[u8], f: impl FnOnce(&mut CacheEngine) -> T) -> T {
         self.with_shard(self.shard_of(key), f)
     }
@@ -166,9 +169,12 @@ impl ShardedEngine {
     }
 
     /// Looks up `key`, refreshing recency (see [`CacheEngine::get`]).
-    /// Returns the value's shared buffer: the hit is a refcount bump
-    /// under the shard lock, never a byte copy, and the lock is
-    /// released before returning.
+    /// Returns a value that outlives the shard lock: a refcount bump on
+    /// the heap backend, one allocation and one copy on the slab
+    /// backend ([`CacheEngine::get_shared`]). A caller that only needs
+    /// the bytes while it can hold the lock — the server copying them
+    /// into a response buffer — borrows them instead:
+    /// `with_key_shard(key, |e| e.get(key, now).map(..))`.
     #[must_use]
     pub fn get(&self, key: &[u8], now: SimTime) -> Option<SharedBytes> {
         self.with_key_shard(key, |e| e.get_shared(key, now))
@@ -212,7 +218,8 @@ impl ShardedEngine {
         self.with_key_shard(key, |e| e.touch(key, now))
     }
 
-    /// Non-mutating shared-buffer lookup (see [`CacheEngine::peek`]).
+    /// Non-mutating lookup returning an owned value (see
+    /// [`CacheEngine::peek_shared`]).
     #[must_use]
     pub fn peek(&self, key: &[u8]) -> Option<SharedBytes> {
         self.with_key_shard(key, |e| e.peek_shared(key))
@@ -613,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn get_is_a_refcount_bump_not_a_copy() {
+    fn heap_get_is_a_refcount_bump_not_a_copy() {
         let c = engine(1 << 20, 4);
         let stored: SharedBytes = SharedBytes::from(vec![7u8; 128]);
         c.put(b"k", SharedBytes::clone(&stored), T0);

@@ -9,19 +9,29 @@
 //! Worst-case internal waste is bounded by the growth factor; pages
 //! are the only allocation unit the system allocator ever sees.
 //!
-//! # Safety model (no `unsafe`)
+//! # Ownership model (no `unsafe`)
 //!
-//! Pages are `Arc<[u8]>`. A cache hit hands out a
-//! [`SharedBytes`](crate::SharedBytes) window into the page — a
-//! refcount bump, no copy — and that window may outlive the item (a
-//! response still in flight after an eviction). The store therefore
-//! **never** writes to a page that has outstanding views: every write
-//! goes through [`Arc::get_mut`], which succeeds only while the store
-//! holds the sole reference. A page with in-flight views simply cannot
-//! accept new items for that moment; the write moves to another page
-//! of the class (or a fresh one), and the busy page becomes writable
-//! again the instant the last view drops. This trades a little
-//! placement flexibility for memory safety that the compiler checks.
+//! The store is the sole owner of its pages: a page is a `Box<[u8]>`
+//! and nothing outside this module ever holds a reference into one
+//! beyond a borrow of the store itself. Reads are the borrowed
+//! accessors [`SlabStore::key_slice`] / [`SlabStore::value_slice`]
+//! (`&self` → `&[u8]`), writes go through `&mut self`, and the shard
+//! mutex around the owning engine serializes the two — so the borrow
+//! checker, not a refcount, proves no reader can observe a chunk being
+//! rewritten. A caller that needs the bytes past the lock copies them
+//! out while it holds it (the server copies straight into the
+//! connection's output buffer; DESIGN.md §9).
+//!
+//! # Lazy commit
+//!
+//! A page is allocated zeroed (`vec![0; n].into_boxed_slice()`, i.e.
+//! `calloc`), which for a 1 MiB request is fresh anonymous memory the
+//! kernel has not backed yet: a 4 KiB piece of it becomes resident
+//! only when a chunk inside it is first written. Chunks are handed out
+//! in address order from a per-page bump cursor and freed chunks are
+//! reused (LIFO) before the cursor advances, so resident memory
+//! follows the chunks actually written while
+//! [`SlabStats::page_bytes_total`] counts reserved address space.
 //!
 //! # Page reassignment
 //!
@@ -32,10 +42,6 @@
 //! memcached "slab rebalance" move, done eagerly at the moment of
 //! starvation.
 
-use std::sync::Arc;
-
-use crate::SharedBytes;
-
 /// Smallest chunk size. Items smaller than this still occupy one
 /// minimum chunk (48-byte memcached floor rounded to 64).
 const MIN_CHUNK: u32 = 64;
@@ -43,11 +49,6 @@ const MIN_CHUNK: u32 = 64;
 /// Size-class growth factor: 1.25, expressed as a ratio.
 const GROWTH_NUM: u64 = 5;
 const GROWTH_DEN: u64 = 4;
-
-/// How many candidate pages a single insert probes before concluding
-/// the class needs a fresh page. Bounds worst-case insert cost when
-/// many pages of a class are pinned by in-flight views.
-const WRITE_PROBE_LIMIT: usize = 8;
 
 /// Where an item's bytes live: size class, page within the class, and
 /// chunk within the page. The item's key/value lengths are stored by
@@ -73,13 +74,34 @@ pub enum SlabError {
 
 #[derive(Debug)]
 struct Page {
-    buf: Arc<[u8]>,
-    /// Free chunk indices within this page.
+    buf: Box<[u8]>,
+    /// Bump cursor: chunks `cursor..chunks_per_page` were never handed
+    /// out (and their memory never written since the page was made).
+    cursor: u32,
+    /// Chunks handed out and since freed, reused LIFO before the
+    /// cursor advances.
     free: Vec<u32>,
     /// Live items in this page.
     live: u32,
     /// Whether the page is queued in its class's candidate ring.
     queued: bool,
+}
+
+impl Page {
+    /// Takes a free chunk: the most recently freed one, else the next
+    /// never-used one.
+    fn take_chunk(&mut self, chunks_per_page: u32) -> Option<u32> {
+        self.free.pop().or_else(|| {
+            (self.cursor < chunks_per_page).then(|| {
+                self.cursor += 1;
+                self.cursor - 1
+            })
+        })
+    }
+
+    fn is_full(&self, chunks_per_page: u32) -> bool {
+        self.free.is_empty() && self.cursor == chunks_per_page
+    }
 }
 
 #[derive(Debug)]
@@ -91,7 +113,7 @@ struct SizeClass {
     pages: Vec<Option<Page>>,
     /// Indices of `None` entries in `pages`, reusable for new pages.
     vacant: Vec<u32>,
-    /// Pages that may have free chunks, probed round-robin on insert.
+    /// Pages that may have free chunks; inserts fill the front one.
     candidates: std::collections::VecDeque<u32>,
     live_items: u64,
     /// Exact key+value bytes of live items (≤ live_items × chunk_size).
@@ -132,9 +154,6 @@ pub struct SlabStats {
     pub pages_allocated: u64,
     /// Reclaimed empty pages waiting in the cross-class pool.
     pub pages_pooled: u64,
-    /// Inserts that found a candidate page pinned by in-flight views
-    /// and had to look elsewhere.
-    pub write_blocked: u64,
     /// Empty pages moved between size classes under starvation.
     pub pages_reassigned: u64,
     /// Items the engine stored on the heap because the slab was full
@@ -149,7 +168,9 @@ impl SlabStats {
         self.classes.iter().map(|c| c.live_bytes).sum()
     }
 
-    /// Total bytes held in pages (allocated × page size).
+    /// Total bytes reserved for pages (allocated × page size). Pages
+    /// commit lazily, so resident memory can be well below this while
+    /// chunks remain unwritten.
     #[must_use]
     pub fn page_bytes_total(&self) -> u64 {
         self.pages_allocated * self.page_bytes
@@ -175,7 +196,6 @@ impl SlabStats {
         self.page_bytes = self.page_bytes.max(other.page_bytes);
         self.pages_allocated += other.pages_allocated;
         self.pages_pooled += other.pages_pooled;
-        self.write_blocked += other.write_blocked;
         self.pages_reassigned += other.pages_reassigned;
         self.heap_fallbacks += other.heap_fallbacks;
         for oc in &other.classes {
@@ -204,13 +224,12 @@ pub struct SlabStore {
     page_bytes: u32,
     classes: Vec<SizeClass>,
     /// Reclaimed empty pages, reusable by any class.
-    free_pool: Vec<Arc<[u8]>>,
+    free_pool: Vec<Box<[u8]>>,
     /// Hints of (class, page) pairs that were seen empty; validated on
     /// use (the page may have been refilled since).
     empty_hints: Vec<(u16, u32)>,
     pages_allocated: u64,
     max_pages: u64,
-    write_blocked: u64,
     pages_reassigned: u64,
     heap_fallbacks: u64,
 }
@@ -256,7 +275,6 @@ impl SlabStore {
             empty_hints: Vec::new(),
             pages_allocated: 0,
             max_pages: max_pages.max(1),
-            write_blocked: 0,
             pages_reassigned: 0,
             heap_fallbacks: 0,
         }
@@ -298,161 +316,97 @@ impl SlabStore {
     pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<ChunkLoc, SlabError> {
         let len = key.len() + value.len();
         let class = self.class_of(len).ok_or(SlabError::Oversize)?;
-        // 1. A candidate page of the class with a free chunk we may
-        //    write (no outstanding views).
-        let probes = self.classes[class as usize]
-            .candidates
-            .len()
-            .min(WRITE_PROBE_LIMIT);
-        for _ in 0..probes {
+        loop {
+            // 1. The front candidate page of the class with a free chunk.
             let c = &mut self.classes[class as usize];
-            let Some(&pid) = c.candidates.front() else {
-                break;
-            };
-            let page = match c.pages[pid as usize].as_mut() {
-                Some(p) if !p.free.is_empty() => p,
-                other => {
-                    // Stale candidate: reclaimed or fully occupied.
-                    if let Some(p) = other {
-                        p.queued = false;
+            while let Some(&pid) = c.candidates.front() {
+                if let Some(page) = c.pages[pid as usize].as_mut() {
+                    if let Some(chunk) = page.take_chunk(c.chunks_per_page) {
+                        let off = (chunk * c.chunk_size) as usize;
+                        page.buf[off..off + key.len()].copy_from_slice(key);
+                        page.buf[off + key.len()..off + len].copy_from_slice(value);
+                        page.live += 1;
+                        if page.is_full(c.chunks_per_page) {
+                            page.queued = false;
+                            c.candidates.pop_front();
+                        }
+                        c.live_items += 1;
+                        c.live_bytes += len as u64;
+                        return Ok(ChunkLoc {
+                            class,
+                            page: pid,
+                            chunk,
+                        });
                     }
-                    c.candidates.pop_front();
-                    continue;
+                    page.queued = false;
                 }
-            };
-            match Arc::get_mut(&mut page.buf) {
-                Some(data) => {
-                    let chunk = page.free.pop().expect("checked non-empty");
-                    let off = (chunk * c.chunk_size) as usize;
-                    data[off..off + key.len()].copy_from_slice(key);
-                    data[off + key.len()..off + len].copy_from_slice(value);
-                    page.live += 1;
-                    if page.free.is_empty() {
-                        page.queued = false;
-                        c.candidates.pop_front();
-                    }
-                    c.live_items += 1;
-                    c.live_bytes += len as u64;
-                    return Ok(ChunkLoc {
-                        class,
-                        page: pid,
-                        chunk,
-                    });
-                }
-                None => {
-                    // Pinned by in-flight views; try the next page.
-                    self.write_blocked += 1;
-                    let c = &mut self.classes[class as usize];
-                    let pid = c.candidates.pop_front().expect("probed front");
-                    c.candidates.push_back(pid);
-                }
+                // Stale candidate: reclaimed or fully occupied.
+                c.candidates.pop_front();
             }
+            // 2. A fresh page — the cross-class pool, the allocator
+            //    (within budget), or an empty page reclaimed from a rich
+            //    class — becomes the only candidate; go round again.
+            let buf = self.take_page().ok_or(SlabError::Full)?;
+            self.install_page(class, buf);
         }
-        // 2. A fresh page: the cross-class pool, the allocator (within
-        //    budget), or an empty page reclaimed from a rich class.
-        if let Some(buf) = self.take_page() {
-            return Ok(self.install_page(class, buf, key, value));
-        }
-        Err(SlabError::Full)
     }
 
     /// Pops a usable page from the pool, allocates one within budget,
     /// or reclaims an empty page from another class.
-    fn take_page(&mut self) -> Option<Arc<[u8]>> {
+    fn take_page(&mut self) -> Option<Box<[u8]>> {
         if let Some(buf) = self.free_pool.pop() {
             return Some(buf);
         }
         if self.pages_allocated < self.max_pages {
             self.pages_allocated += 1;
-            return Some(vec![0u8; self.page_bytes as usize].into());
+            // Zeroed straight from the allocator, never copied: see
+            // "Lazy commit" in the module docs.
+            return Some(vec![0u8; self.page_bytes as usize].into_boxed_slice());
         }
         self.reclaim_empty_page()
     }
 
-    /// Detaches an empty, view-free page from whatever class holds it.
-    fn reclaim_empty_page(&mut self) -> Option<Arc<[u8]>> {
-        let mut viewed = Vec::new();
-        let mut found = None;
+    /// Detaches an empty page from whatever class holds it.
+    fn reclaim_empty_page(&mut self) -> Option<Box<[u8]>> {
         while let Some((class, pid)) = self.empty_hints.pop() {
             let c = &mut self.classes[class as usize];
-            let (empty, quiet) = match c.pages.get(pid as usize) {
-                Some(Some(p)) => (p.live == 0, Arc::strong_count(&p.buf) == 1),
-                _ => (false, false),
-            };
-            if !empty {
-                continue; // refilled (or already reclaimed): hint is dead
+            // A hint whose page was refilled (or already reclaimed) is
+            // dead and simply dropped.
+            if c.pages[pid as usize].as_ref().is_some_and(|p| p.live == 0) {
+                let page = c.pages[pid as usize].take().expect("checked Some");
+                c.vacant.push(pid);
+                self.pages_reassigned += 1;
+                return Some(page.buf);
             }
-            if !quiet {
-                // Empty but a response still views it: the hint stays
-                // valid — once the view drops this page is reclaimable,
-                // so it must survive this pass rather than be dropped.
-                viewed.push((class, pid));
-                continue;
-            }
-            let page = c.pages[pid as usize].take().expect("matched Some");
-            c.vacant.push(pid);
-            self.pages_reassigned += 1;
-            found = Some(page.buf);
-            break;
         }
-        self.empty_hints.extend(viewed);
-        found
+        None
     }
 
-    /// Installs `buf` as a new page of `class` and writes the item
-    /// into chunk 0.
-    fn install_page(
-        &mut self,
-        class: u16,
-        mut buf: Arc<[u8]>,
-        key: &[u8],
-        value: &[u8],
-    ) -> ChunkLoc {
+    /// Installs `buf` as a new, empty candidate page of `class`.
+    fn install_page(&mut self, class: u16, buf: Box<[u8]>) {
         let c = &mut self.classes[class as usize];
-        let data = Arc::get_mut(&mut buf).expect("fresh page has no views");
-        data[..key.len()].copy_from_slice(key);
-        data[key.len()..key.len() + value.len()].copy_from_slice(value);
-        // Free list in descending order so chunks are handed out 0, 1,
-        // 2, … (chunk 0 is taken by this insert).
-        let free: Vec<u32> = (1..c.chunks_per_page).rev().collect();
-        let page = Page {
+        let page = Some(Page {
             buf,
-            free,
-            live: 1,
+            cursor: 0,
+            free: Vec::new(),
+            live: 0,
             queued: true,
-        };
+        });
         let pid = match c.vacant.pop() {
             Some(pid) => {
-                c.pages[pid as usize] = Some(page);
+                c.pages[pid as usize] = page;
                 pid
             }
             None => {
-                let pid = u32::try_from(c.pages.len()).expect("page table overflow");
-                c.pages.push(Some(page));
-                pid
+                c.pages.push(page);
+                u32::try_from(c.pages.len() - 1).expect("page table overflow")
             }
         };
-        if c.chunks_per_page > 1 {
-            c.candidates.push_back(pid);
-        } else {
-            c.pages[pid as usize]
-                .as_mut()
-                .expect("just installed")
-                .queued = false;
-        }
-        c.live_items += 1;
-        c.live_bytes += (key.len() + value.len()) as u64;
-        ChunkLoc {
-            class,
-            page: pid,
-            chunk: 0,
-        }
+        c.candidates.push_back(pid);
     }
 
     /// Releases the chunk at `loc` (item of `len = klen + vlen` bytes).
-    /// The bytes are left in place — an in-flight view may still be
-    /// reading them — and the chunk is only rewritten once
-    /// [`Arc::get_mut`] proves no view exists.
+    /// The bytes are left in place until the chunk is handed out again.
     pub fn free(&mut self, loc: ChunkLoc, len: usize) {
         let c = &mut self.classes[loc.class as usize];
         let page = c.pages[loc.page as usize]
@@ -483,16 +437,6 @@ impl SlabStore {
     pub fn value_slice(&self, loc: ChunkLoc, klen: usize, vlen: usize) -> &[u8] {
         let (buf, off) = self.chunk(loc);
         &buf[off + klen..off + klen + vlen]
-    }
-
-    /// A zero-copy shared view of the value at `loc`: a refcount bump
-    /// on the page, no allocation, no byte copy.
-    #[must_use]
-    pub fn value_view(&self, loc: ChunkLoc, klen: usize, vlen: usize) -> SharedBytes {
-        let c = &self.classes[loc.class as usize];
-        let page = c.pages[loc.page as usize].as_ref().expect("live chunk");
-        let off = (loc.chunk * c.chunk_size) as usize + klen;
-        SharedBytes::view(Arc::clone(&page.buf), off, vlen)
     }
 
     fn chunk(&self, loc: ChunkLoc) -> (&[u8], usize) {
@@ -536,7 +480,6 @@ impl SlabStore {
             page_bytes: u64::from(self.page_bytes),
             pages_allocated: self.pages_allocated,
             pages_pooled: self.free_pool.len() as u64,
-            write_blocked: self.write_blocked,
             pages_reassigned: self.pages_reassigned,
             heap_fallbacks: self.heap_fallbacks,
         }
@@ -551,10 +494,11 @@ impl SlabStore {
             let mut live_items = 0u64;
             for page in c.pages.iter().flatten() {
                 assigned += 1;
+                let cursor_remaining = c.chunks_per_page - page.cursor;
                 assert_eq!(
-                    page.free.len() as u32 + page.live,
+                    cursor_remaining + page.free.len() as u32 + page.live,
                     c.chunks_per_page,
-                    "class {ci}: chunk leak (free {} + live {} != {})",
+                    "class {ci}: chunk leak (unused {cursor_remaining} + free {} + live {} != {})",
                     page.free.len(),
                     page.live,
                     c.chunks_per_page
@@ -609,32 +553,32 @@ mod tests {
         assert_eq!(s.value_slice(a, 2, 5), b"hello");
         assert_eq!(s.value_slice(b, 2, 5), b"world");
         s.free(a, 7);
-        // The freed chunk is reused (no views outstanding).
+        // The freed chunk is reused.
         let c = s.insert(b"k3", b"again");
         assert_eq!(s.value_slice(c.unwrap(), 2, 5), b"again");
         s.assert_consistent();
     }
 
     #[test]
-    fn views_are_zero_copy_and_survive_free() {
+    fn freed_chunks_are_reused_before_untouched_ones() {
+        // 64 chunks of 64 bytes per page; three items take chunks 0..3
+        // off the bump cursor.
         let mut s = SlabStore::new(4096, 8);
-        let loc = s.insert(b"key", b"value").unwrap();
-        let v1 = s.value_view(loc, 3, 5);
-        let v2 = s.value_view(loc, 3, 5);
-        assert_eq!(&v1[..], b"value");
-        assert!(SharedBytes::ptr_eq(&v1, &v2), "views alias the page");
-        s.free(loc, 8);
-        // The view still reads the original bytes after the free...
-        assert_eq!(&v1[..], b"value");
-        // ...because the store refuses to rewrite a viewed page: the
-        // next insert of the same class must go to a different page.
-        let loc2 = s.insert(b"ky2", b"other").unwrap();
-        assert_eq!(&v1[..], b"value");
-        assert_ne!((loc2.page, loc2.chunk), (loc.page, loc.chunk));
-        drop((v1, v2));
-        // Views gone: the original chunk becomes reusable.
-        let loc3 = s.insert(b"ky3", b"reuse").unwrap();
-        assert_eq!((loc3.page, loc3.chunk), (loc.page, loc.chunk));
+        let locs: Vec<ChunkLoc> = (0..3u8)
+            .map(|i| s.insert(&[i], b"value").unwrap())
+            .collect();
+        assert_eq!(locs.iter().map(|l| l.chunk).collect::<Vec<_>>(), [0, 1, 2]);
+        s.free(locs[0], 6);
+        s.free(locs[1], 6);
+        // LIFO: the most recently freed (already written) chunk first,
+        // then the other freed one, and only then fresh memory.
+        let chunks: Vec<u32> = (3..6u8)
+            .map(|i| s.insert(&[i], b"other").unwrap().chunk)
+            .collect();
+        assert_eq!(chunks, [1, 0, 3]);
+        // The survivor was never disturbed by its neighbours' reuse.
+        assert_eq!(s.key_slice(locs[2], 1), [2]);
+        assert_eq!(s.value_slice(locs[2], 1, 5), b"value");
         s.assert_consistent();
     }
 
@@ -681,33 +625,30 @@ mod tests {
     }
 
     #[test]
-    fn empty_hint_survives_a_pinned_reclaim_attempt() {
-        // Budget 2 pages, both filled by the small class; page 0 is
-        // freed to empty while a view still pins it. A large-class
-        // insert must fail over (the page is unreclaimable while
-        // viewed) — but the empty hint must NOT be consumed: once the
-        // view drops, the same insert succeeds by reclaiming the page.
+    fn a_refilled_pages_dead_hint_does_not_hide_an_empty_page() {
+        // Budget 2 pages, both filled by the small class. Page 0 is
+        // emptied (hint recorded) and then refilled by one item, so its
+        // hint is dead; page 1 is emptied afterwards. A large-class
+        // insert must skip the dead hint and reclaim page 1 — never the
+        // page that holds a live item again.
         let mut s = SlabStore::new(1024, 2);
         let locs: Vec<ChunkLoc> = (0..32)
             .map(|i| s.insert(&[i as u8], &[0u8; 40]).unwrap())
             .collect();
-        let first_page = locs[0].page;
-        let pin = s.value_view(locs[0], 1, 40);
-        for &loc in locs.iter().filter(|l| l.page == first_page) {
+        let (first, second): (Vec<ChunkLoc>, Vec<ChunkLoc>) =
+            locs.iter().partition(|l| l.page == locs[0].page);
+        for &loc in &first {
             s.free(loc, 41);
         }
-        assert_eq!(
-            s.insert(b"big", &vec![0u8; 700]),
-            Err(SlabError::Full),
-            "a viewed page must not be reclaimed out from under its reader"
-        );
-        assert_eq!(s.stats().pages_reassigned, 0);
-        drop(pin);
-        let big = s
-            .insert(b"big", &vec![0u8; 700])
-            .expect("hint must survive the pinned attempt");
+        let back = s.insert(b"r", &[7u8; 40]).unwrap();
+        assert_eq!(back.page, locs[0].page, "freed chunks are reused first");
+        for &loc in &second {
+            s.free(loc, 41);
+        }
+        let big = s.insert(b"big", &vec![9u8; 700]).unwrap();
         assert_eq!(s.stats().pages_reassigned, 1);
-        assert_eq!(s.value_slice(big, 3, 700), &vec![0u8; 700][..]);
+        assert_eq!(s.value_slice(big, 3, 700), &vec![9u8; 700][..]);
+        assert_eq!(s.value_slice(back, 1, 40), &[7u8; 40][..]);
         s.assert_consistent();
     }
 

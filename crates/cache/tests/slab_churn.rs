@@ -165,3 +165,76 @@ fn value_larger_than_shard_budget_is_rejected_cleanly() {
     assert!(!outcome.stored);
     assert_eq!(heap.stats().rejected, 1);
 }
+
+/// Readers never cost the slab a page. The store owns its pages, so a
+/// `set` that races readers of the same keys rewrites the key's own
+/// chunk in place (under the shard lock): in a half-empty cache no page
+/// is added after warm-up, nothing is evicted, nothing falls back to
+/// the heap, and — because a read copies out under the same lock — no
+/// reader ever sees a half-written value.
+#[test]
+fn overwrites_racing_readers_take_no_pages_and_tear_no_reads() {
+    const KEYS: u64 = 16_000;
+    const OVERWRITES: u64 = 200_000;
+    const READERS: usize = 4;
+    const LENS: [usize; 5] = [200, 700, 1500, 3000, 4000];
+    // The server's default shape: 64 MiB over 8 shards, 1 MiB pages.
+    let engine =
+        ShardedEngine::new(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    let key_of = |i: u64| format!("key:{i:08}").into_bytes();
+    // A value is one stamp byte repeated over a per-key length, so a
+    // torn copy shows as mixed bytes or a wrong length.
+    let len_of = |i: u64| LENS[(i % LENS.len() as u64) as usize];
+    let whole = |i: u64, v: &[u8]| v.len() == len_of(i) && v.iter().all(|&b| b == v[0]);
+    let now = SimTime::ZERO;
+    for i in 0..KEYS {
+        engine.put(&key_of(i), vec![0u8; len_of(i)], now);
+    }
+    let warm = engine.slab_stats().expect("slab backend");
+    assert!(
+        engine.bytes_used() > (64 << 20) / 3 && engine.bytes_used() < (64 << 20) * 2 / 3,
+        "about half full, holds {}",
+        engine.bytes_used()
+    );
+
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let start = std::sync::Barrier::new(READERS + 1);
+    std::thread::scope(|scope| {
+        for r in 0..READERS as u64 {
+            let (engine, done, start) = (&engine, &done, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut n = r << 32;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    n += 1;
+                    let i = splitmix64(n) % KEYS;
+                    let key = key_of(i);
+                    // Alternate the owned-copy convenience and the
+                    // borrowed read the server uses.
+                    let ok = if n.is_multiple_of(2) {
+                        engine.get(&key, now).is_some_and(|v| whole(i, &v))
+                    } else {
+                        engine
+                            .with_key_shard(&key, |e| e.get(&key, now).is_some_and(|v| whole(i, v)))
+                    };
+                    assert!(ok, "key {i}: missing or torn read");
+                }
+            });
+        }
+        start.wait();
+        for n in 0..OVERWRITES {
+            let i = splitmix64(n ^ 0xfeed) % KEYS;
+            let outcome = engine.put(&key_of(i), vec![(n % 251) as u8; len_of(i)], now);
+            assert!(outcome.stored && outcome.evicted == 0);
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+    });
+
+    let after = engine.slab_stats().expect("slab backend");
+    assert_eq!(after.pages_allocated, warm.pages_allocated, "no page added");
+    assert_eq!(after.pages_reassigned, 0);
+    assert_eq!(after.heap_fallbacks, 0);
+    assert_eq!(engine.stats().evictions, 0);
+    assert_eq!(engine.len() as u64, KEYS);
+    engine.assert_storage_consistent();
+}

@@ -13,55 +13,11 @@
 //! [`reactor`]: crate::reactor
 //! [`uring_reactor`]: crate::uring_reactor
 
-use std::io::{IoSlice, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use crate::protocol::{parse_raw_command, Response, ResponseWriter, WireBuf};
-use crate::server::{op_class_of, serve_command, Shared};
-
-/// Output high-water mark: above this many pending response bytes a
-/// connection stops reading and parsing until the peer drains its
-/// socket — bounding per-connection memory against a client that
-/// pipelines requests without reading responses. Shared by both
-/// event-driven planes so backpressure behaves identically.
-pub(crate) const OUT_HIGH_WATER: usize = 1 << 20;
-
-/// A growable response buffer with a drain cursor: [`ResponseWriter`]
-/// appends (vectored writes land in one pass), the owning event loop
-/// drains `buf[pos..]` to the socket and resumes partial writes where
-/// they stopped.
-#[derive(Debug, Default)]
-pub(crate) struct OutBuf {
-    pub(crate) buf: Vec<u8>,
-    pub(crate) pos: usize,
-}
-
-impl OutBuf {
-    pub(crate) fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
-impl Write for OutBuf {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        Ok(data.len())
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-        let mut n = 0;
-        for b in bufs {
-            self.buf.extend_from_slice(b);
-            n += b.len();
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use crate::server::{op_class_of, serve_command, OutBuf, Shared, OUT_HIGH_WATER};
 
 /// One connection's plane-independent state. The phases of the
 /// ReadingCommand → Executing → WritingResponse cycle are encoded in
@@ -127,7 +83,7 @@ impl ConnCore {
     /// plane already holds outside the [`OutBuf`] (the io_uring plane's
     /// in-flight send buffer); it counts against the high-water mark so
     /// both planes apply the same 1 MiB backpressure rule.
-    pub(crate) fn process(&mut self, shared: &Shared, extra_out: usize) -> Result<(), ()> {
+    pub(crate) fn process(&mut self, shared: &Shared, extra_out: usize) {
         loop {
             if self.closing || self.out_pending() + extra_out > OUT_HIGH_WATER {
                 break;
@@ -149,13 +105,10 @@ impl ConnCore {
                     // for bytes.
                     let class = op_class_of(&command);
                     let begin = Instant::now();
-                    let served = serve_command(command, shared, writer);
+                    let quit = serve_command(command, shared, writer);
                     shared.metrics.ops.record(class, begin.elapsed());
-                    match served {
-                        Ok(false) => {}
-                        Ok(true) => *closing = true, // quit: flush then close
-                        Err(_) => return Err(()),    // buffer write cannot fail; defensive
-                    }
+                    // quit: flush then close
+                    *closing |= quit;
                 }
                 Ok(None) => {
                     // Incomplete: wait for more bytes — unless the
@@ -177,6 +130,5 @@ impl ConnCore {
             }
         }
         self.compact();
-        Ok(())
     }
 }

@@ -40,7 +40,7 @@
 //! are served in order, so `get SET_BLOOM_FILTER BLOOM_FILTER` takes a
 //! snapshot and returns it in one round trip.
 
-use std::io::{BufRead, IoSlice, Write};
+use std::io::{BufRead, Write};
 
 use proteus_cache::SharedBytes;
 
@@ -59,10 +59,12 @@ const MAX_VALUE_BYTES: usize = 64 << 20;
 /// One `WireBuf` lives for the whole life of a connection: after the
 /// first few commands its `Vec`s have warmed up to the connection's
 /// working sizes and parsing stops allocating entirely. Command lines
-/// are read into `line` and the borrow-based [`RawCommand`] slices it
-/// in place; data blocks are staged in `data` and promoted to
-/// [`SharedBytes`] only because a stored value must outlive the
-/// request (the one copy the hot path pays — see DESIGN.md §9).
+/// are read into `line` and data blocks into `data`; the borrow-based
+/// [`RawCommand`] slices both in place, so a stored value is copied
+/// only where it comes to rest — a slab chunk, or the heap backend's
+/// own buffer (DESIGN.md §9). The client's response reader stages
+/// value payloads in `data` the same way before promoting them to
+/// [`SharedBytes`].
 #[derive(Debug, Default)]
 pub struct WireBuf {
     line: Vec<u8>,
@@ -225,12 +227,11 @@ fn valid_key(key: &[u8]) -> bool {
     !key.is_empty() && key.len() <= 250 && key.iter().all(|&b| b > 32 && b != 127)
 }
 
-/// A command parsed without copying its keys: every key borrows the
-/// [`WireBuf`] line it was read into, so the server's hot path (`get`)
-/// parses with zero allocations once the connection's buffers have
-/// warmed up. Data blocks are the exception — a stored value must
-/// outlive the request, so they are promoted to [`SharedBytes`] during
-/// the parse (the only copy on the path).
+/// A command parsed without copying its keys or its data block: both
+/// borrow the [`WireBuf`] they were read into, so single-key `get` and
+/// the storage commands parse with zero allocations once the
+/// connection's buffers have warmed up (a multi-key `get` allocates
+/// the `Vec` that lists its keys).
 ///
 /// [`into_owned`](Self::into_owned) converts to the owned [`Command`]
 /// for callers that need to keep the command around.
@@ -254,8 +255,8 @@ pub enum RawCommand<'a> {
         flags: u32,
         /// Expiry in seconds (advisory).
         exptime: u32,
-        /// The value bytes, already promoted to a shared buffer.
-        data: SharedBytes,
+        /// The value bytes (borrowed from the wire buffer).
+        data: &'a [u8],
     },
     /// `add <key> ...`: store only if the key is absent.
     Add {
@@ -266,7 +267,7 @@ pub enum RawCommand<'a> {
         /// Expiry in seconds (advisory).
         exptime: u32,
         /// The value bytes.
-        data: SharedBytes,
+        data: &'a [u8],
     },
     /// `replace <key> ...`: store only if the key is present.
     Replace {
@@ -277,7 +278,7 @@ pub enum RawCommand<'a> {
         /// Expiry in seconds (advisory).
         exptime: u32,
         /// The value bytes.
-        data: SharedBytes,
+        data: &'a [u8],
     },
     /// `delete <key>`
     Delete {
@@ -318,7 +319,8 @@ pub enum RawCommand<'a> {
 }
 
 impl RawCommand<'_> {
-    /// Converts to an owned [`Command`], copying the borrowed keys.
+    /// Converts to an owned [`Command`], copying the borrowed keys and
+    /// data block.
     #[must_use]
     pub fn into_owned(self) -> Command {
         match self {
@@ -335,7 +337,7 @@ impl RawCommand<'_> {
                 key: key.to_vec(),
                 flags,
                 exptime,
-                data,
+                data: data.into(),
             },
             RawCommand::Add {
                 key,
@@ -346,7 +348,7 @@ impl RawCommand<'_> {
                 key: key.to_vec(),
                 flags,
                 exptime,
-                data,
+                data: data.into(),
             },
             RawCommand::Replace {
                 key,
@@ -357,7 +359,7 @@ impl RawCommand<'_> {
                 key: key.to_vec(),
                 flags,
                 exptime,
-                data,
+                data: data.into(),
             },
             RawCommand::Delete { key } => Command::Delete { key: key.to_vec() },
             RawCommand::Touch { key, exptime } => Command::Touch {
@@ -421,21 +423,26 @@ pub fn read_raw_command<'a, R: BufRead>(
         .ok_or_else(|| NetError::Protocol("empty command".into()))?;
     match verb {
         "get" => {
-            let keys: Vec<&[u8]> = parts.map(str::as_bytes).collect();
-            if keys.is_empty() {
-                return Err(NetError::Protocol("get needs a key".into()));
-            }
+            let mut keys = parts.map(str::as_bytes);
+            let key = keys
+                .next()
+                .ok_or_else(|| NetError::Protocol("get needs a key".into()))?;
+            // Only a second key pays for the list.
+            let Some(second) = keys.next() else {
+                return if valid_key(key) {
+                    Ok(RawCommand::Get { key })
+                } else {
+                    Err(NetError::Protocol("invalid key".into()))
+                };
+            };
+            let keys: Vec<&[u8]> = [key, second].into_iter().chain(keys).collect();
             if keys.len() > 1024 {
                 return Err(NetError::Protocol("too many keys in one get".into()));
             }
             if keys.iter().any(|k| !valid_key(k)) {
                 return Err(NetError::Protocol("invalid key".into()));
             }
-            if keys.len() == 1 {
-                Ok(RawCommand::Get { key: keys[0] })
-            } else {
-                Ok(RawCommand::MultiGet { keys })
-            }
+            Ok(RawCommand::MultiGet { keys })
         }
         "set" | "add" | "replace" => {
             let missing_key = if verb == "set" {
@@ -456,7 +463,8 @@ pub fn read_raw_command<'a, R: BufRead>(
             if bytes > MAX_VALUE_BYTES {
                 return Err(NetError::Protocol("value too large".into()));
             }
-            let data = read_data_block(reader, data, bytes)?;
+            read_data_block(reader, data, bytes)?;
+            let data = data.as_slice();
             Ok(match verb {
                 "set" => RawCommand::Set {
                     key,
@@ -559,14 +567,13 @@ pub fn parse_raw_command<'a>(
     }
 }
 
-/// Reads a `<bytes>`-long data block plus its CRLF terminator into
-/// `scratch`, then promotes it to a shared buffer — the socket→pool
-/// copy happens here, the pool→Arc copy is the `SharedBytes::from`.
+/// Reads a `<bytes>`-long data block into `scratch` (the socket→pool
+/// copy) and checks its CRLF terminator.
 fn read_data_block<R: BufRead>(
     reader: &mut R,
     scratch: &mut Vec<u8>,
     bytes: usize,
-) -> Result<SharedBytes, NetError> {
+) -> Result<(), NetError> {
     scratch.clear();
     scratch.resize(bytes, 0);
     std::io::Read::read_exact(reader, scratch)?;
@@ -575,7 +582,7 @@ fn read_data_block<R: BufRead>(
     if &crlf != b"\r\n" {
         return Err(NetError::Protocol("data block not CRLF-terminated".into()));
     }
-    Ok(SharedBytes::from(scratch.as_slice()))
+    Ok(())
 }
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, name: &str) -> Result<T, NetError> {
@@ -706,19 +713,12 @@ pub fn write_response<W: Write>(writer: &mut W, resp: &Response) -> Result<(), N
 pub fn write_response_unflushed<W: Write>(writer: &mut W, resp: &Response) -> Result<(), NetError> {
     match resp {
         Response::Value { key, flags, data } => {
-            writer.write_all(b"VALUE ")?;
-            writer.write_all(key)?;
-            write!(writer, " {flags} {}\r\n", data.len())?;
-            writer.write_all(data)?;
-            writer.write_all(b"\r\nEND\r\n")?;
+            write_value_block(writer, key, *flags, data)?;
+            writer.write_all(b"END\r\n")?;
         }
         Response::Values(items) => {
             for item in items {
-                writer.write_all(b"VALUE ")?;
-                writer.write_all(&item.key)?;
-                write!(writer, " {} {}\r\n", item.flags, item.data.len())?;
-                writer.write_all(&item.data)?;
-                writer.write_all(b"\r\n")?;
+                write_value_block(writer, &item.key, item.flags, &item.data)?;
             }
             writer.write_all(b"END\r\n")?;
         }
@@ -744,35 +744,49 @@ pub fn write_response_unflushed<W: Write>(writer: &mut W, resp: &Response) -> Re
     Ok(())
 }
 
-/// A response writer that coalesces flushes and assembles `VALUE`
-/// responses with vectored writes, so a pipelined batch of gets goes
-/// out in one syscall burst instead of one flush per response.
+/// One block of a `get` reply: `VALUE <key> <flags> <len>`, the data,
+/// CRLF.
+fn write_value_block<W: Write>(
+    writer: &mut W,
+    key: &[u8],
+    flags: u32,
+    data: &[u8],
+) -> Result<(), NetError> {
+    writer.write_all(b"VALUE ")?;
+    writer.write_all(key)?;
+    write!(writer, " {flags} {}\r\n", data.len())?;
+    writer.write_all(data)?;
+    writer.write_all(b"\r\n")?;
+    Ok(())
+}
+
+/// A response writer that queues responses without flushing, and
+/// assembles `get` replies one `VALUE` block at a time from borrowed
+/// keys and values — so the server can copy a value straight out of
+/// the cache into the reply while it holds the value's shard lock.
 ///
-/// Nothing reaches the peer until [`flush`](Self::flush) — the
-/// server's connection loop flushes once per drained input buffer.
-/// Wire bytes are identical to [`write_response`].
+/// The server runs it over an in-memory buffer (nothing here may block
+/// under that lock) and drains the buffer to the socket once per
+/// drained input buffer, so a pipelined batch of gets goes out in one
+/// write. Wire bytes are identical to [`write_response`].
 #[derive(Debug)]
 pub struct ResponseWriter<W: Write> {
     writer: W,
-    scratch: Vec<u8>,
 }
 
 impl<W: Write> ResponseWriter<W> {
-    /// Wraps a (typically buffered) writer.
+    /// Wraps a writer (typically an in-memory buffer).
     pub fn new(writer: W) -> Self {
-        ResponseWriter {
-            writer,
-            scratch: Vec::new(),
-        }
+        ResponseWriter { writer }
     }
 
-    /// The wrapped writer (e.g. to reach the underlying socket).
+    /// The wrapped writer.
     pub fn get_ref(&self) -> &W {
         &self.writer
     }
 
-    /// Mutable access to the wrapped writer — the reactor uses this to
-    /// drain its per-connection output buffer to the socket.
+    /// Mutable access to the wrapped writer — the data planes use this
+    /// to drain their per-connection output buffer to the socket.
     pub fn get_mut(&mut self) -> &mut W {
         &mut self.writer
     }
@@ -781,134 +795,48 @@ impl<W: Write> ResponseWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates socket write failures.
+    /// Propagates write failures.
     pub fn write(&mut self, resp: &Response) -> Result<(), NetError> {
-        match resp {
-            Response::Value { key, flags, data } => self.write_single_value(key, *flags, data),
-            Response::Values(items) => self.write_values(
-                items
-                    .iter()
-                    .map(|it| (it.key.as_slice(), it.flags, &it.data)),
-            ),
-            other => write_response_unflushed(&mut self.writer, other),
-        }
+        write_response_unflushed(&mut self.writer, resp)
     }
 
-    /// Queues a single-key `get` hit: `VALUE <key> <flags> <len>`,
-    /// data, `END`. Key and data are borrowed, so the server can echo
-    /// the request's key and the engine's shared buffer with zero
-    /// copies.
+    /// Queues one `VALUE` block of a `get` reply. Key and data are
+    /// borrowed and copied exactly once, into the writer. A reply is
+    /// zero or more blocks (misses are omitted) closed by
+    /// [`write_end`](Self::write_end).
     ///
     /// # Errors
     ///
-    /// Propagates socket write failures.
+    /// Propagates write failures.
+    pub fn write_value(&mut self, key: &[u8], flags: u32, data: &[u8]) -> Result<(), NetError> {
+        write_value_block(&mut self.writer, key, flags, data)
+    }
+
+    /// Closes a `get` reply with `END`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn write_end(&mut self) -> Result<(), NetError> {
+        self.writer.write_all(b"END\r\n")?;
+        Ok(())
+    }
+
+    /// Queues a whole single-key `get` hit: one
+    /// [`write_value`](Self::write_value) block and `END`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
     pub fn write_single_value(
         &mut self,
         key: &[u8],
         flags: u32,
         data: &[u8],
     ) -> Result<(), NetError> {
-        let ResponseWriter { writer, scratch } = self;
-        scratch.clear();
-        scratch.extend_from_slice(b"VALUE ");
-        scratch.extend_from_slice(key);
-        write!(scratch, " {flags} {}\r\n", data.len())?;
-        write_segments_vectored(writer, &[scratch.as_slice(), data, b"\r\nEND\r\n"])
+        self.write_value(key, flags, data)?;
+        self.write_end()
     }
-
-    /// Queues a multi-key `get` response: one `VALUE` block per item
-    /// (misses omitted by the caller), then `END`. All headers are
-    /// staged in one reused scratch buffer and the whole response goes
-    /// out as a single vectored write.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn write_values<'x, I>(&mut self, items: I) -> Result<(), NetError>
-    where
-        I: Iterator<Item = (&'x [u8], u32, &'x SharedBytes)> + Clone,
-    {
-        let ResponseWriter { writer, scratch } = self;
-        scratch.clear();
-        let mut header_ends = Vec::new();
-        for (key, flags, data) in items.clone() {
-            scratch.extend_from_slice(b"VALUE ");
-            scratch.extend_from_slice(key);
-            write!(scratch, " {flags} {}\r\n", data.len())?;
-            header_ends.push(scratch.len());
-        }
-        let mut segments = Vec::with_capacity(3 * header_ends.len() + 1);
-        let mut start = 0;
-        for ((_, _, data), &end) in items.zip(header_ends.iter()) {
-            segments.push(&scratch[start..end]);
-            segments.push(&data[..]);
-            segments.push(b"\r\n".as_slice());
-            start = end;
-        }
-        segments.push(b"END\r\n".as_slice());
-        write_segments_vectored(writer, &segments)
-    }
-
-    /// Flushes everything queued so far to the peer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn flush(&mut self) -> Result<(), NetError> {
-        self.writer.flush()?;
-        Ok(())
-    }
-}
-
-/// Writes `segments` in order using vectored I/O, handling partial
-/// writes. On a `BufWriter` the whole batch lands in the output buffer
-/// in one call when it fits; oversized batches go straight to the
-/// socket as an iovec array.
-fn write_segments_vectored<W: Write>(writer: &mut W, segments: &[&[u8]]) -> Result<(), NetError> {
-    const MAX_IOV: usize = 64;
-    let total: usize = segments.iter().map(|s| s.len()).sum();
-    let mut written = 0usize;
-    let mut idx = 0usize;
-    let mut off = 0usize;
-    while written < total {
-        while idx < segments.len() && off == segments[idx].len() {
-            idx += 1;
-            off = 0;
-        }
-        let mut batch = [IoSlice::new(&[]); MAX_IOV];
-        let mut count = 0;
-        for (i, seg) in segments[idx..].iter().enumerate() {
-            if count == MAX_IOV {
-                break;
-            }
-            let part = if i == 0 { &seg[off..] } else { seg };
-            if !part.is_empty() {
-                batch[count] = IoSlice::new(part);
-                count += 1;
-            }
-        }
-        let n = writer.write_vectored(&batch[..count])?;
-        if n == 0 {
-            return Err(NetError::Io(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "failed to write response",
-            )));
-        }
-        written += n;
-        let mut rem = n;
-        while rem > 0 {
-            let seg_rem = segments[idx].len() - off;
-            if rem >= seg_rem {
-                rem -= seg_rem;
-                idx += 1;
-                off = 0;
-            } else {
-                off += rem;
-                rem = 0;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Reads one response.
@@ -1019,11 +947,11 @@ pub fn read_response_buffered<R: BufRead>(
             if bytes > MAX_VALUE_BYTES {
                 return Err(NetError::Protocol("value too large".into()));
             }
-            let value = read_data_block(reader, data, bytes)?;
+            read_data_block(reader, data, bytes)?;
             items.push(ValueItem {
                 key,
                 flags,
-                data: value,
+                data: SharedBytes::from(data.as_slice()),
             });
             if items.len() > 1024 {
                 return Err(NetError::Protocol("too many VALUE blocks".into()));
@@ -1056,10 +984,9 @@ fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> Result<(), NetErr
         let (found, used) = {
             let available = reader.fill_buf()?;
             if available.is_empty() {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "stream closed mid-line",
-                )));
+                // A bare kind, not a boxed message: the event planes hit
+                // this once per drained input buffer ("need more bytes").
+                return Err(NetError::Io(std::io::ErrorKind::UnexpectedEof.into()));
             }
             match available.iter().position(|&b| b == b'\n') {
                 Some(pos) => {
@@ -1308,7 +1235,7 @@ mod tests {
                 key, flags, data, ..
             } => {
                 assert_eq!((key, flags), (&b"k"[..], 1));
-                assert_eq!(&data[..], b"abc");
+                assert_eq!(data, b"abc");
             }
             other => panic!("expected set, got {other:?}"),
         }
@@ -1356,13 +1283,14 @@ mod tests {
         for resp in &responses {
             write_response(&mut flushed, resp).unwrap();
         }
-        let mut coalesced = ResponseWriter::new(std::io::BufWriter::new(Vec::new()));
+        let mut coalesced = ResponseWriter::new(Vec::new());
         for resp in &responses {
             coalesced.write(resp).unwrap();
         }
-        coalesced.flush().unwrap();
-        let inner = coalesced.writer.into_inner().unwrap();
-        assert_eq!(inner, flushed, "coalesced writer must emit identical bytes");
+        assert_eq!(
+            coalesced.writer, flushed,
+            "coalesced writer must emit identical bytes"
+        );
     }
 
     #[test]

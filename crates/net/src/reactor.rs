@@ -21,12 +21,12 @@
 //!   queued responses, resuming partial writes when the socket backs
 //!   up.
 //!
-//! The hot path reuses the zero-copy machinery from the threaded
-//! plane: commands are parsed in place by
-//! [`parse_raw_command`](crate::protocol::parse_raw_command) (borrowed
-//! keys, one long-lived `WireBuf` per connection) and responses are
-//! assembled by `ResponseWriter` into a reused output buffer, so a
-//! warmed connection serves gets without allocating.
+//! The hot path is the threaded plane's: commands are parsed in place
+//! by [`parse_raw_command`](crate::protocol::parse_raw_command)
+//! (borrowed keys and data blocks, one long-lived `WireBuf` per
+//! connection) and responses are assembled by `ResponseWriter` into a
+//! reused output buffer, so a warmed connection serves gets and sets
+//! without allocating.
 //!
 //! [`EngineKind::Threaded`]: crate::EngineKind::Threaded
 
@@ -42,10 +42,10 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use proteus_obs::{Counter, Gauge};
 
-use crate::conn::{ConnCore, OUT_HIGH_WATER};
+use crate::conn::ConnCore;
 use crate::error::NetError;
 use crate::poll::{Epoll, EventFd, Events, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::server::{accept_retry_delay, Shared};
+use crate::server::{accept_retry_delay, Shared, OUT_HIGH_WATER};
 
 /// Token reserved for the loop's eventfd doorbell; connection tokens
 /// count up from zero and never collide with it.
@@ -298,11 +298,9 @@ impl Worker {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // Tokens are copied out so closing a connection mid-batch
-            // can't invalidate the iteration; a stale token for an
-            // already-closed connection just misses the map.
-            let batch: Vec<(u64, u32)> = events.iter().collect();
-            for (token, bits) in batch {
+            // A stale token for a connection closed earlier in the
+            // batch just misses the map.
+            for (token, bits) in events.iter() {
                 if token == WAKE_TOKEN {
                     self.stats.wakeups.inc();
                     self.mailbox.wake.drain();
@@ -380,8 +378,18 @@ impl Worker {
         if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
             fill_in(&mut conn.core, &self.stats, &self.shared)?;
         }
-        conn.core.process(&self.shared, 0)?;
-        flush_out(&mut conn.core, &self.shared)?;
+        loop {
+            conn.core.process(&self.shared, 0);
+            let stopped_over_mark = conn.core.out_pending() > OUT_HIGH_WATER;
+            flush_out(&mut conn.core, &self.shared)?;
+            // Backpressure may have stopped the parse with whole
+            // commands still buffered. If the socket then took enough
+            // to get back under the mark, serve on: no readiness event
+            // will ever announce input that has already been read.
+            if !stopped_over_mark || conn.core.out_pending() > OUT_HIGH_WATER {
+                break;
+            }
+        }
         if conn.core.closing && conn.core.out_pending() == 0 {
             return Ok(false);
         }

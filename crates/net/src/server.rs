@@ -1,7 +1,7 @@
 //! The TCP cache server.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,6 +32,41 @@ const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// (`EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`): gives the process a beat to
 /// shed file descriptors instead of spinning.
 const ACCEPT_EXHAUSTED_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Output high-water mark: above this many pending response bytes a
+/// connection stops reading and parsing until the peer drains its
+/// socket — bounding per-connection memory against a client that
+/// pipelines requests without reading responses. Shared by all three
+/// planes so backpressure behaves identically.
+pub(crate) const OUT_HIGH_WATER: usize = 1 << 20;
+
+/// A connection's response buffer, and the only thing
+/// [`serve_command`] can write to: commands are served under engine
+/// shard locks, where nothing may block, so responses are assembled
+/// in memory and the owning plane drains `buf[pos..]` to the socket
+/// afterwards, resuming partial writes where they stopped.
+#[derive(Debug, Default)]
+pub(crate) struct OutBuf {
+    pub(crate) buf: Vec<u8>,
+    pub(crate) pos: usize,
+}
+
+impl OutBuf {
+    pub(crate) fn pending(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+}
+
+impl Write for OutBuf {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.buf.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 /// Live telemetry the server keeps alongside the engine: one latency
 /// histogram per wire-command class plus connection gauges. Recording
@@ -567,10 +602,18 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             inner: stream,
             shared: Arc::clone(shared),
         });
-        let mut writer = ResponseWriter::new(BufWriter::new(CountedStream {
+        let mut socket = CountedStream {
             inner: write_half,
             shared: Arc::clone(shared),
-        }));
+        };
+        let mut writer = ResponseWriter::new(OutBuf::default());
+        // Everything queued goes out in one blocking write; a peer that
+        // stopped reading stalls this thread here, not inside a serve.
+        let mut drain = |out: &mut OutBuf| {
+            let sent = socket.write_all(&out.buf[out.pos..]);
+            out.buf.clear();
+            sent
+        };
         // One buffer pool per connection: after the first few commands
         // parsing stops allocating (keys borrow the pool in place).
         let mut buf = WireBuf::new();
@@ -594,41 +637,35 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 }
                 Err(_) => break,
             }
-            let served = match read_raw_command(&mut reader, &mut buf) {
+            let quit = match read_raw_command(&mut reader, &mut buf) {
                 Ok(command) => {
                     // Time the serve (engine + response assembly), not
                     // the idle wait for the command's first byte.
                     let class = op_class_of(&command);
                     let begin = Instant::now();
-                    let served = serve_command(command, shared, &mut writer);
+                    let quit = serve_command(command, shared, &mut writer);
                     shared.metrics.ops.record(class, begin.elapsed());
-                    served
+                    quit
                 }
                 Err(NetError::Io(_)) => break, // disconnect
                 Err(e) => {
                     let _ = writer.write(&Response::Error(e.to_string()));
-                    let _ = writer.flush();
-                    break;
+                    true
                 }
             };
-            match served {
-                Ok(false) => {}
-                Ok(true) => {
-                    // quit: push out any responses still queued from
-                    // earlier pipelined commands before closing.
-                    let _ = writer.flush();
-                    break;
-                }
-                Err(_) => break, // write failure
-            }
             // Coalesced flush: while more pipelined input is already
-            // buffered, keep the responses queued; flush once per
-            // drained input buffer instead of once per response.
-            if reader.buffer().is_empty() && writer.flush().is_err() {
+            // buffered, keep the responses queued; send once per
+            // drained input buffer instead of once per response — or
+            // sooner, when the queue passes the high-water mark. `quit`
+            // (and a protocol error) push out whatever earlier
+            // pipelined commands queued before closing.
+            let out = writer.get_mut();
+            let due = quit || reader.buffer().is_empty() || out.pending() > OUT_HIGH_WATER;
+            if (due && drain(out).is_err()) || quit {
                 break;
             }
         }
-        let _ = writer.get_ref().get_ref().inner.shutdown(Shutdown::Both);
+        let _ = reader.get_ref().inner.shutdown(Shutdown::Both);
     }
     shared.metrics.curr_connections.dec();
     shared.conns.lock().remove(&conn_id);
@@ -696,10 +733,6 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         out.push(Metric::counter(
             "proteus_slab_heap_fallbacks_total",
             slab.heap_fallbacks,
-        ));
-        out.push(Metric::counter(
-            "proteus_slab_write_blocked_total",
-            slab.write_blocked,
         ));
         out.push(Metric::counter(
             "proteus_slab_pages_reassigned_total",
@@ -786,33 +819,29 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
     out
 }
 
-/// Executes one parsed command and queues its response (no flush).
-/// Returns `Ok(true)` for `quit`. The `get` paths write borrowed keys
-/// and shared value buffers straight into the response writer, so a
-/// warmed hit copies nothing.
-pub(crate) fn serve_command<W: Write>(
+/// Executes one parsed command and queues its response in the
+/// connection's in-memory output buffer. Returns `true` for `quit`.
+///
+/// The `get` paths echo the request's own (borrowed) key bytes and copy
+/// each value out of the cache once, straight into the reply, under the
+/// value's shard lock — which is why the target is an [`OutBuf`] and
+/// not a writer that could reach a socket.
+pub(crate) fn serve_command(
     command: RawCommand<'_>,
     shared: &Shared,
-    writer: &mut ResponseWriter<W>,
-) -> Result<bool, NetError> {
-    match command {
-        RawCommand::Quit => return Ok(true),
-        RawCommand::Get { key } => match lookup(shared, key) {
-            Some((flags, data)) => writer.write_single_value(key, flags, &data)?,
-            None => writer.write(&Response::Miss)?,
-        },
-        RawCommand::MultiGet { keys } => {
-            // Memcached semantics: each key is served independently
-            // (misses omitted), in one response round trip.
-            let hits: Vec<(&[u8], u32, SharedBytes)> = keys
-                .iter()
-                .filter_map(|&k| lookup(shared, k).map(|(flags, data)| (k, flags, data)))
-                .collect();
-            writer.write_values(hits.iter().map(|(k, flags, data)| (*k, *flags, data)))?;
-        }
-        other => writer.write(&execute(other, shared))?,
-    }
-    Ok(false)
+    writer: &mut ResponseWriter<OutBuf>,
+) -> bool {
+    // Writes to an `OutBuf` cannot fail.
+    let queued = match command {
+        RawCommand::Quit => return true,
+        RawCommand::Get { key } => serve_get(shared, &[key], writer),
+        // Memcached semantics: each key is served independently
+        // (misses omitted), in one response round trip.
+        RawCommand::MultiGet { keys } => serve_get(shared, &keys, writer),
+        other => writer.write(&execute(other, shared)),
+    };
+    debug_assert!(queued.is_ok(), "in-memory write failed: {queued:?}");
+    false
 }
 
 /// Applies `op` to the ASCII-decimal value stored under `key`, storing
@@ -846,28 +875,41 @@ fn numeric_op(shared: &Shared, key: &[u8], op: impl FnOnce(u64) -> u64) -> Respo
     })
 }
 
-/// Serves one key of a `get`, including the paper's two reserved keys.
-/// Returns `(flags, value)` on a hit — the caller echoes the request's
-/// own (borrowed) key bytes, so no key is ever copied for a response —
-/// or `None` on a miss (multi-key gets omit misses).
-fn lookup(shared: &Shared, key: &[u8]) -> Option<(u32, SharedBytes)> {
-    if key == DIGEST_SNAPSHOT_KEY {
-        // Built and encoded outside the snapshot lock, which is held
-        // only to swap the finished bytes in.
-        let bytes: SharedBytes = DigestSnapshot::from(shared.engine.digest_snapshot())
-            .to_bytes()
-            .into();
-        *shared.snapshot.lock() = Some(bytes);
-        // The server-side half of a digest broadcast: this is the event
-        // the aggregator correlates with the client's DigestBroadcast.
-        shared.tracer.record(TraceKind::DigestSnapshot);
-        return Some((0, SharedBytes::from(&b"OK"[..])));
-    }
-    if key == DIGEST_KEY {
-        return shared.snapshot.lock().clone().map(|data| (0, data));
-    }
+/// Queues a `get` reply: one `VALUE` block per key that hits —
+/// including the paper's two reserved keys — then `END`.
+fn serve_get(
+    shared: &Shared,
+    keys: &[&[u8]],
+    writer: &mut ResponseWriter<OutBuf>,
+) -> Result<(), NetError> {
     let now = shared.now();
-    shared.engine.get(key, now).map(|data| (0, data))
+    for &key in keys {
+        if key == DIGEST_SNAPSHOT_KEY {
+            // Built and encoded outside the snapshot lock, which is held
+            // only to swap the finished bytes in.
+            let bytes: SharedBytes = DigestSnapshot::from(shared.engine.digest_snapshot())
+                .to_bytes()
+                .into();
+            *shared.snapshot.lock() = Some(bytes);
+            // The server-side half of a digest broadcast: this is the event
+            // the aggregator correlates with the client's DigestBroadcast.
+            shared.tracer.record(TraceKind::DigestSnapshot);
+            writer.write_value(key, 0, b"OK")?;
+        } else if key == DIGEST_KEY {
+            let snapshot = shared.snapshot.lock().clone();
+            if let Some(data) = snapshot {
+                writer.write_value(key, 0, &data)?;
+            }
+        } else {
+            shared
+                .engine
+                .with_key_shard(key, |engine| match engine.get(key, now) {
+                    Some(data) => writer.write_value(key, 0, data),
+                    None => Ok(()),
+                })?;
+        }
+    }
+    writer.write_end()
 }
 
 /// Maps the protocol's `exptime` seconds to an engine TTL
@@ -894,9 +936,9 @@ fn execute(command: RawCommand<'_>, shared: &Shared) -> Response {
             key, data, exptime, ..
         } => {
             let now = shared.now();
-            // The parsed data block is already a shared buffer; the
-            // heap backend stores it as-is with no further copy (the
-            // slab backend copies it once into a page).
+            // The data block is still in the connection's wire buffer:
+            // the slab backend copies it into a chunk, the heap backend
+            // into a buffer of the value's own.
             let outcome = shared
                 .engine
                 .put_with_expiry(key, data, now, expiry(exptime));

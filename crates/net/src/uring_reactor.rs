@@ -43,10 +43,10 @@ use std::time::{Duration, Instant};
 
 use proteus_obs::{Counter, Gauge};
 
-use crate::conn::{ConnCore, OUT_HIGH_WATER};
+use crate::conn::ConnCore;
 use crate::error::NetError;
 use crate::reactor::Mailbox;
-use crate::server::{accept_retry_delay_os, Shared};
+use crate::server::{accept_retry_delay_os, Shared, OUT_HIGH_WATER};
 use crate::uring::{
     tcp_from_accept, BufRing, Cqe, Ring, Sqe, ENOBUFS, IORING_CQE_BUFFER_SHIFT,
     IORING_CQE_F_BUFFER, IORING_CQE_F_MORE,
@@ -419,6 +419,14 @@ impl Worker {
         }
         if cqe.res >= 0 {
             let stream = tcp_from_accept(cqe.res);
+            // `CacheServer::stop` raises the flag *before* its wake-up
+            // connect, and this batch's CQEs are handled before `run`
+            // looks at the flag again: a socket accepted with the flag
+            // up is that dummy (or a client racing shutdown) and is
+            // closed uncounted, as the other planes' accept loops do.
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
             self.stats.accepted.inc();
             self.route(stream);
         } else if let Some(delay) = accept_retry_delay_os(-cqe.res) {
@@ -523,15 +531,8 @@ impl Worker {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        if !conn.dying
-            && conn
-                .core
-                .process(&self.shared, conn.inflight_pending())
-                .is_err()
-        {
-            conn.dying = true;
-        }
         if !conn.dying {
+            conn.core.process(&self.shared, conn.inflight_pending());
             self.pump_send(token, &mut conn);
             let backpressured = conn.core.out_pending() + conn.inflight_pending() > OUT_HIGH_WATER;
             if !conn.recv_armed && !conn.core.closing && !conn.core.eof && !backpressured {

@@ -31,26 +31,24 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use proteus_cache::CacheConfig;
+use proteus_cache::{CacheConfig, StorageKind};
 use proteus_net::{
     uring_supported, write_command, CacheServer, Command, EngineKind, ServerConfig, DIGEST_KEY,
     DIGEST_SNAPSHOT_KEY,
 };
-use proteus_obs::MetricValue;
+use proteus_obs::{MetricValue, OpClass};
 
 /// One server per plane, oracle (threaded) first. The uring plane
 /// joins only when the kernel actually supports it: on old kernels a
 /// `Uring` request resolves to a second reactor, which would dilute
 /// the property into reactor-vs-reactor.
 fn spawn_planes() -> Vec<(&'static str, CacheServer)> {
-    let spawn = |engine| {
-        CacheServer::spawn_with(
-            "127.0.0.1:0",
-            CacheConfig::with_capacity(8 << 20),
-            ServerConfig { engine },
-        )
-        .unwrap()
-    };
+    spawn_planes_with(CacheConfig::with_capacity(8 << 20))
+}
+
+fn spawn_planes_with(config: CacheConfig) -> Vec<(&'static str, CacheServer)> {
+    let spawn =
+        |engine| CacheServer::spawn_with("127.0.0.1:0", config, ServerConfig { engine }).unwrap();
     let threaded = spawn(EngineKind::Threaded);
     assert_eq!(threaded.engine_kind(), EngineKind::Threaded);
     let reactor = spawn(EngineKind::Reactor { loops: 2 });
@@ -318,6 +316,79 @@ fn every_split_point_is_byte_identical() {
             );
         }
         assert_eq!(replies[0], whole[0], "split {split} changed the responses");
+    }
+    stop_all(planes);
+}
+
+/// Multi-key `get`s whose replies each exceed the 1 MiB output
+/// high-water mark, pipelined at a client that does not read: every
+/// plane — the threaded one now assembles replies in memory too — must
+/// stop serving once its output is over the mark and the socket is full
+/// (bounded memory), and once the client does read, deliver every reply
+/// byte-identically. Runs on the server binary's default storage.
+#[test]
+fn replies_past_the_high_water_mark_are_bounded_and_byte_identical() {
+    const KEYS: usize = 40;
+    const VALUE: usize = 32 << 10; // 40 x 32 KiB = 1.25 MiB per reply
+    const GETS: u64 = 40;
+    let value = |i: usize| -> Vec<u8> { (0..VALUE).map(|j| (i * 31 + j) as u8).collect() };
+    let mut sets = Vec::new();
+    let mut get = b"get".to_vec();
+    let mut reply = Vec::new();
+    for i in 0..KEYS {
+        let header = format!("k{i} 0 {VALUE}\r\n");
+        sets.extend_from_slice(format!("set k{i} 0 0 {VALUE}\r\n").as_bytes());
+        sets.extend_from_slice(&value(i));
+        sets.extend_from_slice(b"\r\n");
+        get.extend_from_slice(format!(" k{i}").as_bytes());
+        reply.extend_from_slice(b"VALUE ");
+        reply.extend_from_slice(header.as_bytes());
+        reply.extend_from_slice(&value(i));
+        reply.extend_from_slice(b"\r\n");
+    }
+    get.extend_from_slice(b"\r\n");
+    reply.extend_from_slice(b"END\r\n");
+    assert!(reply.len() > 1 << 20, "one reply must pass the mark");
+
+    let planes = spawn_planes_with(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    for (name, server) in &planes {
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        sock.write_all(&sets).unwrap();
+        let mut stored = vec![0u8; KEYS * b"STORED\r\n".len()];
+        sock.read_exact(&mut stored).unwrap();
+        assert_eq!(stored, b"STORED\r\n".repeat(KEYS), "{name}: preload");
+
+        // Pipeline every get without reading a byte of the replies.
+        for _ in 0..GETS {
+            sock.write_all(&get).unwrap();
+        }
+        sock.write_all(b"quit\r\n").unwrap();
+        // Wait until the server has stopped making progress against the
+        // full socket, then look at how far it got.
+        let served = || server.metrics().ops().snapshot(OpClass::MultiGet).count();
+        let (mut last, mut stable) = (served(), 0);
+        while stable < 5 {
+            std::thread::sleep(Duration::from_millis(40));
+            let now = served();
+            stable = if now == last { stable + 1 } else { 0 };
+            last = now;
+        }
+        assert!(
+            (1..=GETS / 2).contains(&last),
+            "{name}: {last} of {GETS} replies (1.25 MiB each) were assembled for a client \
+             that reads nothing — backpressure must stop the server near the 1 MiB mark \
+             plus what the socket buffers hold"
+        );
+
+        let mut got = Vec::new();
+        sock.read_to_end(&mut got).unwrap();
+        assert_eq!(got.len(), reply.len() * GETS as usize, "{name}: reply size");
+        assert!(
+            got.chunks(reply.len()).all(|r| r == reply),
+            "{name}: a reply differs from the stored values"
+        );
     }
     stop_all(planes);
 }
