@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use proteus_cache::{CacheConfig, CacheEngine};
 use proteus_core::{Router, Scenario, TransitionManager};
-use proteus_sim::{SimDuration, SimTime};
+use proteus_sim::SimTime;
 use proteus_store::{ShardedStore, StoreConfig};
 
 fn setup(n: usize) -> (Router, Vec<CacheEngine>, ShardedStore, TransitionManager) {
@@ -57,9 +57,8 @@ fn fetch_paths(c: &mut Criterion) {
 
     group.bench_function("hit_during_transition", |b| {
         let (router, mut caches, mut db, mut tm) = setup(10);
-        tm.begin(SimTime::ZERO, 9, SimDuration::from_secs(3600), |i| {
-            caches[i].digest_snapshot()
-        });
+        tm.begin(9, caches.iter().map(|c| Some(c.digest_snapshot())))
+            .expect("no window is open");
         let t = SimTime::from_secs(1);
         let mut i = 0u64;
         b.iter(|| {

@@ -11,7 +11,7 @@
 //! the database entirely.
 
 use proteus_cache::{CacheConfig, CacheEngine};
-use proteus_ring::{hash::KeyHasher, PlacementStrategy};
+use proteus_ring::ServerId;
 use proteus_sim::{EventQueue, Histogram, Resource, SimDuration, SimRng, SimTime, TimeSeries};
 use proteus_store::{ShardedStore, StoreConfig};
 use proteus_workload::{Trace, TraceRecord};
@@ -22,8 +22,9 @@ use crate::config::ClusterConfig;
 use crate::controller::{FeedbackController, ProvisioningPlan};
 use crate::metrics::{ClusterReport, FetchClass, FetchCounters};
 use crate::power::{EnergyMeter, PowerState};
+use crate::router::Router;
 use crate::scenario::Scenario;
-use crate::transition::TransitionManager;
+use crate::transition::{fetch_class, Probe, TransitionManager};
 
 /// Per-request context threaded through the event chain.
 #[derive(Debug)]
@@ -35,7 +36,8 @@ struct Ctx {
     /// digest-check time so a slot boundary between the check and the
     /// old-server lookup cannot misroute the migration probe.
     old_server: Option<usize>,
-    false_positive: bool,
+    /// What that server answered, once asked.
+    old: Option<Probe>,
 }
 
 #[derive(Debug)]
@@ -77,8 +79,7 @@ struct CacheNode {
 pub struct ClusterSim {
     config: ClusterConfig,
     scenario: Scenario,
-    strategy: Box<dyn PlacementStrategy + Send + Sync>,
-    hasher: KeyHasher,
+    router: Router,
     records: Vec<TraceRecord>,
     plan: ProvisioningPlan,
     feedback: Option<FeedbackController>,
@@ -147,7 +148,7 @@ impl ClusterSim {
             config.cache_servers,
             "plan sized for a different cluster"
         );
-        let strategy = scenario.strategy(config.cache_servers, 0);
+        let router = Router::new(scenario.strategy(config.cache_servers, 0));
         let mut cache_cfg =
             CacheConfig::with_capacity(config.cache_capacity_bytes).hot_ttl(config.hot_ttl);
         if let Some(digest) = config.digest_override {
@@ -186,8 +187,7 @@ impl ClusterSim {
         let peak_rate = estimate_peak_rate(trace.records(), config.slot);
         ClusterSim {
             rng: SimRng::seed_from_u64(seed),
-            strategy,
-            hasher: KeyHasher::default(),
+            router,
             records: trace.records().to_vec(),
             plan: plan.clone(),
             feedback: None,
@@ -249,8 +249,7 @@ impl ClusterSim {
         let max_objects = (budget_per_node / per_object) * n0 as u64;
         for page in 1..=self.config.pages.min(max_objects.saturating_mul(2)) {
             let key = page_key(page);
-            let hash = self.hasher.hash_bytes(&key);
-            let server = self.strategy.server_for(hash, n0).index();
+            let server = self.router.server_for(&key, n0).index();
             let node = &mut self.nodes[server];
             let cost = key.len() as u64 + self.config.object_size as u64 + 48;
             if node.engine.bytes_used() + cost <= budget_per_node {
@@ -308,10 +307,9 @@ impl ClusterSim {
         self.requests_per_slot[self.current_slot] += 1;
         self.arrivals_series.add(self.now, 1.0);
         let key = page_key(rec.page);
-        let hash = self.hasher.hash_bytes(&key);
         let new_server = self
-            .strategy
-            .server_for(hash, self.transition.active())
+            .router
+            .server_for(&key, self.transition.active())
             .index();
         // "The user requests will be uniformly randomly directed to all
         // web servers" (Section VI-C); each has a finite servlet pool.
@@ -324,47 +322,38 @@ impl ClusterSim {
             key,
             new_server,
             old_server: None,
-            false_positive: false,
+            old: None,
         };
         self.queue
             .schedule(grant.end + travel, Event::CacheLookup(ctx));
     }
 
-    fn handle_cache_lookup(&mut self, ctx: Ctx) {
+    fn handle_cache_lookup(&mut self, mut ctx: Ctx) {
         let server = ctx.new_server;
         self.count_server_request(server);
         let hit = self.nodes[server].engine.get(&ctx.key, self.now).is_some();
         if hit {
             let dt = self.cache_round_trip(server);
-            self.record_completion(ctx.arrival, self.now + dt, FetchClass::NewHit);
+            let class = fetch_class(Probe::Hit, None);
+            self.record_completion(ctx.arrival, self.now + dt, class);
             return;
         }
-        // Miss at the new server. During a digest-scenario transition
-        // window, consult the old server's digest (Algorithm 2 line 6)
-        // — but only once the broadcast has reached the web tier.
-        if self.scenario.uses_digests()
-            && self.transition.in_transition(self.now)
-            && self.now >= self.digests_ready_at
-        {
-            let hash = self.hasher.hash_bytes(&ctx.key);
-            let old = self
-                .strategy
-                .server_for(hash, self.transition.previous_active())
-                .index();
-            if old != server {
-                if let Some(digest) = self.transition.digest(old) {
-                    if digest.contains(&ctx.key) {
-                        let travel = self.config.latency.cache_rtt.sample(&mut self.rng);
-                        let mut ctx = ctx;
-                        ctx.old_server = Some(old);
-                        self.queue
-                            .schedule(self.now + travel, Event::OldLookup(ctx));
-                        return;
-                    }
-                }
-            }
+        // Miss at the new server: Algorithm 2 line 6 — but digests are
+        // consultable only in a digest scenario, and only once the
+        // broadcast has reached the web tier.
+        if self.scenario.uses_digests() && self.now >= self.digests_ready_at {
+            ctx.old_server = self
+                .transition
+                .probe_target(&self.router, &ctx.key, ServerId::new(server as u32))
+                .map(ServerId::index);
         }
-        self.go_to_database(ctx);
+        if ctx.old_server.is_some() {
+            let travel = self.config.latency.cache_rtt.sample(&mut self.rng);
+            self.queue
+                .schedule(self.now + travel, Event::OldLookup(ctx));
+        } else {
+            self.go_to_database(ctx);
+        }
     }
 
     fn handle_old_lookup(&mut self, mut ctx: Ctx) {
@@ -376,6 +365,7 @@ impl ClusterSim {
             .engine
             .get(&ctx.key, self.now)
             .map(<[u8]>::to_vec);
+        ctx.old = Some(Probe::answered(value.is_some()));
         match value {
             Some(value) => {
                 // Migrate on demand: install at the new server, then
@@ -389,14 +379,11 @@ impl ClusterSim {
                 self.record_completion(
                     ctx.arrival,
                     self.now + dt_old + dt_put,
-                    FetchClass::Migrated,
+                    fetch_class(Probe::Miss, ctx.old),
                 );
             }
-            None => {
-                // Digest false positive (Algorithm 2 line 9).
-                ctx.false_positive = true;
-                self.go_to_database(ctx);
-            }
+            // Digest false positive (Algorithm 2 line 9).
+            None => self.go_to_database(ctx),
         }
     }
 
@@ -414,21 +401,13 @@ impl ClusterSim {
         } else {
             self.config.latency.cache_rtt.sample(&mut self.rng)
         };
-        let class = if ctx.false_positive {
-            FetchClass::DatabaseFalsePositive
-        } else {
-            FetchClass::Database
-        };
+        let class = fetch_class(Probe::Miss, ctx.old);
         self.record_completion(ctx.arrival, self.now + dt_put, class);
         // Release every request that coalesced onto this fetch.
         if let Some(waiters) = self.inflight.remove(&ctx.key) {
             for waiter in waiters {
                 let dt = self.cache_round_trip(waiter.new_server);
-                let class = if waiter.false_positive {
-                    FetchClass::DatabaseFalsePositive
-                } else {
-                    FetchClass::Database
-                };
+                let class = fetch_class(Probe::Miss, waiter.old);
                 self.record_completion(waiter.arrival, self.now + dt, class);
             }
         }
@@ -456,11 +435,14 @@ impl ClusterSim {
         self.active_per_slot[slot] = target;
         if target != self.transition.active() {
             if self.scenario.uses_digests() {
-                let nodes = &self.nodes;
+                // `validate` keeps `hot_ttl < slot`, so the previous
+                // window's `DrainEnd` fired before this slot began.
                 self.transition
-                    .begin(self.now, target, self.config.hot_ttl, |i| {
-                        nodes[i].engine.digest_snapshot()
-                    });
+                    .begin(
+                        target,
+                        self.nodes.iter().map(|n| Some(n.engine.digest_snapshot())),
+                    )
+                    .expect("the previous drain window has closed");
                 self.digests_ready_at = self.now + self.config.digest_broadcast_delay;
                 self.queue
                     .schedule(self.now + self.config.hot_ttl, Event::DrainEnd);
@@ -480,7 +462,7 @@ impl ClusterSim {
     }
 
     fn handle_drain_end(&mut self) {
-        for server in self.transition.finalize(self.now) {
+        for server in self.transition.finalize() {
             self.nodes[server].engine.clear();
         }
     }

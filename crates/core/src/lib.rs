@@ -6,13 +6,15 @@
 //!
 //! - [`Scenario`] — the four Table II configurations (Static, Naive,
 //!   Consistent, Proteus) and their placement strategies.
-//! - [`Router`] — **Algorithm 2** data retrieval: query the key's new
-//!   server, consult the old server's digest during a transition,
-//!   migrate hot data on demand, fall back to the database only when
-//!   the data is genuinely cold (or a digest false-positive fires).
-//! - [`TransitionManager`] — the smooth-provisioning state machine:
-//!   digest broadcast at transition start, a TTL-long dual-mapping
-//!   window, and safe power-off of drained servers (Section IV).
+//! - [`TransitionManager`] — the smooth-provisioning window (Section
+//!   IV): old and new mapping, the digests broadcast when it opened,
+//!   per-server power state; clock-free, one window at a time. Beside
+//!   it **Algorithm 2**, sans-IO: [`TransitionManager::probe_target`]
+//!   (after a miss at the new server, ask the old one iff its digest
+//!   vouches for the key) and [`fetch_class`] (what the answers amount
+//!   to: hit, migrated, database, false positive, degraded).
+//! - [`Router`] — placement, and the in-memory driver of that decision;
+//!   [`ClusterSim`] and `proteus-net`'s `ClusterClient` are the others.
 //! - [`ProvisioningPlan`] / [`FeedbackController`] — the paper's
 //!   feedback provisioning loop (0.4 s reference, 0.5 s delay bound,
 //!   per-slot updates) and the load-proportional planner used to derive
@@ -67,4 +69,4 @@ pub use power::{energy_of_constant_draw, EnergyMeter, PowerModel, PowerState, Ti
 pub use replicated_router::{ReplicaFetch, ReplicatedRouter};
 pub use router::{FetchOutcome, Router};
 pub use scenario::{Scenario, VnodeBudget};
-pub use transition::TransitionManager;
+pub use transition::{fetch_class, Probe, TransitionManager, TransitionOverlap};

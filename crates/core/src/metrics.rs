@@ -16,6 +16,10 @@ pub enum FetchClass {
     /// Fetched from the database after the old server's digest answered
     /// "yes" but the lookup missed — a Bloom false positive.
     DatabaseFalsePositive,
+    /// Fetched from the database because a cache server could not be
+    /// reached. Only drivers with real sockets produce it; the
+    /// simulator's servers always answer.
+    Degraded,
 }
 
 /// Counters over all completed requests.
@@ -25,7 +29,8 @@ pub struct FetchCounters {
     pub new_hits: u64,
     /// On-demand migrations (old-server hits during transitions).
     pub migrated: u64,
-    /// Cold fetches from the database.
+    /// Cold fetches from the database (and degraded ones, where a
+    /// driver can observe an unreachable server).
     pub database: u64,
     /// Database fetches caused by digest false positives.
     pub database_false_positive: u64,
@@ -37,7 +42,7 @@ impl FetchCounters {
         match class {
             FetchClass::NewHit => self.new_hits += 1,
             FetchClass::Migrated => self.migrated += 1,
-            FetchClass::Database => self.database += 1,
+            FetchClass::Database | FetchClass::Degraded => self.database += 1,
             FetchClass::DatabaseFalsePositive => self.database_false_positive += 1,
         }
     }

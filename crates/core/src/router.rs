@@ -1,10 +1,9 @@
-//! Algorithm 2: digest-guided data retrieval.
+//! Algorithm 2: digest-guided data retrieval, driven against in-memory
+//! cache engines.
 //!
-//! This is the synchronous reference implementation of the web-tier
-//! fetch logic, used directly by the quickstart example and the TCP
-//! tier; the discrete-event simulator re-implements the same decision
-//! tree with latencies attached (`cluster.rs`), and tests cross-check
-//! the two.
+//! The decision itself — whether to ask the old server, and what the
+//! answers amount to — lives in [`crate::transition`]; [`Router::fetch`]
+//! performs the lookups it asks for directly on `CacheEngine`s.
 
 use proteus_cache::CacheEngine;
 use proteus_ring::{hash::KeyHasher, PlacementStrategy, ServerId};
@@ -12,7 +11,7 @@ use proteus_sim::SimTime;
 use proteus_store::ShardedStore;
 
 use crate::metrics::FetchClass;
-use crate::transition::TransitionManager;
+use crate::transition::{fetch_class, Probe, TransitionManager};
 
 /// The result of one Algorithm 2 fetch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,9 +22,6 @@ pub struct FetchOutcome {
     pub class: FetchClass,
     /// The key's server under the new mapping.
     pub new_server: ServerId,
-    /// The key's server under the old mapping, when a transition window
-    /// was open and the mapping differed.
-    pub old_server: Option<ServerId>,
 }
 
 /// The web tier's routing logic: consistent key→server mapping plus
@@ -71,6 +67,13 @@ impl Router {
         }
     }
 
+    /// The hasher keys are placed with (ring 0 of any replica rings
+    /// layered on this router).
+    #[must_use]
+    pub fn hasher(&self) -> KeyHasher {
+        self.hasher
+    }
+
     /// The key hash used for ring placement.
     #[must_use]
     pub fn key_hash(&self, key: &[u8]) -> u64 {
@@ -90,10 +93,10 @@ impl Router {
     }
 
     /// Algorithm 2, lines 1–15: fetch `key`, consulting the old
-    /// server's digest during a transition window (when `use_digests`)
-    /// and migrating hot data on demand; fall back to the database
-    /// otherwise. The retrieved value is always (re)inserted into the
-    /// new server's cache (line 12).
+    /// server's digest while a transition window is open (when
+    /// `use_digests`) and migrating hot data on demand; fall back to
+    /// the database otherwise. The retrieved value is always
+    /// (re)inserted into the new server's cache (line 12).
     pub fn fetch(
         &self,
         key: &[u8],
@@ -103,56 +106,32 @@ impl Router {
         transition: &TransitionManager,
         use_digests: bool,
     ) -> FetchOutcome {
-        let hash = self.key_hash(key);
-        let new_server = self.strategy.server_for(hash, transition.active());
+        let new_server = self.server_for(key, transition.active());
         // Line 2: try the new location first.
-        if let Some(v) = caches[new_server.index()].get(key, now) {
-            let value = v.to_vec();
-            return FetchOutcome {
-                value,
-                class: FetchClass::NewHit,
-                new_server,
-                old_server: None,
-            };
+        let mut value = caches[new_server.index()].get(key, now).map(<[u8]>::to_vec);
+        let new = Probe::answered(value.is_some());
+        // Lines 6-8: on a miss, the old server if its digest vouches.
+        let target = if new == Probe::Miss && use_digests {
+            transition.probe_target(self, key, new_server)
+        } else {
+            None
+        };
+        let mut old = None;
+        if let Some(server) = target {
+            value = caches[server.index()].get(key, now).map(<[u8]>::to_vec);
+            old = Some(Probe::answered(value.is_some()));
         }
-        // Lines 6-8: during a transition, consult the old server's digest.
-        let mut old_server = None;
-        let mut false_positive = false;
-        if use_digests && transition.in_transition(now) {
-            let old = self.strategy.server_for(hash, transition.previous_active());
-            if old != new_server {
-                old_server = Some(old);
-                if let Some(digest) = transition.digest(old.index()) {
-                    if digest.contains(key) {
-                        let migrated = caches[old.index()].get(key, now).map(<[u8]>::to_vec);
-                        if let Some(value) = migrated {
-                            // Line 12: install at the new location.
-                            caches[new_server.index()].put(key, value.clone(), now);
-                            return FetchOutcome {
-                                value,
-                                class: FetchClass::Migrated,
-                                new_server,
-                                old_server,
-                            };
-                        }
-                        // Digest said yes, data was gone: false positive.
-                        false_positive = true;
-                    }
-                }
-            }
+        let class = fetch_class(new, old);
+        // Lines 9-12: the database is the last resort; whatever was not
+        // already at the new location is installed there.
+        let value = value.unwrap_or_else(|| db.fetch(key));
+        if class != FetchClass::NewHit {
+            caches[new_server.index()].put(key, value.clone(), now);
         }
-        // Lines 9-11: the database tier is the last resort.
-        let value = db.fetch(key);
-        caches[new_server.index()].put(key, value.clone(), now);
         FetchOutcome {
             value,
-            class: if false_positive {
-                FetchClass::DatabaseFalsePositive
-            } else {
-                FetchClass::Database
-            },
+            class,
             new_server,
-            old_server,
         }
     }
 }
@@ -170,7 +149,6 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use proteus_cache::CacheConfig;
-    use proteus_sim::SimDuration;
     use proteus_store::StoreConfig;
 
     fn setup(servers: usize) -> (Router, Vec<CacheEngine>, ShardedStore) {
@@ -180,6 +158,10 @@ mod tests {
             .collect();
         let db = ShardedStore::new(StoreConfig::default());
         (router, caches, db)
+    }
+
+    fn snapshots(caches: &[CacheEngine]) -> Vec<Option<proteus_bloom::BloomFilter>> {
+        caches.iter().map(|c| Some(c.digest_snapshot())).collect()
     }
 
     #[test]
@@ -208,9 +190,7 @@ mod tests {
         assert_eq!(warm.class, FetchClass::Database);
         let db_before = db.total_fetches();
         // Scale 4 → 3 with a digest broadcast.
-        tm.begin(SimTime::from_secs(1), 3, SimDuration::from_secs(10), |i| {
-            caches[i].digest_snapshot()
-        });
+        tm.begin(3, snapshots(&caches)).unwrap();
         let t = SimTime::from_secs(2);
         let got = router.fetch(&moving_key, t, &mut caches, &mut db, &tm, true);
         assert_eq!(got.class, FetchClass::Migrated);
@@ -231,9 +211,7 @@ mod tests {
             .find(|k| router.server_for(k, 4).index() == 3)
             .unwrap();
         router.fetch(&moving_key, SimTime::ZERO, &mut caches, &mut db, &tm, false);
-        tm.begin(SimTime::from_secs(1), 3, SimDuration::from_secs(10), |i| {
-            caches[i].digest_snapshot()
-        });
+        tm.begin(3, snapshots(&caches)).unwrap();
         let before = db.total_fetches();
         let got = router.fetch(
             &moving_key,
@@ -251,9 +229,7 @@ mod tests {
     fn cold_data_during_transition_is_database_not_false_positive() {
         let (router, mut caches, mut db) = setup(4);
         let mut tm = TransitionManager::new(4, 4);
-        tm.begin(SimTime::ZERO, 3, SimDuration::from_secs(10), |i| {
-            caches[i].digest_snapshot() // all empty
-        });
+        tm.begin(3, snapshots(&caches)).unwrap(); // all empty
         let got = router.fetch(
             b"never-seen",
             SimTime::from_secs(1),
@@ -274,12 +250,12 @@ mod tests {
             .find(|k| router.server_for(k, 4).index() == 3 && router.server_for(k, 3).index() != 3)
             .unwrap();
         router.fetch(&moving_key, SimTime::ZERO, &mut caches, &mut db, &tm, true);
-        tm.begin(SimTime::from_secs(1), 3, SimDuration::from_secs(2), |i| {
-            caches[i].digest_snapshot()
-        });
-        // Past the deadline: Algorithm 2 line 6 no longer fires.
-        let t_late = SimTime::from_secs(10);
-        let got = router.fetch(&moving_key, t_late, &mut caches, &mut db, &tm, true);
+        tm.begin(3, snapshots(&caches)).unwrap();
+        // Window closed (the old server not yet cleared): Algorithm 2
+        // line 6 no longer fires.
+        tm.finalize();
+        let t = SimTime::from_secs(2);
+        let got = router.fetch(&moving_key, t, &mut caches, &mut db, &tm, true);
         assert_eq!(got.class, FetchClass::Database);
     }
 

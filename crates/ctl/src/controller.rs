@@ -255,18 +255,16 @@ impl ClusterController {
     fn open_window_at(&mut self, to: usize, now: Instant) -> StepAction {
         let mut client = self.client.write();
         let from = client.active();
-        match client.begin_transition(to) {
-            Ok(()) => {}
-            Err(_) => {
-                // A foreign window raced us between the check and the
-                // write lock; surface it as a backoff, not a failure.
-                drop(client);
-                self.pending = None;
-                self.backoffs += 1;
-                return StepAction::BackedOff;
-            }
-        }
+        let opened = client.begin_transition(to);
         drop(client);
+        if opened.is_err() {
+            // The one way `begin_transition` fails: a foreign window
+            // raced us between the check and the write lock. Surface
+            // it as a backoff, not a failure.
+            self.pending = None;
+            self.backoffs += 1;
+            return StepAction::BackedOff;
+        }
         for (i, addr) in self.metrics_addrs.iter().enumerate() {
             let state = if i < to.min(from) {
                 continue; // staying active, state unchanged

@@ -46,9 +46,9 @@ fn main() {
     // --- Scale down 4 → 3, the Proteus way. --------------------------
     let t1 = t0 + SimDuration::from_secs(1);
     let db_before = db.total_fetches();
-    transition.begin(t1, 3, SimDuration::from_secs(60), |i| {
-        caches[i].digest_snapshot()
-    });
+    transition
+        .begin(3, caches.iter().map(|c| Some(c.digest_snapshot())))
+        .expect("no window is open");
     println!("\nscaling 4 → 3: digests broadcast, s4 draining for TTL");
 
     let mut classes = [0u32; 3]; // hits, migrations, database
@@ -57,7 +57,9 @@ fn main() {
         match outcome.class {
             FetchClass::NewHit => classes[0] += 1,
             FetchClass::Migrated => classes[1] += 1,
-            FetchClass::Database | FetchClass::DatabaseFalsePositive => classes[2] += 1,
+            FetchClass::Database | FetchClass::DatabaseFalsePositive | FetchClass::Degraded => {
+                classes[2] += 1;
+            }
         }
     }
     println!(
@@ -84,7 +86,7 @@ fn main() {
     println!("second pass: {second_hits}/{} direct hits", keys.len());
 
     // After TTL the drained server powers off safely.
-    for server in transition.finalize(t1 + SimDuration::from_secs(60)) {
+    for server in transition.finalize() {
         caches[server].clear();
         println!("s{} powered off (cache cleared)", server + 1);
     }

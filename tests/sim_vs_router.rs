@@ -73,6 +73,7 @@ fn des_matches_reference_router_on_serial_traffic() {
             FetchClass::NewHit => hits += 1,
             FetchClass::Database | FetchClass::DatabaseFalsePositive => database += 1,
             FetchClass::Migrated => unreachable!("no transitions in Static"),
+            FetchClass::Degraded => unreachable!("in-memory engines are never down"),
         }
     }
 

@@ -2,11 +2,13 @@
 //! that the wire implementation of Algorithm 2 agrees with the
 //! in-memory reference router.
 
+use std::collections::HashMap;
+
 use parking_lot::Mutex;
 use proteus::cache::{CacheConfig, CacheEngine};
-use proteus::core::{FetchClass, Router, Scenario, TransitionManager};
+use proteus::core::{Router, Scenario, TransitionManager};
 use proteus::net::{CacheClient, CacheServer, ClusterClient, ClusterFetch};
-use proteus::sim::{SimDuration, SimTime};
+use proteus::sim::SimTime;
 use proteus::store::{ShardedStore, StoreConfig};
 
 fn spawn_cluster(n: usize) -> (Vec<CacheServer>, Vec<std::net::SocketAddr>) {
@@ -76,65 +78,124 @@ fn live_smooth_transition_has_zero_db_traffic_for_hot_keys() {
     }
 }
 
-/// The TCP cluster client and the in-memory reference router must make
-/// identical classification decisions when driven through the same
-/// (deterministic) history.
+/// Three drivers, one history: `Router::fetch` on in-memory engines,
+/// `ClusterClient::fetch` one round trip at a time and
+/// `ClusterClient::fetch_many` in pipelined batches evaluate the same
+/// Algorithm 2 decision, so the same key sequence through warm → 4→3 →
+/// close → 3→4 → close must classify identically, key for key.
 #[test]
 fn wire_and_reference_routers_agree() {
     let n = 4;
+    let store = || {
+        ShardedStore::new(StoreConfig {
+            object_size: 128,
+            ..StoreConfig::default()
+        })
+    };
     // Reference side.
     let router = Router::new(Scenario::Proteus.strategy(n, 0));
     let mut engines: Vec<CacheEngine> = (0..n)
         .map(|_| CacheEngine::new(CacheConfig::with_capacity(8 << 20)))
         .collect();
-    let mut ref_db = ShardedStore::new(StoreConfig {
-        object_size: 128,
-        ..StoreConfig::default()
-    });
+    let mut ref_db = store();
     let mut tm = TransitionManager::new(n, n);
-    // Wire side.
-    let (servers, addrs) = spawn_cluster(n);
-    let mut cluster = ClusterClient::connect(&addrs, Scenario::Proteus.strategy(n, 0)).unwrap();
-    let net_db = Mutex::new(ShardedStore::new(StoreConfig {
-        object_size: 128,
-        ..StoreConfig::default()
-    }));
+    // Wire side: a cluster per driver, so neither sees the other's installs.
+    let (single_servers, addrs) = spawn_cluster(n);
+    let mut single = ClusterClient::connect(&addrs, Scenario::Proteus.strategy(n, 0)).unwrap();
+    let single_db = Mutex::new(store());
+    let (batch_servers, addrs) = spawn_cluster(n);
+    let mut batched = ClusterClient::connect(&addrs, Scenario::Proteus.strategy(n, 0)).unwrap();
+    let batch_db = Mutex::new(store());
 
     let keys: Vec<Vec<u8>> = (0..120u32)
         .map(|i| format!("page:{i}").into_bytes())
         .collect();
-    let t0 = SimTime::ZERO;
-    // Phase 1: identical warming.
-    for k in &keys {
-        let ref_out = router.fetch(k, t0, &mut engines, &mut ref_db, &tm, true);
-        let (_, net_out) = cluster.fetch(k, &net_db).unwrap();
-        assert_eq!(classify(ref_out.class), net_out, "warm {k:?}");
-    }
-    // Phase 2: identical transition 4 -> 3.
-    tm.begin(
-        t0 + SimDuration::from_secs(1),
-        3,
-        SimDuration::from_secs(60),
-        |i| engines[i].digest_snapshot(),
-    );
-    cluster.begin_transition(3).unwrap();
-    let t1 = t0 + SimDuration::from_secs(2);
-    for k in &keys {
-        let ref_out = router.fetch(k, t1, &mut engines, &mut ref_db, &tm, true);
-        let (_, net_out) = cluster.fetch(k, &net_db).unwrap();
-        assert_eq!(classify(ref_out.class), net_out, "transition {k:?}");
-    }
-    assert_eq!(ref_db.total_fetches(), net_db.lock().total_fetches());
-    for s in servers {
-        s.stop();
-    }
-}
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    let now = SimTime::ZERO;
+    // Runs the whole key sequence through all three drivers, checks
+    // they agree, and returns how often each class occurred.
+    let mut sweep = |phase: &str,
+                     engines: &mut Vec<CacheEngine>,
+                     tm: &TransitionManager,
+                     single: &ClusterClient,
+                     batched: &ClusterClient| {
+        let batch = batched.fetch_many(&refs, &batch_db).unwrap();
+        let mut seen: HashMap<ClusterFetch, usize> = HashMap::new();
+        for (k, (batch_value, batch_class)) in keys.iter().zip(batch) {
+            let reference = router.fetch(k, now, engines, &mut ref_db, tm, true);
+            let expected = ClusterFetch::from(reference.class);
+            let (value, class) = single.fetch(k, &single_db).unwrap();
+            assert_eq!(class, expected, "{phase}: fetch {k:?}");
+            assert_eq!(batch_class, expected, "{phase}: fetch_many {k:?}");
+            assert_eq!(&value[..], &reference.value[..], "{phase}: {k:?}");
+            assert_eq!(batch_value, value, "{phase}: {k:?}");
+            *seen.entry(expected).or_default() += 1;
+        }
+        seen
+    };
 
-fn classify(class: FetchClass) -> ClusterFetch {
-    match class {
-        FetchClass::NewHit => ClusterFetch::Hit,
-        FetchClass::Migrated => ClusterFetch::Migrated,
-        FetchClass::Database | FetchClass::DatabaseFalsePositive => ClusterFetch::Database,
+    let seen = sweep("warm", &mut engines, &tm, &single, &batched);
+    assert_eq!(seen[&ClusterFetch::Database], keys.len());
+
+    // 4 -> 3. One key the departing server's digest vouches for is
+    // deleted there before anyone asks: a forced false positive.
+    let snapshots: Vec<_> = engines.iter().map(|e| Some(e.digest_snapshot())).collect();
+    tm.begin(3, snapshots).unwrap();
+    single.begin_transition(3).unwrap();
+    batched.begin_transition(3).unwrap();
+    let vanished = keys
+        .iter()
+        .find(|k| router.server_for(k, 4).index() == 3)
+        .expect("some key lives on the departing server");
+    assert!(engines[3].delete(vanished));
+    assert!(single.client(3).delete(vanished).unwrap());
+    assert!(batched.client(3).delete(vanished).unwrap());
+    let seen = sweep("4->3", &mut engines, &tm, &single, &batched);
+    assert_eq!(seen[&ClusterFetch::FalsePositive], 1);
+    assert!(seen[&ClusterFetch::Migrated] > 0);
+    assert_eq!(
+        seen[&ClusterFetch::Hit] + seen[&ClusterFetch::Migrated] + 1,
+        keys.len()
+    );
+
+    // Close: the departed server powers off and loses its contents.
+    for server in tm.finalize() {
+        engines[server].clear();
+        single.client(server).flush_all().unwrap();
+        batched.client(server).flush_all().unwrap();
+    }
+    assert_eq!(
+        single.end_transition().map(|w| (w.from, w.to)),
+        Some((4, 3))
+    );
+    assert_eq!(
+        batched.end_transition().map(|w| (w.from, w.to)),
+        Some((4, 3))
+    );
+    let seen = sweep("3 active", &mut engines, &tm, &single, &batched);
+    assert_eq!(seen[&ClusterFetch::Hit], keys.len());
+
+    // 3 -> 4: the rejoining server starts cold and fills by migration.
+    let snapshots: Vec<_> = engines.iter().map(|e| Some(e.digest_snapshot())).collect();
+    tm.begin(4, snapshots).unwrap();
+    single.begin_transition(4).unwrap();
+    batched.begin_transition(4).unwrap();
+    let seen = sweep("3->4", &mut engines, &tm, &single, &batched);
+    assert!(seen[&ClusterFetch::Migrated] > 0);
+    assert_eq!(
+        seen[&ClusterFetch::Hit] + seen[&ClusterFetch::Migrated],
+        keys.len()
+    );
+    assert!(tm.finalize().is_empty(), "a grow powers nobody off");
+    single.end_transition();
+    batched.end_transition();
+    let seen = sweep("4 active", &mut engines, &tm, &single, &batched);
+    assert_eq!(seen[&ClusterFetch::Hit], keys.len());
+
+    assert_eq!(ref_db.total_fetches(), single_db.lock().total_fetches());
+    assert_eq!(ref_db.total_fetches(), batch_db.lock().total_fetches());
+    for s in single_servers.into_iter().chain(batch_servers) {
+        s.stop();
     }
 }
 
