@@ -16,10 +16,9 @@
 
 #[allow(unsafe_code)]
 pub mod alloc_track;
-pub mod concurrency;
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proteus_core::{ClusterConfig, ClusterReport, ClusterSim, ProvisioningPlan, Scenario};
 use proteus_workload::Trace;
@@ -143,8 +142,15 @@ where
     R: IntoIterator<Item = Vec<F>>,
     F: std::fmt::Display,
 {
-    let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(&dir)?;
+    write_csv_in(Path::new("target/experiments"), name, header, rows)
+}
+
+fn write_csv_in<R, F>(dir: &Path, name: &str, header: &[&str], rows: R) -> std::io::Result<PathBuf>
+where
+    R: IntoIterator<Item = Vec<F>>,
+    F: std::fmt::Display,
+{
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
     let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
     writeln!(file, "{}", header.join(","))?;
@@ -207,7 +213,9 @@ mod tests {
 
     #[test]
     fn write_csv_roundtrips() {
-        let path = write_csv(
+        let dir = std::env::temp_dir().join(format!("proteus-bench-csv-{}", std::process::id()));
+        let path = write_csv_in(
+            &dir,
             "unit-test",
             &["a", "b"],
             vec![vec![1.0, 2.0], vec![3.5, 4.25]],
@@ -215,7 +223,7 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "a,b\n1,2\n3.5,4.25\n");
-        let _ = std::fs::remove_file(path);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -85,9 +85,9 @@ pub use cluster_client::{
 pub use error::NetError;
 pub use fault::{FaultMode, FaultProxy};
 pub use protocol::{
-    parse_raw_command, read_command, read_raw_command, read_response, read_response_buffered,
-    write_command, write_command_unflushed, write_response, write_response_unflushed, Command,
-    RawCommand, Response, ResponseWriter, ValueItem, WireBuf, DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
+    parse_raw_command, read_raw_command, read_response, read_response_buffered, write_command,
+    write_command_unflushed, write_response, write_response_unflushed, Command, RawCommand,
+    Response, ResponseWriter, ValueItem, WireBuf, DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
 };
 pub use server::{CacheServer, EngineKind, ServerConfig, ServerMetrics};
 

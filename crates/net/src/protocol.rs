@@ -383,13 +383,9 @@ impl RawCommand<'_> {
     }
 }
 
-/// Reads one command from a buffered stream.
-///
-/// Compatibility wrapper over [`read_raw_command`] that allocates a
-/// fresh buffer pool per call and copies the borrowed keys out. The
-/// server's connection loop uses [`read_raw_command`] directly with a
-/// long-lived [`WireBuf`]; this form accepts and rejects exactly the
-/// same byte streams (property-tested in `parser_equivalence.rs`).
+/// Reads one command, borrowing keys from `buf` instead of copying
+/// them. `buf` is a per-connection scratch pool: reusing it across
+/// calls makes a warmed `get` parse allocation-free.
 ///
 /// # Errors
 ///
@@ -397,18 +393,6 @@ impl RawCommand<'_> {
 /// [`NetError::Io`] on socket errors (including clean EOF, surfaced as
 /// `UnexpectedEof` before any bytes of a command are read — callers
 /// treat that as connection close).
-pub fn read_command<R: BufRead>(reader: &mut R) -> Result<Command, NetError> {
-    let mut buf = WireBuf::new();
-    read_raw_command(reader, &mut buf).map(RawCommand::into_owned)
-}
-
-/// Reads one command, borrowing keys from `buf` instead of copying
-/// them. `buf` is a per-connection scratch pool: reusing it across
-/// calls makes a warmed `get` parse allocation-free.
-///
-/// # Errors
-///
-/// Same contract as [`read_command`].
 pub fn read_raw_command<'a, R: BufRead>(
     reader: &mut R,
     buf: &'a mut WireBuf,
@@ -1018,10 +1002,15 @@ fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> Result<(), NetErr
 mod tests {
     use super::*;
 
+    /// The owned form of one parse, for comparing against literals.
+    fn read_owned<R: BufRead>(reader: &mut R) -> Result<Command, NetError> {
+        read_raw_command(reader, &mut WireBuf::new()).map(RawCommand::into_owned)
+    }
+
     fn roundtrip_command(cmd: Command) -> Command {
         let mut buf = Vec::new();
         write_command(&mut buf, &cmd).unwrap();
-        read_command(&mut &buf[..]).unwrap()
+        read_owned(&mut &buf[..]).unwrap()
     }
 
     fn roundtrip_response(resp: Response) -> Response {
@@ -1054,18 +1043,15 @@ mod tests {
     #[test]
     fn stats_argument_selects_registry_or_is_ignored() {
         assert_eq!(
-            read_command(&mut &b"stats proteus\r\n"[..]).unwrap(),
+            read_owned(&mut &b"stats proteus\r\n"[..]).unwrap(),
             Command::StatsProteus
         );
         // Unknown arguments keep the historical plain-stats behaviour.
         assert_eq!(
-            read_command(&mut &b"stats items\r\n"[..]).unwrap(),
+            read_owned(&mut &b"stats items\r\n"[..]).unwrap(),
             Command::Stats
         );
-        assert_eq!(
-            read_command(&mut &b"stats\r\n"[..]).unwrap(),
-            Command::Stats
-        );
+        assert_eq!(read_owned(&mut &b"stats\r\n"[..]).unwrap(), Command::Stats);
     }
 
     #[test]
@@ -1101,14 +1087,14 @@ mod tests {
         ] {
             // Either a protocol error or (for trailing garbage) a clean
             // first parse — never a panic.
-            let _ = read_command(&mut bad.as_bytes());
+            let _ = read_owned(&mut bad.as_bytes());
         }
         assert!(matches!(
-            read_command(&mut "frob k\r\n".as_bytes()),
+            read_owned(&mut "frob k\r\n".as_bytes()),
             Err(NetError::Protocol(_))
         ));
         assert!(matches!(
-            read_command(&mut "set k 0 0 abc\r\n".as_bytes()),
+            read_owned(&mut "set k 0 0 abc\r\n".as_bytes()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1116,12 +1102,12 @@ mod tests {
     #[test]
     fn rejects_invalid_keys() {
         assert!(matches!(
-            read_command(&mut "get \r\n".as_bytes()),
+            read_owned(&mut "get \r\n".as_bytes()),
             Err(NetError::Protocol(_))
         ));
         let long = format!("get {}\r\n", "k".repeat(300));
         assert!(matches!(
-            read_command(&mut long.as_bytes()),
+            read_owned(&mut long.as_bytes()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1130,14 +1116,14 @@ mod tests {
     fn set_data_block_must_be_crlf_terminated() {
         let bad = b"set k 0 0 2\r\nhiXX".to_vec();
         assert!(matches!(
-            read_command(&mut &bad[..]),
+            read_owned(&mut &bad[..]),
             Err(NetError::Protocol(_))
         ));
     }
 
     #[test]
     fn eof_surfaces_as_io() {
-        assert!(matches!(read_command(&mut &b""[..]), Err(NetError::Io(_))));
+        assert!(matches!(read_owned(&mut &b""[..]), Err(NetError::Io(_))));
     }
 
     #[test]
@@ -1148,7 +1134,7 @@ mod tests {
         let mut buf = Vec::new();
         write_command(&mut buf, &cmd).unwrap();
         assert_eq!(buf, b"get a b c\r\n");
-        assert_eq!(read_command(&mut &buf[..]).unwrap(), cmd);
+        assert_eq!(read_owned(&mut &buf[..]).unwrap(), cmd);
     }
 
     #[test]
@@ -1156,7 +1142,7 @@ mod tests {
         // `get k` must keep parsing to Get, not a one-key MultiGet, so
         // single-key traffic is byte-identical to the previous protocol.
         assert_eq!(
-            read_command(&mut &b"get k\r\n"[..]).unwrap(),
+            read_owned(&mut &b"get k\r\n"[..]).unwrap(),
             Command::Get { key: b"k".to_vec() }
         );
     }
@@ -1165,7 +1151,7 @@ mod tests {
     fn multi_get_rejects_any_invalid_key() {
         let long = format!("get ok {}\r\n", "k".repeat(300));
         assert!(matches!(
-            read_command(&mut long.as_bytes()),
+            read_owned(&mut long.as_bytes()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1378,7 +1364,7 @@ mod tests {
     fn reserved_keys_are_ordinary_keys() {
         // The digest keys must be parseable as plain gets — that is the
         // paper's compatibility trick.
-        let cmd = read_command(&mut &b"get SET_BLOOM_FILTER\r\n"[..]).unwrap();
+        let cmd = read_owned(&mut &b"get SET_BLOOM_FILTER\r\n"[..]).unwrap();
         assert_eq!(
             cmd,
             Command::Get {

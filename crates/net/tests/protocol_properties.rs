@@ -1,7 +1,12 @@
 //! Property tests of the wire protocol: round trips and fuzz safety.
 
 use proptest::prelude::*;
-use proteus_net::{Command, Response};
+use proteus_net::{read_raw_command, Command, NetError, RawCommand, Response, WireBuf};
+
+/// The owned form of one parse, for comparing against generated commands.
+fn read_owned(mut bytes: &[u8]) -> Result<Command, NetError> {
+    read_raw_command(&mut bytes, &mut WireBuf::new()).map(RawCommand::into_owned)
+}
 
 /// Strategy for protocol-legal keys (printable, no whitespace, ≤250).
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -80,7 +85,7 @@ proptest! {
     fn command_roundtrip(cmd in command_strategy()) {
         let mut buf = Vec::new();
         proteus_net::write_command(&mut buf, &cmd).unwrap();
-        let parsed = proteus_net::read_command(&mut &buf[..]).unwrap();
+        let parsed = read_owned(&buf).unwrap();
         prop_assert_eq!(parsed, cmd);
     }
 
@@ -98,7 +103,7 @@ proptest! {
     /// parse or yield a structured error.
     #[test]
     fn command_parser_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = proteus_net::read_command(&mut &bytes[..]);
+        let _ = read_owned(&bytes);
     }
 
     /// Arbitrary bytes never panic the response parser.
@@ -112,7 +117,7 @@ proptest! {
     #[test]
     fn parsers_survive_text_lines(line in "[ -~]{0,120}") {
         let framed = format!("{line}\r\n");
-        let _ = proteus_net::read_command(&mut framed.as_bytes());
+        let _ = read_owned(framed.as_bytes());
         let _ = proteus_net::read_response(&mut framed.as_bytes());
     }
 }

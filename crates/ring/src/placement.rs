@@ -235,18 +235,6 @@ impl ProteusPlacement {
         assert!(n >= 1 && n <= self.servers, "invalid active count {n}");
         &self.tables[n - 1]
     }
-
-    /// `server_for` resolved by binary search over the lookup table —
-    /// the pre-flat-index routing path, kept public so tests and
-    /// benches can verify the O(1) path against it bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active == 0` or `active > max_servers()`.
-    #[must_use]
-    pub fn server_for_bsearch(&self, key_hash: u64, active: usize) -> ServerId {
-        successor(self.lookup_table(active), key_hash)
-    }
 }
 
 fn build_tables(servers: usize, nodes: &[VirtualNode]) -> Vec<Vec<(u64, ServerId)>> {
@@ -264,7 +252,9 @@ fn build_tables(servers: usize, nodes: &[VirtualNode]) -> Vec<Vec<(u64, ServerId
 }
 
 /// Successor lookup on a sorted `(position, server)` table: the first
-/// node at or after `key`, wrapping to the smallest position.
+/// node at or after `key`, wrapping to the smallest position. The
+/// binary search `FlatLookup` is tested against.
+#[cfg(test)]
 pub(crate) fn successor(table: &[(u64, ServerId)], key: u64) -> ServerId {
     debug_assert!(!table.is_empty());
     match table.binary_search_by(|&(pos, _)| pos.cmp(&key)) {
@@ -283,7 +273,7 @@ pub(crate) fn successor(table: &[(u64, ServerId)], key: u64) -> ServerId {
 /// position, so a lookup lands there and scans forward only past the
 /// entries sharing the bucket. That makes `server_for` O(1) expected —
 /// one shift, one array read, a short neighbor scan — while returning
-/// exactly what the binary search in [`successor`] returns.
+/// exactly what a binary search over the same table returns.
 #[derive(Clone, Debug)]
 pub(crate) struct FlatLookup {
     /// `64 - log2(buckets)`: `key >> shift` is the key's bucket.
@@ -315,7 +305,7 @@ impl FlatLookup {
     }
 
     /// The first node at or after `key`, wrapping to the smallest
-    /// position — bit-identical to [`successor`] on the same table.
+    /// position — bit-identical to a binary search on the same table.
     pub(crate) fn successor(&self, table: &[(u64, ServerId)], key: u64) -> ServerId {
         debug_assert!(!table.is_empty());
         let mut j = self.starts[(key >> self.shift) as usize] as usize;
@@ -598,12 +588,12 @@ mod tests {
     }
 
     #[test]
-    fn server_for_bsearch_is_the_same_routing_function() {
+    fn server_for_is_the_binary_search_routing_function() {
         let p = ProteusPlacement::generate(16);
         for k in 0..10_000u64 {
             let key = crate::hash::splitmix64(k ^ 0xF1A7);
             for n in [1usize, 2, 7, 16] {
-                assert_eq!(p.server_for(key, n), p.server_for_bsearch(key, n));
+                assert_eq!(p.server_for(key, n), successor(p.lookup_table(n), key));
             }
         }
     }
