@@ -653,8 +653,9 @@ impl CacheEngine {
     }
 
     /// Iterates over cached keys in MRU→LRU order.
-    pub fn keys(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        LruIter {
+    #[must_use]
+    pub fn keys(&self) -> Keys<'_> {
+        Keys {
             slots: &self.slots,
             store: &self.store,
             cursor: self.head,
@@ -676,13 +677,23 @@ impl CacheEngine {
     }
 }
 
-struct LruIter<'a> {
+/// The keys of a [`CacheEngine`], hottest first (see
+/// [`CacheEngine::keys`]). A clone restarts from where the original
+/// stands, so a caller can measure a walk before it copies one.
+#[derive(Clone)]
+pub struct Keys<'a> {
     slots: &'a [Slot],
     store: &'a Option<SlabStore>,
     cursor: u32,
 }
 
-impl<'a> Iterator for LruIter<'a> {
+impl fmt::Debug for Keys<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Keys").finish_non_exhaustive()
+    }
+}
+
+impl<'a> Iterator for Keys<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {

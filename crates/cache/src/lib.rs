@@ -42,7 +42,7 @@ mod stats;
 
 pub use bytes::SharedBytes;
 pub use config::{CacheConfig, StorageKind};
-pub use engine::{CacheEngine, StoreOutcome};
-pub use sharded::ShardedEngine;
+pub use engine::{CacheEngine, Keys, StoreOutcome};
+pub use sharded::{MruPage, ShardedEngine};
 pub use slab::{SlabClassStats, SlabStats};
 pub use stats::CacheStats;

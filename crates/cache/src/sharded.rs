@@ -7,7 +7,7 @@ use proteus_bloom::{BloomFilter, CounterUnion};
 use proteus_sim::{SimDuration, SimTime};
 
 use crate::config::CacheConfig;
-use crate::engine::{CacheEngine, StoreOutcome};
+use crate::engine::{CacheEngine, Keys, StoreOutcome};
 use crate::slab::SlabStats;
 use crate::stats::CacheStats;
 use crate::SharedBytes;
@@ -55,6 +55,10 @@ impl AtomicStats {
         }
     }
 }
+
+/// One page of one shard's keys, hottest first (see
+/// [`ShardedEngine::mru_page`]).
+pub type MruPage<'a> = std::iter::Take<std::iter::Skip<Keys<'a>>>;
 
 /// A concurrent cache engine: N independent [`CacheEngine`] shards,
 /// each behind its own mutex, selected by key hash.
@@ -166,6 +170,32 @@ impl ShardedEngine {
         drop(guard);
         self.stats.accumulate(before, after);
         out
+    }
+
+    /// Runs `f` on one page of shard `shard`'s keys in MRU→LRU order —
+    /// at most `limit` of them, starting `skip` keys from the hottest —
+    /// under that shard's lock and no other. `None` if there is no such
+    /// shard. Listing moves neither recency nor statistics, and like
+    /// [`with_key_shard`](Self::with_key_shard) `f` must not block.
+    ///
+    /// Pages at `skip = 0, limit, 2·limit, …` up to the first short one
+    /// concatenate to the shard's whole order as long as nothing
+    /// touches the shard in between. Under traffic they do not: a hit
+    /// or a store ahead of the cursor pushes the unread tail down (a
+    /// key is listed twice), a removal behind it pulls the tail up (a
+    /// key is skipped) — a walker that removes keys itself subtracts
+    /// them from its next `skip`. Reaching the page costs `skip` list
+    /// hops under the lock, so a whole walk is quadratic in the shard's
+    /// item count over `limit`.
+    pub fn mru_page<T>(
+        &self,
+        shard: usize,
+        skip: usize,
+        limit: usize,
+        f: impl FnOnce(MruPage<'_>) -> T,
+    ) -> Option<T> {
+        let guard = self.shards.get(shard)?.lock();
+        Some(f(guard.keys().skip(skip).take(limit)))
     }
 
     /// Looks up `key`, refreshing recency (see [`CacheEngine::get`]).
@@ -584,6 +614,56 @@ mod tests {
         drop(guard);
         writer.join().unwrap();
         assert!(snapshot.join().unwrap().contains(b"before"));
+    }
+
+    #[test]
+    fn mru_pages_concatenate_to_each_shards_key_order() {
+        let c = engine(1 << 20, 4);
+        for i in 0..300u64 {
+            c.put(&i.to_le_bytes(), vec![0; 8], T0);
+        }
+        // Stir the recency order so it is not the insertion order.
+        for i in (0..300u64).step_by(7) {
+            assert!(c.get(&i.to_le_bytes(), T0).is_some());
+        }
+        let before = c.stats();
+        let mut listed = 0;
+        for shard in 0..c.shard_count() {
+            let whole: Vec<Vec<u8>> = c.shards[shard].lock().keys().map(<[u8]>::to_vec).collect();
+            let mut paged: Vec<Vec<u8>> = Vec::new();
+            for limit in [7, 64] {
+                paged.clear();
+                loop {
+                    let page = c
+                        .mru_page(shard, paged.len(), limit, |keys| {
+                            keys.map(<[u8]>::to_vec).collect::<Vec<_>>()
+                        })
+                        .expect("shard in range");
+                    let short = page.len() < limit;
+                    paged.extend(page);
+                    if short {
+                        break;
+                    }
+                }
+                assert_eq!(paged, whole, "shard {shard}, pages of {limit}");
+            }
+            // Past the end the page is empty, not an error.
+            assert_eq!(
+                c.mru_page(shard, whole.len(), 7, |keys| keys.count()),
+                Some(0)
+            );
+            assert!(whole.iter().all(|key| c.shard_of(key) == shard));
+            listed += whole.len();
+        }
+        assert_eq!(listed, 300, "every key is in exactly one shard's walk");
+        assert_eq!(c.mru_page(c.shard_count(), 0, 7, |keys| keys.count()), None);
+        assert_eq!(c.stats(), before, "listing is not a cache read");
+        // The hottest key of its shard is the one touched last.
+        let last = 294u64.to_le_bytes();
+        let first = c.mru_page(c.shard_of(&last), 0, 1, |mut keys| {
+            keys.next().map(<[u8]>::to_vec)
+        });
+        assert_eq!(first, Some(Some(last.to_vec())));
     }
 
     #[test]

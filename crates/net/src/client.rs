@@ -15,7 +15,7 @@ use proteus_obs::{EventTracer, TraceKind};
 use crate::error::NetError;
 use crate::protocol::{
     read_response, write_command, write_command_unflushed, Command, Response, ValueItem,
-    DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
+    DIGEST_KEY, DIGEST_SNAPSHOT_KEY, MAX_GET_KEYS,
 };
 
 /// Tunables for one [`CacheClient`]'s fault-tolerance machinery.
@@ -208,7 +208,24 @@ impl Breaker {
 #[derive(Debug)]
 pub struct PendingGets {
     reader: BufReader<TcpStream>,
+    /// Every key asked for. The first [`MAX_GET_KEYS`] of them are on
+    /// the wire; the receive sends the rest, one `get` at a time.
     keys: Vec<Vec<u8>>,
+}
+
+/// Writes `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys and
+/// flushes — the bytes `write_command` produces for `Command::Get` /
+/// `Command::MultiGet`, from keys the caller keeps.
+fn write_get(stream: &TcpStream, keys: &[impl AsRef<[u8]>]) -> Result<(), NetError> {
+    let mut writer = BufWriter::new(stream);
+    writer.write_all(b"get")?;
+    for key in keys {
+        writer.write_all(b" ")?;
+        writer.write_all(key.as_ref())?;
+    }
+    writer.write_all(b"\r\n")?;
+    writer.flush()?;
+    Ok(())
 }
 
 /// A pooled, blocking client for one cache server.
@@ -489,7 +506,8 @@ impl CacheClient {
     }
 
     /// Fetches several keys in one request/response round trip
-    /// (memcached `get k1 k2 ...`). Results align with `keys`: position
+    /// (memcached `get k1 k2 ...`; one round trip per [`MAX_GET_KEYS`]
+    /// keys, on one connection). Results align with `keys`: position
     /// `i` holds `Some(value)` if `keys[i]` was cached, `None` if not.
     ///
     /// Unlike the split [`send_get_many`](Self::send_get_many) /
@@ -512,7 +530,9 @@ impl CacheClient {
     /// Writes a multi-key get and returns without waiting for the
     /// response. Each call uses its own pooled connection, so sending
     /// to several servers (or several batches) first and receiving
-    /// afterwards overlaps the round trips.
+    /// afterwards overlaps the round trips. Of a batch above
+    /// [`MAX_GET_KEYS`] only the first `get` goes out here; the receive
+    /// sends and awaits the others in turn.
     ///
     /// The write is retried under the client's failover policy; the
     /// later [`recv_get_many`](Self::recv_get_many) is not (the request
@@ -533,22 +553,11 @@ impl CacheClient {
     }
 
     fn send_get_many_once(&self, keys: &[&[u8]]) -> Result<PendingGets, NetError> {
-        let owned: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
-        let cmd = if owned.len() == 1 {
-            Command::Get {
-                key: owned[0].clone(),
-            }
-        } else {
-            Command::MultiGet {
-                keys: owned.clone(),
-            }
-        };
         let stream = self.checkout()?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        write_command(&mut writer, &cmd)?;
+        write_get(&stream, &keys[..keys.len().min(MAX_GET_KEYS)])?;
         Ok(PendingGets {
             reader: BufReader::new(stream),
-            keys: owned,
+            keys: keys.iter().map(|k| k.to_vec()).collect(),
         })
     }
 
@@ -588,18 +597,24 @@ impl CacheClient {
         pending: PendingGets,
     ) -> Result<Vec<Option<SharedBytes>>, NetError> {
         let PendingGets { mut reader, keys } = pending;
-        let response = read_response(&mut reader)?;
+        let mut values = Vec::with_capacity(keys.len());
+        for (i, chunk) in keys.chunks(MAX_GET_KEYS).enumerate() {
+            if i > 0 {
+                write_get(reader.get_ref(), chunk)?;
+            }
+            let items = match read_response(&mut reader)? {
+                Response::Error(msg) => return Err(NetError::ServerError(msg)),
+                Response::Miss => Vec::new(),
+                Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
+                Response::Values(items) => items,
+                other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
+            };
+            let found: std::collections::HashMap<Vec<u8>, SharedBytes> =
+                items.into_iter().map(|i| (i.key, i.data)).collect();
+            values.extend(chunk.iter().map(|k| found.get(k).cloned()));
+        }
         self.checkin(reader.into_inner());
-        let items = match response {
-            Response::Error(msg) => return Err(NetError::ServerError(msg)),
-            Response::Miss => Vec::new(),
-            Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
-            Response::Values(items) => items,
-            other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        };
-        let found: std::collections::HashMap<Vec<u8>, SharedBytes> =
-            items.into_iter().map(|i| (i.key, i.data)).collect();
-        Ok(keys.iter().map(|k| found.get(k).cloned()).collect())
+        Ok(values)
     }
 
     /// Stores `value` under `key`.
@@ -633,6 +648,48 @@ impl CacheClient {
         }
     }
 
+    /// One pipelined exchange: every command is written before any
+    /// reply is read, so N commands pay one round trip instead of N.
+    /// `took_effect` reads each reply — did the command do what it was
+    /// sent to do, or is this a reply it cannot have (`None`) — and the
+    /// exchange returns how many did.
+    ///
+    /// The whole exchange retries under the failover policy on
+    /// transport failures, so the commands must be harmless to replay.
+    /// The first `ERROR` reply ends it with [`NetError::ServerError`].
+    fn pipelined(
+        &self,
+        commands: &[Command],
+        took_effect: impl Fn(&Response) -> Option<bool>,
+    ) -> Result<u64, NetError> {
+        if commands.is_empty() {
+            return Ok(0);
+        }
+        self.with_failover(|| {
+            let stream = self.checkout()?;
+            let mut writer = BufWriter::new(stream.try_clone()?);
+            for command in commands {
+                write_command_unflushed(&mut writer, command)?;
+            }
+            writer.flush()?;
+            let mut reader = BufReader::new(stream);
+            let mut count = 0;
+            for _ in commands {
+                let reply = read_response(&mut reader)?;
+                match (took_effect(&reply), reply) {
+                    (Some(yes), _) => count += u64::from(yes),
+                    (None, Response::Error(msg)) => return Err(NetError::ServerError(msg)),
+                    (None, other) => {
+                        return Err(NetError::Protocol(format!("unexpected reply {other:?}")))
+                    }
+                }
+            }
+            // Only reusable if the exchange completed cleanly.
+            self.checkin(reader.into_inner());
+            Ok(count)
+        })
+    }
+
     /// Stores several `(key, value)` pairs in one pipelined exchange:
     /// every `set` is written before any reply is read, so a batch of
     /// N installs pays one round trip instead of N. The values are
@@ -649,34 +706,48 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn set_many(&self, pairs: &[(&[u8], SharedBytes)]) -> Result<(), NetError> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        self.with_failover(|| {
-            let stream = self.checkout()?;
-            let mut writer = BufWriter::new(stream.try_clone()?);
-            for (key, value) in pairs {
-                write_command_unflushed(
-                    &mut writer,
-                    &Command::Set {
-                        key: key.to_vec(),
-                        flags: 0,
-                        exptime: 0,
-                        data: SharedBytes::clone(value),
-                    },
-                )?;
-            }
-            writer.flush()?;
-            let mut reader = BufReader::new(stream);
-            for _ in pairs {
-                match read_response(&mut reader)? {
-                    Response::Stored => {}
-                    Response::Error(msg) => return Err(NetError::ServerError(msg)),
-                    other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-                }
-            }
-            self.checkin(reader.into_inner());
-            Ok(())
+        let sets: Vec<Command> = pairs
+            .iter()
+            .map(|(key, value)| Command::Set {
+                key: key.to_vec(),
+                flags: 0,
+                exptime: 0,
+                data: SharedBytes::clone(value),
+            })
+            .collect();
+        self.pipelined(&sets, |reply| {
+            matches!(reply, Response::Stored).then_some(true)
+        })?;
+        Ok(())
+    }
+
+    /// [`set_many`](Self::set_many) with `add`: each pair is stored only
+    /// if its key is absent, so a value that got there first — a newer
+    /// one, written while this batch was on its way — is never
+    /// overwritten. Returns how many of the pairs were stored.
+    ///
+    /// The whole batch retries under the failover policy on transport
+    /// failures; a replay finds the pairs its first attempt stored
+    /// already present, so the count can then read low, never high.
+    ///
+    /// # Errors
+    ///
+    /// Returns transport errors or the first [`NetError::ServerError`]
+    /// in the batch.
+    pub fn add_many(&self, pairs: &[(&[u8], SharedBytes)]) -> Result<u64, NetError> {
+        let adds: Vec<Command> = pairs
+            .iter()
+            .map(|(key, value)| Command::Add {
+                key: key.to_vec(),
+                flags: 0,
+                exptime: 0,
+                data: SharedBytes::clone(value),
+            })
+            .collect();
+        self.pipelined(&adds, |reply| match reply {
+            Response::Stored => Some(true),
+            Response::NotStored => Some(false),
+            _ => None,
         })
     }
 
@@ -820,28 +891,14 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn delete_many(&self, keys: &[&[u8]]) -> Result<u64, NetError> {
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        self.with_failover(|| {
-            let stream = self.checkout()?;
-            let mut writer = BufWriter::new(stream.try_clone()?);
-            for key in keys {
-                write_command_unflushed(&mut writer, &Command::Delete { key: key.to_vec() })?;
-            }
-            writer.flush()?;
-            let mut reader = BufReader::new(stream);
-            let mut deleted = 0;
-            for _ in keys {
-                match read_response(&mut reader)? {
-                    Response::Deleted => deleted += 1,
-                    Response::NotFound => {}
-                    Response::Error(msg) => return Err(NetError::ServerError(msg)),
-                    other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-                }
-            }
-            self.checkin(reader.into_inner());
-            Ok(deleted)
+        let deletes: Vec<Command> = keys
+            .iter()
+            .map(|key| Command::Delete { key: key.to_vec() })
+            .collect();
+        self.pipelined(&deletes, |reply| match reply {
+            Response::Deleted => Some(true),
+            Response::NotFound => Some(false),
+            _ => None,
         })
     }
 
@@ -1008,6 +1065,66 @@ mod tests {
             Some(&b"3"[..])
         );
         assert_eq!(client.get_many(&[b"nope".as_slice()]).unwrap(), vec![None]);
+        server.stop();
+    }
+
+    /// Batches above the wire's per-`get` key limit are split, and the
+    /// answers still line up with the keys — through the combined call
+    /// and through the split send/receive pair `fetch_many` uses.
+    #[test]
+    fn get_many_splits_batches_above_the_wire_limit() {
+        let server =
+            CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(8 << 20)).unwrap();
+        let client = CacheClient::connect(server.addr()).unwrap();
+        let keys: Vec<Vec<u8>> = (0..3000u32).map(|i| format!("k{i}").into_bytes()).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        // Every third key is absent.
+        let pairs: Vec<(&[u8], SharedBytes)> = (refs.iter().enumerate())
+            .filter(|(i, _)| i % 3 != 0)
+            .map(|(_, key)| (*key, SharedBytes::from(*key)))
+            .collect();
+        client.set_many(&pairs).unwrap();
+        let check = |got: Vec<Option<SharedBytes>>| {
+            assert_eq!(got.len(), keys.len());
+            for (i, (key, value)) in keys.iter().zip(got).enumerate() {
+                let expect = (i % 3 != 0).then_some(key.as_slice());
+                assert_eq!(value.as_deref(), expect, "key {i}");
+            }
+        };
+        check(client.get_many(&refs).unwrap());
+        check(
+            client
+                .recv_get_many(client.send_get_many(&refs).unwrap())
+                .unwrap(),
+        );
+        // Exactly at the limit is still one `get`.
+        let at_limit = client.get_many(&refs[..MAX_GET_KEYS]).unwrap();
+        assert_eq!(at_limit.len(), MAX_GET_KEYS);
+        assert_eq!(
+            client.fault_stats().connects,
+            1,
+            "one connection throughout"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn add_many_stores_only_the_absent_keys() {
+        let server =
+            CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(1 << 20)).unwrap();
+        let client = CacheClient::connect(server.addr()).unwrap();
+        client.set(b"k1", b"first").unwrap();
+        let keys: Vec<Vec<u8>> = (0..4u32).map(|i| format!("k{i}").into_bytes()).collect();
+        let pairs: Vec<(&[u8], SharedBytes)> = keys
+            .iter()
+            .map(|k| (k.as_slice(), SharedBytes::from(&b"late"[..])))
+            .collect();
+        assert_eq!(client.add_many(&pairs).unwrap(), 3);
+        assert_eq!(client.get(b"k1").unwrap().as_deref(), Some(&b"first"[..]));
+        assert_eq!(client.get(b"k2").unwrap().as_deref(), Some(&b"late"[..]));
+        // A replay stores nothing and overwrites nothing.
+        assert_eq!(client.add_many(&pairs).unwrap(), 0);
+        assert_eq!(client.add_many(&[]).unwrap(), 0);
         server.stop();
     }
 

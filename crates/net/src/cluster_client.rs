@@ -2,9 +2,11 @@
 //! degrading to the database when cache servers fail. The window and
 //! the decision are `proteus-core`'s; the submodules drive them over
 //! sockets (`routing`), layer hot-key replicas on top (`hot_key`), and
-//! broadcast digests when a window opens (`transition`).
+//! broadcast digests when a window opens (`transition`). Beside
+//! Algorithm 2, `pull` moves an open window's keys in the background.
 
 mod hot_key;
+mod pull;
 mod routing;
 mod transition;
 
@@ -24,6 +26,7 @@ use crate::client::{CacheClient, ClientConfig, ClientStats};
 use crate::error::NetError;
 
 pub use hot_key::{HotKeyConfig, HotKeyStats};
+pub use pull::{PullProgress, PullState};
 pub use transition::TransitionStatus;
 
 /// The authoritative backing store a [`ClusterClient`] falls back to
@@ -127,6 +130,16 @@ pub struct ClusterStats {
     /// `begin_transition` (the affected server's keys fall through to
     /// the database instead of migrating).
     pub missing_digests: u64,
+    /// Keys the background pulls of all windows so far stored at their
+    /// new server (see [`ClusterClient::pull_progress`]). Not fetches:
+    /// [`ClusterClient::fetch_stats`] does not count them.
+    pub pulled_keys: u64,
+    /// Batches those pulls carried to a new server.
+    pub pull_batches: u64,
+    /// Windows whose pull stopped before it had listed every old
+    /// server to its last key — a source stopped answering, or the
+    /// window closed first.
+    pub pulls_incomplete: u64,
     /// Per-op retries summed over every server's client.
     pub retries: u64,
     /// Breaker trips summed over every server's client.
@@ -141,6 +154,9 @@ struct AtomicClusterStats {
     skipped_migrations: AtomicU64,
     dropped_installs: AtomicU64,
     missing_digests: AtomicU64,
+    pulled_keys: AtomicU64,
+    pull_batches: AtomicU64,
+    pulls_incomplete: AtomicU64,
 }
 
 /// A web server's view of the live cache cluster: one pooled client
@@ -159,12 +175,14 @@ struct AtomicClusterStats {
 /// circuit breaker.
 pub struct ClusterClient {
     clients: Vec<CacheClient>,
-    router: Router,
+    /// Shared with the open window's puller thread.
+    router: Arc<Router>,
     window: TransitionManager,
     stats: Arc<AtomicClusterStats>,
     fetches: Arc<FetchLatencies>,
     tracer: Arc<EventTracer>,
     hot: Option<hot_key::HotKeyState>,
+    puller: pull::Puller,
 }
 
 impl ClusterClient {
@@ -221,12 +239,13 @@ impl ClusterClient {
         let n = clients.len();
         Ok(ClusterClient {
             clients,
-            router: Router::new(strategy),
+            router: Arc::new(Router::new(strategy)),
             window: TransitionManager::new(n, n),
             stats: Arc::new(AtomicClusterStats::default()),
             fetches: Arc::new(FetchLatencies::default()),
             tracer,
             hot: None,
+            puller: pull::Puller::new(addrs, config),
         })
     }
 
@@ -260,6 +279,9 @@ impl ClusterClient {
             skipped_migrations: self.stats.skipped_migrations.load(Ordering::Relaxed),
             dropped_installs: self.stats.dropped_installs.load(Ordering::Relaxed),
             missing_digests: self.stats.missing_digests.load(Ordering::Relaxed),
+            pulled_keys: self.stats.pulled_keys.load(Ordering::Relaxed),
+            pull_batches: self.stats.pull_batches.load(Ordering::Relaxed),
+            pulls_incomplete: self.stats.pulls_incomplete.load(Ordering::Relaxed),
             retries: per_server.iter().map(|s| s.retries).sum(),
             breaker_trips: per_server.iter().map(|s| s.breaker_trips).sum(),
             fast_fails: per_server.iter().map(|s| s.fast_fails).sum(),
@@ -290,7 +312,8 @@ impl ClusterClient {
     /// (pair with [`MetricsServer::spawn_traced`] and
     /// [`tracer`](Self::tracer) to also serve the transition trace at
     /// `/trace.jsonl`): per-fetch-class counters and latency
-    /// histograms, the cluster fault counters, and trace ring health.
+    /// histograms, the cluster fault and pull counters, and trace ring
+    /// health.
     ///
     /// [`MetricsServer::spawn_traced`]: proteus_obs::MetricsServer::spawn_traced
     #[must_use]
@@ -325,6 +348,18 @@ impl ClusterClient {
             out.push(Metric::counter(
                 "proteus_client_missing_digests_total",
                 stats.missing_digests.load(Ordering::Relaxed),
+            ));
+            out.push(Metric::counter(
+                "proteus_client_pulled_keys_total",
+                stats.pulled_keys.load(Ordering::Relaxed),
+            ));
+            out.push(Metric::counter(
+                "proteus_client_pull_batches_total",
+                stats.pull_batches.load(Ordering::Relaxed),
+            ));
+            out.push(Metric::counter(
+                "proteus_client_pulls_incomplete_total",
+                stats.pulls_incomplete.load(Ordering::Relaxed),
             ));
             out.extend(trace_metrics(&tracer));
             out

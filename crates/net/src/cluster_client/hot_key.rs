@@ -94,7 +94,7 @@ pub(super) struct HotKeyState {
     pub(super) sketch: Mutex<SpaceSaving>,
     /// Hot key → its distinct replica servers under the **current**
     /// active count, home server first. Recomputed against the new
-    /// ring by `begin_transition`.
+    /// ring by `open_window`.
     pub(super) replicated: Mutex<HashMap<Vec<u8>, Vec<usize>>>,
     chooser: TwoChoices,
     loads: Vec<ServerLoad>,
@@ -405,7 +405,7 @@ mod tests {
         // Scale down: every replica must point inside the new active
         // prefix, and reads must keep serving the same value with zero
         // errors across the whole window.
-        client.begin_transition(2).unwrap();
+        client.open_window(2).unwrap();
         let replicas = client.replicas_of(b"celebrity").unwrap();
         assert!(
             replicas.iter().all(|&s| s < 2),

@@ -454,7 +454,7 @@ mod tests {
         }
         let db_before = db.lock().total_fetches();
         // Scale 4 -> 3 with digest broadcast over the real protocol.
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         for k in &keys {
             let (_, how) = client.fetch(k, &db).unwrap();
             assert_ne!(
@@ -508,6 +508,25 @@ mod tests {
     }
 
     #[test]
+    fn fetch_many_takes_more_keys_for_a_server_than_one_get_may_name() {
+        let (servers, client, db) = cluster(2);
+        let keys = page_keys(3000);
+        let mut by_server: [Vec<(&[u8], SharedBytes)>; 2] = Default::default();
+        for k in &keys {
+            by_server[client.server_for(k).index()].push((k, SharedBytes::from(k.as_slice())));
+        }
+        for (server, pairs) in by_server.iter().enumerate() {
+            assert!(pairs.len() > crate::protocol::MAX_GET_KEYS);
+            client.client(server).set_many(pairs).unwrap();
+        }
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        for (k, (value, how)) in keys.iter().zip(client.fetch_many(&refs, &db).unwrap()) {
+            assert_eq!((&value[..], how), (k.as_slice(), ClusterFetch::Hit));
+        }
+        stop(servers);
+    }
+
+    #[test]
     fn fetch_many_migrates_during_transition() {
         let (servers, mut client, db) = cluster(4);
         let keys = page_keys(80);
@@ -515,7 +534,7 @@ mod tests {
             client.fetch(k, &db).unwrap();
         }
         let db_before = db.lock().total_fetches();
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let mut migrated = 0;
         for (_, how) in client.fetch_many(&refs, &db).unwrap() {
@@ -547,7 +566,7 @@ mod tests {
         // before its keys migrate: the batched probe to it fails, and
         // every candidate key must degrade to the database exactly as
         // the single-key path would.
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         servers.remove(3).stop();
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let results = client.fetch_many(&refs, &db).unwrap();
@@ -611,7 +630,7 @@ mod tests {
         for k in &warm {
             client.fetch(k, &db).unwrap();
         }
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         // Each warm key three times, plus cold keys twice each, shuffled
         // into repeated runs so duplicates land in the same phase-3 pass.
         let cold: Vec<Vec<u8>> = (0..10u32)

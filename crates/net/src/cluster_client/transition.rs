@@ -27,13 +27,51 @@ pub struct TransitionStatus {
 }
 
 impl ClusterClient {
-    /// Begins a provisioning transition to `new_active` servers: pulls
-    /// a fresh digest snapshot from every server active under the old
-    /// mapping (the broadcast, issued to all servers **in parallel**,
-    /// so the wall time is one server's round trips, not the sum),
-    /// then switches the mapping. Call
-    /// [`end_transition`](Self::end_transition) after the hot-TTL
-    /// window elapses and the departing servers have powered off.
+    /// Begins a provisioning transition to `new_active` servers:
+    /// [`open_window`](Self::open_window), which is all of Algorithm 2
+    /// there is to it, and then — new here, not in the paper — starts
+    /// the window's **puller**, a background thread that moves the keys
+    /// whose owner changes to their new servers, hottest first, while
+    /// requests go on migrating the ones they touch. The call returns
+    /// as soon as the thread is started; [`pull_progress`] says how far
+    /// it has got and [`end_transition`](Self::end_transition) stops
+    /// it. Nothing the puller meets — a dead server, no thread to be
+    /// had — reaches the caller.
+    ///
+    /// [`pull_progress`]: Self::pull_progress
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::TransitionInProgress`] if a transition
+    /// window is already open, and nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_active` is outside `1..=total`.
+    pub fn begin_transition(&mut self, new_active: usize) -> Result<(), NetError> {
+        let old_active = self.window.active();
+        self.open_window(new_active)?;
+        if new_active != old_active {
+            self.puller.start(
+                &self.router,
+                &self.stats,
+                &self.tracer,
+                old_active,
+                new_active,
+            );
+        }
+        Ok(())
+    }
+
+    /// Opens a transition window to `new_active` servers and does
+    /// nothing else — Algorithm 2 as the paper has it, where a key
+    /// moves only when a request touches it. Fetches a fresh digest
+    /// snapshot from every server active under the old mapping (the
+    /// broadcast, issued to all servers **in parallel**, so the wall
+    /// time is one server's round trips, not the sum), then switches
+    /// the mapping. Call [`end_transition`](Self::end_transition)
+    /// after the hot-TTL window elapses and the departing servers have
+    /// powered off.
     ///
     /// Overlapping transitions are **rejected**: Algorithm 2 assumes a
     /// single old/new mapping pair (see
@@ -54,7 +92,7 @@ impl ClusterClient {
     /// # Panics
     ///
     /// Panics if `new_active` is outside `1..=total`.
-    pub fn begin_transition(&mut self, new_active: usize) -> Result<(), NetError> {
+    pub fn open_window(&mut self, new_active: usize) -> Result<(), NetError> {
         assert!(
             (1..=self.clients.len()).contains(&new_active),
             "active count {new_active} outside 1..={}",
@@ -127,8 +165,10 @@ impl ClusterClient {
         })
     }
 
-    /// Ends the transition window: digests are dropped and the old
-    /// mapping is retired. On a scale-down this is the point the
+    /// Ends the transition window: its puller, if still running, is
+    /// stopped (the call waits out the one batch it may have in
+    /// flight), digests are dropped and the old mapping is retired. On
+    /// a scale-down this is the point the
     /// departing servers can power off, so the tracer records a
     /// [`TraceKind::PowerOff`] per departing server after the drain.
     ///
@@ -137,6 +177,7 @@ impl ClusterClient {
     /// window was open (the call is then a no-op).
     pub fn end_transition(&mut self) -> Option<TransitionStatus> {
         let closed = self.transition_status()?;
+        self.puller.stop();
         self.tracer.record(TraceKind::TransitionDrain {
             from: closed.from as u32,
             to: closed.to as u32,
@@ -267,7 +308,7 @@ mod tests {
             .collect();
         assert!(!moving.is_empty(), "some keys live on the retiring server");
 
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         assert!(client.transition_active());
         assert_eq!(client.fault_stats().missing_digests, 1);
         // Without the old server's digest its keys are ordinary misses.
@@ -300,7 +341,7 @@ mod tests {
     #[test]
     fn begin_transition_noop_for_same_count() {
         let (servers, mut client, _db) = cluster(2);
-        client.begin_transition(2).unwrap();
+        client.open_window(2).unwrap();
         assert_eq!(client.active(), 2);
         stop(servers);
     }
@@ -309,7 +350,7 @@ mod tests {
     fn after_end_transition_cold_keys_go_to_db() {
         let (servers, mut client, db) = cluster(3);
         client.fetch(b"page:7", &db).unwrap();
-        client.begin_transition(2).unwrap();
+        client.open_window(2).unwrap();
         client.end_transition();
         // A key that moved but was never migrated now comes from the DB.
         let moved: Vec<u8> = (0..1000u32)
@@ -331,9 +372,9 @@ mod tests {
         // 4 -> 3 opens a window; 3 -> 2 inside it must be rejected (it
         // would overwrite previous_active and the digest broadcast,
         // stranding keys that only live on the original old server).
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         assert!(matches!(
-            client.begin_transition(2),
+            client.open_window(2),
             Err(NetError::TransitionInProgress)
         ));
         assert_eq!(client.active(), 3, "rejected call must not move state");
@@ -345,7 +386,7 @@ mod tests {
             assert_ne!(how, ClusterFetch::Database);
         }
         client.end_transition();
-        client.begin_transition(2).unwrap();
+        client.open_window(2).unwrap();
         for k in &keys {
             let (_, how) = client.fetch(k, &db).unwrap();
             assert_ne!(how, ClusterFetch::Database);
@@ -366,14 +407,14 @@ mod tests {
             "closing a window that never opened is a no-op"
         );
 
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         // The status accessor is the controller's back-off signal: it
         // must read true exactly while begin_transition would reject.
         assert!(client.transition_active());
         let open = client.transition_status().expect("window is open");
         assert_eq!((open.from, open.to), (4, 3));
         assert!(matches!(
-            client.begin_transition(2),
+            client.open_window(2),
             Err(NetError::TransitionInProgress)
         ));
 
@@ -382,7 +423,7 @@ mod tests {
         assert_eq!(client.transition_status(), None);
 
         // A same-count begin is a no-op and must not open a window.
-        client.begin_transition(3).unwrap();
+        client.open_window(3).unwrap();
         assert!(!client.transition_active());
         stop(servers);
     }

@@ -39,6 +39,14 @@
 //! with all Memcached client packages". The keys of a multi-key `get`
 //! are served in order, so `get SET_BLOOM_FILTER BLOOM_FILTER` takes a
 //! snapshot and returns it in one round trip.
+//!
+//! A third reserved key lists what a server holds, hottest first, the
+//! same way: `get MRU_KEYS:<shard>:<skip>` returns one value, up to
+//! [`MRU_KEYS_PAGE`] keys of engine shard `<shard>` in MRU→LRU order
+//! starting `<skip>` keys from the hottest, joined by `\n` (a key holds
+//! no byte ≤ 32). The value is empty once `<skip>` is past the shard's
+//! last key, and the key misses when there is no such shard — which is
+//! how a client learns the shard count. The server keeps no cursor.
 
 use std::io::{BufRead, Write};
 
@@ -50,6 +58,45 @@ use crate::error::NetError;
 pub const DIGEST_SNAPSHOT_KEY: &[u8] = b"SET_BLOOM_FILTER";
 /// Reserved key: retrieve the digest snapshot.
 pub const DIGEST_KEY: &[u8] = b"BLOOM_FILTER";
+/// Reserved key prefix: `MRU_KEYS:<shard>:<skip>` lists one page of one
+/// engine shard's keys, hottest first (see the module docs).
+pub const MRU_KEYS_PREFIX: &[u8] = b"MRU_KEYS:";
+
+/// The reserved key that lists engine shard `shard` from `skip` keys
+/// below its hottest: `MRU_KEYS:<shard>:<skip>`.
+#[must_use]
+pub fn mru_keys_key(shard: usize, skip: usize) -> Vec<u8> {
+    [MRU_KEYS_PREFIX, format!("{shard}:{skip}").as_bytes()].concat()
+}
+
+/// The `(shard, skip)` named by what follows [`MRU_KEYS_PREFIX`] in a
+/// listing key; `None` if it is not two decimal numbers and a colon.
+pub(crate) fn parse_mru_keys_page(page: &[u8]) -> Option<(usize, usize)> {
+    let (shard, skip) = std::str::from_utf8(page).ok()?.split_once(':')?;
+    Some((shard.parse().ok()?, skip.parse().ok()?))
+}
+
+/// Keys in one page of the `MRU_KEYS:` listing. One request holds one
+/// shard lock while it walks `skip + MRU_KEYS_PAGE` list links twice
+/// (to measure the page, then to copy it): at 512, ≈ 40 µs median on a
+/// 1 500-key shard — what a 128-key `get` costs there — and four
+/// requests list the shard.
+pub const MRU_KEYS_PAGE: usize = 512;
+/// Keys a pull-ahead migration moves per exchange with a server
+/// (`ClusterClient::begin_transition`): one multi-key `get`, one
+/// pipelined `add` batch, on a grow one pipelined `delete` batch. It is
+/// the most work the pull queues on a server's event loop ahead of a
+/// foreground request, and the longest `end_transition` waits. Swept at
+/// 32 / 128 / 512: the pull of a 12 500-key server takes 58 / 50 / 41 ms
+/// on an idle cluster and the benchmark cannot tell the three apart, so
+/// the size is set by the queue — a 128-key `get` is 35 µs median on
+/// the server, one of 512 is 65 µs (EXPERIMENTS.md, "move the hot set
+/// before the window closes").
+pub const PULL_BATCH: usize = 128;
+/// Most keys one `get` may name; the parser rejects more and the client
+/// splits its batches at it.
+pub const MAX_GET_KEYS: usize = 1024;
+const _: () = assert!(PULL_BATCH <= MAX_GET_KEYS);
 
 /// Values larger than this are rejected on read.
 const MAX_VALUE_BYTES: usize = 64 << 20;
@@ -420,7 +467,7 @@ pub fn read_raw_command<'a, R: BufRead>(
                 };
             };
             let keys: Vec<&[u8]> = [key, second].into_iter().chain(keys).collect();
-            if keys.len() > 1024 {
+            if keys.len() > MAX_GET_KEYS {
                 return Err(NetError::Protocol("too many keys in one get".into()));
             }
             if keys.iter().any(|k| !valid_key(k)) {
@@ -796,6 +843,34 @@ impl<W: Write> ResponseWriter<W> {
         write_value_block(&mut self.writer, key, flags, data)
     }
 
+    /// Queues one `VALUE` block whose data is `parts` joined by `\n`,
+    /// `len` bytes in all — the caller has measured them, because the
+    /// length goes out ahead of the data. Each part is copied exactly
+    /// once, into the writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures.
+    pub fn write_value_joined<'a>(
+        &mut self,
+        key: &[u8],
+        flags: u32,
+        len: usize,
+        parts: impl Iterator<Item = &'a [u8]>,
+    ) -> Result<(), NetError> {
+        self.writer.write_all(b"VALUE ")?;
+        self.writer.write_all(key)?;
+        write!(self.writer, " {flags} {len}\r\n")?;
+        for (i, part) in parts.enumerate() {
+            if i > 0 {
+                self.writer.write_all(b"\n")?;
+            }
+            self.writer.write_all(part)?;
+        }
+        self.writer.write_all(b"\r\n")?;
+        Ok(())
+    }
+
     /// Closes a `get` reply with `END`.
     ///
     /// # Errors
@@ -937,7 +1012,7 @@ pub fn read_response_buffered<R: BufRead>(
                 flags,
                 data: SharedBytes::from(data.as_slice()),
             });
-            if items.len() > 1024 {
+            if items.len() > MAX_GET_KEYS {
                 return Err(NetError::Protocol("too many VALUE blocks".into()));
             }
             read_line(reader, line)?;

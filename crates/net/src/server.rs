@@ -19,8 +19,8 @@ use proteus_sim::{SimDuration, SimTime};
 
 use crate::error::NetError;
 use crate::protocol::{
-    read_raw_command, RawCommand, Response, ResponseWriter, WireBuf, DIGEST_KEY,
-    DIGEST_SNAPSHOT_KEY,
+    parse_mru_keys_page, read_raw_command, RawCommand, Response, ResponseWriter, WireBuf,
+    DIGEST_KEY, DIGEST_SNAPSHOT_KEY, MRU_KEYS_PAGE, MRU_KEYS_PREFIX,
 };
 
 /// How long an idle connection blocks in `read` before re-checking the
@@ -535,11 +535,14 @@ impl Drop for CacheServer {
 }
 
 /// Classifies a parsed command for per-class latency recording. The
-/// reserved digest keys are traffic of their own class even though they
-/// arrive as plain `get`s — one key at a time, or both in the one
-/// multi-key `get` a client's digest broadcast sends.
+/// reserved keys — the digest's two and the `MRU_KEYS:` listing — are
+/// traffic of their own class even though they arrive as plain `get`s,
+/// one key at a time or several in one multi-key `get` (a client's
+/// digest broadcast sends both digest keys that way).
 pub(crate) fn op_class_of(cmd: &RawCommand<'_>) -> OpClass {
-    let reserved = |key: &[u8]| key == DIGEST_SNAPSHOT_KEY || key == DIGEST_KEY;
+    let reserved = |key: &[u8]| {
+        key == DIGEST_SNAPSHOT_KEY || key == DIGEST_KEY || key.starts_with(MRU_KEYS_PREFIX)
+    };
     match cmd {
         RawCommand::Get { key } if reserved(key) => OpClass::Digest,
         RawCommand::MultiGet { keys } if keys.iter().all(|key| reserved(key)) => OpClass::Digest,
@@ -875,8 +878,30 @@ fn numeric_op(shared: &Shared, key: &[u8], op: impl FnOnce(u64) -> u64) -> Respo
     })
 }
 
+/// Queues the `MRU_KEYS:<shard>:<skip>` listing as the value of `key`
+/// (`page` is what follows the prefix): the page is measured and copied
+/// into the reply under the one shard lock, like any value. A page
+/// that does not parse, or names a shard there is not, is a miss.
+fn serve_mru_keys(
+    shared: &Shared,
+    key: &[u8],
+    page: &[u8],
+    writer: &mut ResponseWriter<OutBuf>,
+) -> Result<(), NetError> {
+    let Some((shard, skip)) = parse_mru_keys_page(page) else {
+        return Ok(());
+    };
+    shared
+        .engine
+        .mru_page(shard, skip, MRU_KEYS_PAGE, |keys| {
+            let len = keys.clone().map(|k| k.len() + 1).sum::<usize>();
+            writer.write_value_joined(key, 0, len.saturating_sub(1), keys)
+        })
+        .unwrap_or(Ok(()))
+}
+
 /// Queues a `get` reply: one `VALUE` block per key that hits —
-/// including the paper's two reserved keys — then `END`.
+/// including the reserved keys — then `END`.
 fn serve_get(
     shared: &Shared,
     keys: &[&[u8]],
@@ -900,6 +925,8 @@ fn serve_get(
             if let Some(data) = snapshot {
                 writer.write_value(key, 0, &data)?;
             }
+        } else if let Some(page) = key.strip_prefix(MRU_KEYS_PREFIX) {
+            serve_mru_keys(shared, key, page, writer)?;
         } else {
             shared
                 .engine

@@ -118,6 +118,83 @@ fn snapshot_digest_is_one_round_trip_with_the_same_semantics() {
     server.stop();
 }
 
+/// The third reserved key: `get MRU_KEYS:<shard>:<skip>` pages through
+/// one engine shard's keys, hottest first, as an ordinary value — and is
+/// counted as reserved-key traffic, not as a data `get`.
+#[test]
+fn mru_keys_listing_pages_every_shard_hottest_first() {
+    use proteus_net::{mru_keys_key, MRU_KEYS_PAGE};
+    use proteus_obs::OpClass;
+    let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(8 << 20)).unwrap();
+    let served = |class| server.metrics().ops().snapshot(class).count();
+    let client = CacheClient::connect(server.addr()).unwrap();
+    let keys: Vec<Vec<u8>> = (0..6000u32).map(|i| format!("k{i}").into_bytes()).collect();
+    for key in &keys {
+        client.set(key, b"v").unwrap();
+    }
+    // Stir the recency order away from the insertion order.
+    for key in keys.iter().step_by(5) {
+        assert!(client.get(key).unwrap().is_some());
+    }
+    let (gets, stats) = (served(OpClass::Get), server.with_engine(|e| e.stats()));
+    let page = |shard: usize, skip: usize| client.get(&mru_keys_key(shard, skip)).unwrap();
+
+    let shards = server.with_engine(|e| e.shard_count());
+    let (mut listed, mut requests) = (0, 0);
+    for shard in 0..shards {
+        let mut walk: Vec<Vec<u8>> = Vec::new();
+        loop {
+            requests += 1;
+            let value = page(shard, walk.len()).expect("the shard exists");
+            let before = walk.len();
+            walk.extend(
+                (value.split(|&b| b == b'\n').filter(|k| !k.is_empty())).map(<[u8]>::to_vec),
+            );
+            if walk.len() - before < MRU_KEYS_PAGE {
+                break;
+            }
+        }
+        let order: Vec<Vec<u8>> = server
+            .with_engine(|e| {
+                e.mru_page(shard, 0, usize::MAX, |keys| {
+                    keys.map(<[u8]>::to_vec).collect()
+                })
+            })
+            .unwrap();
+        assert!(order.len() > MRU_KEYS_PAGE, "more than one page a shard");
+        assert_eq!(walk, order, "shard {shard}");
+        // Past the last key the value is empty; it is still a value.
+        requests += 1;
+        assert_eq!(page(shard, walk.len()).as_deref(), Some(&b""[..]));
+        listed += walk.len();
+    }
+    assert_eq!(listed, keys.len());
+    // A shard there is not, and a page that does not parse, are misses.
+    assert_eq!(page(shards, 0), None);
+    for bad in [
+        "MRU_KEYS:",
+        "MRU_KEYS:0",
+        "MRU_KEYS:0:",
+        "MRU_KEYS:x:0",
+        "MRU_KEYS:0:-1",
+    ] {
+        assert_eq!(client.get(bad.as_bytes()).unwrap(), None, "{bad}");
+    }
+    requests += 6;
+
+    assert_eq!(served(OpClass::Digest), requests, "reserved-key traffic");
+    assert_eq!(served(OpClass::Get), gets, "not data gets");
+    assert_eq!(server.with_engine(|e| e.stats()), stats, "nor cache reads");
+    // Beside a data key it is one more key of an ordinary multi-get.
+    let both = client
+        .get_many(&[b"MRU_KEYS:0:0".as_slice(), b"k0".as_slice()])
+        .unwrap();
+    assert!(both[0].as_ref().is_some_and(|v| v.contains(&b'\n')));
+    assert_eq!(both[1].as_deref(), Some(&b"v"[..]));
+    assert_eq!(served(OpClass::MultiGet), 1);
+    server.stop();
+}
+
 /// The reply bytes of the two reserved keys — asked for one by one or
 /// in one multi-key `get` — against bytes built without the server's
 /// collapse: with no removes, the digest of a key set is the plain

@@ -33,8 +33,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use proteus_cache::{CacheConfig, StorageKind};
 use proteus_net::{
-    uring_supported, write_command, CacheServer, Command, EngineKind, ServerConfig, DIGEST_KEY,
-    DIGEST_SNAPSHOT_KEY,
+    mru_keys_key, uring_supported, write_command, CacheServer, Command, EngineKind, ServerConfig,
+    DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
 };
 use proteus_obs::{MetricValue, OpClass};
 
@@ -193,6 +193,16 @@ fn command_strategy() -> impl Strategy<Value = Command> {
         }),
         Just(Command::MultiGet {
             keys: vec![DIGEST_SNAPSHOT_KEY.to_vec(), DIGEST_KEY.to_vec()]
+        }),
+        // The reserved listing key: pages of the eight shards there are
+        // and of two there are not, alone and beside a data key.
+        (0usize..10, 0usize..4).prop_map(|(shard, skip)| Command::Get {
+            key: mru_keys_key(shard, skip)
+        }),
+        (0usize..10, 0usize..4, key_strategy()).prop_map(|(shard, skip, key)| {
+            Command::MultiGet {
+                keys: vec![key, mru_keys_key(shard, skip)],
+            }
         }),
     ]
 }

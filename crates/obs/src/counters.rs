@@ -102,8 +102,9 @@ pub enum OpClass {
     Decr,
     /// `stats` (either form).
     Stats,
-    /// Digest traffic on the reserved `SET_BLOOM_FILTER` /
-    /// `BLOOM_FILTER` keys.
+    /// Traffic on the reserved keys: the digest's `SET_BLOOM_FILTER` /
+    /// `BLOOM_FILTER`, and the `MRU_KEYS:` listing a pull-ahead
+    /// migration pages through.
     Digest,
     /// Anything else (`version`, `quit`, future verbs).
     Other,

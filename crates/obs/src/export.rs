@@ -295,8 +295,8 @@ pub fn to_stat_pairs(metrics: &[Metric]) -> Vec<(String, String)> {
 /// order, gap-free except for counted ring drops), `at_ns` (monotonic
 /// nanoseconds since tracer creation), and `kind` (the snake_case
 /// [`TraceKind::name`]), plus the kind-specific fields — `from`/`to`
-/// for transitions and migrations, `server` for per-server events,
-/// `ok` for digest broadcasts.
+/// for transitions and migrations (a pulled batch adds `keys`),
+/// `server` for per-server events, `ok` for digest broadcasts.
 #[must_use]
 pub fn trace_event_json(event: &TraceEvent) -> String {
     let fields = match event.kind {
@@ -307,6 +307,9 @@ pub fn trace_event_json(event: &TraceEvent) -> String {
             format!(",\"server\":{server},\"ok\":{ok}")
         }
         TraceKind::KeyMigrated { from, to } => format!(",\"from\":{from},\"to\":{to}"),
+        TraceKind::KeysPulled { from, to, keys } => {
+            format!(",\"from\":{from},\"to\":{to},\"keys\":{keys}")
+        }
         TraceKind::ControllerDecision {
             from,
             to,
@@ -908,9 +911,14 @@ mod tests {
             p99_us: 1200,
             ops: 5000,
         });
+        t.record(TraceKind::KeysPulled {
+            from: 3,
+            to: 0,
+            keys: 128,
+        });
         let jsonl = trace_to_jsonl(&t.events());
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 7);
         assert!(lines[0].starts_with("{\"seq\":0,\"at_ns\":"));
         assert!(lines[0].ends_with("\"kind\":\"transition_begin\",\"from\":4,\"to\":3}"));
         assert!(lines[1].ends_with("\"kind\":\"digest_broadcast\",\"server\":2,\"ok\":false}"));
@@ -920,6 +928,7 @@ mod tests {
         assert!(lines[5].ends_with(
             "\"kind\":\"controller_decision\",\"from\":4,\"to\":3,\"p99_us\":1200,\"ops\":5000}"
         ));
+        assert!(lines[6].ends_with("\"kind\":\"keys_pulled\",\"from\":3,\"to\":0,\"keys\":128}"));
         // Every line is self-contained JSON (no trailing commas, all
         // braces balanced) so a reader can parse line-by-line.
         for line in lines {

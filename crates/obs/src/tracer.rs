@@ -10,7 +10,9 @@
 //!
 //! Unlike the latency histograms, event recording takes a short mutex:
 //! events are orders of magnitude rarer than cache operations, so a
-//! ring behind a lock is simpler and still far off any hot path.
+//! ring behind a lock is simpler and still far off any hot path. The
+//! sequence number and the timestamp are taken under that lock, so the
+//! ring is in seq order by construction however many threads record.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,6 +49,22 @@ pub enum TraceKind {
         from: u32,
         /// New owner.
         to: u32,
+    },
+    /// One batch of the background pull that runs ahead of demand
+    /// while a window is open: `keys` keys read from their old owner
+    /// were stored at their new one. Per batch, not per key, so a
+    /// window that moves thousands of keys does not push its own
+    /// [`TransitionBegin`](TraceKind::TransitionBegin) out of the ring;
+    /// [`KeyMigrated`](TraceKind::KeyMigrated) stays one event per
+    /// on-demand migration.
+    KeysPulled {
+        /// Old owner the batch was read from.
+        from: u32,
+        /// New owner it was stored at.
+        to: u32,
+        /// Keys the new owner stored (it refuses the ones it already
+        /// holds).
+        keys: u32,
     },
     /// A migration probe was skipped because the old owner is
     /// considered dead.
@@ -119,6 +137,7 @@ impl TraceKind {
             TraceKind::TransitionBegin { .. } => "transition_begin",
             TraceKind::DigestBroadcast { .. } => "digest_broadcast",
             TraceKind::KeyMigrated { .. } => "key_migrated",
+            TraceKind::KeysPulled { .. } => "keys_pulled",
             TraceKind::MigrationSkipped { .. } => "migration_skipped",
             TraceKind::Degraded { .. } => "degraded",
             TraceKind::TransitionDrain { .. } => "transition_drain",
@@ -179,12 +198,15 @@ impl EventTracer {
     /// and the monotonic offset from tracer creation. Drops the oldest
     /// event if the ring is full.
     pub fn record(&self, kind: TraceKind) {
+        let mut ring = self.ring.lock();
+        // Stamped under the lock: a number taken before it could enter
+        // the ring after its successor, and the eviction below would
+        // then drop seq n+1 while n is still retained.
         let event = TraceEvent {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             at: self.start.elapsed(),
             kind,
         };
-        let mut ring = self.ring.lock();
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -196,12 +218,7 @@ impl EventTracer {
     /// result are strictly increasing.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        let ring = self.ring.lock();
-        let mut v: Vec<TraceEvent> = ring.iter().copied().collect();
-        // Writers stamp seq before taking the ring lock, so two racing
-        // records can land slightly out of order; present them sorted.
-        v.sort_by_key(|e| e.seq);
-        v
+        self.ring.lock().iter().copied().collect()
     }
 
     /// The retained events with a sequence number strictly greater
@@ -228,7 +245,7 @@ impl EventTracer {
     /// trace export tests pin down.
     #[must_use]
     pub fn first_retained_seq(&self) -> Option<u64> {
-        self.events().first().map(|e| e.seq)
+        self.ring.lock().front().map(|e| e.seq)
     }
 
     /// Number of events currently retained.
@@ -335,6 +352,43 @@ mod tests {
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         seqs.dedup();
         assert_eq!(seqs.len(), 400, "sequence numbers must be unique");
+    }
+
+    /// Several threads overflowing a small ring: what is retained is
+    /// always the contiguous tail of what was recorded, which it was
+    /// not while `seq` was taken before the ring lock.
+    #[test]
+    fn concurrent_overflow_retains_a_contiguous_tail() {
+        let t = Arc::new(EventTracer::with_capacity(64));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|s| {
+                let (t, start) = (Arc::clone(&t), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..5000 {
+                        t.record(TraceKind::Degraded { server: s });
+                        // A reader racing the writers sees no gap either.
+                        if s == 0 {
+                            let events = t.events();
+                            assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for th in threads {
+            th.join().unwrap();
+        }
+        let events = t.events();
+        assert_eq!(events.len(), 64);
+        assert_eq!(t.recorded(), 20_000);
+        assert_eq!(t.first_retained_seq(), Some(t.dropped()));
+        assert_eq!(events[0].seq, 20_000 - 64);
+        for pair in events.windows(2) {
+            assert_eq!(pair[1].seq, pair[0].seq + 1, "gap in retained seqs");
+            assert!(pair[0].at <= pair[1].at, "stamps follow seq order");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! protocol (with the paper's `SET_BLOOM_FILTER` / `BLOOM_FILTER`
 //! digest keys), warms them through an Algorithm 2 cluster client,
 //! then performs a live smooth scale-down and shows that hot keys
-//! migrate over the wire with zero database traffic.
+//! move over the wire — migrated by the requests that touch them and
+//! pulled ahead by the window's background thread — with zero database
+//! traffic.
 //!
 //! Run with: `cargo run --example tcp_cluster`
 
@@ -61,7 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    println!("first pass: {hits} hits, {migrated} migrated over TCP, {database} database");
+    println!("first pass: {hits} hits, {migrated} migrated on demand, {database} database");
+    let pull = cluster.pull_progress().expect("a window is open");
+    println!(
+        "background pull: {} of {} listed keys moved ahead of demand ({:?})",
+        pull.moved, pull.listed, pull.state
+    );
     assert_eq!(
         db.lock().total_fetches(),
         db_before,

@@ -82,7 +82,9 @@ fn live_smooth_transition_has_zero_db_traffic_for_hot_keys() {
 /// `ClusterClient::fetch` one round trip at a time and
 /// `ClusterClient::fetch_many` in pipelined batches evaluate the same
 /// Algorithm 2 decision, so the same key sequence through warm → 4→3 →
-/// close → 3→4 → close must classify identically, key for key.
+/// close → 3→4 → close must classify identically, key for key. The
+/// windows are opened with `open_window`: the reference router has no
+/// background pull, and with one the classes would depend on timing.
 #[test]
 fn wire_and_reference_routers_agree() {
     let n = 4;
@@ -141,8 +143,8 @@ fn wire_and_reference_routers_agree() {
     // deleted there before anyone asks: a forced false positive.
     let snapshots: Vec<_> = engines.iter().map(|e| Some(e.digest_snapshot())).collect();
     tm.begin(3, snapshots).unwrap();
-    single.begin_transition(3).unwrap();
-    batched.begin_transition(3).unwrap();
+    single.open_window(3).unwrap();
+    batched.open_window(3).unwrap();
     let vanished = keys
         .iter()
         .find(|k| router.server_for(k, 4).index() == 3)
@@ -178,8 +180,8 @@ fn wire_and_reference_routers_agree() {
     // 3 -> 4: the rejoining server starts cold and fills by migration.
     let snapshots: Vec<_> = engines.iter().map(|e| Some(e.digest_snapshot())).collect();
     tm.begin(4, snapshots).unwrap();
-    single.begin_transition(4).unwrap();
-    batched.begin_transition(4).unwrap();
+    single.open_window(4).unwrap();
+    batched.open_window(4).unwrap();
     let seen = sweep("3->4", &mut engines, &tm, &single, &batched);
     assert!(seen[&ClusterFetch::Migrated] > 0);
     assert_eq!(
