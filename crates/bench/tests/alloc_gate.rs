@@ -1,9 +1,11 @@
-//! Allocation-regression gate for the zero-copy hot path.
+//! Allocation-regression gate for the zero-copy hot path and the
+//! telemetry record path.
 //!
 //! Counts heap acquisitions with the crate's counting global allocator
-//! and fails if the warmed read path or the borrowing parser starts
-//! allocating again. Unlike the throughput numbers, these counts are
-//! exact and identical on any hardware, so the budgets are tight.
+//! and fails if the warmed read path, the borrowing parser or a
+//! histogram record starts allocating again. Unlike the throughput
+//! numbers, these counts are exact and identical on any hardware, so
+//! the budgets are tight.
 //!
 //! Everything runs inside a single `#[test]` — the test harness runs
 //! sibling tests on concurrent threads, and their allocations would
@@ -11,12 +13,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 use proteus_agg::{build_request, http_get_into, METRICS_PATH};
 use proteus_bench::alloc_track::{is_counting, measure, CountingAlloc};
 use proteus_cache::{CacheConfig, ShardedEngine, StorageKind};
 use proteus_net::{read_raw_command, CacheServer, RawCommand, WireBuf};
+use proteus_obs::{Counter, LatencyHistogram, OpClass, OpLatencies};
 use proteus_sim::SimTime;
 
 #[global_allocator]
@@ -43,6 +47,15 @@ const SERVER_BUDGET: u64 = 2 * SERVER_COMMANDS / 20;
 /// to per-tick buffers.
 const SCRAPE_BUDGET: u64 = 8;
 
+/// Records per telemetry section, and the mean cost one may have in an
+/// optimised build. The path is about five relaxed atomic RMWs and sits
+/// well under 100 ns on anything modern; the budget is loose enough for
+/// a shared runner, and a lock or an allocation in the path goes past
+/// it at once. (`benchmark/` prints the number as `obs.record_ns`.)
+const RECORDS: u64 = 2_000_000;
+const RECORD_BUDGET_NS: f64 = 1_000.0;
+const RECORD_THREADS: u64 = 4;
+
 /// The counting allocator tallies process-wide, and the test harness's
 /// own housekeeping thread occasionally allocates inside a measurement
 /// window. A genuine hot-path regression allocates on *every* run —
@@ -54,6 +67,95 @@ fn min_allocations(runs: usize, mut f: impl FnMut()) -> u64 {
         .map(|_| measure(&mut f).1.allocations)
         .min()
         .expect("at least one run")
+}
+
+/// Allocations over `RECORDS` calls of `record` and the mean
+/// nanoseconds a call took: the best of up to three attempts, for the
+/// reason above, stopping at the first that allocates nothing.
+fn record_cost(mut record: impl FnMut(u64)) -> (u64, f64) {
+    let mut best = (u64::MAX, f64::MAX);
+    for _ in 0..3 {
+        let (elapsed, tally) = measure(|| {
+            let began = Instant::now();
+            (0..RECORDS).for_each(&mut record);
+            began.elapsed()
+        });
+        let ns = elapsed.as_secs_f64() * 1e9 / RECORDS as f64;
+        best = (best.0.min(tally.allocations), best.1.min(ns));
+        if best.0 == 0 {
+            break;
+        }
+    }
+    best
+}
+
+/// Allocations while `RECORD_THREADS` threads record into `hist` at
+/// once. The workers are spawned before the window opens and joined
+/// after it closes — stacks and `JoinHandle`s are not the record path —
+/// so the window brackets only the record loops.
+fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
+    let start = Barrier::new(RECORD_THREADS as usize + 1);
+    let done = Barrier::new(RECORD_THREADS as usize + 1);
+    std::thread::scope(|s| {
+        for t in 0..RECORD_THREADS {
+            let (start, done) = (&start, &done);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..RECORDS / RECORD_THREADS {
+                    hist.record_nanos(100 + ((i + t * 7919) % 100_000));
+                }
+                done.wait();
+            });
+        }
+        start.wait();
+        measure(|| done.wait()).1.allocations
+    })
+}
+
+/// The telemetry record path is safe to leave on in production: zero
+/// heap allocations and a handful of relaxed atomics per record, for a
+/// latency histogram on one thread and on several, for the per-op-class
+/// registry and for a plain counter — all three sit on the server's
+/// per-command path. (Snapshots may allocate: they build an owned
+/// bucket vector.)
+fn telemetry_records_without_allocating() {
+    let budget = |what: &str, ns: f64| {
+        assert!(
+            cfg!(debug_assertions) || ns < RECORD_BUDGET_NS,
+            "{what} too slow: {ns:.1} ns > {RECORD_BUDGET_NS} ns budget"
+        );
+    };
+
+    let hist = LatencyHistogram::new();
+    // The first record assigns this thread its stripe.
+    hist.record_nanos(1);
+    // Spread across buckets so the sweep is not one cache line.
+    let (allocations, ns) = record_cost(|i| hist.record_nanos(100 + (i % 100_000)));
+    assert_eq!(allocations, 0, "histogram record path allocated");
+    budget("histogram record", ns);
+
+    let hist = LatencyHistogram::new();
+    assert!(
+        (0..3).any(|_| contended_record_allocations(&hist) == 0),
+        "contended record path allocated"
+    );
+
+    let ops = OpLatencies::default();
+    ops.record(OpClass::Get, Duration::from_nanos(1));
+    let (allocations, ns) = record_cost(|i| {
+        let class = if i % 10 == 0 {
+            OpClass::Set
+        } else {
+            OpClass::Get
+        };
+        ops.record(class, Duration::from_nanos(100 + (i % 100_000)));
+    });
+    assert_eq!(allocations, 0, "op-class record path allocated");
+    budget("op-class record", ns);
+
+    let counter = Counter::new();
+    let (allocations, _) = record_cost(|_| counter.inc());
+    assert_eq!(allocations, 0, "counter inc allocated");
 }
 
 #[test]
@@ -259,4 +361,6 @@ fn hot_paths_stay_within_allocation_budget() {
         "warmed scrape allocated {scrape} times (budget {SCRAPE_BUDGET}) — \
          the reused response buffer or prebuilt request has regressed"
     );
+
+    telemetry_records_without_allocating();
 }

@@ -383,7 +383,7 @@ mod testing {
     //! Live clusters for the submodules' tests.
 
     use super::*;
-    use crate::server::CacheServer;
+    use crate::server::{CacheServer, EngineKind, ServerConfig};
     use proteus_cache::CacheConfig;
     use proteus_ring::ProteusPlacement;
     use proteus_store::StoreConfig;
@@ -392,9 +392,15 @@ mod testing {
 
     /// `n` servers behind a client; with `hot`, a replicating one.
     pub(super) fn cluster_with(n: usize, hot: Option<HotKeyConfig>) -> Cluster {
+        cluster_on(EngineKind::default(), n, hot)
+    }
+
+    /// [`cluster_with`] on a chosen data plane.
+    pub(super) fn cluster_on(engine: EngineKind, n: usize, hot: Option<HotKeyConfig>) -> Cluster {
+        let capacity = CacheConfig::with_capacity(4 << 20);
         let servers: Vec<CacheServer> = (0..n)
             .map(|_| {
-                CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(4 << 20)).unwrap()
+                CacheServer::spawn_with("127.0.0.1:0", capacity, ServerConfig { engine }).unwrap()
             })
             .collect();
         let addrs: Vec<_> = servers.iter().map(CacheServer::addr).collect();

@@ -302,8 +302,9 @@ impl ClusterClient {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testing::{cluster_with, stop};
+    use super::super::testing::{cluster_on, cluster_with, stop};
     use super::*;
+    use crate::server::EngineKind;
 
     #[test]
     fn hot_key_is_promoted_replicated_and_served_by_replicas() {
@@ -348,6 +349,96 @@ mod tests {
         assert_eq!(how, ClusterFetch::Database);
         assert!(client.replicas_of(b"cold:1").is_none());
         stop(servers);
+    }
+
+    /// One celebrity stream against a fresh 6-server cluster: 90 % of
+    /// fetches on one key, the rest uniform over 600 tail keys, 2 000 to
+    /// warm the caches and the sketch, then 8 000 measured. Returns the
+    /// max/mean get load over the measured fetches, read from each
+    /// server's own `get_hits + get_misses` (the imbalance metric of the
+    /// paper's Figure 5), the share of them served by a non-home
+    /// replica, and the keys replicated at the end.
+    fn celebrity_stream(hot: Option<HotKeyConfig>) -> (f64, f64, i64) {
+        const SERVERS: usize = 6;
+        const MEASURED: u64 = 8_000;
+        // The threaded plane: what is measured is the client's routing,
+        // and a debug build of the reactor zero-fills 64 KiB per
+        // `read(2)` a byte at a time — 0.6 ms a round trip, 13 s here.
+        let (servers, client, db) = cluster_on(EngineKind::Threaded, SERVERS, hot);
+        let get_loads = || -> Vec<u64> {
+            (0..SERVERS)
+                .map(|s| {
+                    let stats = client.client(s).stats().unwrap();
+                    let read = |name: &str| -> u64 {
+                        let (_, v) = stats.iter().find(|(k, _)| k == name).unwrap();
+                        v.parse().unwrap()
+                    };
+                    read("get_hits") + read("get_misses")
+                })
+                .collect()
+        };
+        let mut rng = proteus_sim::SimRng::seed_from_u64(7);
+        let mut fetch = || {
+            let key = if (rng.next_u64() as f64 / u64::MAX as f64) < 0.9 {
+                b"celebrity".to_vec()
+            } else {
+                format!("page:{}", rng.next_u64() % 600).into_bytes()
+            };
+            client.fetch(&key, &db).unwrap().1
+        };
+        for _ in 0..MEASURED / 4 {
+            fetch();
+        }
+        let before = get_loads();
+        let replica_hits = (0..MEASURED)
+            .filter(|_| fetch() == ClusterFetch::ReplicaHit)
+            .count();
+        let loads: Vec<u64> = get_loads()
+            .iter()
+            .zip(&before)
+            .map(|(now, then)| now - then)
+            .collect();
+        let max = *loads.iter().max().unwrap() as f64;
+        let mean = loads.iter().sum::<u64>() as f64 / SERVERS as f64;
+        let replicated = client.hot_key_stats().map_or(0, |s| s.replicated_keys);
+        drop(client);
+        stop(servers);
+        (
+            max / mean,
+            replica_hits as f64 / MEASURED as f64,
+            replicated,
+        )
+    }
+
+    /// Placement spreads the key space, not the traffic: one celebrity
+    /// key pins its home server at several times the mean. Replicating
+    /// it and routing reads by power-of-two-choices must flatten that
+    /// (5.49 -> 1.25 when written) with no server-side coordination.
+    #[test]
+    fn replication_flattens_a_celebrity_key() {
+        let (unreplicated, _, _) = celebrity_stream(None);
+        let (replicated, replica_share, hot_keys) = celebrity_stream(Some(HotKeyConfig {
+            replicas: 6,
+            hot_key_threshold: 32,
+            sketch_capacity: 64,
+        }));
+        println!(
+            "celebrity max/mean: {unreplicated:.2} unreplicated -> {replicated:.2} replicated"
+        );
+        assert!(
+            unreplicated > replicated,
+            "replication must reduce the imbalance ({unreplicated:.2} -> {replicated:.2})"
+        );
+        assert!(
+            replicated <= 1.5,
+            "celebrity with replication must flatten to max/mean <= 1.5, got {replicated:.2}"
+        );
+        assert!(hot_keys >= 1, "the celebrity key must be promoted");
+        assert!(
+            replica_share > 0.1,
+            "p2c must spread a meaningful share of reads to replicas, got {:.1}%",
+            replica_share * 100.0
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::net::TcpStream;
 use std::time::Instant;
 
-use crate::protocol::{parse_raw_command, Response, ResponseWriter, WireBuf};
+use crate::protocol::{parse_raw_command, storage_command_len, Response, ResponseWriter, WireBuf};
 use crate::server::{op_class_of, serve_command, OutBuf, Shared, OUT_HIGH_WATER};
 
 /// One connection's plane-independent state. The phases of the
@@ -30,6 +30,14 @@ pub(crate) struct ConnCore {
     /// Raw bytes off the socket; `rpos` is the parse cursor.
     pub(crate) rbuf: Vec<u8>,
     pub(crate) rpos: usize,
+    /// Unparsed bytes to have buffered before parsing again: the whole
+    /// length of a storage command whose data block is still arriving,
+    /// 0 when nothing is known to be missing. `parse_raw_command`
+    /// starts from the first byte and sizes its scratch to the declared
+    /// length on every call, so retrying per arrival would cost a value
+    /// of `n` chunks `n` parses — on a loop thread that serves nothing
+    /// else meanwhile.
+    need: usize,
     /// Per-connection parse scratch: keys borrow this in place, so a
     /// warmed connection parses without allocating.
     pub(crate) wire: WireBuf,
@@ -48,6 +56,7 @@ impl ConnCore {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            need: 0,
             wire: WireBuf::new(),
             writer: ResponseWriter::new(OutBuf::default()),
             eof: false,
@@ -84,6 +93,12 @@ impl ConnCore {
     /// in-flight send buffer); it counts against the high-water mark so
     /// both planes apply the same 1 MiB backpressure rule.
     pub(crate) fn process(&mut self, shared: &Shared, extra_out: usize) {
+        // EOF parses once more regardless: that attempt is what closes
+        // a connection whose peer gave up mid-block.
+        if self.rbuf.len() - self.rpos < self.need && !self.eof {
+            return;
+        }
+        self.need = 0;
         loop {
             if self.closing || self.out_pending() + extra_out > OUT_HIGH_WATER {
                 break;
@@ -91,6 +106,7 @@ impl ConnCore {
             let ConnCore {
                 rbuf,
                 rpos,
+                need,
                 wire,
                 writer,
                 closing,
@@ -117,6 +133,8 @@ impl ConnCore {
                     // threaded plane's mid-command EOF does.
                     if *eof {
                         *closing = true;
+                    } else {
+                        *need = storage_command_len(&rbuf[*rpos..]).unwrap_or(0);
                     }
                     break;
                 }

@@ -124,6 +124,12 @@ impl WireBuf {
     pub fn new() -> Self {
         WireBuf::default()
     }
+
+    /// Length of the data-block scratch: what the last parse sized it to.
+    #[cfg(test)]
+    pub(crate) fn data_len(&self) -> usize {
+        self.data.len()
+    }
 }
 
 /// A parsed client command.
@@ -476,24 +482,7 @@ pub fn read_raw_command<'a, R: BufRead>(
             Ok(RawCommand::MultiGet { keys })
         }
         "set" | "add" | "replace" => {
-            let missing_key = if verb == "set" {
-                "set needs a key"
-            } else {
-                "storage command needs a key"
-            };
-            let key = parts
-                .next()
-                .ok_or_else(|| NetError::Protocol(missing_key.into()))?
-                .as_bytes();
-            if !valid_key(key) {
-                return Err(NetError::Protocol("invalid key".into()));
-            }
-            let flags: u32 = parse_field(parts.next(), "flags")?;
-            let exptime: u32 = parse_field(parts.next(), "exptime")?;
-            let bytes: usize = parse_field(parts.next(), "bytes")?;
-            if bytes > MAX_VALUE_BYTES {
-                return Err(NetError::Protocol("value too large".into()));
-            }
+            let (key, flags, exptime, bytes) = parse_storage_header(verb, &mut parts)?;
             read_data_block(reader, data, bytes)?;
             let data = data.as_slice();
             Ok(match verb {
@@ -565,6 +554,55 @@ pub fn read_raw_command<'a, R: BufRead>(
         "quit" => Ok(RawCommand::Quit),
         other => Err(NetError::Protocol(format!("unknown verb {other:?}"))),
     }
+}
+
+/// The header of a storage command after its verb: `<key> <flags>
+/// <exptime> <bytes>`, with the key and the declared length checked.
+fn parse_storage_header<'a>(
+    verb: &str,
+    parts: &mut std::str::SplitAsciiWhitespace<'a>,
+) -> Result<(&'a [u8], u32, u32, usize), NetError> {
+    let missing_key = if verb == "set" {
+        "set needs a key"
+    } else {
+        "storage command needs a key"
+    };
+    let key = parts
+        .next()
+        .ok_or_else(|| NetError::Protocol(missing_key.into()))?
+        .as_bytes();
+    if !valid_key(key) {
+        return Err(NetError::Protocol("invalid key".into()));
+    }
+    let flags: u32 = parse_field(parts.next(), "flags")?;
+    let exptime: u32 = parse_field(parts.next(), "exptime")?;
+    let bytes: usize = parse_field(parts.next(), "bytes")?;
+    if bytes > MAX_VALUE_BYTES {
+        return Err(NetError::Protocol("value too large".into()));
+    }
+    Ok((key, flags, exptime, bytes))
+}
+
+/// How many bytes the storage command at the start of `input` spans —
+/// header line, data block, closing CRLF — once its header line is all
+/// there and [`read_raw_command`] would accept it. `None` for anything
+/// else: an unfinished line, another verb, a header the parser rejects.
+///
+/// [`parse_raw_command`] starts over on every call; a connection that
+/// was told "incomplete" asks this how long to wait before calling it
+/// again, so a large value arriving in pieces is parsed once, not once
+/// per piece.
+#[cfg(target_os = "linux")]
+pub(crate) fn storage_command_len(input: &[u8]) -> Option<usize> {
+    let line_len = input.iter().position(|&b| b == b'\n')? + 1;
+    let text = std::str::from_utf8(&input[..line_len]).ok()?;
+    let mut parts = text.split_ascii_whitespace();
+    let verb = parts.next()?;
+    if !matches!(verb, "set" | "add" | "replace") {
+        return None;
+    }
+    let (_, _, _, bytes) = parse_storage_header(verb, &mut parts).ok()?;
+    Some(line_len + bytes + 2)
 }
 
 /// Attempts to parse one command from a byte slice without consuming

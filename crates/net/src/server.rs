@@ -1287,6 +1287,63 @@ mod tests {
         server.stop();
     }
 
+    /// `parse_raw_command` starts from byte 0 and sizes its scratch to
+    /// the declared length on every call, so a connection retrying per
+    /// arrival parsed a value of n pieces n times (513 for 32 MiB).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_set_arriving_in_pieces_is_parsed_when_it_starts_and_when_it_is_whole() {
+        use crate::conn::ConnCore;
+        use crate::protocol::WireBuf;
+        const VALUE: usize = 1 << 20;
+        const PIECE: usize = 64 << 10; // reactor READ_CHUNK, uring BUF_LEN
+
+        let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(64 << 20))
+            .expect("bind ephemeral port");
+        let value: Vec<u8> = (0..VALUE).map(|i| i as u8).collect();
+        let mut command = format!("set big 0 0 {VALUE}\r\n").into_bytes();
+        command.extend_from_slice(&value);
+        command.extend_from_slice(b"\r\n");
+        let mut pieces = command.chunks(PIECE);
+        let last = pieces.next_back().unwrap();
+
+        let mut core = ConnCore::new(TcpStream::connect(server.addr()).unwrap());
+        core.rbuf.extend_from_slice(pieces.next().unwrap());
+        core.process(&server.shared, 0);
+        assert_eq!(
+            core.wire.data_len(),
+            VALUE,
+            "the parse that reads the header"
+        );
+        // An empty scratch stays empty for as long as no parse runs.
+        core.wire = WireBuf::new();
+        for piece in pieces {
+            core.rbuf.extend_from_slice(piece);
+            core.process(&server.shared, 0);
+            assert_eq!(
+                core.wire.data_len(),
+                0,
+                "an incomplete set was parsed again"
+            );
+            assert_eq!(core.out_pending(), 0);
+        }
+        // A peer that hangs up mid-block still closes silently.
+        let mut hung_up = ConnCore::new(TcpStream::connect(server.addr()).unwrap());
+        hung_up.rbuf.extend_from_slice(&core.rbuf);
+        hung_up.process(&server.shared, 0);
+        hung_up.eof = true;
+        hung_up.process(&server.shared, 0);
+        assert!(hung_up.closing && hung_up.out_pending() == 0);
+
+        core.rbuf.extend_from_slice(last);
+        core.process(&server.shared, 0);
+        assert_eq!(core.writer.get_ref().buf, b"STORED\r\n");
+        assert!(core.rbuf.is_empty() && !core.closing);
+        let stored = server.with_engine(|e| e.get(b"big", SimTime::ZERO));
+        assert_eq!(stored.as_deref(), Some(&value[..]));
+        server.stop();
+    }
+
     #[test]
     fn drop_stops_the_server() {
         let addr;

@@ -7,61 +7,24 @@
 //! [`LatencyHistogram::snapshot`] sums all stripes into an owned
 //! [`HistogramSnapshot`] which supports quantile queries and merging.
 //!
-//! The bucket scheme is the same log-linear layout as the offline
-//! simulator's `proteus_sim::Histogram`: values below 64 ns are exact,
-//! larger values land in logarithmic octaves split into 64 sub-buckets,
-//! bounding relative quantile error to about 1/64 (~1.6%).
+//! The bucket scheme is the offline simulator's, imported from
+//! [`proteus_sim::histogram`] rather than retyped: values below 64 ns
+//! are exact, larger values land in logarithmic octaves split into 64
+//! sub-buckets, bounding relative quantile error to about 1/64 (~1.6%).
+//! A snapshot *is* a [`proteus_sim::Histogram`] behind a
+//! `Duration`-typed surface.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Number of sub-buckets per octave; bounds relative quantile error to
-/// about `1/SUB` (~1.6%).
-const SUB_BITS: u32 = 6;
-const SUB: u64 = 1 << SUB_BITS;
-
-/// Total bucket count for the full `u64` nanosecond range.
-const MAX_BUCKETS: usize = ((64 - SUB_BITS as usize + 1) << SUB_BITS as usize) + SUB as usize;
+use proteus_sim::histogram::{bucket_floor, bucket_index, bucket_value, MAX_BUCKETS};
+use proteus_sim::{Histogram, SimDuration};
 
 /// Default stripe count (power of two). Eight stripes keep the hottest
 /// bucket words off each other's cache lines for typical server thread
 /// counts without bloating snapshot cost.
 const DEFAULT_STRIPES: usize = 8;
-
-fn bucket_index(v: u64) -> usize {
-    if v < SUB {
-        v as usize
-    } else {
-        let msb = 63 - v.leading_zeros() as u64; // >= SUB_BITS
-        let k = msb - (SUB_BITS as u64 - 1); // octave shift >= 1
-        ((k << SUB_BITS) + (v >> k)) as usize
-    }
-}
-
-fn bucket_value(idx: usize) -> u64 {
-    let idx = idx as u64;
-    let k = idx >> SUB_BITS;
-    let low = idx & (SUB - 1);
-    if k == 0 {
-        low
-    } else {
-        // Midpoint of the bucket [low << k, (low + 1) << k).
-        (low << k) + (1 << (k - 1))
-    }
-}
-
-/// Smallest value that lands in bucket `idx` (the bucket's lower edge).
-fn bucket_floor(idx: usize) -> u64 {
-    let idx = idx as u64;
-    let k = idx >> SUB_BITS;
-    let low = idx & (SUB - 1);
-    if k == 0 {
-        low
-    } else {
-        low << k
-    }
-}
 
 /// One stripe of atomic buckets. Stripes are written by disjoint sets
 /// of threads (thread-sticky assignment), so cross-thread cache-line
@@ -194,32 +157,21 @@ impl LatencyHistogram {
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = vec![0u64; MAX_BUCKETS];
-        let mut count = 0u64;
         let mut sum_nanos = 0u128;
         let mut min = u64::MAX;
         let mut max = 0u64;
         for stripe in self.stripes.iter() {
-            // Bucket totals are authoritative: `count`/`sum` are
+            // Bucket totals are authoritative: a stripe's `count` is
             // derived from the same relaxed adds and may lag the
-            // buckets mid-record, so recompute count from buckets.
-            let mut stripe_count = 0u64;
+            // buckets mid-record, so the snapshot counts the buckets.
             for (acc, bucket) in buckets.iter_mut().zip(stripe.buckets.iter()) {
-                let c = bucket.load(Ordering::Relaxed);
-                *acc += c;
-                stripe_count += c;
+                *acc += bucket.load(Ordering::Relaxed);
             }
-            count += stripe_count;
             sum_nanos += u128::from(stripe.sum_nanos.load(Ordering::Relaxed));
             min = min.min(stripe.min.load(Ordering::Relaxed));
             max = max.max(stripe.max.load(Ordering::Relaxed));
         }
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum_nanos,
-            min,
-            max,
-        }
+        HistogramSnapshot(Histogram::from_buckets(buckets, sum_nanos, min, max))
     }
 }
 
@@ -242,64 +194,57 @@ pub struct Percentiles {
     pub p999: Duration,
 }
 
-/// An owned, mergeable point-in-time view of a [`LatencyHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_nanos: u128,
-    min: u64,
-    max: u64,
+/// An owned, mergeable point-in-time view of a [`LatencyHistogram`]:
+/// the simulator's [`Histogram`] read in [`Duration`]s, plus what only
+/// a live scrape needs (windowed deltas, the sparse wire form).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct HistogramSnapshot(Histogram);
+
+fn wall(d: SimDuration) -> Duration {
+    Duration::from_nanos(d.as_nanos())
 }
 
 impl HistogramSnapshot {
     /// An empty snapshot (useful as a merge accumulator).
     #[must_use]
     pub fn empty() -> Self {
-        HistogramSnapshot {
-            buckets: vec![0; MAX_BUCKETS],
-            count: 0,
-            sum_nanos: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        Self::default()
     }
 
     /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// Whether no samples were recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.0.is_empty()
     }
 
     /// The smallest recorded sample, or `None` if empty.
     #[must_use]
     pub fn min(&self) -> Option<Duration> {
-        (self.count > 0).then(|| Duration::from_nanos(self.min))
+        self.0.min().map(wall)
     }
 
     /// The largest recorded sample, or `None` if empty.
     #[must_use]
     pub fn max(&self) -> Option<Duration> {
-        (self.count > 0).then(|| Duration::from_nanos(self.max))
+        self.0.max().map(wall)
     }
 
     /// The exact mean of all recorded samples, or `None` if empty.
     #[must_use]
     pub fn mean(&self) -> Option<Duration> {
-        (self.count > 0)
-            .then(|| Duration::from_nanos((self.sum_nanos / u128::from(self.count)) as u64))
+        self.0.mean().map(wall)
     }
 
     /// Sum of all recorded samples in nanoseconds.
     #[must_use]
     pub fn sum_nanos(&self) -> u128 {
-        self.sum_nanos
+        self.0.sum_nanos()
     }
 
     /// The `q`-quantile (e.g. `0.999` for the 99.9th percentile), with
@@ -310,33 +255,14 @@ impl HistogramSnapshot {
     /// Panics if `q` is not within `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<Duration> {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
-        if self.count == 0 {
-            return None;
-        }
-        if q >= 1.0 {
-            return Some(Duration::from_nanos(self.max));
-        }
-        let rank = (q * self.count as f64).floor() as u64 + 1;
-        let mut cum = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                let v = bucket_value(idx).clamp(self.min, self.max);
-                return Some(Duration::from_nanos(v));
-            }
-        }
-        Some(Duration::from_nanos(self.max))
+        self.0.quantile(q).map(wall)
     }
 
     /// The standard report quartet (p50/p90/p99/p999), or `None` if
     /// the snapshot is empty.
     #[must_use]
     pub fn percentiles(&self) -> Option<Percentiles> {
-        (self.count > 0).then(|| Percentiles {
+        (!self.is_empty()).then(|| Percentiles {
             p50: self.quantile(0.50).unwrap_or_default(),
             p90: self.quantile(0.90).unwrap_or_default(),
             p99: self.quantile(0.99).unwrap_or_default(),
@@ -346,15 +272,7 @@ impl HistogramSnapshot {
 
     /// Merges another snapshot's samples into this one.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
+        self.0.merge(&other.0);
     }
 
     /// The samples recorded since `earlier`: per-bucket saturating
@@ -372,36 +290,38 @@ impl HistogramSnapshot {
     /// still well-formed, just meaningless.
     #[must_use]
     pub fn saturating_delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut delta = HistogramSnapshot::empty();
+        let (Some(cumulative_min), Some(cumulative_max)) = (self.0.min(), self.0.max()) else {
+            return HistogramSnapshot::empty(); // nothing recorded, nothing since
+        };
+        let cumulative_min = earlier
+            .0
+            .min()
+            .map_or(cumulative_min, |e| e.min(cumulative_min));
+        let mut buckets = vec![0u64; MAX_BUCKETS];
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        for (idx, (&a, &b)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
+        for (idx, (&a, &b)) in self.buckets().iter().zip(earlier.buckets()).enumerate() {
             let d = a.saturating_sub(b);
-            delta.buckets[idx] = d;
-            delta.count += d;
+            buckets[idx] = d;
             if d > 0 {
                 lo = lo.min(bucket_floor(idx));
                 hi = hi.max(bucket_value(idx));
             }
         }
-        if delta.count > 0 {
-            delta.sum_nanos = self.sum_nanos.saturating_sub(earlier.sum_nanos);
-            // The true window extremes are bounded by both the bucket
-            // geometry and the cumulative extremes.
-            delta.min = lo.max(self.min.min(earlier.min));
-            delta.max = hi.min(self.max);
-            if delta.min > delta.max {
-                delta.min = delta.max;
-            }
-        }
-        delta
+        // The true window extremes are bounded by both the bucket
+        // geometry and the cumulative extremes. (An empty window reads
+        // neither: `from_buckets` ignores them.)
+        let max = hi.min(cumulative_max.as_nanos());
+        let min = lo.max(cumulative_min.as_nanos()).min(max);
+        let sum_nanos = self.sum_nanos().saturating_sub(earlier.sum_nanos());
+        HistogramSnapshot(Histogram::from_buckets(buckets, sum_nanos, min, max))
     }
 
     /// Per-bucket sample counts (log-linear layout; mostly useful for
     /// exact comparison in tests).
     #[must_use]
     pub fn buckets(&self) -> &[u64] {
-        &self.buckets
+        self.0.buckets()
     }
 
     /// The non-empty buckets as `(index, count)` pairs — the sparse
@@ -412,7 +332,7 @@ impl HistogramSnapshot {
     /// per-server scrapes into true cluster-wide quantiles.
     #[must_use]
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
+        self.buckets()
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
@@ -434,79 +354,19 @@ impl HistogramSnapshot {
         min: u64,
         max: u64,
     ) -> Option<Self> {
-        let mut snap = HistogramSnapshot::empty();
+        let mut buckets = vec![0u64; MAX_BUCKETS];
         for &(idx, count) in pairs {
-            if idx >= MAX_BUCKETS {
-                return None;
-            }
-            snap.buckets[idx] += count;
-            snap.count += count;
+            *buckets.get_mut(idx)? += count;
         }
-        if snap.count == 0 {
-            return Some(snap);
-        }
-        if min > max {
-            return None;
-        }
-        snap.sum_nanos = sum_nanos;
-        snap.min = min;
-        snap.max = max;
-        Some(snap)
+        let snap = HistogramSnapshot(Histogram::from_buckets(buckets, sum_nanos, min, max));
+        (snap.is_empty() || min <= max).then_some(snap)
     }
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
-/// Worst-case relative quantile error of the bucket scheme (`1/64`).
-#[must_use]
-pub fn relative_error_bound() -> f64 {
-    1.0 / SUB as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn bucket_roundtrip_error_is_bounded() {
-        let mut v = 1u64;
-        while v < u64::MAX / 3 {
-            for probe in [v, v + v / 3, v * 2 - 1] {
-                let rebuilt = bucket_value(bucket_index(probe));
-                let err = (rebuilt as f64 - probe as f64).abs() / probe as f64;
-                assert!(
-                    err <= 1.0 / SUB as f64 + 1e-12,
-                    "v={probe} rebuilt={rebuilt}"
-                );
-            }
-            v *= 2;
-        }
-    }
-
-    #[test]
-    fn small_values_are_exact() {
-        for v in 0..SUB {
-            assert_eq!(bucket_value(bucket_index(v)), v);
-        }
-    }
-
-    #[test]
-    fn bucket_floor_bounds_every_bucket() {
-        let mut v = 1u64;
-        while v < u64::MAX / 3 {
-            for probe in [v, v + v / 3, v * 2 - 1] {
-                let idx = bucket_index(probe);
-                assert!(bucket_floor(idx) <= probe, "floor above member {probe}");
-                assert!(bucket_floor(idx) <= bucket_value(idx));
-            }
-            v *= 2;
-        }
-    }
 
     #[test]
     fn saturating_delta_isolates_the_window() {

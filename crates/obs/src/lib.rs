@@ -44,5 +44,6 @@ pub use export::{
     to_json, to_prometheus, to_stat_pairs, trace_event_json, trace_metrics, trace_to_jsonl, Metric,
     MetricSource, MetricValue, MetricsServer, ScrapeLimits, ScrapeStats, TraceFileSink,
 };
-pub use histogram::{relative_error_bound, HistogramSnapshot, LatencyHistogram, Percentiles};
+pub use histogram::{HistogramSnapshot, LatencyHistogram, Percentiles};
+pub use proteus_sim::histogram::relative_error_bound;
 pub use tracer::{EventTracer, TraceEvent, TraceKind};

@@ -1,4 +1,10 @@
 //! Log-bucketed latency histogram with quantile queries.
+//!
+//! The bucket scheme lives here once: this crate's [`Histogram`] and
+//! `proteus-obs`'s striped `LatencyHistogram` / `HistogramSnapshot`
+//! (a `Duration`-typed wrapper over [`Histogram`]) index the same
+//! layout through [`bucket_index`], [`bucket_value`] and
+//! [`bucket_floor`].
 
 use crate::time::SimDuration;
 
@@ -6,6 +12,55 @@ use crate::time::SimDuration;
 /// about `1/SUB` (~1.6%).
 const SUB_BITS: u32 = 6;
 const SUB: u64 = 1 << SUB_BITS;
+
+/// Total bucket count for the full `u64` nanosecond range.
+pub const MAX_BUCKETS: usize = ((64 - SUB_BITS as usize + 1) << SUB_BITS as usize) + SUB as usize;
+
+/// The bucket a value of `v` nanoseconds lands in.
+#[must_use]
+pub fn bucket_index(v: u64) -> usize {
+    if v < SUB {
+        v as usize
+    } else {
+        let msb = 63 - v.leading_zeros() as u64; // >= SUB_BITS
+        let k = msb - (SUB_BITS as u64 - 1); // octave shift >= 1
+        ((k << SUB_BITS) + (v >> k)) as usize
+    }
+}
+
+/// The value bucket `idx` reports: exact below 64 ns, the bucket's
+/// midpoint above.
+#[must_use]
+pub fn bucket_value(idx: usize) -> u64 {
+    let idx = idx as u64;
+    let k = idx >> SUB_BITS;
+    let low = idx & (SUB - 1);
+    if k == 0 {
+        low
+    } else {
+        // Midpoint of the bucket [low << k, (low + 1) << k).
+        (low << k) + (1 << (k - 1))
+    }
+}
+
+/// Smallest value that lands in bucket `idx` (the bucket's lower edge).
+#[must_use]
+pub fn bucket_floor(idx: usize) -> u64 {
+    let idx = idx as u64;
+    let k = idx >> SUB_BITS;
+    let low = idx & (SUB - 1);
+    if k == 0 {
+        low
+    } else {
+        low << k
+    }
+}
+
+/// Worst-case relative quantile error of the bucket scheme (`1/64`).
+#[must_use]
+pub fn relative_error_bound() -> f64 {
+    1.0 / SUB as f64
+}
 
 /// A fixed-memory latency histogram with bounded relative error.
 ///
@@ -28,7 +83,7 @@ const SUB: u64 = 1 << SUB_BITS;
 /// assert!((p50.as_millis_f64() - 50.0).abs() / 50.0 < 0.05);
 /// assert_eq!(h.count(), 100);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -36,30 +91,6 @@ pub struct Histogram {
     min: u64,
     max: u64,
 }
-
-fn bucket_index(v: u64) -> usize {
-    if v < SUB {
-        v as usize
-    } else {
-        let msb = 63 - v.leading_zeros() as u64; // >= SUB_BITS
-        let k = msb - (SUB_BITS as u64 - 1); // octave shift >= 1
-        ((k << SUB_BITS) + (v >> k)) as usize
-    }
-}
-
-fn bucket_value(idx: usize) -> u64 {
-    let idx = idx as u64;
-    let k = idx >> SUB_BITS;
-    let low = idx & (SUB - 1);
-    if k == 0 {
-        low
-    } else {
-        // Midpoint of the bucket [low << k, (low + 1) << k).
-        (low << k) + (1 << (k - 1))
-    }
-}
-
-const MAX_BUCKETS: usize = ((64 - SUB_BITS as usize + 1) << SUB_BITS as usize) + SUB as usize;
 
 impl Histogram {
     /// Creates an empty histogram.
@@ -71,6 +102,30 @@ impl Histogram {
             sum_nanos: 0,
             min: u64::MAX,
             max: 0,
+        }
+    }
+
+    /// Rebuilds a histogram from per-bucket counts and the exact sum
+    /// and extremes (in nanoseconds) recorded beside them. The sample
+    /// count is the bucket total; with no samples the sum and extremes
+    /// are ignored, so every empty histogram compares equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buckets.len()` is not [`MAX_BUCKETS`].
+    #[must_use]
+    pub fn from_buckets(buckets: Vec<u64>, sum_nanos: u128, min: u64, max: u64) -> Self {
+        assert_eq!(buckets.len(), MAX_BUCKETS, "not the log-linear layout");
+        let count: u64 = buckets.iter().sum();
+        if count == 0 {
+            return Histogram::new();
+        }
+        Histogram {
+            buckets,
+            count,
+            sum_nanos,
+            min,
+            max,
         }
     }
 
@@ -113,6 +168,18 @@ impl Histogram {
     pub fn mean(&self) -> Option<SimDuration> {
         (self.count > 0)
             .then(|| SimDuration::from_nanos((self.sum_nanos / u128::from(self.count)) as u64))
+    }
+
+    /// Sum of all recorded samples in nanoseconds.
+    #[must_use]
+    pub fn sum_nanos(&self) -> u128 {
+        self.sum_nanos
+    }
+
+    /// Per-bucket sample counts, indexed by [`bucket_index`].
+    #[must_use]
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
     }
 
     /// The `q`-quantile (e.g. `0.999` for the 99.9th percentile), with
@@ -198,6 +265,19 @@ mod tests {
     fn small_values_are_exact() {
         for v in 0..SUB {
             assert_eq!(bucket_value(bucket_index(v)), v);
+        }
+    }
+
+    #[test]
+    fn bucket_floor_bounds_every_bucket() {
+        let mut v = 1u64;
+        while v < u64::MAX / 3 {
+            for probe in [v, v + v / 3, v * 2 - 1] {
+                let idx = bucket_index(probe);
+                assert!(bucket_floor(idx) <= probe, "floor above member {probe}");
+                assert!(bucket_floor(idx) <= bucket_value(idx));
+            }
+            v *= 2;
         }
     }
 

@@ -42,7 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-mod histogram;
+pub mod histogram;
 mod queue;
 mod resource;
 mod rng;

@@ -43,9 +43,9 @@ pub fn generate_page_content(key: &[u8], size: usize) -> Vec<u8> {
 /// are tens to hundreds of bytes, with a long tail of multi-kilobyte
 /// pages. A log-uniform draw reproduces that shape — every size
 /// *decade* gets equal probability mass, so small sizes dominate by
-/// count — while staying a pure function of the key. Benchmarks
-/// (`item_scale`) and churn tests use it to build mixed-size
-/// populations any component can regenerate independently.
+/// count — while staying a pure function of the key. The `item_scale`
+/// and churn tests use it to build mixed-size populations any
+/// component can regenerate independently.
 ///
 /// # Example
 ///
