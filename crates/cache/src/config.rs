@@ -11,7 +11,10 @@ use proteus_sim::SimDuration;
 /// `tests/storage_equivalence.rs`). `Heap` is the original one-
 /// allocation-per-value path, kept as the correctness oracle; `Slab`
 /// packs items into size-classed 1 MiB pages for multi-million-item
-/// residency (DESIGN.md §12).
+/// residency (DESIGN.md §12). The server binary always runs the slab;
+/// this stays a library type because `storage_equivalence` diffs the
+/// slab against `Heap`, a value over one page takes the heap path
+/// inside the slab backend, and `benchmark/` names `StorageKind::Slab`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
     /// One heap allocation per item (the PR-1 layout).

@@ -3,7 +3,6 @@
 //! ```text
 //! proteus-cache-server [--bind ADDR] [--capacity-mb N] [--hot-ttl-secs N]
 //!                      [--engine threaded|reactor|uring] [--loops N]
-//!                      [--storage slab|heap]
 //! ```
 //!
 //! Speaks the memcached-flavoured text protocol on `ADDR`
@@ -33,7 +32,6 @@ struct Options {
     metrics_addr: Option<String>,
     engine: Option<String>,
     loops: usize,
-    storage: StorageKind,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -44,11 +42,6 @@ fn parse_args() -> Result<Options, String> {
         metrics_addr: None,
         engine: None,
         loops: 0,
-        // The binary defaults to the slab allocator: long-running
-        // servers want bounded fragmentation at tens of millions of
-        // resident items. (The library default stays `Heap` so
-        // embedders opt in explicitly.)
-        storage: StorageKind::Slab,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -81,19 +74,14 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--loops must be a number".to_string())?;
             }
-            "--storage" => {
-                opts.storage = match value("--storage")?.as_str() {
-                    "slab" => StorageKind::Slab,
-                    "heap" => StorageKind::Heap,
-                    _ => return Err("--storage must be `slab` or `heap`".to_string()),
-                };
-            }
             "--help" | "-h" => {
                 return Err("usage: proteus-cache-server [--bind ADDR] \
                             [--capacity-mb N] [--hot-ttl-secs N] \
                             [--metrics-addr ADDR] \
-                            [--engine threaded|reactor|uring] [--loops N] \
-                            [--storage slab|heap]"
+                            [--engine threaded|reactor|uring] [--loops N]\n\
+                            --engine: `reactor` (epoll) is the default on Linux; \
+                            `threaded` is the reference plane the others are \
+                            tested against and the only one off Linux, not tuned"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),
@@ -115,7 +103,9 @@ fn main() -> ExitCode {
     };
     let config = CacheConfig::with_capacity(opts.capacity_mb << 20)
         .hot_ttl(SimDuration::from_secs(opts.hot_ttl_secs))
-        .storage(opts.storage);
+        // Always the slab: a long-running server wants bounded
+        // fragmentation at tens of millions of resident items.
+        .storage(StorageKind::Slab);
     // Default: the platform's preferred data plane (the reactor on
     // Linux, threaded elsewhere); `--engine` forces one explicitly.
     // `uring` resolves through the fallback ladder (uring → reactor →
@@ -142,12 +132,8 @@ fn main() -> ExitCode {
         EngineKind::Reactor { loops } => format!("epoll reactor, {loops} event loops"),
         EngineKind::Uring { loops } => format!("io_uring, {loops} event loops"),
     };
-    let storage = match opts.storage {
-        StorageKind::Slab => "slab storage",
-        StorageKind::Heap => "heap storage",
-    };
     println!(
-        "proteus-cache-server listening on {} ({} MB, hot TTL {} s, {plane}, {storage})",
+        "proteus-cache-server listening on {} ({} MB, hot TTL {} s, {plane}, slab storage)",
         server.addr(),
         opts.capacity_mb,
         opts.hot_ttl_secs

@@ -1,7 +1,7 @@
 //! Blocking cache client with connection pooling, bounded retries, and
 //! a per-server circuit breaker.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use proteus_obs::{EventTracer, TraceKind};
 
 use crate::error::NetError;
 use crate::protocol::{
-    read_response, write_command, write_command_unflushed, Command, Response, ValueItem,
+    read_response_buffered, write_command_unflushed, RawCommand, Response, ValueItem, WireBuf,
     DIGEST_KEY, DIGEST_SNAPSHOT_KEY, MAX_GET_KEYS,
 };
 
@@ -199,6 +199,59 @@ impl Breaker {
     }
 }
 
+/// One pooled connection and what an exchange on it needs, kept for the
+/// connection's life so a warmed exchange allocates nothing of its own:
+/// commands are encoded into `out` and leave in one `write`, replies
+/// are parsed out of `reader` through `wire`. Like a server
+/// connection's, the buffers keep the capacity of the largest exchange
+/// they have carried.
+///
+/// `reader` may hold bytes past the reply last read, so a connection
+/// goes back to the pool only after an exchange that read every reply
+/// it was owed; anything else drops it.
+#[derive(Debug)]
+struct Conn {
+    reader: BufReader<TcpStream>,
+    wire: WireBuf,
+    out: Vec<u8>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            reader: BufReader::new(stream),
+            wire: WireBuf::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Encodes `cmd` behind whatever is already queued.
+    fn queue(&mut self, cmd: &RawCommand<'_>) {
+        write_command_unflushed(&mut self.out, cmd).expect("writing to a Vec cannot fail");
+    }
+
+    /// Sends everything queued.
+    fn send(&mut self) -> Result<(), NetError> {
+        let sent = self.reader.get_ref().write_all(&self.out);
+        self.out.clear();
+        Ok(sent?)
+    }
+
+    fn recv(&mut self) -> Result<Response, NetError> {
+        read_response_buffered(&mut self.reader, &mut self.wire)
+    }
+}
+
+/// `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys the caller keeps.
+fn get_command<K: AsRef<[u8]>>(keys: &[K]) -> RawCommand<'_> {
+    match keys {
+        [key] => RawCommand::Get { key: key.as_ref() },
+        _ => RawCommand::MultiGet {
+            keys: keys.iter().map(AsRef::as_ref).collect(),
+        },
+    }
+}
+
 /// An in-flight multi-key get whose request has been written but whose
 /// response has not yet been read. Produced by
 /// [`CacheClient::send_get_many`]; redeem it with
@@ -207,25 +260,10 @@ impl Breaker {
 /// is awaited.
 #[derive(Debug)]
 pub struct PendingGets {
-    reader: BufReader<TcpStream>,
+    conn: Conn,
     /// Every key asked for. The first [`MAX_GET_KEYS`] of them are on
     /// the wire; the receive sends the rest, one `get` at a time.
     keys: Vec<Vec<u8>>,
-}
-
-/// Writes `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys and
-/// flushes — the bytes `write_command` produces for `Command::Get` /
-/// `Command::MultiGet`, from keys the caller keeps.
-fn write_get(stream: &TcpStream, keys: &[impl AsRef<[u8]>]) -> Result<(), NetError> {
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(b"get")?;
-    for key in keys {
-        writer.write_all(b" ")?;
-        writer.write_all(key.as_ref())?;
-    }
-    writer.write_all(b"\r\n")?;
-    writer.flush()?;
-    Ok(())
 }
 
 /// A pooled, blocking client for one cache server.
@@ -265,7 +303,7 @@ fn write_get(stream: &TcpStream, keys: &[impl AsRef<[u8]>]) -> Result<(), NetErr
 #[derive(Debug)]
 pub struct CacheClient {
     addr: SocketAddr,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Conn>>,
     config: ClientConfig,
     breaker: Breaker,
     stats: AtomicClientStats,
@@ -372,26 +410,26 @@ impl CacheClient {
         self.breaker.is_open()
     }
 
-    fn dial(&self) -> Result<TcpStream, NetError> {
+    fn dial(&self) -> Result<Conn, NetError> {
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
         stream.set_read_timeout(Some(self.config.op_timeout))?;
         stream.set_write_timeout(Some(self.config.op_timeout))?;
         stream.set_nodelay(true)?;
-        Ok(stream)
+        Ok(Conn::new(stream))
     }
 
-    fn checkout(&self) -> Result<TcpStream, NetError> {
-        if let Some(stream) = self.pool.lock().pop() {
-            return Ok(stream);
+    fn checkout(&self) -> Result<Conn, NetError> {
+        if let Some(conn) = self.pool.lock().pop() {
+            return Ok(conn);
         }
         self.dial()
     }
 
-    fn checkin(&self, stream: TcpStream) {
+    fn checkin(&self, conn: Conn) {
         let mut pool = self.pool.lock();
         if pool.len() < 8 {
-            pool.push(stream);
+            pool.push(conn);
         }
     }
 
@@ -470,15 +508,14 @@ impl CacheClient {
         }
     }
 
-    fn round_trip(&self, cmd: &Command) -> Result<Response, NetError> {
+    fn round_trip(&self, cmd: &RawCommand<'_>) -> Result<Response, NetError> {
         let response = self.with_failover(|| {
-            let stream = self.checkout()?;
-            let mut writer = BufWriter::new(stream.try_clone()?);
-            let mut reader = BufReader::new(stream);
-            write_command(&mut writer, cmd)?;
-            let response = read_response(&mut reader)?;
+            let mut conn = self.checkout()?;
+            conn.queue(cmd);
+            conn.send()?;
+            let response = conn.recv()?;
             // Only reusable if the exchange completed cleanly.
-            self.checkin(reader.into_inner());
+            self.checkin(conn);
             Ok(response)
         })?;
         match response {
@@ -498,7 +535,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn get(&self, key: &[u8]) -> Result<Option<SharedBytes>, NetError> {
-        match self.round_trip(&Command::Get { key: key.to_vec() })? {
+        match self.round_trip(&RawCommand::Get { key })? {
             Response::Value { data, .. } => Ok(Some(data)),
             Response::Miss => Ok(None),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
@@ -522,8 +559,8 @@ impl CacheClient {
             return Ok(Vec::new());
         }
         self.with_failover(|| {
-            let pending = self.send_get_many_once(keys)?;
-            self.recv_get_many_once(pending)
+            let conn = self.send_get_many_once(keys)?;
+            self.recv_get_many_once(conn, keys)
         })
     }
 
@@ -549,16 +586,19 @@ impl CacheClient {
         if keys.is_empty() {
             return Err(NetError::Protocol("get_many needs at least one key".into()));
         }
-        self.with_failover(|| self.send_get_many_once(keys))
-    }
-
-    fn send_get_many_once(&self, keys: &[&[u8]]) -> Result<PendingGets, NetError> {
-        let stream = self.checkout()?;
-        write_get(&stream, &keys[..keys.len().min(MAX_GET_KEYS)])?;
+        let conn = self.with_failover(|| self.send_get_many_once(keys))?;
         Ok(PendingGets {
-            reader: BufReader::new(stream),
+            conn,
             keys: keys.iter().map(|k| k.to_vec()).collect(),
         })
+    }
+
+    /// Sends the first `get` of `keys` on a pooled connection.
+    fn send_get_many_once(&self, keys: &[&[u8]]) -> Result<Conn, NetError> {
+        let mut conn = self.checkout()?;
+        conn.queue(&get_command(&keys[..keys.len().min(MAX_GET_KEYS)]));
+        conn.send()?;
+        Ok(conn)
     }
 
     /// Reads the response for a [`send_get_many`](Self::send_get_many)
@@ -573,7 +613,8 @@ impl CacheClient {
         &self,
         pending: PendingGets,
     ) -> Result<Vec<Option<SharedBytes>>, NetError> {
-        match self.recv_get_many_once(pending) {
+        let PendingGets { conn, keys } = pending;
+        match self.recv_get_many_once(conn, &keys) {
             Ok(values) => {
                 if self.breaker.record_success() {
                     self.trace_breaker(|server| TraceKind::BreakerClose { server });
@@ -592,17 +633,21 @@ impl CacheClient {
         }
     }
 
-    fn recv_get_many_once(
+    /// Reads the reply to the `get` that `send_get_many_once` put on
+    /// `conn`, then sends and awaits one `get` per further
+    /// [`MAX_GET_KEYS`] of `keys`.
+    fn recv_get_many_once<K: AsRef<[u8]>>(
         &self,
-        pending: PendingGets,
+        mut conn: Conn,
+        keys: &[K],
     ) -> Result<Vec<Option<SharedBytes>>, NetError> {
-        let PendingGets { mut reader, keys } = pending;
         let mut values = Vec::with_capacity(keys.len());
         for (i, chunk) in keys.chunks(MAX_GET_KEYS).enumerate() {
             if i > 0 {
-                write_get(reader.get_ref(), chunk)?;
+                conn.queue(&get_command(chunk));
+                conn.send()?;
             }
-            let items = match read_response(&mut reader)? {
+            let items = match conn.recv()? {
                 Response::Error(msg) => return Err(NetError::ServerError(msg)),
                 Response::Miss => Vec::new(),
                 Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
@@ -611,9 +656,9 @@ impl CacheClient {
             };
             let found: std::collections::HashMap<Vec<u8>, SharedBytes> =
                 items.into_iter().map(|i| (i.key, i.data)).collect();
-            values.extend(chunk.iter().map(|k| found.get(k).cloned()));
+            values.extend(chunk.iter().map(|k| found.get(k.as_ref()).cloned()));
         }
-        self.checkin(reader.into_inner());
+        self.checkin(conn);
         Ok(values)
     }
 
@@ -623,22 +668,8 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn set(&self, key: &[u8], value: &[u8]) -> Result<(), NetError> {
-        self.set_shared(key, value.into())
-    }
-
-    /// Stores an already-shared `value` under `key` without copying it.
-    ///
-    /// This is the zero-copy companion to [`set`](Self::set): a buffer
-    /// obtained from [`get`](Self::get) (for example during a drain
-    /// migration that re-`set`s items onto their new server) is written
-    /// to the wire directly from the shared allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors or a [`NetError::ServerError`].
-    pub fn set_shared(&self, key: &[u8], value: SharedBytes) -> Result<(), NetError> {
-        match self.round_trip(&Command::Set {
-            key: key.to_vec(),
+        match self.round_trip(&RawCommand::Set {
+            key,
             flags: 0,
             exptime: 0,
             data: value,
@@ -659,23 +690,21 @@ impl CacheClient {
     /// The first `ERROR` reply ends it with [`NetError::ServerError`].
     fn pipelined(
         &self,
-        commands: &[Command],
+        commands: &[RawCommand<'_>],
         took_effect: impl Fn(&Response) -> Option<bool>,
     ) -> Result<u64, NetError> {
         if commands.is_empty() {
             return Ok(0);
         }
         self.with_failover(|| {
-            let stream = self.checkout()?;
-            let mut writer = BufWriter::new(stream.try_clone()?);
+            let mut conn = self.checkout()?;
             for command in commands {
-                write_command_unflushed(&mut writer, command)?;
+                conn.queue(command);
             }
-            writer.flush()?;
-            let mut reader = BufReader::new(stream);
+            conn.send()?;
             let mut count = 0;
             for _ in commands {
-                let reply = read_response(&mut reader)?;
+                let reply = conn.recv()?;
                 match (took_effect(&reply), reply) {
                     (Some(yes), _) => count += u64::from(yes),
                     (None, Response::Error(msg)) => return Err(NetError::ServerError(msg)),
@@ -684,8 +713,9 @@ impl CacheClient {
                     }
                 }
             }
-            // Only reusable if the exchange completed cleanly.
-            self.checkin(reader.into_inner());
+            // Only reusable if every reply was read: an early return
+            // above leaves the rest of the batch's replies on `conn`.
+            self.checkin(conn);
             Ok(count)
         })
     }
@@ -693,10 +723,9 @@ impl CacheClient {
     /// Stores several `(key, value)` pairs in one pipelined exchange:
     /// every `set` is written before any reply is read, so a batch of
     /// N installs pays one round trip instead of N. The values are
-    /// shared buffers written to the wire without copying — this is
-    /// the bulk companion to [`set_shared`](Self::set_shared), used by
-    /// `ClusterClient::fetch_many` to re-`set` a batch of migrated
-    /// keys onto their new server.
+    /// the shared buffers a `get` returned, encoded straight from them:
+    /// `ClusterClient::fetch_many` re-`set`s a batch of migrated keys
+    /// onto their new server this way.
     ///
     /// The whole batch retries under the failover policy on transport
     /// failures (`set` is idempotent, so a replay is harmless).
@@ -706,13 +735,13 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn set_many(&self, pairs: &[(&[u8], SharedBytes)]) -> Result<(), NetError> {
-        let sets: Vec<Command> = pairs
+        let sets: Vec<RawCommand<'_>> = pairs
             .iter()
-            .map(|(key, value)| Command::Set {
-                key: key.to_vec(),
+            .map(|(key, value)| RawCommand::Set {
+                key,
                 flags: 0,
                 exptime: 0,
-                data: SharedBytes::clone(value),
+                data: value,
             })
             .collect();
         self.pipelined(&sets, |reply| {
@@ -735,13 +764,13 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn add_many(&self, pairs: &[(&[u8], SharedBytes)]) -> Result<u64, NetError> {
-        let adds: Vec<Command> = pairs
+        let adds: Vec<RawCommand<'_>> = pairs
             .iter()
-            .map(|(key, value)| Command::Add {
-                key: key.to_vec(),
+            .map(|(key, value)| RawCommand::Add {
+                key,
                 flags: 0,
                 exptime: 0,
-                data: SharedBytes::clone(value),
+                data: value,
             })
             .collect();
         self.pipelined(&adds, |reply| match reply {
@@ -758,11 +787,11 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn add(&self, key: &[u8], value: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&Command::Add {
-            key: key.to_vec(),
+        match self.round_trip(&RawCommand::Add {
+            key,
             flags: 0,
             exptime: 0,
-            data: value.into(),
+            data: value,
         })? {
             Response::Stored => Ok(true),
             Response::NotStored => Ok(false),
@@ -777,11 +806,11 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn replace(&self, key: &[u8], value: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&Command::Replace {
-            key: key.to_vec(),
+        match self.round_trip(&RawCommand::Replace {
+            key,
             flags: 0,
             exptime: 0,
-            data: value.into(),
+            data: value,
         })? {
             Response::Stored => Ok(true),
             Response::NotStored => Ok(false),
@@ -795,10 +824,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn touch(&self, key: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&Command::Touch {
-            key: key.to_vec(),
-            exptime: 0,
-        })? {
+        match self.round_trip(&RawCommand::Touch { key, exptime: 0 })? {
             Response::Touched => Ok(true),
             Response::NotFound => Ok(false),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
@@ -813,10 +839,7 @@ impl CacheClient {
     /// Returns transport errors or a [`NetError::ServerError`] (e.g.
     /// a non-numeric stored value).
     pub fn incr(&self, key: &[u8], delta: u64) -> Result<Option<u64>, NetError> {
-        match self.round_trip(&Command::Incr {
-            key: key.to_vec(),
-            delta,
-        })? {
+        match self.round_trip(&RawCommand::Incr { key, delta })? {
             Response::Numeric(v) => Ok(Some(v)),
             Response::NotFound => Ok(None),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
@@ -830,10 +853,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn decr(&self, key: &[u8], delta: u64) -> Result<Option<u64>, NetError> {
-        match self.round_trip(&Command::Decr {
-            key: key.to_vec(),
-            delta,
-        })? {
+        match self.round_trip(&RawCommand::Decr { key, delta })? {
             Response::Numeric(v) => Ok(Some(v)),
             Response::NotFound => Ok(None),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
@@ -846,7 +866,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn flush_all(&self) -> Result<(), NetError> {
-        match self.round_trip(&Command::FlushAll)? {
+        match self.round_trip(&RawCommand::FlushAll)? {
             Response::Ok => Ok(()),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
         }
@@ -858,7 +878,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn version(&self) -> Result<String, NetError> {
-        match self.round_trip(&Command::Version)? {
+        match self.round_trip(&RawCommand::Version)? {
             Response::Version(v) => Ok(v),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
         }
@@ -870,7 +890,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn delete(&self, key: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&Command::Delete { key: key.to_vec() })? {
+        match self.round_trip(&RawCommand::Delete { key })? {
             Response::Deleted => Ok(true),
             Response::NotFound => Ok(false),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
@@ -891,10 +911,8 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn delete_many(&self, keys: &[&[u8]]) -> Result<u64, NetError> {
-        let deletes: Vec<Command> = keys
-            .iter()
-            .map(|key| Command::Delete { key: key.to_vec() })
-            .collect();
+        let deletes: Vec<RawCommand<'_>> =
+            keys.iter().map(|key| RawCommand::Delete { key }).collect();
         self.pipelined(&deletes, |reply| match reply {
             Response::Deleted => Some(true),
             Response::NotFound => Some(false),
@@ -908,7 +926,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn stats(&self) -> Result<Vec<(String, String)>, NetError> {
-        match self.round_trip(&Command::Stats)? {
+        match self.round_trip(&RawCommand::Stats)? {
             Response::Stats(pairs) => Ok(pairs),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
         }
@@ -922,7 +940,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn stats_proteus(&self) -> Result<Vec<(String, String)>, NetError> {
-        match self.round_trip(&Command::StatsProteus)? {
+        match self.round_trip(&RawCommand::StatsProteus)? {
             Response::Stats(pairs) => Ok(pairs),
             other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
         }
@@ -1188,6 +1206,39 @@ mod tests {
         client.set_many(&[]).unwrap();
         // The pipelined batch used one pooled connection throughout.
         assert_eq!(client.fault_stats().connects, 1);
+        server.stop();
+    }
+
+    /// A pooled connection owns its reader, so replies left unread on
+    /// it would be handed to whoever checks it out next: a batch that
+    /// stops at the first `ERROR` must drop the connection instead.
+    #[test]
+    fn a_batch_aborted_by_an_error_does_not_pool_its_connection() {
+        // One shard of 64 KiB: a 128 KiB value is refused with `ERROR`
+        // and the connection stays open for the commands behind it.
+        let config = CacheConfig::with_capacity(64 << 10)
+            .shards(1)
+            .storage(proteus_cache::StorageKind::Slab)
+            .slab_page_bytes(16 << 10);
+        let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
+        let client = CacheClient::connect(server.addr()).unwrap();
+        let small = SharedBytes::from(&b"small"[..]);
+        let huge = SharedBytes::from(vec![0xAB; 128 << 10]);
+        let batch = [
+            (&b"a"[..], SharedBytes::clone(&small)),
+            (&b"too-big"[..], huge),
+            (&b"c"[..], SharedBytes::clone(&small)),
+        ];
+        assert!(matches!(
+            client.set_many(&batch),
+            Err(NetError::ServerError(_))
+        ));
+        // The third `STORED` was never read, so its connection is gone...
+        assert!(client.pool.lock().is_empty());
+        // ...and the next operation reads its own reply, not that one.
+        assert_eq!(client.get(b"c").unwrap().as_deref(), Some(&b"small"[..]));
+        assert_eq!(client.fault_stats().connects, 2);
+        assert_eq!(client.fault_stats().retries, 0);
         server.stop();
     }
 

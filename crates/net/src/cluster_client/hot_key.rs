@@ -227,7 +227,7 @@ impl ClusterClient {
             match found {
                 Some(value) => {
                     for &m in &missed {
-                        self.install(m, key, SharedBytes::clone(&value))?;
+                        self.install(m, key, &value)?;
                     }
                     let class = if server == home {
                         ClusterFetch::Hit
@@ -294,7 +294,7 @@ impl ClusterClient {
             }
         };
         for &server in set.iter().filter(|&&s| s != home) {
-            self.install(server, key, SharedBytes::clone(value))?;
+            self.install(server, key, value)?;
         }
         Ok(())
     }

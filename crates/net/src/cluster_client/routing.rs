@@ -25,17 +25,12 @@ type GroupAnswers = (usize, Vec<usize>, Option<Vec<Option<SharedBytes>>>);
 impl ClusterClient {
     /// Installs `value` at `server` on a best-effort basis: an
     /// unreachable server just costs the cache fill, never the
-    /// request. Semantic errors still surface. The shared buffer is
-    /// written to the wire directly — a migration re-`set` reuses the
+    /// request. Semantic errors still surface. The value is encoded
+    /// from the caller's buffer — a migration re-`set` sends the
     /// allocation the `get` handed back, so the value crosses the web
     /// tier without ever being copied.
-    pub(super) fn install(
-        &self,
-        server: usize,
-        key: &[u8],
-        value: SharedBytes,
-    ) -> Result<(), NetError> {
-        if reachable(self.clients[server].set_shared(key, value))?.is_none() {
+    pub(super) fn install(&self, server: usize, key: &[u8], value: &[u8]) -> Result<(), NetError> {
+        if reachable(self.clients[server].set(key, value))?.is_none() {
             self.stats.dropped_installs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
@@ -80,7 +75,7 @@ impl ClusterClient {
             });
         }
         let value: SharedBytes = db.fetch(key)?.into();
-        self.install(new_server, key, SharedBytes::clone(&value))?;
+        self.install(new_server, key, &value)?;
         Ok((value, class.into()))
     }
 
@@ -158,8 +153,8 @@ impl ClusterClient {
         if let Some(from) = target {
             // Same allocation all the way through: the buffer read off
             // the old server's socket is the one re-`set` at the new
-            // server — a refcount bump, not a copy.
-            self.install(home, key, SharedBytes::clone(&value))?;
+            // server.
+            self.install(home, key, &value)?;
             self.tracer.record(TraceKind::KeyMigrated {
                 from: from.index() as u32,
                 to: home as u32,
@@ -184,7 +179,7 @@ impl ClusterClient {
     /// Returns semantic (non-transport) cache-server errors.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), NetError> {
         let home = self.server_for(key).index();
-        self.install(home, key, value.into())?;
+        self.install(home, key, value)?;
         self.invalidate_many(&[key])?;
         Ok(())
     }

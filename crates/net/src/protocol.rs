@@ -132,96 +132,6 @@ impl WireBuf {
     }
 }
 
-/// A parsed client command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
-    /// `get <key>`
-    Get {
-        /// The requested key.
-        key: Vec<u8>,
-    },
-    /// `get <key> <key> ...`: memcached-style multi-key get. All hits
-    /// come back as consecutive `VALUE` blocks in one response;
-    /// misses are silently omitted.
-    MultiGet {
-        /// The requested keys, in request order (at least two).
-        keys: Vec<Vec<u8>>,
-    },
-    /// `set <key> <flags> <exptime> <bytes>` + data block.
-    Set {
-        /// The key to store.
-        key: Vec<u8>,
-        /// Opaque client flags (stored but unused).
-        flags: u32,
-        /// Expiry in seconds (0 = never); advisory.
-        exptime: u32,
-        /// The value bytes (shared, so a re-`set` of a fetched value
-        /// reuses the same buffer).
-        data: SharedBytes,
-    },
-    /// `add <key> ...`: store only if the key is absent.
-    Add {
-        /// The key to store.
-        key: Vec<u8>,
-        /// Opaque client flags.
-        flags: u32,
-        /// Expiry in seconds (advisory).
-        exptime: u32,
-        /// The value bytes.
-        data: SharedBytes,
-    },
-    /// `replace <key> ...`: store only if the key is present.
-    Replace {
-        /// The key to store.
-        key: Vec<u8>,
-        /// Opaque client flags.
-        flags: u32,
-        /// Expiry in seconds (advisory).
-        exptime: u32,
-        /// The value bytes.
-        data: SharedBytes,
-    },
-    /// `delete <key>`
-    Delete {
-        /// The key to remove.
-        key: Vec<u8>,
-    },
-    /// `touch <key> <exptime>`: refresh recency without reading.
-    Touch {
-        /// The key to touch.
-        key: Vec<u8>,
-        /// New expiry in seconds (advisory).
-        exptime: u32,
-    },
-    /// `incr <key> <delta>`: add to a numeric value.
-    Incr {
-        /// The key holding an ASCII number.
-        key: Vec<u8>,
-        /// Amount to add.
-        delta: u64,
-    },
-    /// `decr <key> <delta>`: subtract from a numeric value
-    /// (floored at zero, as memcached does).
-    Decr {
-        /// The key holding an ASCII number.
-        key: Vec<u8>,
-        /// Amount to subtract.
-        delta: u64,
-    },
-    /// `stats`
-    Stats,
-    /// `stats proteus`: the full telemetry registry (per-command
-    /// latency percentiles, connection gauges, fetch-class counters)
-    /// as `STAT` pairs.
-    StatsProteus,
-    /// `flush_all`: clear the cache.
-    FlushAll,
-    /// `version`
-    Version,
-    /// `quit`
-    Quit,
-}
-
 /// One `VALUE` block inside a multi-key get response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueItem {
@@ -248,7 +158,7 @@ pub enum Response {
     },
     /// Two or more `VALUE` blocks from a multi-key get. An empty or
     /// single-item list is never produced by
-    /// [`read_response`](crate::protocol::read_response): zero hits
+    /// [`read_response_buffered`]: zero hits
     /// parse as [`Miss`](Response::Miss), one as
     /// [`Value`](Response::Value).
     Values(Vec<ValueItem>),
@@ -286,8 +196,9 @@ fn valid_key(key: &[u8]) -> bool {
 /// connection's buffers have warmed up (a multi-key `get` allocates
 /// the `Vec` that lists its keys).
 ///
-/// [`into_owned`](Self::into_owned) converts to the owned [`Command`]
-/// for callers that need to keep the command around.
+/// It is the only command type: the client encodes one from the keys
+/// and values its caller holds ([`write_command_unflushed`]), so a
+/// command is never copied on its way to the wire either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawCommand<'a> {
     /// `get <key>`
@@ -369,71 +280,6 @@ pub enum RawCommand<'a> {
     Version,
     /// `quit`
     Quit,
-}
-
-impl RawCommand<'_> {
-    /// Converts to an owned [`Command`], copying the borrowed keys and
-    /// data block.
-    #[must_use]
-    pub fn into_owned(self) -> Command {
-        match self {
-            RawCommand::Get { key } => Command::Get { key: key.to_vec() },
-            RawCommand::MultiGet { keys } => Command::MultiGet {
-                keys: keys.into_iter().map(<[u8]>::to_vec).collect(),
-            },
-            RawCommand::Set {
-                key,
-                flags,
-                exptime,
-                data,
-            } => Command::Set {
-                key: key.to_vec(),
-                flags,
-                exptime,
-                data: data.into(),
-            },
-            RawCommand::Add {
-                key,
-                flags,
-                exptime,
-                data,
-            } => Command::Add {
-                key: key.to_vec(),
-                flags,
-                exptime,
-                data: data.into(),
-            },
-            RawCommand::Replace {
-                key,
-                flags,
-                exptime,
-                data,
-            } => Command::Replace {
-                key: key.to_vec(),
-                flags,
-                exptime,
-                data: data.into(),
-            },
-            RawCommand::Delete { key } => Command::Delete { key: key.to_vec() },
-            RawCommand::Touch { key, exptime } => Command::Touch {
-                key: key.to_vec(),
-                exptime,
-            },
-            RawCommand::Incr { key, delta } => Command::Incr {
-                key: key.to_vec(),
-                delta,
-            },
-            RawCommand::Decr { key, delta } => Command::Decr {
-                key: key.to_vec(),
-                delta,
-            },
-            RawCommand::Stats => Command::Stats,
-            RawCommand::StatsProteus => Command::StatsProteus,
-            RawCommand::FlushAll => Command::FlushAll,
-            RawCommand::Version => Command::Version,
-            RawCommand::Quit => Command::Quit,
-        }
-    }
 }
 
 /// Reads one command, borrowing keys from `buf` instead of copying
@@ -661,120 +507,100 @@ fn parse_field<T: std::str::FromStr>(field: Option<&str>, name: &str) -> Result<
         .map_err(|_| NetError::Protocol(format!("malformed {name}")))
 }
 
-/// Writes one command and flushes the stream.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_command<W: Write>(writer: &mut W, cmd: &Command) -> Result<(), NetError> {
-    write_command_unflushed(writer, cmd)?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Writes one command without flushing — the building block for
-/// pipelined batches ([`CacheClient::set_many`] queues a whole batch
-/// and flushes once). Byte output is identical to [`write_command`].
+/// Writes one command without flushing: the client encodes a whole
+/// exchange — one command, or a pipelined batch
+/// ([`CacheClient::set_many`]) — into its connection's buffer and sends
+/// it with one `write`. Keys and data are borrowed and copied exactly
+/// once, into the writer.
 ///
 /// [`CacheClient::set_many`]: crate::CacheClient::set_many
 ///
 /// # Errors
 ///
-/// Propagates socket write failures.
-pub fn write_command_unflushed<W: Write>(writer: &mut W, cmd: &Command) -> Result<(), NetError> {
-    match cmd {
-        Command::Get { key } => {
+/// Propagates write failures.
+pub fn write_command_unflushed<W: Write>(
+    writer: &mut W,
+    cmd: &RawCommand<'_>,
+) -> Result<(), NetError> {
+    match *cmd {
+        RawCommand::Get { key } => {
             writer.write_all(b"get ")?;
             writer.write_all(key)?;
-            writer.write_all(b"\r\n")?;
         }
-        Command::MultiGet { keys } => {
+        RawCommand::MultiGet { ref keys } => {
             writer.write_all(b"get")?;
             for key in keys {
                 writer.write_all(b" ")?;
                 writer.write_all(key)?;
             }
-            writer.write_all(b"\r\n")?;
         }
-        Command::Set {
+        RawCommand::Set {
             key,
             flags,
             exptime,
             data,
-        } => {
-            writer.write_all(b"set ")?;
-            writer.write_all(key)?;
-            write!(writer, " {flags} {exptime} {}\r\n", data.len())?;
-            writer.write_all(data)?;
-            writer.write_all(b"\r\n")?;
-        }
-        Command::Add {
+        } => write_storage(writer, b"set ", key, flags, exptime, data)?,
+        RawCommand::Add {
             key,
             flags,
             exptime,
             data,
-        } => {
-            writer.write_all(b"add ")?;
-            writer.write_all(key)?;
-            write!(writer, " {flags} {exptime} {}\r\n", data.len())?;
-            writer.write_all(data)?;
-            writer.write_all(b"\r\n")?;
-        }
-        Command::Replace {
+        } => write_storage(writer, b"add ", key, flags, exptime, data)?,
+        RawCommand::Replace {
             key,
             flags,
             exptime,
             data,
-        } => {
-            writer.write_all(b"replace ")?;
-            writer.write_all(key)?;
-            write!(writer, " {flags} {exptime} {}\r\n", data.len())?;
-            writer.write_all(data)?;
-            writer.write_all(b"\r\n")?;
-        }
-        Command::Delete { key } => {
+        } => write_storage(writer, b"replace ", key, flags, exptime, data)?,
+        RawCommand::Delete { key } => {
             writer.write_all(b"delete ")?;
             writer.write_all(key)?;
-            writer.write_all(b"\r\n")?;
         }
-        Command::Touch { key, exptime } => {
+        RawCommand::Touch { key, exptime } => {
             writer.write_all(b"touch ")?;
             writer.write_all(key)?;
-            write!(writer, " {exptime}\r\n")?;
+            write!(writer, " {exptime}")?;
         }
-        Command::Incr { key, delta } => {
+        RawCommand::Incr { key, delta } => {
             writer.write_all(b"incr ")?;
             writer.write_all(key)?;
-            write!(writer, " {delta}\r\n")?;
+            write!(writer, " {delta}")?;
         }
-        Command::Decr { key, delta } => {
+        RawCommand::Decr { key, delta } => {
             writer.write_all(b"decr ")?;
             writer.write_all(key)?;
-            write!(writer, " {delta}\r\n")?;
+            write!(writer, " {delta}")?;
         }
-        Command::Stats => writer.write_all(b"stats\r\n")?,
-        Command::StatsProteus => writer.write_all(b"stats proteus\r\n")?,
-        Command::FlushAll => writer.write_all(b"flush_all\r\n")?,
-        Command::Version => writer.write_all(b"version\r\n")?,
-        Command::Quit => writer.write_all(b"quit\r\n")?,
+        RawCommand::Stats => writer.write_all(b"stats")?,
+        RawCommand::StatsProteus => writer.write_all(b"stats proteus")?,
+        RawCommand::FlushAll => writer.write_all(b"flush_all")?,
+        RawCommand::Version => writer.write_all(b"version")?,
+        RawCommand::Quit => writer.write_all(b"quit")?,
     }
+    writer.write_all(b"\r\n")?;
     Ok(())
 }
 
-/// Writes one response and flushes the stream.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response<W: Write>(writer: &mut W, resp: &Response) -> Result<(), NetError> {
-    write_response_unflushed(writer, resp)?;
-    writer.flush()?;
+/// A storage command up to the CRLF that closes its data block:
+/// `<verb><key> <flags> <exptime> <bytes>\r\n<data>`.
+fn write_storage<W: Write>(
+    writer: &mut W,
+    verb: &[u8],
+    key: &[u8],
+    flags: u32,
+    exptime: u32,
+    data: &[u8],
+) -> Result<(), NetError> {
+    writer.write_all(verb)?;
+    writer.write_all(key)?;
+    write!(writer, " {flags} {exptime} {}\r\n", data.len())?;
+    writer.write_all(data)?;
     Ok(())
 }
 
 /// Writes one response without flushing — the building block
 /// [`ResponseWriter`] uses to coalesce flushes across a pipelined
-/// batch. Byte output is identical to [`write_response`].
+/// batch.
 ///
 /// # Errors
 ///
@@ -837,7 +663,7 @@ fn write_value_block<W: Write>(
 /// The server runs it over an in-memory buffer (nothing here may block
 /// under that lock) and drains the buffer to the socket once per
 /// drained input buffer, so a pipelined batch of gets goes out in one
-/// write. Wire bytes are identical to [`write_response`].
+/// write.
 #[derive(Debug)]
 pub struct ResponseWriter<W: Write> {
     writer: W,
@@ -936,28 +762,14 @@ impl<W: Write> ResponseWriter<W> {
     }
 }
 
-/// Reads one response.
-///
-/// Compatibility wrapper over [`read_response_buffered`] with a fresh
-/// buffer pool per call; long-lived readers (the client's pipelined
-/// multi-get path) hold a [`WireBuf`] and reuse it.
-///
-/// # Errors
-///
-/// Returns [`NetError::Protocol`] on malformed responses and
-/// [`NetError::Io`] on socket errors.
-pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, NetError> {
-    let mut buf = WireBuf::new();
-    read_response_buffered(reader, &mut buf)
-}
-
 /// Reads one response using `buf` as the line/data staging pool.
 /// Value payloads are promoted to [`SharedBytes`] (one pool→Arc copy);
 /// everything else parses without allocating once `buf` has warmed up.
 ///
 /// # Errors
 ///
-/// Same contract as [`read_response`].
+/// Returns [`NetError::Protocol`] on malformed responses and
+/// [`NetError::Io`] on socket errors.
 pub fn read_response_buffered<R: BufRead>(
     reader: &mut R,
     buf: &mut WireBuf,
@@ -1025,44 +837,24 @@ pub fn read_response_buffered<R: BufRead>(
     if is_value {
         // One or more VALUE blocks, then a lone END. Zero blocks never
         // reach here (that is the bare-END Miss case above); one block
-        // parses as Value so single-key responses are unchanged.
-        let mut items = Vec::new();
+        // parses as Value, and only a second pays for the list.
+        let first = read_value_block(reader, line, data)?;
+        read_line(reader, line)?;
+        if line.as_slice() == b"END" {
+            let ValueItem { key, flags, data } = first;
+            return Ok(Response::Value { key, flags, data });
+        }
+        let mut items = vec![first];
         loop {
-            let current = std::str::from_utf8(line)
-                .map_err(|_| NetError::Protocol("value line is not UTF-8".into()))?;
-            let rest = current
-                .strip_prefix("VALUE ")
-                .ok_or_else(|| NetError::Protocol(format!("bad value line {current:?}")))?;
-            let mut parts = rest.split_ascii_whitespace();
-            let key = parts
-                .next()
-                .ok_or_else(|| NetError::Protocol("VALUE missing key".into()))?
-                .as_bytes()
-                .to_vec();
-            let flags: u32 = parse_field(parts.next(), "flags")?;
-            let bytes: usize = parse_field(parts.next(), "bytes")?;
-            if bytes > MAX_VALUE_BYTES {
-                return Err(NetError::Protocol("value too large".into()));
-            }
-            read_data_block(reader, data, bytes)?;
-            items.push(ValueItem {
-                key,
-                flags,
-                data: SharedBytes::from(data.as_slice()),
-            });
+            items.push(read_value_block(reader, line, data)?);
             if items.len() > MAX_GET_KEYS {
                 return Err(NetError::Protocol("too many VALUE blocks".into()));
             }
             read_line(reader, line)?;
             if line.as_slice() == b"END" {
-                break;
+                return Ok(Response::Values(items));
             }
         }
-        if items.len() == 1 {
-            let ValueItem { key, flags, data } = items.into_iter().next().expect("one item");
-            return Ok(Response::Value { key, flags, data });
-        }
-        return Ok(Response::Values(items));
     }
     // Neither loop ran, so `line` still holds the (UTF-8-validated)
     // response line; re-borrow it for the error message.
@@ -1070,6 +862,38 @@ pub fn read_response_buffered<R: BufRead>(
     Err(NetError::Protocol(format!(
         "unrecognized response {text:?}"
     )))
+}
+
+/// One block of a `get` reply: parses the `VALUE <key> <flags> <bytes>`
+/// header held in `line`, then reads the data block through `scratch`
+/// into the one [`SharedBytes`] the caller keeps.
+fn read_value_block<R: BufRead>(
+    reader: &mut R,
+    line: &[u8],
+    scratch: &mut Vec<u8>,
+) -> Result<ValueItem, NetError> {
+    let current = std::str::from_utf8(line)
+        .map_err(|_| NetError::Protocol("value line is not UTF-8".into()))?;
+    let rest = current
+        .strip_prefix("VALUE ")
+        .ok_or_else(|| NetError::Protocol(format!("bad value line {current:?}")))?;
+    let mut parts = rest.split_ascii_whitespace();
+    let key = parts
+        .next()
+        .ok_or_else(|| NetError::Protocol("VALUE missing key".into()))?
+        .as_bytes()
+        .to_vec();
+    let flags: u32 = parse_field(parts.next(), "flags")?;
+    let bytes: usize = parse_field(parts.next(), "bytes")?;
+    if bytes > MAX_VALUE_BYTES {
+        return Err(NetError::Protocol("value too large".into()));
+    }
+    read_data_block(reader, scratch, bytes)?;
+    Ok(ValueItem {
+        key,
+        flags,
+        data: SharedBytes::from(scratch.as_slice()),
+    })
 }
 
 /// Reads a CRLF-terminated line (without the terminator) into `out`,
@@ -1115,56 +939,61 @@ fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> Result<(), NetErr
 mod tests {
     use super::*;
 
-    /// The owned form of one parse, for comparing against literals.
-    fn read_owned<R: BufRead>(reader: &mut R) -> Result<Command, NetError> {
-        read_raw_command(reader, &mut WireBuf::new()).map(RawCommand::into_owned)
+    /// One parse of `bytes`; the command borrows `buf`.
+    fn parse<'a>(mut bytes: &[u8], buf: &'a mut WireBuf) -> Result<RawCommand<'a>, NetError> {
+        read_raw_command(&mut bytes, buf)
     }
 
-    fn roundtrip_command(cmd: Command) -> Command {
-        let mut buf = Vec::new();
-        write_command(&mut buf, &cmd).unwrap();
-        read_owned(&mut &buf[..]).unwrap()
+    fn encode(cmd: &RawCommand<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_command_unflushed(&mut out, cmd).unwrap();
+        out
+    }
+
+    fn read_response(mut bytes: &[u8]) -> Result<Response, NetError> {
+        read_response_buffered(&mut bytes, &mut WireBuf::new())
     }
 
     fn roundtrip_response(resp: Response) -> Response {
         let mut buf = Vec::new();
-        write_response(&mut buf, &resp).unwrap();
-        read_response(&mut &buf[..]).unwrap()
+        write_response_unflushed(&mut buf, &resp).unwrap();
+        read_response(&buf).unwrap()
     }
 
     #[test]
     fn commands_roundtrip() {
         for cmd in [
-            Command::Get {
-                key: b"page:1".to_vec(),
-            },
-            Command::Set {
-                key: b"k".to_vec(),
+            RawCommand::Get { key: b"page:1" },
+            RawCommand::Set {
+                key: b"k",
                 flags: 7,
                 exptime: 60,
-                data: b"hello\r\nworld".to_vec().into(), // binary-safe data block
+                data: b"hello\r\nworld", // binary-safe data block
             },
-            Command::Delete { key: b"k".to_vec() },
-            Command::Stats,
-            Command::StatsProteus,
-            Command::Quit,
+            RawCommand::Delete { key: b"k" },
+            RawCommand::Stats,
+            RawCommand::StatsProteus,
+            RawCommand::Quit,
         ] {
-            assert_eq!(roundtrip_command(cmd.clone()), cmd);
+            assert_eq!(parse(&encode(&cmd), &mut WireBuf::new()).unwrap(), cmd);
         }
     }
 
     #[test]
     fn stats_argument_selects_registry_or_is_ignored() {
         assert_eq!(
-            read_owned(&mut &b"stats proteus\r\n"[..]).unwrap(),
-            Command::StatsProteus
+            parse(b"stats proteus\r\n", &mut WireBuf::new()).unwrap(),
+            RawCommand::StatsProteus
         );
         // Unknown arguments keep the historical plain-stats behaviour.
         assert_eq!(
-            read_owned(&mut &b"stats items\r\n"[..]).unwrap(),
-            Command::Stats
+            parse(b"stats items\r\n", &mut WireBuf::new()).unwrap(),
+            RawCommand::Stats
         );
-        assert_eq!(read_owned(&mut &b"stats\r\n"[..]).unwrap(), Command::Stats);
+        assert_eq!(
+            parse(b"stats\r\n", &mut WireBuf::new()).unwrap(),
+            RawCommand::Stats
+        );
     }
 
     #[test]
@@ -1200,14 +1029,14 @@ mod tests {
         ] {
             // Either a protocol error or (for trailing garbage) a clean
             // first parse — never a panic.
-            let _ = read_owned(&mut bad.as_bytes());
+            let _ = parse(bad.as_bytes(), &mut WireBuf::new());
         }
         assert!(matches!(
-            read_owned(&mut "frob k\r\n".as_bytes()),
+            parse(b"frob k\r\n", &mut WireBuf::new()),
             Err(NetError::Protocol(_))
         ));
         assert!(matches!(
-            read_owned(&mut "set k 0 0 abc\r\n".as_bytes()),
+            parse(b"set k 0 0 abc\r\n", &mut WireBuf::new()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1215,12 +1044,12 @@ mod tests {
     #[test]
     fn rejects_invalid_keys() {
         assert!(matches!(
-            read_owned(&mut "get \r\n".as_bytes()),
+            parse(b"get \r\n", &mut WireBuf::new()),
             Err(NetError::Protocol(_))
         ));
         let long = format!("get {}\r\n", "k".repeat(300));
         assert!(matches!(
-            read_owned(&mut long.as_bytes()),
+            parse(long.as_bytes(), &mut WireBuf::new()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1229,25 +1058,27 @@ mod tests {
     fn set_data_block_must_be_crlf_terminated() {
         let bad = b"set k 0 0 2\r\nhiXX".to_vec();
         assert!(matches!(
-            read_owned(&mut &bad[..]),
+            parse(&bad, &mut WireBuf::new()),
             Err(NetError::Protocol(_))
         ));
     }
 
     #[test]
     fn eof_surfaces_as_io() {
-        assert!(matches!(read_owned(&mut &b""[..]), Err(NetError::Io(_))));
+        assert!(matches!(
+            parse(b"", &mut WireBuf::new()),
+            Err(NetError::Io(_))
+        ));
     }
 
     #[test]
     fn multi_key_get_roundtrips() {
-        let cmd = Command::MultiGet {
-            keys: vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()],
+        let cmd = RawCommand::MultiGet {
+            keys: vec![b"a", b"b", b"c"],
         };
-        let mut buf = Vec::new();
-        write_command(&mut buf, &cmd).unwrap();
+        let buf = encode(&cmd);
         assert_eq!(buf, b"get a b c\r\n");
-        assert_eq!(read_owned(&mut &buf[..]).unwrap(), cmd);
+        assert_eq!(parse(&buf, &mut WireBuf::new()).unwrap(), cmd);
     }
 
     #[test]
@@ -1255,8 +1086,8 @@ mod tests {
         // `get k` must keep parsing to Get, not a one-key MultiGet, so
         // single-key traffic is byte-identical to the previous protocol.
         assert_eq!(
-            read_owned(&mut &b"get k\r\n"[..]).unwrap(),
-            Command::Get { key: b"k".to_vec() }
+            parse(b"get k\r\n", &mut WireBuf::new()).unwrap(),
+            RawCommand::Get { key: b"k" }
         );
     }
 
@@ -1264,7 +1095,7 @@ mod tests {
     fn multi_get_rejects_any_invalid_key() {
         let long = format!("get ok {}\r\n", "k".repeat(300));
         assert!(matches!(
-            read_owned(&mut long.as_bytes()),
+            parse(long.as_bytes(), &mut WireBuf::new()),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1316,7 +1147,7 @@ mod tests {
             },
         ]);
         let mut buf = Vec::new();
-        write_response(&mut buf, &resp).unwrap();
+        write_response_unflushed(&mut buf, &resp).unwrap();
         assert_eq!(buf, b"VALUE x 0 1\r\n1\r\nVALUE y 2 2\r\n22\r\nEND\r\n");
     }
 
@@ -1345,10 +1176,8 @@ mod tests {
             }
         );
         assert_eq!(
-            read_raw_command(&mut reader, &mut buf)
-                .unwrap()
-                .into_owned(),
-            Command::Delete { key: b"k".to_vec() }
+            read_raw_command(&mut reader, &mut buf).unwrap(),
+            RawCommand::Delete { key: b"k" }
         );
     }
 
@@ -1378,10 +1207,12 @@ mod tests {
             Response::Stats(vec![("hits".into(), "1".into())]),
             Response::Error("nope".into()),
         ];
-        let mut flushed = Vec::new();
-        for resp in &responses {
-            write_response(&mut flushed, resp).unwrap();
-        }
+        // What the flushing, one-response-at-a-time writer put on the
+        // wire before the server coalesced its replies.
+        let flushed = b"VALUE k 3 4\r\n\x00\xff\r\n\r\nEND\r\n\
+            VALUE x 0 1\r\n1\r\nVALUE y 2 0\r\n\r\nEND\r\n\
+            END\r\nSTORED\r\n42\r\nSTAT hits 1\r\nEND\r\nERROR nope\r\n"
+            .to_vec();
         let mut coalesced = ResponseWriter::new(Vec::new());
         for resp in &responses {
             coalesced.write(resp).unwrap();
@@ -1397,10 +1228,7 @@ mod tests {
         // Second VALUE block promised but stream ends: Io error, not a
         // bogus partial response.
         let bytes = b"VALUE x 0 1\r\n1\r\nVALUE y 0 5\r\n".to_vec();
-        assert!(matches!(
-            read_response(&mut &bytes[..]),
-            Err(NetError::Io(_))
-        ));
+        assert!(matches!(read_response(&bytes), Err(NetError::Io(_))));
     }
 
     #[test]
@@ -1415,7 +1243,7 @@ mod tests {
             let mut reader = &stream[..];
             let mut buf = WireBuf::new();
             while let Ok(cmd) = read_raw_command(&mut reader, &mut buf) {
-                expected.push(cmd.into_owned());
+                expected.push(format!("{cmd:?}"));
             }
         }
         for split in 0..=stream.len() {
@@ -1426,7 +1254,7 @@ mod tests {
                 while let Some((cmd, used)) =
                     parse_raw_command(&stream[pos..end], &mut buf).unwrap()
                 {
-                    got.push(cmd.into_owned());
+                    got.push(format!("{cmd:?}"));
                     pos += used;
                 }
             }
@@ -1454,20 +1282,18 @@ mod tests {
     #[test]
     fn unflushed_command_writer_is_byte_identical() {
         let cmds = [
-            Command::Set {
-                key: b"k".to_vec(),
+            RawCommand::Set {
+                key: b"k",
                 flags: 7,
                 exptime: 60,
-                data: b"hello".to_vec().into(),
+                data: b"hello",
             },
-            Command::Get {
-                key: b"page:1".to_vec(),
-            },
+            RawCommand::Get { key: b"page:1" },
         ];
-        let mut flushed = Vec::new();
+        // What the flushing writer this one replaced put on the wire.
+        let flushed = b"set k 7 60 5\r\nhello\r\nget page:1\r\n".to_vec();
         let mut unflushed = Vec::new();
         for cmd in &cmds {
-            write_command(&mut flushed, cmd).unwrap();
             write_command_unflushed(&mut unflushed, cmd).unwrap();
         }
         assert_eq!(flushed, unflushed);
@@ -1477,11 +1303,10 @@ mod tests {
     fn reserved_keys_are_ordinary_keys() {
         // The digest keys must be parseable as plain gets — that is the
         // paper's compatibility trick.
-        let cmd = read_owned(&mut &b"get SET_BLOOM_FILTER\r\n"[..]).unwrap();
         assert_eq!(
-            cmd,
-            Command::Get {
-                key: DIGEST_SNAPSHOT_KEY.to_vec()
+            parse(b"get SET_BLOOM_FILTER\r\n", &mut WireBuf::new()).unwrap(),
+            RawCommand::Get {
+                key: DIGEST_SNAPSHOT_KEY
             }
         );
     }

@@ -56,8 +56,8 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// timeout does (the doorbell usually wakes loops sooner).
 const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Socket read granularity: how much spare space each `read` call is
-/// offered in the connection's input buffer.
+/// Socket read granularity: the size of each loop's scratch buffer,
+/// which is what every `read` call is offered.
 const READ_CHUNK: usize = 64 << 10;
 
 /// Reactor telemetry: per-loop connection gauges plus accept,
@@ -190,6 +190,7 @@ impl Reactor {
                 index,
                 conns: HashMap::new(),
                 next_token: 0,
+                scratch: vec![0; READ_CHUNK].into_boxed_slice(),
             };
             let thread = std::thread::Builder::new()
                 .name(format!("proteus-loop-{index}"))
@@ -283,6 +284,11 @@ struct Worker {
     index: usize,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// Where every `read` of this loop lands before the bytes that
+    /// arrived are appended to their connection's input buffer: a
+    /// connection holds what it was sent, not a chunk of spare space,
+    /// and nothing is zero-filled per read.
+    scratch: Box<[u8]>,
 }
 
 impl Worker {
@@ -376,7 +382,7 @@ impl Worker {
             flush_out(&mut conn.core, &self.shared)?;
         }
         if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
-            fill_in(&mut conn.core, &self.stats, &self.shared)?;
+            fill_in(&mut conn.core, &mut self.scratch, &self.stats, &self.shared)?;
         }
         loop {
             conn.core.process(&self.shared, 0);
@@ -419,35 +425,29 @@ impl Worker {
 
 /// Reads until the socket is drained (`EAGAIN`), EOF, or the output
 /// high-water mark says to stop pulling in more work.
-fn fill_in(conn: &mut ConnCore, stats: &ReactorStats, shared: &Shared) -> Result<(), ()> {
+fn fill_in(
+    conn: &mut ConnCore,
+    scratch: &mut [u8],
+    stats: &ReactorStats,
+    shared: &Shared,
+) -> Result<(), ()> {
     loop {
         if conn.out_pending() > OUT_HIGH_WATER {
             return Ok(());
         }
-        let old = conn.rbuf.len();
-        conn.rbuf.resize(old + READ_CHUNK, 0);
         shared.metrics.plane_syscalls.inc();
-        match conn.stream.read(&mut conn.rbuf[old..]) {
+        match conn.stream.read(scratch) {
             Ok(0) => {
-                conn.rbuf.truncate(old);
                 conn.eof = true;
                 return Ok(());
             }
-            Ok(n) => {
-                conn.rbuf.truncate(old + n);
-            }
+            Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                conn.rbuf.truncate(old);
                 stats.read_eagain.inc();
                 return Ok(());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                conn.rbuf.truncate(old);
-            }
-            Err(_) => {
-                conn.rbuf.truncate(old);
-                return Err(());
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(()),
         }
     }
 }

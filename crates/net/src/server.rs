@@ -1144,36 +1144,37 @@ mod tests {
 
     #[test]
     fn incr_preserves_the_items_expiry() {
-        use crate::protocol::{read_response, write_command, Command};
-        use std::io::{BufReader, BufWriter};
+        use crate::protocol::{read_response_buffered, write_command_unflushed};
+        use std::io::BufReader;
         let server = test_server();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        let mut reader = BufReader::new(stream);
-        write_command(
+        let mut writer = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        let mut wire = WireBuf::new();
+        let mut reply = || read_response_buffered(&mut reader, &mut wire).unwrap();
+        write_command_unflushed(
             &mut writer,
-            &Command::Set {
-                key: b"c".to_vec(),
+            &RawCommand::Set {
+                key: b"c",
                 flags: 0,
                 exptime: 60,
-                data: b"5".to_vec().into(),
+                data: b"5",
             },
         )
         .unwrap();
-        assert_eq!(read_response(&mut reader).unwrap(), Response::Stored);
+        assert_eq!(reply(), Response::Stored);
         let deadline_before = server
             .with_engine(|e| e.with_key_shard(b"c", |se| se.expiry_of(b"c")))
             .expect("item present");
         assert!(deadline_before < SimTime::MAX, "set stored a real TTL");
-        write_command(
+        write_command_unflushed(
             &mut writer,
-            &Command::Incr {
-                key: b"c".to_vec(),
+            &RawCommand::Incr {
+                key: b"c",
                 delta: 3,
             },
         )
         .unwrap();
-        assert_eq!(read_response(&mut reader).unwrap(), Response::Numeric(8));
+        assert_eq!(reply(), Response::Numeric(8));
         let deadline_after = server
             .with_engine(|e| e.with_key_shard(b"c", |se| se.expiry_of(b"c")))
             .expect("item still present");

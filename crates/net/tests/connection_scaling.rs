@@ -96,7 +96,19 @@ fn worker(addr: SocketAddr, w: usize, start: &Barrier) {
 /// and park traffic stay out (each worker's prepopulation is in, the
 /// same burst on every plane).
 fn run(engine: EngineKind, parked: usize) -> (usize, f64) {
-    let threads_before = os_threads();
+    // The run before this one joined its threads, but a joined thread
+    // leaves `/proc`'s count a moment after the join returns; one still
+    // counted here would be missing from the difference below, and the
+    // threaded plane clears its bar by exactly one thread.
+    let mut threads_before = os_threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = os_threads();
+        if now >= threads_before {
+            break;
+        }
+        threads_before = now;
+    }
     let server = CacheServer::spawn_with(
         "127.0.0.1:0",
         CacheConfig::with_capacity(64 << 20),

@@ -258,46 +258,35 @@ fn digest_replies_are_byte_exact_on_every_plane() {
 
 #[test]
 fn exptime_is_honored_over_the_wire() {
-    use proteus_net::{read_response, write_command, Command, Response};
-    use std::io::{BufReader, BufWriter};
+    use proteus_net::{
+        read_response_buffered, write_command_unflushed, RawCommand, Response, WireBuf,
+    };
+    use std::io::BufReader;
     let server = server();
-    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    let mut writer = BufWriter::new(stream.try_clone().unwrap());
-    let mut reader = BufReader::new(stream);
+    let mut writer = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut wire = WireBuf::new();
+    let mut reply = || read_response_buffered(&mut reader, &mut wire).unwrap();
     // Store with a 1-second expiry.
-    write_command(
+    write_command_unflushed(
         &mut writer,
-        &Command::Set {
-            key: b"ephemeral".to_vec(),
+        &RawCommand::Set {
+            key: b"ephemeral",
             flags: 0,
             exptime: 1,
-            data: b"v".to_vec().into(),
+            data: b"v",
         },
     )
     .unwrap();
-    assert_eq!(read_response(&mut reader).unwrap(), Response::Stored);
+    assert_eq!(reply(), Response::Stored);
     // Visible immediately...
-    write_command(
-        &mut writer,
-        &Command::Get {
-            key: b"ephemeral".to_vec(),
-        },
-    )
-    .unwrap();
-    assert!(matches!(
-        read_response(&mut reader).unwrap(),
-        Response::Value { .. }
-    ));
+    let get = RawCommand::Get { key: b"ephemeral" };
+    write_command_unflushed(&mut writer, &get).unwrap();
+    assert!(matches!(reply(), Response::Value { .. }));
     // ...gone after the wall-clock second elapses.
     std::thread::sleep(std::time::Duration::from_millis(1100));
-    write_command(
-        &mut writer,
-        &Command::Get {
-            key: b"ephemeral".to_vec(),
-        },
-    )
-    .unwrap();
-    assert_eq!(read_response(&mut reader).unwrap(), Response::Miss);
+    write_command_unflushed(&mut writer, &get).unwrap();
+    assert_eq!(reply(), Response::Miss);
     // And `add` can now claim the key.
     let client = CacheClient::connect(server.addr()).unwrap();
     assert!(client.add(b"ephemeral", b"new").unwrap());

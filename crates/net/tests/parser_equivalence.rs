@@ -9,14 +9,19 @@
 //! the same number of bytes consumed on success, and the same error
 //! class (protocol vs I/O) on rejection.
 
+mod common;
+
+use common::Command;
 use proptest::prelude::*;
-use proteus_net::{read_raw_command, Command, NetError, WireBuf};
+use proteus_net::{read_raw_command, NetError, WireBuf};
 
 /// The pre-rewrite parser, kept as the behavioral oracle.
 mod reference {
     use std::io::BufRead;
 
-    use proteus_net::{Command, NetError};
+    use proteus_net::NetError;
+
+    use crate::common::Command;
 
     fn valid_key(key: &[u8]) -> bool {
         !key.is_empty() && key.len() <= 250 && key.iter().all(|&b| b > 32 && b != 127)
@@ -101,7 +106,7 @@ mod reference {
                 let flags: u32 = parse_field(parts.next(), "flags")?;
                 let exptime: u32 = parse_field(parts.next(), "exptime")?;
                 let bytes: usize = parse_field(parts.next(), "bytes")?;
-                let data = read_data_block(reader, bytes)?.into();
+                let data = read_data_block(reader, bytes)?;
                 Ok(match verb {
                     "set" => Command::Set {
                         key,
@@ -200,10 +205,10 @@ fn assert_parsers_agree(stream: &[u8]) -> Result<(), TestCaseError> {
     let mut buf = WireBuf::new();
     loop {
         let old = reference::read_command(&mut old_input);
-        let new = read_raw_command(&mut new_input, &mut buf).map(|raw| raw.into_owned());
+        let new = read_raw_command(&mut new_input, &mut buf);
         match (old, new) {
             (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a, &b, "parsers disagree on the command");
+                prop_assert_eq!(&a.raw(), &b, "parsers disagree on the command");
                 prop_assert_eq!(
                     old_input.len(),
                     new_input.len(),
@@ -250,7 +255,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime,
-                data: data.into()
+                data
             }
         ),
         (key_strategy(), any::<u32>(), any::<u32>(), value_strategy()).prop_map(
@@ -258,7 +263,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime,
-                data: data.into()
+                data
             }
         ),
         (key_strategy(), any::<u32>(), any::<u32>(), value_strategy()).prop_map(
@@ -266,7 +271,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime,
-                data: data.into()
+                data
             }
         ),
         key_strategy().prop_map(|key| Command::Delete { key }),
@@ -290,7 +295,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for cmd in &cmds {
-            proteus_net::write_command(&mut stream, cmd).unwrap();
+            cmd.write_to(&mut stream);
         }
         assert_parsers_agree(&stream)?;
         // And the accepted prefix is the whole pipeline: re-parse with
@@ -298,8 +303,8 @@ proptest! {
         let mut input = &stream[..];
         let mut buf = WireBuf::new();
         for cmd in &cmds {
-            let parsed = read_raw_command(&mut input, &mut buf).unwrap().into_owned();
-            prop_assert_eq!(&parsed, cmd);
+            let parsed = read_raw_command(&mut input, &mut buf).unwrap();
+            prop_assert_eq!(parsed, cmd.raw());
         }
     }
 
@@ -333,7 +338,7 @@ proptest! {
         cut in any::<usize>(),
     ) {
         let mut stream = Vec::new();
-        proteus_net::write_command(&mut stream, &cmd).unwrap();
+        cmd.write_to(&mut stream);
 
         let mut flipped = stream.clone();
         let i = flip_at % flipped.len();

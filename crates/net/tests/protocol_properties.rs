@@ -1,11 +1,21 @@
 //! Property tests of the wire protocol: round trips and fuzz safety.
 
-use proptest::prelude::*;
-use proteus_net::{read_raw_command, Command, NetError, RawCommand, Response, WireBuf};
+mod common;
 
-/// The owned form of one parse, for comparing against generated commands.
-fn read_owned(mut bytes: &[u8]) -> Result<Command, NetError> {
-    read_raw_command(&mut bytes, &mut WireBuf::new()).map(RawCommand::into_owned)
+use common::Command;
+use proptest::prelude::*;
+use proteus_net::{
+    read_raw_command, read_response_buffered, write_response_unflushed, NetError, RawCommand,
+    Response, WireBuf,
+};
+
+/// One parse of `bytes`; the command borrows `buf`.
+fn parse<'a>(mut bytes: &[u8], buf: &'a mut WireBuf) -> Result<RawCommand<'a>, NetError> {
+    read_raw_command(&mut bytes, buf)
+}
+
+fn read_response(mut bytes: &[u8]) -> Result<Response, NetError> {
+    read_response_buffered(&mut bytes, &mut WireBuf::new())
 }
 
 /// Strategy for protocol-legal keys (printable, no whitespace, ≤250).
@@ -25,7 +35,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime,
-                data: data.into()
+                data
             }
         ),
         (key_strategy(), any::<u32>(), any::<u32>(), value_strategy()).prop_map(
@@ -33,7 +43,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime,
-                data: data.into()
+                data
             }
         ),
         (key_strategy(), any::<u32>(), any::<u32>(), value_strategy()).prop_map(
@@ -41,7 +51,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime,
-                data: data.into()
+                data
             }
         ),
         key_strategy().prop_map(|key| Command::Delete { key }),
@@ -84,9 +94,10 @@ proptest! {
     #[test]
     fn command_roundtrip(cmd in command_strategy()) {
         let mut buf = Vec::new();
-        proteus_net::write_command(&mut buf, &cmd).unwrap();
-        let parsed = read_owned(&buf).unwrap();
-        prop_assert_eq!(parsed, cmd);
+        cmd.write_to(&mut buf);
+        let mut wire = WireBuf::new();
+        let parsed = parse(&buf, &mut wire).unwrap();
+        prop_assert_eq!(parsed, cmd.raw());
     }
 
     /// Every response the server can emit parses back identically —
@@ -94,8 +105,8 @@ proptest! {
     #[test]
     fn response_roundtrip(resp in response_strategy()) {
         let mut buf = Vec::new();
-        proteus_net::write_response(&mut buf, &resp).unwrap();
-        let parsed = proteus_net::read_response(&mut &buf[..]).unwrap();
+        write_response_unflushed(&mut buf, &resp).unwrap();
+        let parsed = read_response(&buf).unwrap();
         prop_assert_eq!(parsed, resp);
     }
 
@@ -103,13 +114,13 @@ proptest! {
     /// parse or yield a structured error.
     #[test]
     fn command_parser_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = read_owned(&bytes);
+        let _ = parse(&bytes, &mut WireBuf::new());
     }
 
     /// Arbitrary bytes never panic the response parser.
     #[test]
     fn response_parser_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = proteus_net::read_response(&mut &bytes[..]);
+        let _ = read_response(&bytes);
     }
 
     /// Arbitrary *text lines* (the realistic fuzz surface) never panic
@@ -117,7 +128,7 @@ proptest! {
     #[test]
     fn parsers_survive_text_lines(line in "[ -~]{0,120}") {
         let framed = format!("{line}\r\n");
-        let _ = read_owned(framed.as_bytes());
-        let _ = proteus_net::read_response(&mut framed.as_bytes());
+        let _ = parse(framed.as_bytes(), &mut WireBuf::new());
+        let _ = read_response(framed.as_bytes());
     }
 }

@@ -30,11 +30,14 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
+mod common;
+
+use common::Command;
 use proptest::prelude::*;
 use proteus_cache::{CacheConfig, StorageKind};
 use proteus_net::{
-    mru_keys_key, uring_supported, write_command, CacheServer, Command, EngineKind, ServerConfig,
-    DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
+    mru_keys_key, uring_supported, CacheServer, EngineKind, ServerConfig, DIGEST_KEY,
+    DIGEST_SNAPSHOT_KEY,
 };
 use proteus_obs::{MetricValue, OpClass};
 
@@ -157,7 +160,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime: 0,
-                data: data.into(),
+                data,
             }
         }),
         (key_strategy(), any::<u32>(), value_strategy()).prop_map(|(key, flags, data)| {
@@ -165,7 +168,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime: 0,
-                data: data.into(),
+                data,
             }
         }),
         (key_strategy(), any::<u32>(), value_strategy()).prop_map(|(key, flags, data)| {
@@ -173,7 +176,7 @@ fn command_strategy() -> impl Strategy<Value = Command> {
                 key,
                 flags,
                 exptime: 0,
-                data: data.into(),
+                data,
             }
         }),
         key_strategy().prop_map(|key| Command::Delete { key }),
@@ -219,7 +222,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for cmd in &cmds {
-            write_command(&mut stream, cmd).unwrap();
+            cmd.write_to(&mut stream);
         }
         let planes = spawn_planes();
         assert_equivalent(&planes, &stream, &chunks, Some(Duration::from_millis(1)))?;
@@ -249,7 +252,7 @@ proptest! {
             stream.extend_from_slice(line.as_bytes());
             stream.extend_from_slice(b"\r\n");
         }
-        write_command(&mut stream, &Command::Version).unwrap();
+        Command::Version.write_to(&mut stream);
         let planes = spawn_planes();
         assert_equivalent(&planes, &stream, &[stream.len()], None)?;
         stop_all(planes);
@@ -265,7 +268,7 @@ proptest! {
         cut in any::<usize>(),
     ) {
         let mut stream = Vec::new();
-        write_command(&mut stream, &cmd).unwrap();
+        cmd.write_to(&mut stream);
         let planes = spawn_planes();
 
         let mut flipped = stream.clone();
