@@ -10,11 +10,13 @@ use proteus_sim::SimDuration;
 /// same accounting, same digest — and stay proptest-equivalent (see
 /// `tests/storage_equivalence.rs`). `Heap` is the original one-
 /// allocation-per-value path, kept as the correctness oracle; `Slab`
-/// packs items into size-classed 1 MiB pages for multi-million-item
-/// residency (DESIGN.md §12). The server binary always runs the slab;
-/// this stays a library type because `storage_equivalence` diffs the
-/// slab against `Heap`, a value over one page takes the heap path
-/// inside the slab backend, and `benchmark/` names `StorageKind::Slab`.
+/// packs items into size-classed pages (sized to the engine's
+/// capacity, see [`CacheConfig::slab_page_bytes`]) for
+/// multi-million-item residency (DESIGN.md §12). The server binary
+/// always runs the slab; this stays a library type because
+/// `storage_equivalence` diffs the slab against `Heap`, a value over
+/// one page takes the heap path inside the slab backend, and
+/// `benchmark/` names `StorageKind::Slab`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
     /// One heap allocation per item (the PR-1 layout).
@@ -59,8 +61,16 @@ pub struct CacheConfig {
     pub item_overhead: u32,
     /// Value-storage backend (see [`StorageKind`]).
     pub storage: StorageKind,
-    /// Page size for [`StorageKind::Slab`], in bytes (default 1 MiB,
-    /// clamped to ≥ 1 KiB). Items larger than one page go to the heap
+    /// Page size for [`StorageKind::Slab`], in bytes. `0` (the
+    /// default) derives it from the capacity the engine is built with
+    /// — per shard, under a [`ShardedEngine`](crate::ShardedEngine) —
+    /// as the largest power of two ≤ capacity / 128, clamped to
+    /// 4 KiB ..= 1 MiB: 64 KiB for the server's default 8 MiB shard,
+    /// 1 MiB for the paper's 1 GB server. Half a page of unfilled tail
+    /// in every size class then fits inside the slack
+    /// `slab_page_budget` grants, so the byte budget, not the page
+    /// count, is what fills first. Any other value is taken as given
+    /// (clamped to ≥ 1 KiB). Items larger than one page go to the heap
     /// path. Ignored by [`StorageKind::Heap`].
     pub slab_page_bytes: u32,
     /// Hard page-count budget for [`StorageKind::Slab`]. `0` (the
@@ -97,7 +107,7 @@ impl CacheConfig {
             digest: BloomConfig::optimal(expected_items, 4, 1e-4, 1e-4),
             shards: 8,
             storage: StorageKind::Heap,
-            slab_page_bytes: 1 << 20,
+            slab_page_bytes: 0,
             slab_page_budget: 0,
         }
     }
@@ -137,8 +147,9 @@ impl CacheConfig {
         self
     }
 
-    /// Sets the slab page size in bytes (builder style; slab backend
-    /// only).
+    /// Sets the slab page size in bytes, overriding the derivation
+    /// from the capacity (builder style; slab backend only, `0` =
+    /// derive).
     #[must_use]
     pub fn slab_page_bytes(mut self, bytes: u32) -> Self {
         self.slab_page_bytes = bytes;
@@ -185,7 +196,7 @@ mod tests {
     fn storage_defaults_to_heap_and_builds_to_slab() {
         let cfg = CacheConfig::with_capacity(1 << 20);
         assert_eq!(cfg.storage, StorageKind::Heap);
-        assert_eq!(cfg.slab_page_bytes, 1 << 20);
+        assert_eq!(cfg.slab_page_bytes, 0, "derived from the capacity");
         let cfg = cfg.storage(StorageKind::Slab).slab_page_bytes(1 << 16);
         assert_eq!(cfg.storage, StorageKind::Slab);
         assert_eq!(cfg.slab_page_bytes, 1 << 16);

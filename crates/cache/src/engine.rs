@@ -13,11 +13,22 @@ use crate::SharedBytes;
 
 const NIL: u32 = u32::MAX;
 
-/// How many extra LRU evictions a slab placement may perform when the
-/// store reports `Full` (every page of the budget held by other size
-/// classes) before the item falls back to the heap path. Bounds the
-/// worst-case `set`.
+/// How many slots up from the LRU tail a slab placement looks for an
+/// item of its own size class when the store reports `Full` (no free
+/// chunk in the class, page budget spent) before the item takes the
+/// heap path. Bounds the worst-case `set`.
 const SLAB_EVICT_RETRY_LIMIT: u32 = 64;
+
+/// The page size a slab engine of `capacity` bytes gets when
+/// [`CacheConfig::slab_page_bytes`] is left at 0: the largest power of
+/// two ≤ capacity / 128, within 4 KiB ..= 1 MiB. A class's last page
+/// is half empty on average; with at most ~45 classes that is under
+/// 23 pages of tail, 18% of 128, inside the 30% slack the page budget
+/// adds — so the pages never run out before the byte budget does.
+fn derived_page_bytes(capacity: u64) -> u32 {
+    let target = (capacity / 128).clamp(4 << 10, 1 << 20);
+    1 << target.ilog2()
+}
 
 /// FNV-1a with a splitmix64-style finalizer. The finalizer matters:
 /// `ShardedEngine::shard_of` picks shards from folded FNV bits, and the
@@ -121,9 +132,9 @@ fn slot_value<'a>(slots: &'a [Slot], store: &'a Option<SlabStore>, idx: u32) -> 
 ///
 /// Item bytes live in one of two backends selected by
 /// [`CacheConfig::storage`]: the heap path (one allocation per item)
-/// or the memcached-style slab store (size-classed 1 MiB pages,
-/// DESIGN.md §12). The backends are behaviourally identical; every
-/// item is charged `key + value + item_overhead` bytes against
+/// or the memcached-style slab store (size-classed pages sized to the
+/// capacity, DESIGN.md §12). The backends are behaviourally identical;
+/// every item is charged `key + value + item_overhead` bytes against
 /// `capacity_bytes` either way, so eviction decisions — and therefore
 /// digest contents — do not depend on the backend.
 ///
@@ -163,13 +174,16 @@ impl CacheEngine {
                 // pages of headroom so tiny configurations still have
                 // pages to reassign between classes. An explicit
                 // `slab_page_budget` overrides the derivation.
-                let page = u64::from(config.slab_page_bytes.max(1024));
+                let page_bytes = match config.slab_page_bytes {
+                    0 => derived_page_bytes(config.capacity_bytes),
+                    bytes => bytes.max(1024),
+                };
                 let budget = config.capacity_bytes.saturating_mul(13) / 10;
                 let max_pages = match config.slab_page_budget {
-                    0 => budget.div_ceil(page) + 2,
+                    0 => budget.div_ceil(u64::from(page_bytes)) + 2,
                     pages => pages,
                 };
-                Some(SlabStore::new(config.slab_page_bytes, max_pages))
+                Some(SlabStore::new(page_bytes, max_pages))
             }
         };
         CacheEngine {
@@ -520,10 +534,10 @@ impl CacheEngine {
             match self.place_slab(key, value.as_ref(), &mut evicted) {
                 Some(loc) => ValueRepr::Slab(loc),
                 None => {
-                    // Oversize for the class table, or pages fragmented
-                    // across classes beyond the retry budget: the heap
-                    // path always succeeds, so a within-budget set
-                    // never fails outright.
+                    // Larger than a page, or a starved class with none
+                    // of its own items near the LRU tail: the heap path
+                    // always succeeds, so a within-budget set never
+                    // fails outright.
                     self.store
                         .as_mut()
                         .expect("checked is_some")
@@ -569,27 +583,42 @@ impl CacheEngine {
         }
     }
 
-    /// Tries to place `[key][bytes]` in the slab store, evicting up to
-    /// [`SLAB_EVICT_RETRY_LIMIT`] extra LRU items if the store is full.
-    /// `None` means "use the heap path" — never an unbounded loop.
+    /// Tries to place `[key][bytes]` in the slab store. When the item's
+    /// size class is starved (the store reports `Full`), only an item
+    /// of that same class can give it a chunk: the least-recent one
+    /// within [`SLAB_EVICT_RETRY_LIMIT`] slots of the LRU tail is
+    /// evicted and its chunk reused. `None` means "use the heap path"
+    /// (oversize, or no such item), evicting nobody.
     fn place_slab(&mut self, key: &[u8], bytes: &[u8], evicted: &mut u64) -> Option<ChunkLoc> {
-        let mut attempts = 0;
-        loop {
-            let store = self.store.as_mut().expect("slab engine");
-            match store.insert(key, bytes) {
-                Ok(loc) => return Some(loc),
-                Err(SlabError::Oversize) => return None,
-                Err(SlabError::Full) => {
-                    if self.tail == NIL || attempts >= SLAB_EVICT_RETRY_LIMIT {
-                        return None;
-                    }
-                    self.remove_slot(self.tail);
-                    self.stats.evictions += 1;
-                    *evicted += 1;
-                    attempts += 1;
-                }
-            }
+        let store = self.store.as_mut().expect("slab engine");
+        match store.insert(key, bytes) {
+            Ok(loc) => return Some(loc),
+            Err(SlabError::Oversize) => return None,
+            Err(SlabError::Full) => {}
         }
+        let class = store.class_of(key.len() + bytes.len())?;
+        let mut cursor = self.tail;
+        let mut walked = 0;
+        let victim = loop {
+            if cursor == NIL || walked == SLAB_EVICT_RETRY_LIMIT {
+                return None;
+            }
+            let slot = &self.slots[cursor as usize];
+            if matches!(slot.repr, ValueRepr::Slab(loc) if loc.class == class) {
+                break cursor;
+            }
+            cursor = slot.prev;
+            walked += 1;
+        };
+        self.remove_slot(victim);
+        self.stats.evictions += 1;
+        *evicted += 1;
+        // The victim's chunk is free now, so this cannot be `Full`.
+        self.store
+            .as_mut()
+            .expect("slab engine")
+            .insert(key, bytes)
+            .ok()
     }
 
     fn remove_slot(&mut self, idx: u32) {

@@ -3,9 +3,10 @@
 //! The heap backend allocates one buffer per value. At 10M+ small
 //! resident items that means 10M allocator headers, unpredictable
 //! fragmentation, and an allocator-bound eviction path. The slab store
-//! instead carves fixed-size **pages** (1 MiB by default) into chunks
-//! of geometric size classes (~1.25 growth factor) and places each
-//! item's `[key][value]` bytes into the smallest chunk that fits.
+//! instead carves fixed-size **pages** (sized to the engine's capacity
+//! by default: 64 KiB for an 8 MiB shard, 1 MiB from 128 MiB up) into
+//! chunks of geometric size classes (~1.25 growth factor) and places
+//! each item's `[key][value]` bytes into the smallest chunk that fits.
 //! Worst-case internal waste is bounded by the growth factor; pages
 //! are the only allocation unit the system allocator ever sees.
 //!
@@ -25,13 +26,19 @@
 //! # Lazy commit
 //!
 //! A page is allocated zeroed (`vec![0; n].into_boxed_slice()`, i.e.
-//! `calloc`), which for a 1 MiB request is fresh anonymous memory the
-//! kernel has not backed yet: a 4 KiB piece of it becomes resident
-//! only when a chunk inside it is first written. Chunks are handed out
-//! in address order from a per-page bump cursor and freed chunks are
-//! reused (LIFO) before the cursor advances, so resident memory
-//! follows the chunks actually written while
-//! [`SlabStats::page_bytes_total`] counts reserved address space.
+//! `calloc`). A page at or above the allocator's mmap threshold
+//! (128 KiB in glibc) is its own anonymous mapping; a smaller one is
+//! cut from the top of the allocator's heap, which `calloc` knows to be
+//! zero already when it was never handed out before. Either way the
+//! kernel has not backed it yet: a 4 KiB piece of it becomes resident
+//! only when a chunk inside it is first written. (Memory the allocator
+//! recycles is zeroed by hand and comes back resident, and a small
+//! page dropped by `clear` returns to the allocator's free lists, not
+//! to the kernel.) Chunks are handed out in address order from a
+//! per-page bump cursor and freed chunks are reused (LIFO) before the
+//! cursor advances, so resident memory follows the chunks actually
+//! written while [`SlabStats::page_bytes_total`] counts reserved
+//! address space.
 //!
 //! # Page reassignment
 //!
@@ -40,7 +47,10 @@
 //! starved (no free chunk, page budget exhausted), the store reclaims
 //! an empty page from a rich class and reassigns it — the
 //! memcached "slab rebalance" move, done eagerly at the moment of
-//! starvation.
+//! starvation. With no empty page anywhere [`SlabStore::insert`]
+//! reports [`SlabError::Full`] and the engine frees a chunk of the
+//! starved class itself (its least-recent item) or takes the heap
+//! path; it never evicts items of other classes to empty a page.
 
 /// Smallest chunk size. Items smaller than this still occupy one
 /// minimum chunk (48-byte memcached floor rounded to 64).
@@ -68,7 +78,8 @@ pub enum SlabError {
     /// caller stores it on the heap instead.
     Oversize,
     /// No free chunk, no reassignable page, and the page budget is
-    /// exhausted: the caller should evict and retry (or fall back).
+    /// exhausted: the caller evicts an item of this item's class and
+    /// retries, or falls back to the heap.
     Full,
 }
 
@@ -85,6 +96,9 @@ struct Page {
     live: u32,
     /// Whether the page is queued in its class's candidate ring.
     queued: bool,
+    /// Whether the store's `empty_hints` holds an entry for this page
+    /// (at most one: a page emptied again while hinted pushes nothing).
+    hinted: bool,
 }
 
 impl Page {
@@ -113,17 +127,13 @@ struct SizeClass {
     pages: Vec<Option<Page>>,
     /// Indices of `None` entries in `pages`, reusable for new pages.
     vacant: Vec<u32>,
+    /// Number of `Some` entries in `pages`.
+    page_count: u64,
     /// Pages that may have free chunks; inserts fill the front one.
     candidates: std::collections::VecDeque<u32>,
     live_items: u64,
     /// Exact key+value bytes of live items (≤ live_items × chunk_size).
     live_bytes: u64,
-}
-
-impl SizeClass {
-    fn page_count(&self) -> u64 {
-        self.pages.iter().filter(|p| p.is_some()).count() as u64
-    }
 }
 
 /// Per-class usage snapshot, exported through `stats proteus` and the
@@ -156,9 +166,16 @@ pub struct SlabStats {
     pub pages_pooled: u64,
     /// Empty pages moved between size classes under starvation.
     pub pages_reassigned: u64,
-    /// Items the engine stored on the heap because the slab was full
-    /// or the item was oversize.
+    /// Items the engine stored on the heap, for either reason: the
+    /// item is larger than a page, or its class was starved and had no
+    /// item of its own near the LRU tail to evict.
     pub heap_fallbacks: u64,
+    /// Sets that found their size class starved — no free chunk, no
+    /// page left in the budget, no empty page to reassign — and so
+    /// evicted an item of that class or took the heap path. Nonzero
+    /// means the pages, not the byte budget, are what is filling;
+    /// while it stays 0 every heap fallback is a value over one page.
+    pub starved_sets: u64,
 }
 
 impl SlabStats {
@@ -198,6 +215,7 @@ impl SlabStats {
         self.pages_pooled += other.pages_pooled;
         self.pages_reassigned += other.pages_reassigned;
         self.heap_fallbacks += other.heap_fallbacks;
+        self.starved_sets += other.starved_sets;
         for oc in &other.classes {
             match self
                 .classes
@@ -225,13 +243,15 @@ pub struct SlabStore {
     classes: Vec<SizeClass>,
     /// Reclaimed empty pages, reusable by any class.
     free_pool: Vec<Box<[u8]>>,
-    /// Hints of (class, page) pairs that were seen empty; validated on
-    /// use (the page may have been refilled since).
+    /// Hints of (class, page) pairs that were seen empty, one per page
+    /// with `hinted` set; validated on use (the page may have been
+    /// refilled since).
     empty_hints: Vec<(u16, u32)>,
     pages_allocated: u64,
     max_pages: u64,
     pages_reassigned: u64,
     heap_fallbacks: u64,
+    starved_sets: u64,
 }
 
 /// The size-class chunk table for a page size: MIN_CHUNK growing by
@@ -263,6 +283,7 @@ impl SlabStore {
                 chunks_per_page: page_bytes / chunk_size,
                 pages: Vec::new(),
                 vacant: Vec::new(),
+                page_count: 0,
                 candidates: std::collections::VecDeque::new(),
                 live_items: 0,
                 live_bytes: 0,
@@ -277,6 +298,7 @@ impl SlabStore {
             max_pages: max_pages.max(1),
             pages_reassigned: 0,
             heap_fallbacks: 0,
+            starved_sets: 0,
         }
     }
 
@@ -287,11 +309,10 @@ impl SlabStore {
         if len > self.page_bytes as usize {
             return None;
         }
+        // Chunk sizes ascend to `page_bytes`, so the first class that
+        // fits exists.
         let len = len as u32;
-        self.classes
-            .iter()
-            .position(|c| c.chunk_size >= len)
-            .map(|i| i as u16)
+        Some(self.classes.partition_point(|c| c.chunk_size < len) as u16)
     }
 
     /// Chunk size of class `class`.
@@ -346,7 +367,10 @@ impl SlabStore {
             // 2. A fresh page — the cross-class pool, the allocator
             //    (within budget), or an empty page reclaimed from a rich
             //    class — becomes the only candidate; go round again.
-            let buf = self.take_page().ok_or(SlabError::Full)?;
+            let Some(buf) = self.take_page() else {
+                self.starved_sets += 1;
+                return Err(SlabError::Full);
+            };
             self.install_page(class, buf);
         }
     }
@@ -370,11 +394,14 @@ impl SlabStore {
     fn reclaim_empty_page(&mut self) -> Option<Box<[u8]>> {
         while let Some((class, pid)) = self.empty_hints.pop() {
             let c = &mut self.classes[class as usize];
-            // A hint whose page was refilled (or already reclaimed) is
-            // dead and simply dropped.
-            if c.pages[pid as usize].as_ref().is_some_and(|p| p.live == 0) {
-                let page = c.pages[pid as usize].take().expect("checked Some");
+            let entry = &mut c.pages[pid as usize];
+            let page = entry.as_mut().expect("a hinted page is never reclaimed");
+            page.hinted = false;
+            // A hint whose page was refilled is dead and simply dropped.
+            if page.live == 0 {
+                let page = entry.take().expect("checked Some");
                 c.vacant.push(pid);
+                c.page_count -= 1;
                 self.pages_reassigned += 1;
                 return Some(page.buf);
             }
@@ -391,7 +418,9 @@ impl SlabStore {
             free: Vec::new(),
             live: 0,
             queued: true,
+            hinted: false,
         });
+        c.page_count += 1;
         let pid = match c.vacant.pop() {
             Some(pid) => {
                 c.pages[pid as usize] = page;
@@ -420,7 +449,8 @@ impl SlabStore {
             page.queued = true;
             c.candidates.push_back(loc.page);
         }
-        if page.live == 0 {
+        if page.live == 0 && !page.hinted {
+            page.hinted = true;
             self.empty_hints.push((loc.class, loc.page));
         }
     }
@@ -451,6 +481,7 @@ impl SlabStore {
         for c in &mut self.classes {
             c.pages.clear();
             c.vacant.clear();
+            c.page_count = 0;
             c.candidates.clear();
             c.live_items = 0;
             c.live_bytes = 0;
@@ -466,10 +497,10 @@ impl SlabStore {
         let classes = self
             .classes
             .iter()
-            .filter(|c| c.page_count() > 0 || c.live_items > 0)
+            .filter(|c| c.page_count > 0 || c.live_items > 0)
             .map(|c| SlabClassStats {
                 chunk_size: c.chunk_size,
-                pages: c.page_count(),
+                pages: c.page_count,
                 items: c.live_items,
                 live_bytes: c.live_bytes,
                 bytes_wasted: c.live_items * u64::from(c.chunk_size) - c.live_bytes,
@@ -482,6 +513,7 @@ impl SlabStore {
             pages_pooled: self.free_pool.len() as u64,
             pages_reassigned: self.pages_reassigned,
             heap_fallbacks: self.heap_fallbacks,
+            starved_sets: self.starved_sets,
         }
     }
 
@@ -490,10 +522,13 @@ impl SlabStore {
     /// Panics on drift.
     pub fn assert_consistent(&self) {
         let mut assigned = 0u64;
+        let mut hinted = 0usize;
         for (ci, c) in self.classes.iter().enumerate() {
             let mut live_items = 0u64;
+            let mut pages = 0u64;
             for page in c.pages.iter().flatten() {
-                assigned += 1;
+                pages += 1;
+                hinted += usize::from(page.hinted);
                 let cursor_remaining = c.chunks_per_page - page.cursor;
                 assert_eq!(
                     cursor_remaining + page.free.len() as u32 + page.live,
@@ -505,12 +540,19 @@ impl SlabStore {
                 );
                 live_items += u64::from(page.live);
             }
+            assert_eq!(pages, c.page_count, "class {ci}: page-count drift");
+            assigned += pages;
             assert_eq!(live_items, c.live_items, "class {ci}: live-item drift");
             assert!(
                 c.live_bytes <= c.live_items * u64::from(c.chunk_size),
                 "class {ci}: live bytes exceed chunk capacity"
             );
         }
+        assert_eq!(
+            hinted,
+            self.empty_hints.len(),
+            "one empty-page hint per hinted page"
+        );
         assert_eq!(
             assigned + self.free_pool.len() as u64,
             self.pages_allocated,
@@ -598,6 +640,7 @@ mod tests {
             .map(|i| s.insert(&[i as u8], &[0u8; 40]).unwrap())
             .collect();
         assert_eq!(s.insert(b"x", &[0u8; 40]), Err(SlabError::Full));
+        assert_eq!(s.stats().starved_sets, 1);
         s.free(locs[0], 41);
         let again = s.insert(b"x", &[0u8; 40]).unwrap();
         assert_eq!((again.page, again.chunk), (locs[0].page, locs[0].chunk));
@@ -649,6 +692,51 @@ mod tests {
         assert_eq!(s.stats().pages_reassigned, 1);
         assert_eq!(s.value_slice(big, 3, 700), &vec![9u8; 700][..]);
         assert_eq!(s.value_slice(back, 1, 40), &[7u8; 40][..]);
+        s.assert_consistent();
+    }
+
+    #[test]
+    fn cycling_a_key_alone_in_its_page_leaves_one_hint() {
+        // Nothing pops a hint while the budget has room, so a page
+        // emptied again with its hint still pending must push no second
+        // one: the list is bounded by the pages, not by the cycles.
+        let mut s = SlabStore::new(4096, 8);
+        for _ in 0..100_000 {
+            let loc = s.insert(b"k", b"value").unwrap();
+            s.free(loc, 6);
+        }
+        assert_eq!(s.stats().pages_allocated, 1);
+        assert!(
+            s.empty_hints.len() <= 1,
+            "{} hints for one page",
+            s.empty_hints.len()
+        );
+        s.assert_consistent();
+    }
+
+    #[test]
+    fn class_lookup_and_page_counts_agree_with_the_table() {
+        let mut s = SlabStore::new(4096, 3);
+        // Every length lands in the first class that fits it.
+        for len in 0..=4096usize {
+            let class = s.class_of(len).unwrap();
+            assert!(s.chunk_size(class) as usize >= len);
+            assert!(class == 0 || (s.chunk_size(class - 1) as usize) < len);
+        }
+        // The per-class counter follows install, reassignment and clear.
+        let small: Vec<ChunkLoc> = (0..65u8)
+            .map(|i| s.insert(&[i], &[0u8; 40]).unwrap())
+            .collect();
+        s.insert(b"big", &[0u8; 3000]).unwrap();
+        let pages =
+            |s: &SlabStore| -> Vec<u64> { s.stats().classes.iter().map(|c| c.pages).collect() };
+        assert_eq!(pages(&s), [2, 1]);
+        s.free(small[64], 41);
+        s.insert(b"mid", &[0u8; 1000]).unwrap();
+        assert_eq!(pages(&s), [1, 1, 1], "the emptied page moved class");
+        s.assert_consistent();
+        s.clear();
+        assert!(s.stats().classes.is_empty());
         s.assert_consistent();
     }
 

@@ -1,12 +1,15 @@
 //! Slab accounting under sustained eviction churn, in the *derived*
 //! page-budget regime (the production configuration, where the slab
-//! may run page-starved and take extra evictions or heap fallbacks).
+//! may run page-starved and take an extra eviction or a heap fallback).
 //!
 //! The equivalence suite pins behavior against the heap oracle with
 //! pages to spare; these tests instead hammer the tight-budget paths
 //! and check the invariants that must hold regardless: accounting
 //! stays exact, pages cover live bytes, the capacity ceiling holds,
-//! and every surviving value reads back byte-identical.
+//! and every surviving value reads back byte-identical. The replays at
+//! the end hold the default-shaped slab (nothing set but the capacity)
+//! to the heap oracle's hit ratio: it is the byte budget that fills,
+//! not the pages.
 
 use proteus_cache::{CacheConfig, CacheEngine, ShardedEngine, StorageKind};
 use proteus_sim::SimTime;
@@ -37,6 +40,13 @@ fn value_of(i: u64) -> Vec<u8> {
     let mut v = vec![(i % 251) as u8; len];
     v[..8].copy_from_slice(&splitmix64(i ^ 0xdead).to_le_bytes());
     v
+}
+
+/// What `proteus-cache-server` runs with when given no flags.
+const SERVER_CAPACITY: u64 = 64 << 20;
+
+fn default_shaped(storage: StorageKind) -> ShardedEngine {
+    ShardedEngine::new(CacheConfig::with_capacity(SERVER_CAPACITY).storage(storage))
 }
 
 #[test]
@@ -178,9 +188,8 @@ fn overwrites_racing_readers_take_no_pages_and_tear_no_reads() {
     const OVERWRITES: u64 = 200_000;
     const READERS: usize = 4;
     const LENS: [usize; 5] = [200, 700, 1500, 3000, 4000];
-    // The server's default shape: 64 MiB over 8 shards, 1 MiB pages.
-    let engine =
-        ShardedEngine::new(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    // The server's default shape: 64 MiB over 8 shards, 64 KiB pages.
+    let engine = default_shaped(StorageKind::Slab);
     let key_of = |i: u64| format!("key:{i:08}").into_bytes();
     // A value is one stamp byte repeated over a per-key length, so a
     // torn copy shows as mixed bytes or a wrong length.
@@ -192,7 +201,7 @@ fn overwrites_racing_readers_take_no_pages_and_tear_no_reads() {
     }
     let warm = engine.slab_stats().expect("slab backend");
     assert!(
-        engine.bytes_used() > (64 << 20) / 3 && engine.bytes_used() < (64 << 20) * 2 / 3,
+        engine.bytes_used() > SERVER_CAPACITY / 3 && engine.bytes_used() < SERVER_CAPACITY * 2 / 3,
         "about half full, holds {}",
         engine.bytes_used()
     );
@@ -236,5 +245,173 @@ fn overwrites_racing_readers_take_no_pages_and_tear_no_reads() {
     assert_eq!(after.heap_fallbacks, 0);
     assert_eq!(engine.stats().evictions, 0);
     assert_eq!(engine.len() as u64, KEYS);
+    engine.assert_storage_consistent();
+}
+
+/// The benchmark's `single_churn` mix on a bare engine: 50% set, 45%
+/// get, 5% delete, keys uniform over 190 000 (about four times the
+/// cache at 256 B–4 KiB), each key's value one fixed log-uniform length
+/// in `min..=max`. Returns the hit ratio of the gets in the second half.
+fn replay_single_churn(engine: &ShardedEngine, min: usize, max: usize, ops: u64) -> f64 {
+    const KEYS: u64 = 190_000;
+    let pad = vec![0xA5u8; max];
+    let (lo, hi) = ((min as f64).ln(), (max as f64).ln());
+    let len_of = |key: u64| {
+        let unit = (splitmix64(key ^ 0x5153) >> 11) as f64 / (1u64 << 53) as f64;
+        ((lo + unit * (hi - lo)).exp().round() as usize).clamp(min, max)
+    };
+    let now = SimTime::ZERO;
+    let (mut gets, mut hits) = (0u64, 0u64);
+    for n in 0..ops {
+        let r = splitmix64(n);
+        let k = (r >> 8) % KEYS;
+        let key = format!("key:{k:08}");
+        match r % 100 {
+            0..45 => {
+                let hit = engine.with_key_shard(key.as_bytes(), |e| {
+                    e.get(key.as_bytes(), now).map(<[u8]>::len)
+                });
+                if n >= ops / 2 {
+                    gets += 1;
+                    hits += u64::from(hit.is_some());
+                }
+                assert!(
+                    hit.is_none_or(|len| len == len_of(k)),
+                    "key {k}: wrong value"
+                );
+            }
+            45..95 => {
+                assert!(engine.put(key.as_bytes(), &pad[..len_of(k)], now).stored);
+            }
+            _ => {
+                engine.delete(key.as_bytes());
+            }
+        }
+    }
+    hits as f64 / gets as f64
+}
+
+/// Ops per replay: enough sets to turn the cache over a dozen times in
+/// release (what CI's release step runs), three times in debug.
+const REPLAY_OPS: u64 = if cfg!(debug_assertions) {
+    600_000
+} else {
+    3_000_000
+};
+
+#[test]
+fn default_shaped_slab_holds_the_heap_oracles_hit_ratio_on_single_churn() {
+    // The oracle is dropped before the slab is built: one 64 MiB
+    // engine alive at a time.
+    let heap_hits =
+        replay_single_churn(&default_shaped(StorageKind::Heap), 256, 4 << 10, REPLAY_OPS);
+    let slab = default_shaped(StorageKind::Slab);
+    let slab_hits = replay_single_churn(&slab, 256, 4 << 10, REPLAY_OPS);
+    assert!(
+        slab_hits >= 0.98 * heap_hits,
+        "slab hit ratio {slab_hits:.4} vs heap {heap_hits:.4}"
+    );
+    assert!(
+        slab.bytes_used() as f64 >= 0.97 * SERVER_CAPACITY as f64,
+        "only {} of {SERVER_CAPACITY} bytes accounted",
+        slab.bytes_used()
+    );
+    let stats = slab.slab_stats().expect("slab backend");
+    assert_eq!(stats.page_bytes, 64 << 10, "capacity / 8 shards / 128");
+    assert_eq!(stats.heap_fallbacks, 0);
+    slab.assert_storage_consistent();
+}
+
+#[test]
+fn default_shaped_slab_stays_within_five_per_cent_of_the_oracle_on_wide_values() {
+    // 64 B–16 KiB: 25 size classes, the mix the benchmark had to narrow
+    // because 13 one-MiB pages a shard could not hold one page of each.
+    let heap_hits =
+        replay_single_churn(&default_shaped(StorageKind::Heap), 64, 16 << 10, REPLAY_OPS);
+    let slab = default_shaped(StorageKind::Slab);
+    let slab_hits = replay_single_churn(&slab, 64, 16 << 10, REPLAY_OPS);
+    assert!(
+        slab_hits >= 0.95 * heap_hits,
+        "slab hit ratio {slab_hits:.4} vs heap {heap_hits:.4}"
+    );
+    let reassigned = slab.slab_stats().expect("slab backend").pages_reassigned;
+    let sets = slab.stats().sets;
+    assert!(
+        (reassigned as f64) < 0.01 * sets as f64,
+        "{reassigned} page reassignments in {sets} sets"
+    );
+    slab.assert_storage_consistent();
+}
+
+#[test]
+fn a_starved_set_evicts_one_item_of_its_own_class_or_nobody() {
+    // Two 1 KiB pages and bytes to spare: one page fills with sixteen
+    // 64-byte chunks, the other holds a single large chunk whose item
+    // is the least recent of all.
+    let mut engine = CacheEngine::new(
+        CacheConfig::with_capacity(1 << 20)
+            .item_overhead(0)
+            .storage(StorageKind::Slab)
+            .slab_page_bytes(1024)
+            .slab_page_budget(2),
+    );
+    let now = SimTime::ZERO;
+    engine.put(b"large", vec![1u8; 900], now);
+    for i in 0..16u8 {
+        engine.put(&[b's', i], vec![2u8; 40], now);
+    }
+    // A seventeenth small item: its class is starved, and the only item
+    // that can give it a chunk is the least recent small one.
+    let outcome = engine.put(b"s+", vec![3u8; 40], now);
+    assert_eq!((outcome.stored, outcome.evicted), (true, 1));
+    assert!(!engine.contains(&[b's', 0]), "least recent of its class");
+    assert!(engine.contains(b"large"), "LRU tail, but of another class");
+    assert_eq!(engine.peek(b"s+"), Some(&[3u8; 40][..]));
+    // A class that owns no page has nobody to evict: the heap path.
+    let outcome = engine.put(b"medium", vec![4u8; 300], now);
+    assert_eq!((outcome.stored, outcome.evicted), (true, 0));
+    assert_eq!(engine.peek(b"medium"), Some(&[4u8; 300][..]));
+    assert_eq!(engine.len(), 18);
+    let stats = engine.slab_stats().expect("slab backend");
+    assert_eq!((stats.starved_sets, stats.heap_fallbacks), (2, 1));
+    assert_eq!(stats.pages_reassigned, 0);
+    assert_eq!(engine.stats().evictions, 1);
+    engine.assert_storage_consistent();
+}
+
+#[test]
+fn a_value_over_one_page_is_charged_evicted_and_counted_like_any_other() {
+    // 64 KiB pages by default: a value between that and the wire's
+    // 1 MiB limit lives on the heap inside the slab engine.
+    const LEN: usize = 500 << 10;
+    const PUTS: u64 = 400;
+    let engine = default_shaped(StorageKind::Slab);
+    let now = SimTime::ZERO;
+    let value = |i: u64| vec![(i % 251) as u8; LEN];
+    assert!(engine.put(b"big:0", value(0), now).stored);
+    assert_eq!(engine.bytes_used(), 5 + LEN as u64 + 64);
+    assert_eq!(
+        &engine.get(b"big:0", now).expect("just stored")[..],
+        &value(0)[..]
+    );
+    let mut evicted = 0;
+    for i in 1..PUTS {
+        let outcome = engine.put(format!("big:{i}").as_bytes(), value(i), now);
+        assert!(outcome.stored);
+        evicted += outcome.evicted;
+    }
+    // Fifty a shard, sixteen fit: the first is long gone.
+    assert!(engine.get(b"big:0", now).is_none());
+    assert!(engine.bytes_used() <= SERVER_CAPACITY);
+    assert_eq!(engine.len() as u64 + evicted, PUTS);
+    assert_eq!(engine.stats().evictions, evicted);
+    let last = format!("big:{}", PUTS - 1);
+    assert_eq!(
+        &engine.get(last.as_bytes(), now).expect("most recent")[..],
+        &value(PUTS - 1)[..]
+    );
+    let stats = engine.slab_stats().expect("slab backend");
+    assert_eq!((stats.heap_fallbacks, stats.starved_sets), (PUTS, 0));
+    assert_eq!(stats.pages_allocated, 0, "no page was ever needed");
     engine.assert_storage_consistent();
 }

@@ -738,6 +738,10 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
             slab.heap_fallbacks,
         ));
         out.push(Metric::counter(
+            "proteus_slab_starved_sets_total",
+            slab.starved_sets,
+        ));
+        out.push(Metric::counter(
             "proteus_slab_pages_reassigned_total",
             slab.pages_reassigned,
         ));

@@ -345,6 +345,16 @@ fn slab_backend_serves_the_full_protocol() {
     assert!(live > 0);
     let frag: f64 = lookup("proteus_slab_fragmentation_ratio").parse().unwrap();
     assert!((0.0..1.0).contains(&frag), "fragmentation {frag}");
+    assert_eq!(lookup("proteus_slab_page_bytes"), "65536");
+    // Five pages a shard cannot give each of this mix's classes one:
+    // the starved sets that evicted or went to the heap are counted
+    // apart from the total of heap fallbacks.
+    let starved: u64 = lookup("proteus_slab_starved_sets_total").parse().unwrap();
+    let fallbacks: u64 = lookup("proteus_slab_heap_fallbacks_total").parse().unwrap();
+    assert!(
+        fallbacks <= starved,
+        "{fallbacks} fallbacks, {starved} starved"
+    );
     assert!(
         stats
             .iter()
