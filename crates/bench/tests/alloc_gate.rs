@@ -1,11 +1,13 @@
-//! Allocation-regression gate for the zero-copy hot path and the
-//! telemetry record path.
+//! Allocation-regression gate for the zero-copy hot path, the
+//! telemetry record path and the fixed footprint of a server.
 //!
 //! Counts heap acquisitions with the crate's counting global allocator
 //! and fails if the warmed read path, the borrowing parser or a
-//! histogram record starts allocating again. Unlike the throughput
-//! numbers, these counts are exact and identical on any hardware, so
-//! the budgets are tight.
+//! histogram record starts allocating again, or if a server that holds
+//! no key yet asks for more than a mebibyte (a digest per shard or
+//! eagerly built histogram stripes). Unlike the throughput numbers,
+//! these counts are exact and identical on any hardware, so the budgets
+//! are tight.
 //!
 //! Everything runs inside a single `#[test]` — the test harness runs
 //! sibling tests on concurrent threads, and their allocations would
@@ -75,6 +77,21 @@ const RECORDS: u64 = 2_000_000;
 const RECORD_BUDGET_NS: f64 = 1_000.0;
 const RECORD_THREADS: u64 = 4;
 
+/// What a default server (64 MiB, 8 shards, slab storage) may ask the
+/// allocator for between `spawn` and its first reply, before it holds a
+/// key: one digest of `l·b` bits split across the shards (228 KiB), the
+/// shards' empty indexes, the loops' buffers, and the histogram stripes
+/// the first command touches. Measured 0.61 MiB; 4.95 MiB when every
+/// shard held a whole digest and every histogram stripe was built up
+/// front.
+const SPAWN_BUDGET_BYTES: u64 = 1 << 20;
+/// A histogram registry nobody has recorded into is cells, not buckets.
+const FRESH_OPS_BUDGET_BYTES: u64 = 8 << 10;
+/// Two threads recording into two classes build four 30 KiB stripes
+/// (2.81 MiB when all 96 were built up front).
+const RECORDED_OPS_BUDGET_BYTES: u64 = 160 << 10;
+const STRIPE_BYTES: u64 = 30 << 10;
+
 /// The counting allocator tallies process-wide, and the test harness's
 /// own housekeeping thread occasionally allocates inside a measurement
 /// window. A genuine hot-path regression allocates on *every* run —
@@ -112,6 +129,10 @@ fn record_cost(mut record: impl FnMut(u64)) -> (u64, f64) {
 /// once. The workers are spawned before the window opens and joined
 /// after it closes — stacks and `JoinHandle`s are not the record path —
 /// so the window brackets only the record loops.
+///
+/// Each worker records one sample before the window: a thread's first
+/// record may build the stripe it landed on, and that is the only
+/// allocation the path is allowed.
 fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
     let start = Barrier::new(RECORD_THREADS as usize + 1);
     let done = Barrier::new(RECORD_THREADS as usize + 1);
@@ -119,6 +140,7 @@ fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
         for t in 0..RECORD_THREADS {
             let (start, done) = (&start, &done);
             s.spawn(move || {
+                hist.record_nanos(1);
                 start.wait();
                 for i in 0..RECORDS / RECORD_THREADS {
                     hist.record_nanos(100 + ((i + t * 7919) % 100_000));
@@ -146,7 +168,7 @@ fn telemetry_records_without_allocating() {
     };
 
     let hist = LatencyHistogram::new();
-    // The first record assigns this thread its stripe.
+    // The first record assigns this thread its stripe and builds it.
     hist.record_nanos(1);
     // Spread across buckets so the sweep is not one cache line.
     let (allocations, ns) = record_cost(|i| hist.record_nanos(100 + (i % 100_000)));
@@ -161,6 +183,7 @@ fn telemetry_records_without_allocating() {
 
     let ops = OpLatencies::default();
     ops.record(OpClass::Get, Duration::from_nanos(1));
+    ops.record(OpClass::Set, Duration::from_nanos(1));
     let (allocations, ns) = record_cost(|i| {
         let class = if i % 10 == 0 {
             OpClass::Set
@@ -175,6 +198,42 @@ fn telemetry_records_without_allocating() {
     let counter = Counter::new();
     let (allocations, _) = record_cost(|_| counter.inc());
     assert_eq!(allocations, 0, "counter inc allocated");
+}
+
+/// Telemetry costs memory where it is used: a fresh per-op-class
+/// registry is a cell a stripe, and after two threads recorded into two
+/// classes it holds the (at most) four stripes they touched — not the 96
+/// a registry of 12 classes × 8 stripes could.
+fn histograms_materialise_where_they_are_recorded() {
+    let (ops, fresh) = measure(OpLatencies::default);
+    assert!(
+        fresh.bytes < FRESH_OPS_BUDGET_BYTES,
+        "a fresh OpLatencies allocated {} B (budget {FRESH_OPS_BUDGET_BYTES}) — \
+         stripes are built before anything records into them",
+        fresh.bytes
+    );
+    let ((), recorded) = measure(|| {
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let ops = &ops;
+                s.spawn(move || {
+                    for i in 0..50_000u64 {
+                        let class = [OpClass::Get, OpClass::Set][(i % 2) as usize];
+                        ops.record(class, Duration::from_nanos(100 + (i + t * 7919) % 100_000));
+                    }
+                });
+            }
+        });
+    });
+    let total = fresh.bytes + recorded.bytes;
+    assert!(
+        (2 * STRIPE_BYTES..=RECORDED_OPS_BUDGET_BYTES).contains(&total),
+        "two threads recording into two classes left {total} B allocated \
+         (a stripe a class at least, budget {RECORDED_OPS_BUDGET_BYTES})"
+    );
+    assert_eq!(ops.snapshot(OpClass::Get).count(), 50_000);
+    assert_eq!(ops.snapshot(OpClass::Set).count(), 50_000);
+    assert!(ops.snapshot(OpClass::Delete).is_empty());
 }
 
 /// The client half of the wire, against a live server: a command is
@@ -370,11 +429,29 @@ fn hot_paths_stay_within_allocation_budget() {
     // `write_all`, and `read_exact` into a sized buffer; the budget
     // leaves room for per-wake-up bookkeeping in an event loop
     // (measured: none at all over the 20 k commands).
-    let server = CacheServer::spawn(
-        "127.0.0.1:0",
-        CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab),
-    )
-    .expect("bind an ephemeral port");
+    //
+    // Before it holds a key, that server is small: the window below
+    // runs from `spawn` to the first reply, so it holds the engine, the
+    // loops and the first histogram stripe.
+    let (server, spawn) = measure(|| {
+        let server = CacheServer::spawn(
+            "127.0.0.1:0",
+            CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab),
+        )
+        .expect("bind an ephemeral port");
+        let mut sock = TcpStream::connect(server.addr()).expect("connect to the server");
+        sock.write_all(b"get nothing-yet\r\n").unwrap();
+        let mut end = [0u8; 5];
+        sock.read_exact(&mut end).unwrap();
+        assert_eq!(&end, b"END\r\n");
+        server
+    });
+    assert!(
+        spawn.bytes <= SPAWN_BUDGET_BYTES,
+        "a default server allocated {} B before its first key (budget {SPAWN_BUDGET_BYTES}) — \
+         a whole digest a shard, or histograms built before they are recorded into",
+        spawn.bytes
+    );
     let mut gets = Vec::new();
     let mut sets = Vec::new();
     for i in 0..SERVER_COMMANDS {
@@ -457,4 +534,5 @@ fn hot_paths_stay_within_allocation_budget() {
     );
 
     telemetry_records_without_allocating();
+    histograms_materialise_where_they_are_recorded();
 }

@@ -31,6 +31,13 @@ pub struct BloomConfig {
     pub hashes: u32,
     /// Seed for the hash family.
     pub seed: u64,
+    /// `P`: how many equal slices the counters are split into (a power
+    /// of two; 1 = one undivided filter). A key hashes inside slice
+    /// [`partition_of`](crate::partition_of)`(key, P)` only, so slice
+    /// `p` is an ordinary filter of `l / P` counters over the keys of
+    /// partition `p` — what lets a sharded cache hold one slice per
+    /// shard (see [`with_partitions`](Self::with_partitions)).
+    pub partitions: usize,
 }
 
 impl BloomConfig {
@@ -53,6 +60,7 @@ impl BloomConfig {
             counter_bits,
             hashes,
             seed: 0,
+            partitions: 1,
         }
     }
 
@@ -61,6 +69,35 @@ impl BloomConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// Splits the counters into `partitions` equal slices, rounding
+    /// `l` up so every slice is a whole number of 64-counter words
+    /// (622 017 counters in 8 partitions become 8 × 77 760): slices
+    /// then [`concat`](crate::BloomFilter::concat) word for word. Each
+    /// slice holds `κ/P` of the keys in `l/P` of the counters, so the
+    /// Eq. 4 and Eq. 5 predictions for `(l, κ)` read the same per
+    /// slice. One partition leaves the configuration as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is not a power of two.
+    #[must_use]
+    pub fn with_partitions(mut self, partitions: usize) -> Self {
+        assert!(
+            partitions.is_power_of_two(),
+            "partitions must be a power of two, got {partitions}"
+        );
+        if partitions > 1 {
+            self.counters = self.counters.div_ceil(partitions).next_multiple_of(64) * partitions;
+        }
+        self.partitions = partitions;
+        self
+    }
+
+    /// Counters per partition (`l / P`).
+    pub(crate) fn slice_counters(&self) -> usize {
+        self.counters / self.partitions
     }
 
     /// Solves Eq. 10: the minimum-memory `(l, b)` meeting false

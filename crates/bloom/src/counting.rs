@@ -49,6 +49,7 @@ pub enum OverflowPolicy {
 #[derive(Clone)]
 pub struct CountingBloomFilter {
     config: BloomConfig,
+    plan: IndexPlan,
     policy: OverflowPolicy,
     words: Vec<u64>,
     items: u64,
@@ -67,6 +68,7 @@ impl CountingBloomFilter {
     pub fn with_policy(config: BloomConfig, policy: OverflowPolicy) -> Self {
         CountingBloomFilter {
             config,
+            plan: IndexPlan::new(config),
             policy,
             words: vec![0; storage_words(config)],
             items: 0,
@@ -103,14 +105,6 @@ impl CountingBloomFilter {
     #[must_use]
     pub fn overflow_events(&self) -> u64 {
         self.overflows
-    }
-
-    fn plan(&self) -> IndexPlan {
-        IndexPlan {
-            counters: self.config.counters,
-            hashes: self.config.hashes,
-            seed: self.config.seed,
-        }
     }
 
     fn counter_max(&self) -> u64 {
@@ -153,8 +147,8 @@ impl CountingBloomFilter {
 
     /// Inserts a key (the `do_item_link` path).
     pub fn insert(&mut self, key: &[u8]) {
-        let max = self.counter_max();
-        for i in self.plan().indices(key) {
+        let (max, plan) = (self.counter_max(), self.plan);
+        for i in plan.indices(key) {
             let c = self.get_counter(i);
             if c == max {
                 self.overflows += 1;
@@ -178,8 +172,8 @@ impl CountingBloomFilter {
     /// left at zero; with [`OverflowPolicy::Wrap`] it wraps to the
     /// maximum (modelling Eq. 5's underflow).
     pub fn remove(&mut self, key: &[u8]) {
-        let max = self.counter_max();
-        for i in self.plan().indices(key) {
+        let (max, plan) = (self.counter_max(), self.plan);
+        for i in plan.indices(key) {
             let c = self.get_counter(i);
             match (c, self.policy) {
                 (0, OverflowPolicy::Saturate) => {}
@@ -197,7 +191,7 @@ impl CountingBloomFilter {
     /// Membership query: `true` if every counter for `key` is nonzero.
     #[must_use]
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.plan().indices(key).all(|i| self.get_counter(i) != 0)
+        self.plan.indices(key).all(|i| self.get_counter(i) != 0)
     }
 
     /// Estimates how many distinct keys are in the filter from its
@@ -345,70 +339,6 @@ fn collapse(config: BloomConfig, words: &[u64]) -> BloomFilter {
         }
     });
     BloomFilter::from_words(config, bits)
-}
-
-/// The union of several same-configuration digests, collapsed once.
-///
-/// A sharded cache keeps one [`CountingBloomFilter`] per shard and
-/// broadcasts one digest. [`add`](Self::add) ORs a shard's packed
-/// counters into the union bit for bit — one pass over plain words, the
-/// only work done while that shard is locked. A counter of the union is
-/// nonzero exactly when it is nonzero in some shard (its value is not a
-/// count), so [`snapshot`](Self::snapshot) equals the union of the
-/// shards' own snapshots, at the cost of one collapse instead of one
-/// per shard.
-///
-/// # Example
-///
-/// ```
-/// use proteus_bloom::{BloomConfig, CounterUnion, CountingBloomFilter};
-///
-/// let cfg = BloomConfig::new(1 << 12, 3, 4);
-/// let (mut a, mut b) = (CountingBloomFilter::new(cfg), CountingBloomFilter::new(cfg));
-/// a.insert(b"page:1");
-/// b.insert(b"page:2");
-/// let mut union = CounterUnion::new(cfg);
-/// union.add(&a);
-/// union.add(&b);
-/// let digest = union.snapshot();
-/// assert!(digest.contains(b"page:1") && digest.contains(b"page:2"));
-/// ```
-#[derive(Debug)]
-pub struct CounterUnion {
-    config: BloomConfig,
-    words: Vec<u64>,
-}
-
-impl CounterUnion {
-    /// The empty union for filters of `config`.
-    #[must_use]
-    pub fn new(config: BloomConfig) -> Self {
-        CounterUnion {
-            config,
-            words: vec![0; storage_words(config)],
-        }
-    }
-
-    /// ORs `filter`'s counters into the union.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `filter` has a different configuration.
-    pub fn add(&mut self, filter: &CountingBloomFilter) {
-        assert_eq!(
-            self.config, filter.config,
-            "cannot union differently-configured filters"
-        );
-        for (union, word) in self.words.iter_mut().zip(&filter.words) {
-            *union |= word;
-        }
-    }
-
-    /// The collapse of everything added so far.
-    #[must_use]
-    pub fn snapshot(&self) -> BloomFilter {
-        collapse(self.config, &self.words)
-    }
 }
 
 impl fmt::Debug for CountingBloomFilter {
@@ -602,36 +532,6 @@ mod tests {
                 assert_eq!(f.snapshot().set_bits(), l);
             }
         }
-    }
-
-    #[test]
-    fn union_snapshot_equals_union_of_snapshots() {
-        let cfg = BloomConfig::new(1000, 3, 4).with_seed(5);
-        let mut shards = vec![CountingBloomFilter::new(cfg); 3];
-        for i in 0..300u64 {
-            // Overlapping key sets, and key 7 often enough to saturate.
-            shards[(i % 3) as usize].insert(&(i / 2).to_le_bytes());
-            shards[(i % 2) as usize].insert(&7u64.to_le_bytes());
-        }
-        let mut union = CounterUnion::new(cfg);
-        let mut expected = vec![0u64; 1000usize.div_ceil(64)];
-        for shard in &shards {
-            union.add(shard);
-            let bits = shard.snapshot_per_counter();
-            expected
-                .iter_mut()
-                .zip(bits.words())
-                .for_each(|(e, w)| *e |= w);
-        }
-        assert_eq!(union.snapshot(), BloomFilter::from_words(cfg, expected));
-        assert_eq!(CounterUnion::new(cfg).snapshot(), BloomFilter::new(cfg));
-    }
-
-    #[test]
-    #[should_panic(expected = "differently-configured")]
-    fn union_rejects_other_configurations() {
-        let f = CountingBloomFilter::new(BloomConfig::new(1000, 3, 4));
-        CounterUnion::new(BloomConfig::new(1000, 4, 4)).add(&f);
     }
 
     proptest::proptest! {

@@ -24,6 +24,7 @@ use crate::indexing::IndexPlan;
 #[derive(Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     config: BloomConfig,
+    plan: IndexPlan,
     words: Vec<u64>,
     set_bits: usize,
 }
@@ -34,14 +35,9 @@ impl BloomFilter {
     /// (a bit filter has no counter width), so filters from different
     /// counting-filter widths compare equal when their bits agree.
     #[must_use]
-    pub fn new(mut config: BloomConfig) -> Self {
-        config.counter_bits = 1;
-        let words = (config.counters as u64).div_ceil(64) as usize;
-        BloomFilter {
-            config,
-            words: vec![0; words],
-            set_bits: 0,
-        }
+    pub fn new(config: BloomConfig) -> Self {
+        let words = config.counters.div_ceil(64);
+        Self::from_words(config, vec![0; words])
     }
 
     /// The filter's configuration.
@@ -62,17 +58,10 @@ impl BloomFilter {
         self.set_bits as f64 / self.config.counters as f64
     }
 
-    fn plan(&self) -> IndexPlan {
-        IndexPlan {
-            counters: self.config.counters,
-            hashes: self.config.hashes,
-            seed: self.config.seed,
-        }
-    }
-
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        for i in self.plan().indices(key) {
+        let plan = self.plan;
+        for i in plan.indices(key) {
             self.set_raw_bit(i);
         }
     }
@@ -80,7 +69,7 @@ impl BloomFilter {
     /// Membership query (false positives possible, false negatives not).
     #[must_use]
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.plan()
+        self.plan
             .indices(key)
             .all(|i| self.words[i / 64] >> (i % 64) & 1 == 1)
     }
@@ -125,24 +114,80 @@ impl BloomFilter {
     ///
     /// # Panics
     ///
-    /// Panics if `words` has the wrong length for the configuration.
+    /// Panics if `words` has the wrong length for the configuration, or
+    /// sets a bit past the last counter (bytes from outside the program
+    /// go through [`DigestSnapshot::from_bytes`](crate::DigestSnapshot::from_bytes),
+    /// which rejects both).
     #[must_use]
     pub fn from_words(mut config: BloomConfig, words: Vec<u64>) -> Self {
         config.counter_bits = 1;
-        let expect = (config.counters as u64).div_ceil(64) as usize;
-        assert_eq!(words.len(), expect, "word count mismatch");
+        assert_eq!(
+            words.len(),
+            config.counters.div_ceil(64),
+            "word count mismatch"
+        );
+        assert_eq!(
+            stray_bits(config.counters, &words),
+            0,
+            "bits set past the last counter"
+        );
         let set_bits = words.iter().map(|w| w.count_ones() as usize).sum();
         BloomFilter {
             config,
+            plan: IndexPlan::new(config),
             words,
             set_bits,
         }
+    }
+
+    /// Joins the per-partition filters of a partitioned digest, slice 0
+    /// first, into the one filter a
+    /// [`with_partitions`](BloomConfig::with_partitions) configuration
+    /// describes: the words are concatenated, nothing is ORed. A single
+    /// part is returned as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts are not a power-of-two number of undivided
+    /// filters of one configuration, or — when there are several — if
+    /// that configuration's `counters` is not a multiple of 64.
+    #[must_use]
+    pub fn concat(parts: impl IntoIterator<Item = BloomFilter>) -> BloomFilter {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("a digest has at least one partition");
+        let slice = first.config;
+        assert_eq!(slice.partitions, 1, "parts must be undivided filters");
+        let (mut words, mut partitions) = (first.words, 1);
+        words.reserve(parts.size_hint().0 * words.len());
+        for part in parts {
+            assert_eq!(part.config, slice, "parts must share one configuration");
+            words.extend_from_slice(&part.words);
+            partitions += 1;
+        }
+        assert!(
+            partitions == 1 || slice.counters.is_multiple_of(64),
+            "partitions must be whole words to concatenate"
+        );
+        let config = BloomConfig {
+            counters: slice.counters * partitions,
+            partitions,
+            ..slice
+        };
+        BloomFilter::from_words(config, words)
     }
 
     /// Clears all bits.
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.set_bits = 0;
+    }
+}
+
+/// The bits `words` sets at or past bit `counters` of its last word.
+pub(crate) fn stray_bits(counters: usize, words: &[u64]) -> u64 {
+    match (counters % 64, words.last()) {
+        (0, _) | (_, None) => 0,
+        (used, Some(last)) => last >> used,
     }
 }
 
@@ -202,6 +247,54 @@ mod tests {
     #[should_panic(expected = "word count mismatch")]
     fn from_words_validates_length() {
         let _ = BloomFilter::from_words(BloomConfig::new(1000, 1, 3), vec![0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits set past the last counter")]
+    fn from_words_rejects_bits_past_the_last_counter() {
+        // 65 counters: only bit 0 of the second word is a counter.
+        let _ = BloomFilter::from_words(BloomConfig::new(65, 1, 3), vec![0, u64::MAX]);
+    }
+
+    #[test]
+    fn from_words_counts_every_bit_of_a_full_tail_word() {
+        let full = BloomFilter::from_words(BloomConfig::new(65, 1, 3), vec![u64::MAX, 1]);
+        assert_eq!(full.set_bits(), 65);
+        assert_eq!(full.estimate_cardinality(), None);
+        let one = BloomFilter::from_words(BloomConfig::new(65, 1, 3), vec![0, 1]);
+        assert_eq!(one.set_bits(), 1);
+        assert!(one.fill_ratio() < 0.02);
+    }
+
+    #[test]
+    fn concat_joins_slices_word_for_word() {
+        let slice = BloomConfig::new(128, 1, 3).with_seed(9);
+        let parts: Vec<BloomFilter> = (1..=4u64)
+            .map(|w| BloomFilter::from_words(slice, vec![w, w << 8]))
+            .collect();
+        let joined = BloomFilter::concat(parts.clone());
+        let whole = BloomConfig::new(512, 1, 3).with_seed(9).with_partitions(4);
+        assert_eq!(joined.config(), whole);
+        assert_eq!(joined.words(), [1, 1 << 8, 2, 2 << 8, 3, 3 << 8, 4, 4 << 8]);
+        assert_eq!(joined.set_bits(), 10);
+        // One part of any length comes back as it is.
+        let odd = BloomFilter::from_words(BloomConfig::new(65, 1, 3), vec![5, 1]);
+        assert_eq!(BloomFilter::concat([odd.clone()]), odd);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole words")]
+    fn concat_rejects_slices_that_end_inside_a_word() {
+        let part = BloomFilter::new(BloomConfig::new(65, 1, 3));
+        let _ = BloomFilter::concat([part.clone(), part]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one configuration")]
+    fn concat_rejects_mixed_configurations() {
+        let a = BloomFilter::new(BloomConfig::new(128, 1, 3));
+        let b = BloomFilter::new(BloomConfig::new(128, 1, 4));
+        let _ = BloomFilter::concat([a, b]);
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //!   the cache's item link/unlink path), with a choice of
 //!   [`OverflowPolicy`]: saturating (the safe system default) or
 //!   wrapping (the behaviour Eq. 5's false-negative analysis models).
-//! - [`CounterUnion`] — several same-configuration digests (a sharded
-//!   cache's) collapsed into one broadcast filter in one pass.
 //! - [`BloomFilter`] — a plain bit-array filter, used as the compact
 //!   broadcast form of a digest ("a few KB each", Section IV-A).
+//! - [`BloomConfig::with_partitions`] / [`partition_of`] /
+//!   [`BloomFilter::concat`] — a digest split into `P` equal slices, a
+//!   key hashing inside one of them only, so a sharded cache keeps one
+//!   slice per shard (`l·b` bits in all, as Eq. 10 provisions) and
+//!   broadcasts their concatenation.
 //! - [`DigestSnapshot`] — the serialized wire form exchanged via the
 //!   paper's `SET_BLOOM_FILTER` / `BLOOM_FILTER` protocol keys.
 //! - [`config`] — the Eq. 4 false-positive and Eq. 5 false-negative
@@ -51,6 +54,7 @@ mod indexing;
 mod snapshot;
 
 pub use config::BloomConfig;
-pub use counting::{CounterUnion, CountingBloomFilter, OverflowPolicy};
+pub use counting::{CountingBloomFilter, OverflowPolicy};
 pub use filter::BloomFilter;
+pub use indexing::partition_of;
 pub use snapshot::{DigestSnapshot, SnapshotError};

@@ -10,13 +10,17 @@ use std::error::Error;
 use std::fmt;
 
 use crate::config::BloomConfig;
-use crate::filter::BloomFilter;
+use crate::filter::{stray_bits, BloomFilter};
 
 /// Magic prefix identifying a serialized digest (`"PBF1"`).
 const MAGIC: [u8; 4] = *b"PBF1";
 
-/// Bytes before the words: magic, counters, hashes, seed.
+/// Bytes before the words: magic, counters, hashes and partitions, seed.
 const HEADER: usize = 4 + 8 + 4 + 8;
+
+/// The most partitions a digest on the wire may declare, as a power of
+/// two — far past any shard count, small enough that the shift is safe.
+const MAX_LOG2_PARTITIONS: u32 = 16;
 
 /// A serializable snapshot of one cache server's digest.
 ///
@@ -97,6 +101,9 @@ impl DigestSnapshot {
 
     /// Serializes to the wire format:
     /// `magic(4) ‖ counters(u64 LE) ‖ hashes(u32 LE) ‖ seed(u64 LE) ‖ words(u64 LE …)`.
+    /// The low half of the `hashes` word is `h`, the high half log₂ of
+    /// the partition count — zero for an undivided digest, which so
+    /// encodes exactly as it did before digests could be partitioned.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let cfg = self.filter.config();
@@ -104,7 +111,8 @@ impl DigestSnapshot {
         let mut out = vec![0; self.encoded_len()];
         out[0..4].copy_from_slice(&MAGIC);
         out[4..12].copy_from_slice(&(cfg.counters as u64).to_le_bytes());
-        out[12..16].copy_from_slice(&cfg.hashes.to_le_bytes());
+        let hashes = cfg.hashes | cfg.partitions.trailing_zeros() << 16;
+        out[12..16].copy_from_slice(&hashes.to_le_bytes());
         out[16..24].copy_from_slice(&cfg.seed.to_le_bytes());
         for (bytes, word) in out[HEADER..].chunks_exact_mut(8).zip(words) {
             bytes.copy_from_slice(&word.to_le_bytes());
@@ -117,7 +125,8 @@ impl DigestSnapshot {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] if the buffer is truncated, has the
-    /// wrong magic, or declares impossible dimensions.
+    /// wrong magic, declares impossible dimensions, or sets a bit past
+    /// its last counter.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < HEADER {
             return Err(SnapshotError::Truncated {
@@ -130,12 +139,19 @@ impl DigestSnapshot {
         }
         let counters = u64::from_le_bytes(bytes[4..12].try_into().expect("sized"));
         let hashes = u32::from_le_bytes(bytes[12..16].try_into().expect("sized"));
+        let (hashes, log2_partitions) = (hashes & 0xffff, hashes >> 16);
         let seed = u64::from_le_bytes(bytes[16..24].try_into().expect("sized"));
         if counters == 0 || counters > (1 << 40) {
             return Err(SnapshotError::BadHeader("counters"));
         }
         if hashes == 0 || hashes > 64 {
             return Err(SnapshotError::BadHeader("hashes"));
+        }
+        // Several partitions are whole words each (what `concat` builds).
+        if log2_partitions > MAX_LOG2_PARTITIONS
+            || (log2_partitions > 0 && counters % (64 << log2_partitions) != 0)
+        {
+            return Err(SnapshotError::BadHeader("partitions"));
         }
         let word_count = counters.div_ceil(64) as usize;
         let needed = HEADER + word_count * 8;
@@ -149,8 +165,14 @@ impl DigestSnapshot {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("sized")))
             .collect();
+        if stray_bits(counters as usize, &words) != 0 {
+            return Err(SnapshotError::BadHeader("bits past the last counter"));
+        }
         // `counter_bits` is irrelevant to a bit filter; carry 1.
-        let cfg = BloomConfig::new(counters as usize, 1, hashes).with_seed(seed);
+        let cfg = BloomConfig {
+            partitions: 1 << log2_partitions,
+            ..BloomConfig::new(counters as usize, 1, hashes).with_seed(seed)
+        };
         Ok(DigestSnapshot {
             filter: BloomFilter::from_words(cfg, words),
         })
@@ -244,6 +266,50 @@ mod tests {
         assert_eq!(
             DigestSnapshot::from_bytes(&bytes),
             Err(SnapshotError::BadHeader("counters"))
+        );
+    }
+
+    #[test]
+    fn decode_rejects_bits_past_the_last_counter() {
+        // 65 counters, the tail word all ones: one valid bit, 63 strays
+        // that used to be counted (fill 0.98, 67.8 keys estimated).
+        let mut bytes =
+            DigestSnapshot::from_filter(&BloomFilter::new(BloomConfig::new(65, 1, 4))).to_bytes();
+        let tail = bytes.len() - 8;
+        bytes[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            DigestSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::BadHeader("bits past the last counter"))
+        );
+        bytes[tail..].copy_from_slice(&1u64.to_le_bytes());
+        let clean = DigestSnapshot::from_bytes(&bytes).unwrap().into_filter();
+        assert_eq!(clean.set_bits(), 1);
+    }
+
+    #[test]
+    fn partition_count_rides_in_the_hashes_word() {
+        let cfg = BloomConfig::new(5000, 4, 4)
+            .with_seed(11)
+            .with_partitions(8);
+        let mut c = CountingBloomFilter::new(cfg);
+        (0..800u64).for_each(|i| c.insert(&i.to_le_bytes()));
+        let f = c.snapshot();
+        let mut bytes = DigestSnapshot::from_filter(&f).to_bytes();
+        assert_eq!(bytes[12..16], [4, 0, 3, 0]);
+        let restored = DigestSnapshot::from_bytes(&bytes).unwrap().into_filter();
+        assert_eq!(restored, f);
+        assert_eq!(restored.config().partitions, 8);
+        // More partitions than the counters split into whole words for,
+        // or than any digest has.
+        bytes[14] = 5;
+        assert_eq!(
+            DigestSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::BadHeader("partitions"))
+        );
+        bytes[14] = 17;
+        assert_eq!(
+            DigestSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::BadHeader("partitions"))
         );
     }
 

@@ -2,9 +2,26 @@
 
 use proptest::prelude::*;
 use proteus_bloom::{
-    config, BloomConfig, BloomFilter, CounterUnion, CountingBloomFilter, DigestSnapshot,
+    config, partition_of, BloomConfig, BloomFilter, CountingBloomFilter, DigestSnapshot,
     OverflowPolicy,
 };
+
+/// The partition counts the partitioned-digest properties run at: one
+/// (undivided), the smallest split, a default server's, and many.
+const PARTITIONS: [usize; 4] = [1, 2, 8, 64];
+
+fn partitions_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(2usize), Just(8usize), Just(64usize)]
+}
+
+/// The undivided configuration of one slice of `whole`.
+fn slice_of(whole: BloomConfig) -> BloomConfig {
+    BloomConfig {
+        counters: whole.counters / whole.partitions,
+        partitions: 1,
+        ..whole
+    }
+}
 
 fn keys_strategy() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..300)
@@ -231,41 +248,152 @@ proptest! {
         prop_assert!((w * w.exp() - x).abs() <= 1e-8 * (1.0 + x.abs()), "x={x} w={w}");
     }
 
-    /// Sharding invariance: partition any key set across any shard
-    /// count, OR the shards' counters into one union and collapse it —
-    /// the result is bit-identical to one digest over the whole set,
-    /// and to the OR of the shards' own snapshots. This is the property
-    /// that lets a sharded cache answer `SET_BLOOM_FILTER` one shard at
-    /// a time.
+    /// Sharding invariance: keep one undivided filter of `l / P`
+    /// counters per partition, send every insert and remove to the
+    /// filter of the key's partition, collapse each and concatenate —
+    /// the result is bit-identical to one whole `partitions = P` filter
+    /// that saw the same operations. This is the property that lets a
+    /// sharded cache hold `l·b` bits in all and answer
+    /// `SET_BLOOM_FILTER` one shard at a time.
     #[test]
-    fn shard_union_equals_unsharded_digest(
-        keys in keys_strategy(),
-        shard_count in 1usize..9,
-        l in 64usize..8192,
+    fn partition_concat_equals_whole_partitioned_digest(
+        ops in prop::collection::vec((any::<bool>(), 0u64..200), 1..400),
+        partitions in partitions_strategy(),
+        l in 1usize..8192,
         b in 1u32..=16,
         h in 1u32..8,
+        seed in any::<u64>(),
     ) {
-        let cfg = BloomConfig::new(l, b, h);
+        let cfg = BloomConfig::new(l, b, h).with_seed(seed).with_partitions(partitions);
         let mut whole = CountingBloomFilter::new(cfg);
-        let mut shards: Vec<CountingBloomFilter> =
-            (0..shard_count).map(|_| CountingBloomFilter::new(cfg)).collect();
-        for k in &keys {
-            whole.insert(&k.to_le_bytes());
-            // Any deterministic key→shard map works; mirror the
-            // cache's hash-based choice with a cheap mix.
-            let shard = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shard_count;
-            shards[shard].insert(&k.to_le_bytes());
+        let mut parts = vec![CountingBloomFilter::new(slice_of(cfg)); partitions];
+        for (insert, key) in ops {
+            let key = key.to_le_bytes();
+            let part = &mut parts[partition_of(&key, partitions)];
+            if insert {
+                whole.insert(&key);
+                part.insert(&key);
+            } else if part.contains(&key) {
+                // A cache only unlinks what it linked.
+                whole.remove(&key);
+                part.remove(&key);
+            }
         }
-        let mut union = CounterUnion::new(cfg);
-        let mut ored = vec![0u64; l.div_ceil(64)];
-        for shard in &shards {
-            union.add(shard);
-            let bits = shard.snapshot();
-            ored.iter_mut().zip(bits.words()).for_each(|(o, w)| *o |= w);
-        }
-        let merged = union.snapshot();
-        prop_assert_eq!(&merged, &whole.snapshot());
-        prop_assert_eq!(merged.set_bits(), whole.snapshot().set_bits());
-        prop_assert_eq!(merged, BloomFilter::from_words(cfg, ored));
+        let joined = BloomFilter::concat(parts.iter().map(CountingBloomFilter::snapshot));
+        let oracle = whole.snapshot();
+        prop_assert_eq!(joined.config(), oracle.config());
+        prop_assert_eq!(joined.words(), oracle.words());
+        prop_assert_eq!(joined.set_bits(), oracle.set_bits());
+        prop_assert_eq!(joined.estimate_cardinality(), oracle.estimate_cardinality());
+        prop_assert_eq!(&joined, &oracle);
+        // And it survives the wire, partition count included.
+        let decoded = DigestSnapshot::from_bytes(&DigestSnapshot::from_filter(&joined).to_bytes());
+        prop_assert_eq!(decoded.map(DigestSnapshot::into_filter), Ok(joined));
     }
+
+    /// A partitioned saturating filter never false-negatives a present
+    /// key under insert/remove churn, on either side of the collapse.
+    #[test]
+    fn partitioned_filter_has_no_false_negatives(
+        present in prop::collection::hash_set(any::<u64>(), 1..150),
+        churn in prop::collection::vec(any::<u64>(), 0..150),
+        partitions in partitions_strategy(),
+        l in 32usize..4096,
+        b in 1u32..5,
+    ) {
+        let cfg = BloomConfig::new(l, b, 4).with_partitions(partitions);
+        let mut f = CountingBloomFilter::new(cfg);
+        for k in &present {
+            f.insert(&k.to_le_bytes());
+        }
+        for k in churn.iter().filter(|k| !present.contains(k)) {
+            f.insert(&k.to_le_bytes());
+            f.remove(&k.to_le_bytes());
+        }
+        let bits = f.snapshot();
+        for k in &present {
+            prop_assert!(f.contains(&k.to_le_bytes()));
+            prop_assert!(bits.contains(&k.to_le_bytes()));
+        }
+    }
+}
+
+/// A default server's digest — Eq. 10 for the 16 384 items 64 MiB holds
+/// at 4 KB each: l = 622 017, b = 3, h = 4.
+fn default_shape() -> BloomConfig {
+    BloomConfig::optimal(16_384, 4, 1e-4, 1e-4)
+}
+
+/// Each partition holds κ/P of the keys in l/P of the counters, so the
+/// observed false-positive rate stays at Eq. 4's prediction for (l, κ)
+/// however many partitions the default shape is cut into — at the
+/// design load and at twice it.
+#[test]
+fn partitioned_false_positive_rate_tracks_eq4_at_the_default_shape() {
+    for partitions in PARTITIONS {
+        let cfg = default_shape().with_partitions(partitions);
+        let mut f = CountingBloomFilter::new(cfg);
+        let mut inserted = 0u64;
+        for (kappa, probes) in [(16_384u64, 1_500_000u64), (32_768, 300_000)] {
+            (inserted..kappa).for_each(|i| f.insert(&i.to_le_bytes()));
+            inserted = kappa;
+            let bits = f.snapshot();
+            let hits = (1 << 40..(1 << 40) + probes)
+                .filter(|i: &u64| bits.contains(&i.to_le_bytes()))
+                .count();
+            let observed = hits as f64 / probes as f64;
+            let predicted = config::false_positive_rate(cfg.counters, cfg.hashes, kappa);
+            assert!(
+                observed <= 1.25 * predicted,
+                "P={partitions} κ={kappa}: observed {observed:e} ({hits} hits), Eq. 4 {predicted:e}"
+            );
+            // Not vacuous: the filter does produce false positives.
+            assert!(hits > 0, "P={partitions} κ={kappa}");
+        }
+    }
+}
+
+/// The resolved shape: 622 017 counters in 8 partitions are 8 slices of
+/// 77 760 (1 215 words each), which encode to the same 77 784 bytes as
+/// the undivided digest, and a resolved shape resolves to itself.
+#[test]
+fn default_shape_in_eight_partitions() {
+    let whole = default_shape();
+    assert_eq!(
+        (whole.counters, whole.counter_bits, whole.partitions),
+        (622_017, 3, 1)
+    );
+    assert_eq!(whole.with_partitions(1), whole);
+    let cut = whole.with_partitions(8);
+    assert_eq!((cut.counters, cut.partitions), (8 * 77_760, 8));
+    assert_eq!(cut.with_partitions(8), cut);
+    for cfg in [whole, cut] {
+        let encoded = DigestSnapshot::from_filter(&BloomFilter::new(cfg)).encoded_len();
+        assert_eq!(encoded, 77_784);
+    }
+}
+
+/// An undivided digest encodes exactly as it did before digests could
+/// be partitioned (bytes produced by the parent commit's encoder), and a
+/// partitioned one differs from it in the `hashes` word only.
+#[test]
+fn unpartitioned_wire_encoding_is_pinned() {
+    const GOLDEN: &str = "504246318200000000000000030000000500000000000000\
+                          010000004290000040000800000080000000000000000000";
+    let mut f = CountingBloomFilter::new(BloomConfig::new(130, 3, 3).with_seed(5));
+    for key in [&b"alpha"[..], b"beta", b"gamma", b"delta"] {
+        f.insert(key);
+    }
+    f.remove(b"beta");
+    let bytes = DigestSnapshot::from_filter(&f.snapshot()).to_bytes();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN);
+
+    let cut = BloomFilter::new(BloomConfig::new(130, 3, 3).with_seed(5).with_partitions(2));
+    assert_eq!(cut.config().counters, 256);
+    let bytes = DigestSnapshot::from_filter(&cut).to_bytes();
+    assert_eq!(bytes[4..12], 256u64.to_le_bytes());
+    assert_eq!(bytes[12..16], [3, 0, 1, 0], "h = 3, log2 P = 1");
+    let back = DigestSnapshot::from_bytes(&bytes).unwrap().into_filter();
+    assert_eq!(back, cut);
 }

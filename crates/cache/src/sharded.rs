@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use proteus_bloom::{BloomFilter, CounterUnion};
+use proteus_bloom::{partition_of, BloomConfig, BloomFilter};
 use proteus_sim::{SimDuration, SimTime};
 
 use crate::config::CacheConfig;
@@ -71,15 +71,20 @@ pub type MruPage<'a> = std::iter::Take<std::iter::Skip<Keys<'a>>>;
 /// - Statistics live in lock-free atomics, so `stats()` never touches
 ///   a shard lock.
 /// - [`digest_snapshot`](Self::digest_snapshot) visits shards *one at
-///   a time*, ORing each one's counters into a union that is collapsed
-///   once at the end, so a snapshot (the paper's `get SET_BLOOM_FILTER`)
+///   a time*, collapsing each one's counters to bits and concatenating
+///   the results, so a snapshot (the paper's `get SET_BLOOM_FILTER`)
 ///   never stops the world — at most one shard is locked, for one pass
-///   over its counter words, while the other N−1 keep serving.
+///   over its 1/N of the counter words, while the other N−1 keep
+///   serving.
 ///
-/// Every shard's digest shares one [`BloomConfig`](proteus_bloom::BloomConfig),
-/// and each key lives in exactly one shard, so the union is
-/// bit-identical to the digest an unsharded engine with the same
-/// contents would broadcast (see [`CounterUnion`]).
+/// The digest is partitioned, not copied: the configured
+/// [`BloomConfig`] is split with
+/// [`with_partitions`](BloomConfig::with_partitions)`(N)`, shard `s`
+/// owns slice `s` as an ordinary filter of `l / N` counters, and
+/// [`shard_of`](Self::shard_of) is [`partition_of`] — so the shards
+/// hold `l·b` bits between them (what Eq. 10 provisions for the whole
+/// server), and their concatenation is bit-identical to one whole
+/// `partitions = N` filter fed the same keys.
 ///
 /// Capacity is partitioned statically: each shard evicts independently
 /// against `capacity_bytes / shards`, which bounds total usage by
@@ -100,7 +105,6 @@ pub type MruPage<'a> = std::iter::Take<std::iter::Skip<Keys<'a>>>;
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<Mutex<CacheEngine>>,
-    mask: u64,
     config: CacheConfig,
     stats: AtomicStats,
 }
@@ -108,26 +112,35 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Creates an empty sharded engine. `config.shards` is rounded up
     /// to a power of two (minimum 1); each shard gets an equal slice
-    /// of `capacity_bytes` and a full-size digest of the same shape.
+    /// of `capacity_bytes` and an equal slice of the digest's counters.
     #[must_use]
-    pub fn new(config: CacheConfig) -> Self {
+    pub fn new(mut config: CacheConfig) -> Self {
         let shard_count = config.shards.max(1).next_power_of_two();
+        config.digest = config.digest.with_partitions(shard_count);
         let shard_config = CacheConfig {
             capacity_bytes: config.capacity_bytes / shard_count as u64,
             shards: 1,
+            digest: BloomConfig {
+                counters: config.digest.counters / shard_count,
+                partitions: 1,
+                ..config.digest
+            },
             ..config
         };
         ShardedEngine {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(CacheEngine::new(shard_config)))
                 .collect(),
-            mask: shard_count as u64 - 1,
             config,
             stats: AtomicStats::default(),
         }
     }
 
-    /// The engine's configuration (as given, before per-shard split).
+    /// The engine's configuration as given, before the per-shard split,
+    /// except that `digest` is resolved: the partitioned shape (`l`
+    /// rounded up to whole words a shard, `partitions` = shard count)
+    /// the shards hold between them and
+    /// [`digest_snapshot`](Self::digest_snapshot) broadcasts.
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -139,16 +152,10 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// Which shard `key` lives in.
+    /// Which shard `key` lives in: the digest partition it hashes into.
     #[must_use]
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        // FNV-1a, xor-folded so the low bits see the whole hash.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        ((h ^ (h >> 32)) & self.mask) as usize
+        partition_of(key, self.shards.len())
     }
 
     /// Runs `f` under the lock of `key`'s shard, folding any counter
@@ -318,26 +325,27 @@ impl ShardedEngine {
     }
 
     /// Snapshot of the whole engine's digest. Shards are visited **one
-    /// at a time**, each locked only while its packed counters are ORed
-    /// into the union (one pass over plain words, ~20 µs for a default
-    /// digest), so ongoing operations on other shards never wait on the
-    /// snapshot; the union is collapsed to bits once, with no lock
-    /// held. The result is bit-identical to an unsharded digest of the
-    /// same contents.
+    /// at a time**, each locked only while its slice of the counters is
+    /// collapsed to bits (one word-parallel pass over `l·b / N` bits),
+    /// so ongoing operations on other shards never wait on the
+    /// snapshot; the slices are concatenated in shard order. The result
+    /// is bit-identical to one whole filter of
+    /// [`config().digest`](Self::config) fed the same keys.
     #[must_use]
     pub fn digest_snapshot(&self) -> BloomFilter {
-        let mut union = CounterUnion::new(self.config.digest);
-        for shard in &self.shards {
-            union.add(shard.lock().digest());
-        }
-        union.snapshot()
+        BloomFilter::concat(self.shards.iter().map(|s| s.lock().digest_snapshot()))
     }
 
-    /// Estimated distinct-item count from the merged digest, or `None`
-    /// if the digest is saturated (every bit set).
+    /// Estimated distinct-item count: the sum of the shards' own
+    /// estimates, each read from its counters under its lock with no
+    /// snapshot built. `None` if any shard's digest is saturated (no
+    /// counter left at zero).
     #[must_use]
     pub fn digest_estimate(&self) -> Option<f64> {
-        self.digest_snapshot().estimate_cardinality()
+        self.shards
+            .iter()
+            .map(|s| s.lock().digest().estimate_cardinality())
+            .sum()
     }
 
     /// Merged slab-store snapshot across shards (per-class counters
@@ -534,9 +542,12 @@ mod tests {
         assert!(c.stats().evictions > 0, "pressure must evict");
     }
 
+    /// The sharded digest is the whole partitioned one: the shards'
+    /// slices, concatenated, equal one `partitions = N` filter that holds
+    /// exactly what survived eviction and deletes.
     #[test]
     fn merged_snapshot_equals_unsharded_digest() {
-        for shards in [1, 4, 8] {
+        for shards in [1, 2, 4, 8, 16, 64] {
             // Too small for all 2000 items, so the digests also see
             // the removes of evictions.
             let config = CacheConfig::with_capacity(1 << 15)
@@ -550,9 +561,13 @@ mod tests {
             for i in (0..2000u64).step_by(3) {
                 sharded.delete(&i.to_le_bytes());
             }
-            // The unsharded twin holds exactly what survived.
+            // The unsharded twin holds exactly what survived, in one
+            // filter of the resolved (partitioned) shape.
+            let resolved = sharded.config().digest;
+            assert_eq!(resolved.partitions, shards);
             let mut single = CacheEngine::new(CacheConfig {
                 capacity_bytes: 1 << 20,
+                digest: resolved,
                 ..config
             });
             let mut resident = 0;
@@ -564,9 +579,54 @@ mod tests {
             }
             let snapshot = sharded.digest_snapshot();
             assert_eq!(snapshot, single.digest_snapshot(), "{shards} shards");
+            assert_eq!(snapshot.config(), single.digest_snapshot().config());
             let est = sharded.digest_estimate().unwrap();
             let resident = f64::from(resident);
             assert!((est - resident).abs() / resident < 0.05, "estimate {est}");
+        }
+    }
+
+    #[test]
+    fn a_key_lives_in_the_shard_of_its_digest_partition() {
+        for shards in [1, 2, 4, 8, 16, 32, 64] {
+            let c = engine(1 << 20, shards);
+            for i in 0..2048u64 {
+                let key = i.to_le_bytes();
+                assert_eq!(c.shard_of(&key), partition_of(&key, shards));
+            }
+            assert_eq!(c.shard_of(b""), partition_of(b"", shards));
+        }
+    }
+
+    /// The shards hold the digest's `l·b` bits between them, not a copy
+    /// each: within a word a shard of the resolved configuration's size,
+    /// which is itself within a word a shard of the configured one.
+    #[test]
+    fn digest_memory_is_one_digest_not_one_per_shard() {
+        let configured = CacheConfig::with_capacity(64 << 20).digest;
+        assert_eq!(configured.counters, 622_017);
+        for shards in [1, 2, 4, 8, 16, 32, 64] {
+            let c = ShardedEngine::new(CacheConfig::with_capacity(64 << 20).shards(shards));
+            let resolved = c.config().digest;
+            let held: u64 = c
+                .shards
+                .iter()
+                .map(|s| s.lock().digest().config().memory_bytes())
+                .sum();
+            let slack = 8 * shards as u64;
+            assert!(
+                held.abs_diff(resolved.memory_bytes()) <= slack,
+                "{shards} shards hold {held} B, resolved {resolved:?}"
+            );
+            let rounding = u64::from(resolved.counter_bits) * slack;
+            assert!(
+                resolved.memory_bytes() - configured.memory_bytes() <= rounding,
+                "{shards} shards: {resolved:?}"
+            );
+            assert_eq!(
+                c.digest_snapshot().config(),
+                BloomFilter::new(resolved).config()
+            );
         }
     }
 

@@ -680,6 +680,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// what the `--metrics-addr` endpoint renders as Prometheus text/JSON.
 pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
     let stats = shared.engine.stats();
+    let digest = shared.engine.config().digest;
     let m = &shared.metrics;
     let mut out = vec![
         // Info-gauge idiom: constant 1, identity in the labels, so any
@@ -701,6 +702,11 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         ),
         Metric::gauge("proteus_curr_items", shared.engine.len() as i64),
         Metric::gauge("proteus_bytes", shared.engine.bytes_used() as i64),
+        // The digest as resolved for this shard count: l, P, and the
+        // l·b/8 bytes of counters the shards hold between them.
+        Metric::gauge("proteus_digest_counters", digest.counters as i64),
+        Metric::gauge("proteus_digest_partitions", digest.partitions as i64),
+        Metric::gauge("proteus_digest_bytes", digest.memory_bytes() as i64),
         Metric::gauge("proteus_curr_connections", m.curr_connections.get()),
         Metric::counter("proteus_total_connections", m.total_connections.get()),
         Metric::counter("proteus_get_hits_total", stats.hits),

@@ -197,8 +197,9 @@ fn mru_keys_listing_pages_every_shard_hottest_first() {
 
 /// The reply bytes of the two reserved keys — asked for one by one or
 /// in one multi-key `get` — against bytes built without the server's
-/// collapse: with no removes, the digest of a key set is the plain
-/// filter of that key set, in the `PBF1` encoding.
+/// collapse or its shards: with no removes, the digest of a key set is
+/// the plain filter of that key set, of the shape the server resolved
+/// for its shard count (one partition a shard), in the `PBF1` encoding.
 #[test]
 fn digest_replies_are_byte_exact_on_every_plane() {
     use proteus_bloom::{BloomFilter, DigestSnapshot};
@@ -208,9 +209,13 @@ fn digest_replies_are_byte_exact_on_every_plane() {
     let keys: Vec<Vec<u8>> = (0..300u32)
         .map(|i| format!("key:{i}").into_bytes())
         .collect();
-    let mut expected = BloomFilter::new(config.digest);
+    let resolved = config.digest.with_partitions(config.shards);
+    assert_eq!(resolved.partitions, 8);
+    let mut expected = BloomFilter::new(resolved);
     keys.iter().for_each(|key| expected.insert(key));
     let pbf1 = DigestSnapshot::from(expected).to_bytes();
+    // A server never emits a bit past its last counter.
+    assert!(DigestSnapshot::from_bytes(&pbf1).is_ok());
     let value = |key: &str, data: &[u8]| {
         let mut reply = format!("VALUE {key} 0 {}\r\n", data.len()).into_bytes();
         reply.extend_from_slice(data);
@@ -252,6 +257,36 @@ fn digest_replies_are_byte_exact_on_every_plane() {
             ask(b"get SET_BLOOM_FILTER BLOOM_FILTER\r\n") == together,
             "one request on {engine:?}"
         );
+        server.stop();
+    }
+}
+
+/// A server never sets a bit past its digest's last counter, saturated
+/// or not, whether the tail word is partial (one shard, `l` not a
+/// multiple of 64) or the slices are whole words (eight shards): a
+/// decoder that rejects such bits reads every reply, and the decoded
+/// fill never passes 100 %.
+#[test]
+fn a_served_digest_sets_no_bit_past_its_last_counter() {
+    use proteus_bloom::{BloomConfig, DigestSnapshot};
+    for (shards, keys) in [(1, 4u32), (1, 400), (8, 4), (8, 4000)] {
+        let config = CacheConfig::with_capacity(1 << 20)
+            .shards(shards)
+            .digest(BloomConfig::new(65, 2, 4));
+        let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
+        let client = CacheClient::connect(server.addr()).unwrap();
+        for i in 0..keys {
+            client.set(format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        assert!(client.snapshot_digest().unwrap().is_some());
+        let raw = client.get(b"BLOOM_FILTER").unwrap().expect("just taken");
+        let digest = DigestSnapshot::from_bytes(&raw)
+            .unwrap_or_else(|e| panic!("{shards} shards, {keys} keys: {e}"))
+            .into_filter();
+        let counters = digest.config().counters;
+        assert_eq!(counters, if shards == 1 { 65 } else { 8 * 64 });
+        assert!(digest.set_bits() <= counters && digest.fill_ratio() <= 1.0);
+        assert_eq!(digest.set_bits() == counters, keys >= 400, "{keys} keys");
         server.stop();
     }
 }
@@ -346,6 +381,17 @@ fn slab_backend_serves_the_full_protocol() {
     let frag: f64 = lookup("proteus_slab_fragmentation_ratio").parse().unwrap();
     assert!((0.0..1.0).contains(&frag), "fragmentation {frag}");
     assert_eq!(lookup("proteus_slab_page_bytes"), "65536");
+    // The digest as resolved for the default eight shards: Eq. 10 for
+    // the 1 024 items the capacity implies, l rounded up to whole words
+    // a shard, b = 3 bits each.
+    let counters: u64 = lookup("proteus_digest_counters").parse().unwrap();
+    assert_eq!(lookup("proteus_digest_partitions"), "8");
+    assert_eq!(counters % (8 * 64), 0);
+    assert!(counters - config.digest.counters as u64 <= 8 * 64);
+    assert_eq!(
+        lookup("proteus_digest_bytes"),
+        (counters * 3 / 8).to_string()
+    );
     // Five pages a shard cannot give each of this mix's classes one:
     // the starved sets that evicted or went to the heap are counted
     // apart from the total of heap fallbacks.

@@ -7,6 +7,11 @@
 //! [`LatencyHistogram::snapshot`] sums all stripes into an owned
 //! [`HistogramSnapshot`] which supports quantile queries and merging.
 //!
+//! A stripe's 30 KiB of buckets materialise on its first record, so a
+//! histogram nobody records into costs one pointer-sized cell a stripe
+//! and a thread pays for the stripes it actually writes — the only
+//! allocation the record path ever makes, once per (histogram, stripe).
+//!
 //! The bucket scheme is the offline simulator's, imported from
 //! [`proteus_sim::histogram`] rather than retyped: values below 64 ns
 //! are exact, larger values land in logarithmic octaves split into 64
@@ -16,6 +21,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use proteus_sim::histogram::{bucket_floor, bucket_index, bucket_value, MAX_BUCKETS};
@@ -98,7 +104,8 @@ fn stripe_ticket() -> usize {
 /// ```
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    stripes: Box<[Stripe]>,
+    /// Each stripe is built by the first record that lands on it.
+    stripes: Box<[OnceLock<Stripe>]>,
     /// `stripes.len() - 1`; stripe count is a power of two.
     mask: usize,
 }
@@ -116,7 +123,7 @@ impl LatencyHistogram {
     pub fn with_stripes(stripes: usize) -> Self {
         let n = stripes.max(1).next_power_of_two();
         LatencyHistogram {
-            stripes: (0..n).map(|_| Stripe::new()).collect(),
+            stripes: (0..n).map(|_| OnceLock::new()).collect(),
             mask: n - 1,
         }
     }
@@ -127,17 +134,20 @@ impl LatencyHistogram {
         self.stripes.len()
     }
 
-    /// Records one duration sample. Lock-free and allocation-free:
-    /// five relaxed atomic operations on this thread's stripe.
+    /// Records one duration sample. Lock-free and allocation-free once
+    /// this thread's stripe exists: one acquire load to find it, then
+    /// five relaxed atomic operations on it.
     #[inline]
     pub fn record(&self, d: Duration) {
         self.record_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Records one sample expressed in nanoseconds.
+    /// Records one sample expressed in nanoseconds. The first sample
+    /// to land on a stripe allocates it; every later one is
+    /// allocation-free.
     #[inline]
     pub fn record_nanos(&self, v: u64) {
-        let stripe = &self.stripes[stripe_ticket() & self.mask];
+        let stripe = self.stripes[stripe_ticket() & self.mask].get_or_init(Stripe::new);
         stripe.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         stripe.count.fetch_add(1, Ordering::Relaxed);
         stripe.sum_nanos.fetch_add(v, Ordering::Relaxed);
@@ -160,7 +170,8 @@ impl LatencyHistogram {
         let mut sum_nanos = 0u128;
         let mut min = u64::MAX;
         let mut max = 0u64;
-        for stripe in self.stripes.iter() {
+        // A stripe nobody recorded into holds nothing to add.
+        for stripe in self.stripes.iter().filter_map(OnceLock::get) {
             // Bucket totals are authoritative: a stripe's `count` is
             // derived from the same relaxed adds and may lag the
             // buckets mid-record, so the snapshot counts the buckets.
@@ -418,6 +429,22 @@ mod tests {
         assert_eq!(snap.quantile(0.5), None);
         assert_eq!(snap.mean(), None);
         assert_eq!(snap.percentiles(), None);
+    }
+
+    #[test]
+    fn stripes_materialise_on_first_record() {
+        let live = |h: &LatencyHistogram| h.stripes.iter().filter(|s| s.get().is_some()).count();
+        let h = LatencyHistogram::new();
+        assert_eq!(h.stripes(), DEFAULT_STRIPES);
+        // A snapshot taken before any record is empty and builds nothing.
+        assert_eq!(h.snapshot(), HistogramSnapshot::empty());
+        assert_eq!(live(&h), 0);
+        h.record_nanos(7);
+        h.record_nanos(9);
+        assert_eq!(live(&h), 1, "one thread writes one stripe");
+        let snap = h.snapshot();
+        assert_eq!((snap.count(), snap.sum_nanos()), (2, 16));
+        assert_eq!(live(&h), 1, "reading builds nothing either");
     }
 
     #[test]
