@@ -129,7 +129,9 @@ struct SizeClass {
     vacant: Vec<u32>,
     /// Number of `Some` entries in `pages`.
     page_count: u64,
-    /// Pages that may have free chunks; inserts fill the front one.
+    /// Pages that may have free chunks; inserts fill the front one. A
+    /// fresh page queues at the back, a page that just had a chunk
+    /// freed at the front.
     candidates: std::collections::VecDeque<u32>,
     live_items: u64,
     /// Exact key+value bytes of live items (≤ live_items × chunk_size).
@@ -446,8 +448,12 @@ impl SlabStore {
         c.live_items -= 1;
         c.live_bytes -= len as u64;
         if !page.queued {
+            // At the front: the next insert of the class — the second
+            // half of an overwrite, usually — lands in the chunk just
+            // freed, which is still in cache and already resident,
+            // rather than in the untouched tail of a newer page.
             page.queued = true;
-            c.candidates.push_back(loc.page);
+            c.candidates.push_front(loc.page);
         }
         if page.live == 0 && !page.hinted {
             page.hinted = true;
