@@ -95,11 +95,6 @@ impl BloomConfig {
         self
     }
 
-    /// Counters per partition (`l / P`).
-    pub(crate) fn slice_counters(&self) -> usize {
-        self.counters / self.partitions
-    }
-
     /// Solves Eq. 10: the minimum-memory `(l, b)` meeting false
     /// positive bound `pp` and false negative bound `pn` for `kappa`
     /// keys and `h` hash functions.

@@ -38,6 +38,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// ```
 #[must_use]
 pub fn partition_of(key: &[u8], partitions: usize) -> usize {
+    debug_assert!(partitions.is_power_of_two());
     fold(fnv1a64(key), partitions - 1)
 }
 
@@ -76,7 +77,7 @@ impl IndexPlan {
             config.partitions
         );
         IndexPlan {
-            slice: config.slice_counters(),
+            slice: config.counters / config.partitions,
             mask: config.partitions - 1,
             hashes: config.hashes,
             seed: config.seed,

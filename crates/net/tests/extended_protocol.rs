@@ -214,8 +214,6 @@ fn digest_replies_are_byte_exact_on_every_plane() {
     let mut expected = BloomFilter::new(resolved);
     keys.iter().for_each(|key| expected.insert(key));
     let pbf1 = DigestSnapshot::from(expected).to_bytes();
-    // A server never emits a bit past its last counter.
-    assert!(DigestSnapshot::from_bytes(&pbf1).is_ok());
     let value = |key: &str, data: &[u8]| {
         let mut reply = format!("VALUE {key} 0 {}\r\n", data.len()).into_bytes();
         reply.extend_from_slice(data);
