@@ -92,6 +92,9 @@ fn parse_args() -> Result<Options, String> {
     if opts.config.server_capacity_ops <= 0.0 {
         return Err("--capacity-ops must be positive".to_string());
     }
+    if opts.config.interval.is_zero() {
+        return Err("--interval-ms must be positive".to_string());
+    }
     Ok(opts)
 }
 

@@ -1,7 +1,6 @@
 //! Cache-engine configuration.
 
 use proteus_bloom::BloomConfig;
-use proteus_sim::SimDuration;
 
 /// Which value-storage backend a [`CacheEngine`](crate::CacheEngine)
 /// places item bytes in.
@@ -29,17 +28,17 @@ pub enum StorageKind {
 /// Configuration for a [`CacheEngine`](crate::CacheEngine).
 ///
 /// The paper's deployment gives each memcached server 1 GB for 4 KB
-/// page objects (Fig. 6 tunes this) and tracks "hot" data with a TTL
-/// window (Section II: touched within the past `TTL` seconds).
+/// page objects (Fig. 6 tunes this). The paper's hot-data TTL is the
+/// length of a transition window, so it is configured where windows
+/// are timed (the simulator's cluster configuration, the live
+/// controller's drain), not in the engine.
 ///
 /// # Example
 ///
 /// ```
 /// use proteus_cache::CacheConfig;
-/// use proteus_sim::SimDuration;
 ///
-/// let cfg = CacheConfig::with_capacity(1 << 30)
-///     .hot_ttl(SimDuration::from_secs(60));
+/// let cfg = CacheConfig::with_capacity(1 << 30);
 /// assert_eq!(cfg.capacity_bytes, 1 << 30);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,17 +46,14 @@ pub struct CacheConfig {
     /// Maximum bytes of key+value payload (plus per-item overhead)
     /// held before LRU eviction kicks in.
     pub capacity_bytes: u64,
-    /// The "hot" window: an item touched within this duration is hot
-    /// and will be migrated on demand during a transition; older items
-    /// may be discarded when their server powers off.
-    pub hot_ttl: SimDuration,
     /// Accounted per-item metadata overhead, mirroring memcached's
     /// item-header cost. Each stored item is charged
     /// `key.len() + value.len() + item_overhead` against
     /// `capacity_bytes`; the default 64 covers the engine's real
-    /// bookkeeping (a ~44-byte slot, index bucket share, and LRU
-    /// links), so the configured budget tracks actual memory even for
-    /// tiny items.
+    /// bookkeeping — a 48-byte slot (storage handle 16, hash 8, key
+    /// and value lengths 8, expiry 8, two LRU links 8) plus 5–9 bytes
+    /// of index bucket at its 7/8 maximum load — so the configured
+    /// budget tracks actual memory even for tiny items.
     pub item_overhead: u32,
     /// Value-storage backend (see [`StorageKind`]).
     pub storage: StorageKind,
@@ -93,16 +89,14 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A configuration with the given payload capacity and defaults
-    /// matching the paper's evaluation: 60 s hot TTL, 64-byte item
-    /// overhead, heap storage, and a digest sized for the item count
-    /// the capacity implies at 4 KB objects (h = 4, as in Section
-    /// VI-B).
+    /// matching the paper's evaluation: 64-byte item overhead, heap
+    /// storage, and a digest sized for the item count the capacity
+    /// implies at 4 KB objects (h = 4, as in Section VI-B).
     #[must_use]
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         let expected_items = (capacity_bytes / 4096).max(1024);
         CacheConfig {
             capacity_bytes,
-            hot_ttl: SimDuration::from_secs(60),
             item_overhead: 64,
             digest: BloomConfig::optimal(expected_items, 4, 1e-4, 1e-4),
             shards: 8,
@@ -110,13 +104,6 @@ impl CacheConfig {
             slab_page_bytes: 0,
             slab_page_budget: 0,
         }
-    }
-
-    /// Sets the hot-data TTL (builder style).
-    #[must_use]
-    pub fn hot_ttl(mut self, ttl: SimDuration) -> Self {
-        self.hot_ttl = ttl;
-        self
     }
 
     /// Sets the digest configuration (builder style).
@@ -172,7 +159,6 @@ mod tests {
     #[test]
     fn defaults_are_sensible() {
         let cfg = CacheConfig::with_capacity(1 << 30);
-        assert_eq!(cfg.hot_ttl, SimDuration::from_secs(60));
         assert!(cfg.digest.counters > 0);
         // Digest sized for ~262k items at 4 KB each.
         assert!(cfg.digest.counters > 262_144);
@@ -182,11 +168,9 @@ mod tests {
     fn builders_apply() {
         let digest = BloomConfig::new(1024, 4, 4);
         let cfg = CacheConfig::with_capacity(1 << 16)
-            .hot_ttl(SimDuration::from_secs(5))
             .item_overhead(0)
             .shards(4)
             .digest(digest);
-        assert_eq!(cfg.hot_ttl, SimDuration::from_secs(5));
         assert_eq!(cfg.item_overhead, 0);
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.digest, digest);

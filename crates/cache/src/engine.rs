@@ -47,6 +47,12 @@ fn hash_key(key: &[u8]) -> u64 {
     h ^ (h >> 31)
 }
 
+/// The absolute expiry of an item given `ttl` at `now`: `SimTime::MAX`
+/// (never) for `None`.
+fn deadline(now: SimTime, ttl: Option<SimDuration>) -> SimTime {
+    ttl.map_or(SimTime::MAX, |d| now + d)
+}
+
 /// Heap-backed item payload: the original one-allocation-per-value
 /// layout. Boxed so the common slab slot stays small.
 #[derive(Debug)]
@@ -75,7 +81,6 @@ struct Slot {
     hash: u64,
     klen: u32,
     vlen: u32,
-    last_access: SimTime,
     /// Absolute expiry instant; `SimTime::MAX` means never.
     expires_at: SimTime,
     prev: u32,
@@ -312,8 +317,8 @@ impl CacheEngine {
         }
     }
 
-    /// Looks up `key`, refreshing its recency and last-access time.
-    /// Returns the value bytes if present and not expired.
+    /// Looks up `key`, refreshing its recency. Returns the value bytes
+    /// if present and not expired.
     ///
     /// Expiry is lazy, memcached-style: an expired item is unlinked
     /// (digest updated) the first time anything looks at it.
@@ -342,9 +347,9 @@ impl CacheEngine {
         }
     }
 
-    /// Shared hit path: reaps an expired item, refreshes recency and
-    /// last-access on a hit, and moves the hit/miss counters. Returns
-    /// the slot index on a hit.
+    /// Shared hit path: reaps an expired item, refreshes recency on a
+    /// hit, and moves the hit/miss counters. Returns the slot index on
+    /// a hit.
     fn hit_slot(&mut self, key: &[u8], now: SimTime) -> Option<u32> {
         let hash = hash_key(key);
         match self.find_slot(key, hash) {
@@ -357,7 +362,6 @@ impl CacheEngine {
             Some(idx) => {
                 self.detach(idx);
                 self.push_front(idx);
-                self.slots[idx as usize].last_access = now;
                 self.stats.hits += 1;
                 Some(idx)
             }
@@ -368,10 +372,12 @@ impl CacheEngine {
         }
     }
 
-    /// Refreshes `key`'s recency and last-access time without reading
-    /// the value (the memcached `touch` command). Returns whether the
+    /// The memcached `touch` command: refreshes `key`'s recency without
+    /// reading the value and gives it a new expiry, `ttl` after `now`
+    /// (`None` never expires, as with
+    /// [`put_with_expiry`](Self::put_with_expiry)). Returns whether the
     /// key was present. Does not count as a hit or miss.
-    pub fn touch(&mut self, key: &[u8], now: SimTime) -> bool {
+    pub fn touch(&mut self, key: &[u8], now: SimTime, ttl: Option<SimDuration>) -> bool {
         let hash = hash_key(key);
         match self.find_slot(key, hash) {
             Some(idx) if self.slots[idx as usize].expires_at <= now => {
@@ -382,7 +388,7 @@ impl CacheEngine {
             Some(idx) => {
                 self.detach(idx);
                 self.push_front(idx);
-                self.slots[idx as usize].last_access = now;
+                self.slots[idx as usize].expires_at = deadline(now, ttl);
                 true
             }
             None => false,
@@ -436,9 +442,9 @@ impl CacheEngine {
     }
 
     /// Reaps every expired item now (memcached leaves this to lazy
-    /// access; an explicit sweep is useful before digest snapshots so
-    /// broadcast digests do not advertise dead items). Returns the
-    /// number of items reaped.
+    /// access). Returns the number of items reaped. No snapshot path
+    /// calls it: an expired item nothing has read since stays in a
+    /// broadcast digest until a read reaps it.
     pub fn sweep_expired(&mut self, now: SimTime) -> u64 {
         let mut expired = Vec::new();
         let mut cursor = self.head;
@@ -491,7 +497,7 @@ impl CacheEngine {
         now: SimTime,
         ttl: Option<SimDuration>,
     ) -> StoreOutcome {
-        self.put_with_deadline(key, value, now, ttl.map_or(SimTime::MAX, |d| now + d))
+        self.put_with_deadline(key, value, deadline(now, ttl))
     }
 
     /// Inserts or replaces `key` with an **absolute** expiry instant
@@ -502,7 +508,6 @@ impl CacheEngine {
         &mut self,
         key: &[u8],
         value: impl Into<SharedBytes> + AsRef<[u8]>,
-        now: SimTime,
         expires_at: SimTime,
     ) -> StoreOutcome {
         self.stats.sets += 1;
@@ -559,7 +564,6 @@ impl CacheEngine {
             hash,
             klen: u32::try_from(klen).expect("key length exceeds u32"),
             vlen: u32::try_from(vlen).expect("value length exceeds u32"),
-            last_access: now,
             expires_at,
             prev: NIL,
             next: NIL,
@@ -655,30 +659,6 @@ impl CacheEngine {
             }
             None => false,
         }
-    }
-
-    /// Whether `key` is cached *and* was accessed within `ttl` of
-    /// `now` — the paper's definition of "hot" data (Section II).
-    #[must_use]
-    pub fn is_hot(&self, key: &[u8], now: SimTime, ttl: SimDuration) -> bool {
-        self.find_slot(key, hash_key(key))
-            .map(|idx| now.saturating_since(self.slots[idx as usize].last_access) <= ttl)
-            .unwrap_or(false)
-    }
-
-    /// Number of items accessed within `ttl` of `now`.
-    #[must_use]
-    pub fn hot_items(&self, now: SimTime, ttl: SimDuration) -> usize {
-        let mut count = 0;
-        let mut cursor = self.head;
-        while cursor != NIL {
-            let slot = &self.slots[cursor as usize];
-            if now.saturating_since(slot.last_access) <= ttl {
-                count += 1;
-            }
-            cursor = slot.next;
-        }
-        count
     }
 
     /// Iterates over cached keys in MRU→LRU order.
@@ -882,29 +862,13 @@ mod tests {
         assert_eq!(c.bytes_used(), 0);
     }
 
+    /// Per-item state is 48 bytes: the storage enum (16: a `ChunkLoc`
+    /// or a box behind a tag), the hash (8), key and value lengths
+    /// (4 + 4), the expiry (8) and the two LRU links (4 + 4). A field
+    /// added here is charged to every resident item.
     #[test]
-    fn hotness_follows_last_access_and_ttl() {
-        let ttl = SimDuration::from_secs(60);
-        let mut c = engine(1 << 16);
-        c.put(b"k", vec![0; 4], T0);
-        assert!(c.is_hot(b"k", T0 + SimDuration::from_secs(30), ttl));
-        assert!(!c.is_hot(b"k", T0 + SimDuration::from_secs(61), ttl));
-        // A get refreshes hotness.
-        let t40 = T0 + SimDuration::from_secs(40);
-        assert!(c.get(b"k", t40).is_some());
-        assert!(c.is_hot(b"k", t40 + SimDuration::from_secs(59), ttl));
-        assert!(!c.is_hot(b"missing", T0, ttl));
-    }
-
-    #[test]
-    fn hot_items_counts_only_recent() {
-        let ttl = SimDuration::from_secs(10);
-        let mut c = engine(1 << 16);
-        c.put(b"old", vec![0; 4], T0);
-        let t20 = T0 + SimDuration::from_secs(20);
-        c.put(b"new", vec![0; 4], t20);
-        assert_eq!(c.hot_items(t20, ttl), 1);
-        assert_eq!(c.hot_items(T0 + SimDuration::from_secs(5), ttl), 2);
+    fn a_slot_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
     }
 
     #[test]
@@ -971,16 +935,29 @@ mod tests {
         c.put(b"b", vec![2], T0);
         let before = c.stats();
         let later = T0 + SimDuration::from_secs(5);
-        assert!(c.touch(b"a", later));
-        assert!(!c.touch(b"missing", later));
+        assert!(c.touch(b"a", later, None));
+        assert!(!c.touch(b"missing", later, None));
         assert_eq!(c.stats(), before, "touch must not move hit/miss counters");
-        // "a" is MRU again and its hotness window restarted.
+        // "a" is MRU again.
         assert_eq!(c.keys().next().unwrap(), b"a");
-        assert!(c.is_hot(
-            b"a",
-            later + SimDuration::from_secs(3),
-            SimDuration::from_secs(4)
-        ));
+    }
+
+    #[test]
+    fn touch_sets_the_new_expiry() {
+        let mut c = engine(1 << 16);
+        let ttl = SimDuration::from_secs(30);
+        c.put_with_expiry(b"k", vec![1], T0, Some(SimDuration::from_secs(100)));
+        let t5 = T0 + SimDuration::from_secs(5);
+        // exptime 0: the item never expires any more.
+        assert!(c.touch(b"k", t5, None));
+        assert_eq!(c.expiry_of(b"k"), Some(SimTime::MAX));
+        // A non-expiring item gets a deadline `ttl` after the touch.
+        assert!(c.touch(b"k", t5, Some(ttl)));
+        assert_eq!(c.expiry_of(b"k"), Some(t5 + ttl));
+        assert!(
+            c.get(b"k", t5 + ttl).is_none(),
+            "expired at the new deadline"
+        );
     }
 
     #[test]
@@ -1009,8 +986,7 @@ mod tests {
             .unwrap()
             .parse()
             .unwrap();
-        let outcome =
-            c.put_with_deadline(b"ctr", (current + 1).to_string().into_bytes(), T0, deadline);
+        let outcome = c.put_with_deadline(b"ctr", (current + 1).to_string().into_bytes(), deadline);
         assert!(outcome.stored);
 
         assert_eq!(c.get(b"ctr", T0).unwrap(), b"42");
@@ -1050,9 +1026,8 @@ mod tests {
         c.put_with_expiry(b"k", b"1".to_vec(), T0, Some(SimDuration::from_secs(10)));
         let deadline = c.expiry_of(b"k").unwrap();
         assert_eq!(deadline, T0 + SimDuration::from_secs(10));
-        // Rewrite the value 4 seconds in, keeping the original deadline.
-        let t4 = T0 + SimDuration::from_secs(4);
-        c.put_with_deadline(b"k", b"2".to_vec(), t4, deadline);
+        // Rewrite the value, keeping the original deadline.
+        c.put_with_deadline(b"k", b"2".to_vec(), deadline);
         assert_eq!(c.expiry_of(b"k"), Some(deadline));
         assert!(c.get(b"k", T0 + SimDuration::from_secs(9)).is_some());
         assert!(c.get(b"k", T0 + SimDuration::from_secs(10)).is_none());

@@ -249,10 +249,10 @@ impl ShardedEngine {
         self.with_key_shard(key, |e| e.delete(key))
     }
 
-    /// Refreshes `key`'s recency without reading it (see
-    /// [`CacheEngine::touch`]).
-    pub fn touch(&self, key: &[u8], now: SimTime) -> bool {
-        self.with_key_shard(key, |e| e.touch(key, now))
+    /// Refreshes `key`'s recency without reading it and gives it a new
+    /// expiry (see [`CacheEngine::touch`]).
+    pub fn touch(&self, key: &[u8], now: SimTime, ttl: Option<SimDuration>) -> bool {
+        self.with_key_shard(key, |e| e.touch(key, now, ttl))
     }
 
     /// Non-mutating lookup returning an owned value (see
@@ -317,7 +317,8 @@ impl ShardedEngine {
     }
 
     /// Reaps expired items in every shard (one shard locked at a
-    /// time). Returns the number reaped.
+    /// time; see [`CacheEngine::sweep_expired`]). Returns the number
+    /// reaped.
     pub fn sweep_expired(&self, now: SimTime) -> u64 {
         (0..self.shards.len())
             .map(|i| self.with_shard(i, |e| e.sweep_expired(now)))
@@ -752,8 +753,8 @@ mod tests {
         let c = engine(1 << 20, 4);
         c.put(b"k", vec![1, 2], T0);
         let before = c.stats();
-        assert!(c.touch(b"k", T0));
-        assert!(!c.touch(b"missing", T0));
+        assert!(c.touch(b"k", T0, None));
+        assert!(!c.touch(b"missing", T0, None));
         assert_eq!(c.peek(b"k").as_deref(), Some(&[1u8, 2][..]));
         assert_eq!(c.peek(b"missing"), None);
         assert_eq!(c.stats(), before);

@@ -32,7 +32,7 @@ fn items_expire_lazily_on_get() {
 fn touch_reaps_expired_items() {
     let mut c = engine();
     c.put_with_expiry(b"k", b"v".to_vec(), T0, Some(SimDuration::from_secs(5)));
-    assert!(!c.touch(b"k", T0 + SimDuration::from_secs(6)));
+    assert!(!c.touch(b"k", T0 + SimDuration::from_secs(6), None));
     assert!(!c.contains(b"k"));
     assert_eq!(c.stats().expired, 1);
 }
@@ -92,18 +92,20 @@ fn expired_items_do_not_resurrect_via_lru() {
     // access, not shield itself through recency.
     let mut c = engine();
     c.put_with_expiry(b"short", b"v".to_vec(), T0, Some(SimDuration::from_secs(1)));
-    // Touch it right before expiry (it is MRU now).
-    assert!(c.touch(b"short", T0 + SimDuration::from_millis(900)));
+    // Touch it right before expiry (it is MRU now), keeping the 1 s
+    // deadline.
+    let t900 = T0 + SimDuration::from_millis(900);
+    assert!(c.touch(b"short", t900, Some(SimDuration::from_millis(100))));
     assert_eq!(c.get(b"short", T0 + SimDuration::from_secs(2)), None);
 }
 
 #[test]
 fn hotness_and_expiry_are_independent_clocks() {
     let mut c = engine();
-    let hot_ttl = SimDuration::from_secs(60);
     c.put_with_expiry(b"k", b"v".to_vec(), T0, Some(SimDuration::from_secs(10)));
-    // Hot (touched recently) but expired: is_hot says hot, get reaps.
+    // Read a second before the deadline: a hit, and the item is MRU...
+    assert!(c.get(b"k", T0 + SimDuration::from_secs(9)).is_some());
+    // ...which does not move the deadline: get reaps.
     let t11 = T0 + SimDuration::from_secs(11);
-    assert!(c.is_hot(b"k", t11, hot_ttl), "hotness is about access time");
     assert_eq!(c.get(b"k", t11), None, "expiry still wins on access");
 }

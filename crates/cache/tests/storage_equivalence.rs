@@ -31,7 +31,9 @@ enum Op {
     Add(u8, u16),
     Replace(u8, u16),
     Delete(u8),
-    Touch(u8),
+    /// Touch with a new TTL in seconds; 0 clears the expiry, like the
+    /// wire's exptime 0.
+    Touch(u8, u8),
     /// Store an ASCII number, for the incr/decr path.
     SetCounter(u8, u32),
     Incr(u8, u8),
@@ -47,7 +49,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), 1u16..300).prop_map(|(k, n)| Op::Add(k, n)),
         (any::<u8>(), 1u16..300).prop_map(|(k, n)| Op::Replace(k, n)),
         any::<u8>().prop_map(Op::Delete),
-        any::<u8>().prop_map(Op::Touch),
+        (any::<u8>(), 0u8..20).prop_map(|(k, t)| Op::Touch(k, t)),
         (any::<u8>(), any::<u32>()).prop_map(|(k, v)| Op::SetCounter(k, v)),
         (any::<u8>(), 1u8..50).prop_map(|(k, d)| Op::Incr(k, d)),
         (any::<u8>(), 1u8..50).prop_map(|(k, d)| Op::Decr(k, d)),
@@ -108,7 +110,7 @@ fn numeric_op(
     } else {
         parsed.wrapping_add(delta)
     };
-    engine.put_with_deadline(key, next.to_string().into_bytes(), now, deadline);
+    engine.put_with_deadline(key, next.to_string().into_bytes(), deadline);
     Some(next)
 }
 
@@ -202,9 +204,14 @@ proptest! {
                     let key = key_bytes(*k);
                     prop_assert_eq!(heap.delete(&key), slab.delete(&key), "delete diverged");
                 }
-                Op::Touch(k) => {
+                Op::Touch(k, ttl) => {
                     let key = key_bytes(*k);
-                    prop_assert_eq!(heap.touch(&key, t), slab.touch(&key, t), "touch diverged");
+                    let ttl = (*ttl > 0).then(|| SimDuration::from_secs(u64::from(*ttl)));
+                    prop_assert_eq!(
+                        heap.touch(&key, t, ttl),
+                        slab.touch(&key, t, ttl),
+                        "touch diverged"
+                    );
                 }
                 Op::SetCounter(k, v) => {
                     let key = key_bytes(*k);

@@ -149,8 +149,7 @@ impl ClusterSim {
             "plan sized for a different cluster"
         );
         let router = Router::new(scenario.strategy(config.cache_servers, 0));
-        let mut cache_cfg =
-            CacheConfig::with_capacity(config.cache_capacity_bytes).hot_ttl(config.hot_ttl);
+        let mut cache_cfg = CacheConfig::with_capacity(config.cache_capacity_bytes);
         if let Some(digest) = config.digest_override {
             cache_cfg = cache_cfg.digest(digest);
         }

@@ -69,7 +69,8 @@ pub struct ClusterConfig {
     pub slot: SimDuration,
     /// Number of slots (total duration = `slot × slots`).
     pub slots: usize,
-    /// The hot-data TTL: drain window length and hotness horizon.
+    /// The hot-data TTL: the transition window's length (`DrainEnd`
+    /// fires this long after a transition begins).
     pub hot_ttl: SimDuration,
     /// Per-server cache capacity in bytes.
     pub cache_capacity_bytes: u64,

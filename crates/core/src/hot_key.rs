@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use proteus_ring::hash::{splitmix64, KeyHasher};
+use proteus_ring::hash::{replica_ring_hasher, splitmix64, KeyHasher};
 
 /// A space-saving top-K sketch: tracks (approximately) the `k` most
 /// frequent keys of a stream in bounded memory.
@@ -145,8 +145,8 @@ impl SpaceSaving {
 /// `r` independent hash rings derived from one primary hasher.
 ///
 /// Ring 0 is the primary hasher itself, so replica 0 of any key is
-/// its ordinary home server; rings `1..` use the same seed-derivation
-/// schedule as [`proteus_ring::ReplicatedPlacement`]. More rings than
+/// its ordinary home server; ring `i ≥ 1` is
+/// [`replica_ring_hasher`]`(primary.seed(), i)`. More rings than
 /// requested replicas are derived so [`replica_set`](Self::replica_set)
 /// can skip hash conflicts (two rings landing on the same server) and
 /// still reach the requested number of *distinct* servers.
@@ -172,15 +172,8 @@ impl ReplicaRings {
     pub fn new(primary: KeyHasher, replicas: usize) -> Self {
         assert!(replicas > 0, "need at least one replica");
         let rings = replicas.saturating_mul(Self::RING_SLACK).max(replicas);
-        let seed = primary.seed();
-        let hashers = (0..rings)
-            .map(|i| {
-                if i == 0 {
-                    primary
-                } else {
-                    KeyHasher::new(seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9) | 1)
-                }
-            })
+        let hashers = std::iter::once(primary)
+            .chain((1..rings).map(|i| replica_ring_hasher(primary.seed(), i)))
             .collect();
         ReplicaRings { hashers, replicas }
     }

@@ -27,7 +27,7 @@ use parking_lot::RwLock;
 use proteus_agg::{ClusterObserver, ObserverConfig};
 use proteus_ctl::{ActuationConfig, ClusterController, PolicyConfig, StepAction, WallPolicy};
 use proteus_net::ClusterClient;
-use proteus_obs::{MetricsServer, ScrapeLimits};
+use proteus_obs::MetricsServer;
 
 struct Options {
     cache: Vec<SocketAddr>,
@@ -117,6 +117,9 @@ fn parse_args() -> Result<Options, String> {
     if opts.capacity_ops <= 0.0 {
         return Err("--capacity-ops must be positive".to_string());
     }
+    if opts.tick.is_zero() {
+        return Err("--tick-ms must be positive".to_string());
+    }
     Ok(opts)
 }
 
@@ -159,12 +162,8 @@ fn main() -> ExitCode {
         policy,
         opts.actuation,
     );
-    let _exposition = match MetricsServer::spawn_traced(
-        &opts.bind,
-        observer.metric_source(),
-        tracer,
-        ScrapeLimits::default(),
-    ) {
+    let source = observer.metric_source();
+    let _exposition = match MetricsServer::spawn_traced(&opts.bind, source, tracer) {
         Ok(m) => {
             println!(
                 "proteus-controller steering {n} server(s); cluster view at \

@@ -11,12 +11,13 @@
 //!   (utilization per active server) inside a hysteresis band, while
 //!   the paper's delay set points act as the hard guard: p99 over the
 //!   bound forces growth no matter what utilization says, and any p99
-//!   above the reference vetoes shrinking.
-//! - **Hysteresis.** Scale up when per-server utilization exceeds
-//!   [`PolicyConfig::scale_up_util`]; scale down only when the load
-//!   would still sit at or below [`PolicyConfig::scale_down_util`] on
+//!   above the reference vetoes shrinking. The set points are
+//!   [`SetPoints::paper_defaults`].
+//! - **Hysteresis.** Scale up when per-server utilization exceeds 75%;
+//!   scale down only when the load would still sit at or below 55% on
 //!   the *smaller* cluster. The dead band between the thresholds
-//!   absorbs workload noise without flapping.
+//!   absorbs workload noise without flapping; both sit under the
+//!   paper's 80% headroom fraction.
 //! - **Ramp limit.** At most [`PolicyConfig::max_step`] servers per
 //!   decision, in either direction — each transition has a digest
 //!   broadcast and a drain window, and the controller must observe the
@@ -28,6 +29,15 @@
 use std::time::{Duration, Instant};
 
 use proteus_core::{DelaySignal, SetPoints};
+
+/// Scale up when measured per-server utilization exceeds this.
+const SCALE_UP_UTIL: f64 = 0.75;
+/// Scale down only while utilization *after* the shrink would stay at
+/// or below this.
+const SCALE_DOWN_UTIL: f64 = 0.55;
+// An inverted band would grow and shrink on the same load: a build
+// error, not a runtime check.
+const _: () = assert!(SCALE_DOWN_UTIL < SCALE_UP_UTIL, "the dead band");
 
 /// Tunables for a [`WallPolicy`].
 #[derive(Debug, Clone, Copy)]
@@ -41,14 +51,6 @@ pub struct PolicyConfig {
     /// denominator, matching
     /// [`ObserverConfig::server_capacity_ops`](proteus_agg::ObserverConfig).
     pub server_capacity_ops: f64,
-    /// The paper's reference/bound delay set points.
-    pub points: SetPoints,
-    /// Scale up when measured per-server utilization exceeds this.
-    pub scale_up_util: f64,
-    /// Scale down only while utilization *after* the shrink would stay
-    /// at or below this. Must sit below `scale_up_util` to form a
-    /// dead band.
-    pub scale_down_util: f64,
     /// Largest |Δn| one decision may request.
     pub max_step: usize,
     /// Hold time after a transition window closes.
@@ -56,9 +58,8 @@ pub struct PolicyConfig {
 }
 
 impl PolicyConfig {
-    /// Paper-style defaults for a cluster of `total_servers`, sized so
-    /// the utilization band (55–75%) sits under the paper's 80%
-    /// headroom fraction.
+    /// Paper-style defaults for a cluster of `total_servers`: one
+    /// server at least, two per decision, a minute's cooldown.
     ///
     /// # Panics
     ///
@@ -70,9 +71,6 @@ impl PolicyConfig {
             total_servers,
             min_servers: 1,
             server_capacity_ops,
-            points: SetPoints::paper_defaults(),
-            scale_up_util: 0.75,
-            scale_down_util: 0.55,
             max_step: 2,
             cooldown: Duration::from_secs(60),
         }
@@ -86,10 +84,6 @@ impl PolicyConfig {
         assert!(
             self.server_capacity_ops > 0.0,
             "server capacity must be positive"
-        );
-        assert!(
-            self.scale_down_util < self.scale_up_util,
-            "scale_down_util must sit below scale_up_util (the dead band)"
         );
         assert!(self.max_step >= 1, "max_step must allow some movement");
     }
@@ -163,8 +157,8 @@ impl WallPolicy {
     ///
     /// # Panics
     ///
-    /// Panics on an inconsistent [`PolicyConfig`] (inverted band, zero
-    /// capacity, `min_servers` outside the cluster).
+    /// Panics on an inconsistent [`PolicyConfig`] (zero capacity or
+    /// step, `min_servers` outside the cluster).
     #[must_use]
     pub fn new(config: PolicyConfig) -> Self {
         config.validate();
@@ -200,11 +194,12 @@ impl WallPolicy {
         if self.in_cooldown(now) {
             return Decision::Hold(HoldReason::Cooldown);
         }
+        let points = SetPoints::paper_defaults();
         let delay = match input.p99 {
             // No samples ⇒ no delay pressure: classify as the deepest
             // headroom so an idle cluster is free to shrink.
             None => DelaySignal::Headroom,
-            Some(p99) => cfg.points.classify(duration_ns(p99)),
+            Some(p99) => points.classify(duration_ns(p99)),
         };
 
         // Hard guard first: a violated delay bound forces growth with a
@@ -214,7 +209,7 @@ impl WallPolicy {
         if matches!(delay, DelaySignal::Overload) {
             let ratio = input
                 .p99
-                .map_or(1.0, |p99| cfg.points.overshoot(duration_ns(p99)));
+                .map_or(1.0, |p99| points.overshoot(duration_ns(p99)));
             let step = (((ratio - 1.0) * n as f64).ceil() as usize).clamp(1, cfg.max_step);
             let to = (n + step).min(cfg.total_servers);
             return if to == n {
@@ -225,10 +220,10 @@ impl WallPolicy {
         }
 
         let util = |servers: usize| input.ops_per_sec / (servers as f64 * cfg.server_capacity_ops);
-        if util(n) > cfg.scale_up_util {
+        if util(n) > SCALE_UP_UTIL {
             // Grow until utilization re-enters the band, ramp-limited.
             let mut to = n;
-            while to < cfg.total_servers && to - n < cfg.max_step && util(to) > cfg.scale_up_util {
+            while to < cfg.total_servers && to - n < cfg.max_step && util(to) > SCALE_UP_UTIL {
                 to += 1;
             }
             return if to == n {
@@ -244,16 +239,13 @@ impl WallPolicy {
         // not fine with less").
         if matches!(delay, DelaySignal::Headroom) {
             let mut to = n;
-            while to > cfg.min_servers
-                && n - to < cfg.max_step
-                && util(to - 1) <= cfg.scale_down_util
-            {
+            while to > cfg.min_servers && n - to < cfg.max_step && util(to - 1) <= SCALE_DOWN_UTIL {
                 to -= 1;
             }
             if to != n {
                 return Decision::Scale { from: n, to };
             }
-            if n == cfg.min_servers && util(n) <= cfg.scale_down_util {
+            if n == cfg.min_servers && util(n) <= SCALE_DOWN_UTIL {
                 return Decision::Hold(HoldReason::AtFloor);
             }
         }
@@ -401,15 +393,5 @@ mod tests {
             policy.decide(now, &input(4, 100.0, Some(450))),
             Decision::Hold(HoldReason::Steady)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "dead band")]
-    fn inverted_band_is_rejected() {
-        let _ = WallPolicy::new(PolicyConfig {
-            scale_up_util: 0.5,
-            scale_down_util: 0.6,
-            ..PolicyConfig::for_cluster(4, 100.0)
-        });
     }
 }

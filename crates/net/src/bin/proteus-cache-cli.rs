@@ -6,7 +6,7 @@
 //! proteus-cache-cli ADDR add KEY VALUE
 //! proteus-cache-cli ADDR replace KEY VALUE
 //! proteus-cache-cli ADDR delete KEY
-//! proteus-cache-cli ADDR touch KEY
+//! proteus-cache-cli ADDR touch KEY     # refresh; clears any expiry
 //! proteus-cache-cli ADDR incr KEY DELTA
 //! proteus-cache-cli ADDR decr KEY DELTA
 //! proteus-cache-cli ADDR stats
@@ -21,7 +21,8 @@ use proteus_net::CacheClient;
 
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: proteus-cache-cli ADDR <get|set|add|replace|delete|touch|incr|decr|stats|digest|version|flush> [KEY] [VALUE|DELTA]";
+    let usage = "usage: proteus-cache-cli ADDR <get|set|add|replace|delete|touch|incr|decr|stats|digest|version|flush> [KEY] [VALUE|DELTA]\n\
+                 touch refreshes KEY and clears any expiry it had";
     let addr_text = args.first().ok_or(usage)?;
     let addr = addr_text
         .parse()

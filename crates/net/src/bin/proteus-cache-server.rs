@@ -1,7 +1,7 @@
 //! A standalone Proteus cache server.
 //!
 //! ```text
-//! proteus-cache-server [--bind ADDR] [--capacity-mb N] [--hot-ttl-secs N]
+//! proteus-cache-server [--bind ADDR] [--capacity-mb N] [--metrics-addr ADDR]
 //!                      [--engine threaded|reactor|uring] [--loops N]
 //! ```
 //!
@@ -22,13 +22,11 @@ use std::process::ExitCode;
 
 use proteus_cache::{CacheConfig, StorageKind};
 use proteus_net::{CacheServer, EngineKind, ServerConfig};
-use proteus_obs::{MetricsServer, ScrapeLimits};
-use proteus_sim::SimDuration;
+use proteus_obs::MetricsServer;
 
 struct Options {
     bind: String,
-    capacity_mb: u64,
-    hot_ttl_secs: u64,
+    capacity_bytes: u64,
     metrics_addr: Option<String>,
     engine: Option<String>,
     loops: usize,
@@ -37,8 +35,7 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         bind: "127.0.0.1:11211".to_string(),
-        capacity_mb: 64,
-        hot_ttl_secs: 60,
+        capacity_bytes: 64 << 20,
         metrics_addr: None,
         engine: None,
         loops: 0,
@@ -52,14 +49,12 @@ fn parse_args() -> Result<Options, String> {
         match flag.as_str() {
             "--bind" => opts.bind = value("--bind")?,
             "--capacity-mb" => {
-                opts.capacity_mb = value("--capacity-mb")?
+                let mb: u64 = value("--capacity-mb")?
                     .parse()
                     .map_err(|_| "--capacity-mb must be a number".to_string())?;
-            }
-            "--hot-ttl-secs" => {
-                opts.hot_ttl_secs = value("--hot-ttl-secs")?
-                    .parse()
-                    .map_err(|_| "--hot-ttl-secs must be a number".to_string())?;
+                opts.capacity_bytes = mb
+                    .checked_mul(1 << 20)
+                    .ok_or("--capacity-mb must be under 2^44 (its bytes must fit 64 bits)")?;
             }
             "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?),
             "--engine" => {
@@ -76,8 +71,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: proteus-cache-server [--bind ADDR] \
-                            [--capacity-mb N] [--hot-ttl-secs N] \
-                            [--metrics-addr ADDR] \
+                            [--capacity-mb N] [--metrics-addr ADDR] \
                             [--engine threaded|reactor|uring] [--loops N]\n\
                             --engine: `reactor` (epoll) is the default on Linux; \
                             `threaded` is the reference plane the others are \
@@ -87,7 +81,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if opts.capacity_mb == 0 {
+    if opts.capacity_bytes == 0 {
         return Err("--capacity-mb must be positive".to_string());
     }
     Ok(opts)
@@ -101,8 +95,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = CacheConfig::with_capacity(opts.capacity_mb << 20)
-        .hot_ttl(SimDuration::from_secs(opts.hot_ttl_secs))
+    let config = CacheConfig::with_capacity(opts.capacity_bytes)
         // Always the slab: a long-running server wants bounded
         // fragmentation at tens of millions of resident items.
         .storage(StorageKind::Slab);
@@ -133,10 +126,9 @@ fn main() -> ExitCode {
         EngineKind::Uring { loops } => format!("io_uring, {loops} event loops"),
     };
     println!(
-        "proteus-cache-server listening on {} ({} MB, hot TTL {} s, {plane}, slab storage)",
+        "proteus-cache-server listening on {} ({} MB, {plane}, slab storage)",
         server.addr(),
-        opts.capacity_mb,
-        opts.hot_ttl_secs
+        opts.capacity_bytes >> 20
     );
     // Kept alive for the life of the process; dropping it would stop
     // the scrape listener.
@@ -145,7 +137,6 @@ fn main() -> ExitCode {
             addr.as_str(),
             server.metric_source(),
             server.tracer(),
-            ScrapeLimits::default(),
         ) {
             Ok(m) => {
                 println!(

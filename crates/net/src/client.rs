@@ -818,7 +818,8 @@ impl CacheClient {
         }
     }
 
-    /// Refreshes `key`'s recency (`touch`); returns whether it existed.
+    /// Refreshes `key`'s recency (`touch` with exptime 0, which also
+    /// clears any expiry the item had); returns whether it existed.
     ///
     /// # Errors
     ///

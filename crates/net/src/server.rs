@@ -883,7 +883,7 @@ fn numeric_op(shared: &Shared, key: &[u8], op: impl FnOnce(u64) -> u64) -> Respo
         let next = op(value);
         // Rewrite the counter under the item's original deadline —
         // memcached's incr/decr never extend or reset the TTL.
-        engine.put_with_deadline(key, next.to_string().into_bytes(), now, deadline);
+        engine.put_with_deadline(key, next.to_string().into_bytes(), deadline);
         Response::Numeric(next)
     })
 }
@@ -1010,9 +1010,9 @@ fn execute(command: RawCommand<'_>, shared: &Shared) -> Response {
                 }
             })
         }
-        RawCommand::Touch { key, .. } => {
+        RawCommand::Touch { key, exptime } => {
             let now = shared.now();
-            if shared.engine.touch(key, now) {
+            if shared.engine.touch(key, now, expiry(exptime)) {
                 Response::Touched
             } else {
                 Response::NotFound

@@ -1,10 +1,22 @@
 //! Tests of the extended memcached command surface over live sockets.
 
 use proteus_cache::{CacheConfig, StorageKind};
-use proteus_net::{CacheClient, CacheServer, NetError};
+use proteus_net::{CacheClient, CacheServer, EngineKind, NetError};
 
 fn server() -> CacheServer {
     CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(1 << 20)).unwrap()
+}
+
+/// Every data plane this host can run.
+fn planes() -> Vec<EngineKind> {
+    let mut engines = vec![EngineKind::Threaded];
+    if cfg!(target_os = "linux") {
+        engines.push(EngineKind::Reactor { loops: 2 });
+        if proteus_net::uring_supported() {
+            engines.push(EngineKind::Uring { loops: 2 });
+        }
+    }
+    engines
 }
 
 #[test]
@@ -36,6 +48,57 @@ fn touch_refreshes_and_reports_presence() {
     assert!(client.touch(b"k").unwrap());
     assert!(!client.touch(b"missing").unwrap());
     server.stop();
+}
+
+/// `touch <key> <exptime>` gives the item a new expiry, as memcached's
+/// does: exptime 0 clears the deadline, a positive one sets it from now.
+#[test]
+fn touch_sets_the_items_new_expiry_on_every_plane() {
+    use proteus_net::{
+        read_response_buffered, write_command_unflushed, RawCommand, Response, ServerConfig,
+        WireBuf,
+    };
+    use proteus_sim::SimTime;
+    use std::io::BufReader;
+    for engine in planes() {
+        let config = CacheConfig::with_capacity(1 << 20);
+        let server =
+            CacheServer::spawn_with("127.0.0.1:0", config, ServerConfig { engine }).unwrap();
+        let mut writer = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        let mut wire = WireBuf::new();
+        let mut send = |command: RawCommand<'_>| {
+            write_command_unflushed(&mut writer, &command).unwrap();
+            read_response_buffered(&mut reader, &mut wire).unwrap()
+        };
+        let expiry_of =
+            |key: &[u8]| server.with_engine(|e| e.with_key_shard(key, |se| se.expiry_of(key)));
+        let set = |key: &'static [u8], exptime| RawCommand::Set {
+            key,
+            flags: 0,
+            exptime,
+            data: b"v",
+        };
+
+        assert_eq!(send(set(b"k", 100)), Response::Stored);
+        assert!(expiry_of(b"k").unwrap() < SimTime::MAX);
+        let touch = RawCommand::Touch {
+            key: b"k",
+            exptime: 0,
+        };
+        assert_eq!(send(touch), Response::Touched);
+        assert_eq!(expiry_of(b"k"), Some(SimTime::MAX), "{engine:?}");
+
+        assert_eq!(send(set(b"forever", 0)), Response::Stored);
+        assert_eq!(expiry_of(b"forever"), Some(SimTime::MAX));
+        let touch = RawCommand::Touch {
+            key: b"forever",
+            exptime: 30,
+        };
+        assert_eq!(send(touch), Response::Touched);
+        assert!(expiry_of(b"forever").unwrap() < SimTime::MAX, "{engine:?}");
+        server.stop();
+    }
 }
 
 #[test]
@@ -203,7 +266,7 @@ fn mru_keys_listing_pages_every_shard_hottest_first() {
 #[test]
 fn digest_replies_are_byte_exact_on_every_plane() {
     use proteus_bloom::{BloomFilter, DigestSnapshot};
-    use proteus_net::{uring_supported, EngineKind, ServerConfig};
+    use proteus_net::ServerConfig;
     use std::io::{Read, Write};
     let config = CacheConfig::with_capacity(1 << 20);
     let keys: Vec<Vec<u8>> = (0..300u32)
@@ -225,14 +288,7 @@ fn digest_replies_are_byte_exact_on_every_plane() {
     let one_by_one = [&taken[..], b"END\r\n", &digest, b"END\r\n"].concat();
     let together = [&taken[..], &digest, b"END\r\n"].concat();
 
-    let mut engines = vec![EngineKind::Threaded];
-    if cfg!(target_os = "linux") {
-        engines.push(EngineKind::Reactor { loops: 2 });
-        if uring_supported() {
-            engines.push(EngineKind::Uring { loops: 2 });
-        }
-    }
-    for engine in engines {
+    for engine in planes() {
         let server =
             CacheServer::spawn_with("127.0.0.1:0", config, ServerConfig { engine }).unwrap();
         let client = CacheClient::connect(server.addr()).unwrap();

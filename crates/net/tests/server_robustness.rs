@@ -124,3 +124,33 @@ fn connection_churn() {
     assert_eq!(items, 50);
     server.stop();
 }
+
+/// A capacity whose byte count overflows 64 bits is refused at start-up
+/// (non-zero exit), not wrapped into a server that stores nothing.
+#[test]
+fn the_server_binary_refuses_a_capacity_that_overflows() {
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_proteus-cache-server"))
+        .args(["--bind", "127.0.0.1:0", "--capacity-mb", "17592186044416"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let Some(status) = status else {
+        child.kill().unwrap();
+        child.wait().unwrap();
+        panic!("--capacity-mb 2^44 started a server");
+    };
+    assert!(!status.success(), "{status}");
+}

@@ -359,105 +359,18 @@ pub fn trace_metrics(tracer: &EventTracer) -> Vec<Metric> {
     ]
 }
 
-/// Appends newly recorded trace events to a file as JSONL, remembering
-/// its cursor between drains so each event is written exactly once.
-///
-/// The sink is pull-based like the rest of the exposition layer: call
-/// [`drain`](Self::drain) periodically (or after interesting phases);
-/// recording stays a few atomics and never touches the filesystem.
-/// Ring overflow between drains is detected, not hidden: events that
-/// were overwritten before the sink caught up are counted in
-/// [`missed`](Self::missed).
-#[derive(Debug)]
-pub struct TraceFileSink {
-    file: std::io::BufWriter<std::fs::File>,
-    /// Last sequence number written, or `None` before the first event.
-    cursor: Option<u64>,
-    written: u64,
-    missed: u64,
-}
-
-impl TraceFileSink {
-    /// Creates (truncating) `path` as the sink target.
-    ///
-    /// # Errors
-    ///
-    /// Returns any file-creation error.
-    pub fn create<P: AsRef<std::path::Path>>(path: P) -> io::Result<TraceFileSink> {
-        Ok(TraceFileSink {
-            file: std::io::BufWriter::new(std::fs::File::create(path)?),
-            cursor: None,
-            written: 0,
-            missed: 0,
-        })
-    }
-
-    /// Writes every retained event newer than the cursor, flushes, and
-    /// returns how many lines were appended.
-    ///
-    /// # Errors
-    ///
-    /// Returns any write or flush error (the cursor only advances past
-    /// events that were fully written).
-    pub fn drain(&mut self, tracer: &EventTracer) -> io::Result<usize> {
-        let events = tracer.events_since(self.cursor);
-        if let (Some(first), expected) = (events.first(), self.cursor.map_or(0, |c| c + 1)) {
-            // The ring evicted events the sink never saw.
-            self.missed += first.seq.saturating_sub(expected);
-        }
-        let mut appended = 0usize;
-        for e in &events {
-            self.file.write_all(trace_event_json(e).as_bytes())?;
-            self.file.write_all(b"\n")?;
-            self.cursor = Some(e.seq);
-            self.written += 1;
-            appended += 1;
-        }
-        self.file.flush()?;
-        Ok(appended)
-    }
-
-    /// Events written to the file so far.
-    #[must_use]
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Events that fell out of the ring before a drain saw them.
-    #[must_use]
-    pub fn missed(&self) -> u64 {
-        self.missed
-    }
-}
-
 /// A closure that materialises the current registry.
 pub type MetricSource = Arc<dyn Fn() -> Vec<Metric> + Send + Sync>;
 
-/// Admission limits for the scrape endpoint (see
-/// [`MetricsServer::spawn_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrapeLimits {
-    /// Scrapes served concurrently; further connections are answered
-    /// `503 Service Unavailable` inline and counted as rejected. A
-    /// stalled or malicious scraper can therefore pin at most this many
-    /// threads, never one per connection.
-    pub max_concurrent: usize,
-    /// Per-scrape socket read timeout (bounds how long a stalled
-    /// request head can hold a serving slot).
-    pub read_timeout: Duration,
-    /// Per-scrape socket write timeout.
-    pub write_timeout: Duration,
-}
+/// Scrapes served concurrently; further connections are answered
+/// `503 Service Unavailable` inline and counted as rejected. A stalled
+/// or malicious scraper can therefore pin at most this many threads,
+/// never one per connection.
+const MAX_CONCURRENT_SCRAPES: u64 = 4;
 
-impl Default for ScrapeLimits {
-    fn default() -> Self {
-        ScrapeLimits {
-            max_concurrent: 4,
-            read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
-        }
-    }
-}
+/// Per-scrape socket read and write timeout: bounds how long a stalled
+/// request head, or a scraper that stops reading, holds a serving slot.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Cumulative scrape-admission counters (see
 /// [`MetricsServer::scrape_stats`]).
@@ -465,8 +378,8 @@ impl Default for ScrapeLimits {
 pub struct ScrapeStats {
     /// Scrapes accepted and handed to a serving thread.
     pub served: u64,
-    /// Connections refused with `503` because
-    /// [`ScrapeLimits::max_concurrent`] scrapes were already in flight.
+    /// Connections refused with `503` because four scrapes were already
+    /// in flight.
     pub rejected: u64,
     /// Scrapes in flight right now.
     pub active: u64,
@@ -482,11 +395,11 @@ struct AtomicScrapeStats {
 /// A minimal HTTP/1.1 server exposing `/metrics` (Prometheus text)
 /// and `/metrics.json` (JSON array).
 ///
-/// Scrapes are served by short-lived worker threads, capped at
-/// [`ScrapeLimits::max_concurrent`] in flight: connections beyond the
-/// cap get an inline `503` instead of a thread, so a misbehaving
-/// scraper cannot exhaust the process. The server stops when dropped
-/// or on [`MetricsServer::stop`].
+/// Scrapes are served by short-lived worker threads, at most four in
+/// flight, each socket under a 2 s read and write timeout: connections
+/// beyond the cap get an inline `503` instead of a thread, so a
+/// misbehaving scraper cannot exhaust the process. The server stops
+/// when dropped or on [`MetricsServer::stop`].
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -497,29 +410,16 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving metrics
-    /// produced by `source`, with default [`ScrapeLimits`].
+    /// produced by `source`.
     ///
     /// # Errors
     ///
     /// Returns any socket bind error.
     pub fn spawn(addr: &str, source: MetricSource) -> io::Result<MetricsServer> {
-        MetricsServer::spawn_with(addr, source, ScrapeLimits::default())
+        MetricsServer::spawn_inner(addr, source, None)
     }
 
-    /// [`spawn`](Self::spawn) with explicit admission limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket bind error.
-    pub fn spawn_with(
-        addr: &str,
-        source: MetricSource,
-        limits: ScrapeLimits,
-    ) -> io::Result<MetricsServer> {
-        MetricsServer::spawn_inner(addr, source, None, limits)
-    }
-
-    /// [`spawn_with`](Self::spawn_with) plus a trace ring: the
+    /// [`spawn`](Self::spawn) plus a trace ring: the
     /// endpoint additionally serves `/trace.jsonl` — the retained
     /// [`EventTracer`] events as one JSON object per line (see
     /// [`trace_event_json`] for the schema) — with cursor-based
@@ -534,16 +434,14 @@ impl MetricsServer {
         addr: &str,
         source: MetricSource,
         tracer: Arc<EventTracer>,
-        limits: ScrapeLimits,
     ) -> io::Result<MetricsServer> {
-        MetricsServer::spawn_inner(addr, source, Some(tracer), limits)
+        MetricsServer::spawn_inner(addr, source, Some(tracer))
     }
 
     fn spawn_inner(
         addr: &str,
         source: MetricSource,
         tracer: Option<Arc<EventTracer>>,
-        limits: ScrapeLimits,
     ) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -566,11 +464,9 @@ impl MetricsServer {
                         Ok((stream, _)) => {
                             // Reap finished workers before admitting.
                             workers.retain(|w| !w.is_finished());
-                            if loop_stats.active.load(Ordering::Relaxed)
-                                >= limits.max_concurrent as u64
-                            {
+                            if loop_stats.active.load(Ordering::Relaxed) >= MAX_CONCURRENT_SCRAPES {
                                 loop_stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                let _ = reject_scrape(stream, &limits);
+                                let _ = reject_scrape(stream);
                                 continue;
                             }
                             loop_stats.active.fetch_add(1, Ordering::Relaxed);
@@ -582,8 +478,7 @@ impl MetricsServer {
                                 .spawn(move || {
                                     // Serve errors (client hangup etc.)
                                     // only affect that one scrape.
-                                    let _ =
-                                        serve_scrape(stream, &source, tracer.as_deref(), &limits);
+                                    let _ = serve_scrape(stream, &source, tracer.as_deref());
                                     stats.served.fetch_add(1, Ordering::Relaxed);
                                     stats.active.fetch_sub(1, Ordering::Relaxed);
                                 });
@@ -666,8 +561,8 @@ impl Drop for MetricsServer {
 /// Refuses a connection over the concurrency cap with an inline `503`
 /// (best effort: a scraper that cannot even take the refusal is simply
 /// dropped).
-fn reject_scrape(mut stream: TcpStream, limits: &ScrapeLimits) -> io::Result<()> {
-    stream.set_write_timeout(Some(limits.write_timeout))?;
+fn reject_scrape(mut stream: TcpStream) -> io::Result<()> {
+    stream.set_write_timeout(Some(SCRAPE_TIMEOUT))?;
     let body = "too many concurrent scrapes\n";
     let response = format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nContent-Length: {}\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{body}",
@@ -682,10 +577,9 @@ fn serve_scrape(
     mut stream: TcpStream,
     source: &MetricSource,
     tracer: Option<&EventTracer>,
-    limits: &ScrapeLimits,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(limits.read_timeout))?;
-    stream.set_write_timeout(Some(limits.write_timeout))?;
+    stream.set_read_timeout(Some(SCRAPE_TIMEOUT))?;
+    stream.set_write_timeout(Some(SCRAPE_TIMEOUT))?;
     let mut head = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
     // Read until the blank line ending the request head (or EOF).
@@ -820,21 +714,16 @@ mod tests {
     #[test]
     fn scrape_cap_rejects_excess_connections_and_recovers() {
         let source: MetricSource = Arc::new(sample_metrics);
-        let limits = ScrapeLimits {
-            max_concurrent: 2,
-            // Long enough that a stalled scrape holds its slot for the
-            // whole test, short enough that teardown stays quick.
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(2),
-        };
-        let mut server = MetricsServer::spawn_with("127.0.0.1:0", source, limits).unwrap();
+        let mut server = MetricsServer::spawn("127.0.0.1:0", source).unwrap();
         let addr = server.local_addr();
 
-        // Two scrapers connect and stall without sending a request:
-        // each pins one serving slot until its read timeout.
-        let stalled: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        // As many scrapers as there are slots connect and stall without
+        // sending a request: each pins one slot until its read timeout.
+        let stalled: Vec<TcpStream> = (0..MAX_CONCURRENT_SCRAPES)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.scrape_stats().active < 2 {
+        while server.scrape_stats().active < MAX_CONCURRENT_SCRAPES {
             assert!(
                 std::time::Instant::now() < deadline,
                 "stalled scrapes never occupied the slots: {:?}",
@@ -856,7 +745,7 @@ mod tests {
         };
 
         // The next scrape is refused inline, not queued behind the
-        // stalled ones.
+        // stalled ones (which hold their slots for `SCRAPE_TIMEOUT`).
         let deadline = std::time::Instant::now() + Duration::from_secs(3);
         let reply = loop {
             let out = try_fetch();
@@ -964,48 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_file_sink_writes_each_event_once_and_counts_misses() {
-        let t = EventTracer::with_capacity(4);
-        let dir = std::env::temp_dir().join(format!(
-            "proteus-trace-sink-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let mut sink = TraceFileSink::create(&dir).unwrap();
-        t.record(TraceKind::TransitionBegin { from: 2, to: 1 });
-        t.record(TraceKind::PowerOff { server: 1 });
-        assert_eq!(sink.drain(&t).unwrap(), 2);
-        assert_eq!(sink.drain(&t).unwrap(), 0, "no double writes");
-        // Overflow the ring past the sink's cursor: six more events
-        // (seq 2..=7) through a capacity-4 ring evict seq 2 and 3
-        // before the next drain can see them.
-        for s in 0..6u32 {
-            t.record(TraceKind::Degraded { server: s });
-        }
-        let appended = sink.drain(&t).unwrap();
-        assert_eq!(appended, 4, "only the retained tail can be written");
-        assert_eq!(sink.missed(), 2, "evicted-before-drain events counted");
-        assert_eq!(sink.written(), 6);
-        let contents = std::fs::read_to_string(&dir).unwrap();
-        assert_eq!(contents.lines().count(), 6);
-        let seqs: Vec<u64> = contents
-            .lines()
-            .map(|l| {
-                l.split("\"seq\":")
-                    .nth(1)
-                    .unwrap()
-                    .split(',')
-                    .next()
-                    .unwrap()
-                    .parse()
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 4, 5, 6, 7]);
-        let _ = std::fs::remove_file(&dir);
-    }
-
-    #[test]
     fn trace_metrics_expose_drop_counter() {
         let t = EventTracer::with_capacity(2);
         for s in 0..5u32 {
@@ -1045,13 +892,8 @@ mod tests {
         tracer.record(TraceKind::TransitionBegin { from: 3, to: 2 });
         tracer.record(TraceKind::TransitionDrain { from: 3, to: 2 });
         tracer.record(TraceKind::PowerOff { server: 2 });
-        let mut server = MetricsServer::spawn_traced(
-            "127.0.0.1:0",
-            source,
-            Arc::clone(&tracer),
-            ScrapeLimits::default(),
-        )
-        .unwrap();
+        let mut server =
+            MetricsServer::spawn_traced("127.0.0.1:0", source, Arc::clone(&tracer)).unwrap();
         let addr = server.local_addr();
 
         let fetch = |path: &str| -> String {

@@ -23,8 +23,7 @@
 //!   minimal scrape endpoint ([`MetricsServer`]).
 //! - Trace export: seq-stamped JSONL encoding of tracer events
 //!   ([`trace_to_jsonl`]) served at `/trace.jsonl?since_seq=` by a
-//!   traced [`MetricsServer`], an append-only [`TraceFileSink`], and
-//!   drop-count metrics ([`trace_metrics`]) so ring overflow is
+//!   traced [`MetricsServer`], and drop-count metrics ([`trace_metrics`]) so ring overflow is
 //!   detectable rather than silent.
 //!
 //! The producers (server, cluster client, benches) own their atomics;
@@ -42,7 +41,7 @@ mod tracer;
 pub use counters::{Counter, FetchClassKind, FetchLatencies, Gauge, OpClass, OpLatencies};
 pub use export::{
     to_json, to_prometheus, to_stat_pairs, trace_event_json, trace_metrics, trace_to_jsonl, Metric,
-    MetricSource, MetricValue, MetricsServer, ScrapeLimits, ScrapeStats, TraceFileSink,
+    MetricSource, MetricValue, MetricsServer, ScrapeStats,
 };
 pub use histogram::{HistogramSnapshot, LatencyHistogram, Percentiles};
 pub use proteus_sim::histogram::relative_error_bound;

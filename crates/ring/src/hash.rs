@@ -97,6 +97,24 @@ impl Default for KeyHasher {
     }
 }
 
+/// The hash function of ring `ring` in a family of replica rings
+/// derived from `seed` (Section III-E's `r` hash functions). Both
+/// [`ReplicatedPlacement`](crate::ReplicatedPlacement) and the hot-key
+/// replica rings of `proteus-core` derive their rings here, so they
+/// agree on every ring they share.
+///
+/// # Example
+///
+/// ```
+/// use proteus_ring::hash::replica_ring_hasher;
+/// assert_eq!(replica_ring_hasher(42, 1), replica_ring_hasher(42, 1));
+/// assert_ne!(replica_ring_hasher(42, 1), replica_ring_hasher(42, 2));
+/// ```
+#[must_use]
+pub fn replica_ring_hasher(seed: u64, ring: usize) -> KeyHasher {
+    KeyHasher::new(seed.wrapping_add(ring as u64).wrapping_mul(0x9E37_79B9) | 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::hash::KeyHasher;
+use crate::hash::{replica_ring_hasher, KeyHasher};
 use crate::placement::ProteusPlacement;
 use crate::server::ServerId;
 use crate::strategy::PlacementStrategy;
@@ -48,7 +48,7 @@ impl ReplicatedPlacement {
         assert!(replicas > 0, "need at least one replica");
         let placement = ProteusPlacement::generate(servers);
         let hashers = (0..replicas)
-            .map(|i| KeyHasher::new(seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9) | 1))
+            .map(|i| replica_ring_hasher(seed, i))
             .collect();
         ReplicatedPlacement { placement, hashers }
     }

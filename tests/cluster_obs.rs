@@ -20,7 +20,7 @@ use proteus::agg::{http_get, json, ClusterObserver, ObserverConfig, WallEnergyMe
 use proteus::cache::CacheConfig;
 use proteus::core::{PowerState, Scenario};
 use proteus::net::{CacheServer, ClusterClient, ClusterFetch};
-use proteus::obs::{HistogramSnapshot, MetricValue, MetricsServer, ScrapeLimits, TraceKind};
+use proteus::obs::{HistogramSnapshot, MetricValue, MetricsServer, TraceKind};
 use proteus::store::{ShardedStore, StoreConfig};
 
 const N: usize = 4;
@@ -45,7 +45,6 @@ fn cluster_observability_end_to_end() {
         "127.0.0.1:0",
         cluster.metric_source(),
         std::sync::Arc::clone(cluster.tracer()),
-        ScrapeLimits::default(),
     )
     .unwrap();
 

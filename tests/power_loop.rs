@@ -19,10 +19,10 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use proteus::agg::{http_get, json, ClusterObserver, ObserverConfig};
 use proteus::cache::CacheConfig;
-use proteus::core::Scenario;
+use proteus::core::{Scenario, SetPoints};
 use proteus::ctl::{ActuationConfig, ClusterController, PolicyConfig, StepAction, WallPolicy};
 use proteus::net::{CacheServer, ClusterClient};
-use proteus::obs::{MetricsServer, ScrapeLimits};
+use proteus::obs::MetricsServer;
 use proteus::sim::SimDuration;
 use proteus::store::{ShardedStore, StoreConfig};
 use proteus::workload::{CompressedDay, DiurnalCurve, ReplayPacer};
@@ -53,9 +53,7 @@ fn controller_replays_a_compressed_day_within_the_energy_and_delay_gates() {
     ));
     let tracer = Arc::clone(client.read().tracer());
     let source = client.read().metric_source();
-    let exposition =
-        MetricsServer::spawn_traced("127.0.0.1:0", source, tracer, ScrapeLimits::default())
-            .unwrap();
+    let exposition = MetricsServer::spawn_traced("127.0.0.1:0", source, tracer).unwrap();
 
     let observer = Arc::new(ClusterObserver::new(ObserverConfig {
         connect_timeout: Duration::from_millis(500),
@@ -72,7 +70,7 @@ fn controller_replays_a_compressed_day_within_the_energy_and_delay_gates() {
         cooldown: Duration::from_millis(500),
         ..PolicyConfig::for_cluster(N, CAPACITY_OPS)
     });
-    let bound = Duration::from_nanos(policy.config().points.bound_ns());
+    let bound = Duration::from_nanos(SetPoints::paper_defaults().bound_ns());
     let mut controller = ClusterController::new(
         Arc::clone(&observer),
         Arc::clone(&client),

@@ -50,11 +50,7 @@ fn des_matches_reference_router_on_serial_traffic() {
     // Synchronous replay with the same engine configuration.
     let router = Router::new(Scenario::Static.strategy(config.cache_servers, 0));
     let mut caches: Vec<CacheEngine> = (0..config.cache_servers)
-        .map(|_| {
-            CacheEngine::new(
-                CacheConfig::with_capacity(config.cache_capacity_bytes).hot_ttl(config.hot_ttl),
-            )
-        })
+        .map(|_| CacheEngine::new(CacheConfig::with_capacity(config.cache_capacity_bytes)))
         .collect();
     let mut db = ShardedStore::new(StoreConfig {
         shards: config.db_shards,
