@@ -52,7 +52,6 @@
 mod cluster;
 mod config;
 mod controller;
-pub mod hot_key;
 mod metrics;
 mod power;
 mod replicated_router;
@@ -63,7 +62,6 @@ mod transition;
 pub use cluster::{page_key, ClusterSim};
 pub use config::{ClusterConfig, LatencyModel};
 pub use controller::{DelaySignal, FeedbackController, ProvisioningPlan, SetPoints};
-pub use hot_key::{HotKeyEstimate, ReplicaRings, SpaceSaving, TwoChoices};
 pub use metrics::{ClusterReport, FetchClass, FetchCounters};
 pub use power::{energy_of_constant_draw, EnergyMeter, PowerModel, PowerState, TierPowerModel};
 pub use replicated_router::{ReplicaFetch, ReplicatedRouter};

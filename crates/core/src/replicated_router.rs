@@ -14,8 +14,6 @@ use proteus_ring::{ReplicatedPlacement, ServerId};
 use proteus_sim::SimTime;
 use proteus_store::ShardedStore;
 
-use crate::hot_key::{distinct_live, live_ring_order};
-
 /// How a replicated fetch was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaFetch {
@@ -139,6 +137,31 @@ impl ReplicatedRouter {
     }
 }
 
+/// The read-probe order over a key's per-ring replica servers: ring
+/// order with down servers skipped, duplicates preserved (a later ring
+/// colliding with an earlier one is just probed once more). Returns
+/// `(ring, server)` pairs.
+fn live_ring_order(ring_servers: &[usize], is_down: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
+    ring_servers
+        .iter()
+        .enumerate()
+        .filter(|&(_, &s)| !is_down(s))
+        .map(|(ring, &s)| (ring, s))
+        .collect()
+}
+
+/// The install fan-out after a database fill: every *distinct, live*
+/// replica server, in first-ring order.
+fn distinct_live(ring_servers: &[usize], is_down: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut out = Vec::with_capacity(ring_servers.len());
+    for &s in ring_servers {
+        if !is_down(s) && !out.contains(&s) {
+            out.push(s);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +184,18 @@ mod tests {
     }
 
     const T: SimTime = SimTime::ZERO;
+
+    #[test]
+    fn live_ring_order_skips_down_servers() {
+        let order = live_ring_order(&[2, 5, 2, 7], |s| s == 5);
+        assert_eq!(order, vec![(0, 2), (2, 2), (3, 7)]);
+    }
+
+    #[test]
+    fn distinct_live_dedups_in_first_ring_order() {
+        assert_eq!(distinct_live(&[2, 5, 2, 7], |_| false), vec![2, 5, 7]);
+        assert_eq!(distinct_live(&[2, 5, 2, 7], |s| s == 2), vec![5, 7]);
+    }
 
     #[test]
     fn fills_all_distinct_replicas_on_miss() {

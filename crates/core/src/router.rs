@@ -67,13 +67,6 @@ impl Router {
         }
     }
 
-    /// The hasher keys are placed with (ring 0 of any replica rings
-    /// layered on this router).
-    #[must_use]
-    pub fn hasher(&self) -> KeyHasher {
-        self.hasher
-    }
-
     /// The key hash used for ring placement.
     #[must_use]
     pub fn key_hash(&self, key: &[u8]) -> u64 {

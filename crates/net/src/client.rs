@@ -899,9 +899,9 @@ impl CacheClient {
     }
 
     /// Deletes several keys in one pipelined exchange: every `delete`
-    /// is written before any reply is read, so invalidating a hot
-    /// key's N replicas pays one round trip instead of N. Returns how
-    /// many of the keys existed.
+    /// is written before any reply is read, so deleting N keys pays
+    /// one round trip instead of N. Returns how many of the keys
+    /// existed.
     ///
     /// The whole batch retries under the failover policy on transport
     /// failures (`delete` is idempotent; a replayed delete just

@@ -1,11 +1,10 @@
 //! The web-tier cluster client: Algorithm 2 over live TCP servers,
 //! degrading to the database when cache servers fail. The window and
 //! the decision are `proteus-core`'s; the submodules drive them over
-//! sockets (`routing`), layer hot-key replicas on top (`hot_key`), and
-//! broadcast digests when a window opens (`transition`). Beside
-//! Algorithm 2, `pull` moves an open window's keys in the background.
+//! sockets (`routing`) and broadcast digests when a window opens
+//! (`transition`). Beside Algorithm 2, `pull` moves an open window's
+//! keys in the background.
 
-mod hot_key;
 mod pull;
 mod routing;
 mod transition;
@@ -25,7 +24,6 @@ use proteus_store::ShardedStore;
 use crate::client::{CacheClient, ClientConfig, ClientStats};
 use crate::error::NetError;
 
-pub use hot_key::{HotKeyConfig, HotKeyStats};
 pub use pull::{PullProgress, PullState};
 pub use transition::TransitionStatus;
 
@@ -71,10 +69,10 @@ pub enum ClusterFetch {
     /// fetch, which is exactly the cost the paper's digest sizing
     /// trades against — so it gets its own class.
     FalsePositive,
-    /// Hit at a non-home replica of a hot key: power-of-two-choices
-    /// routing picked (or replica failover fell through to) a server
-    /// other than the key's ring-0 owner. Only possible when the
-    /// client was built with [`ClusterClient::connect_replicated`].
+    /// Never produced. It named a hit at a non-home replica of a hot
+    /// key, from the client-side replication that is gone (DESIGN.md
+    /// §13); the variant stays so code that matches it by name still
+    /// compiles, and it is counted as a [`Hit`](Self::Hit).
     ReplicaHit,
 }
 
@@ -94,12 +92,11 @@ impl From<FetchClass> for ClusterFetch {
 /// registry's [`FetchClassKind`].
 fn class_kind(class: ClusterFetch) -> FetchClassKind {
     match class {
-        ClusterFetch::Hit => FetchClassKind::NewHit,
+        ClusterFetch::Hit | ClusterFetch::ReplicaHit => FetchClassKind::NewHit,
         ClusterFetch::Migrated => FetchClassKind::Migrated,
         ClusterFetch::Database => FetchClassKind::Database,
         ClusterFetch::Degraded => FetchClassKind::Degraded,
         ClusterFetch::FalsePositive => FetchClassKind::FalsePositive,
-        ClusterFetch::ReplicaHit => FetchClassKind::ReplicaHit,
     }
 }
 
@@ -181,7 +178,6 @@ pub struct ClusterClient {
     stats: Arc<AtomicClusterStats>,
     fetches: Arc<FetchLatencies>,
     tracer: Arc<EventTracer>,
-    hot: Option<hot_key::HotKeyState>,
     puller: pull::Puller,
 }
 
@@ -244,7 +240,6 @@ impl ClusterClient {
             stats: Arc::new(AtomicClusterStats::default()),
             fetches: Arc::new(FetchLatencies::default()),
             tracer,
-            hot: None,
             puller: pull::Puller::new(addrs, config),
         })
     }
@@ -383,43 +378,32 @@ mod testing {
     //! Live clusters for the submodules' tests.
 
     use super::*;
-    use crate::server::{CacheServer, EngineKind, ServerConfig};
+    use crate::server::CacheServer;
     use proteus_cache::CacheConfig;
     use proteus_ring::ProteusPlacement;
     use proteus_store::StoreConfig;
 
     pub(super) type Cluster = (Vec<CacheServer>, ClusterClient, Mutex<ShardedStore>);
 
-    /// `n` servers behind a client; with `hot`, a replicating one.
-    pub(super) fn cluster_with(n: usize, hot: Option<HotKeyConfig>) -> Cluster {
-        cluster_on(EngineKind::default(), n, hot)
-    }
-
-    /// [`cluster_with`] on a chosen data plane.
-    pub(super) fn cluster_on(engine: EngineKind, n: usize, hot: Option<HotKeyConfig>) -> Cluster {
-        let capacity = CacheConfig::with_capacity(4 << 20);
+    /// `n` servers behind a client.
+    pub(super) fn cluster(n: usize) -> Cluster {
         let servers: Vec<CacheServer> = (0..n)
             .map(|_| {
-                CacheServer::spawn_with("127.0.0.1:0", capacity, ServerConfig { engine }).unwrap()
+                CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(4 << 20)).unwrap()
             })
             .collect();
         let addrs: Vec<_> = servers.iter().map(CacheServer::addr).collect();
-        let strategy = Box::new(ProteusPlacement::generate(n));
-        let config = ClientConfig::fast_failover();
-        let client = match hot {
-            Some(hot) => ClusterClient::connect_replicated(&addrs, strategy, config, hot),
-            None => ClusterClient::connect_with(&addrs, strategy, config),
-        }
+        let client = ClusterClient::connect_with(
+            &addrs,
+            Box::new(ProteusPlacement::generate(n)),
+            ClientConfig::fast_failover(),
+        )
         .unwrap();
         let db = Mutex::new(ShardedStore::new(StoreConfig {
             object_size: 64,
             ..StoreConfig::default()
         }));
         (servers, client, db)
-    }
-
-    pub(super) fn cluster(n: usize) -> Cluster {
-        cluster_with(n, None)
     }
 
     pub(super) fn page_keys(n: u32) -> Vec<Vec<u8>> {

@@ -103,35 +103,6 @@ impl ClusterClient {
         let begin = Instant::now();
         let new_server = self.server_for(key);
         let home = new_server.index();
-        // Replicated keys route power-of-two-choices among their
-        // replicas; everything else (and a replicated key no replica
-        // could serve) takes Algorithm 2, then the hot-key bookkeeping
-        // (sketch update, promotion, re-replication) on what it resolved.
-        let (value, class) = match self.try_replicas(key, home)? {
-            Some(hit) => {
-                if let Some(hot) = &self.hot {
-                    hot.sketch.lock().observe(key);
-                }
-                hit
-            }
-            None => {
-                let (value, class) = self.algorithm2_fetch(key, new_server, db)?;
-                self.hot_key_after_fetch(key, &value, home, class)?;
-                (value, class)
-            }
-        };
-        self.fetches.record(class_kind(class), begin.elapsed());
-        Ok((value, class))
-    }
-
-    /// Algorithm 2, one round trip per lookup.
-    fn algorithm2_fetch<D: DbFallback + ?Sized>(
-        &self,
-        key: &[u8],
-        new_server: ServerId,
-        db: &D,
-    ) -> Result<(SharedBytes, ClusterFetch), NetError> {
-        let home = new_server.index();
         let (new, mut value) = self.lookup(home, key)?;
         // With the new server down there is no point attempting a
         // migration either — there is nowhere to install it.
@@ -147,82 +118,48 @@ impl ClusterClient {
             value = found;
         }
         let class = fetch_class(new, old);
-        let Some(value) = value else {
-            return self.db_fetch(key, db, home, target.map(ServerId::index), class);
+        let (value, class) = match value {
+            None => self.db_fetch(key, db, home, target.map(ServerId::index), class)?,
+            Some(value) => {
+                if let Some(from) = target {
+                    // Same allocation all the way through: the buffer
+                    // read off the old server's socket is the one
+                    // re-`set` at the new server.
+                    self.install(home, key, &value)?;
+                    self.tracer.record(TraceKind::KeyMigrated {
+                        from: from.index() as u32,
+                        to: home as u32,
+                    });
+                }
+                (value, class.into())
+            }
         };
-        if let Some(from) = target {
-            // Same allocation all the way through: the buffer read off
-            // the old server's socket is the one re-`set` at the new
-            // server.
-            self.install(home, key, &value)?;
-            self.tracer.record(TraceKind::KeyMigrated {
-                from: from.index() as u32,
-                to: home as u32,
-            });
-        }
-        Ok((value, class.into()))
+        self.fetches.record(class_kind(class), begin.elapsed());
+        Ok((value, class))
     }
 
-    /// Stores `value` at `key`'s home server and invalidates every
-    /// other copy a reader could still find: the non-home replicas of
-    /// a hot key, and — mid-transition — the old-mapping server whose
-    /// digest could otherwise resurrect the stale value through an
-    /// on-demand migration.
+    /// Stores `value` at `key`'s home server and — mid-transition —
+    /// deletes it from the old-mapping server, whose digest could
+    /// otherwise resurrect the stale value through an on-demand
+    /// migration. That is the only other copy a reader could find, so
+    /// it is at most one `delete`.
     ///
-    /// The home write and the invalidations are best-effort on
-    /// transport failures (a dead server serves nothing; the paper's
-    /// failure model treats it as a miss), so a write never errors
-    /// because a replica is down.
+    /// The write and the delete are best-effort on transport failures
+    /// (a dead server serves nothing; the paper's failure model treats
+    /// it as a miss), so a write never errors because a server is down.
     ///
     /// # Errors
     ///
     /// Returns semantic (non-transport) cache-server errors.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), NetError> {
-        let home = self.server_for(key).index();
-        self.install(home, key, value)?;
-        self.invalidate_many(&[key])?;
+        let home = self.server_for(key);
+        self.install(home.index(), key, value)?;
+        // Outside a window the old mapping is the new one.
+        let old = self.router.server_for(key, self.window.previous_active());
+        if old != home {
+            reachable(self.clients[old.index()].delete(key))?;
+        }
         Ok(())
-    }
-
-    /// Invalidates every non-home copy of each key — hot-key replicas
-    /// plus, mid-transition, the old-mapping server — batched into one
-    /// pipelined [`CacheClient::delete_many`] per target server.
-    /// Returns how many copies were actually deleted. Unreachable
-    /// targets are skipped (best effort, like every install path).
-    ///
-    /// # Errors
-    ///
-    /// Returns semantic (non-transport) cache-server errors.
-    ///
-    /// [`CacheClient::delete_many`]: crate::CacheClient::delete_many
-    pub fn invalidate_many(&self, keys: &[&[u8]]) -> Result<u64, NetError> {
-        let mut per_server: HashMap<usize, Vec<&[u8]>> = HashMap::new();
-        for &key in keys {
-            let home = self.server_for(key).index();
-            // Outside a window the old mapping is the new one.
-            let old = self.router.server_for(key, self.window.previous_active());
-            if old.index() != home {
-                per_server.entry(old.index()).or_default().push(key);
-            }
-            if let Some(hot) = &self.hot {
-                if let Some(set) = hot.replicated.lock().get(key) {
-                    for &server in set.iter().filter(|&&s| s != home) {
-                        let group = per_server.entry(server).or_default();
-                        if !group.contains(&key) {
-                            group.push(key);
-                        }
-                    }
-                }
-            }
-        }
-        let mut deleted = 0;
-        for (server, group) in per_server {
-            if let Some(hot) = &self.hot {
-                hot.invalidations.add(group.len() as u64);
-            }
-            deleted += reachable(self.clients[server].delete_many(&group))?.unwrap_or(0);
-        }
-        Ok(deleted)
     }
 
     /// One pipelined multi-key get per server: every request is

@@ -139,11 +139,7 @@ impl ClusterClient {
         }
         self.window
             .begin(new_active, digests)
-            .map_err(|_overlap| NetError::TransitionInProgress)?;
-        if let Some(hot) = &self.hot {
-            hot.recompute(self.router.strategy(), new_active);
-        }
-        Ok(())
+            .map_err(|_overlap| NetError::TransitionInProgress)
     }
 
     /// Whether a transition window is currently open. A control loop

@@ -79,8 +79,8 @@ mod uring_reactor;
 
 pub use client::{CacheClient, ClientConfig, ClientStats, PendingGets};
 pub use cluster_client::{
-    ClusterClient, ClusterFetch, ClusterStats, DbFallback, HotKeyConfig, HotKeyStats, PullProgress,
-    PullState, TransitionStatus,
+    ClusterClient, ClusterFetch, ClusterStats, DbFallback, PullProgress, PullState,
+    TransitionStatus,
 };
 pub use error::NetError;
 pub use fault::{FaultMode, FaultProxy};

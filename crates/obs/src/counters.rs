@@ -230,21 +230,16 @@ pub enum FetchClassKind {
     /// The digest claimed the old server had the key but it did not
     /// (Bloom-filter false positive); served from the database.
     FalsePositive,
-    /// Served by a non-home replica of a hot key (power-of-two-choices
-    /// routing picked, or failover fell through to, a server other
-    /// than the key's ring-0 owner).
-    ReplicaHit,
 }
 
 impl FetchClassKind {
     /// Every class, in display order.
-    pub const ALL: [FetchClassKind; 6] = [
+    pub const ALL: [FetchClassKind; 5] = [
         FetchClassKind::NewHit,
         FetchClassKind::Migrated,
         FetchClassKind::Database,
         FetchClassKind::Degraded,
         FetchClassKind::FalsePositive,
-        FetchClassKind::ReplicaHit,
     ];
 
     /// Stable snake_case name used in metric labels and STAT keys.
@@ -256,7 +251,6 @@ impl FetchClassKind {
             FetchClassKind::Database => "database",
             FetchClassKind::Degraded => "degraded",
             FetchClassKind::FalsePositive => "false_positive",
-            FetchClassKind::ReplicaHit => "replica_hit",
         }
     }
 

@@ -98,10 +98,9 @@ impl Default for KeyHasher {
 }
 
 /// The hash function of ring `ring` in a family of replica rings
-/// derived from `seed` (Section III-E's `r` hash functions). Both
-/// [`ReplicatedPlacement`](crate::ReplicatedPlacement) and the hot-key
-/// replica rings of `proteus-core` derive their rings here, so they
-/// agree on every ring they share.
+/// derived from `seed` (Section III-E's `r` hash functions), as
+/// [`ReplicatedPlacement`](crate::ReplicatedPlacement) derives its
+/// rings.
 ///
 /// # Example
 ///
