@@ -3,11 +3,12 @@
 //!
 //! Counts heap acquisitions with the crate's counting global allocator
 //! and fails if the warmed read path, the borrowing parser or a
-//! histogram record starts allocating again, or if a server that holds
+//! histogram record starts allocating again, if a server that holds
 //! no key yet asks for more than a mebibyte (a digest per shard or
-//! eagerly built histogram stripes). Unlike the throughput numbers,
-//! these counts are exact and identical on any hardware, so the budgets
-//! are tight.
+//! eagerly built histogram stripes), or if a scrape costs more than its
+//! body (dense snapshots, a string per rendered bucket). Unlike the
+//! throughput numbers, these counts are exact and identical on any
+//! hardware, so the budgets are tight.
 //!
 //! Everything runs inside a single `#[test]` — the test harness runs
 //! sibling tests on concurrent threads, and their allocations would
@@ -18,11 +19,13 @@ use std::net::TcpStream;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use proteus_agg::{build_request, http_get_into, METRICS_PATH};
+use proteus_agg::{build_request, http_get_into, ClusterObserver, ObserverConfig, METRICS_PATH};
 use proteus_bench::alloc_track::{is_counting, measure, CountingAlloc};
 use proteus_cache::{CacheConfig, ShardedEngine, StorageKind};
 use proteus_net::{read_raw_command, CacheClient, CacheServer, RawCommand, SharedBytes, WireBuf};
-use proteus_obs::{Counter, LatencyHistogram, OpClass, OpLatencies};
+use proteus_obs::{
+    to_json, Counter, HistogramSnapshot, LatencyHistogram, MetricsServer, OpClass, OpLatencies,
+};
 use proteus_sim::SimTime;
 
 #[global_allocator]
@@ -68,6 +71,17 @@ const CLIENT_GET_MANY_BUDGET: u64 = CLIENT_BATCHES * CLIENT_BATCH_KEYS * 9 / 4;
 /// to per-tick buffers.
 const SCRAPE_BUDGET: u64 = 8;
 
+/// The read side of the scrape plane, on four default servers that each
+/// served `SCRAPE_FIXTURE_OPS` `set`s, as many `get`s and one `delete`:
+/// one server's registry rendered as JSON, and one observer tick across
+/// every thread — four scrape threads, four renders, four decodes and
+/// the merge. Measured 667 520 + 78 847 B and 7.0 MB when every
+/// snapshot was a dense 30 KiB bucket vector and the renderers built a
+/// string per label, quantile and bucket.
+const SCRAPE_FIXTURE_OPS: u64 = 2_000;
+const RENDER_BUDGET_BYTES: u64 = 80 << 10;
+const TICK_BUDGET_BYTES: u64 = 1 << 20;
+
 /// Records per telemetry section, and the mean cost one may have in an
 /// optimised build. The path is about five relaxed atomic RMWs and sits
 /// well under 100 ns on anything modern; the budget is loose enough for
@@ -101,6 +115,14 @@ const STRIPE_BYTES: u64 = 30 << 10;
 fn min_allocations(runs: usize, mut f: impl FnMut()) -> u64 {
     (0..runs)
         .map(|_| measure(&mut f).1.allocations)
+        .min()
+        .expect("at least one run")
+}
+
+/// [`min_allocations`] for the bytes requested.
+fn min_bytes(runs: usize, mut f: impl FnMut()) -> u64 {
+    (0..runs)
+        .map(|_| measure(&mut f).1.bytes)
         .min()
         .expect("at least one run")
 }
@@ -157,8 +179,8 @@ fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
 /// heap allocations and a handful of relaxed atomics per record, for a
 /// latency histogram on one thread and on several, for the per-op-class
 /// registry and for a plain counter — all three sit on the server's
-/// per-command path. (Snapshots may allocate: they build an owned
-/// bucket vector.)
+/// per-command path. (A snapshot allocates the span of buckets its
+/// samples occupy; `scrape_path_stays_within_budget` bounds it.)
 fn telemetry_records_without_allocating() {
     let budget = |what: &str, ns: f64| {
         assert!(
@@ -234,6 +256,79 @@ fn histograms_materialise_where_they_are_recorded() {
     assert_eq!(ops.snapshot(OpClass::Get).count(), 50_000);
     assert_eq!(ops.snapshot(OpClass::Set).count(), 50_000);
     assert!(ops.snapshot(OpClass::Delete).is_empty());
+}
+
+/// A scrape costs its body: an untouched histogram's snapshot, and an
+/// empty one, build nothing; a server's registry and its JSON rendering
+/// allocate the occupied buckets and one output buffer; and an observer
+/// tick over four servers stays under a mebibyte across every thread,
+/// serving side included. Each figure is the least of three runs, after
+/// two warm-up ticks have sized the observer's recycled buffers.
+fn scrape_path_stays_within_budget() {
+    let (_, empty) = measure(HistogramSnapshot::empty);
+    let untouched = LatencyHistogram::new();
+    let (snap, unread) = measure(|| untouched.snapshot());
+    assert!(snap.is_empty());
+    assert_eq!(
+        (empty.bytes, unread.bytes),
+        (0, 0),
+        "an empty snapshot allocated {} B and an untouched histogram's {} B — \
+         a snapshot builds buckets nobody recorded into",
+        empty.bytes,
+        unread.bytes
+    );
+
+    let servers: Vec<CacheServer> = (0..4)
+        .map(|_| {
+            let server = CacheServer::spawn(
+                "127.0.0.1:0",
+                CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab),
+            )
+            .expect("bind an ephemeral port");
+            let client = CacheClient::connect(server.addr()).expect("connect to the server");
+            for i in 0..SCRAPE_FIXTURE_OPS {
+                client.set(format!("k:{i}").as_bytes(), b"value").unwrap();
+            }
+            for i in 0..SCRAPE_FIXTURE_OPS {
+                assert!(client.get(format!("k:{i}").as_bytes()).unwrap().is_some());
+            }
+            assert!(client.delete(b"k:0").unwrap());
+            server
+        })
+        .collect();
+
+    let source = servers[0].metric_source();
+    let render = min_bytes(3, || {
+        std::hint::black_box(to_json(&source()));
+    });
+    assert!(
+        render <= RENDER_BUDGET_BYTES,
+        "one server's registry and JSON rendering allocated {render} B \
+         (budget {RENDER_BUDGET_BYTES}) — snapshots or the renderer build per-bucket garbage"
+    );
+
+    let endpoints: Vec<MetricsServer> = servers
+        .iter()
+        .map(|s| MetricsServer::spawn("127.0.0.1:0", s.metric_source()).expect("bind"))
+        .collect();
+    let observer = ClusterObserver::new(ObserverConfig::default());
+    for endpoint in &endpoints {
+        observer.add_server(endpoint.local_addr());
+    }
+    for _ in 0..2 {
+        observer.tick();
+    }
+    let tick = min_bytes(3, || {
+        let snap = observer.tick();
+        assert_eq!(snap.servers.iter().filter(|s| s.fresh).count(), 4);
+    });
+    drop(endpoints);
+    servers.into_iter().for_each(CacheServer::stop);
+    assert!(
+        tick <= TICK_BUDGET_BYTES,
+        "an observer tick over four servers allocated {tick} B across every thread \
+         (budget {TICK_BUDGET_BYTES}) — a scrape costs more than its body again"
+    );
 }
 
 /// The client half of the wire, against a live server: a command is
@@ -491,8 +586,9 @@ fn hot_paths_stay_within_allocation_budget() {
     // read into a buffer recycled across ticks. Measured against a raw
     // responder thread that writes a canned response built before the
     // window, so the only allocations in the window are the client's.
-    // The allocator counts process-wide — a real MetricsServer would
-    // bleed its JSON rendering into the measurement.
+    // The allocator counts process-wide, so a real MetricsServer would
+    // add its registry and rendering to this count; the read-path
+    // section bounds those in bytes.
     let canned = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
         r#"[{"name":"proteus_get_hits_total","labels":{},"type":"counter","value":42}]"#
@@ -533,6 +629,7 @@ fn hot_paths_stay_within_allocation_budget() {
          the reused response buffer or prebuilt request has regressed"
     );
 
+    scrape_path_stays_within_budget();
     telemetry_records_without_allocating();
     histograms_materialise_where_they_are_recorded();
 }

@@ -6,7 +6,8 @@
 //! histograms, and a collector closure materialises a `Vec<Metric>` on
 //! demand. That keeps the hot paths ignorant of exposition formats.
 
-use std::io::{self, Read as _, Write as _};
+use std::fmt::{self, Write as _};
+use std::io::{self, IoSlice, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -101,29 +102,42 @@ impl Metric {
         format!("_{}", inner.join("_"))
     }
 
-    fn prometheus_labels(&self, extra: Option<(&str, &str)>) -> String {
-        let mut pairs: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-            .collect();
+    /// Writes the name, a suffix such as `_sum`, and the label set
+    /// `{k="v",...}` (plus `extra`, unescaped), or no braces at all
+    /// when there is no label.
+    fn write_prometheus_series(&self, out: &mut String, suffix: &str, extra: Option<(&str, &str)>) {
+        out.push_str(&self.name);
+        out.push_str(suffix);
+        if self.labels.is_empty() && extra.is_none() {
+            return;
+        }
+        let mut sep = '{';
+        for (k, v) in &self.labels {
+            out.push(sep);
+            out.push_str(k);
+            out.push_str("=\"");
+            for c in v.chars() {
+                if matches!(c, '\\' | '"') {
+                    out.push('\\');
+                }
+                out.push(c);
+            }
+            out.push('"');
+            sep = ',';
+        }
         if let Some((k, v)) = extra {
-            pairs.push(format!("{k}=\"{v}\""));
+            out.push(sep);
+            out.push_str(k);
+            out.push_str("=\"");
+            out.push_str(v);
+            out.push('"');
         }
-        if pairs.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", pairs.join(","))
-        }
+        out.push('}');
     }
 }
 
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn write_json_str(out: &mut String, v: &str) -> fmt::Result {
+    out.push('"');
     for c in v.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -131,11 +145,36 @@ fn escape_json(v: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
+    Ok(())
+}
+
+/// Bytes reserved a metric before rendering: a counter or gauge line
+/// takes well under this, a histogram's six Prometheus lines or its
+/// JSON head about four times it. A render that outgrows the guess
+/// reallocates.
+const BYTES_PER_METRIC: usize = 128;
+
+/// Bytes reserved an occupied histogram bucket in the JSON rendering
+/// (`[1234,56],`).
+const BYTES_PER_BUCKET: usize = 12;
+
+fn reserve_for(metrics: &[Metric], bytes_per_bucket: usize) -> String {
+    let bytes = metrics
+        .iter()
+        .map(|m| match &m.value {
+            MetricValue::Histogram(snap) => {
+                let occupied = snap.bucket_range().1.iter().filter(|&&c| c > 0).count();
+                4 * BYTES_PER_METRIC + bytes_per_bucket * occupied
+            }
+            _ => BYTES_PER_METRIC,
+        })
+        .sum();
+    String::with_capacity(bytes)
 }
 
 /// The quantiles every histogram metric is expanded into:
@@ -152,47 +191,46 @@ const QUANTILES: [(f64, &str, &str); 4] = [
 /// seconds plus `<name>_count` and `<name>_sum`.
 #[must_use]
 pub fn to_prometheus(metrics: &[Metric]) -> String {
-    let mut out = String::new();
+    let mut out = reserve_for(metrics, 0);
+    write_prometheus(&mut out, metrics).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_prometheus(out: &mut String, metrics: &[Metric]) -> fmt::Result {
     for m in metrics {
+        let kind = match m.value {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) | MetricValue::FloatGauge(_) => "gauge",
+            MetricValue::Histogram(_) => "summary",
+        };
+        writeln!(out, "# TYPE {} {kind}", m.name)?;
         match &m.value {
             MetricValue::Counter(v) => {
-                out.push_str(&format!("# TYPE {} counter\n", m.name));
-                out.push_str(&format!("{}{} {v}\n", m.name, m.prometheus_labels(None)));
+                m.write_prometheus_series(out, "", None);
+                writeln!(out, " {v}")?;
             }
             MetricValue::Gauge(v) => {
-                out.push_str(&format!("# TYPE {} gauge\n", m.name));
-                out.push_str(&format!("{}{} {v}\n", m.name, m.prometheus_labels(None)));
+                m.write_prometheus_series(out, "", None);
+                writeln!(out, " {v}")?;
             }
             MetricValue::FloatGauge(v) => {
-                out.push_str(&format!("# TYPE {} gauge\n", m.name));
-                out.push_str(&format!("{}{} {v:.6}\n", m.name, m.prometheus_labels(None)));
+                m.write_prometheus_series(out, "", None);
+                writeln!(out, " {v:.6}")?;
             }
             MetricValue::Histogram(snap) => {
-                out.push_str(&format!("# TYPE {} summary\n", m.name));
                 for (q, qname, _) in QUANTILES {
+                    m.write_prometheus_series(out, "", Some(("quantile", qname)));
                     let v = snap.quantile(q).unwrap_or_default().as_secs_f64();
-                    out.push_str(&format!(
-                        "{}{} {v}\n",
-                        m.name,
-                        m.prometheus_labels(Some(("quantile", qname)))
-                    ));
+                    writeln!(out, " {v}")?;
                 }
-                out.push_str(&format!(
-                    "{}_sum{} {}\n",
-                    m.name,
-                    m.prometheus_labels(None),
-                    snap.sum_nanos() as f64 / 1e9
-                ));
-                out.push_str(&format!(
-                    "{}_count{} {}\n",
-                    m.name,
-                    m.prometheus_labels(None),
-                    snap.count()
-                ));
+                m.write_prometheus_series(out, "_sum", None);
+                writeln!(out, " {}", snap.sum_nanos() as f64 / 1e9)?;
+                m.write_prometheus_series(out, "_count", None);
+                writeln!(out, " {}", snap.count())?;
             }
         }
     }
-    out
+    Ok(())
 }
 
 /// Renders metrics as a JSON array. Histograms become objects with
@@ -200,56 +238,67 @@ pub fn to_prometheus(metrics: &[Metric]) -> String {
 /// object.
 #[must_use]
 pub fn to_json(metrics: &[Metric]) -> String {
-    let mut items = Vec::with_capacity(metrics.len());
-    for m in metrics {
-        let labels: Vec<String> = m
-            .labels
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-            .collect();
-        let labels = format!("{{{}}}", labels.join(","));
-        let body = match &m.value {
-            MetricValue::Counter(v) => format!("\"type\":\"counter\",\"value\":{v}"),
-            MetricValue::Gauge(v) => format!("\"type\":\"gauge\",\"value\":{v}"),
-            MetricValue::FloatGauge(v) => format!("\"type\":\"gauge\",\"value\":{v:.6}"),
+    let mut out = reserve_for(metrics, BYTES_PER_BUCKET);
+    write_json(&mut out, metrics).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_json(out: &mut String, metrics: &[Metric]) -> fmt::Result {
+    out.push('[');
+    for (i, m) in metrics.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_json_str(out, &m.name)?;
+        out.push_str(",\"labels\":{");
+        for (j, (k, v)) in m.labels.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write_json_str(out, k)?;
+            out.push(':');
+            write_json_str(out, v)?;
+        }
+        out.push_str("},");
+        match &m.value {
+            MetricValue::Counter(v) => write!(out, "\"type\":\"counter\",\"value\":{v}")?,
+            MetricValue::Gauge(v) => write!(out, "\"type\":\"gauge\",\"value\":{v}")?,
+            MetricValue::FloatGauge(v) => write!(out, "\"type\":\"gauge\",\"value\":{v:.6}")?,
             MetricValue::Histogram(snap) => {
-                let quantiles: Vec<String> = QUANTILES
-                    .iter()
-                    .map(|(q, qname, _)| {
-                        format!(
-                            "\"{qname}\":{}",
-                            snap.quantile(*q).unwrap_or_default().as_nanos()
-                        )
-                    })
-                    .collect();
-                // The sparse buckets make the exposition lossless: a
-                // remote aggregator rebuilds the exact snapshot with
-                // `HistogramSnapshot::from_sparse` and merges across
-                // servers for true cluster-wide quantiles, instead of
-                // averaging pre-computed per-server percentiles.
-                let buckets: Vec<String> = snap
-                    .nonzero_buckets()
-                    .into_iter()
-                    .map(|(i, c)| format!("[{i},{c}]"))
-                    .collect();
-                format!(
-                    "\"type\":\"histogram\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\"quantiles_ns\":{{{}}},\"buckets\":[{}]",
+                write!(
+                    out,
+                    "\"type\":\"histogram\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\"quantiles_ns\":{{",
                     snap.count(),
                     snap.sum_nanos(),
                     snap.min().unwrap_or_default().as_nanos(),
                     snap.max().unwrap_or_default().as_nanos(),
                     snap.mean().unwrap_or_default().as_nanos(),
-                    quantiles.join(","),
-                    buckets.join(",")
-                )
+                )?;
+                for (k, (q, qname, _)) in QUANTILES.iter().enumerate() {
+                    let sep = if k > 0 { "," } else { "" };
+                    let v = snap.quantile(*q).unwrap_or_default().as_nanos();
+                    write!(out, "{sep}\"{qname}\":{v}")?;
+                }
+                // The sparse buckets make the exposition lossless: a
+                // remote aggregator rebuilds the exact snapshot with
+                // `HistogramSnapshot::from_sparse` and merges across
+                // servers for true cluster-wide quantiles, instead of
+                // averaging pre-computed per-server percentiles.
+                out.push_str("},\"buckets\":[");
+                let (first, counts) = snap.bucket_range();
+                let mut sep = "";
+                for (idx, c) in (first..).zip(counts).filter(|&(_, &c)| c > 0) {
+                    write!(out, "{sep}[{idx},{c}]")?;
+                    sep = ",";
+                }
+                out.push(']');
             }
-        };
-        items.push(format!(
-            "{{\"name\":\"{}\",\"labels\":{labels},{body}}}",
-            escape_json(&m.name)
-        ));
+        }
+        out.push('}');
     }
-    format!("[{}]", items.join(","))
+    out.push(']');
+    Ok(())
 }
 
 /// Flattens metrics into memcached-style `(key, value)` STAT pairs.
@@ -299,37 +348,51 @@ pub fn to_stat_pairs(metrics: &[Metric]) -> Vec<(String, String)> {
 /// `server` for per-server events, `ok` for digest broadcasts.
 #[must_use]
 pub fn trace_event_json(event: &TraceEvent) -> String {
-    let fields = match event.kind {
-        TraceKind::TransitionBegin { from, to } | TraceKind::TransitionDrain { from, to } => {
-            format!(",\"from\":{from},\"to\":{to}")
-        }
+    let mut out = String::with_capacity(TRACE_LINE_BYTES);
+    write_trace_event(&mut out, event).expect("writing to a String cannot fail");
+    out
+}
+
+/// Bytes reserved a trace line; the longest kind renders in about 100.
+const TRACE_LINE_BYTES: usize = 128;
+
+fn write_trace_event(out: &mut String, event: &TraceEvent) -> fmt::Result {
+    write!(
+        out,
+        "{{\"seq\":{},\"at_ns\":{},\"kind\":\"{}\"",
+        event.seq,
+        event.at.as_nanos(),
+        event.kind.name()
+    )?;
+    match event.kind {
+        TraceKind::TransitionBegin { from, to }
+        | TraceKind::TransitionDrain { from, to }
+        | TraceKind::KeyMigrated { from, to } => write!(out, ",\"from\":{from},\"to\":{to}")?,
         TraceKind::DigestBroadcast { server, ok } => {
-            format!(",\"server\":{server},\"ok\":{ok}")
+            write!(out, ",\"server\":{server},\"ok\":{ok}")?;
         }
-        TraceKind::KeyMigrated { from, to } => format!(",\"from\":{from},\"to\":{to}"),
         TraceKind::KeysPulled { from, to, keys } => {
-            format!(",\"from\":{from},\"to\":{to},\"keys\":{keys}")
+            write!(out, ",\"from\":{from},\"to\":{to},\"keys\":{keys}")?;
         }
         TraceKind::ControllerDecision {
             from,
             to,
             p99_us,
             ops,
-        } => format!(",\"from\":{from},\"to\":{to},\"p99_us\":{p99_us},\"ops\":{ops}"),
+        } => write!(
+            out,
+            ",\"from\":{from},\"to\":{to},\"p99_us\":{p99_us},\"ops\":{ops}"
+        )?,
         TraceKind::MigrationSkipped { server }
         | TraceKind::Degraded { server }
         | TraceKind::PowerOff { server }
         | TraceKind::BreakerOpen { server }
         | TraceKind::BreakerProbe { server }
-        | TraceKind::BreakerClose { server } => format!(",\"server\":{server}"),
-        TraceKind::DigestSnapshot => String::new(),
-    };
-    format!(
-        "{{\"seq\":{},\"at_ns\":{},\"kind\":\"{}\"{fields}}}",
-        event.seq,
-        event.at.as_nanos(),
-        event.kind.name()
-    )
+        | TraceKind::BreakerClose { server } => write!(out, ",\"server\":{server}")?,
+        TraceKind::DigestSnapshot => {}
+    }
+    out.push('}');
+    Ok(())
 }
 
 /// Renders events as JSONL: one [`trace_event_json`] line per event,
@@ -337,9 +400,9 @@ pub fn trace_event_json(event: &TraceEvent) -> String {
 /// concatenated across incremental cursor reads).
 #[must_use]
 pub fn trace_to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(events.len() * TRACE_LINE_BYTES);
     for e in events {
-        out.push_str(&trace_event_json(e));
+        write_trace_event(&mut out, e).expect("writing to a String cannot fail");
         out.push('\n');
     }
     out
@@ -572,6 +635,9 @@ fn reject_scrape(mut stream: TcpStream) -> io::Result<()> {
     stream.flush()
 }
 
+/// The longest request head a scrape reads; the rest goes unread.
+const MAX_REQUEST_HEAD: usize = 8192;
+
 /// Reads one HTTP request head and writes the matching exposition.
 fn serve_scrape(
     mut stream: TcpStream,
@@ -580,17 +646,23 @@ fn serve_scrape(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(SCRAPE_TIMEOUT))?;
     stream.set_write_timeout(Some(SCRAPE_TIMEOUT))?;
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Read until the blank line ending the request head (or EOF).
-    while !head.ends_with(b"\r\n\r\n") && head.len() < 8192 {
-        match stream.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
+    let mut head = [0u8; MAX_REQUEST_HEAD];
+    let mut len = 0;
+    // Read until the blank line ending the request head (or EOF, or
+    // the cap), as many bytes a `read` as have arrived.
+    while len < head.len() {
+        let n = stream.read(&mut head[len..])?;
+        if n == 0 {
+            break;
+        }
+        // The terminator may straddle the previous read.
+        let scan_from = len.saturating_sub(3);
+        len += n;
+        if head[scan_from..len].windows(4).any(|w| w == b"\r\n\r\n") {
+            break;
         }
     }
-    let request = String::from_utf8_lossy(&head);
+    let request = String::from_utf8_lossy(&head[..len]);
     let target = request
         .lines()
         .next()
@@ -624,11 +696,22 @@ fn serve_scrape(
         },
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let head = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(response.as_bytes())?;
+    // Head and body leave in one `writev`, the body from where it was
+    // rendered.
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut unsent = &mut parts[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -952,6 +1035,31 @@ mod tests {
             begin.elapsed()
         );
         assert!(TcpStream::connect(addr).is_err(), "listener still open");
+    }
+
+    /// A scraper whose request head arrives in two segments, the blank
+    /// line that ends it split between them, is served once the second
+    /// lands: the head is read as it arrives, not a byte a `read`.
+    #[test]
+    fn a_request_head_split_across_writes_is_served() {
+        let source: MetricSource = Arc::new(sample_metrics);
+        let mut server = MetricsServer::spawn("127.0.0.1:0", source).unwrap();
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        s.write_all(b"GET /metrics.json HTTP/1.1\r\nHost: x\r\n\r")
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        s.write_all(b"\n").unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        let body = to_json(&sample_metrics());
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        assert!(
+            out.contains(&format!("\r\nContent-Length: {}\r\n", body.len())),
+            "{out}"
+        );
+        assert!(out.ends_with(&format!("\r\n\r\n{body}")), "{out}");
+        server.stop();
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! picked once per thread, then every [`LatencyHistogram::record`] is a
 //! handful of relaxed atomic RMW operations — no locks, no allocation,
 //! no fences beyond the atomics themselves. Readers pay instead:
-//! [`LatencyHistogram::snapshot`] sums all stripes into an owned
+//! [`LatencyHistogram::snapshot`] sums the stripes into an owned
 //! [`HistogramSnapshot`] which supports quantile queries and merging.
 //!
 //! A stripe's 30 KiB of buckets materialise on its first record, so a
 //! histogram nobody records into costs one pointer-sized cell a stripe
 //! and a thread pays for the stripes it actually writes — the only
 //! allocation the record path ever makes, once per (histogram, stripe).
+//! A snapshot holds only the span of buckets between the smallest and
+//! largest sample, so its size follows the spread of the latencies, not
+//! the layout: an untouched histogram's snapshot allocates nothing.
 //!
 //! The bucket scheme is the offline simulator's, imported from
 //! [`proteus_sim::histogram`] rather than retyped: values below 64 ns
@@ -155,34 +158,44 @@ impl LatencyHistogram {
         stripe.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Merges every stripe into an owned snapshot.
+    /// Merges every stripe into an owned snapshot that holds only the
+    /// occupied buckets. A histogram nobody recorded into builds
+    /// nothing.
     ///
     /// Concurrent recorders keep running while the snapshot is taken,
-    /// so the result is a consistent-enough point-in-time view: each
-    /// stripe is read bucket-by-bucket with relaxed loads, and a sample
+    /// so the result is a consistent-enough point-in-time view: the
+    /// stripes' extremes are read first and bound the span of buckets
+    /// summed, each bucket is read with a relaxed load, and a sample
     /// racing the scan may or may not be included. Counters in the
     /// snapshot never exceed what has been recorded when the snapshot
     /// returns, and successive snapshots are monotonically
-    /// non-decreasing per bucket.
+    /// non-decreasing per bucket: extremes only widen, so a later span
+    /// covers every bucket an earlier one read.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; MAX_BUCKETS];
         let mut sum_nanos = 0u128;
         let mut min = u64::MAX;
         let mut max = 0u64;
         // A stripe nobody recorded into holds nothing to add.
         for stripe in self.stripes.iter().filter_map(OnceLock::get) {
+            min = min.min(stripe.min.load(Ordering::Relaxed));
+            max = max.max(stripe.max.load(Ordering::Relaxed));
+            sum_nanos += u128::from(stripe.sum_nanos.load(Ordering::Relaxed));
+        }
+        if min > max {
+            return HistogramSnapshot::empty();
+        }
+        let (first, last) = (bucket_index(min), bucket_index(max));
+        let mut counts = vec![0u64; last - first + 1];
+        for stripe in self.stripes.iter().filter_map(OnceLock::get) {
             // Bucket totals are authoritative: a stripe's `count` is
             // derived from the same relaxed adds and may lag the
             // buckets mid-record, so the snapshot counts the buckets.
-            for (acc, bucket) in buckets.iter_mut().zip(stripe.buckets.iter()) {
+            for (acc, bucket) in counts.iter_mut().zip(&stripe.buckets[first..=last]) {
                 *acc += bucket.load(Ordering::Relaxed);
             }
-            sum_nanos += u128::from(stripe.sum_nanos.load(Ordering::Relaxed));
-            min = min.min(stripe.min.load(Ordering::Relaxed));
-            max = max.max(stripe.max.load(Ordering::Relaxed));
         }
-        HistogramSnapshot(Histogram::from_buckets(buckets, sum_nanos, min, max))
+        HistogramSnapshot(Histogram::from_range(first, &counts, sum_nanos, min, max))
     }
 }
 
@@ -216,7 +229,8 @@ fn wall(d: SimDuration) -> Duration {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (useful as a merge accumulator).
+    /// An empty snapshot (useful as a merge accumulator). Allocates
+    /// nothing.
     #[must_use]
     pub fn empty() -> Self {
         Self::default()
@@ -308,31 +322,41 @@ impl HistogramSnapshot {
             .0
             .min()
             .map_or(cumulative_min, |e| e.min(cumulative_min));
-        let mut buckets = vec![0u64; MAX_BUCKETS];
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for (idx, (&a, &b)) in self.buckets().iter().zip(earlier.buckets()).enumerate() {
-            let d = a.saturating_sub(b);
-            buckets[idx] = d;
-            if d > 0 {
-                lo = lo.min(bucket_floor(idx));
-                hi = hi.max(bucket_value(idx));
-            }
-        }
+        // Only buckets this read occupies can have grown since.
+        let (first, now) = self.bucket_range();
+        let (earlier_first, before) = earlier.bucket_range();
+        let before_at = |idx: usize| {
+            idx.checked_sub(earlier_first)
+                .and_then(|at| before.get(at))
+                .map_or(0, |&b| b)
+        };
+        let counts: Vec<u64> = (first..)
+            .zip(now)
+            .map(|(idx, &a)| a.saturating_sub(before_at(idx)))
+            .collect();
+        let lo = counts
+            .iter()
+            .position(|&d| d > 0)
+            .map_or(u64::MAX, |at| bucket_floor(first + at));
+        let hi = counts
+            .iter()
+            .rposition(|&d| d > 0)
+            .map_or(0, |at| bucket_value(first + at));
         // The true window extremes are bounded by both the bucket
         // geometry and the cumulative extremes. (An empty window reads
-        // neither: `from_buckets` ignores them.)
+        // neither: `from_range` ignores them.)
         let max = hi.min(cumulative_max.as_nanos());
         let min = lo.max(cumulative_min.as_nanos()).min(max);
         let sum_nanos = self.sum_nanos().saturating_sub(earlier.sum_nanos());
-        HistogramSnapshot(Histogram::from_buckets(buckets, sum_nanos, min, max))
+        HistogramSnapshot(Histogram::from_range(first, &counts, sum_nanos, min, max))
     }
 
-    /// Per-bucket sample counts (log-linear layout; mostly useful for
-    /// exact comparison in tests).
+    /// The occupied span of the log-linear layout: the index of its
+    /// first bucket and the per-bucket counts from there on, non-zero
+    /// at both ends (mostly useful for exact comparison in tests).
     #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        self.0.buckets()
+    pub fn bucket_range(&self) -> (usize, &[u64]) {
+        self.0.bucket_range()
     }
 
     /// The non-empty buckets as `(index, count)` pairs — the sparse
@@ -343,21 +367,21 @@ impl HistogramSnapshot {
     /// per-server scrapes into true cluster-wide quantiles.
     #[must_use]
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
+        let (first, counts) = self.bucket_range();
+        (first..)
+            .zip(counts)
+            .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
             .collect()
     }
 
     /// Rebuilds a snapshot from its sparse wire parts (see
-    /// [`nonzero_buckets`](Self::nonzero_buckets)). The sample count is
-    /// recomputed from the buckets, preserving the snapshot invariant
-    /// that `count()` equals the bucket total. Returns `None` if any
-    /// bucket index is outside the log-linear layout, or if the pairs
-    /// are non-empty but `min > max` (a corrupt or hand-rolled
-    /// exposition).
+    /// [`nonzero_buckets`](Self::nonzero_buckets)), in any order. The
+    /// sample count is recomputed from the buckets, preserving the
+    /// snapshot invariant that `count()` equals the bucket total.
+    /// Returns `None` if any bucket index is outside the log-linear
+    /// layout, or if the pairs are non-empty but `min > max` (a corrupt
+    /// or hand-rolled exposition).
     #[must_use]
     pub fn from_sparse(
         pairs: &[(usize, u64)],
@@ -365,11 +389,18 @@ impl HistogramSnapshot {
         min: u64,
         max: u64,
     ) -> Option<Self> {
-        let mut buckets = vec![0u64; MAX_BUCKETS];
-        for &(idx, count) in pairs {
-            *buckets.get_mut(idx)? += count;
+        let indices = || pairs.iter().map(|&(idx, _)| idx);
+        let (Some(first), Some(last)) = (indices().min(), indices().max()) else {
+            return Some(HistogramSnapshot::empty());
+        };
+        if last >= MAX_BUCKETS {
+            return None;
         }
-        let snap = HistogramSnapshot(Histogram::from_buckets(buckets, sum_nanos, min, max));
+        let mut counts = vec![0u64; last - first + 1];
+        for &(idx, count) in pairs {
+            counts[idx - first] += count;
+        }
+        let snap = HistogramSnapshot(Histogram::from_range(first, &counts, sum_nanos, min, max));
         (snap.is_empty() || min <= max).then_some(snap)
     }
 }
@@ -479,7 +510,7 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count(), 80_000);
-        assert_eq!(snap.buckets().iter().sum::<u64>(), 80_000);
+        assert_eq!(snap.bucket_range().1.iter().sum::<u64>(), 80_000);
     }
 
     #[test]

@@ -16,6 +16,21 @@
 
 use proptest::prelude::*;
 use proteus_obs::{relative_error_bound, HistogramSnapshot, LatencyHistogram};
+use proteus_sim::histogram::{bucket_floor, bucket_value, MAX_BUCKETS};
+
+/// A snapshot's buckets spread over the whole layout, zeros included:
+/// the dense form snapshots were stored in before they kept only their
+/// occupied span.
+fn dense(snap: &HistogramSnapshot) -> Vec<u64> {
+    let (first, counts) = snap.bucket_range();
+    let mut out = vec![0; MAX_BUCKETS];
+    out[first..first + counts.len()].copy_from_slice(counts);
+    out
+}
+
+fn nanos(d: Option<std::time::Duration>) -> Option<u64> {
+    d.map(|d| d.as_nanos() as u64)
+}
 
 /// Sample sets that exercise every bucket regime: exact small values,
 /// mid-range, and deep-octave tail values. Individual samples are
@@ -104,6 +119,84 @@ proptest! {
                 q, est, truth, err, truth * relative_error_bound()
             );
         }
+    }
+
+    /// `saturating_delta` is per-bucket saturating subtraction over the
+    /// dense layout, with the window's extremes re-derived from its
+    /// occupied buckets and clamped by the cumulative ones — for a true
+    /// earlier read of the same histogram and for an unrelated one.
+    #[test]
+    fn saturating_delta_equals_dense_oracle(
+        early in prop::collection::vec(0u64..10_000_000_000, 0..200),
+        later in prop::collection::vec(0u64..10_000_000_000, 0..200),
+        unrelated in prop::collection::vec(0u64..10_000_000_000, 0..200),
+    ) {
+        let h = LatencyHistogram::with_stripes(1);
+        early.iter().for_each(|&v| h.record_nanos(v));
+        let before = h.snapshot();
+        later.iter().for_each(|&v| h.record_nanos(v));
+        let after = h.snapshot();
+        let other = oracle_snapshot(&unrelated);
+        for (late, earlier) in [(&after, &before), (&after, &other), (&other, &after)] {
+            let window = late.saturating_delta(earlier);
+            let expect: Vec<u64> = dense(late)
+                .iter()
+                .zip(dense(earlier))
+                .map(|(&a, b)| a.saturating_sub(b))
+                .collect();
+            prop_assert!(dense(&window) == expect, "buckets differ from the dense oracle");
+            prop_assert_eq!(window.count(), expect.iter().sum::<u64>());
+            let lo = expect.iter().position(|&c| c > 0);
+            let hi = expect.iter().rposition(|&c| c > 0);
+            let (Some(lo), Some(hi)) = (lo, hi) else {
+                prop_assert!(window.is_empty());
+                continue;
+            };
+            let cumulative_max = nanos(late.max()).expect("a non-empty window has samples");
+            let cumulative_min = nanos(late.min())
+                .into_iter()
+                .chain(nanos(earlier.min()))
+                .min()
+                .expect("a non-empty window has samples");
+            let max = bucket_value(hi).min(cumulative_max);
+            let min = bucket_floor(lo).max(cumulative_min).min(max);
+            prop_assert_eq!(nanos(window.max()), Some(max));
+            prop_assert_eq!(nanos(window.min()), Some(min));
+            prop_assert_eq!(
+                window.sum_nanos(),
+                late.sum_nanos().saturating_sub(earlier.sum_nanos())
+            );
+        }
+        prop_assert!(
+            dense(&after.saturating_delta(&before)) == dense(&oracle_snapshot(&later)),
+            "a true window holds exactly the samples recorded inside it"
+        );
+    }
+
+    /// The sparse wire pairs are the dense layout's non-zero buckets in
+    /// index order, and rebuild the snapshot exactly, whatever order
+    /// they arrive in.
+    #[test]
+    fn sparse_pairs_round_trip(values in prop::collection::vec(
+        prop_oneof![0u64..64, 64u64..100_000, any::<u64>()],
+        0..200,
+    )) {
+        let h = LatencyHistogram::with_stripes(1);
+        values.iter().for_each(|&v| h.record_nanos(v));
+        let snap = h.snapshot();
+        let pairs = snap.nonzero_buckets();
+        let expect: Vec<(usize, u64)> = dense(&snap)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        prop_assert_eq!(&pairs, &expect);
+        let (min, max) = (nanos(snap.min()).unwrap_or(0), nanos(snap.max()).unwrap_or(0));
+        let rebuilt = HistogramSnapshot::from_sparse(&pairs, snap.sum_nanos(), min, max);
+        prop_assert_eq!(rebuilt.as_ref(), Some(&snap));
+        let reversed: Vec<(usize, u64)> = pairs.iter().rev().copied().collect();
+        let rebuilt = HistogramSnapshot::from_sparse(&reversed, snap.sum_nanos(), min, max);
+        prop_assert_eq!(rebuilt.as_ref(), Some(&snap));
     }
 
     /// Count, sum, min, and max are exact (not approximated by the

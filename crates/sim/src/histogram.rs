@@ -62,13 +62,19 @@ pub fn relative_error_bound() -> f64 {
     1.0 / SUB as f64
 }
 
-/// A fixed-memory latency histogram with bounded relative error.
+/// A latency histogram with bounded relative error.
 ///
 /// Values (durations in nanoseconds) below 64 ns are recorded exactly;
 /// larger values are recorded in logarithmic buckets with 64 sub-buckets
 /// per octave, giving a worst-case relative error of about 1.6% — more
 /// than enough to reproduce the paper's 99.9th-percentile response-time
 /// plots (Fig. 9).
+///
+/// Only the occupied span of the [`MAX_BUCKETS`] layout is stored: the
+/// counts of buckets `first..first + len`, with no zero at either end.
+/// An empty histogram holds no buckets and allocates nothing, and since
+/// the span is canonical, two histograms compare equal exactly when
+/// they hold the same samples.
 ///
 /// # Example
 ///
@@ -85,7 +91,11 @@ pub fn relative_error_bound() -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: Vec<u64>,
+    /// Index of the bucket `counts[0]` counts; 0 when empty.
+    first: usize,
+    /// Counts of buckets `first..first + counts.len()`: empty, or
+    /// non-zero at both ends.
+    counts: Vec<u64>,
     count: u64,
     sum_nanos: u128,
     min: u64,
@@ -93,11 +103,12 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram. Allocates nothing.
     #[must_use]
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; MAX_BUCKETS],
+            first: 0,
+            counts: Vec::new(),
             count: 0,
             sum_nanos: 0,
             min: u64::MAX,
@@ -105,34 +116,62 @@ impl Histogram {
         }
     }
 
-    /// Rebuilds a histogram from per-bucket counts and the exact sum
-    /// and extremes (in nanoseconds) recorded beside them. The sample
-    /// count is the bucket total; with no samples the sum and extremes
-    /// are ignored, so every empty histogram compares equal.
+    /// Rebuilds a histogram from the counts of buckets
+    /// `first..first + counts.len()` and the exact sum and extremes (in
+    /// nanoseconds) recorded beside them. Zeros at either end of
+    /// `counts` are dropped. The sample count is the bucket total; with
+    /// no samples the sum and extremes are ignored, so every empty
+    /// histogram compares equal.
     ///
     /// # Panics
     ///
-    /// Panics if `buckets.len()` is not [`MAX_BUCKETS`].
+    /// Panics if the range runs past [`MAX_BUCKETS`].
     #[must_use]
-    pub fn from_buckets(buckets: Vec<u64>, sum_nanos: u128, min: u64, max: u64) -> Self {
-        assert_eq!(buckets.len(), MAX_BUCKETS, "not the log-linear layout");
-        let count: u64 = buckets.iter().sum();
-        if count == 0 {
+    pub fn from_range(first: usize, counts: &[u64], sum_nanos: u128, min: u64, max: u64) -> Self {
+        assert!(
+            first
+                .checked_add(counts.len())
+                .is_some_and(|end| end <= MAX_BUCKETS),
+            "not the log-linear layout"
+        );
+        let Some(lead) = counts.iter().position(|&c| c > 0) else {
             return Histogram::new();
-        }
+        };
+        let end = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+        let counts = counts[lead..end].to_vec();
         Histogram {
-            buckets,
-            count,
+            first: first + lead,
+            count: counts.iter().sum(),
+            counts,
             sum_nanos,
             min,
             max,
         }
     }
 
+    /// Widens the stored span to cover buckets `lo..hi`, zero-filled.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+            self.counts.resize(hi - lo, 0);
+            return;
+        }
+        if lo < self.first {
+            let grow = self.first - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        if hi > self.first + self.counts.len() {
+            self.counts.resize(hi - self.first, 0);
+        }
+    }
+
     /// Records one duration sample.
     pub fn record(&mut self, d: SimDuration) {
         let v = d.as_nanos();
-        self.buckets[bucket_index(v)] += 1;
+        let idx = bucket_index(v);
+        self.cover(idx, idx + 1);
+        self.counts[idx - self.first] += 1;
         self.count += 1;
         self.sum_nanos += u128::from(v);
         self.min = self.min.min(v);
@@ -176,10 +215,12 @@ impl Histogram {
         self.sum_nanos
     }
 
-    /// Per-bucket sample counts, indexed by [`bucket_index`].
+    /// The occupied span: the index of its first bucket (as
+    /// [`bucket_index`] numbers them) and the counts from there on,
+    /// non-zero at both ends. `(0, [])` when empty.
     #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
+    pub fn bucket_range(&self) -> (usize, &[u64]) {
+        (self.first, &self.counts)
     }
 
     /// The `q`-quantile (e.g. `0.999` for the 99.9th percentile), with
@@ -202,10 +243,10 @@ impl Histogram {
         }
         let rank = (q * self.count as f64).floor() as u64 + 1;
         let mut cum = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for (offset, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                let v = bucket_value(idx).clamp(self.min, self.max);
+                let v = bucket_value(self.first + offset).clamp(self.min, self.max);
                 return Some(SimDuration::from_nanos(v));
             }
         }
@@ -214,8 +255,12 @@ impl Histogram {
 
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.cover(other.first, other.first + other.counts.len());
+            let at = other.first - self.first;
+            for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum_nanos += other.sum_nanos;
@@ -225,9 +270,11 @@ impl Histogram {
         }
     }
 
-    /// Resets the histogram to empty without releasing memory.
+    /// Resets the histogram to empty, keeping the span's allocation for
+    /// the next records.
     pub fn clear(&mut self) {
-        self.buckets.fill(0);
+        self.first = 0;
+        self.counts.clear();
         self.count = 0;
         self.sum_nanos = 0;
         self.min = u64::MAX;
@@ -341,6 +388,39 @@ mod tests {
         h.clear();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.9), None);
+    }
+
+    #[test]
+    fn span_holds_only_occupied_buckets() {
+        let mut h = Histogram::new();
+        assert_eq!(h.bucket_range(), (0, &[][..]));
+        assert_eq!(
+            h.counts.capacity(),
+            0,
+            "an empty histogram allocates nothing"
+        );
+        h.record(SimDuration::from_nanos(1_000));
+        h.record(SimDuration::from_nanos(10));
+        h.record(SimDuration::from_nanos(1_000));
+        let (first, counts) = h.bucket_range();
+        assert_eq!(first, bucket_index(10));
+        assert_eq!(counts.len(), bucket_index(1_000) - bucket_index(10) + 1);
+        assert_eq!((counts[0], counts[counts.len() - 1]), (1, 2));
+        // Zeros at either end are trimmed, so a rebuilt span is equal.
+        let mut padded = vec![0, 0];
+        padded.extend_from_slice(counts);
+        padded.push(0);
+        let rebuilt = Histogram::from_range(first - 2, &padded, h.sum_nanos(), 10, 1_000);
+        assert_eq!(rebuilt, h);
+        assert_eq!(Histogram::from_range(7, &[0, 0], 5, 1, 2), Histogram::new());
+        h.clear();
+        assert_eq!(h, Histogram::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "not the log-linear layout")]
+    fn from_range_refuses_a_span_past_the_layout() {
+        let _ = Histogram::from_range(MAX_BUCKETS, &[1], 0, 0, 0);
     }
 
     #[test]

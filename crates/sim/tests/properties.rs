@@ -1,7 +1,124 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
+use proteus_sim::histogram::{bucket_index, bucket_value, MAX_BUCKETS};
 use proteus_sim::{EventQueue, Histogram, Resource, SimDuration, SimRng, SimTime, TimeSeries};
+
+/// The histogram as it was stored before it kept only its occupied
+/// span: every bucket of the layout, zeros included. The span form must
+/// agree with it bucket for bucket.
+#[derive(Debug, Clone)]
+struct DenseOracle {
+    buckets: Vec<u64>,
+    count: u64,
+    sum_nanos: u128,
+    min: u64,
+    max: u64,
+}
+
+impl DenseOracle {
+    fn new() -> Self {
+        DenseOracle {
+            buckets: vec![0; MAX_BUCKETS],
+            count: 0,
+            sum_nanos: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum_nanos += u128::from(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    fn merge(&mut self, other: &DenseOracle) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum_nanos += other.sum_nanos;
+        if other.count > 0 {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+    }
+
+    fn quantile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        if q >= 1.0 {
+            return Some(self.max);
+        }
+        let rank = (q * self.count as f64).floor() as u64 + 1;
+        let mut cum = 0;
+        for (idx, &c) in self.buckets.iter().enumerate() {
+            cum += c;
+            if cum >= rank {
+                return Some(bucket_value(idx).clamp(self.min, self.max));
+            }
+        }
+        Some(self.max)
+    }
+}
+
+fn recorded(values: &[u64]) -> (Histogram, DenseOracle) {
+    let mut h = Histogram::new();
+    let mut oracle = DenseOracle::new();
+    for &v in values {
+        h.record(SimDuration::from_nanos(v));
+        oracle.record(v);
+    }
+    (h, oracle)
+}
+
+/// Fails unless `h` holds exactly the oracle's samples, in canonical
+/// form: a span with no zero at either end, `(0, [])` when empty.
+fn assert_agrees(h: &Histogram, oracle: &DenseOracle, q: f64) -> Result<(), TestCaseError> {
+    let (first, counts) = h.bucket_range();
+    match (counts.first(), counts.last()) {
+        (Some(&lo), Some(&hi)) => prop_assert!(lo > 0 && hi > 0, "zero at a span end"),
+        _ => prop_assert_eq!(first, 0, "an empty span starts at 0"),
+    }
+    let mut dense = vec![0; MAX_BUCKETS];
+    dense[first..first + counts.len()].copy_from_slice(counts);
+    prop_assert!(
+        dense == oracle.buckets,
+        "buckets differ from the dense oracle"
+    );
+    prop_assert_eq!(h.count(), oracle.count);
+    prop_assert_eq!(h.sum_nanos(), oracle.sum_nanos);
+    let nanos = |d: Option<SimDuration>| d.map(SimDuration::as_nanos);
+    let (min, max) = (oracle.count > 0)
+        .then_some((oracle.min, oracle.max))
+        .unzip();
+    prop_assert_eq!(nanos(h.min()), min);
+    prop_assert_eq!(nanos(h.max()), max);
+    for q in [0.0, q, 0.5, 0.99, 1.0] {
+        prop_assert_eq!(nanos(h.quantile(q)), oracle.quantile(q));
+    }
+    Ok(())
+}
+
+/// Samples from every bucket regime of the whole `u64` range, ends
+/// included; possibly none.
+fn span_samples() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(
+        prop_oneof![
+            0u64..64,
+            64u64..1 << 20,
+            1u64 << 20..1 << 40,
+            any::<u64>(),
+            Just(0u64),
+            Just(u64::MAX),
+        ],
+        0..120,
+    )
+}
 
 proptest! {
     /// Popping the event queue always yields events in non-decreasing
@@ -132,6 +249,40 @@ proptest! {
                 hu.quantile(qq).map(|d| d.as_nanos())
             );
         }
+    }
+
+    /// The span form agrees with the dense layout bucket for bucket
+    /// through `record`, `merge`, `quantile`, `from_range` (from its own
+    /// span and from a zero-padded full layout) and `clear`.
+    #[test]
+    fn histogram_span_equals_dense_oracle(
+        a in span_samples(),
+        b in span_samples(),
+        q in 0.0f64..1.0,
+    ) {
+        let (mut h, mut oracle) = recorded(&a);
+        assert_agrees(&h, &oracle, q)?;
+
+        let (min, max) = (oracle.min, oracle.max);
+        let (first, counts) = h.bucket_range();
+        let rebuilt = Histogram::from_range(first, counts, h.sum_nanos(), min, max);
+        prop_assert_eq!(&rebuilt, &h);
+        let padded = Histogram::from_range(0, &oracle.buckets, h.sum_nanos(), min, max);
+        prop_assert_eq!(&padded, &h);
+
+        let (hb, ob) = recorded(&b);
+        h.merge(&hb);
+        oracle.merge(&ob);
+        assert_agrees(&h, &oracle, q)?;
+        let (union, _) = recorded(&[a.as_slice(), b.as_slice()].concat());
+        prop_assert_eq!(&h, &union, "merge equals recording the union");
+
+        h.clear();
+        prop_assert_eq!(&h, &Histogram::new());
+        for &v in &b {
+            h.record(SimDuration::from_nanos(v));
+        }
+        assert_agrees(&h, &ob, q)?;
     }
 
     /// TimeSeries totals are preserved regardless of where observations
