@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! proteus-cache-server [--bind ADDR] [--capacity-mb N] [--metrics-addr ADDR]
-//!                      [--engine threaded|reactor|uring] [--loops N]
+//!                      [--engine threaded|reactor] [--loops N]
 //! ```
 //!
 //! Speaks the memcached-flavoured text protocol on `ADDR`
@@ -59,8 +59,8 @@ fn parse_args() -> Result<Options, String> {
             "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?),
             "--engine" => {
                 let engine = value("--engine")?;
-                if engine != "threaded" && engine != "reactor" && engine != "uring" {
-                    return Err("--engine must be `threaded`, `reactor`, or `uring`".to_string());
+                if engine != "threaded" && engine != "reactor" {
+                    return Err("--engine must be `threaded` or `reactor`".to_string());
                 }
                 opts.engine = Some(engine);
             }
@@ -72,9 +72,9 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("usage: proteus-cache-server [--bind ADDR] \
                             [--capacity-mb N] [--metrics-addr ADDR] \
-                            [--engine threaded|reactor|uring] [--loops N]\n\
+                            [--engine threaded|reactor] [--loops N]\n\
                             --engine: `reactor` (epoll) is the default on Linux; \
-                            `threaded` is the reference plane the others are \
+                            `threaded` is the reference plane the reactor is \
                             tested against and the only one off Linux, not tuned"
                     .to_string());
             }
@@ -100,13 +100,10 @@ fn main() -> ExitCode {
         // fragmentation at tens of millions of resident items.
         .storage(StorageKind::Slab);
     // Default: the platform's preferred data plane (the reactor on
-    // Linux, threaded elsewhere); `--engine` forces one explicitly.
-    // `uring` resolves through the fallback ladder (uring → reactor →
-    // threaded) when the kernel lacks io_uring; the startup line below
-    // reports the plane actually running.
+    // Linux, threaded elsewhere); `--engine` forces one explicitly. The
+    // startup line below reports the plane actually running.
     let engine = match opts.engine.as_deref() {
         Some("threaded") => EngineKind::Threaded,
-        Some("uring") => EngineKind::Uring { loops: opts.loops },
         Some(_) => EngineKind::Reactor { loops: opts.loops },
         None => match EngineKind::default() {
             EngineKind::Reactor { .. } => EngineKind::Reactor { loops: opts.loops },
@@ -122,8 +119,9 @@ fn main() -> ExitCode {
     };
     let plane = match server.engine_kind() {
         EngineKind::Threaded => "thread-per-connection".to_string(),
-        EngineKind::Reactor { loops } => format!("epoll reactor, {loops} event loops"),
-        EngineKind::Uring { loops } => format!("io_uring, {loops} event loops"),
+        EngineKind::Reactor { loops } | EngineKind::Uring { loops } => {
+            format!("epoll reactor, {loops} event loops")
+        }
     };
     println!(
         "proteus-cache-server listening on {} ({} MB, {plane}, slab storage)",

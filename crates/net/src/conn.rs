@@ -1,17 +1,15 @@
-//! The plane-independent connection state machine.
+//! The event loop's connection state machine.
 //!
-//! Both event-driven data planes — the epoll reactor ([`reactor`]) and
-//! the io_uring plane ([`uring_reactor`]) — drive the same
-//! ReadingCommand → Executing → WritingResponse cycle over a
-//! connection; they differ only in how bytes move between the socket
-//! and the buffers. This module holds the shared middle: the input
-//! buffer with its parse cursor, the per-connection [`WireBuf`] parse
-//! scratch, the [`ResponseWriter`] over a drainable output buffer, and
-//! the execute loop that turns buffered bytes into queued responses
-//! through the same [`serve_command`] the threaded plane uses.
+//! The epoll reactor ([`reactor`]) drives a ReadingCommand → Executing
+//! → WritingResponse cycle over each connection; it owns how bytes move
+//! between the socket and the buffers. This module holds the middle:
+//! the input buffer with its parse cursor, the per-connection
+//! [`WireBuf`] parse scratch, the [`ResponseWriter`] over a drainable
+//! output buffer, and the execute loop that turns buffered bytes into
+//! queued responses through the same [`serve_command`] the threaded
+//! plane uses.
 //!
 //! [`reactor`]: crate::reactor
-//! [`uring_reactor`]: crate::uring_reactor
 
 use std::net::TcpStream;
 use std::time::Instant;
@@ -19,7 +17,7 @@ use std::time::Instant;
 use crate::protocol::{parse_raw_command, storage_command_len, Response, ResponseWriter, WireBuf};
 use crate::server::{op_class_of, serve_command, OutBuf, Shared, OUT_HIGH_WATER};
 
-/// One connection's plane-independent state. The phases of the
+/// One connection's state on the reactor. The phases of the
 /// ReadingCommand → Executing → WritingResponse cycle are encoded in
 /// the buffers: unparsed input waits in `rbuf[rpos..]`, queued output
 /// waits in the writer's [`OutBuf`], and the `eof`/`closing` flags
@@ -29,7 +27,7 @@ pub(crate) struct ConnCore {
     pub(crate) stream: TcpStream,
     /// Raw bytes off the socket; `rpos` is the parse cursor.
     pub(crate) rbuf: Vec<u8>,
-    pub(crate) rpos: usize,
+    rpos: usize,
     /// Unparsed bytes to have buffered before parsing again: the whole
     /// length of a storage command whose data block is still arriving,
     /// 0 when nothing is known to be missing. `parse_raw_command`
@@ -64,15 +62,14 @@ impl ConnCore {
         }
     }
 
-    /// Response bytes queued in the output buffer (excluding any bytes
-    /// a plane holds in its own in-flight buffer).
+    /// Response bytes queued in the output buffer.
     pub(crate) fn out_pending(&self) -> usize {
         self.writer.get_ref().pending()
     }
 
     /// Drops the parsed prefix of the input buffer so it never grows
     /// past one command plus whatever arrived pipelined behind it.
-    pub(crate) fn compact(&mut self) {
+    fn compact(&mut self) {
         if self.rpos == 0 {
             return;
         }
@@ -87,12 +84,10 @@ impl ConnCore {
     }
 
     /// Parses and executes every complete command buffered on the
-    /// connection, stopping at backpressure, incomplete input, or a
-    /// close condition. `extra_out` is how many response bytes the
-    /// plane already holds outside the [`OutBuf`] (the io_uring plane's
-    /// in-flight send buffer); it counts against the high-water mark so
-    /// both planes apply the same 1 MiB backpressure rule.
-    pub(crate) fn process(&mut self, shared: &Shared, extra_out: usize) {
+    /// connection, stopping at backpressure (the 1 MiB high-water mark
+    /// the threaded plane applies too), incomplete input, or a close
+    /// condition.
+    pub(crate) fn process(&mut self, shared: &Shared) {
         // EOF parses once more regardless: that attempt is what closes
         // a connection whose peer gave up mid-block.
         if self.rbuf.len() - self.rpos < self.need && !self.eof {
@@ -100,7 +95,7 @@ impl ConnCore {
         }
         self.need = 0;
         loop {
-            if self.closing || self.out_pending() + extra_out > OUT_HIGH_WATER {
+            if self.closing || self.out_pending() > OUT_HIGH_WATER {
                 break;
             }
             let ConnCore {

@@ -51,12 +51,9 @@
 //! # Ok::<(), proteus_net::NetError>(())
 //! ```
 
-// `deny` (not `forbid`) so the two FFI modules below can opt back in:
-// the epoll/eventfd bindings in `poll` and the io_uring bindings in
-// `uring` are the only unsafe code in the crate; `poll` carries
-// `#[allow(unsafe_code)]` at each use site, `uring` allows it
-// module-wide but adds `#![deny(unsafe_op_in_unsafe_fn)]` and a
-// documented invariant per unsafe block (DESIGN.md §14).
+// `deny` (not `forbid`) so the one FFI module can opt back in: the
+// epoll/eventfd bindings in `poll` are the only unsafe code in the
+// crate, and carry `#[allow(unsafe_code)]` at each use site.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -72,10 +69,6 @@ mod protocol;
 #[cfg(target_os = "linux")]
 mod reactor;
 mod server;
-#[cfg(target_os = "linux")]
-mod uring;
-#[cfg(target_os = "linux")]
-mod uring_reactor;
 
 pub use client::{CacheClient, ClientConfig, ClientStats, PendingGets};
 pub use cluster_client::{
@@ -92,22 +85,14 @@ pub use protocol::{
 };
 pub use server::{CacheServer, EngineKind, ServerConfig, ServerMetrics};
 
-/// Whether this kernel supports everything [`EngineKind::Uring`]
-/// needs (io_uring with registered provided-buffer rings, Linux ≥
-/// 5.19, not blocked by seccomp). When `false`, a `Uring` request
-/// resolves to [`EngineKind::Reactor`]; tests and benches use this to
-/// skip uring-specific assertions explicitly instead of silently
-/// exercising the fallback plane.
+/// Always `false`: there is no io_uring plane (DESIGN.md §14 has the
+/// measurement that removed it), so an [`EngineKind::Uring`] request
+/// runs the [`EngineKind::Reactor`]. It stays so that code which
+/// asked it before measuring io_uring keeps compiling, and skips that
+/// measurement.
 #[must_use]
 pub fn uring_supported() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        uring::supported()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
+    false
 }
 
 /// Re-export of the shared value-buffer type the wire layer hands out

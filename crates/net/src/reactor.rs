@@ -14,12 +14,11 @@
 //! - Each **event loop** owns one epoll instance and the connections
 //!   routed to it; a connection never migrates, so all per-connection
 //!   state is single-threaded and lock-free.
-//! - Each **connection** is a [`ConnCore`] state machine (shared with
-//!   the io_uring plane): *reading* bytes into a growable input
-//!   buffer, *executing* every complete command it holds (through the
-//!   same `serve_command` the threaded plane uses), and *writing* the
-//!   queued responses, resuming partial writes when the socket backs
-//!   up.
+//! - Each **connection** is a [`ConnCore`] state machine: *reading*
+//!   bytes into a growable input buffer, *executing* every complete
+//!   command it holds (through the same `serve_command` the threaded
+//!   plane uses), and *writing* the queued responses, resuming partial
+//!   writes when the socket backs up.
 //!
 //! The hot path is the threaded plane's: commands are parsed in place
 //! by [`parse_raw_command`](crate::protocol::parse_raw_command)
@@ -61,11 +60,10 @@ const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 const READ_CHUNK: usize = 64 << 10;
 
 /// Reactor telemetry: per-loop connection gauges plus accept,
-/// read-`EAGAIN`, and submit/complete batch counters, surfaced through
-/// the server's registry (`stats proteus` and the metrics endpoint).
+/// read-`EAGAIN`, and wait/event batch counters, surfaced through the
+/// server's registry (`stats proteus` and the metrics endpoint).
 /// `events / waits` is the mean readiness batch one `epoll_wait`
-/// syscall delivers — the epoll-plane analogue of the io_uring plane's
-/// `cqes / enters`.
+/// syscall delivers.
 #[derive(Debug)]
 pub(crate) struct ReactorStats {
     per_loop_connections: Vec<Gauge>,
@@ -123,16 +121,14 @@ impl ReactorStats {
 }
 
 /// A cross-thread handoff slot: the accept thread pushes sockets, the
-/// owning loop drains them when its doorbell rings. Shared with the
-/// io_uring plane, whose accept-owning loop hands sockets to its
-/// sibling loops the same way.
-pub(crate) struct Mailbox {
-    pub(crate) queue: Mutex<Vec<TcpStream>>,
-    pub(crate) wake: EventFd,
+/// owning loop drains them when its doorbell rings.
+struct Mailbox {
+    queue: Mutex<Vec<TcpStream>>,
+    wake: EventFd,
 }
 
 impl Mailbox {
-    pub(crate) fn new() -> Result<Mailbox, NetError> {
+    fn new() -> Result<Mailbox, NetError> {
         Ok(Mailbox {
             queue: Mutex::new(Vec::new()),
             wake: EventFd::new()?,
@@ -167,25 +163,46 @@ impl Reactor {
     /// # Errors
     ///
     /// Returns an error if an epoll instance, eventfd, or thread
-    /// cannot be created.
+    /// cannot be created. The loops started before the failure are
+    /// stopped and joined first: they hold `shared`, and no server
+    /// exists whose drop would stop them.
     pub(crate) fn spawn(
         listener: TcpListener,
         shared: Arc<Shared>,
         loops: usize,
     ) -> Result<Reactor, NetError> {
+        let mut reactor = Reactor {
+            accept_thread: None,
+            loops: Vec::with_capacity(loops.max(1)),
+        };
+        match reactor.start(listener, &shared, loops.max(1)) {
+            Ok(()) => Ok(reactor),
+            Err(e) => {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                reactor.stop();
+                Err(e)
+            }
+        }
+    }
+
+    fn start(
+        &mut self,
+        listener: TcpListener,
+        shared: &Arc<Shared>,
+        loops: usize,
+    ) -> Result<(), NetError> {
         let stats = shared
             .reactor_stats
             .clone()
             .expect("reactor spawned with reactor stats");
-        let mut handles = Vec::with_capacity(loops.max(1));
-        for index in 0..loops.max(1) {
+        for index in 0..loops {
             let mailbox = Arc::new(Mailbox::new()?);
             let epoll = Epoll::new()?;
             epoll.add(mailbox.wake.fd(), WAKE_TOKEN, EPOLLIN)?;
             let mut worker = Worker {
                 epoll,
                 mailbox: Arc::clone(&mailbox),
-                shared: Arc::clone(&shared),
+                shared: Arc::clone(shared),
                 stats: Arc::clone(&stats),
                 index,
                 conns: HashMap::new(),
@@ -195,13 +212,14 @@ impl Reactor {
             let thread = std::thread::Builder::new()
                 .name(format!("proteus-loop-{index}"))
                 .spawn(move || worker.run())?;
-            handles.push(LoopHandle {
+            self.loops.push(LoopHandle {
                 thread: Some(thread),
                 mailbox,
             });
         }
-        let mailboxes: Vec<Arc<Mailbox>> = handles.iter().map(|h| Arc::clone(&h.mailbox)).collect();
-        let accept_shared = Arc::clone(&shared);
+        let mailboxes: Vec<Arc<Mailbox>> =
+            self.loops.iter().map(|h| Arc::clone(&h.mailbox)).collect();
+        let accept_shared = Arc::clone(shared);
         let accept_thread = std::thread::Builder::new()
             .name("proteus-accept".into())
             .spawn(move || {
@@ -232,10 +250,8 @@ impl Reactor {
                     }
                 }
             })?;
-        Ok(Reactor {
-            accept_thread: Some(accept_thread),
-            loops: handles,
-        })
+        self.accept_thread = Some(accept_thread);
+        Ok(())
     }
 
     /// Joins the accept thread and every event loop. The caller
@@ -385,7 +401,7 @@ impl Worker {
             fill_in(&mut conn.core, &mut self.scratch, &self.stats, &self.shared)?;
         }
         loop {
-            conn.core.process(&self.shared, 0);
+            conn.core.process(&self.shared);
             let stopped_over_mark = conn.core.out_pending() > OUT_HIGH_WATER;
             flush_out(&mut conn.core, &self.shared)?;
             // Backpressure may have stopped the parse with whole

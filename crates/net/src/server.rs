@@ -36,7 +36,7 @@ const ACCEPT_EXHAUSTED_BACKOFF: Duration = Duration::from_millis(50);
 /// Output high-water mark: above this many pending response bytes a
 /// connection stops reading and parsing until the peer drains its
 /// socket — bounding per-connection memory against a client that
-/// pipelines requests without reading responses. Shared by all three
+/// pipelines requests without reading responses. Shared by both
 /// planes so backpressure behaves identically.
 pub(crate) const OUT_HIGH_WATER: usize = 1 << 20;
 
@@ -78,9 +78,9 @@ pub struct ServerMetrics {
     pub(crate) curr_connections: Gauge,
     pub(crate) total_connections: Counter,
     /// Data-plane syscalls issued: accepts, socket reads/writes,
-    /// `epoll_wait`/`epoll_ctl`, eventfd pokes, `io_uring_enter` —
-    /// counted at every call site on all three planes so
-    /// syscalls-per-operation can be compared across them honestly.
+    /// `epoll_wait`/`epoll_ctl`, eventfd pokes — counted at every call
+    /// site on both planes so syscalls-per-operation can be compared
+    /// across them honestly.
     pub(crate) plane_syscalls: Counter,
 }
 
@@ -133,14 +133,12 @@ pub enum EngineKind {
         /// `min(available cores, 4)`.
         loops: usize,
     },
-    /// io_uring event loops with multishot accept and registered
-    /// provided-buffer rings: submission batching folds many sockets'
-    /// reads and writes into one `io_uring_enter` per loop iteration
-    /// (Linux ≥ 5.19 only; falls back to [`Reactor`] when the kernel
-    /// or sandbox lacks io_uring, then [`Threaded`] off Linux).
+    /// Runs the [`Reactor`] with the same `loops`: there is no io_uring
+    /// plane (DESIGN.md §14 has the measurement that removed it).
+    /// [`CacheServer::engine_kind`] never reports this variant; it is
+    /// kept so code that names it keeps compiling.
     ///
     /// [`Reactor`]: EngineKind::Reactor
-    /// [`Threaded`]: EngineKind::Threaded
     Uring {
         /// Number of event-loop threads; `0` means
         /// `min(available cores, 4)`.
@@ -219,10 +217,6 @@ pub(crate) struct Shared {
     /// when the threaded engine is driving.
     #[cfg(target_os = "linux")]
     pub(crate) reactor_stats: Option<Arc<crate::reactor::ReactorStats>>,
-    /// io_uring plane telemetry (enter/SQE/CQE batch counters); `None`
-    /// unless the uring plane is driving.
-    #[cfg(target_os = "linux")]
-    pub(crate) uring_stats: Option<Arc<crate::uring_reactor::UringStats>>,
 }
 
 impl Shared {
@@ -237,24 +231,18 @@ impl Shared {
 /// tight loop would spin at 100% CPU). No error kills the accept loop:
 /// a transient `EMFILE` must not permanently silence a server that
 /// keeps running and holding its cache.
+///
+/// EMFILE(24) and ENFILE(23) surface as Uncategorized on stable, so
+/// they are matched by raw code, with ENOBUFS(105) and ENOMEM(12).
 pub(crate) fn accept_retry_delay(e: &std::io::Error) -> Option<Duration> {
-    if let Some(code) = e.raw_os_error() {
-        return accept_retry_delay_os(code);
-    }
-    let exhausted = matches!(
-        e.kind(),
-        std::io::ErrorKind::OutOfMemory | std::io::ErrorKind::WouldBlock
-    );
+    let exhausted = match e.raw_os_error() {
+        Some(code) => matches!(code, 23 | 24 | 12 | 105),
+        None => matches!(
+            e.kind(),
+            std::io::ErrorKind::OutOfMemory | std::io::ErrorKind::WouldBlock
+        ),
+    };
     exhausted.then_some(ACCEPT_EXHAUSTED_BACKOFF)
-}
-
-/// The raw-errno core of [`accept_retry_delay`], shared with the
-/// io_uring plane (whose multishot-accept CQEs carry a negated errno,
-/// never an [`std::io::Error`]): EMFILE(24)/ENFILE(23) — which surface
-/// as Uncategorized on stable, hence raw codes — plus ENOBUFS(105) and
-/// ENOMEM(12) back off; everything else retries immediately.
-pub(crate) fn accept_retry_delay_os(code: i32) -> Option<Duration> {
-    matches!(code, 23 | 24 | 12 | 105).then_some(ACCEPT_EXHAUSTED_BACKOFF)
 }
 
 /// A running cache server: an accept thread plus a data plane —
@@ -289,8 +277,6 @@ enum DataPlane {
     },
     #[cfg(target_os = "linux")]
     Reactor(crate::reactor::Reactor),
-    #[cfg(target_os = "linux")]
-    Uring(crate::uring_reactor::UringReactor),
 }
 
 impl std::fmt::Debug for Shared {
@@ -319,7 +305,8 @@ impl CacheServer {
     /// # Errors
     ///
     /// Returns an error if the address cannot be bound or (reactor
-    /// only) the epoll instances cannot be created.
+    /// only) an event loop's epoll instance, eventfd or thread cannot
+    /// be created; the loops already started are stopped first.
     pub fn spawn_with<A: ToSocketAddrs>(
         addr: A,
         config: CacheConfig,
@@ -329,13 +316,6 @@ impl CacheServer {
         let addr = listener.local_addr()?;
         #[cfg(target_os = "linux")]
         let engine_kind = match server_config.engine {
-            // The fallback ladder: a uring request on a kernel (or
-            // sandbox) without io_uring resolves to the epoll reactor,
-            // so callers read the plane actually running from
-            // `engine_kind()` instead of failing.
-            EngineKind::Uring { loops } if crate::uring::supported() => EngineKind::Uring {
-                loops: resolve_loops(loops),
-            },
             EngineKind::Uring { loops } | EngineKind::Reactor { loops } => EngineKind::Reactor {
                 loops: resolve_loops(loops),
             },
@@ -364,29 +344,16 @@ impl CacheServer {
                 }
                 EngineKind::Threaded | EngineKind::Uring { .. } => None,
             },
-            #[cfg(target_os = "linux")]
-            uring_stats: match engine_kind {
-                EngineKind::Uring { loops } => {
-                    Some(Arc::new(crate::uring_reactor::UringStats::new(loops)))
-                }
-                EngineKind::Threaded | EngineKind::Reactor { .. } => None,
-            },
         });
         let data_plane = match engine_kind {
             #[cfg(target_os = "linux")]
-            EngineKind::Reactor { loops } => DataPlane::Reactor(crate::reactor::Reactor::spawn(
-                listener,
-                Arc::clone(&shared),
-                loops,
-            )?),
-            #[cfg(target_os = "linux")]
-            EngineKind::Uring { loops } => DataPlane::Uring(
-                crate::uring_reactor::UringReactor::spawn(listener, Arc::clone(&shared), loops)?,
-            ),
-            #[cfg(not(target_os = "linux"))]
-            EngineKind::Reactor { .. } | EngineKind::Uring { .. } => {
-                unreachable!("normalized to Threaded above")
+            EngineKind::Reactor { loops } => {
+                let reactor = crate::reactor::Reactor::spawn(listener, Arc::clone(&shared), loops)?;
+                DataPlane::Reactor(reactor)
             }
+            #[cfg(not(target_os = "linux"))]
+            EngineKind::Reactor { .. } => unreachable!("normalized to Threaded above"),
+            EngineKind::Uring { .. } => unreachable!("resolved above"),
             EngineKind::Threaded => spawn_threaded(listener, &shared),
         };
         Ok(CacheServer {
@@ -405,9 +372,8 @@ impl CacheServer {
 
     /// The data plane actually running (auto values resolved: a
     /// requested `Reactor { loops: 0 }` reports its concrete loop
-    /// count, a `Uring` request on a kernel without io_uring reports
-    /// the [`EngineKind::Reactor`] it fell back to, and any reactor
-    /// request on a non-Linux target reports
+    /// count, a `Uring` request reports the [`EngineKind::Reactor`] it
+    /// runs, and any reactor request on a non-Linux target reports
     /// [`EngineKind::Threaded`]).
     #[must_use]
     pub fn engine_kind(&self) -> EngineKind {
@@ -479,8 +445,6 @@ impl CacheServer {
             }
             #[cfg(target_os = "linux")]
             DataPlane::Reactor(reactor) => reactor.stop(),
-            #[cfg(target_os = "linux")]
-            DataPlane::Uring(uring) => uring.stop(),
         }
     }
 }
@@ -795,36 +759,12 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
             "proteus_reactor_wakeups_total",
             rs.wakeups(),
         ));
-        // events / waits = mean readiness batch per epoll_wait, the
-        // epoll analogue of the uring plane's cqes / enters.
+        // events / waits = mean readiness batch per epoll_wait.
         out.push(Metric::counter("proteus_reactor_waits_total", rs.waits()));
         out.push(Metric::counter("proteus_reactor_events_total", rs.events()));
         for (index, conns) in rs.loop_connections().into_iter().enumerate() {
             out.push(
                 Metric::gauge("proteus_reactor_loop_connections", conns)
-                    .with_label("loop", index.to_string()),
-            );
-        }
-    }
-    #[cfg(target_os = "linux")]
-    if let Some(us) = &shared.uring_stats {
-        out.push(Metric::counter(
-            "proteus_uring_accepted_total",
-            us.accepted(),
-        ));
-        // sqes / enters and cqes / enters are the submission and
-        // completion batch sizes one io_uring_enter syscall carries.
-        out.push(Metric::counter("proteus_uring_enters_total", us.enters()));
-        out.push(Metric::counter("proteus_uring_sqes_total", us.sqes()));
-        out.push(Metric::counter("proteus_uring_cqes_total", us.cqes()));
-        out.push(Metric::counter("proteus_uring_wakeups_total", us.wakeups()));
-        out.push(Metric::counter(
-            "proteus_uring_buf_starved_total",
-            us.buf_starved(),
-        ));
-        for (index, conns) in us.loop_connections().into_iter().enumerate() {
-            out.push(
-                Metric::gauge("proteus_uring_loop_connections", conns)
                     .with_label("loop", index.to_string()),
             );
         }
@@ -1220,17 +1160,8 @@ mod tests {
             accept_retry_delay(&Error::from(ErrorKind::OutOfMemory)),
             Some(ACCEPT_EXHAUSTED_BACKOFF)
         );
-        // The raw-errno core — shared with the uring multishot-accept
-        // path, whose CQEs carry negated errnos — classifies the same
-        // codes identically.
-        for code in [23, 24, 12, 105] {
-            assert_eq!(
-                accept_retry_delay_os(code),
-                Some(ACCEPT_EXHAUSTED_BACKOFF),
-                "os error {code}"
-            );
-        }
-        assert_eq!(accept_retry_delay_os(103), None); // ECONNABORTED: retry now
+        // ECONNABORTED as a raw code: retry now.
+        assert_eq!(accept_retry_delay(&Error::from_raw_os_error(103)), None);
     }
 
     #[test]
@@ -1307,7 +1238,7 @@ mod tests {
         use crate::conn::ConnCore;
         use crate::protocol::WireBuf;
         const VALUE: usize = 1 << 20;
-        const PIECE: usize = 64 << 10; // reactor READ_CHUNK, uring BUF_LEN
+        const PIECE: usize = 64 << 10; // the reactor's READ_CHUNK
 
         let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(64 << 20))
             .expect("bind ephemeral port");
@@ -1320,7 +1251,7 @@ mod tests {
 
         let mut core = ConnCore::new(TcpStream::connect(server.addr()).unwrap());
         core.rbuf.extend_from_slice(pieces.next().unwrap());
-        core.process(&server.shared, 0);
+        core.process(&server.shared);
         assert_eq!(
             core.wire.data_len(),
             VALUE,
@@ -1330,7 +1261,7 @@ mod tests {
         core.wire = WireBuf::new();
         for piece in pieces {
             core.rbuf.extend_from_slice(piece);
-            core.process(&server.shared, 0);
+            core.process(&server.shared);
             assert_eq!(
                 core.wire.data_len(),
                 0,
@@ -1341,13 +1272,13 @@ mod tests {
         // A peer that hangs up mid-block still closes silently.
         let mut hung_up = ConnCore::new(TcpStream::connect(server.addr()).unwrap());
         hung_up.rbuf.extend_from_slice(&core.rbuf);
-        hung_up.process(&server.shared, 0);
+        hung_up.process(&server.shared);
         hung_up.eof = true;
-        hung_up.process(&server.shared, 0);
+        hung_up.process(&server.shared);
         assert!(hung_up.closing && hung_up.out_pending() == 0);
 
         core.rbuf.extend_from_slice(last);
-        core.process(&server.shared, 0);
+        core.process(&server.shared);
         assert_eq!(core.writer.get_ref().buf, b"STORED\r\n");
         assert!(core.rbuf.is_empty() && !core.closing);
         let stored = server.with_engine(|e| e.get(b"big", SimTime::ZERO));

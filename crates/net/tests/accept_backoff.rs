@@ -1,36 +1,31 @@
-//! Accept-path fd-exhaustion regression test: the event-driven data
-//! planes survive a transient `EMFILE` on accept and resume serving.
+//! Fd-exhaustion regression tests for the epoll reactor: it survives a
+//! transient `EMFILE` on accept and resumes serving, and a spawn that
+//! runs out of fds part-way leaves no event loop behind.
 //!
-//! The shared policy under test is `accept_retry_delay_os` — used by
-//! the epoll reactor's accept thread on the `io::Error` it gets from
-//! `accept(2)`, and by the io_uring plane on the negated errno a
-//! multishot-accept CQE carries. The scenario, per plane:
+//! The accept policy under test is `accept_retry_delay`, which the
+//! reactor's accept thread applies to the `io::Error` it gets from
+//! `accept(2)`. The scenario:
 //!
 //! 1. exhaust the process fd table for real — every fd *number* below
 //!    `RLIMIT_NOFILE` occupied by a placeholder (the limit is clamped
-//!    to 512 before the server spawns, to keep the fill cheap and
-//!    because io_uring's accept captures the rlimit at SQE *prep*
-//!    time, so a limit lowered after the multishot accept is armed
-//!    would never be observed);
+//!    to 512 first, to keep the fill cheap);
 //! 2. park client connections — their TCP handshakes complete in the
 //!    kernel via the listen backlog, needing no server-side fd — and
-//!    watch the plane hit `EMFILE` on accept without dying, spinning,
+//!    watch the reactor hit `EMFILE` on accept without dying, spinning,
 //!    or disturbing connections that are already being served;
 //! 3. release the placeholders: the backed-off accept retries, adopts
-//!    the parked connections, and serves the requests that sat in
-//!    their sockets the whole time.
+//!    the parked connection, and serves the requests that sat in its
+//!    socket the whole time.
 //!
-//! A plane whose accept path died at step 2 times out at step 3.
+//! An accept path that died at step 2 times out at step 3.
 //!
-//! Plane-specific wrinkle: the reactor's accept thread blocks inside
-//! `accept(2)`, and Linux reserves the result fd number at syscall
-//! *entry* — before blocking — so the accept that was already parked
-//! when the table filled up completes on its pre-fill reservation. The
-//! first client therefore gets served mid-exhaustion (asserted — it
-//! proves accept-boundary exhaustion leaves live service untouched)
-//! and the *next* accept hits `EMFILE`. io_uring's multishot accept
-//! allocates the fd at *completion* time, so its first pending
-//! connection already observes `-EMFILE` and both clients park.
+//! The reactor's accept thread blocks inside `accept(2)`, and Linux
+//! reserves the result fd number at syscall *entry* — before blocking —
+//! so the accept that was already parked when the table filled up
+//! completes on its pre-fill reservation. The first client therefore
+//! gets served mid-exhaustion (asserted — it proves accept-boundary
+//! exhaustion leaves live service untouched) and the *next* accept
+//! hits `EMFILE`.
 //!
 //! The threaded plane is exercised for the same policy by the unit
 //! tests on `accept_retry_delay` instead: its blocking accept holds
@@ -38,10 +33,10 @@
 //! connection, so fd-table fault injection races the accept thread for
 //! every freed slot and cannot be made deterministic from outside.
 //!
-//! One sequential `#[test]` covers both planes because the fd table
-//! and `RLIMIT_NOFILE` are process-wide state (this integration test
-//! is its own process, and in-process parallelism is what must be
-//! avoided).
+//! One sequential `#[test]` covers both scenarios because the fd
+//! table, `RLIMIT_NOFILE` and `/proc/self/status`'s thread count are
+//! process-wide state (this integration test is its own process, and
+//! in-process parallelism is what must be avoided).
 
 #![cfg(target_os = "linux")]
 
@@ -49,10 +44,10 @@ use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::FromRawFd;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proteus_cache::CacheConfig;
-use proteus_net::{uring_supported, CacheServer, EngineKind, ServerConfig};
+use proteus_net::{CacheServer, EngineKind, NetError, ServerConfig};
 
 // Raw rlimit/socket FFI: std exposes neither, and this test crate is
 // outside the lib's `#![deny(unsafe_code)]` boundary.
@@ -61,8 +56,8 @@ const AF_INET: i32 = 2;
 const SOCK_STREAM: i32 = 1;
 
 /// Low enough that filling the table is instant, high enough that the
-/// server's own fds (listener, rings, eventfds, pre-fault connection)
-/// never come close.
+/// server's own fds (listener, epoll instances, eventfds, pre-fault
+/// connection) never come close.
 const CLAMPED_LIMIT: u64 = 512;
 
 #[repr(C)]
@@ -158,11 +153,50 @@ impl Drop for PreSocket {
     }
 }
 
-/// `served_during_exhaustion`: whether the plane's first client is
-/// served while the fd table is still full (reactor: yes, via the
-/// blocked accept's pre-fill fd reservation; uring: no, the
-/// completion-time allocation already fails).
-fn exercise_plane(engine: EngineKind, served_during_exhaustion: bool) {
+/// OS threads in this process, from `/proc/self/status`.
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+    line.expect("a Threads: line").trim().parse().unwrap()
+}
+
+/// A reactor whose fourth loop cannot get its fds fails to spawn, and
+/// the three loops it had started are gone within a second: they hold
+/// the server's shared state, and no `CacheServer` exists whose drop
+/// would stop them.
+fn failed_spawn_leaves_no_loop_running() {
+    let threads_before = os_threads();
+    let mut fill = fill_fd_table();
+    // The listener, then an eventfd and an epoll instance for each of
+    // three loops; the fourth loop's eventfd hits EMFILE.
+    fill.truncate(fill.len() - (1 + 2 * 3));
+    let spawned = CacheServer::spawn_with(
+        "127.0.0.1:0",
+        CacheConfig::with_capacity(1 << 20),
+        ServerConfig {
+            engine: EngineKind::Reactor { loops: 64 },
+        },
+    );
+    drop(fill);
+    let err = spawned.expect_err("64 loops cannot get their fds from 7 free slots");
+    assert!(
+        matches!(&err, NetError::Io(e) if e.raw_os_error() == Some(24)),
+        "expected EMFILE, got {err}"
+    );
+    // A joined thread leaves `/proc`'s count a moment after the join.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while os_threads() > threads_before {
+        assert!(
+            Instant::now() < deadline,
+            "a failed spawn left {} threads running",
+            os_threads() - threads_before
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn exercise_reactor() {
+    let engine = EngineKind::Reactor { loops: 1 };
     let server = CacheServer::spawn_with(
         "127.0.0.1:0",
         CacheConfig::with_capacity(1 << 20),
@@ -206,27 +240,23 @@ fn exercise_plane(engine: EngineKind, served_during_exhaustion: bool) {
     let mut fill = fill_fd_table();
     drop(fill.pop().expect("the fill is never empty"));
 
-    // First client: spends the one free slot on its own socket. On the
-    // reactor its connection is adopted via the accept thread's
-    // pre-fill fd reservation and served normally; on io_uring the
-    // accept CQE is already -EMFILE and the connection parks.
+    // First client: spends the one free slot on its own socket. Its
+    // connection is adopted via the accept thread's pre-fill fd
+    // reservation and served normally.
     let mut first = TcpStream::connect(addr).expect("connect via backlog");
     first
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     first.write_all(b"get pre\r\n").unwrap();
-    if served_during_exhaustion {
-        let mut buf = [0u8; 64];
-        let n = first.read(&mut buf).unwrap();
-        assert_eq!(
-            &buf[..n],
-            b"VALUE pre 0 2\r\nok\r\nEND\r\n",
-            "{engine:?}: the pre-reserved accept must still serve mid-exhaustion"
-        );
-    }
-    // `first` stays open either way, pinning its fd (and, on the
-    // reactor, keeping the plane visibly mid-service while accept is
-    // starved).
+    let mut buf = [0u8; 64];
+    let n = first.read(&mut buf).unwrap();
+    assert_eq!(
+        &buf[..n],
+        b"VALUE pre 0 2\r\nok\r\nEND\r\n",
+        "the pre-reserved accept must still serve mid-exhaustion"
+    );
+    // `first` stays open, pinning its fd and keeping the plane visibly
+    // mid-service while accept is starved.
 
     // Second client: zero allocatable fds remain, so this connection
     // can only park in the listen backlog behind a failing accept.
@@ -247,7 +277,7 @@ fn exercise_plane(engine: EngineKind, served_during_exhaustion: bool) {
     }
 
     // Recovery: release the placeholders; the backed-off accept must
-    // retry, adopt the parked socket(s), and serve the requests queued
+    // retry, adopt the parked socket, and serve the requests queued
     // there.
     drop(fill);
     second
@@ -263,17 +293,6 @@ fn exercise_plane(engine: EngineKind, served_during_exhaustion: bool) {
         "{engine:?} must serve the connection parked through EMFILE, got {:?}",
         String::from_utf8_lossy(&out)
     );
-    if !served_during_exhaustion {
-        // On io_uring the first client was parked too; it is served by
-        // the same post-recovery rearm.
-        let mut buf = [0u8; 64];
-        let n = first.read(&mut buf).unwrap();
-        assert_eq!(
-            &buf[..n],
-            b"VALUE pre 0 2\r\nok\r\nEND\r\n",
-            "{engine:?}: first parked connection must be served after recovery"
-        );
-    }
     drop(first);
 
     // And the accept path is fully healthy for new connections.
@@ -289,16 +308,10 @@ fn exercise_plane(engine: EngineKind, served_during_exhaustion: bool) {
 #[test]
 fn accept_survives_fd_exhaustion_on_event_planes() {
     let original = nofile_limit();
-    // Clamp before anything spawns: io_uring snapshots the limit when
-    // the accept SQE is prepped, and a small limit keeps the fill
-    // instant.
+    // A small limit keeps each fill instant.
     set_nofile_cur(CLAMPED_LIMIT.min(original.cur), original);
-    exercise_plane(EngineKind::Reactor { loops: 1 }, true);
-    if uring_supported() {
-        exercise_plane(EngineKind::Uring { loops: 1 }, false);
-    } else {
-        eprintln!("skipped: no io_uring (reactor plane covered)");
-    }
+    failed_spawn_leaves_no_loop_running();
+    exercise_reactor();
     set_nofile_cur(original.cur, original);
     // Whatever happened, the process limit is back where it started.
     assert_eq!(nofile_limit().cur, original.cur);

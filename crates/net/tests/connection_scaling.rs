@@ -3,16 +3,15 @@
 //!
 //! The threaded plane spends one OS thread per attached socket, so 512
 //! parked memcached clients are 512 stacks before a byte of work
-//! arrives; the event-driven planes multiplex every connection onto a
-//! fixed set of loops. And io_uring batches many receives and sends
-//! behind one `io_uring_enter`, so its data-plane syscalls per
-//! operation (the server's own `plane_syscalls` counter) must come out
-//! strictly below the epoll reactor's. Per event plane: 512 parked
-//! sockets, each proven adopted by a `version` round trip, 8 workers
-//! running a 90/10 get/set mix with every reply compared byte for
-//! byte, a sample of the parked sockets answering afterwards, and at
-//! most 8 threads added by the server. (`benchmark/` prints the
-//! numbers: `server.<plane>.syscalls_per_op`, `server.threads`.)
+//! arrives; the epoll reactor multiplexes every connection onto a
+//! fixed set of loops. On the reactor: 512 parked sockets, each proven
+//! adopted by a `version` round trip, 8 workers running a 90/10
+//! get/set mix with every reply compared byte for byte, a sample of
+//! the parked sockets answering afterwards, at most 8 threads added by
+//! the server, and at most `SYSCALLS_PER_OP_CEILING` data-plane
+//! syscalls per operation (the server's own `plane_syscalls` counter).
+//! (`benchmark/` prints the numbers: `server.<plane>.syscalls_per_op`,
+//! `server.threads`.)
 //!
 //! One `#[test]` in a file — a process — of its own: `Threads:` in
 //! `/proc/self/status` is process-wide.
@@ -24,7 +23,7 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use proteus_cache::CacheConfig;
-use proteus_net::{uring_supported, CacheServer, EngineKind, ServerConfig};
+use proteus_net::{CacheServer, EngineKind, ServerConfig};
 
 const PARKED: usize = 512;
 const WORKERS: usize = 8;
@@ -32,6 +31,13 @@ const OPS_PER_WORKER: u64 = 2_000;
 const KEYS_PER_WORKER: u64 = 64;
 /// Event loops plus the acceptor.
 const THREAD_BUDGET: usize = 8;
+/// A reactor operation costs about four syscalls (3.59–4.14 over ten
+/// release runs on a 2-core x86-64 host): the `epoll_wait` that reports
+/// the socket readable, the `read` of the command, the `read` that
+/// returns `EAGAIN`, and the `write` of the reply. The ceiling sits 9 %
+/// above the highest of those runs; an `epoll_ctl` per operation, which
+/// a regression in interest re-arming would add, breaks it.
+const SYSCALLS_PER_OP_CEILING: f64 = 4.5;
 
 /// OS threads in this process (the server shares it with the test),
 /// or 0 where there is no `/proc`.
@@ -155,15 +161,14 @@ fn run(engine: EngineKind, parked: usize) -> (usize, f64) {
 
 #[test]
 fn parked_connections_cost_an_event_plane_no_threads() {
-    // Pinned loop counts keep the thread budget hardware-independent:
-    // 4 loops + 1 acceptor (io_uring accepts inside loop 0).
-    let reactor = run(EngineKind::Reactor { loops: 4 }, PARKED);
-    let uring = uring_supported().then(|| run(EngineKind::Uring { loops: 4 }, PARKED));
+    // A pinned loop count keeps the thread budget hardware-independent:
+    // 4 loops + 1 acceptor.
+    let (threads, syscalls) = run(EngineKind::Reactor { loops: 4 }, PARKED);
     let threaded = run(EngineKind::Threaded, 128);
-    println!("(threads, syscalls/op): reactor {reactor:?}, uring {uring:?}, threaded {threaded:?}");
+    println!("(threads, syscalls/op): reactor ({threads}, {syscalls:.3}), threaded {threaded:?}");
     // Every reply was verified and every sampled parked socket
     // answered, or `run` would have panicked. What is left reads
-    // `/proc` and the epoll/io_uring planes, which only Linux has.
+    // `/proc` and the epoll plane, which only Linux has.
     if !cfg!(target_os = "linux") {
         println!("skipped: not Linux (thread budget and syscalls per op not enforced)");
         return;
@@ -173,21 +178,12 @@ fn parked_connections_cost_an_event_plane_no_threads() {
         "the threaded plane spends a thread per connection, saw {} for 128 parked",
         threaded.0
     );
-    for (plane, outcome) in [("reactor", Some(reactor)), ("uring", uring)] {
-        let Some((threads, _)) = outcome else {
-            println!("skipped: no io_uring (thread budget and syscalls per op not enforced)");
-            continue;
-        };
-        assert!(
-            threads > 0 && threads <= THREAD_BUDGET,
-            "{plane} used {threads} threads for {PARKED} connections (budget {THREAD_BUDGET})"
-        );
-    }
-    if let Some((_, uring_syscalls)) = uring {
-        assert!(
-            uring_syscalls < reactor.1,
-            "io_uring must batch below the epoll plane: {uring_syscalls:.3} sys/op vs {:.3}",
-            reactor.1
-        );
-    }
+    assert!(
+        threads > 0 && threads <= THREAD_BUDGET,
+        "the reactor used {threads} threads for {PARKED} connections (budget {THREAD_BUDGET})"
+    );
+    assert!(
+        syscalls <= SYSCALLS_PER_OP_CEILING,
+        "the reactor spent {syscalls:.3} syscalls per operation (ceiling {SYSCALLS_PER_OP_CEILING})"
+    );
 }

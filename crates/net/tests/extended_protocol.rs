@@ -12,9 +12,6 @@ fn planes() -> Vec<EngineKind> {
     let mut engines = vec![EngineKind::Threaded];
     if cfg!(target_os = "linux") {
         engines.push(EngineKind::Reactor { loops: 2 });
-        if proteus_net::uring_supported() {
-            engines.push(EngineKind::Uring { loops: 2 });
-        }
     }
     engines
 }

@@ -1,16 +1,13 @@
-//! The event-driven data planes serve exactly the same bytes as the
-//! threaded data plane.
+//! The epoll reactor serves exactly the same bytes as the threaded
+//! data plane.
 //!
 //! The threaded server is the correctness oracle: every property here
-//! spawns one server per plane — threaded, epoll reactor, and (when
-//! the kernel supports it) io_uring — over identically configured
-//! engines, drives the **same byte stream** into each over fresh
-//! sockets — well-formed pipelines under random chunking, arbitrary
-//! garbage, mutated valid streams, and a deterministic
-//! split-at-every-boundary sweep — and requires byte-identical
-//! responses. On kernels without io_uring the trio degrades to the
-//! original pair (the uring server would silently resolve to a second
-//! reactor, which proves nothing).
+//! spawns one server per plane — threaded and epoll reactor — over
+//! identically configured engines, drives the **same byte stream** into
+//! each over fresh sockets — well-formed pipelines under random
+//! chunking, arbitrary garbage, mutated valid streams, and a
+//! deterministic split-at-every-boundary sweep — and requires
+//! byte-identical responses.
 //!
 //! Stream constraints that keep the comparison deterministic:
 //!
@@ -36,15 +33,11 @@ use common::Command;
 use proptest::prelude::*;
 use proteus_cache::{CacheConfig, StorageKind};
 use proteus_net::{
-    mru_keys_key, uring_supported, CacheServer, EngineKind, ServerConfig, DIGEST_KEY,
-    DIGEST_SNAPSHOT_KEY,
+    mru_keys_key, CacheServer, EngineKind, ServerConfig, DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
 };
 use proteus_obs::{MetricValue, OpClass};
 
-/// One server per plane, oracle (threaded) first. The uring plane
-/// joins only when the kernel actually supports it: on old kernels a
-/// `Uring` request resolves to a second reactor, which would dilute
-/// the property into reactor-vs-reactor.
+/// One server per plane, oracle (threaded) first.
 fn spawn_planes() -> Vec<(&'static str, CacheServer)> {
     spawn_planes_with(CacheConfig::with_capacity(8 << 20))
 }
@@ -56,19 +49,7 @@ fn spawn_planes_with(config: CacheConfig) -> Vec<(&'static str, CacheServer)> {
     assert_eq!(threaded.engine_kind(), EngineKind::Threaded);
     let reactor = spawn(EngineKind::Reactor { loops: 2 });
     assert_eq!(reactor.engine_kind(), EngineKind::Reactor { loops: 2 });
-    let mut planes = vec![("threaded", threaded), ("reactor", reactor)];
-    if uring_supported() {
-        let uring = spawn(EngineKind::Uring { loops: 2 });
-        assert_eq!(
-            uring.engine_kind(),
-            EngineKind::Uring { loops: 2 },
-            "probe said io_uring is supported; the server must not fall back"
-        );
-        planes.push(("uring", uring));
-    } else {
-        eprintln!("skipped: no io_uring (comparing threaded vs reactor only)");
-    }
-    planes
+    vec![("threaded", threaded), ("reactor", reactor)]
 }
 
 fn stop_all(planes: Vec<(&'static str, CacheServer)>) {
@@ -409,9 +390,7 @@ fn replies_past_the_high_water_mark_are_bounded_and_byte_identical() {
 /// Shutdown quiesces cleanly with idle connections parked on the
 /// plane's event loops (mirrors the threaded shutdown test in
 /// `tcp_integration.rs`): `stop` must not hang waiting on them, and
-/// it must wake every loop, not just one. Shared by the epoll and
-/// io_uring planes — identical accounting is part of the equivalence
-/// contract.
+/// it must wake every loop, not just one.
 fn shutdown_quiesces_with_idle_connections(engine: EngineKind) {
     let server = CacheServer::spawn_with(
         "127.0.0.1:0",
@@ -493,21 +472,9 @@ fn reactor_shutdown_quiesces_with_idle_connections() {
     shutdown_quiesces_with_idle_connections(EngineKind::Reactor { loops: 3 });
 }
 
-/// The io_uring plane settles `curr_connections` at exactly 0 on
-/// shutdown even with in-flight multishot accept, recv, and poll ops
-/// outstanding on every loop.
-#[test]
-fn uring_shutdown_quiesces_with_idle_connections() {
-    if !uring_supported() {
-        eprintln!("skipped: no io_uring");
-        return;
-    }
-    shutdown_quiesces_with_idle_connections(EngineKind::Uring { loops: 3 });
-}
-
 /// After `stop`, the plane's port no longer accepts work and a new
 /// server can bind a fresh port and serve immediately (no leaked
-/// event-loop threads, rings, or buffer registrations holding state).
+/// event-loop threads or epoll instances holding state).
 fn stops_accepting_and_releases_resources(engine: EngineKind) {
     let server = CacheServer::spawn_with(
         "127.0.0.1:0",
@@ -547,13 +514,4 @@ fn stops_accepting_and_releases_resources(engine: EngineKind) {
 #[test]
 fn reactor_stops_accepting_and_releases_resources() {
     stops_accepting_and_releases_resources(EngineKind::Reactor { loops: 2 });
-}
-
-#[test]
-fn uring_stops_accepting_and_releases_resources() {
-    if !uring_supported() {
-        eprintln!("skipped: no io_uring");
-        return;
-    }
-    stops_accepting_and_releases_resources(EngineKind::Uring { loops: 2 });
 }
