@@ -89,8 +89,9 @@ fn parse_args() -> Result<Options, String> {
     if opts.servers.is_empty() {
         return Err("--servers requires at least one metrics endpoint".to_string());
     }
-    if opts.config.server_capacity_ops <= 0.0 {
-        return Err("--capacity-ops must be positive".to_string());
+    let capacity = opts.config.server_capacity_ops;
+    if !(capacity.is_finite() && capacity > 0.0) {
+        return Err("--capacity-ops must be a finite positive number".to_string());
     }
     if opts.config.interval.is_zero() {
         return Err("--interval-ms must be positive".to_string());

@@ -83,16 +83,6 @@ impl WallEnergyMeter {
         self.states.push(state);
     }
 
-    /// Removes server `idx` from the metered set (energy it already
-    /// burned stays integrated). Later servers shift down by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn remove_server(&mut self, idx: usize) {
-        self.states.remove(idx);
-    }
-
     /// Sets server `idx`'s power state. Takes effect from the *next*
     /// sample: the in-flight interval still integrates at the draw
     /// observed when it began (left Riemann), exactly like the

@@ -243,20 +243,6 @@ impl ClusterObserver {
         inner.meter.push_server(PowerState::On);
     }
 
-    /// Deregisters a server. Its already-integrated energy remains in
-    /// the account. Returns whether the address was known.
-    pub fn remove_server(&self, addr: SocketAddr) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.iter().position(|e| e.addr == addr) {
-            Some(idx) => {
-                inner.entries.remove(idx);
-                inner.meter.remove_server(idx);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Registered server addresses, in registration order.
     #[must_use]
     pub fn servers(&self) -> Vec<SocketAddr> {
@@ -305,11 +291,11 @@ impl ClusterObserver {
     /// (`connect_timeout + read_timeout`), not the sum over servers.
     pub fn tick(&self) -> ClusterSnapshot {
         // Snapshot the membership without holding the lock across
-        // network I/O; results re-match by address afterwards so
-        // servers removed mid-scrape are simply dropped. Each server's
-        // recycled response buffer travels with its scrape job and is
-        // handed back below, so steady-state ticks reuse the same
-        // heap blocks tick after tick.
+        // network I/O; results re-match by address afterwards, and a
+        // server added mid-scrape is first scraped on the next tick.
+        // Each server's recycled response buffer travels with its
+        // scrape job and is handed back below, so steady-state ticks
+        // reuse the same heap blocks tick after tick.
         let jobs: Vec<(SocketAddr, Vec<u8>)> = {
             let mut inner = self.inner.lock();
             inner
@@ -359,9 +345,9 @@ impl ClusterObserver {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         for (addr, buf, result) in results {
-            let Some(entry) = inner.entries.iter_mut().find(|e| e.addr == addr) else {
-                continue; // removed while the scrape was in flight
-            };
+            let entry = (inner.entries.iter_mut())
+                .find(|e| e.addr == addr)
+                .expect("membership only grows, so a scraped server is still registered");
             entry.scrape_buf = buf;
             inner.scrapes_total += 1;
             match result {
@@ -800,10 +786,7 @@ mod tests {
         assert_eq!(observer.energy().servers(), 2);
         assert!(observer.set_power_state(b, PowerState::Draining));
         assert!(!observer.set_power_state("127.0.0.1:1".parse().unwrap(), PowerState::Off));
-        assert!(observer.remove_server(a));
-        assert!(!observer.remove_server(a));
-        assert_eq!(observer.servers(), vec![b]);
-        assert_eq!(observer.energy().servers(), 1);
+        assert_eq!(observer.energy().state(1), PowerState::Draining);
     }
 
     #[test]

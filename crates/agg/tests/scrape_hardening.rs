@@ -100,3 +100,43 @@ fn blackholed_server_fails_bounded_and_recovers() {
     healthy_b.stop();
     flaky.stop();
 }
+
+/// `--capacity-ops` that is not a finite positive number is refused at
+/// start-up: exit 1, with a message naming the flag. NaN passed the old
+/// `<= 0.0` check and made every server's utilisation, and with it the
+/// energy account, NaN.
+#[test]
+fn the_aggregator_binary_refuses_a_capacity_that_is_not_finite() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    for capacity in ["nan", "inf"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_proteus-cluster-obs"))
+            .args(["--servers", "127.0.0.1:1", "--bind", "127.0.0.1:0"])
+            .args(["--capacity-ops", capacity])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                child.wait().unwrap();
+                panic!("--capacity-ops {capacity} started the aggregator");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        let mut pipe = child.stderr.take().unwrap();
+        pipe.read_to_string(&mut stderr).unwrap();
+        assert_eq!(
+            status.code(),
+            Some(1),
+            "--capacity-ops {capacity}: {stderr}"
+        );
+        assert!(stderr.contains("--capacity-ops"), "{stderr}");
+    }
+}

@@ -114,8 +114,8 @@ fn parse_args() -> Result<Options, String> {
     if opts.cache.len() != opts.metrics.len() {
         return Err("--metrics must list one endpoint per --cache server, in order".to_string());
     }
-    if opts.capacity_ops <= 0.0 {
-        return Err("--capacity-ops must be positive".to_string());
+    if !(opts.capacity_ops.is_finite() && opts.capacity_ops > 0.0) {
+        return Err("--capacity-ops must be a finite positive number".to_string());
     }
     if opts.tick.is_zero() {
         return Err("--tick-ms must be positive".to_string());

@@ -230,3 +230,53 @@ fn controller_backs_off_from_a_foreign_transition_window() {
         s.stop();
     }
 }
+
+/// `--capacity-ops` that is not a finite positive number is refused at
+/// start-up: exit 1, with a message naming the flag. NaN passed the old
+/// `<= 0.0` check and panicked once the cache servers answered.
+#[test]
+fn the_controller_binary_refuses_a_capacity_that_is_not_finite() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    let servers: Vec<CacheServer> = (0..2)
+        .map(|_| CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(1 << 20)).unwrap())
+        .collect();
+    let cache = (servers.iter())
+        .map(|s| s.addr().to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    for capacity in ["nan", "inf"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_proteus-controller"))
+            .args(["--cache", cache.as_str(), "--metrics", cache.as_str()])
+            .args(["--bind", "127.0.0.1:0"])
+            .args(["--capacity-ops", capacity])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                child.wait().unwrap();
+                panic!("--capacity-ops {capacity} started the controller");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        let mut pipe = child.stderr.take().unwrap();
+        pipe.read_to_string(&mut stderr).unwrap();
+        assert_eq!(
+            status.code(),
+            Some(1),
+            "--capacity-ops {capacity}: {stderr}"
+        );
+        assert!(stderr.contains("--capacity-ops"), "{stderr}");
+    }
+    for s in servers {
+        s.stop();
+    }
+}

@@ -242,28 +242,14 @@ impl Conn {
     }
 }
 
-/// `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys the caller keeps.
-fn get_command<K: AsRef<[u8]>>(keys: &[K]) -> RawCommand<'_> {
+/// `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys.
+fn get_command<'a>(keys: &[&'a [u8]]) -> RawCommand<'a> {
     match keys {
-        [key] => RawCommand::Get { key: key.as_ref() },
+        [key] => RawCommand::Get { key },
         _ => RawCommand::MultiGet {
-            keys: keys.iter().map(AsRef::as_ref).collect(),
+            keys: keys.to_vec(),
         },
     }
-}
-
-/// An in-flight multi-key get whose request has been written but whose
-/// response has not yet been read. Produced by
-/// [`CacheClient::send_get_many`]; redeem it with
-/// [`CacheClient::recv_get_many`]. Holding several of these (one per
-/// server) pipelines a batch: all requests go out before any response
-/// is awaited.
-#[derive(Debug)]
-pub struct PendingGets {
-    conn: Conn,
-    /// Every key asked for. The first [`MAX_GET_KEYS`] of them are on
-    /// the wire; the receive sends the rest, one `get` at a time.
-    keys: Vec<Vec<u8>>,
 }
 
 /// A pooled, blocking client for one cache server.
@@ -542,14 +528,13 @@ impl CacheClient {
         }
     }
 
-    /// Fetches several keys in one request/response round trip
-    /// (memcached `get k1 k2 ...`; one round trip per [`MAX_GET_KEYS`]
-    /// keys, on one connection). Results align with `keys`: position
-    /// `i` holds `Some(value)` if `keys[i]` was cached, `None` if not.
+    /// Fetches several keys, one request/response round trip per
+    /// [`MAX_GET_KEYS`] of them (memcached `get k1 k2 ...`), on one
+    /// connection. Results align with `keys`: position `i` holds
+    /// `Some(value)` if `keys[i]` was cached, `None` if not.
     ///
-    /// Unlike the split [`send_get_many`](Self::send_get_many) /
-    /// [`recv_get_many`](Self::recv_get_many) pair, this combined form
-    /// retries the whole exchange on transport failures.
+    /// The whole exchange retries under the failover policy on
+    /// transport failures (a `get` is harmless to replay).
     ///
     /// # Errors
     ///
@@ -559,107 +544,26 @@ impl CacheClient {
             return Ok(Vec::new());
         }
         self.with_failover(|| {
-            let conn = self.send_get_many_once(keys)?;
-            self.recv_get_many_once(conn, keys)
-        })
-    }
-
-    /// Writes a multi-key get and returns without waiting for the
-    /// response. Each call uses its own pooled connection, so sending
-    /// to several servers (or several batches) first and receiving
-    /// afterwards overlaps the round trips. Of a batch above
-    /// [`MAX_GET_KEYS`] only the first `get` goes out here; the receive
-    /// sends and awaits the others in turn.
-    ///
-    /// The write is retried under the client's failover policy; the
-    /// later [`recv_get_many`](Self::recv_get_many) is not (the request
-    /// cannot be replayed once the pipeline has moved on) — a transport
-    /// failure there feeds the breaker and surfaces to the caller,
-    /// which is how `ClusterClient::fetch_many` isolates a dead server
-    /// to its own key group.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors, or [`NetError::Protocol`] if `keys`
-    /// is empty.
-    pub fn send_get_many(&self, keys: &[&[u8]]) -> Result<PendingGets, NetError> {
-        if keys.is_empty() {
-            return Err(NetError::Protocol("get_many needs at least one key".into()));
-        }
-        let conn = self.with_failover(|| self.send_get_many_once(keys))?;
-        Ok(PendingGets {
-            conn,
-            keys: keys.iter().map(|k| k.to_vec()).collect(),
-        })
-    }
-
-    /// Sends the first `get` of `keys` on a pooled connection.
-    fn send_get_many_once(&self, keys: &[&[u8]]) -> Result<Conn, NetError> {
-        let mut conn = self.checkout()?;
-        conn.queue(&get_command(&keys[..keys.len().min(MAX_GET_KEYS)]));
-        conn.send()?;
-        Ok(conn)
-    }
-
-    /// Reads the response for a [`send_get_many`](Self::send_get_many)
-    /// and returns values aligned with the keys that were sent.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors or a [`NetError::ServerError`]. A
-    /// transport failure here counts against the circuit breaker but is
-    /// not retried (see [`send_get_many`](Self::send_get_many)).
-    pub fn recv_get_many(
-        &self,
-        pending: PendingGets,
-    ) -> Result<Vec<Option<SharedBytes>>, NetError> {
-        let PendingGets { conn, keys } = pending;
-        match self.recv_get_many_once(conn, &keys) {
-            Ok(values) => {
-                if self.breaker.record_success() {
-                    self.trace_breaker(|server| TraceKind::BreakerClose { server });
-                }
-                Ok(values)
-            }
-            Err(e) if matches!(e, NetError::Io(_)) => {
-                self.poison_pool();
-                if self.breaker.record_failure(&self.config) {
-                    self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                    self.trace_breaker(|server| TraceKind::BreakerOpen { server });
-                }
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Reads the reply to the `get` that `send_get_many_once` put on
-    /// `conn`, then sends and awaits one `get` per further
-    /// [`MAX_GET_KEYS`] of `keys`.
-    fn recv_get_many_once<K: AsRef<[u8]>>(
-        &self,
-        mut conn: Conn,
-        keys: &[K],
-    ) -> Result<Vec<Option<SharedBytes>>, NetError> {
-        let mut values = Vec::with_capacity(keys.len());
-        for (i, chunk) in keys.chunks(MAX_GET_KEYS).enumerate() {
-            if i > 0 {
+            let mut conn = self.checkout()?;
+            let mut values = Vec::with_capacity(keys.len());
+            for chunk in keys.chunks(MAX_GET_KEYS) {
                 conn.queue(&get_command(chunk));
                 conn.send()?;
+                let items = match conn.recv()? {
+                    Response::Error(msg) => return Err(NetError::ServerError(msg)),
+                    Response::Miss => Vec::new(),
+                    Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
+                    Response::Values(items) => items,
+                    other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
+                };
+                let found: std::collections::HashMap<Vec<u8>, SharedBytes> =
+                    items.into_iter().map(|i| (i.key, i.data)).collect();
+                values.extend(chunk.iter().map(|k| found.get(*k).cloned()));
             }
-            let items = match conn.recv()? {
-                Response::Error(msg) => return Err(NetError::ServerError(msg)),
-                Response::Miss => Vec::new(),
-                Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
-                Response::Values(items) => items,
-                other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-            };
-            let found: std::collections::HashMap<Vec<u8>, SharedBytes> =
-                items.into_iter().map(|i| (i.key, i.data)).collect();
-            values.extend(chunk.iter().map(|k| found.get(k.as_ref()).cloned()));
-        }
-        self.checkin(conn);
-        Ok(values)
+            // Only reusable if every chunk's reply was read.
+            self.checkin(conn);
+            Ok(values)
+        })
     }
 
     /// Stores `value` under `key`.
@@ -723,9 +627,8 @@ impl CacheClient {
     /// Stores several `(key, value)` pairs in one pipelined exchange:
     /// every `set` is written before any reply is read, so a batch of
     /// N installs pays one round trip instead of N. The values are
-    /// the shared buffers a `get` returned, encoded straight from them:
-    /// `ClusterClient::fetch_many` re-`set`s a batch of migrated keys
-    /// onto their new server this way.
+    /// encoded straight from the caller's shared buffers, so a batch a
+    /// `get` returned is re-`set` without a copy.
     ///
     /// The whole batch retries under the failover policy on transport
     /// failures (`set` is idempotent, so a replay is harmless).
@@ -1088,8 +991,7 @@ mod tests {
     }
 
     /// Batches above the wire's per-`get` key limit are split, and the
-    /// answers still line up with the keys — through the combined call
-    /// and through the split send/receive pair `fetch_many` uses.
+    /// answers still line up with the keys.
     #[test]
     fn get_many_splits_batches_above_the_wire_limit() {
         let server =
@@ -1111,11 +1013,6 @@ mod tests {
             }
         };
         check(client.get_many(&refs).unwrap());
-        check(
-            client
-                .recv_get_many(client.send_get_many(&refs).unwrap())
-                .unwrap(),
-        );
         // Exactly at the limit is still one `get`.
         let at_limit = client.get_many(&refs[..MAX_GET_KEYS]).unwrap();
         assert_eq!(at_limit.len(), MAX_GET_KEYS);
@@ -1144,41 +1041,6 @@ mod tests {
         // A replay stores nothing and overwrites nothing.
         assert_eq!(client.add_many(&pairs).unwrap(), 0);
         assert_eq!(client.add_many(&[]).unwrap(), 0);
-        server.stop();
-    }
-
-    #[test]
-    fn pipelined_gets_overlap_round_trips() {
-        let server =
-            CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(1 << 20)).unwrap();
-        let client = CacheClient::connect(server.addr()).unwrap();
-        for i in 0..10u32 {
-            client
-                .set(format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        // Send three batches before reading any response.
-        let batches: Vec<Vec<Vec<u8>>> = (0..3)
-            .map(|b| {
-                (0..4)
-                    .map(|i| format!("k{}", b * 3 + i).into_bytes())
-                    .collect()
-            })
-            .collect();
-        let pendings: Vec<_> = batches
-            .iter()
-            .map(|batch| {
-                let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
-                client.send_get_many(&refs).unwrap()
-            })
-            .collect();
-        for (batch, pending) in batches.iter().zip(pendings) {
-            let got = client.recv_get_many(pending).unwrap();
-            for (key, value) in batch.iter().zip(got) {
-                let expect = format!("v{}", &String::from_utf8_lossy(key)[1..]);
-                assert_eq!(value.as_deref(), Some(expect.as_bytes()), "key {key:?}");
-            }
-        }
         server.stop();
     }
 
@@ -1271,7 +1133,24 @@ mod tests {
         let stats = client.fault_stats();
         assert!(stats.retries >= 1, "expected a retry, stats {stats:?}");
         assert!(stats.connects >= 2, "expected a reconnect, stats {stats:?}");
+        // A multi-key read takes the same path: after a second restart
+        // the stale pooled stream fails `get_many` once, and the retry
+        // on a fresh connection answers in key order.
         server2.stop();
+        let server3 = CacheServer::spawn(addr, CacheConfig::with_capacity(1 << 20)).unwrap();
+        let writer = CacheClient::connect(addr).unwrap();
+        writer.set(b"a", b"1").unwrap();
+        writer.set(b"c", b"3").unwrap();
+        let before = client.fault_stats();
+        let got = client
+            .get_many(&[b"a".as_slice(), b"b".as_slice(), b"c".as_slice()])
+            .unwrap();
+        let got: Vec<Option<&[u8]>> = got.iter().map(Option::as_deref).collect();
+        assert_eq!(got, vec![Some(&b"1"[..]), None, Some(&b"3"[..])]);
+        let after = client.fault_stats();
+        assert_eq!(after.retries, before.retries + 1, "{after:?}");
+        assert_eq!(after.connects, before.connects + 1, "{after:?}");
+        server3.stop();
     }
 
     #[test]

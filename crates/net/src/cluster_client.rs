@@ -283,11 +283,10 @@ impl ClusterClient {
         }
     }
 
-    /// Per-fetch-class counters and latency histograms: every
+    /// Per-fetch-class latency histograms: every
     /// [`fetch`](Self::fetch) records its end-to-end latency under its
-    /// [`ClusterFetch`] class; batched hits from
-    /// [`fetch_many`](Self::fetch_many) are counted but not timed
-    /// (their latency is per-batch, not per-key).
+    /// [`ClusterFetch`] class, so a class's fetch count is its
+    /// histogram's sample count.
     #[must_use]
     pub fn fetch_stats(&self) -> &FetchLatencies {
         &self.fetches
@@ -318,9 +317,9 @@ impl ClusterClient {
         let tracer = Arc::clone(&self.tracer);
         Arc::new(move || {
             let mut out = Vec::new();
-            for (class, count, snap) in fetches.snapshot_all() {
+            for (class, snap) in fetches.snapshot_all() {
                 out.push(
-                    Metric::counter("proteus_client_fetches_total", count)
+                    Metric::counter("proteus_client_fetches_total", snap.count())
                         .with_label("class", class.name()),
                 );
                 out.push(

@@ -21,8 +21,7 @@
 //!   shard at a time and never stalls unrelated traffic.
 //! - [`CacheClient`] — a blocking client with connection pooling
 //!   (the paper pools connections via Apache Commons Pool) and
-//!   batched, pipelined multi-key gets
-//!   ([`get_many`](CacheClient::get_many)).
+//!   multi-key gets ([`get_many`](CacheClient::get_many)).
 //! - [`ClusterClient`] — the web-tier side: consistent routing over
 //!   any [`PlacementStrategy`](proteus_ring::PlacementStrategy) plus
 //!   Algorithm 2 retrieval against live servers with a pluggable
@@ -70,7 +69,7 @@ mod protocol;
 mod reactor;
 mod server;
 
-pub use client::{CacheClient, ClientConfig, ClientStats, PendingGets};
+pub use client::{CacheClient, ClientConfig, ClientStats};
 pub use cluster_client::{
     ClusterClient, ClusterFetch, ClusterStats, DbFallback, PullProgress, PullState,
     TransitionStatus,

@@ -260,20 +260,19 @@ impl FetchClassKind {
     }
 }
 
-/// Per-[`FetchClassKind`] counters and latency histograms for the
-/// client side of the cluster.
+/// One latency histogram per [`FetchClassKind`] for the client side of
+/// the cluster. Every fetch is timed, so a class's fetch count is its
+/// histogram's sample count.
 #[derive(Debug)]
 pub struct FetchLatencies {
-    counts: [Counter; FetchClassKind::ALL.len()],
     hists: [LatencyHistogram; FetchClassKind::ALL.len()],
 }
 
 impl FetchLatencies {
-    /// Creates one counter + histogram per fetch class.
+    /// Creates one histogram per fetch class.
     #[must_use]
     pub fn new() -> Self {
         FetchLatencies {
-            counts: std::array::from_fn(|_| Counter::new()),
             hists: std::array::from_fn(|_| LatencyHistogram::new()),
         }
     }
@@ -281,21 +280,13 @@ impl FetchLatencies {
     /// Records one classified fetch with its end-to-end latency.
     #[inline]
     pub fn record(&self, class: FetchClassKind, d: Duration) {
-        self.counts[class.index()].inc();
         self.hists[class.index()].record(d);
     }
 
-    /// Counts one classified fetch without a latency sample (used for
-    /// batched multi-key phases where per-key timing is meaningless).
-    #[inline]
-    pub fn count_only(&self, class: FetchClassKind) {
-        self.counts[class.index()].inc();
-    }
-
-    /// Total fetches counted for `class`.
+    /// Total fetches recorded for `class`.
     #[must_use]
     pub fn count(&self, class: FetchClassKind) -> u64 {
-        self.counts[class.index()].get()
+        self.snapshot(class).count()
     }
 
     /// Snapshots the latency histogram for `class`.
@@ -306,10 +297,10 @@ impl FetchLatencies {
 
     /// Snapshots every class in [`FetchClassKind::ALL`] order.
     #[must_use]
-    pub fn snapshot_all(&self) -> Vec<(FetchClassKind, u64, HistogramSnapshot)> {
+    pub fn snapshot_all(&self) -> Vec<(FetchClassKind, HistogramSnapshot)> {
         FetchClassKind::ALL
             .iter()
-            .map(|&c| (c, self.count(c), self.snapshot(c)))
+            .map(|&c| (c, self.snapshot(c)))
             .collect()
     }
 }
@@ -374,11 +365,15 @@ mod tests {
     fn fetch_latencies_count_and_time() {
         let f = FetchLatencies::new();
         f.record(FetchClassKind::NewHit, Duration::from_micros(5));
-        f.count_only(FetchClassKind::NewHit);
+        f.record(FetchClassKind::NewHit, Duration::from_micros(7));
         f.record(FetchClassKind::Degraded, Duration::from_millis(2));
         assert_eq!(f.count(FetchClassKind::NewHit), 2);
-        assert_eq!(f.snapshot(FetchClassKind::NewHit).count(), 1);
         assert_eq!(f.count(FetchClassKind::Degraded), 1);
         assert_eq!(f.count(FetchClassKind::Database), 0);
+        let all = f.snapshot_all();
+        assert_eq!(all.len(), FetchClassKind::ALL.len());
+        for (class, snap) in all {
+            assert_eq!(snap.count(), f.count(class), "{}", class.name());
+        }
     }
 }

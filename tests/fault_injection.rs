@@ -238,32 +238,6 @@ fn dead_then_revived_server_heals_without_intervention() {
     r.teardown();
 }
 
-/// Batched fetches isolate a dead server to its own key group: the
-/// pipelined sweep answers every key, and only the dead group pays the
-/// degraded path.
-#[test]
-fn batched_sweep_survives_a_blackholed_server() {
-    let r = rig(3);
-    let keys = hot_keys(90);
-    for k in &keys {
-        r.cluster.fetch(k, &r.db).unwrap();
-    }
-    r.proxies[1].set_mode(FaultMode::Blackhole);
-
-    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-    let results = r.cluster.fetch_many(&refs, &r.db).unwrap();
-    assert_eq!(results.len(), keys.len());
-    for (k, (value, how)) in keys.iter().zip(&results) {
-        assert!(!value.is_empty());
-        if r.cluster.server_for(k).index() == 1 {
-            assert_eq!(*how, ClusterFetch::Degraded);
-        } else {
-            assert_eq!(*how, ClusterFetch::Hit, "live groups must be untouched");
-        }
-    }
-    r.teardown();
-}
-
 /// The digest broadcast at `begin_transition` must overlap the
 /// per-server round trips: with every server behind a 150ms-per-request
 /// proxy, a snapshot costs ~300ms per server (two delayed requests), so

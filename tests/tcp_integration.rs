@@ -78,11 +78,10 @@ fn live_smooth_transition_has_zero_db_traffic_for_hot_keys() {
     }
 }
 
-/// Three drivers, one history: `Router::fetch` on in-memory engines,
-/// `ClusterClient::fetch` one round trip at a time and
-/// `ClusterClient::fetch_many` in pipelined batches evaluate the same
-/// Algorithm 2 decision, so the same key sequence through warm → 4→3 →
-/// close → 3→4 → close must classify identically, key for key. The
+/// Two drivers, one history: `Router::fetch` on in-memory engines and
+/// `ClusterClient::fetch` over sockets evaluate the same Algorithm 2
+/// decision, so the same key sequence through warm → 4→3 → close →
+/// 3→4 → close must classify identically, key for key. The
 /// windows are opened with `open_window`: the reference router has no
 /// background pull, and with one the classes would depend on timing.
 #[test]
@@ -101,58 +100,48 @@ fn wire_and_reference_routers_agree() {
         .collect();
     let mut ref_db = store();
     let mut tm = TransitionManager::new(n, n);
-    // Wire side: a cluster per driver, so neither sees the other's installs.
-    let (single_servers, addrs) = spawn_cluster(n);
-    let mut single = ClusterClient::connect(&addrs, Scenario::Proteus.strategy(n, 0)).unwrap();
-    let single_db = Mutex::new(store());
-    let (batch_servers, addrs) = spawn_cluster(n);
-    let mut batched = ClusterClient::connect(&addrs, Scenario::Proteus.strategy(n, 0)).unwrap();
-    let batch_db = Mutex::new(store());
+    // Wire side.
+    let (servers, addrs) = spawn_cluster(n);
+    let mut wire = ClusterClient::connect(&addrs, Scenario::Proteus.strategy(n, 0)).unwrap();
+    let wire_db = Mutex::new(store());
 
     let keys: Vec<Vec<u8>> = (0..120u32)
         .map(|i| format!("page:{i}").into_bytes())
         .collect();
-    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
     let now = SimTime::ZERO;
-    // Runs the whole key sequence through all three drivers, checks
-    // they agree, and returns how often each class occurred.
+    // Runs the whole key sequence through both drivers, checks they
+    // agree, and returns how often each class occurred.
     let mut sweep = |phase: &str,
                      engines: &mut Vec<CacheEngine>,
                      tm: &TransitionManager,
-                     single: &ClusterClient,
-                     batched: &ClusterClient| {
-        let batch = batched.fetch_many(&refs, &batch_db).unwrap();
+                     wire: &ClusterClient| {
         let mut seen: HashMap<ClusterFetch, usize> = HashMap::new();
-        for (k, (batch_value, batch_class)) in keys.iter().zip(batch) {
+        for k in &keys {
             let reference = router.fetch(k, now, engines, &mut ref_db, tm, true);
             let expected = ClusterFetch::from(reference.class);
-            let (value, class) = single.fetch(k, &single_db).unwrap();
+            let (value, class) = wire.fetch(k, &wire_db).unwrap();
             assert_eq!(class, expected, "{phase}: fetch {k:?}");
-            assert_eq!(batch_class, expected, "{phase}: fetch_many {k:?}");
             assert_eq!(&value[..], &reference.value[..], "{phase}: {k:?}");
-            assert_eq!(batch_value, value, "{phase}: {k:?}");
             *seen.entry(expected).or_default() += 1;
         }
         seen
     };
 
-    let seen = sweep("warm", &mut engines, &tm, &single, &batched);
+    let seen = sweep("warm", &mut engines, &tm, &wire);
     assert_eq!(seen[&ClusterFetch::Database], keys.len());
 
     // 4 -> 3. One key the departing server's digest vouches for is
     // deleted there before anyone asks: a forced false positive.
     let snapshots: Vec<_> = engines.iter().map(|e| Some(e.digest_snapshot())).collect();
     tm.begin(3, snapshots).unwrap();
-    single.open_window(3).unwrap();
-    batched.open_window(3).unwrap();
+    wire.open_window(3).unwrap();
     let vanished = keys
         .iter()
         .find(|k| router.server_for(k, 4).index() == 3)
         .expect("some key lives on the departing server");
     assert!(engines[3].delete(vanished));
-    assert!(single.client(3).delete(vanished).unwrap());
-    assert!(batched.client(3).delete(vanished).unwrap());
-    let seen = sweep("4->3", &mut engines, &tm, &single, &batched);
+    assert!(wire.client(3).delete(vanished).unwrap());
+    let seen = sweep("4->3", &mut engines, &tm, &wire);
     assert_eq!(seen[&ClusterFetch::FalsePositive], 1);
     assert!(seen[&ClusterFetch::Migrated] > 0);
     assert_eq!(
@@ -163,40 +152,29 @@ fn wire_and_reference_routers_agree() {
     // Close: the departed server powers off and loses its contents.
     for server in tm.finalize() {
         engines[server].clear();
-        single.client(server).flush_all().unwrap();
-        batched.client(server).flush_all().unwrap();
+        wire.client(server).flush_all().unwrap();
     }
-    assert_eq!(
-        single.end_transition().map(|w| (w.from, w.to)),
-        Some((4, 3))
-    );
-    assert_eq!(
-        batched.end_transition().map(|w| (w.from, w.to)),
-        Some((4, 3))
-    );
-    let seen = sweep("3 active", &mut engines, &tm, &single, &batched);
+    assert_eq!(wire.end_transition().map(|w| (w.from, w.to)), Some((4, 3)));
+    let seen = sweep("3 active", &mut engines, &tm, &wire);
     assert_eq!(seen[&ClusterFetch::Hit], keys.len());
 
     // 3 -> 4: the rejoining server starts cold and fills by migration.
     let snapshots: Vec<_> = engines.iter().map(|e| Some(e.digest_snapshot())).collect();
     tm.begin(4, snapshots).unwrap();
-    single.open_window(4).unwrap();
-    batched.open_window(4).unwrap();
-    let seen = sweep("3->4", &mut engines, &tm, &single, &batched);
+    wire.open_window(4).unwrap();
+    let seen = sweep("3->4", &mut engines, &tm, &wire);
     assert!(seen[&ClusterFetch::Migrated] > 0);
     assert_eq!(
         seen[&ClusterFetch::Hit] + seen[&ClusterFetch::Migrated],
         keys.len()
     );
     assert!(tm.finalize().is_empty(), "a grow powers nobody off");
-    single.end_transition();
-    batched.end_transition();
-    let seen = sweep("4 active", &mut engines, &tm, &single, &batched);
+    wire.end_transition();
+    let seen = sweep("4 active", &mut engines, &tm, &wire);
     assert_eq!(seen[&ClusterFetch::Hit], keys.len());
 
-    assert_eq!(ref_db.total_fetches(), single_db.lock().total_fetches());
-    assert_eq!(ref_db.total_fetches(), batch_db.lock().total_fetches());
-    for s in single_servers.into_iter().chain(batch_servers) {
+    assert_eq!(ref_db.total_fetches(), wire_db.lock().total_fetches());
+    for s in servers {
         s.stop();
     }
 }
