@@ -18,18 +18,20 @@
 //! assert_eq!(delta.allocations, 0);
 //! ```
 //!
-//! Counting costs two relaxed atomic adds per allocation, which is
-//! negligible next to the allocation itself; deallocations are not
-//! counted (the hot-path claim is about acquiring memory, and frees of
-//! shared buffers happen on whichever thread drops the last reference).
+//! Counting costs three relaxed atomic adds per allocation, which is
+//! negligible next to the allocation itself. A deallocation is not an
+//! acquisition (the hot-path claim is about acquiring memory, and frees
+//! of shared buffers happen on whichever thread drops the last
+//! reference); it only lowers [`live_bytes`], the bytes held right now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator plus two relaxed counters. Register with
+/// The system allocator plus three relaxed counters. Register with
 /// `#[global_allocator]` in the binary that wants accounting; code
 /// linked into a binary that does *not* register it simply reads
 /// counters frozen at zero (see [`is_counting`]).
@@ -42,12 +44,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -56,10 +60,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // hot-path accounting is concerned.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        // The block now holds `new_size` bytes instead of `layout.size()`
+        // (a wrapping add of the difference, which may be negative).
+        LIVE.fetch_add(
+            (new_size as u64).wrapping_sub(layout.size() as u64),
+            Ordering::Relaxed,
+        );
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -91,6 +102,15 @@ pub fn snapshot() -> AllocSnapshot {
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
         bytes: BYTES.load(Ordering::Relaxed),
     }
+}
+
+/// Bytes the process holds right now: every acquisition's size minus
+/// every release's, a realloc counted by its change in size. Unlike
+/// [`AllocSnapshot::bytes`] it falls when memory is given back, so two
+/// readings bracket what a piece of code *kept*.
+#[must_use]
+pub fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }
 
 /// Runs `f` and returns its result together with the allocations it

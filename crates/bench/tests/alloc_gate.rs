@@ -6,9 +6,11 @@
 //! histogram record starts allocating again, if a server that holds
 //! no key yet asks for more than a mebibyte (a digest per shard or
 //! eagerly built histogram stripes), or if a scrape costs more than its
-//! body (dense snapshots, a string per rendered bucket). Unlike the
-//! throughput numbers, these counts are exact and identical on any
-//! hardware, so the budgets are tight.
+//! body (dense snapshots, a string per rendered bucket). It also holds
+//! an engine to the memory it already has: a flushed engine refills
+//! from its own pages, and a growing one adds slot blocks instead of
+//! copying its table. Unlike the throughput numbers, these counts are
+//! exact and identical on any hardware, so the budgets are tight.
 //!
 //! Everything runs inside a single `#[test]` — the test harness runs
 //! sibling tests on concurrent threads, and their allocations would
@@ -20,8 +22,8 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use proteus_agg::{build_request, http_get_into, ClusterObserver, ObserverConfig, METRICS_PATH};
-use proteus_bench::alloc_track::{is_counting, measure, CountingAlloc};
-use proteus_cache::{CacheConfig, ShardedEngine, StorageKind};
+use proteus_bench::alloc_track::{is_counting, live_bytes, measure, CountingAlloc};
+use proteus_cache::{CacheConfig, CacheEngine, ShardedEngine, StorageKind};
 use proteus_net::{read_raw_command, CacheClient, CacheServer, RawCommand, SharedBytes, WireBuf};
 use proteus_obs::{
     to_json, Counter, HistogramSnapshot, LatencyHistogram, MetricsServer, OpClass, OpLatencies,
@@ -105,6 +107,26 @@ const FRESH_OPS_BUDGET_BYTES: u64 = 8 << 10;
 /// (2.81 MiB when all 96 were built up front).
 const RECORDED_OPS_BUDGET_BYTES: u64 = 160 << 10;
 const STRIPE_BYTES: u64 = 30 << 10;
+
+/// Items a default engine holds before it is flushed and refilled, and
+/// the value sizes they cycle through (several size classes). Measured:
+/// the refill asked for 0 B and ended 4 256 B above the first fill; when
+/// `clear` dropped the pages, each flush gave back all 253 and the
+/// refill bought them again.
+const FLUSH_ITEMS: u64 = 20_000;
+const FLUSH_VALUE_BYTES: [usize; 4] = [100, 300, 700, 1500];
+
+/// Items in one default-shaped shard (8 MiB, 64 KiB pages) just past a
+/// power of two, and the slot table's block: 1 024 slots of 48 bytes.
+/// Over the pages, the blocks and the index, the engine may keep
+/// `GROWTH_SLACK_BYTES` of bookkeeping (the classes' page lists, the
+/// block list). A slot table that doubles holds 8 192 slots (384 KiB)
+/// for 4 097 items, where five blocks are 240 KiB. Measured: the shard
+/// grew 869 392 B, 1 040 B over pages + blocks + index; 1 016 656 B
+/// when the table doubled.
+const GROWN_ITEMS: u64 = 4_097;
+const SLOT_BLOCK_BYTES: u64 = 1024 * 48;
+const GROWTH_SLACK_BYTES: u64 = 4 << 10;
 
 /// The counting allocator tallies process-wide, and the test harness's
 /// own housekeeping thread occasionally allocates inside a measurement
@@ -405,6 +427,76 @@ fn client_stays_within_allocation_budget(server: &CacheServer) {
     );
 }
 
+/// A flushed engine reuses the pages it holds: a default engine keeps
+/// its slab pages in its pools through `clear`, so refilling it with the
+/// same items asks the allocator for less than a page and ends where the
+/// first fill did.
+fn a_flushed_engine_refills_from_its_own_pages() {
+    let value = [b'v'; 1500];
+    let engine =
+        ShardedEngine::new(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    let fill = || {
+        for i in 0..FLUSH_ITEMS {
+            let len = FLUSH_VALUE_BYTES[(i % 4) as usize];
+            let outcome = engine.put(&i.to_le_bytes(), &value[..len], SimTime::ZERO);
+            assert!(outcome.stored);
+        }
+    };
+    let pages = || engine.slab_stats().expect("slab backend");
+    fill();
+    let (filled, first) = (pages(), live_bytes());
+    engine.clear();
+    let cleared = pages();
+    let ((), refill) = measure(fill);
+    let (refilled, last) = (pages(), live_bytes());
+    assert_eq!(
+        (cleared.pages_allocated, refilled.pages_allocated),
+        (filled.pages_allocated, filled.pages_allocated),
+        "flush_all gave back slab pages (after the fill / the flush / the refill: {} / {} / {})",
+        filled.pages_allocated,
+        cleared.pages_allocated,
+        refilled.pages_allocated
+    );
+    assert_eq!(cleared.pages_pooled, filled.pages_allocated);
+    assert!(
+        last <= first + filled.page_bytes && refill.bytes < filled.page_bytes,
+        "a flushed engine's refill asked for {} B and ended holding {last} B, \
+         against {first} B after the first fill (one page: {} B)",
+        refill.bytes,
+        filled.page_bytes
+    );
+}
+
+/// A shard that grows past a power of two of items holds its pages, one
+/// slot block a 1 024 items and its index: no doubled slot table.
+fn a_growing_shard_adds_slot_blocks() {
+    let value = [b'v'; 100];
+    let config = CacheConfig::with_capacity(8 << 20).storage(StorageKind::Slab);
+    let mut shard = CacheEngine::new(config);
+    let created = live_bytes();
+    for i in 0..GROWN_ITEMS {
+        let outcome = shard.put(&i.to_le_bytes(), &value[..], SimTime::ZERO);
+        assert!(outcome.stored);
+    }
+    let grown = live_bytes() - created;
+    let page_bytes = shard.slab_stats().expect("slab backend").page_bytes_total();
+    let blocks = GROWN_ITEMS.div_ceil(1024) * SLOT_BLOCK_BYTES;
+    // The index's table: the least power of two of `u32` buckets, at
+    // least 16, that holds the items at a load of 7/8 or less.
+    let mut buckets = 16;
+    while GROWN_ITEMS * 8 > buckets * 7 {
+        buckets *= 2;
+    }
+    let budget = page_bytes + blocks + 4 * buckets + GROWTH_SLACK_BYTES;
+    assert!(
+        grown <= budget,
+        "{GROWN_ITEMS} items grew a shard by {grown} B: pages {page_bytes} B + slot blocks \
+         {blocks} B + index {} B + {GROWTH_SLACK_BYTES} B of slack is {budget} B — \
+         the slot table grows by doubling again",
+        4 * buckets
+    );
+}
+
 #[test]
 fn hot_paths_stay_within_allocation_budget() {
     assert!(
@@ -632,4 +724,6 @@ fn hot_paths_stay_within_allocation_budget() {
     scrape_path_stays_within_budget();
     telemetry_records_without_allocating();
     histograms_materialise_where_they_are_recorded();
+    a_flushed_engine_refills_from_its_own_pages();
+    a_growing_shard_adds_slot_blocks();
 }

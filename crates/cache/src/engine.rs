@@ -87,6 +87,62 @@ struct Slot {
     next: u32,
 }
 
+/// Slots per block of the slot table (48 KiB of 48-byte slots).
+const SLOT_BLOCK: usize = 1024;
+
+/// The engine's slots, in fixed blocks of [`SLOT_BLOCK`]: growing
+/// appends a block and never moves a slot, where a doubling `Vec` would
+/// copy the whole table under the shard lock and free the old one.
+/// Block 0 grows by doubling up to the block size, so a tiny engine
+/// stays tiny. `clear` keeps every block for the refill.
+#[derive(Debug, Default)]
+struct SlotTable {
+    blocks: Vec<Vec<Slot>>,
+    len: u32,
+}
+
+impl SlotTable {
+    /// Appends `slot`, returning its index.
+    fn push(&mut self, slot: Slot) -> u32 {
+        let idx = self.len;
+        let block = idx as usize / SLOT_BLOCK;
+        if block == self.blocks.len() {
+            self.blocks.push(match block {
+                0 => Vec::new(),
+                _ => Vec::with_capacity(SLOT_BLOCK),
+            });
+        }
+        let slots = &mut self.blocks[block];
+        if slots.len() == slots.capacity() {
+            // Only block 0 is ever full short of the block size.
+            slots.reserve_exact(slots.len().clamp(4, SLOT_BLOCK - slots.len()));
+        }
+        slots.push(slot);
+        self.len = idx.checked_add(1).expect("cache slot overflow");
+        idx
+    }
+
+    /// Drops every slot and keeps the blocks.
+    fn clear(&mut self) {
+        self.blocks.iter_mut().for_each(Vec::clear);
+        self.len = 0;
+    }
+}
+
+impl std::ops::Index<u32> for SlotTable {
+    type Output = Slot;
+
+    fn index(&self, idx: u32) -> &Slot {
+        &self.blocks[idx as usize / SLOT_BLOCK][idx as usize % SLOT_BLOCK]
+    }
+}
+
+impl std::ops::IndexMut<u32> for SlotTable {
+    fn index_mut(&mut self, idx: u32) -> &mut Slot {
+        &mut self.blocks[idx as usize / SLOT_BLOCK][idx as usize % SLOT_BLOCK]
+    }
+}
+
 /// What a store operation did: whether the item was stored at all
 /// (`false` = rejected as larger than the engine's whole budget) and
 /// how many LRU evictions made room for it.
@@ -99,8 +155,8 @@ pub struct StoreOutcome {
 }
 
 /// The stored key bytes of a live slot, wherever they live.
-fn slot_key<'a>(slots: &'a [Slot], store: &'a Option<SlabStore>, idx: u32) -> &'a [u8] {
-    let slot = &slots[idx as usize];
+fn slot_key<'a>(slots: &'a SlotTable, store: &'a Option<SlabStore>, idx: u32) -> &'a [u8] {
+    let slot = &slots[idx];
     match &slot.repr {
         ValueRepr::Heap(item) => &item.key,
         ValueRepr::Slab(loc) => store
@@ -112,8 +168,8 @@ fn slot_key<'a>(slots: &'a [Slot], store: &'a Option<SlabStore>, idx: u32) -> &'
 }
 
 /// The stored value bytes of a live slot.
-fn slot_value<'a>(slots: &'a [Slot], store: &'a Option<SlabStore>, idx: u32) -> &'a [u8] {
-    let slot = &slots[idx as usize];
+fn slot_value<'a>(slots: &'a SlotTable, store: &'a Option<SlabStore>, idx: u32) -> &'a [u8] {
+    let slot = &slots[idx];
     match &slot.repr {
         ValueRepr::Heap(item) => &item.value[..],
         ValueRepr::Slab(loc) => store
@@ -157,7 +213,7 @@ fn slot_value<'a>(slots: &'a [Slot], store: &'a Option<SlabStore>, idx: u32) -> 
 pub struct CacheEngine {
     config: CacheConfig,
     index: KeyIndex,
-    slots: Vec<Slot>,
+    slots: SlotTable,
     free: Vec<u32>,
     head: u32, // most recently used
     tail: u32, // least recently used
@@ -194,7 +250,7 @@ impl CacheEngine {
         CacheEngine {
             config,
             index: KeyIndex::new(),
-            slots: Vec::new(),
+            slots: SlotTable::default(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -282,34 +338,34 @@ impl CacheEngine {
         let slots = &self.slots;
         let store = &self.store;
         self.index.find(hash, |s| {
-            slots[s as usize].hash == hash && slot_key(slots, store, s) == key
+            slots[s].hash == hash && slot_key(slots, store, s) == key
         })
     }
 
     fn detach(&mut self, idx: u32) {
         let (prev, next) = {
-            let s = &self.slots[idx as usize];
+            let s = &self.slots[idx];
             (s.prev, s.next)
         };
         if prev != NIL {
-            self.slots[prev as usize].next = next;
+            self.slots[prev].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next as usize].prev = prev;
+            self.slots[next].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[idx as usize].prev = NIL;
-        self.slots[idx as usize].next = NIL;
+        self.slots[idx].prev = NIL;
+        self.slots[idx].next = NIL;
     }
 
     fn push_front(&mut self, idx: u32) {
-        self.slots[idx as usize].prev = NIL;
-        self.slots[idx as usize].next = self.head;
+        self.slots[idx].prev = NIL;
+        self.slots[idx].next = self.head;
         if self.head != NIL {
-            self.slots[self.head as usize].prev = idx;
+            self.slots[self.head].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -341,7 +397,7 @@ impl CacheEngine {
     /// An owned handle on a live slot's value (see
     /// [`get_shared`](Self::get_shared) for what it costs).
     fn owned_value(&self, idx: u32) -> SharedBytes {
-        match &self.slots[idx as usize].repr {
+        match &self.slots[idx].repr {
             ValueRepr::Heap(item) => SharedBytes::clone(&item.value),
             _ => SharedBytes::from(slot_value(&self.slots, &self.store, idx)),
         }
@@ -353,7 +409,7 @@ impl CacheEngine {
     fn hit_slot(&mut self, key: &[u8], now: SimTime) -> Option<u32> {
         let hash = hash_key(key);
         match self.find_slot(key, hash) {
-            Some(idx) if self.slots[idx as usize].expires_at <= now => {
+            Some(idx) if self.slots[idx].expires_at <= now => {
                 self.remove_slot(idx);
                 self.stats.expired += 1;
                 self.stats.misses += 1;
@@ -380,7 +436,7 @@ impl CacheEngine {
     pub fn touch(&mut self, key: &[u8], now: SimTime, ttl: Option<SimDuration>) -> bool {
         let hash = hash_key(key);
         match self.find_slot(key, hash) {
-            Some(idx) if self.slots[idx as usize].expires_at <= now => {
+            Some(idx) if self.slots[idx].expires_at <= now => {
                 self.remove_slot(idx);
                 self.stats.expired += 1;
                 false
@@ -388,7 +444,7 @@ impl CacheEngine {
             Some(idx) => {
                 self.detach(idx);
                 self.push_front(idx);
-                self.slots[idx as usize].expires_at = deadline(now, ttl);
+                self.slots[idx].expires_at = deadline(now, ttl);
                 true
             }
             None => false,
@@ -421,7 +477,7 @@ impl CacheEngine {
     pub fn probe(&mut self, key: &[u8], now: SimTime) -> bool {
         let hash = hash_key(key);
         match self.find_slot(key, hash) {
-            Some(idx) if self.slots[idx as usize].expires_at <= now => {
+            Some(idx) if self.slots[idx].expires_at <= now => {
                 self.remove_slot(idx);
                 self.stats.expired += 1;
                 false
@@ -438,7 +494,7 @@ impl CacheEngine {
     #[must_use]
     pub fn expiry_of(&self, key: &[u8]) -> Option<SimTime> {
         self.find_slot(key, hash_key(key))
-            .map(|idx| self.slots[idx as usize].expires_at)
+            .map(|idx| self.slots[idx].expires_at)
     }
 
     /// Reaps every expired item now (memcached leaves this to lazy
@@ -449,7 +505,7 @@ impl CacheEngine {
         let mut expired = Vec::new();
         let mut cursor = self.head;
         while cursor != NIL {
-            let slot = &self.slots[cursor as usize];
+            let slot = &self.slots[cursor];
             if slot.expires_at <= now {
                 expired.push(cursor);
             }
@@ -569,15 +625,13 @@ impl CacheEngine {
             next: NIL,
         };
         let idx = if let Some(free) = self.free.pop() {
-            self.slots[free as usize] = slot;
+            self.slots[free] = slot;
             free
         } else {
-            let idx = u32::try_from(self.slots.len()).expect("cache slot overflow");
-            self.slots.push(slot);
-            idx
+            self.slots.push(slot)
         };
         let slots = &self.slots;
-        self.index.insert(hash, idx, |s| slots[s as usize].hash);
+        self.index.insert(hash, idx, |s| slots[s].hash);
         self.push_front(idx);
         self.bytes_used += cost;
         self.digest.insert(key);
@@ -607,7 +661,7 @@ impl CacheEngine {
             if cursor == NIL || walked == SLAB_EVICT_RETRY_LIMIT {
                 return None;
             }
-            let slot = &self.slots[cursor as usize];
+            let slot = &self.slots[cursor];
             if matches!(slot.repr, ValueRepr::Slab(loc) if loc.class == class) {
                 break cursor;
             }
@@ -627,12 +681,11 @@ impl CacheEngine {
 
     fn remove_slot(&mut self, idx: u32) {
         self.detach(idx);
-        let i = idx as usize;
         let (hash, klen, vlen) = {
-            let s = &self.slots[i];
+            let s = &self.slots[idx];
             (s.hash, s.klen as usize, s.vlen as usize)
         };
-        match std::mem::replace(&mut self.slots[i].repr, ValueRepr::Free) {
+        match std::mem::replace(&mut self.slots[idx].repr, ValueRepr::Free) {
             ValueRepr::Heap(item) => {
                 self.digest.remove(&item.key);
             }
@@ -644,7 +697,7 @@ impl CacheEngine {
             ValueRepr::Free => unreachable!("removing a free slot"),
         }
         let slots = &self.slots;
-        self.index.remove(hash, idx, |s| slots[s as usize].hash);
+        self.index.remove(hash, idx, |s| slots[s].hash);
         self.bytes_used -= self.entry_cost(klen, vlen);
         self.free.push(idx);
     }
@@ -672,6 +725,8 @@ impl CacheEngine {
     }
 
     /// Empties the cache (a server powering off loses its contents).
+    /// The memory stays with the engine for the refill: the index keeps
+    /// its table, the slot table its blocks and the slab its pages.
     pub fn clear(&mut self) {
         self.index.clear();
         self.slots.clear();
@@ -691,7 +746,7 @@ impl CacheEngine {
 /// stands, so a caller can measure a walk before it copies one.
 #[derive(Clone)]
 pub struct Keys<'a> {
-    slots: &'a [Slot],
+    slots: &'a SlotTable,
     store: &'a Option<SlabStore>,
     cursor: u32,
 }
@@ -710,7 +765,7 @@ impl<'a> Iterator for Keys<'a> {
             return None;
         }
         let idx = self.cursor;
-        self.cursor = self.slots[idx as usize].next;
+        self.cursor = self.slots[idx].next;
         Some(slot_key(self.slots, self.store, idx))
     }
 }
@@ -914,7 +969,57 @@ mod tests {
         }
         assert!(c.is_empty());
         // The slot table should not have grown past one round's worth.
-        assert!(c.slots.len() <= 100, "slot table grew to {}", c.slots.len());
+        assert!(c.slots.len <= 100, "slot table grew to {}", c.slots.len);
+    }
+
+    #[test]
+    fn the_slot_table_grows_in_blocks_and_keeps_them_through_clear() {
+        let mut c = slab_engine(1 << 20);
+        let key = |i: u32| format!("k{i}").into_bytes();
+        let slot_of = |c: &CacheEngine, k: &[u8]| c.find_slot(k, hash_key(k));
+        c.put(&key(0), vec![0], T0);
+        assert_eq!(c.slots.blocks[0].capacity(), 4, "a tiny engine stays tiny");
+
+        let n = 2 * SLOT_BLOCK as u32 + 1;
+        for i in 1..n {
+            c.put(&key(i), i.to_le_bytes().to_vec(), T0);
+        }
+        let capacities: Vec<usize> = c.slots.blocks.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities, [SLOT_BLOCK; 3]);
+        let homes: Vec<*const Slot> = c.slots.blocks.iter().map(|b| b.as_ptr()).collect();
+        let homes_now = |c: &CacheEngine| -> Vec<*const Slot> {
+            c.slots.blocks.iter().map(|b| b.as_ptr()).collect()
+        };
+
+        // Free the last slot of block 0 and the first of block 1; the
+        // free list hands them back LIFO, and the table does not grow.
+        assert_eq!(slot_of(&c, &key(1023)), Some(1023));
+        assert_eq!(slot_of(&c, &key(1024)), Some(1024));
+        assert!(c.delete(&key(1023)) && c.delete(&key(1024)));
+        c.put(b"x", b"ex".to_vec(), T0);
+        c.put(b"y", b"why".to_vec(), T0);
+        assert_eq!(slot_of(&c, b"x"), Some(1024));
+        assert_eq!(slot_of(&c, b"y"), Some(1023));
+        assert_eq!(c.slots.len, n);
+        assert_eq!(c.get(b"x", T0).unwrap(), b"ex");
+        assert_eq!(c.get(b"y", T0).unwrap(), b"why");
+        for i in (1..n).filter(|i| !(1023..=1024).contains(i)) {
+            assert_eq!(c.peek(&key(i)).unwrap(), i.to_le_bytes(), "key {i}");
+        }
+        assert_eq!(homes_now(&c), homes, "no slot moved");
+
+        // Clear keeps the blocks, and the refill lands in them.
+        c.clear();
+        assert_eq!((c.slots.len, c.slots.blocks.len()), (0, 3));
+        for i in 0..n {
+            c.put(&key(i), i.to_le_bytes().to_vec(), T0);
+        }
+        assert_eq!(slot_of(&c, &key(1023)), Some(1023));
+        assert_eq!(slot_of(&c, &key(1024)), Some(1024));
+        assert_eq!(c.peek(&key(n - 1)).unwrap(), (n - 1).to_le_bytes());
+        assert_eq!(homes_now(&c), homes, "the refill reused every block");
+        assert_eq!(c.len(), n as usize);
+        c.assert_storage_consistent();
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //! zero already when it was never handed out before. Either way the
 //! kernel has not backed it yet: a 4 KiB piece of it becomes resident
 //! only when a chunk inside it is first written. (Memory the allocator
-//! recycles is zeroed by hand and comes back resident, and a small
-//! page dropped by `clear` returns to the allocator's free lists, not
-//! to the kernel.) Chunks are handed out in address order from a
+//! recycles is zeroed by hand and comes back resident.) A page is never
+//! given back: `clear` moves it into the store's pool, resident as it
+//! is, and the refill takes it from there before it asks the allocator
+//! for a new one. Chunks are handed out in address order from a
 //! per-page bump cursor and freed chunks are reused (LIFO) before the
 //! cursor advances, so resident memory follows the chunks actually
 //! written while [`SlabStats::page_bytes_total`] counts reserved
@@ -481,20 +482,23 @@ impl SlabStore {
         (&page.buf[..], (loc.chunk * c.chunk_size) as usize)
     }
 
-    /// Drops every page and resets all counters (`flush_all` / server
-    /// power-off). Pooled pages are released back to the allocator.
+    /// Forgets every item and moves every page into the pool
+    /// (`flush_all` / server power-off): the items are gone and the
+    /// store keeps its pages, as memcached's `flush_all` keeps slab
+    /// memory. The refill takes them back before asking the allocator
+    /// for more, and `pages_allocated` keeps counting them. A chunk is
+    /// always written before it is read, so a pooled page is not zeroed.
     pub fn clear(&mut self) {
         for c in &mut self.classes {
-            c.pages.clear();
+            self.free_pool
+                .extend(c.pages.drain(..).flatten().map(|page| page.buf));
             c.vacant.clear();
             c.page_count = 0;
             c.candidates.clear();
             c.live_items = 0;
             c.live_bytes = 0;
         }
-        self.free_pool.clear();
         self.empty_hints.clear();
-        self.pages_allocated = 0;
     }
 
     /// Usage snapshot (see [`SlabStats`]).
@@ -761,7 +765,50 @@ mod tests {
         assert!(stats.fragmentation() > 0.0 && stats.fragmentation() < 1.0);
         assert_eq!(stats.page_bytes_total(), 4096);
         s.clear();
-        assert_eq!(s.stats().pages_allocated, 0);
+        // The items are gone; the page stays allocated, in the pool.
+        let cleared = s.stats();
+        assert!(cleared.classes.is_empty());
+        assert_eq!((cleared.pages_allocated, cleared.pages_pooled), (1, 1));
+        assert_eq!(cleared.fragmentation(), 1.0);
+        s.assert_consistent();
+    }
+
+    #[test]
+    fn a_cleared_store_refills_from_its_own_pages() {
+        // Budget 4 pages, two classes: 64-byte chunks (16 a page) and
+        // 1 KiB chunks (one a page). Four pages are in use, then all
+        // pooled; the refill swaps the classes' shares around and still
+        // never asks for a fifth page nor counts a reassignment.
+        let mut s = SlabStore::new(1024, 4);
+        let small: Vec<ChunkLoc> = (0..48u8)
+            .map(|i| s.insert(&[i], &[1u8; 40]).unwrap())
+            .collect();
+        s.insert(b"big", &[2u8; 1000]).unwrap();
+        assert_eq!(s.stats().pages_allocated, 4);
+        assert_eq!(small.last().unwrap().page, 2);
+        s.clear();
+        let pooled = s.stats();
+        assert_eq!((pooled.pages_allocated, pooled.pages_pooled), (4, 4));
+        s.assert_consistent();
+
+        let big: Vec<ChunkLoc> = (0..3u8)
+            .map(|i| s.insert(&[i], &[3u8; 1000]).unwrap())
+            .collect();
+        let again = s.insert(b"s", &[4u8; 40]).unwrap();
+        assert_eq!(s.insert(b"x", &[5u8; 1000]), Err(SlabError::Full));
+        let refilled = s.stats();
+        assert_eq!(
+            (refilled.pages_allocated, refilled.pages_pooled),
+            (4, 0),
+            "the pool, not the allocator, gave the refill its pages"
+        );
+        assert_eq!(refilled.pages_reassigned, 0);
+        // Old bytes under a reused chunk are overwritten, never read.
+        for (i, &loc) in big.iter().enumerate() {
+            assert_eq!(s.key_slice(loc, 1), [i as u8]);
+            assert_eq!(s.value_slice(loc, 1, 1000), &[3u8; 1000][..]);
+        }
+        assert_eq!(s.value_slice(again, 1, 40), &[4u8; 40][..]);
         s.assert_consistent();
     }
 }

@@ -97,8 +97,9 @@ impl ReactorStats {
         self.accepted.get()
     }
 
-    /// Socket reads that returned `EAGAIN` (the level-triggered loop's
-    /// "drained the socket" signal).
+    /// Socket reads that returned `EAGAIN`. A short read is the usual
+    /// "drained" signal, so this counts only reads that found nothing
+    /// (a full buffer's worth arrived exactly, or a spurious wake-up).
     pub(crate) fn read_eagain(&self) -> u64 {
         self.read_eagain.get()
     }
@@ -439,8 +440,11 @@ impl Worker {
     }
 }
 
-/// Reads until the socket is drained (`EAGAIN`), EOF, or the output
-/// high-water mark says to stop pulling in more work.
+/// Reads until the socket is drained, EOF, or the output high-water
+/// mark says to stop pulling in more work. A read shorter than the
+/// scratch buffer means the socket had no more to give: stopping there
+/// saves the `read` that would return `EAGAIN`, and level-triggered
+/// epoll reports any bytes that arrive later.
 fn fill_in(
     conn: &mut ConnCore,
     scratch: &mut [u8],
@@ -457,7 +461,12 @@ fn fill_in(
                 conn.eof = true;
                 return Ok(());
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
+            Ok(n) => {
+                conn.rbuf.extend_from_slice(&scratch[..n]);
+                if n < scratch.len() {
+                    return Ok(());
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 stats.read_eagain.inc();
                 return Ok(());

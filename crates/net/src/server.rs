@@ -969,6 +969,8 @@ fn execute(command: RawCommand<'_>, shared: &Shared) -> Response {
         }
         RawCommand::FlushAll => {
             shared.engine.clear();
+            // The held snapshot describes the keys just dropped.
+            *shared.snapshot.lock() = None;
             Response::Ok
         }
         RawCommand::Version => {

@@ -133,7 +133,11 @@ fn flush_all_clears_everything_including_digest() {
     for i in 0..50u32 {
         client.set(format!("k{i}").as_bytes(), b"v").unwrap();
     }
+    // A snapshot taken before the flush describes keys the flush drops:
+    // `get BLOOM_FILTER` misses afterwards, as on a fresh server.
+    assert!(client.snapshot_digest().unwrap().unwrap().contains(b"k0"));
     client.flush_all().unwrap();
+    assert_eq!(client.fetch_digest().unwrap(), None, "stale digest served");
     assert_eq!(client.get(b"k0").unwrap(), None);
     let digest = client.snapshot_digest().unwrap().unwrap();
     assert!(!digest.contains(b"k0"), "digest cleared with the cache");
