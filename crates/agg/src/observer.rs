@@ -123,8 +123,12 @@ pub struct ControlSignal {
     pub window_samples: u64,
     /// Servers currently powered on (including booting/draining).
     pub active_servers: usize,
-    /// Servers whose data is current.
-    pub fresh_servers: usize,
+    /// Powered-on servers whose scrape succeeded *this tick*. A server
+    /// that did not answer keeps counting as fresh for `stale_after`
+    /// ticks, but its rate reads 0 and its latency is missing from the
+    /// window, so only `answered_servers == active_servers` means the
+    /// signal covers the whole cluster.
+    pub answered_servers: usize,
 }
 
 impl ClusterSnapshot {
@@ -137,7 +141,10 @@ impl ClusterSnapshot {
             p99: self.window_latency.quantile(0.99),
             window_samples: self.window_latency.count(),
             active_servers: self.active_servers,
-            fresh_servers: self.servers.iter().filter(|s| s.fresh).count(),
+            answered_servers: (self.servers.iter())
+                .filter(|s| s.power_state != PowerState::Off)
+                .filter(|s| s.fresh && s.consecutive_failures == 0)
+                .count(),
         }
     }
 }
@@ -154,7 +161,6 @@ struct OpCounters {
 struct ServerEntry {
     addr: SocketAddr,
     consecutive_failures: u32,
-    power_state: PowerState,
     /// Metrics from the most recent successful scrape.
     last_metrics: Option<Vec<Metric>>,
     /// `(when, counters)` at the most recent successful scrape.
@@ -232,7 +238,6 @@ impl ClusterObserver {
         inner.entries.push(ServerEntry {
             addr,
             consecutive_failures: 0,
-            power_state: PowerState::On,
             last_metrics: None,
             prev: None,
             ops_per_sec: 0.0,
@@ -256,7 +261,6 @@ impl ClusterObserver {
         let mut inner = self.inner.lock();
         match inner.entries.iter().position(|e| e.addr == addr) {
             Some(idx) => {
-                inner.entries[idx].power_state = state;
                 inner.meter.set_state(idx, state);
                 true
             }
@@ -392,9 +396,10 @@ impl ClusterObserver {
         let mut lookup_delta = 0;
         let mut active = 0;
         let mut balance_rates = Vec::new();
-        for entry in &inner.entries {
+        for (idx, entry) in inner.entries.iter().enumerate() {
             let fresh = entry.last_metrics.is_some() && entry.consecutive_failures < stale_after;
-            let is_active = entry.power_state != PowerState::Off;
+            let power_state = inner.meter.state(idx);
+            let is_active = power_state != PowerState::Off;
             if is_active {
                 active += 1;
             }
@@ -414,7 +419,7 @@ impl ClusterObserver {
                 consecutive_failures: entry.consecutive_failures,
                 ops_per_sec: entry.ops_per_sec,
                 utilization: (entry.ops_per_sec / capacity).clamp(0.0, 1.0),
-                power_state: entry.power_state,
+                power_state,
             });
         }
         inner.meter.sample_at(now, &utilizations);

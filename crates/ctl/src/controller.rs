@@ -1,30 +1,35 @@
 //! The actuating controller: one [`step`](ClusterController::step) per
 //! tick closes the observe → decide → actuate loop on real sockets.
 //!
-//! Each step pulls a fresh merged snapshot from the
-//! [`ClusterObserver`], runs the [`WallPolicy`], and drives the
-//! [`ClusterClient`]'s transition machinery through the paper's
-//! lifecycle: a scale-up waits out the boot delay (joining servers
-//! marked [`PowerState::Booting`]) before the digest broadcast; a
-//! scale-down opens the window immediately and marks the departing
-//! servers [`PowerState::Draining`]; when the drain window elapses the
-//! controller closes it, powers the departed servers off in the energy
-//! account, and starts the policy cooldown.
+//! The controller is the I/O driver of the crate's clock-free lifecycle
+//! (`lifecycle.rs`), which owns every phase, deadline and counter. Each
+//! step pulls a fresh merged snapshot from the [`ClusterObserver`],
+//! feeds it to the lifecycle, and carries out the [`StepAction`] it
+//! returns on the [`ClusterClient`] and the observer: a scale-up marks
+//! the joining servers [`PowerState::Booting`] and, once the boot delay
+//! is over, opens the window; a scale-down opens the window at once and
+//! marks the departing servers [`PowerState::Draining`]; when the drain
+//! window elapses the controller closes it and powers the departed
+//! servers off.
 //!
 //! Every actuated decision is recorded as a
 //! [`TraceKind::ControllerDecision`] event on the cluster client's
 //! shared trace ring *before* the transition events it causes, so the
 //! exported `/trace.jsonl` reads as cause → effect in seq order.
 //!
-//! "Power off" here is logical: the observer's energy meter and the
-//! routing exclude the server, while the process keeps running (this
-//! reproduction cannot cut wall power). That is safe for correctness
-//! because a powered-off server is never routed to; it only means the
-//! testbed's physical idle draw is not actually saved.
+//! Power-off loses DRAM. This reproduction cannot cut a server's wall
+//! power, so the controller does to its memory what a power cut would:
+//! a departed server is flushed when its window closes, and a joiner is
+//! flushed again before its window opens, so it enters the digest
+//! broadcast empty — also when some other actor powered it off. A
+//! server that kept its cache while "off" would be routed to again at
+//! the next grow and serve values older than every write made in
+//! between. A joiner that cannot be emptied is not admitted.
 
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::RwLock;
 use proteus_agg::{ClusterObserver, ControlSignal};
@@ -32,65 +37,8 @@ use proteus_core::PowerState;
 use proteus_net::ClusterClient;
 use proteus_obs::TraceKind;
 
-use crate::policy::{Decision, HoldReason, PolicyInput, WallPolicy};
-
-/// Timing knobs for the actuation side of the loop (the decision side
-/// lives in [`PolicyConfig`](crate::PolicyConfig)).
-#[derive(Debug, Clone, Copy)]
-pub struct ActuationConfig {
-    /// How long a joining server "boots" before it may serve (the
-    /// paper models boot as a powered, non-serving state).
-    pub boot_delay: Duration,
-    /// How long a transition window stays open for hot keys to
-    /// migrate before the old mapping is retired.
-    pub drain: Duration,
-}
-
-impl Default for ActuationConfig {
-    fn default() -> Self {
-        ActuationConfig {
-            boot_delay: Duration::from_millis(500),
-            drain: Duration::from_secs(2),
-        }
-    }
-}
-
-/// What one controller step did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepAction {
-    /// The policy held n; no window is open.
-    Held(HoldReason),
-    /// A scale-up was decided; joining servers are booting until the
-    /// deadline, then the window opens.
-    BootScheduled {
-        /// Current active count.
-        from: usize,
-        /// Target active count.
-        to: usize,
-    },
-    /// Still waiting for joining servers to finish booting.
-    BootWait,
-    /// A transition window was opened this step.
-    WindowOpened {
-        /// Active count under the old mapping.
-        from: usize,
-        /// Active count under the new mapping.
-        to: usize,
-    },
-    /// A window is open; hot keys are draining to the new mapping.
-    DrainWait,
-    /// The window was closed this step; departing servers powered off.
-    WindowClosed {
-        /// Active count before the whole transition.
-        from: usize,
-        /// Active count now.
-        to: usize,
-    },
-    /// The client reported a transition window the controller did not
-    /// open (foreign actuation); the controller backed off this step
-    /// instead of erroring.
-    BackedOff,
-}
+use crate::lifecycle::{ActuationConfig, Coverage, Lifecycle, StepAction};
+use crate::policy::{PolicyInput, WallPolicy};
 
 /// One step's observations and the action taken on them.
 #[derive(Debug, Clone, Copy)]
@@ -101,29 +49,20 @@ pub struct StepReport {
     pub action: StepAction,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Pending {
-    Boot { to: usize, deadline: Instant },
-    Drain { from: usize, deadline: Instant },
-}
-
 /// The closed-loop controller daemon core.
 ///
-/// Owns the policy state and the pending-transition machinery; shares
-/// the [`ClusterObserver`] (metrics plane) and the [`ClusterClient`]
-/// (data plane) with whatever else is using them — the client sits
-/// behind an `RwLock` so workload threads keep fetching through reads
-/// while the controller takes brief write locks to open/close windows.
+/// Owns the lifecycle (policy state and the pending-transition
+/// machinery); shares the [`ClusterObserver`] (metrics plane) and the
+/// [`ClusterClient`] (data plane) with whatever else is using them —
+/// the client sits behind an `RwLock` so workload threads keep fetching
+/// through reads while the controller takes brief write locks to
+/// open/close windows.
 pub struct ClusterController {
     observer: Arc<ClusterObserver>,
     client: Arc<RwLock<ClusterClient>>,
     /// Metrics endpoint per server index, for power-state bookkeeping.
     metrics_addrs: Vec<SocketAddr>,
-    policy: WallPolicy,
-    actuation: ActuationConfig,
-    pending: Option<Pending>,
-    decisions: u64,
-    backoffs: u64,
+    lifecycle: Lifecycle,
 }
 
 impl ClusterController {
@@ -153,31 +92,28 @@ impl ClusterController {
             observer,
             client,
             metrics_addrs,
-            policy,
-            actuation,
-            pending: None,
-            decisions: 0,
-            backoffs: 0,
+            lifecycle: Lifecycle::new(policy, actuation),
         }
     }
 
     /// Scale decisions actuated so far.
     #[must_use]
     pub fn decisions(&self) -> u64 {
-        self.decisions
+        self.lifecycle.decisions()
     }
 
-    /// Steps the controller skipped because a foreign transition
-    /// window was open (see [`StepAction::BackedOff`]).
+    /// Steps the controller backed off: a foreign transition window was
+    /// open, or its own window could not be opened (see
+    /// [`StepAction::BackedOff`]).
     #[must_use]
     pub fn backoffs(&self) -> u64 {
-        self.backoffs
+        self.lifecycle.backoffs()
     }
 
     /// Whether a boot or drain phase is in flight.
     #[must_use]
     pub fn transition_pending(&self) -> bool {
-        self.pending.is_some()
+        self.lifecycle.pending()
     }
 
     /// Runs one observe → decide → actuate round at the current wall
@@ -186,120 +122,82 @@ impl ClusterController {
         self.step_at(Instant::now())
     }
 
-    /// [`step`](Self::step) with an explicit `now`, the seam the tests
-    /// drive phase deadlines through.
+    /// [`step`](Self::step) with an explicit `now`, the instant the
+    /// lifecycle's boot and drain deadlines are measured against.
     pub fn step_at(&mut self, now: Instant) -> StepReport {
-        let snapshot = self.observer.tick();
-        let signal = snapshot.control_signal();
-
-        let action = match self.pending {
-            Some(Pending::Boot { to, deadline }) => {
-                if now < deadline {
-                    StepAction::BootWait
-                } else {
-                    self.open_window_at(to, now)
-                }
-            }
-            Some(Pending::Drain { from, deadline }) => {
-                if now < deadline {
-                    StepAction::DrainWait
-                } else {
-                    self.close_window(from, now)
-                }
-            }
-            None => self.decide_and_actuate(now, &signal),
+        let signal = self.observer.tick().control_signal();
+        let (active, window_open) = {
+            let client = self.client.read();
+            (client.active(), client.transition_active())
         };
-        StepReport { signal, action }
-    }
-
-    fn decide_and_actuate(&mut self, now: Instant, signal: &ControlSignal) -> StepAction {
-        // Satellite of the transition-status accessor: if some other
-        // actor opened a window on the shared client, back off rather
-        // than eat a TransitionInProgress error.
-        if self.client.read().transition_active() {
-            self.backoffs += 1;
-            return StepAction::BackedOff;
-        }
-        let active = self.client.read().active();
         let input = PolicyInput {
             active,
             ops_per_sec: signal.ops_per_sec,
             p99: signal.p99,
         };
-        let decision = self.policy.decide(now, &input);
-        let Decision::Scale { from, to } = decision else {
-            let Decision::Hold(reason) = decision else {
-                unreachable!()
-            };
-            return StepAction::Held(reason);
+        let coverage = Coverage {
+            answered: signal.answered_servers,
+            active: signal.active_servers,
         };
-
-        // The decision event precedes the transition events it causes.
-        self.record_decision(from, to, signal);
-        self.decisions += 1;
-        if to > from {
-            // Joining servers boot before they serve.
-            for addr in &self.metrics_addrs[from..to] {
-                self.observer.set_power_state(*addr, PowerState::Booting);
+        let action = match self.lifecycle.step(now, &input, coverage, window_open) {
+            action @ StepAction::BootScheduled { from, to } => {
+                // The decision event precedes the transition events it
+                // causes; a grow's comes now, its window after the boot.
+                self.record_decision(from, to, &signal);
+                self.set_power(from..to, PowerState::Booting);
+                action
             }
-            self.pending = Some(Pending::Boot {
-                to,
-                deadline: now + self.actuation.boot_delay,
-            });
-            StepAction::BootScheduled { from, to }
-        } else {
-            self.open_window_at(to, now)
-        }
+            StepAction::WindowOpened { from, to } => {
+                if to < from {
+                    self.record_decision(from, to, &signal);
+                }
+                self.open_window(from, to)
+            }
+            action @ StepAction::WindowClosed { from, to } => {
+                self.close_window(from, to);
+                action
+            }
+            other => other,
+        };
+        StepReport { signal, action }
     }
 
-    fn open_window_at(&mut self, to: usize, now: Instant) -> StepAction {
-        let mut client = self.client.write();
-        let from = client.active();
-        let opened = client.begin_transition(to);
-        drop(client);
-        if opened.is_err() {
-            // The one way `begin_transition` fails: a foreign window
-            // raced us between the check and the write lock. Surface
-            // it as a backoff, not a failure.
-            self.pending = None;
-            self.backoffs += 1;
-            return StepAction::BackedOff;
+    fn open_window(&mut self, from: usize, to: usize) -> StepAction {
+        // A joiner enters the broadcast empty (module doc). The window
+        // is refused one way: a foreign window raced us between the
+        // lifecycle's check and the write lock.
+        let joiners = from..to.max(from); // none on a shrink
+        let emptied = (joiners.clone()).all(|s| self.client.read().client(s).flush_all().is_ok());
+        if !emptied || self.client.write().begin_transition(to).is_err() {
+            self.set_power(joiners, PowerState::Off);
+            return self.lifecycle.refused();
         }
-        for (i, addr) in self.metrics_addrs.iter().enumerate() {
-            let state = if i < to.min(from) {
-                continue; // staying active, state unchanged
-            } else if i < to {
-                PowerState::On // finished booting, now serving
-            } else if i < from {
-                PowerState::Draining
-            } else {
-                continue; // already off
-            };
-            self.observer.set_power_state(*addr, state);
+        if to > from {
+            self.set_power(joiners, PowerState::On);
+        } else {
+            self.set_power(to..from, PowerState::Draining);
         }
-        self.pending = Some(Pending::Drain {
-            from,
-            deadline: now + self.actuation.drain,
-        });
         StepAction::WindowOpened { from, to }
     }
 
-    fn close_window(&mut self, from: usize, now: Instant) -> StepAction {
-        let closed = self.client.write().end_transition();
-        let to = self.client.read().active();
-        if let Some(status) = closed {
-            if status.to < status.from {
-                // Drain complete: the departed servers power off for
-                // real (in the energy account — the paper's actuation
-                // point). A grow's close has nobody to power down.
-                for addr in &self.metrics_addrs[status.to..status.from] {
-                    self.observer.set_power_state(*addr, PowerState::Off);
-                }
-            }
+    fn close_window(&self, from: usize, to: usize) {
+        self.client.write().end_transition();
+        // Drain complete: the departed servers power off, and lose
+        // their DRAM with it. A flush that fails does not fail the
+        // step — the server is off the ring, and the boot flush that
+        // readmits it must succeed first.
+        let client = self.client.read();
+        for s in to..from {
+            let _ = client.client(s).flush_all();
+            self.observer
+                .set_power_state(self.metrics_addrs[s], PowerState::Off);
         }
-        self.policy.record_window_closed(now);
-        self.pending = None;
-        StepAction::WindowClosed { from, to }
+    }
+
+    fn set_power(&self, servers: Range<usize>, state: PowerState) {
+        for addr in &self.metrics_addrs[servers] {
+            self.observer.set_power_state(*addr, state);
+        }
     }
 
     fn record_decision(&self, from: usize, to: usize, signal: &ControlSignal) {
@@ -331,9 +229,7 @@ impl std::fmt::Debug for ClusterController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterController")
             .field("servers", &self.metrics_addrs.len())
-            .field("pending", &self.pending)
-            .field("decisions", &self.decisions)
-            .field("backoffs", &self.backoffs)
+            .field("lifecycle", &self.lifecycle)
             .finish_non_exhaustive()
     }
 }

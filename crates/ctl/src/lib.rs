@@ -15,7 +15,9 @@
 //!   points ([`proteus_core::SetPoints`]) plus the guard rails a live
 //!   loop needs: a utilization hysteresis band, a per-decision ramp
 //!   limit, and a post-transition cooldown.
-//! - **Actuate** — [`ClusterController`] drives
+//! - **Actuate** — a clock-free lifecycle maps each tick's signal to a
+//!   [`StepAction`] (boot, open, drain, close, hold, back off), and
+//!   [`ClusterController`] carries it out on
 //!   [`proteus_net::ClusterClient`]'s smooth-transition machinery
 //!   (digest broadcast, dual-mapping drain window, power-off) and
 //!   stamps every decision onto the shared trace ring as a
@@ -31,7 +33,9 @@
 #![warn(missing_docs)]
 
 mod controller;
+mod lifecycle;
 mod policy;
 
-pub use controller::{ActuationConfig, ClusterController, StepAction, StepReport};
+pub use controller::{ClusterController, StepReport};
+pub use lifecycle::{ActuationConfig, StepAction};
 pub use policy::{Decision, HoldReason, PolicyConfig, PolicyInput, WallPolicy};

@@ -113,6 +113,11 @@ pub enum HoldReason {
     AtCeiling,
     /// Shrink is possible but n is already at the floor.
     AtFloor,
+    /// The policy would shrink, but not every powered-on server
+    /// answered this tick's scrape: a server that did not answer reads
+    /// as idle. Set by the controller's lifecycle, never by
+    /// [`WallPolicy::decide`], which sees no coverage.
+    Blind,
 }
 
 /// One provisioning decision.

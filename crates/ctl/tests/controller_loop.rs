@@ -280,3 +280,226 @@ fn the_controller_binary_refuses_a_capacity_that_is_not_finite() {
         s.stop();
     }
 }
+
+/// Power-off loses DRAM. A key homed on the last server is read, the
+/// controller shrinks past that server, the key is rewritten, and the
+/// controller grows back: the read after the grow is the rewrite. A
+/// departed server that kept its cache would come back holding the
+/// first value, and the grow's pull, finding that copy there, would
+/// delete the rewrite at the key's interim home.
+#[test]
+fn a_write_made_while_a_server_was_off_is_what_its_return_serves() {
+    use proteus_net::PullState;
+
+    let h = harness(100.0);
+    let db = Mutex::new(ShardedStore::new(StoreConfig {
+        object_size: 128,
+        ..StoreConfig::default()
+    }));
+    let key = (0u32..)
+        .map(|i| format!("stale:{i}").into_bytes())
+        .find(|k| h.client.read().server_for(k).index() == N - 1)
+        .unwrap();
+    let (v1, _) = h.client.read().fetch(&key, &db).unwrap();
+
+    let policy = WallPolicy::new(PolicyConfig {
+        min_servers: N - 1,
+        max_step: 1,
+        cooldown: Duration::from_millis(300),
+        ..PolicyConfig::for_cluster(N, 100.0)
+    });
+    let actuation = ActuationConfig {
+        boot_delay: Duration::from_millis(100),
+        drain: Duration::from_millis(100),
+    };
+    let mut controller = ClusterController::new(
+        Arc::clone(&h.observer),
+        Arc::clone(&h.client),
+        h.endpoints.iter().map(MetricsServer::local_addr).collect(),
+        policy,
+        actuation,
+    );
+    let t0 = Instant::now();
+    let ms = |n| t0 + Duration::from_millis(n);
+    assert_eq!(
+        controller.step_at(t0).action,
+        StepAction::WindowOpened { from: N, to: N - 1 }
+    );
+    assert_eq!(
+        controller.step_at(ms(150)).action,
+        StepAction::WindowClosed { from: N, to: N - 1 }
+    );
+
+    let v2 = b"written while the key's old home was off".to_vec();
+    assert_ne!(v1[..], v2[..]);
+    h.client.read().put(&key, &v2).unwrap();
+
+    // Load on the three servers left, past the policy's up-trigger.
+    for i in 0..1_000u32 {
+        let k = format!("page:{}", i % 200).into_bytes();
+        h.client.read().fetch(&k, &db).unwrap();
+    }
+    let report = controller.step_at(ms(700));
+    assert_eq!(
+        report.action,
+        StepAction::BootScheduled { from: N - 1, to: N },
+        "the loaded cluster must grow (signal: {:?})",
+        report.signal
+    );
+    assert_eq!(
+        controller.step_at(ms(900)).action,
+        StepAction::WindowOpened { from: N - 1, to: N }
+    );
+    // The window closes on a finished pull, so the key has moved home.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while (h.client.read().pull_progress()).is_some_and(|p| p.state == PullState::Running) {
+        assert!(Instant::now() < deadline, "the grow's pull never finished");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        controller.step_at(ms(1_100)).action,
+        StepAction::WindowClosed { from: N - 1, to: N }
+    );
+
+    let (value, _) = h.client.read().fetch(&key, &db).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&value),
+        String::from_utf8_lossy(&v2),
+        "the returning server served the value it held before it was powered off"
+    );
+
+    drop(h.endpoints);
+    for s in h.servers {
+        s.stop();
+    }
+}
+
+/// A blind controller holds. While one server's metrics endpoint is
+/// dark, that server reads as idle and the idle cluster as idler still;
+/// the controller must not shrink on that view. Once every server
+/// answers again, the shrink goes ahead.
+#[test]
+fn a_controller_that_cannot_see_every_server_does_not_shrink() {
+    use proteus_net::{FaultMode, FaultProxy};
+
+    let h = harness(100.0);
+    let proxy = FaultProxy::spawn(h.endpoints[0].local_addr()).unwrap();
+    let mut metrics_addrs: Vec<_> = h.endpoints.iter().map(MetricsServer::local_addr).collect();
+    metrics_addrs[0] = proxy.addr();
+    let observer = Arc::new(ClusterObserver::new(ObserverConfig {
+        connect_timeout: Duration::from_millis(100),
+        read_timeout: Duration::from_millis(200),
+        server_capacity_ops: 100.0,
+        ..ObserverConfig::default()
+    }));
+    for addr in &metrics_addrs {
+        observer.add_server(*addr);
+    }
+    let policy = WallPolicy::new(PolicyConfig {
+        cooldown: Duration::from_millis(100),
+        ..PolicyConfig::for_cluster(N, 100.0)
+    });
+    let mut controller = ClusterController::new(
+        observer,
+        Arc::clone(&h.client),
+        metrics_addrs,
+        policy,
+        ActuationConfig::default(),
+    );
+
+    proxy.set_mode(FaultMode::Blackhole);
+    let t0 = Instant::now();
+    for tick in 0..4u64 {
+        let report = controller.step_at(t0 + Duration::from_millis(250 * tick));
+        assert_eq!(
+            report.action,
+            StepAction::Held(HoldReason::Blind),
+            "tick {tick} with one endpoint dark (signal: {:?})",
+            report.signal
+        );
+        assert_eq!(report.signal.answered_servers, N - 1);
+    }
+    assert_eq!(controller.decisions(), 0);
+    assert_eq!(h.client.read().active(), N);
+
+    proxy.set_mode(FaultMode::Forward);
+    let report = controller.step_at(t0 + Duration::from_secs(1));
+    assert_eq!(report.signal.answered_servers, N);
+    assert_eq!(
+        report.action,
+        StepAction::WindowOpened { from: N, to: N - 2 }
+    );
+    assert_eq!(controller.decisions(), 1);
+
+    proxy.stop();
+    drop(h.endpoints);
+    for s in h.servers {
+        s.stop();
+    }
+}
+
+/// A joiner that cannot be emptied is not admitted: the grow backs off
+/// as for a refused window, and the joiner goes back to `Off`.
+#[test]
+fn a_joiner_that_cannot_be_emptied_is_not_admitted() {
+    let mut h = harness(100.0);
+    let db = Mutex::new(ShardedStore::new(StoreConfig {
+        object_size: 128,
+        ..StoreConfig::default()
+    }));
+    let policy = WallPolicy::new(PolicyConfig {
+        min_servers: N - 1,
+        max_step: 1,
+        cooldown: Duration::from_millis(300),
+        ..PolicyConfig::for_cluster(N, 100.0)
+    });
+    let actuation = ActuationConfig {
+        boot_delay: Duration::from_millis(100),
+        drain: Duration::from_millis(100),
+    };
+    let mut controller = ClusterController::new(
+        Arc::clone(&h.observer),
+        Arc::clone(&h.client),
+        h.endpoints.iter().map(MetricsServer::local_addr).collect(),
+        policy,
+        actuation,
+    );
+    let t0 = Instant::now();
+    let ms = |n| t0 + Duration::from_millis(n);
+    assert_eq!(
+        controller.step_at(t0).action,
+        StepAction::WindowOpened { from: N, to: N - 1 }
+    );
+    assert_eq!(
+        controller.step_at(ms(150)).action,
+        StepAction::WindowClosed { from: N, to: N - 1 }
+    );
+    // The powered-off server's process is gone; its metrics endpoint
+    // still answers, so the view stays whole.
+    h.servers.pop().unwrap().stop();
+
+    for i in 0..1_000u32 {
+        let k = format!("page:{}", i % 200).into_bytes();
+        h.client.read().fetch(&k, &db).unwrap();
+    }
+    let report = controller.step_at(ms(700));
+    assert_eq!(
+        report.action,
+        StepAction::BootScheduled { from: N - 1, to: N },
+        "the loaded cluster must grow (signal: {:?})",
+        report.signal
+    );
+    assert_eq!(controller.step_at(ms(900)).action, StepAction::BackedOff);
+    assert_eq!(controller.backoffs(), 1);
+    assert!(!controller.transition_pending());
+    assert!(!h.client.read().transition_active());
+    assert_eq!(h.client.read().active(), N - 1);
+    let snap = h.observer.tick();
+    assert_eq!(snap.servers[N - 1].power_state, PowerState::Off);
+    assert_eq!(snap.active_servers, N - 1);
+
+    drop(h.endpoints);
+    for s in h.servers {
+        s.stop();
+    }
+}
