@@ -29,7 +29,10 @@
 //! assert!(!cache.digest().contains(b"page:1"));
 //! ```
 
-#![forbid(unsafe_code)]
+// One `madvise` call in `slab` (a pooled page's memory back to the
+// kernel) is the only unsafe code in the crate, in one module that
+// carries `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bytes;

@@ -10,7 +10,7 @@
 //! Worst-case internal waste is bounded by the growth factor; pages
 //! are the only allocation unit the system allocator ever sees.
 //!
-//! # Ownership model (no `unsafe`)
+//! # Ownership model (one `unsafe` call)
 //!
 //! The store is the sole owner of its pages: a page is a `Box<[u8]>`
 //! and nothing outside this module ever holds a reference into one
@@ -21,7 +21,9 @@
 //! checker, not a refcount, proves no reader can observe a chunk being
 //! rewritten. A caller that needs the bytes past the lock copies them
 //! out while it holds it (the server copies straight into the
-//! connection's output buffer; DESIGN.md §9).
+//! connection's output buffer; DESIGN.md §9). The one exception to
+//! safe code is the `kernel` module below: a single `madvise` call on
+//! a pooled page the store holds by value (see "Page release").
 //!
 //! # Lazy commit
 //!
@@ -32,26 +34,50 @@
 //! zero already when it was never handed out before. Either way the
 //! kernel has not backed it yet: a 4 KiB piece of it becomes resident
 //! only when a chunk inside it is first written. (Memory the allocator
-//! recycles is zeroed by hand and comes back resident.) A page is never
-//! given back: `clear` moves it into the store's pool, resident as it
-//! is, and the refill takes it from there before it asks the allocator
-//! for a new one. Chunks are handed out in address order from a
-//! per-page bump cursor and freed chunks are reused (LIFO) before the
-//! cursor advances, so resident memory follows the chunks actually
-//! written while [`SlabStats::page_bytes_total`] counts reserved
-//! address space.
+//! recycles is zeroed by hand and comes back resident.) Chunks are
+//! handed out in address order from a per-page bump cursor and freed
+//! chunks are reused (LIFO) before the cursor advances, so resident
+//! memory follows the chunks actually written while
+//! [`SlabStats::page_bytes_total`] counts reserved address space.
+//!
+//! # Page release
+//!
+//! A page belongs to a class only while it holds a live item: the
+//! [`SlabStore::free`] that takes its last item moves it into the
+//! store's pool at once, and [`SlabStore::clear`] (`flush_all`) pools
+//! every page the same way. The pool keeps [`POOL_RESERVE`] pages
+//! resident and hands the physical memory of every other one back to
+//! the kernel with `madvise(MADV_DONTNEED)` on the whole 4 KiB kernel
+//! pages inside it. The `Box` itself is kept, so the address space
+//! stays reserved, `pages_allocated` does not move, and the page comes
+//! back zero-filled and unbacked, committing again chunk by chunk as in
+//! "Lazy commit". Releasing is done on Linux on x86-64 only, where the
+//! kernel's base page is always 4 KiB: `madvise` rounds a length up to
+//! the kernel's page, so on a kernel with larger pages a 4 KiB-aligned
+//! range could reach past the buffer. A page the kernel does not take —
+//! on another target, or a page too small to hold a whole 4 KiB page
+//! once its unaligned head and tail are cut off — stays resident in the
+//! pool and is counted in [`SlabStats::pages_resident`].
+//!
+//! Dropping the `Box` instead would not return the memory: a 64 KiB
+//! block freed in the middle of the allocator's heap stays resident.
+//! The reserve exists for the lone key whose page empties and refills
+//! on every overwrite (the engine unlinks the old value before it
+//! places the new one): the page goes to the reserve and straight back,
+//! with no syscall.
 //!
 //! # Page reassignment
 //!
-//! Pages belong to a class only while they hold live items. A page
-//! whose last item is freed is remembered; when some other class is
-//! starved (no free chunk, page budget exhausted), the store reclaims
-//! an empty page from a rich class and reassigns it — the
-//! memcached "slab rebalance" move, done eagerly at the moment of
-//! starvation. With no empty page anywhere [`SlabStore::insert`]
-//! reports [`SlabError::Full`] and the engine frees a chunk of the
-//! starved class itself (its least-recent item) or takes the heap
-//! path; it never evicts items of other classes to empty a page.
+//! An insert that finds no free chunk in its class takes a pooled page
+//! (resident ones first) before it asks the allocator for a new one
+//! within the page budget; a page that emptied out of another class
+//! installed this way is counted in [`SlabStats::pages_reassigned`] —
+//! the memcached "slab rebalance" move, done at the moment a class
+//! needs a page. With the pool empty and the budget spent
+//! [`SlabStore::insert`] reports [`SlabError::Full`] and the engine
+//! frees a chunk of the starved class itself (its least-recent item)
+//! or takes the heap path; it never evicts items of other classes to
+//! empty a page.
 
 /// Smallest chunk size. Items smaller than this still occupy one
 /// minimum chunk (48-byte memcached floor rounded to 64).
@@ -60,6 +86,10 @@ const MIN_CHUNK: u32 = 64;
 /// Size-class growth factor: 1.25, expressed as a ratio.
 const GROWTH_NUM: u64 = 5;
 const GROWTH_DEN: u64 = 4;
+
+/// Empty pages the pool keeps resident; every other pooled page has
+/// its memory released (see "Page release" in the module docs).
+const POOL_RESERVE: usize = 1;
 
 /// Where an item's bytes live: size class, page within the class, and
 /// chunk within the page. The item's key/value lengths are stored by
@@ -78,7 +108,7 @@ pub enum SlabError {
     /// The item exceeds the largest size class (one whole page); the
     /// caller stores it on the heap instead.
     Oversize,
-    /// No free chunk, no reassignable page, and the page budget is
+    /// No free chunk, no pooled page, and the page budget is
     /// exhausted: the caller evicts an item of this item's class and
     /// retries, or falls back to the heap.
     Full,
@@ -97,9 +127,6 @@ struct Page {
     live: u32,
     /// Whether the page is queued in its class's candidate ring.
     queued: bool,
-    /// Whether the store's `empty_hints` holds an entry for this page
-    /// (at most one: a page emptied again while hinted pushes nothing).
-    hinted: bool,
 }
 
 impl Page {
@@ -123,8 +150,9 @@ impl Page {
 struct SizeClass {
     chunk_size: u32,
     chunks_per_page: u32,
-    /// Stable page table: `ChunkLoc::page` indexes here, so reclaimed
-    /// entries become `None` rather than shifting their neighbours.
+    /// Stable page table: `ChunkLoc::page` indexes here, so the entry
+    /// of a page that emptied becomes `None` rather than shifting its
+    /// neighbours.
     pages: Vec<Option<Page>>,
     /// Indices of `None` entries in `pages`, reusable for new pages.
     vacant: Vec<u32>,
@@ -132,7 +160,10 @@ struct SizeClass {
     page_count: u64,
     /// Pages that may have free chunks; inserts fill the front one. A
     /// fresh page queues at the back, a page that just had a chunk
-    /// freed at the front.
+    /// freed at the front. An entry whose page emptied is stale and is
+    /// dropped when it reaches the front; a page is installed only
+    /// once the ring is empty, so a reused `vacant` index never has a
+    /// stale entry behind it.
     candidates: std::collections::VecDeque<u32>,
     live_items: u64,
     /// Exact key+value bytes of live items (≤ live_items × chunk_size).
@@ -163,11 +194,23 @@ pub struct SlabStats {
     pub classes: Vec<SlabClassStats>,
     /// Configured page size in bytes.
     pub page_bytes: u64,
-    /// Pages allocated from the system (assigned + pooled).
+    /// Pages allocated from the system (assigned + pooled). This is
+    /// reserved address space, not memory: a pooled page beyond the
+    /// reserve holds none, and an assigned one only what its chunks
+    /// have written (see [`SlabStats::pages_resident`]).
     pub pages_allocated: u64,
-    /// Reclaimed empty pages waiting in the cross-class pool.
+    /// Empty pages waiting in the cross-class pool, resident or not.
     pub pages_pooled: u64,
-    /// Empty pages moved between size classes under starvation.
+    /// Pages that may hold memory: assigned pages plus the pool's
+    /// resident ones (its reserve, and any page the kernel did not
+    /// take).
+    pub pages_resident: u64,
+    /// Pooled pages whose memory was handed back to the kernel, over
+    /// the store's life.
+    pub pages_released: u64,
+    /// Emptied pages installed in a class other than the one they left.
+    /// A page pooled by `SlabStore::clear` left no class, so its
+    /// refill counts nothing here.
     pub pages_reassigned: u64,
     /// Items the engine stored on the heap, for either reason: the
     /// item is larger than a page, or its class was starved and had no
@@ -188,9 +231,11 @@ impl SlabStats {
         self.classes.iter().map(|c| c.live_bytes).sum()
     }
 
-    /// Total bytes reserved for pages (allocated × page size). Pages
-    /// commit lazily, so resident memory can be well below this while
-    /// chunks remain unwritten.
+    /// Total bytes reserved for pages (allocated × page size): address
+    /// space, not memory. Pages commit lazily and pooled pages beyond
+    /// the reserve are released, so resident memory can be well below
+    /// this (the benchmark's `cache.slab_bytes_per_live_byte` divides
+    /// this figure too).
     #[must_use]
     pub fn page_bytes_total(&self) -> u64 {
         self.pages_allocated * self.page_bytes
@@ -216,6 +261,8 @@ impl SlabStats {
         self.page_bytes = self.page_bytes.max(other.page_bytes);
         self.pages_allocated += other.pages_allocated;
         self.pages_pooled += other.pages_pooled;
+        self.pages_resident += other.pages_resident;
+        self.pages_released += other.pages_released;
         self.pages_reassigned += other.pages_reassigned;
         self.heap_fallbacks += other.heap_fallbacks;
         self.starved_sets += other.starved_sets;
@@ -238,18 +285,124 @@ impl SlabStats {
     }
 }
 
+/// An empty page out of every class.
+#[derive(Debug)]
+struct PooledPage {
+    buf: Box<[u8]>,
+    /// The class the page left when its last item was freed; `None`
+    /// for a page [`SlabStore::clear`] pooled.
+    left: Option<u16>,
+}
+
+/// The cross-class pool: resident pages, at most [`POOL_RESERVE`] of
+/// them releasable, and pages whose memory went back to the kernel.
+#[derive(Debug, Default)]
+struct PagePool {
+    /// The reserve, plus any page the kernel did not take.
+    resident: Vec<PooledPage>,
+    released: Vec<PooledPage>,
+    /// Successful releases over the store's life.
+    releases: u64,
+}
+
+impl PagePool {
+    fn put(&mut self, mut page: PooledPage) {
+        if self.resident.len() >= POOL_RESERVE && kernel::release(&mut page.buf) {
+            self.releases += 1;
+            self.released.push(page);
+        } else {
+            self.resident.push(page);
+        }
+    }
+
+    /// A resident page if there is one, else a released one.
+    fn take(&mut self) -> Option<PooledPage> {
+        self.resident.pop().or_else(|| self.released.pop())
+    }
+
+    fn len(&self) -> usize {
+        self.resident.len() + self.released.len()
+    }
+}
+
+/// The crate's one `unsafe` call: handing a pooled page's memory back
+/// to the kernel while keeping its address space.
+#[allow(unsafe_code)]
+mod kernel {
+    use std::ops::Range;
+
+    /// Whether pages are released at all: only on Linux on x86-64,
+    /// whose base page is always 4 KiB. `madvise` acts on whole kernel
+    /// pages, rounding a length up, so on a kernel with 16 or 64 KiB
+    /// pages a 4 KiB-aligned range would reach past the buffer.
+    /// Elsewhere a pooled page simply stays resident.
+    const RELEASES: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+
+    /// The base page size where [`RELEASES`] holds.
+    const PAGE: usize = 4096;
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    const MADV_DONTNEED: std::os::raw::c_int = 4;
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    extern "C" {
+        fn madvise(
+            addr: *mut std::os::raw::c_void,
+            len: usize,
+            advice: std::os::raw::c_int,
+        ) -> std::os::raw::c_int;
+    }
+
+    /// The indices of the whole kernel pages inside `buf`, or `None`
+    /// when there is none or this target releases nothing.
+    pub(super) fn interior(buf: &[u8]) -> Option<Range<usize>> {
+        if !RELEASES {
+            return None;
+        }
+        let addr = buf.as_ptr() as usize;
+        let head = addr.next_multiple_of(PAGE) - addr;
+        let end = buf.len().saturating_sub((addr + buf.len()) % PAGE);
+        (head < end).then_some(head..end)
+    }
+
+    /// Releases the physical memory of the whole kernel pages inside
+    /// `buf`, which read as zeros afterwards and commit again as they
+    /// are written. Returns whether the kernel took them.
+    pub(super) fn release(buf: &mut [u8]) -> bool {
+        let Some(range) = interior(buf) else {
+            return false;
+        };
+        let pages = &mut buf[range];
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        {
+            // SAFETY: `pages` lies inside a live allocation that the
+            // caller borrows uniquely, so no other reference can observe
+            // the call. It starts and ends on 4 KiB boundaries, which
+            // are kernel page boundaries on x86-64, so the kernel acts
+            // on exactly this range and on nothing past either end. On
+            // private anonymous memory — a page's `Box`, whether its own
+            // mapping or cut from the allocator's heap — `MADV_DONTNEED`
+            // only replaces the range's contents with zeros, which is
+            // equivalent to writing zeros through `pages`. The
+            // allocator's bookkeeping for the block sits before its
+            // first byte or after its last, outside the range.
+            unsafe { madvise(pages.as_mut_ptr().cast(), pages.len(), MADV_DONTNEED) == 0 }
+        }
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        {
+            let _ = pages;
+            false
+        }
+    }
+}
+
 /// The slab store. One per engine shard; all access is serialized by
 /// the shard (the engine is `&mut self` throughout).
 #[derive(Debug)]
 pub struct SlabStore {
     page_bytes: u32,
     classes: Vec<SizeClass>,
-    /// Reclaimed empty pages, reusable by any class.
-    free_pool: Vec<Box<[u8]>>,
-    /// Hints of (class, page) pairs that were seen empty, one per page
-    /// with `hinted` set; validated on use (the page may have been
-    /// refilled since).
-    empty_hints: Vec<(u16, u32)>,
+    pool: PagePool,
     pages_allocated: u64,
     max_pages: u64,
     pages_reassigned: u64,
@@ -295,8 +448,7 @@ impl SlabStore {
         SlabStore {
             page_bytes,
             classes,
-            free_pool: Vec::new(),
-            empty_hints: Vec::new(),
+            pool: PagePool::default(),
             pages_allocated: 0,
             max_pages: max_pages.max(1),
             pages_reassigned: 0,
@@ -364,64 +516,49 @@ impl SlabStore {
                     }
                     page.queued = false;
                 }
-                // Stale candidate: reclaimed or fully occupied.
+                // Stale candidate: pooled or fully occupied.
                 c.candidates.pop_front();
             }
-            // 2. A fresh page — the cross-class pool, the allocator
-            //    (within budget), or an empty page reclaimed from a rich
-            //    class — becomes the only candidate; go round again.
-            let Some(buf) = self.take_page() else {
+            // 2. A fresh page — from the pool, or from the allocator
+            //    within budget — becomes the only candidate; go round
+            //    again.
+            let Some(page) = self.take_page() else {
                 self.starved_sets += 1;
                 return Err(SlabError::Full);
             };
-            self.install_page(class, buf);
+            self.install_page(class, page);
         }
     }
 
-    /// Pops a usable page from the pool, allocates one within budget,
-    /// or reclaims an empty page from another class.
-    fn take_page(&mut self) -> Option<Box<[u8]>> {
-        if let Some(buf) = self.free_pool.pop() {
-            return Some(buf);
+    /// Pops a pooled page, or allocates one within budget.
+    fn take_page(&mut self) -> Option<PooledPage> {
+        if let Some(page) = self.pool.take() {
+            return Some(page);
         }
         if self.pages_allocated < self.max_pages {
             self.pages_allocated += 1;
             // Zeroed straight from the allocator, never copied: see
             // "Lazy commit" in the module docs.
-            return Some(vec![0u8; self.page_bytes as usize].into_boxed_slice());
-        }
-        self.reclaim_empty_page()
-    }
-
-    /// Detaches an empty page from whatever class holds it.
-    fn reclaim_empty_page(&mut self) -> Option<Box<[u8]>> {
-        while let Some((class, pid)) = self.empty_hints.pop() {
-            let c = &mut self.classes[class as usize];
-            let entry = &mut c.pages[pid as usize];
-            let page = entry.as_mut().expect("a hinted page is never reclaimed");
-            page.hinted = false;
-            // A hint whose page was refilled is dead and simply dropped.
-            if page.live == 0 {
-                let page = entry.take().expect("checked Some");
-                c.vacant.push(pid);
-                c.page_count -= 1;
-                self.pages_reassigned += 1;
-                return Some(page.buf);
-            }
+            return Some(PooledPage {
+                buf: vec![0u8; self.page_bytes as usize].into_boxed_slice(),
+                left: None,
+            });
         }
         None
     }
 
-    /// Installs `buf` as a new, empty candidate page of `class`.
-    fn install_page(&mut self, class: u16, buf: Box<[u8]>) {
+    /// Installs `page` as a new, empty candidate page of `class`.
+    fn install_page(&mut self, class: u16, page: PooledPage) {
+        if page.left.is_some_and(|left| left != class) {
+            self.pages_reassigned += 1;
+        }
         let c = &mut self.classes[class as usize];
         let page = Some(Page {
-            buf,
+            buf: page.buf,
             cursor: 0,
             free: Vec::new(),
             live: 0,
             queued: true,
-            hinted: false,
         });
         c.page_count += 1;
         let pid = match c.vacant.pop() {
@@ -439,15 +576,26 @@ impl SlabStore {
 
     /// Releases the chunk at `loc` (item of `len = klen + vlen` bytes).
     /// The bytes are left in place until the chunk is handed out again.
+    /// Freeing a page's last item moves the page into the pool.
     pub fn free(&mut self, loc: ChunkLoc, len: usize) {
         let c = &mut self.classes[loc.class as usize];
-        let page = c.pages[loc.page as usize]
-            .as_mut()
-            .expect("freeing a chunk of a reclaimed page");
-        page.free.push(loc.chunk);
+        let entry = &mut c.pages[loc.page as usize];
+        let page = entry.as_mut().expect("freeing a chunk of a pooled page");
         page.live -= 1;
         c.live_items -= 1;
         c.live_bytes -= len as u64;
+        if page.live == 0 {
+            // Its candidate entry, if any, goes stale (see `candidates`).
+            let page = entry.take().expect("checked Some");
+            c.vacant.push(loc.page);
+            c.page_count -= 1;
+            self.pool.put(PooledPage {
+                buf: page.buf,
+                left: Some(loc.class),
+            });
+            return;
+        }
+        page.free.push(loc.chunk);
         if !page.queued {
             // At the front: the next insert of the class — the second
             // half of an overwrite, usually — lands in the chunk just
@@ -455,10 +603,6 @@ impl SlabStore {
             // rather than in the untouched tail of a newer page.
             page.queued = true;
             c.candidates.push_front(loc.page);
-        }
-        if page.live == 0 && !page.hinted {
-            page.hinted = true;
-            self.empty_hints.push((loc.class, loc.page));
         }
     }
 
@@ -483,22 +627,25 @@ impl SlabStore {
     }
 
     /// Forgets every item and moves every page into the pool
-    /// (`flush_all` / server power-off): the items are gone and the
-    /// store keeps its pages, as memcached's `flush_all` keeps slab
-    /// memory. The refill takes them back before asking the allocator
+    /// (`flush_all` / server power-off): the pool keeps its reserve
+    /// resident and releases the rest, as it does for a page that
+    /// empties. The refill takes them back before asking the allocator
     /// for more, and `pages_allocated` keeps counting them. A chunk is
     /// always written before it is read, so a pooled page is not zeroed.
     pub fn clear(&mut self) {
         for c in &mut self.classes {
-            self.free_pool
-                .extend(c.pages.drain(..).flatten().map(|page| page.buf));
+            for page in c.pages.drain(..).flatten() {
+                self.pool.put(PooledPage {
+                    buf: page.buf,
+                    left: None,
+                });
+            }
             c.vacant.clear();
             c.page_count = 0;
             c.candidates.clear();
             c.live_items = 0;
             c.live_bytes = 0;
         }
-        self.empty_hints.clear();
     }
 
     /// Usage snapshot (see [`SlabStats`]).
@@ -516,11 +663,14 @@ impl SlabStore {
                 bytes_wasted: c.live_items * u64::from(c.chunk_size) - c.live_bytes,
             })
             .collect();
+        let assigned: u64 = self.classes.iter().map(|c| c.page_count).sum();
         SlabStats {
             classes,
             page_bytes: u64::from(self.page_bytes),
             pages_allocated: self.pages_allocated,
-            pages_pooled: self.free_pool.len() as u64,
+            pages_pooled: self.pool.len() as u64,
+            pages_resident: assigned + self.pool.resident.len() as u64,
+            pages_released: self.pool.releases,
             pages_reassigned: self.pages_reassigned,
             heap_fallbacks: self.heap_fallbacks,
             starved_sets: self.starved_sets,
@@ -528,17 +678,18 @@ impl SlabStore {
     }
 
     /// Internal-consistency audit for tests: chunk conservation per
-    /// page, counter agreement per class, and the page-budget bound.
-    /// Panics on drift.
+    /// page, no empty page in any class, counter agreement per class,
+    /// page conservation, the pool's reserve (at most
+    /// [`POOL_RESERVE`] pooled pages that could be released are kept
+    /// resident, which assumes the process does not lock its memory),
+    /// and the page-budget bound. Panics on drift.
     pub fn assert_consistent(&self) {
         let mut assigned = 0u64;
-        let mut hinted = 0usize;
         for (ci, c) in self.classes.iter().enumerate() {
             let mut live_items = 0u64;
             let mut pages = 0u64;
             for page in c.pages.iter().flatten() {
                 pages += 1;
-                hinted += usize::from(page.hinted);
                 let cursor_remaining = c.chunks_per_page - page.cursor;
                 assert_eq!(
                     cursor_remaining + page.free.len() as u32 + page.live,
@@ -547,6 +698,10 @@ impl SlabStore {
                     page.free.len(),
                     page.live,
                     c.chunks_per_page
+                );
+                assert!(
+                    page.live > 0,
+                    "class {ci}: an empty page stayed in its class"
                 );
                 live_items += u64::from(page.live);
             }
@@ -559,14 +714,19 @@ impl SlabStore {
             );
         }
         assert_eq!(
-            hinted,
-            self.empty_hints.len(),
-            "one empty-page hint per hinted page"
-        );
-        assert_eq!(
-            assigned + self.free_pool.len() as u64,
+            assigned + self.pool.len() as u64,
             self.pages_allocated,
             "page conservation: assigned + pooled != allocated"
+        );
+        let releasable = self
+            .pool
+            .resident
+            .iter()
+            .filter(|p| kernel::interior(&p.buf).is_some())
+            .count();
+        assert!(
+            releasable <= POOL_RESERVE,
+            "{releasable} releasable pooled pages kept resident, reserve {POOL_RESERVE}"
         );
         assert!(
             self.pages_allocated <= self.max_pages,
@@ -660,8 +820,8 @@ mod tests {
     #[test]
     fn empty_pages_move_between_starved_and_rich_classes() {
         // Budget 2 pages. Fill a small class across both pages, then
-        // free one page's worth; a large-class insert must reclaim the
-        // empty page rather than fail.
+        // free one page's worth; a large-class insert must take the
+        // emptied page from the pool rather than fail.
         let mut s = SlabStore::new(1024, 2);
         let locs: Vec<ChunkLoc> = (0..32)
             .map(|i| s.insert(&[i as u8], &[0u8; 40]).unwrap())
@@ -678,12 +838,12 @@ mod tests {
     }
 
     #[test]
-    fn a_refilled_pages_dead_hint_does_not_hide_an_empty_page() {
+    fn an_emptied_page_leaves_its_class_and_a_refilled_one_stays() {
         // Budget 2 pages, both filled by the small class. Page 0 is
-        // emptied (hint recorded) and then refilled by one item, so its
-        // hint is dead; page 1 is emptied afterwards. A large-class
-        // insert must skip the dead hint and reclaim page 1 — never the
-        // page that holds a live item again.
+        // emptied, so it leaves the class for the pool at once, and one
+        // item takes it straight back; page 1 is emptied afterwards. A
+        // large-class insert gets page 1 from the pool — never the page
+        // that holds a live item again.
         let mut s = SlabStore::new(1024, 2);
         let locs: Vec<ChunkLoc> = (0..32)
             .map(|i| s.insert(&[i as u8], &[0u8; 40]).unwrap())
@@ -693,8 +853,12 @@ mod tests {
         for &loc in &first {
             s.free(loc, 41);
         }
+        assert_eq!(s.stats().classes[0].pages, 1, "the empty page left");
+        assert_eq!(s.stats().pages_pooled, 1);
+        s.assert_consistent();
         let back = s.insert(b"r", &[7u8; 40]).unwrap();
-        assert_eq!(back.page, locs[0].page, "freed chunks are reused first");
+        assert_eq!(back.page, locs[0].page, "the vacant index is reused");
+        assert_eq!(s.stats().pages_reassigned, 0, "same class");
         for &loc in &second {
             s.free(loc, 41);
         }
@@ -706,20 +870,88 @@ mod tests {
     }
 
     #[test]
-    fn cycling_a_key_alone_in_its_page_leaves_one_hint() {
-        // Nothing pops a hint while the budget has room, so a page
-        // emptied again with its hint still pending must push no second
-        // one: the list is bounded by the pages, not by the cycles.
+    fn cycling_a_key_alone_in_its_page_releases_nothing() {
+        // The page empties and refills on every cycle; the reserve
+        // keeps it resident, so no cycle costs a syscall.
         let mut s = SlabStore::new(4096, 8);
         for _ in 0..100_000 {
             let loc = s.insert(b"k", b"value").unwrap();
             s.free(loc, 6);
         }
-        assert_eq!(s.stats().pages_allocated, 1);
-        assert!(
-            s.empty_hints.len() <= 1,
-            "{} hints for one page",
-            s.empty_hints.len()
+        let stats = s.stats();
+        assert_eq!(stats.pages_allocated, 1);
+        assert_eq!(
+            (
+                stats.pages_pooled,
+                stats.pages_resident,
+                stats.pages_released
+            ),
+            (1, 1, 0)
+        );
+        s.assert_consistent();
+    }
+
+    #[test]
+    fn a_release_covers_only_whole_kernel_pages_inside_the_page() {
+        // Every offset into a buffer, so both ends are cut at every
+        // alignment: the range starts and ends on a 4 KiB boundary and
+        // stays inside the slice.
+        let buf = vec![0u8; 80 << 10];
+        let base = buf.as_ptr() as usize;
+        let mut released = 0;
+        for head in (0..8192).step_by(8) {
+            let page = &buf[head..head + (64 << 10)];
+            let Some(range) = kernel::interior(page) else {
+                continue;
+            };
+            released += 1;
+            let (start, end) = (base + head + range.start, base + head + range.end);
+            assert!(range.end <= page.len());
+            assert_eq!((start % 4096, end % 4096), (0, 0), "head {head}");
+            assert!(range.len() >= page.len() - 8192);
+        }
+        let supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+        assert_eq!(released, if supported { 1024 } else { 0 });
+        // A slice that holds no whole kernel page has no range.
+        let small = &buf[(4096 - base % 4096) + 8..][..4096];
+        assert_eq!(kernel::interior(small), None);
+    }
+
+    #[test]
+    fn pooled_pages_beyond_the_reserve_are_released_and_reused() {
+        // Four 64 KiB pages of 64-byte chunks, emptied one after
+        // another: the first stays resident, the other three are
+        // released, and a refill takes the resident one first.
+        let mut s = SlabStore::new(64 << 10, 4);
+        let locs: Vec<ChunkLoc> = (0..4096u32)
+            .map(|i| s.insert(&i.to_le_bytes(), b"value").unwrap())
+            .collect();
+        assert_eq!(s.stats().pages_allocated, 4);
+        for &loc in &locs {
+            s.free(loc, 9);
+        }
+        let emptied = s.stats();
+        assert!(emptied.classes.is_empty());
+        let released = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+            3
+        } else {
+            0
+        };
+        assert_eq!(
+            (
+                emptied.pages_pooled,
+                emptied.pages_resident,
+                emptied.pages_released
+            ),
+            (4, 4 - released, released)
+        );
+        s.assert_consistent();
+        let first = s.insert(b"again", b"value").unwrap();
+        assert_eq!(s.value_slice(first, 5, 5), b"value");
+        let refilled = s.stats();
+        assert_eq!(
+            (refilled.pages_pooled, refilled.pages_resident),
+            (3, 4 - released)
         );
         s.assert_consistent();
     }

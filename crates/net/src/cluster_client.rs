@@ -120,9 +120,14 @@ pub struct ClusterStats {
     /// On-demand migrations skipped because the old-mapping server was
     /// unreachable during a transition.
     pub skipped_migrations: u64,
-    /// Cache-install writes (the `set` after a DB fetch or migration)
-    /// dropped because the target server was unreachable.
+    /// Cache writes dropped because the target server was unreachable:
+    /// a fill after a DB fetch, an on-demand migration, a `put`, or a
+    /// pull batch's keys.
     pub dropped_installs: u64,
+    /// Fills and on-demand migrations the server refused because the
+    /// key was present: they install with `add`, and a newer write (a
+    /// racing `put`, a pull) got there first. Not a drop.
+    pub fills_superseded: u64,
     /// Digest snapshots that could not be obtained at
     /// `begin_transition` (the affected server's keys fall through to
     /// the database instead of migrating).
@@ -150,6 +155,7 @@ struct AtomicClusterStats {
     degraded_fetches: AtomicU64,
     skipped_migrations: AtomicU64,
     dropped_installs: AtomicU64,
+    fills_superseded: AtomicU64,
     missing_digests: AtomicU64,
     pulled_keys: AtomicU64,
     pull_batches: AtomicU64,
@@ -273,6 +279,7 @@ impl ClusterClient {
             degraded_fetches: self.stats.degraded_fetches.load(Ordering::Relaxed),
             skipped_migrations: self.stats.skipped_migrations.load(Ordering::Relaxed),
             dropped_installs: self.stats.dropped_installs.load(Ordering::Relaxed),
+            fills_superseded: self.stats.fills_superseded.load(Ordering::Relaxed),
             missing_digests: self.stats.missing_digests.load(Ordering::Relaxed),
             pulled_keys: self.stats.pulled_keys.load(Ordering::Relaxed),
             pull_batches: self.stats.pull_batches.load(Ordering::Relaxed),
@@ -338,6 +345,10 @@ impl ClusterClient {
             out.push(Metric::counter(
                 "proteus_client_dropped_installs_total",
                 stats.dropped_installs.load(Ordering::Relaxed),
+            ));
+            out.push(Metric::counter(
+                "proteus_client_fills_superseded_total",
+                stats.fills_superseded.load(Ordering::Relaxed),
             ));
             out.push(Metric::counter(
                 "proteus_client_missing_digests_total",

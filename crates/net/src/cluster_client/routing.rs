@@ -16,16 +16,22 @@ use super::{class_kind, reachable, ClusterClient, ClusterFetch, DbFallback};
 use crate::error::NetError;
 
 impl ClusterClient {
-    /// Installs `value` at `server` on a best-effort basis: an
-    /// unreachable server just costs the cache fill, never the
-    /// request. Semantic errors still surface. The value is encoded
-    /// from the caller's buffer — a migration re-`set` sends the
-    /// allocation the `get` handed back, so the value crosses the web
-    /// tier without ever being copied.
-    pub(super) fn install(&self, server: usize, key: &[u8], value: &[u8]) -> Result<(), NetError> {
-        if reachable(self.clients[server].set(key, value))?.is_none() {
-            self.stats.dropped_installs.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Installs a fill or a migrated `value` at `server` with `add`,
+    /// never `set`: a value read before a concurrent `put` must not
+    /// overwrite the newer one that `put` stored (the look-aside "stale
+    /// set"). A key already present counts in `fills_superseded`. Best
+    /// effort: an unreachable server just costs the cache fill, never
+    /// the request; semantic errors still surface. The value is encoded
+    /// from the caller's buffer — a migration sends the allocation the
+    /// `get` handed back, so the value crosses the web tier without
+    /// ever being copied.
+    fn install(&self, server: usize, key: &[u8], value: &[u8]) -> Result<(), NetError> {
+        let counter = match reachable(self.clients[server].add(key, value))? {
+            None => &self.stats.dropped_installs,
+            Some(false) => &self.stats.fills_superseded,
+            Some(true) => return Ok(()),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -117,7 +123,7 @@ impl ClusterClient {
                 if let Some(from) = target {
                     // Same allocation all the way through: the buffer
                     // read off the old server's socket is the one
-                    // re-`set` at the new server.
+                    // installed at the new server.
                     self.install(home, key, &value)?;
                     self.tracer.record(TraceKind::KeyMigrated {
                         from: from.index() as u32,
@@ -146,7 +152,9 @@ impl ClusterClient {
     /// Returns semantic (non-transport) cache-server errors.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), NetError> {
         let home = self.server_for(key);
-        self.install(home.index(), key, value)?;
+        if reachable(self.clients[home.index()].set(key, value))?.is_none() {
+            self.stats.dropped_installs.fetch_add(1, Ordering::Relaxed);
+        }
         // Outside a window the old mapping is the new one.
         let old = self.router.server_for(key, self.window.previous_active());
         if old != home {
@@ -160,6 +168,96 @@ impl ClusterClient {
 mod tests {
     use super::super::testing::{cluster, page_keys, stop};
     use super::*;
+    use parking_lot::Mutex;
+    use std::time::Duration;
+
+    /// A database a writer races: `fetch` reads the committed value,
+    /// then — before returning it — commits the next one and `put`s it
+    /// through the same client, as a concurrent writer would.
+    struct RacingDb<'a> {
+        client: &'a ClusterClient,
+        committed: Mutex<Vec<u8>>,
+        next: Vec<u8>,
+    }
+
+    impl DbFallback for RacingDb<'_> {
+        fn fetch(&self, key: &[u8]) -> Result<Vec<u8>, NetError> {
+            let read = std::mem::replace(&mut *self.committed.lock(), self.next.clone());
+            self.client.put(key, &self.next)?;
+            Ok(read)
+        }
+    }
+
+    #[test]
+    fn a_fill_never_overwrites_the_put_that_raced_it() {
+        let (servers, client, _) = cluster(2);
+        let db = RacingDb {
+            client: &client,
+            committed: Mutex::new(b"v1".to_vec()),
+            next: b"v2".to_vec(),
+        };
+        let (read, how) = client.fetch(b"page:race", &db).unwrap();
+        assert_eq!((&read[..], how), (&b"v1"[..], ClusterFetch::Database));
+        // The cache holds what the database holds, not the older read.
+        let (cached, how) = client.fetch(b"page:race", &db).unwrap();
+        assert_eq!((&cached[..], how), (&b"v2"[..], ClusterFetch::Hit));
+        let stats = client.fault_stats();
+        assert_eq!((stats.fills_superseded, stats.dropped_installs), (1, 0));
+        stop(servers);
+    }
+
+    #[test]
+    fn a_migration_never_overwrites_the_put_that_raced_it() {
+        // Two servers, the old one behind a proxy that delays every
+        // request 200 ms. A shrink to one server leaves the key on the
+        // old server; a fetch reads it there (v1) while a `put` stores
+        // v2 at home, so the migration reaches home after the `put`.
+        // The `put` starts once home has answered the fetch's miss and
+        // the old server's `get` is in the proxy: its home `set` lands
+        // long before the `get`'s answer, its old-server `delete` long
+        // after the `get`.
+        use crate::fault::{FaultMode, FaultProxy};
+        use crate::server::CacheServer;
+        use proteus_cache::CacheConfig;
+        use proteus_ring::ProteusPlacement;
+        const DELAY: Duration = Duration::from_millis(200);
+        let config = || CacheConfig::with_capacity(4 << 20);
+        let home = CacheServer::spawn("127.0.0.1:0", config()).unwrap();
+        let old = CacheServer::spawn("127.0.0.1:0", config()).unwrap();
+        let proxy = FaultProxy::spawn(old.addr()).unwrap();
+        let mut client = ClusterClient::connect_with(
+            &[home.addr(), proxy.addr()],
+            Box::new(ProteusPlacement::generate(2)),
+            crate::ClientConfig::default(),
+        )
+        .unwrap();
+        let key = page_keys(64)
+            .into_iter()
+            .find(|k| client.server_for(k).index() == 1)
+            .expect("a key of the second server");
+        client.put(&key, b"v1").unwrap();
+        client.open_window(1).unwrap();
+        proxy.set_mode(FaultMode::Latency(DELAY));
+        let db = Mutex::new(proteus_store::ShardedStore::new(Default::default()));
+        let misses = || home.with_engine(|e| e.stats().misses);
+        let missed = misses();
+        std::thread::scope(|scope| {
+            let fetch = scope.spawn(|| client.fetch(&key, &db).unwrap());
+            while misses() == missed {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(DELAY / 4);
+            client.put(&key, b"v2").unwrap();
+            let (read, how) = fetch.join().unwrap();
+            assert_eq!((&read[..], how), (&b"v1"[..], ClusterFetch::Migrated));
+        });
+        let (cached, how) = client.fetch(&key, &db).unwrap();
+        assert_eq!((&cached[..], how), (&b"v2"[..], ClusterFetch::Hit));
+        assert_eq!(client.fault_stats().fills_superseded, 1);
+        drop(client);
+        proxy.stop();
+        stop(vec![home, old]);
+    }
 
     #[test]
     fn fetch_cold_then_hot() {

@@ -250,7 +250,7 @@ mod tests {
                         b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\nVALUE BLOOM_FILTER 0 3\r\nxyz\r\nEND\r\n"
                     }
                     Some("get") => b"END\r\n",
-                    Some("set") => {
+                    Some("set" | "add") => {
                         let len: usize = words.nth(3).unwrap().parse().unwrap();
                         reader.read_exact(&mut vec![0; len + 2]).unwrap();
                         b"STORED\r\n"

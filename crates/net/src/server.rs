@@ -692,6 +692,14 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
             slab.pages_pooled as i64,
         ));
         out.push(Metric::gauge(
+            "proteus_slab_pages_resident",
+            slab.pages_resident as i64,
+        ));
+        out.push(Metric::counter(
+            "proteus_slab_pages_released_total",
+            slab.pages_released,
+        ));
+        out.push(Metric::gauge(
             "proteus_slab_page_bytes",
             slab.page_bytes as i64,
         ));

@@ -431,6 +431,11 @@ fn slab_backend_serves_the_full_protocol() {
     };
     let pages: u64 = lookup("proteus_slab_pages_allocated").parse().unwrap();
     assert!(pages >= 1, "slab server must hold at least one page");
+    // Assigned pages plus the pool's reserve; nothing emptied a page
+    // beyond it yet, so nothing was released.
+    let resident: u64 = lookup("proteus_slab_pages_resident").parse().unwrap();
+    assert!(resident >= 1 && resident <= pages, "{resident} of {pages}");
+    assert_eq!(lookup("proteus_slab_pages_released_total"), "0");
     let live: u64 = lookup("proteus_slab_live_bytes").parse().unwrap();
     assert!(live > 0);
     let frag: f64 = lookup("proteus_slab_fragmentation_ratio").parse().unwrap();

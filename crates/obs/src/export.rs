@@ -90,21 +90,28 @@ impl Metric {
         self
     }
 
+    /// The labels folded into a `STAT` name: `_k_v` per pair, with every
+    /// character that is not printable ASCII (a space, a tab, a line
+    /// feed, any control or non-ASCII character) written as `_`, so the
+    /// name stays one token on a `STAT <name> <value>` line.
     fn label_suffix(&self) -> String {
-        if self.labels.is_empty() {
-            return String::new();
+        let mut out = String::new();
+        for (k, v) in &self.labels {
+            for part in [k, v] {
+                out.push('_');
+                out.extend(
+                    part.chars()
+                        .map(|c| if c.is_ascii_graphic() { c } else { '_' }),
+                );
+            }
         }
-        let inner: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}_{v}"))
-            .collect();
-        format!("_{}", inner.join("_"))
+        out
     }
 
     /// Writes the name, a suffix such as `_sum`, and the label set
     /// `{k="v",...}` (plus `extra`, unescaped), or no braces at all
-    /// when there is no label.
+    /// when there is no label. A label value escapes `\`, `"` and the
+    /// line feed, as the exposition format asks.
     fn write_prometheus_series(&self, out: &mut String, suffix: &str, extra: Option<(&str, &str)>) {
         out.push_str(&self.name);
         out.push_str(suffix);
@@ -117,10 +124,12 @@ impl Metric {
             out.push_str(k);
             out.push_str("=\"");
             for c in v.chars() {
-                if matches!(c, '\\' | '"') {
-                    out.push('\\');
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '"' => out.push_str("\\\""),
+                    '\n' => out.push_str("\\n"),
+                    c => out.push(c),
                 }
-                out.push(c);
             }
             out.push('"');
             sep = ',';
@@ -189,6 +198,12 @@ const QUANTILES: [(f64, &str, &str); 4] = [
 /// Renders metrics in Prometheus text exposition format. Histograms
 /// are rendered summary-style: `<name>{quantile="..."}` gauges in
 /// seconds plus `<name>_count` and `<name>_sum`.
+///
+/// Metrics that share a name are one family: it gets one `# TYPE`
+/// line, at the place of its first metric in `metrics`, with every
+/// series of the family right after it (the format allows one `TYPE`
+/// line a name and wants a family's lines together). The family's
+/// type is its first metric's.
 #[must_use]
 pub fn to_prometheus(metrics: &[Metric]) -> String {
     let mut out = reserve_for(metrics, 0);
@@ -197,37 +212,50 @@ pub fn to_prometheus(metrics: &[Metric]) -> String {
 }
 
 fn write_prometheus(out: &mut String, metrics: &[Metric]) -> fmt::Result {
-    for m in metrics {
+    for (i, m) in metrics.iter().enumerate() {
+        // Written with its family already. Nearest first: most
+        // families are contiguous.
+        let seen = |p: &Metric| p.name == m.name;
+        if metrics[..i].iter().rev().any(seen) {
+            continue;
+        }
         let kind = match m.value {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) | MetricValue::FloatGauge(_) => "gauge",
             MetricValue::Histogram(_) => "summary",
         };
         writeln!(out, "# TYPE {} {kind}", m.name)?;
-        match &m.value {
-            MetricValue::Counter(v) => {
-                m.write_prometheus_series(out, "", None);
+        for member in metrics[i..].iter().filter(|p| seen(p)) {
+            write_prometheus_samples(out, member)?;
+        }
+    }
+    Ok(())
+}
+
+fn write_prometheus_samples(out: &mut String, m: &Metric) -> fmt::Result {
+    match &m.value {
+        MetricValue::Counter(v) => {
+            m.write_prometheus_series(out, "", None);
+            writeln!(out, " {v}")?;
+        }
+        MetricValue::Gauge(v) => {
+            m.write_prometheus_series(out, "", None);
+            writeln!(out, " {v}")?;
+        }
+        MetricValue::FloatGauge(v) => {
+            m.write_prometheus_series(out, "", None);
+            writeln!(out, " {v:.6}")?;
+        }
+        MetricValue::Histogram(snap) => {
+            for (q, qname, _) in QUANTILES {
+                m.write_prometheus_series(out, "", Some(("quantile", qname)));
+                let v = snap.quantile(q).unwrap_or_default().as_secs_f64();
                 writeln!(out, " {v}")?;
             }
-            MetricValue::Gauge(v) => {
-                m.write_prometheus_series(out, "", None);
-                writeln!(out, " {v}")?;
-            }
-            MetricValue::FloatGauge(v) => {
-                m.write_prometheus_series(out, "", None);
-                writeln!(out, " {v:.6}")?;
-            }
-            MetricValue::Histogram(snap) => {
-                for (q, qname, _) in QUANTILES {
-                    m.write_prometheus_series(out, "", Some(("quantile", qname)));
-                    let v = snap.quantile(q).unwrap_or_default().as_secs_f64();
-                    writeln!(out, " {v}")?;
-                }
-                m.write_prometheus_series(out, "_sum", None);
-                writeln!(out, " {}", snap.sum_nanos() as f64 / 1e9)?;
-                m.write_prometheus_series(out, "_count", None);
-                writeln!(out, " {}", snap.count())?;
-            }
+            m.write_prometheus_series(out, "_sum", None);
+            writeln!(out, " {}", snap.sum_nanos() as f64 / 1e9)?;
+            m.write_prometheus_series(out, "_count", None);
+            writeln!(out, " {}", snap.count())?;
         }
     }
     Ok(())

@@ -7,7 +7,10 @@
 //! fixed (one stripe, fixed samples, every metric kind, labels that need
 //! escaping, an empty histogram, every trace kind), and the files under
 //! `tests/golden/` are its rendering as it stood before the renderers
-//! were rewritten to write into one buffer.
+//! were rewritten to write into one buffer, except for two deliberate
+//! format fixes since: `metrics.prom` writes one `# TYPE` line a family
+//! and escapes a line feed in a label value, and `stats.txt` writes
+//! every character of a label that is not printable ASCII as `_`.
 
 use std::time::Duration;
 

@@ -2,7 +2,11 @@
 //! registry over real TCP must reconcile with what the client itself
 //! observed, a provisioning transition must leave an ordered lifecycle
 //! trace in the event ring, and the HTTP scrape endpoint must serve
-//! the same registry in both exposition formats.
+//! the same registry in both exposition formats, the Prometheus one
+//! valid for a strict reader.
+
+#[path = "../crates/obs/tests/prom_text/mod.rs"]
+mod prom_text;
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -240,6 +244,14 @@ fn metrics_endpoint_serves_prometheus_and_json() {
     let (head, body) = http_get(metrics.local_addr(), "/metrics");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(head.contains("text/plain"), "{head}");
+    // Valid exposition text: one TYPE line a family, each family's
+    // series together (a latency family per op, a gauge per loop).
+    let families = prom_text::read(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let latency = families
+        .iter()
+        .find(|f| f.name == "proteus_command_latency_seconds")
+        .expect("latency family");
+    assert!(latency.samples.len() > 6, "more than one op under one TYPE");
     assert!(body.contains("# TYPE proteus_command_latency_seconds summary"));
     assert!(body.contains("proteus_command_latency_seconds{op=\"get\",quantile=\"0.99\"}"));
     assert!(body.contains("proteus_get_hits_total 50"));
