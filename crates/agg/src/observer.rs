@@ -478,8 +478,7 @@ impl ClusterObserver {
 
     /// The aggregator's own exposition (see
     /// [`metric_source`](Self::metric_source)).
-    #[must_use]
-    pub fn cluster_registry(&self) -> Vec<Metric> {
+    fn cluster_registry(&self) -> Vec<Metric> {
         let (scrapes, failures) = self.scrape_totals();
         let meter = self.energy();
         let mut out = vec![Metric::gauge("proteus_cluster_build_info", 1)

@@ -67,8 +67,7 @@ impl Evaluation {
     }
 
     /// Builds the trace and plan for an explicit configuration.
-    #[must_use]
-    pub fn from_config(config: ClusterConfig, mean_rate: f64) -> Self {
+    fn from_config(config: ClusterConfig, mean_rate: f64) -> Self {
         let trace = Trace::synthesize(&config.trace_config(mean_rate), TRACE_SEED);
         let plan = ProvisioningPlan::load_proportional(
             &trace.requests_per_slot(config.slot, config.slots),

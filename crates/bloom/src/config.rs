@@ -121,16 +121,10 @@ impl BloomConfig {
         BloomConfig::new(l, b, h)
     }
 
-    /// Total digest memory in bits (`l · b`).
-    #[must_use]
-    pub fn memory_bits(&self) -> u64 {
-        self.counters as u64 * u64::from(self.counter_bits)
-    }
-
-    /// Total digest memory in bytes, rounded up.
+    /// Total digest memory in bytes (`l · b` bits), rounded up.
     #[must_use]
     pub fn memory_bytes(&self) -> u64 {
-        self.memory_bits().div_ceil(8)
+        (self.counters as u64 * u64::from(self.counter_bits)).div_ceil(8)
     }
 
     /// Memory of the *broadcast* form (1 bit per counter), in bytes.
@@ -162,8 +156,7 @@ pub fn false_negative_bound(l: usize, b: u32, h: u32, kappa: u64) -> f64 {
 
 /// The smallest `l` with `false_positive_rate(l, h, κ) ≤ pp`
 /// (the closed form `l = -κh / ln(1 - pp^{1/h})`, rounded up).
-#[must_use]
-pub fn min_counters_for_fp(kappa: u64, h: u32, pp: f64) -> usize {
+fn min_counters_for_fp(kappa: u64, h: u32, pp: f64) -> usize {
     let denominator = (1.0 - pp.powf(1.0 / f64::from(h))).ln();
     let l = -(kappa as f64) * f64::from(h) / denominator;
     l.ceil() as usize

@@ -11,8 +11,8 @@
 //! the discrete-event simulator drives one engine per simulated cache
 //! server. The TCP tier (`proteus-net`) uses [`ShardedEngine`], which
 //! stripes keys across independent per-shard engines so concurrent
-//! connections rarely contend, keeps statistics in lock-free atomics,
-//! and answers digest snapshots one shard at a time.
+//! connections rarely contend, sums the shards' own statistics on
+//! demand, and answers digest snapshots one shard at a time.
 //!
 //! # Example
 //!

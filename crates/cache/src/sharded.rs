@@ -1,7 +1,5 @@
 //! Lock-striped cache engine for concurrent servers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 use proteus_bloom::{partition_of, BloomConfig, BloomFilter};
 use proteus_sim::{SimDuration, SimTime};
@@ -11,50 +9,6 @@ use crate::engine::{CacheEngine, Keys, StoreOutcome};
 use crate::slab::SlabStats;
 use crate::stats::CacheStats;
 use crate::SharedBytes;
-
-/// Lock-free cumulative counters, mirroring [`CacheStats`].
-#[derive(Debug, Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    sets: AtomicU64,
-    deletes: AtomicU64,
-    evictions: AtomicU64,
-    expired: AtomicU64,
-    rejected: AtomicU64,
-}
-
-impl AtomicStats {
-    /// Folds the per-shard counter movement `before → after` into the
-    /// global totals. Engine counters only ever grow, so the deltas
-    /// are non-negative.
-    fn accumulate(&self, before: CacheStats, after: CacheStats) {
-        let add = |counter: &AtomicU64, b: u64, a: u64| {
-            if a != b {
-                counter.fetch_add(a - b, Ordering::Relaxed);
-            }
-        };
-        add(&self.hits, before.hits, after.hits);
-        add(&self.misses, before.misses, after.misses);
-        add(&self.sets, before.sets, after.sets);
-        add(&self.deletes, before.deletes, after.deletes);
-        add(&self.evictions, before.evictions, after.evictions);
-        add(&self.expired, before.expired, after.expired);
-        add(&self.rejected, before.rejected, after.rejected);
-    }
-
-    fn load(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            sets: self.sets.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// One page of one shard's keys, hottest first (see
 /// [`ShardedEngine::mru_page`]).
@@ -68,8 +22,9 @@ pub type MruPage<'a> = std::iter::Take<std::iter::Skip<Keys<'a>>>;
 /// - Operations on different shards proceed in parallel; the write
 ///   lock a `put` takes only stalls the ~1/N of keys sharing its
 ///   shard.
-/// - Statistics live in lock-free atomics, so `stats()` never touches
-///   a shard lock.
+/// - Each shard owns its statistics; [`stats`](Self::stats) sums
+///   them, one shard locked at a time, so an operation writes no
+///   counter that another shard's threads share.
 /// - [`digest_snapshot`](Self::digest_snapshot) visits shards *one at
 ///   a time*, collapsing each one's counters to bits and concatenating
 ///   the results, so a snapshot (the paper's `get SET_BLOOM_FILTER`)
@@ -106,7 +61,6 @@ pub type MruPage<'a> = std::iter::Take<std::iter::Skip<Keys<'a>>>;
 pub struct ShardedEngine {
     shards: Vec<Mutex<CacheEngine>>,
     config: CacheConfig,
-    stats: AtomicStats,
 }
 
 impl ShardedEngine {
@@ -132,7 +86,6 @@ impl ShardedEngine {
                 .map(|_| Mutex::new(CacheEngine::new(shard_config)))
                 .collect(),
             config,
-            stats: AtomicStats::default(),
         }
     }
 
@@ -158,8 +111,7 @@ impl ShardedEngine {
         partition_of(key, self.shards.len())
     }
 
-    /// Runs `f` under the lock of `key`'s shard, folding any counter
-    /// movement into the global atomic statistics. This is the engine's
+    /// Runs `f` under the lock of `key`'s shard. This is the engine's
     /// unit of atomicity: compound per-key operations (`add`,
     /// `replace`, `incr`, …) run their probe and write inside one call,
     /// and a borrowed read ([`CacheEngine::get`]) is consumed inside
@@ -170,13 +122,7 @@ impl ShardedEngine {
     }
 
     fn with_shard<T>(&self, shard: usize, f: impl FnOnce(&mut CacheEngine) -> T) -> T {
-        let mut guard = self.shards[shard].lock();
-        let before = guard.stats();
-        let out = f(&mut guard);
-        let after = guard.stats();
-        drop(guard);
-        self.stats.accumulate(before, after);
-        out
+        f(&mut self.shards[shard].lock())
     }
 
     /// Runs `f` on one page of shard `shard`'s keys in MRU→LRU order —
@@ -287,33 +233,48 @@ impl ShardedEngine {
         self.shards.iter().map(|s| s.lock().bytes_used()).sum()
     }
 
-    /// Cumulative statistics, read lock-free from atomics.
+    /// Cumulative statistics: the sum of the shards' own counters,
+    /// each shard locked in turn while its counters are copied. Like
+    /// memcached's, they survive [`clear`](Self::clear) (`flush_all`).
+    /// Must not be called from inside [`with_key_shard`](Self::with_key_shard):
+    /// the shard locks are not reentrant.
     ///
     /// # Consistency contract
     ///
-    /// Each counter is loaded with a separate relaxed read, and an
-    /// operation's counter movement is folded in *after* its shard
-    /// lock is released — so a snapshot taken mid-traffic is **not** a
-    /// point-in-time cut. Two guarantees do hold, and telemetry relies
-    /// on both:
+    /// Shards are read one after another, so a snapshot taken
+    /// mid-traffic is **not** a point-in-time cut. Two guarantees do
+    /// hold, and telemetry relies on both:
     ///
-    /// 1. **Per-counter monotonicity.** Counters only ever have
-    ///    non-negative deltas added, so for any single field,
-    ///    successive snapshots never decrease (no operation is counted
-    ///    twice or retroactively uncounted).
-    /// 2. **Eventual exactness.** Once the engine quiesces, every
-    ///    completed operation is reflected exactly once.
+    /// 1. **Per-counter monotonicity.** A shard's counters only grow,
+    ///    and a later snapshot reads every shard after an earlier one
+    ///    did, so for any single field successive snapshots never
+    ///    decrease.
+    /// 2. **Exactness per shard.** An operation runs under its shard's
+    ///    lock, so a snapshot counts it entirely or not at all; once
+    ///    the engine quiesces, every completed operation is reflected
+    ///    exactly once.
     ///
-    /// Cross-counter invariants (e.g. `hits + misses == gets issued`)
-    /// hold only at quiescence: mid-traffic, a `get` may appear in
-    /// neither counter for a moment, and unrelated counters in one
-    /// snapshot may be from slightly different instants. Consumers
-    /// (the server's `stats` command, the metrics registry) expose
-    /// these values as independent monotone counters, which is exactly
-    /// what scrape-based collectors expect.
+    /// Cross-shard sums (e.g. `hits + misses == gets issued`) hold only
+    /// at quiescence: a shard read early misses operations that land
+    /// on it while later shards are read. Consumers (the server's
+    /// `stats` command, the metrics registry) expose these values as
+    /// independent monotone counters, which is exactly what
+    /// scrape-based collectors expect.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        self.stats.load()
+        self.shards
+            .iter()
+            .fold(CacheStats::default(), |mut sum, shard| {
+                let s = shard.lock().stats();
+                sum.hits += s.hits;
+                sum.misses += s.misses;
+                sum.sets += s.sets;
+                sum.deletes += s.deletes;
+                sum.evictions += s.evictions;
+                sum.expired += s.expired;
+                sum.rejected += s.rejected;
+                sum
+            })
     }
 
     /// Reaps expired items in every shard (one shard locked at a

@@ -77,23 +77,10 @@ impl SetPoints {
         SetPoints::new(400_000_000, 500_000_000, 80)
     }
 
-    /// The reference (target) delay in nanoseconds.
-    #[must_use]
-    pub fn reference_ns(&self) -> u64 {
-        self.reference_ns
-    }
-
     /// The hard delay bound in nanoseconds.
     #[must_use]
     pub fn bound_ns(&self) -> u64 {
         self.bound_ns
-    }
-
-    /// The headroom fraction in percent: delays below this fraction of
-    /// the reference classify as [`DelaySignal::Headroom`].
-    #[must_use]
-    pub fn headroom_fraction_percent(&self) -> u32 {
-        self.headroom_fraction_percent
     }
 
     /// Classifies a measured delay against the set points. Monotone:
@@ -299,7 +286,7 @@ impl FeedbackController {
         self.points = SetPoints::new(
             reference.as_nanos(),
             bound.as_nanos(),
-            self.points.headroom_fraction_percent(),
+            self.points.headroom_fraction_percent,
         );
         self
     }

@@ -63,7 +63,7 @@ pub use cluster::{page_key, ClusterSim};
 pub use config::{ClusterConfig, LatencyModel};
 pub use controller::{DelaySignal, FeedbackController, ProvisioningPlan, SetPoints};
 pub use metrics::{ClusterReport, FetchClass, FetchCounters};
-pub use power::{energy_of_constant_draw, EnergyMeter, PowerModel, PowerState, TierPowerModel};
+pub use power::{EnergyMeter, PowerModel, PowerState, TierPowerModel};
 pub use replicated_router::{ReplicaFetch, ReplicatedRouter};
 pub use router::{FetchOutcome, Router};
 pub use scenario::{Scenario, VnodeBudget};

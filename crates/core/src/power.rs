@@ -6,7 +6,7 @@
 //! load-dependent component — and integrate samples over simulated
 //! time.
 
-use proteus_sim::{SimDuration, SimTime};
+use proteus_sim::SimTime;
 
 /// A cache server's power state in the provisioning state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -107,7 +107,6 @@ impl TierPowerModel {
 /// meter.sample(SimTime::from_secs(0), 100.0);
 /// meter.sample(SimTime::from_secs(10), 100.0);
 /// assert!((meter.joules() - 1000.0).abs() < 1e-9);
-/// assert!((meter.watt_hours() - 1000.0 / 3600.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyMeter {
@@ -145,12 +144,6 @@ impl EnergyMeter {
         self.joules
     }
 
-    /// Accumulated energy in watt-hours.
-    #[must_use]
-    pub fn watt_hours(&self) -> f64 {
-        self.joules / 3600.0
-    }
-
     /// Mean power over the sampled span, or `None` before two samples.
     #[must_use]
     pub fn mean_watts(&self, start: SimTime) -> Option<f64> {
@@ -158,13 +151,6 @@ impl EnergyMeter {
         let span = last_t.checked_since(start)?.as_secs_f64();
         (span > 0.0).then(|| self.joules / span)
     }
-}
-
-/// Integrates a step function of power over a duration: convenience
-/// for closed-form checks in tests and reports.
-#[must_use]
-pub fn energy_of_constant_draw(watts: f64, duration: SimDuration) -> f64 {
-    watts * duration.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -231,13 +217,5 @@ mod tests {
         assert!((tier.draw(0.0) - 385.0).abs() < 1e-9);
         assert!(tier.draw(1.0) > tier.draw(0.2));
         assert!((tier.draw(2.0) - tier.draw(1.0)).abs() < 1e-9, "clamped");
-    }
-
-    #[test]
-    fn constant_draw_helper() {
-        assert_eq!(
-            energy_of_constant_draw(10.0, SimDuration::from_secs(60)),
-            600.0
-        );
     }
 }

@@ -186,8 +186,7 @@ impl WallPolicy {
     }
 
     /// Whether `now` still falls inside the post-transition cooldown.
-    #[must_use]
-    pub fn in_cooldown(&self, now: Instant) -> bool {
+    fn in_cooldown(&self, now: Instant) -> bool {
         self.last_window_closed
             .is_some_and(|closed| now.saturating_duration_since(closed) < self.config.cooldown)
     }

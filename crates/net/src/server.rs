@@ -644,6 +644,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// what the `--metrics-addr` endpoint renders as Prometheus text/JSON.
 pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
     let stats = shared.engine.stats();
+    let slab = shared.engine.slab_stats();
     let digest = shared.engine.config().digest;
     let m = &shared.metrics;
     let mut out = vec![
@@ -652,14 +653,7 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         Metric::gauge("proteus_build_info", 1)
             .with_label("version", env!("CARGO_PKG_VERSION"))
             .with_label("engine", shared.engine_kind.name())
-            .with_label(
-                "storage",
-                if shared.engine.slab_stats().is_some() {
-                    "slab"
-                } else {
-                    "heap"
-                },
-            ),
+            .with_label("storage", if slab.is_some() { "slab" } else { "heap" }),
         Metric::gauge(
             "proteus_uptime_seconds",
             shared.started.elapsed().as_secs() as i64,
@@ -682,7 +676,7 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         Metric::counter("proteus_rejected_sets_total", stats.rejected),
         Metric::counter("proteus_plane_syscalls_total", m.plane_syscalls.get()),
     ];
-    if let Some(slab) = shared.engine.slab_stats() {
+    if let Some(slab) = slab {
         out.push(Metric::gauge(
             "proteus_slab_pages_allocated",
             slab.pages_allocated as i64,

@@ -365,8 +365,9 @@ pub fn to_stat_pairs(metrics: &[Metric]) -> Vec<(String, String)> {
     out
 }
 
-/// Renders one trace event as a single JSON line (no trailing
-/// newline): the machine-readable trace schema.
+/// Renders events as JSONL, the machine-readable trace schema: one
+/// JSON object per event, each newline-terminated (so the output is
+/// valid even when concatenated across incremental cursor reads).
 ///
 /// The schema is stable: every line carries `seq` (global record
 /// order, gap-free except for counted ring drops), `at_ns` (monotonic
@@ -375,9 +376,12 @@ pub fn to_stat_pairs(metrics: &[Metric]) -> Vec<(String, String)> {
 /// for transitions and migrations (a pulled batch adds `keys`),
 /// `server` for per-server events, `ok` for digest broadcasts.
 #[must_use]
-pub fn trace_event_json(event: &TraceEvent) -> String {
-    let mut out = String::with_capacity(TRACE_LINE_BYTES);
-    write_trace_event(&mut out, event).expect("writing to a String cannot fail");
+pub fn trace_to_jsonl(events: &[TraceEvent]) -> String {
+    let mut out = String::with_capacity(events.len() * TRACE_LINE_BYTES);
+    for e in events {
+        write_trace_event(&mut out, e).expect("writing to a String cannot fail");
+        out.push('\n');
+    }
     out
 }
 
@@ -421,19 +425,6 @@ fn write_trace_event(out: &mut String, event: &TraceEvent) -> fmt::Result {
     }
     out.push('}');
     Ok(())
-}
-
-/// Renders events as JSONL: one [`trace_event_json`] line per event,
-/// each newline-terminated (so the output is valid even when
-/// concatenated across incremental cursor reads).
-#[must_use]
-pub fn trace_to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * TRACE_LINE_BYTES);
-    for e in events {
-        write_trace_event(&mut out, e).expect("writing to a String cannot fail");
-        out.push('\n');
-    }
-    out
 }
 
 /// The tracer's own health as registry metrics:
@@ -513,7 +504,7 @@ impl MetricsServer {
     /// [`spawn`](Self::spawn) plus a trace ring: the
     /// endpoint additionally serves `/trace.jsonl` — the retained
     /// [`EventTracer`] events as one JSON object per line (see
-    /// [`trace_event_json`] for the schema) — with cursor-based
+    /// [`trace_to_jsonl`] for the schema) — with cursor-based
     /// incremental reads via `?since_seq=N` (events with `seq > N`
     /// only, so a poller passes the last seq it consumed and receives
     /// each event exactly once, ring overflow aside).

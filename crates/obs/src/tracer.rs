@@ -238,16 +238,6 @@ impl EventTracer {
         events
     }
 
-    /// The sequence number of the oldest retained event, or `None` if
-    /// the ring is empty. When events are only ever evicted by ring
-    /// overflow (no [`clear`](Self::clear)), this equals
-    /// [`dropped`](Self::dropped) — the tail-contiguity invariant the
-    /// trace export tests pin down.
-    #[must_use]
-    pub fn first_retained_seq(&self) -> Option<u64> {
-        self.ring.lock().front().map(|e| e.seq)
-    }
-
     /// Number of events currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -383,7 +373,7 @@ mod tests {
         let events = t.events();
         assert_eq!(events.len(), 64);
         assert_eq!(t.recorded(), 20_000);
-        assert_eq!(t.first_retained_seq(), Some(t.dropped()));
+        assert_eq!(t.ring.lock().front().map(|e| e.seq), Some(t.dropped()));
         assert_eq!(events[0].seq, 20_000 - 64);
         for pair in events.windows(2) {
             assert_eq!(pair[1].seq, pair[0].seq + 1, "gap in retained seqs");
@@ -405,7 +395,7 @@ mod tests {
         // seq follows without a gap.
         let events = t.events();
         assert_eq!(events.len(), 8);
-        assert_eq!(t.first_retained_seq(), Some(12));
+        assert_eq!(t.ring.lock().front().map(|e| e.seq), Some(12));
         for (offset, e) in events.iter().enumerate() {
             assert_eq!(e.seq, 12 + offset as u64, "gap in retained seqs");
         }

@@ -164,12 +164,6 @@ impl ProteusPlacement {
         self.nodes.len()
     }
 
-    /// All virtual nodes, grouped by server in provisioning order.
-    #[must_use]
-    pub fn virtual_nodes(&self) -> &[VirtualNode] {
-        &self.nodes
-    }
-
     /// The virtual nodes hosted by one server.
     #[must_use]
     pub fn virtual_nodes_of(&self, server: ServerId) -> Vec<VirtualNode> {

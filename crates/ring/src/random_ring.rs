@@ -95,12 +95,6 @@ impl RandomRing {
         RandomRing::new(servers, servers.div_ceil(2).max(1), seed)
     }
 
-    /// Virtual nodes per server.
-    #[must_use]
-    pub fn vnodes_per_server(&self) -> usize {
-        self.vnodes_per_server
-    }
-
     /// The placement seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
@@ -209,12 +203,12 @@ mod tests {
 
     #[test]
     fn configuration_helpers() {
-        assert_eq!(RandomRing::with_log_vnodes(10, 0).vnodes_per_server(), 4);
+        assert_eq!(RandomRing::with_log_vnodes(10, 0).vnodes_per_server, 4);
         assert_eq!(
-            RandomRing::with_quadratic_vnodes(10, 0).vnodes_per_server(),
+            RandomRing::with_quadratic_vnodes(10, 0).vnodes_per_server,
             5
         );
-        assert_eq!(RandomRing::with_log_vnodes(1, 0).vnodes_per_server(), 1);
+        assert_eq!(RandomRing::with_log_vnodes(1, 0).vnodes_per_server, 1);
         assert_eq!(RandomRing::new(3, 2, 9).seed(), 9);
     }
 

@@ -26,7 +26,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// let sixth = Ratio::new(1, 6);
 /// assert_eq!(third + sixth, Ratio::new(1, 2));
 /// assert!(sixth < third);
-/// assert_eq!((third - sixth).to_f64(), 1.0 / 6.0);
+/// assert_eq!(third - sixth, sixth);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ratio {
@@ -67,12 +67,6 @@ impl Ratio {
         }
     }
 
-    /// The numerator (lowest terms).
-    #[must_use]
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
     /// The denominator (lowest terms, always positive).
     #[must_use]
     pub fn denom(&self) -> i128 {
@@ -85,9 +79,8 @@ impl Ratio {
         self.num == 0
     }
 
-    /// Lossy conversion to `f64` (for reporting only).
-    #[must_use]
-    pub fn to_f64(&self) -> f64 {
+    /// Lossy conversion to `f64`.
+    fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
     }
 
@@ -260,7 +253,7 @@ mod tests {
     #[test]
     fn construction_reduces_to_lowest_terms() {
         let r = Ratio::new(4, 8);
-        assert_eq!(r.numer(), 1);
+        assert_eq!(r.num, 1);
         assert_eq!(r.denom(), 2);
         assert_eq!(Ratio::new(0, 5), Ratio::ZERO);
         assert_eq!(Ratio::new(-3, -6), Ratio::new(1, 2));

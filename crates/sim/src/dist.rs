@@ -115,7 +115,7 @@ impl Distribution {
     }
 
     /// Draws one sample as fractional seconds.
-    pub fn sample_secs(&self, rng: &mut SimRng) -> f64 {
+    fn sample_secs(&self, rng: &mut SimRng) -> f64 {
         match *self {
             Distribution::Constant { secs } => secs,
             Distribution::Uniform { lo, hi } => lo + (hi - lo) * rng.uniform_f64(),
@@ -133,17 +133,6 @@ impl Distribution {
                 let z = standard_normal(rng);
                 (mu + sigma2.sqrt() * z).exp()
             }
-        }
-    }
-
-    /// The distribution's mean in seconds.
-    #[must_use]
-    pub fn mean_secs(&self) -> f64 {
-        match *self {
-            Distribution::Constant { secs } => secs,
-            Distribution::Uniform { lo, hi } => (lo + hi) / 2.0,
-            Distribution::Exponential { mean } => mean,
-            Distribution::LogNormal { mean, .. } => mean,
         }
     }
 }
@@ -272,14 +261,6 @@ mod tests {
         let tail = (0..n).filter(|_| d.sample_secs(&mut rng) > 2.0).count();
         let p = tail as f64 / n as f64;
         assert!((p - (-2.0f64).exp()).abs() < 0.01, "tail prob {p}");
-    }
-
-    #[test]
-    fn mean_secs_reports_parameters() {
-        assert_eq!(Distribution::constant(0.5).mean_secs(), 0.5);
-        assert_eq!(Distribution::uniform(0.0, 1.0).mean_secs(), 0.5);
-        assert_eq!(Distribution::exponential(0.25).mean_secs(), 0.25);
-        assert_eq!(Distribution::log_normal(0.1, 0.05).mean_secs(), 0.1);
     }
 
     #[test]

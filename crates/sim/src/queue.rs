@@ -94,12 +94,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Returns the timestamp of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -158,17 +152,6 @@ mod tests {
         q.schedule(SimTime::from_secs(5), "middle");
         assert_eq!(q.pop().unwrap().1, "middle");
         assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(SimTime::from_secs(2), ());
-        q.schedule(SimTime::from_secs(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        let (t, ()) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(1));
     }
 
     #[test]

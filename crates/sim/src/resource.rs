@@ -36,7 +36,6 @@ pub struct Resource {
     servers: usize,
     busy_until: BinaryHeap<Reverse<SimTime>>,
     busy_time: SimDuration,
-    wait_time: SimDuration,
     completed: u64,
 }
 
@@ -70,7 +69,6 @@ impl Resource {
             servers,
             busy_until: BinaryHeap::with_capacity(servers),
             busy_time: SimDuration::ZERO,
-            wait_time: SimDuration::ZERO,
             completed: 0,
         }
     }
@@ -105,7 +103,6 @@ impl Resource {
         let end = start + service;
         self.busy_until.push(Reverse(end));
         self.busy_time += service;
-        self.wait_time += start.saturating_since(now);
         self.completed += 1;
         Grant { start, end }
     }
@@ -120,12 +117,6 @@ impl Resource {
     #[must_use]
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
-    }
-
-    /// Total time jobs spent queueing so far.
-    #[must_use]
-    pub fn wait_time(&self) -> SimDuration {
-        self.wait_time
     }
 
     /// Number of admitted jobs.
@@ -187,11 +178,11 @@ mod tests {
     #[test]
     fn wait_accumulates_under_overload() {
         let mut r = Resource::new(1);
-        for _ in 0..10 {
-            r.acquire(SimTime::ZERO, MS * 10);
-        }
+        let waited = (0..10).fold(SimDuration::ZERO, |sum, _| {
+            sum + r.acquire(SimTime::ZERO, MS * 10).wait(SimTime::ZERO)
+        });
         // Jobs 2..10 wait 10, 20, ..., 90 ms = 450 ms total.
-        assert_eq!(r.wait_time(), MS * 450);
+        assert_eq!(waited, MS * 450);
         assert_eq!(r.completed(), 10);
         assert_eq!(r.busy_time(), MS * 100);
     }

@@ -81,27 +81,6 @@ impl SimRng {
         assert!(bound > 0, "index(0) is meaningless");
         self.inner.random_range(0..bound)
     }
-
-    /// Returns `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "probability must be in [0,1], got {p}"
-        );
-        self.uniform_f64() < p
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,25 +125,6 @@ mod tests {
             assert!(rng.below(17) < 17);
             assert!(rng.index(5) < 5);
         }
-    }
-
-    #[test]
-    fn chance_frequency_is_sane() {
-        let mut rng = SimRng::seed_from_u64(4);
-        let hits = (0..20_000).filter(|_| rng.chance(0.25)).count();
-        let rate = hits as f64 / 20_000.0;
-        assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "a 100-element shuffle should move something");
     }
 
     #[test]

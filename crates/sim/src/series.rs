@@ -56,12 +56,6 @@ impl TimeSeries {
         idx.min(self.sums.len() - 1)
     }
 
-    /// Width of each slot.
-    #[must_use]
-    pub fn slot_width(&self) -> SimDuration {
-        self.slot
-    }
-
     /// Number of slots.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -16,7 +16,8 @@
 /// }
 /// assert_eq!(w.count(), 8);
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
+/// // Sample variance 32/7, so the half-width is 2·√(32/7 / 8).
+/// assert!((w.ci95_half_width() - 2.0 * (32.0f64 / 7.0 / 8.0).sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
@@ -79,30 +80,13 @@ impl Welford {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Population variance (divides by `n`; 0 before two samples).
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by `n − 1`; 0 before two samples).
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// An approximate 95% confidence half-width for the mean
@@ -113,7 +97,7 @@ impl Welford {
         if self.count < 2 {
             return 0.0;
         }
-        2.0 * self.sample_std_dev() / (self.count as f64).sqrt()
+        2.0 * self.sample_variance().sqrt() / (self.count as f64).sqrt()
     }
 }
 
@@ -177,12 +161,13 @@ mod tests {
     #[test]
     fn numerical_stability_with_offset_data() {
         // Classic catastrophic-cancellation case: huge offset, small spread.
-        // 999 samples → exactly 333 of each residue, variance exactly 2/3.
+        // 999 samples → exactly 333 of each residue: m2 is exactly 666,
+        // so the sample variance is 666 / 998.
         let w: Welford = (0..999).map(|i| 1e9 + f64::from(i % 3)).collect();
         assert!(
-            (w.population_variance() - 2.0 / 3.0).abs() < 1e-6,
+            (w.sample_variance() - 666.0 / 998.0).abs() < 1e-6,
             "variance {}",
-            w.population_variance()
+            w.sample_variance()
         );
     }
 

@@ -74,17 +74,6 @@ pub fn content_size_for(key: &[u8], min: usize, max: usize) -> usize {
     size.clamp(min, max)
 }
 
-/// Generates content for `key` with a log-uniform size in `min..=max`:
-/// [`content_size_for`] composed with [`generate_page_content`].
-///
-/// # Panics
-///
-/// Panics if `min` is zero or exceeds `max`.
-#[must_use]
-pub fn generate_sized_content(key: &[u8], min: usize, max: usize) -> Vec<u8> {
-    generate_page_content(key, content_size_for(key, min, max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,13 +119,6 @@ mod tests {
         assert!(large > 100, "tail missing: {large}/2000 at 1 KiB+");
         // Degenerate range collapses to the single size.
         assert_eq!(content_size_for(b"k", 64, 64), 64);
-    }
-
-    #[test]
-    fn sized_content_matches_its_declared_size() {
-        let v = generate_sized_content(b"page:55", 16, 4096);
-        assert_eq!(v.len(), content_size_for(b"page:55", 16, 4096));
-        assert!(v.starts_with(b"WIKI:"));
     }
 
     #[test]

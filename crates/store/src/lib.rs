@@ -32,5 +32,5 @@
 mod content;
 mod sharded;
 
-pub use content::{content_size_for, generate_page_content, generate_sized_content};
+pub use content::{content_size_for, generate_page_content};
 pub use sharded::{ShardId, ShardStats, ShardedStore, StoreConfig};

@@ -152,11 +152,6 @@ impl ShardedStore {
     pub fn total_fetches(&self) -> u64 {
         self.stats.iter().map(|s| s.fetches).sum()
     }
-
-    /// Resets statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats.fill(ShardStats::default());
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +201,6 @@ mod tests {
         }
         assert_eq!(store.total_fetches(), 300);
         assert!(store.shard_stats().iter().all(|s| s.fetches > 50));
-        store.reset_stats();
-        assert_eq!(store.total_fetches(), 0);
     }
 
     #[test]

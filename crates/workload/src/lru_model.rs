@@ -23,16 +23,7 @@
 /// Returns `None` if `capacity` is zero or at least the catalog size
 /// (where the model degenerates: hit ratio 0 or 1).
 ///
-/// # Example
-///
-/// ```
-/// use proteus_workload::lru_model;
-/// let probs = vec![0.5, 0.3, 0.2];
-/// let t = lru_model::characteristic_time(&probs, 2).unwrap();
-/// assert!(t > 0.0);
-/// ```
-#[must_use]
-pub fn characteristic_time(probs: &[f64], capacity: usize) -> Option<f64> {
+fn characteristic_time(probs: &[f64], capacity: usize) -> Option<f64> {
     if capacity == 0 || capacity >= probs.len() {
         return None;
     }

@@ -71,8 +71,7 @@ impl CompressedDay {
     /// Maps wall-clock time since replay start onto curve ("simulated
     /// day") time — the axis for comparing a measured `n(t)` against
     /// the paper's oracle schedule.
-    #[must_use]
-    pub fn sim_time_at(&self, elapsed: Duration) -> SimTime {
+    fn sim_time_at(&self, elapsed: Duration) -> SimTime {
         SimTime::from_nanos((elapsed.as_secs_f64() * self.compression * 1e9) as u64)
     }
 
@@ -81,13 +80,6 @@ impl CompressedDay {
     #[must_use]
     pub fn rate_at_wall(&self, elapsed: Duration) -> f64 {
         self.curve.rate_at(self.sim_time_at(elapsed))
-    }
-
-    /// Requests one full compressed day issues in total
-    /// (`mean_rate × wall_day`).
-    #[must_use]
-    pub fn expected_total(&self) -> f64 {
-        self.curve.mean_rate() * self.wall_day().as_secs_f64()
     }
 }
 
@@ -184,7 +176,8 @@ mod tests {
             pacer.due(elapsed);
         }
         let total = pacer.issued() as f64;
-        let expected = day.expected_total();
+        // One compressed day issues mean_rate × wall_day requests.
+        let expected = curve().mean_rate() * day.wall_day().as_secs_f64();
         let rel = (total - expected).abs() / expected;
         assert!(
             rel < 0.01,

@@ -87,7 +87,7 @@ impl SessionWorkload {
     }
 
     /// Draws one user's personal page set (1-based page ranks).
-    pub fn draw_page_set(&self, rng: &mut SimRng) -> Vec<u64> {
+    fn draw_page_set(&self, rng: &mut SimRng) -> Vec<u64> {
         (0..self.config.pages_per_user)
             .map(|_| self.zipf.sample(rng))
             .collect()

@@ -1,7 +1,7 @@
 //! End-to-end acceptance of the cluster observability plane: four live
 //! TCP cache servers, each with its own metrics endpoint, an observer
 //! aggregating them, and a provisioning transition in the middle of
-//! the run. Four claims are proven:
+//! the run. Five claims are proven:
 //!
 //! 1. `/trace.jsonl` replays the full transition lifecycle in order,
 //!    parseable line by line, with zero sequence gaps beyond the
@@ -10,9 +10,15 @@
 //!    histograms matches the servers' own merged snapshots.
 //! 3. The wall-clock energy meter prices the post-transition (n−1)
 //!    window strictly below an all-on baseline of the same duration.
-//! 4. In an optimised build, opening a warmed transition window holds
+//! 4. The observer's `/metrics` body and the cluster client's are
+//!    valid exposition text for a strict reader.
+//! 5. In an optimised build, opening a warmed transition window holds
 //!    the client for at most 10 ms.
 
+#[path = "../crates/obs/tests/prom_text/mod.rs"]
+mod prom_text;
+
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -44,7 +50,7 @@ fn cluster_observability_end_to_end() {
     let client_obs = MetricsServer::spawn_traced(
         "127.0.0.1:0",
         cluster.metric_source(),
-        std::sync::Arc::clone(cluster.tracer()),
+        Arc::clone(cluster.tracer()),
     )
     .unwrap();
 
@@ -53,7 +59,7 @@ fn cluster_observability_end_to_end() {
         read_timeout: Duration::from_secs(2),
         ..ObserverConfig::default()
     };
-    let observer = ClusterObserver::new(config);
+    let observer = Arc::new(ClusterObserver::new(config));
     for endpoint in &metric_endpoints {
         observer.add_server(endpoint.local_addr());
     }
@@ -226,7 +232,27 @@ fn cluster_observability_end_to_end() {
     assert!(observer.energy().server_seconds() > 0.0);
     assert_eq!(observer.scrape_totals().1, 0, "no scrape may fail");
 
-    // --- Claim 4: the client serves nothing while a window opens, so
+    // --- Claim 4: the cluster's two expositions read strictly: the
+    // observer's, as `proteus-cluster-obs` and `proteus-controller`
+    // serve it, and the cluster client's.
+    let observer_obs = MetricsServer::spawn("127.0.0.1:0", observer.metric_source()).unwrap();
+    for (what, addr) in [
+        ("observer", observer_obs.local_addr()),
+        ("cluster client", client_obs.local_addr()),
+    ] {
+        let body = http_get(
+            addr,
+            "/metrics",
+            Duration::from_millis(500),
+            Duration::from_secs(2),
+        )
+        .unwrap();
+        let families = prom_text::read(&body).unwrap_or_else(|e| panic!("{what}: {e}\n{body}"));
+        assert!(!families.is_empty(), "{what} exposes no family");
+    }
+    drop(observer_obs);
+
+    // --- Claim 5: the client serves nothing while a window opens, so
     // this is the delay spike a transition costs. It comes last because
     // the broadcast's gets would break claim 2's exact histogram match.
     // The 4→3 window above also paid the first touch of four lazily
