@@ -117,15 +117,17 @@ const FLUSH_ITEMS: u64 = 20_000;
 const FLUSH_VALUE_BYTES: [usize; 4] = [100, 300, 700, 1500];
 
 /// Items in one default-shaped shard (8 MiB, 64 KiB pages) just past a
-/// power of two, and the slot table's block: 1 024 slots of 48 bytes.
+/// power of two, and the slot table's block: 1 024 slots of 32 bytes
+/// (`engine::tests::a_slot_is_32_bytes` pins the slot's size).
 /// Over the pages, the blocks and the index, the engine may keep
 /// `GROWTH_SLACK_BYTES` of bookkeeping (the classes' page lists, the
-/// block list). A slot table that doubles holds 8 192 slots (384 KiB)
-/// for 4 097 items, where five blocks are 240 KiB. Measured: the shard
-/// grew 869 392 B, 1 040 B over pages + blocks + index; 1 016 656 B
-/// when the table doubled.
+/// block list). A slot table that doubles holds 8 192 slots (256 KiB)
+/// for 4 097 items, where five blocks are 160 KiB. Measured: the shard
+/// grew 721 488 B, 592 B over pages + blocks + index (869 392 B with
+/// 48-byte slots and ×1.25 size classes; 1 016 656 B when that table
+/// doubled).
 const GROWN_ITEMS: u64 = 4_097;
-const SLOT_BLOCK_BYTES: u64 = 1024 * 48;
+const SLOT_BLOCK_BYTES: u64 = 1024 * 32;
 const GROWTH_SLACK_BYTES: u64 = 4 << 10;
 
 /// The counting allocator tallies process-wide, and the test harness's

@@ -21,7 +21,7 @@ pub enum StorageKind {
     /// One heap allocation per item (the PR-1 layout).
     #[default]
     Heap,
-    /// Memcached-style slab pages with ~1.25-growth size classes.
+    /// Memcached-style slab pages with ×1.125-growth size classes.
     Slab,
 }
 
@@ -50,10 +50,12 @@ pub struct CacheConfig {
     /// item-header cost. Each stored item is charged
     /// `key.len() + value.len() + item_overhead` against
     /// `capacity_bytes`; the default 64 covers the engine's real
-    /// bookkeeping — a 48-byte slot (storage handle 16, hash 8, key
-    /// and value lengths 8, expiry 8, two LRU links 8) plus 5–9 bytes
-    /// of index bucket at its 7/8 maximum load — so the configured
-    /// budget tracks actual memory even for tiny items.
+    /// bookkeeping — a 32-byte slot (location word 8, hash 4, packed
+    /// key and value lengths 4, expiry 8, two LRU links 8) plus 5–9
+    /// bytes of index bucket at its 7/8 maximum load — with slack to
+    /// spare (up to ⅛ of the item lost to chunk rounding on the slab),
+    /// so the configured budget tracks actual memory even for tiny
+    /// items.
     pub item_overhead: u32,
     /// Value-storage backend (see [`StorageKind`]).
     pub storage: StorageKind,

@@ -7,8 +7,8 @@ use proteus_sim::{SimDuration, SimTime};
 
 use crate::config::{CacheConfig, StorageKind};
 use crate::index::KeyIndex;
-use crate::slab::{ChunkLoc, SlabError, SlabStats, SlabStore};
-use crate::stats::CacheStats;
+use crate::slab::{class_count, ChunkLoc, SlabError, SlabStats, SlabStore};
+use crate::stats::{CacheStats, MemBytes};
 use crate::SharedBytes;
 
 const NIL: u32 = u32::MAX;
@@ -22,19 +22,31 @@ const SLAB_EVICT_RETRY_LIMIT: u32 = 64;
 /// The page size a slab engine of `capacity` bytes gets when
 /// [`CacheConfig::slab_page_bytes`] is left at 0: the largest power of
 /// two ≤ capacity / 128, within 4 KiB ..= 1 MiB. A class's last page
-/// is half empty on average; with at most ~45 classes that is under
-/// 23 pages of tail, 18% of 128, inside the 30% slack the page budget
-/// adds — so the pages never run out before the byte budget does.
+/// is half empty on average. At 64 KiB pages the ×1.125 classes number
+/// 57, so a store that uses every one of them leaves about 28 pages of
+/// tail, 22 % of 128, and chunk rounding adds up to ⅛ of the items'
+/// bytes (about 6 % on average). The 30 % slack the page budget adds
+/// covers the two together with the per-item overhead the byte budget
+/// charges and no page holds (`item_overhead`, 64 B an item, a fifth
+/// of a 300-byte item). Lazy commit makes an unfilled tail cost only
+/// the 4 KiB pieces it wrote. A store of few pages, where 30 % is less
+/// than the tails, gets half a page a class instead (see
+/// [`CacheEngine::new`]). Where the pages still run out first (at 1 MiB
+/// pages the 81 classes' tails alone would reach 32 %), a set evicts an
+/// item of its own class or takes the heap path
+/// (`SlabStats::starved_sets`); it never fails.
 fn derived_page_bytes(capacity: u64) -> u32 {
     let target = (capacity / 128).clamp(4 << 10, 1 << 20);
     1 << target.ilog2()
 }
 
-/// FNV-1a with a splitmix64-style finalizer. The finalizer matters:
-/// `ShardedEngine::shard_of` picks shards from folded FNV bits, and the
-/// per-shard index must not see hashes correlated with that fold or
-/// every key in a shard would share home buckets.
-fn hash_key(key: &[u8]) -> u64 {
+/// FNV-1a with a splitmix64-style finalizer, narrowed to its low 32
+/// bits. The finalizer matters: `ShardedEngine::shard_of` picks shards
+/// from folded FNV bits, and the per-shard index must not see hashes
+/// correlated with that fold or every key in a shard would share home
+/// buckets. A slot keeps these 32 bits, which the index also uses for
+/// home buckets, growth and removal.
+fn hash_key(key: &[u8]) -> u32 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in key {
         h ^= u64::from(b);
@@ -44,7 +56,7 @@ fn hash_key(key: &[u8]) -> u64 {
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
     h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    (h ^ (h >> 31)) as u32
 }
 
 /// The absolute expiry of an item given `ttl` at `now`: `SimTime::MAX`
@@ -54,40 +66,142 @@ fn deadline(now: SimTime, ttl: Option<SimDuration>) -> SimTime {
 }
 
 /// Heap-backed item payload: the original one-allocation-per-value
-/// layout. Boxed so the common slab slot stays small.
+/// layout, kept in the engine's [`HeapItems`] side table.
 #[derive(Debug)]
 struct HeapItem {
     key: Box<[u8]>,
     value: SharedBytes,
 }
 
-/// Where a slot's bytes live.
-#[derive(Debug)]
-enum ValueRepr {
-    /// Slot is on the free list.
-    Free,
-    /// `[key][value]` live in a slab page chunk.
-    Slab(ChunkLoc),
-    /// Key and value are individual heap allocations (heap backend, or
-    /// slab overflow/oversize fallback).
-    Heap(Box<HeapItem>),
+/// The items on the heap path (heap backend, or slab
+/// overflow/oversize fallback), indexed by a heap slot's location
+/// word. A vacated entry is `None` until an insert reuses its index.
+#[derive(Debug, Default)]
+struct HeapItems {
+    items: Vec<Option<HeapItem>>,
+    vacant: Vec<u32>,
 }
 
+impl HeapItems {
+    fn insert(&mut self, item: HeapItem) -> u32 {
+        match self.vacant.pop() {
+            Some(idx) => {
+                self.items[idx as usize] = Some(item);
+                idx
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("heap item overflow")
+            }
+        }
+    }
+
+    fn remove(&mut self, idx: u32) -> HeapItem {
+        let item = self.items[idx as usize].take().expect("live heap item");
+        self.vacant.push(idx);
+        item
+    }
+
+    /// Drops every item and keeps the table's memory.
+    fn clear(&mut self) {
+        self.items.clear();
+        self.vacant.clear();
+    }
+}
+
+impl std::ops::Index<u32> for HeapItems {
+    type Output = HeapItem;
+
+    fn index(&self, idx: u32) -> &HeapItem {
+        self.items[idx as usize].as_ref().expect("live heap item")
+    }
+}
+
+/// The class byte of a location word that is not a slab chunk. Slab
+/// classes stay below both (`SlabStore::new` asserts it).
+const TAG_HEAP: u64 = 0xFF;
+const TAG_FREE: u64 = 0xFE;
+
+/// A slot's 8-byte location word. A slab item's [`ChunkLoc`] packs
+/// into it as class (top byte), chunk (next three bytes) and page (low
+/// four); a heap item's word is [`TAG_HEAP`] over its [`HeapItems`]
+/// index, and a slot on the free list holds [`TAG_FREE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc(u64);
+
+/// A [`Loc`] unpacked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// `[key][value]` live in a slab page chunk.
+    Slab(ChunkLoc),
+    /// Key and value live in [`HeapItems`] at this index.
+    Heap(u32),
+    /// The slot is on the free list.
+    Free,
+}
+
+impl Loc {
+    const FREE: Loc = Loc(TAG_FREE << 56);
+
+    /// Packs a chunk location. The slab never produces a class of
+    /// [`TAG_FREE`] or above, nor a chunk index of 2²⁴ or above (its
+    /// pages are at most 1 GiB of chunks of at least 64 B).
+    fn slab(loc: ChunkLoc) -> Loc {
+        debug_assert!(u64::from(loc.class) < TAG_FREE && loc.chunk < 1 << 24);
+        Loc(u64::from(loc.class) << 56 | u64::from(loc.chunk) << 32 | u64::from(loc.page))
+    }
+
+    fn heap(idx: u32) -> Loc {
+        Loc(TAG_HEAP << 56 | u64::from(idx))
+    }
+
+    fn place(self) -> Place {
+        match self.0 >> 56 {
+            TAG_HEAP => Place::Heap(self.0 as u32),
+            TAG_FREE => Place::Free,
+            class => Place::Slab(ChunkLoc {
+                class: class as u8,
+                chunk: (self.0 >> 32) as u32 & 0xFF_FFFF,
+                page: self.0 as u32,
+            }),
+        }
+    }
+}
+
+/// A slab item's key length (top byte) and value length (low three
+/// bytes) in one word, or `None` when they do not fit: a key over
+/// 255 B or a value of 16 MiB or more takes the heap path, which
+/// behaves the same. A heap item's lengths are its buffers'.
+fn pack_lens(klen: usize, vlen: usize) -> Option<u32> {
+    let klen = u8::try_from(klen).ok()?;
+    (vlen < 1 << 24).then(|| u32::from(klen) << 24 | vlen as u32)
+}
+
+/// The key and value lengths [`pack_lens`] packed.
+fn unpack_lens(lens: u32) -> (usize, usize) {
+    ((lens >> 24) as usize, (lens & 0xFF_FFFF) as usize)
+}
+
+/// Per-item state: the location word (8), the hash (4), the packed
+/// lengths (4), the expiry (8) and the two LRU links (4 + 4). A field
+/// added here is charged to every resident item.
 #[derive(Debug)]
 struct Slot {
-    repr: ValueRepr,
-    /// Full [`hash_key`] hash; lets index growth/deletion and probe
-    /// filtering skip key-byte reads.
-    hash: u64,
-    klen: u32,
-    vlen: u32,
+    loc: Loc,
+    /// The [`hash_key`] of the key; lets index growth/deletion and
+    /// probe filtering skip key-byte reads.
+    hash: u32,
+    /// A slab item's [`pack_lens`]; 0 for a heap item.
+    lens: u32,
     /// Absolute expiry instant; `SimTime::MAX` means never.
     expires_at: SimTime,
     prev: u32,
     next: u32,
 }
 
-/// Slots per block of the slot table (48 KiB of 48-byte slots).
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+/// Slots per block of the slot table (32 KiB of 32-byte slots).
 const SLOT_BLOCK: usize = 1024;
 
 /// The engine's slots, in fixed blocks of [`SLOT_BLOCK`]: growing
@@ -127,6 +241,12 @@ impl SlotTable {
         self.blocks.iter_mut().for_each(Vec::clear);
         self.len = 0;
     }
+
+    /// Bytes the blocks hold, filled or not.
+    fn bytes(&self) -> u64 {
+        let slots: usize = self.blocks.iter().map(Vec::capacity).sum();
+        (slots * std::mem::size_of::<Slot>()) as u64
+    }
 }
 
 impl std::ops::Index<u32> for SlotTable {
@@ -155,28 +275,29 @@ pub struct StoreOutcome {
 }
 
 /// The stored key bytes of a live slot, wherever they live.
-fn slot_key<'a>(slots: &'a SlotTable, store: &'a Option<SlabStore>, idx: u32) -> &'a [u8] {
-    let slot = &slots[idx];
-    match &slot.repr {
-        ValueRepr::Heap(item) => &item.key,
-        ValueRepr::Slab(loc) => store
+fn slot_key<'a>(store: &'a Option<SlabStore>, heap: &'a HeapItems, slot: &Slot) -> &'a [u8] {
+    match slot.loc.place() {
+        Place::Heap(i) => &heap[i].key,
+        Place::Slab(loc) => store
             .as_ref()
             .expect("slab slot without slab store")
-            .key_slice(*loc, slot.klen as usize),
-        ValueRepr::Free => unreachable!("reading key of a free slot"),
+            .key_slice(loc, unpack_lens(slot.lens).0),
+        Place::Free => unreachable!("reading key of a free slot"),
     }
 }
 
 /// The stored value bytes of a live slot.
-fn slot_value<'a>(slots: &'a SlotTable, store: &'a Option<SlabStore>, idx: u32) -> &'a [u8] {
-    let slot = &slots[idx];
-    match &slot.repr {
-        ValueRepr::Heap(item) => &item.value[..],
-        ValueRepr::Slab(loc) => store
-            .as_ref()
-            .expect("slab slot without slab store")
-            .value_slice(*loc, slot.klen as usize, slot.vlen as usize),
-        ValueRepr::Free => unreachable!("reading value of a free slot"),
+fn slot_value<'a>(store: &'a Option<SlabStore>, heap: &'a HeapItems, slot: &Slot) -> &'a [u8] {
+    match slot.loc.place() {
+        Place::Heap(i) => &heap[i].value[..],
+        Place::Slab(loc) => {
+            let (klen, vlen) = unpack_lens(slot.lens);
+            store
+                .as_ref()
+                .expect("slab slot without slab store")
+                .value_slice(loc, klen, vlen)
+        }
+        Place::Free => unreachable!("reading value of a free slot"),
     }
 }
 
@@ -219,6 +340,7 @@ pub struct CacheEngine {
     tail: u32, // least recently used
     bytes_used: u64,
     store: Option<SlabStore>,
+    heap: HeapItems,
     digest: CountingBloomFilter,
     stats: CacheStats,
 }
@@ -233,15 +355,20 @@ impl CacheEngine {
                 // Page budget: the payload capacity plus 30% slack for
                 // chunk rounding and partially-filled pages, plus two
                 // pages of headroom so tiny configurations still have
-                // pages to reassign between classes. An explicit
-                // `slab_page_budget` overrides the derivation.
+                // pages to reassign between classes. A store of few
+                // pages gets at least the payload plus half a page a
+                // size class, the tails' average when every class holds
+                // items, since 30% of a few pages cannot cover them. An
+                // explicit `slab_page_budget` overrides the derivation.
                 let page_bytes = match config.slab_page_bytes {
                     0 => derived_page_bytes(config.capacity_bytes),
                     bytes => bytes.max(1024),
                 };
+                let pages = |bytes: u64| bytes.div_ceil(u64::from(page_bytes));
                 let budget = config.capacity_bytes.saturating_mul(13) / 10;
                 let max_pages = match config.slab_page_budget {
-                    0 => budget.div_ceil(u64::from(page_bytes)) + 2,
+                    0 => (pages(budget) + 2)
+                        .max(pages(config.capacity_bytes) + class_count(page_bytes).div_ceil(2)),
                     pages => pages,
                 };
                 Some(SlabStore::new(page_bytes, max_pages))
@@ -256,6 +383,7 @@ impl CacheEngine {
             tail: NIL,
             bytes_used: 0,
             store,
+            heap: HeapItems::default(),
             digest: CountingBloomFilter::new(config.digest),
             stats: CacheStats::default(),
         }
@@ -297,6 +425,16 @@ impl CacheEngine {
         self.store.as_ref().map(SlabStore::stats)
     }
 
+    /// Bytes the engine's slot table and key index hold (see
+    /// [`MemBytes`]).
+    #[must_use]
+    pub fn mem_bytes(&self) -> MemBytes {
+        MemBytes {
+            slot_table: self.slots.bytes(),
+            key_index: self.index.bytes(),
+        }
+    }
+
     /// Audits internal storage accounting, panicking on drift: slab
     /// chunk conservation per page, per-class counter agreement, the
     /// page-budget bound, and that accounted bytes stay within the
@@ -334,12 +472,17 @@ impl CacheEngine {
     }
 
     /// Index lookup: the slot holding exactly `key`, if any.
-    fn find_slot(&self, key: &[u8], hash: u64) -> Option<u32> {
-        let slots = &self.slots;
-        let store = &self.store;
+    fn find_slot(&self, key: &[u8], hash: u32) -> Option<u32> {
+        let (slots, store, heap) = (&self.slots, &self.store, &self.heap);
         self.index.find(hash, |s| {
-            slots[s].hash == hash && slot_key(slots, store, s) == key
+            let slot = &slots[s];
+            slot.hash == hash && slot_key(store, heap, slot) == key
         })
+    }
+
+    /// The stored value bytes of the live slot `idx`.
+    fn value_of(&self, idx: u32) -> &[u8] {
+        slot_value(&self.store, &self.heap, &self.slots[idx])
     }
 
     fn detach(&mut self, idx: u32) {
@@ -379,8 +522,7 @@ impl CacheEngine {
     /// Expiry is lazy, memcached-style: an expired item is unlinked
     /// (digest updated) the first time anything looks at it.
     pub fn get(&mut self, key: &[u8], now: SimTime) -> Option<&[u8]> {
-        self.hit_slot(key, now)
-            .map(|idx| slot_value(&self.slots, &self.store, idx))
+        self.hit_slot(key, now).map(|idx| self.value_of(idx))
     }
 
     /// Like [`get`](Self::get), but hands back a value that outlives
@@ -397,9 +539,9 @@ impl CacheEngine {
     /// An owned handle on a live slot's value (see
     /// [`get_shared`](Self::get_shared) for what it costs).
     fn owned_value(&self, idx: u32) -> SharedBytes {
-        match &self.slots[idx].repr {
-            ValueRepr::Heap(item) => SharedBytes::clone(&item.value),
-            _ => SharedBytes::from(slot_value(&self.slots, &self.store, idx)),
+        match self.slots[idx].loc.place() {
+            Place::Heap(i) => SharedBytes::clone(&self.heap[i].value),
+            _ => SharedBytes::from(self.value_of(idx)),
         }
     }
 
@@ -458,7 +600,7 @@ impl CacheEngine {
     #[must_use]
     pub fn peek(&self, key: &[u8]) -> Option<&[u8]> {
         self.find_slot(key, hash_key(key))
-            .map(|idx| slot_value(&self.slots, &self.store, idx))
+            .map(|idx| self.value_of(idx))
     }
 
     /// [`peek`](Self::peek) returning an owned value (no side effects;
@@ -591,35 +733,33 @@ impl CacheEngine {
             self.stats.evictions += 1;
             evicted += 1;
         }
-        let repr = if self.store.is_some() {
-            match self.place_slab(key, value.as_ref(), &mut evicted) {
-                Some(loc) => ValueRepr::Slab(loc),
-                None => {
-                    // Larger than a page, or a starved class with none
-                    // of its own items near the LRU tail: the heap path
-                    // always succeeds, so a within-budget set never
-                    // fails outright.
-                    self.store
-                        .as_mut()
-                        .expect("checked is_some")
-                        .note_heap_fallback();
-                    ValueRepr::Heap(Box::new(HeapItem {
-                        key: key.into(),
-                        value: value.into(),
-                    }))
+        let slab = match pack_lens(klen, vlen) {
+            Some(lens) if self.store.is_some() => self
+                .place_slab(key, value.as_ref(), &mut evicted)
+                .map(|loc| (Loc::slab(loc), lens)),
+            _ => None,
+        };
+        let (loc, lens) = match slab {
+            Some(placed) => placed,
+            None => {
+                // Larger than a page, lengths that do not pack, or a
+                // starved class with none of its own items near the LRU
+                // tail: the heap path always succeeds, so a
+                // within-budget set never fails outright.
+                if let Some(store) = &mut self.store {
+                    store.note_heap_fallback();
                 }
+                let item = HeapItem {
+                    key: key.into(),
+                    value: value.into(),
+                };
+                (Loc::heap(self.heap.insert(item)), 0)
             }
-        } else {
-            ValueRepr::Heap(Box::new(HeapItem {
-                key: key.into(),
-                value: value.into(),
-            }))
         };
         let slot = Slot {
-            repr,
+            loc,
             hash,
-            klen: u32::try_from(klen).expect("key length exceeds u32"),
-            vlen: u32::try_from(vlen).expect("value length exceeds u32"),
+            lens,
             expires_at,
             prev: NIL,
             next: NIL,
@@ -662,7 +802,7 @@ impl CacheEngine {
                 return None;
             }
             let slot = &self.slots[cursor];
-            if matches!(slot.repr, ValueRepr::Slab(loc) if loc.class == class) {
+            if matches!(slot.loc.place(), Place::Slab(loc) if loc.class == class) {
                 break cursor;
             }
             cursor = slot.prev;
@@ -681,21 +821,23 @@ impl CacheEngine {
 
     fn remove_slot(&mut self, idx: u32) {
         self.detach(idx);
-        let (hash, klen, vlen) = {
-            let s = &self.slots[idx];
-            (s.hash, s.klen as usize, s.vlen as usize)
-        };
-        match std::mem::replace(&mut self.slots[idx].repr, ValueRepr::Free) {
-            ValueRepr::Heap(item) => {
+        let slot = &mut self.slots[idx];
+        let (hash, lens) = (slot.hash, slot.lens);
+        let (klen, vlen) = match std::mem::replace(&mut slot.loc, Loc::FREE).place() {
+            Place::Heap(i) => {
+                let item = self.heap.remove(i);
                 self.digest.remove(&item.key);
+                (item.key.len(), item.value.len())
             }
-            ValueRepr::Slab(loc) => {
+            Place::Slab(loc) => {
+                let (klen, vlen) = unpack_lens(lens);
                 let store = self.store.as_mut().expect("slab slot without slab store");
                 self.digest.remove(store.key_slice(loc, klen));
                 store.free(loc, klen + vlen);
+                (klen, vlen)
             }
-            ValueRepr::Free => unreachable!("removing a free slot"),
-        }
+            Place::Free => unreachable!("removing a free slot"),
+        };
         let slots = &self.slots;
         self.index.remove(hash, idx, |s| slots[s].hash);
         self.bytes_used -= self.entry_cost(klen, vlen);
@@ -720,16 +862,21 @@ impl CacheEngine {
         Keys {
             slots: &self.slots,
             store: &self.store,
+            heap: &self.heap,
             cursor: self.head,
         }
     }
 
     /// Empties the cache (a server powering off loses its contents).
-    /// The memory stays with the engine for the refill: the index keeps
-    /// its table, the slot table its blocks and the slab its pages.
+    /// The bookkeeping stays with the engine for the refill: the index
+    /// keeps its table, the slot table its blocks and the heap-item
+    /// table its capacity. The slab keeps its pages' address space and
+    /// hands every page's memory back to the kernel, its one-page
+    /// reserve included (see `SlabStore::clear`).
     pub fn clear(&mut self) {
         self.index.clear();
         self.slots.clear();
+        self.heap.clear();
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
@@ -748,6 +895,7 @@ impl CacheEngine {
 pub struct Keys<'a> {
     slots: &'a SlotTable,
     store: &'a Option<SlabStore>,
+    heap: &'a HeapItems,
     cursor: u32,
 }
 
@@ -764,9 +912,9 @@ impl<'a> Iterator for Keys<'a> {
         if self.cursor == NIL {
             return None;
         }
-        let idx = self.cursor;
-        self.cursor = self.slots[idx].next;
-        Some(slot_key(self.slots, self.store, idx))
+        let slot = &self.slots[self.cursor];
+        self.cursor = slot.next;
+        Some(slot_key(self.store, self.heap, slot))
     }
 }
 
@@ -917,13 +1065,97 @@ mod tests {
         assert_eq!(c.bytes_used(), 0);
     }
 
-    /// Per-item state is 48 bytes: the storage enum (16: a `ChunkLoc`
-    /// or a box behind a tag), the hash (8), key and value lengths
-    /// (4 + 4), the expiry (8) and the two LRU links (4 + 4). A field
-    /// added here is charged to every resident item.
+    /// Per-item state is 32 bytes: the location word (8: a packed
+    /// `ChunkLoc`, or a tagged heap-item index), the low 32 bits of the
+    /// hash (4), the key and value lengths packed as u8 + u24 (4), the
+    /// expiry (8) and the two LRU links (4 + 4). A field added here is
+    /// charged to every resident item.
     #[test]
-    fn a_slot_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    fn a_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    }
+
+    #[test]
+    fn the_extreme_slab_locations_survive_the_location_word() {
+        // The largest class, the last chunk of the smallest class and
+        // the last page index a store can produce, with the largest
+        // budget, at the smallest, the largest default and the largest
+        // page size.
+        for page_bytes in [1 << 10, 1 << 20, 1 << 30] {
+            let store = SlabStore::new(page_bytes, u64::MAX);
+            let largest = store.class_of(page_bytes as usize).unwrap();
+            assert_eq!(store.class_of(page_bytes as usize + 1), None);
+            let last_chunk = page_bytes / store.chunk_size(0) - 1;
+            let extremes = [
+                ChunkLoc {
+                    class: largest,
+                    chunk: last_chunk,
+                    page: u32::MAX,
+                },
+                ChunkLoc {
+                    class: 0,
+                    chunk: 0,
+                    page: 0,
+                },
+            ];
+            for loc in extremes {
+                assert_eq!(
+                    Loc::slab(loc).place(),
+                    Place::Slab(loc),
+                    "{page_bytes} B pages"
+                );
+            }
+        }
+        assert_eq!(Loc::heap(u32::MAX).place(), Place::Heap(u32::MAX));
+        assert_eq!(Loc::heap(0).place(), Place::Heap(0));
+        assert_eq!(Loc::FREE.place(), Place::Free);
+
+        let limit = (1 << 24) - 1;
+        assert_eq!(pack_lens(255, limit).map(unpack_lens), Some((255, limit)));
+        assert_eq!(pack_lens(0, 0).map(unpack_lens), Some((0, 0)));
+        assert_eq!(pack_lens(256, 0), None);
+        assert_eq!(pack_lens(0, limit + 1), None);
+    }
+
+    #[test]
+    fn lengths_that_do_not_pack_take_the_heap_path_and_read_back() {
+        // 32 MiB pages, so a value of 2^24 B fits a chunk but not the
+        // 24 bits a slot keeps for its length.
+        let mut c = CacheEngine::new(
+            CacheConfig::with_capacity(1 << 26)
+                .item_overhead(0)
+                .storage(StorageKind::Slab)
+                .slab_page_bytes(32 << 20)
+                .digest(BloomConfig::new(1 << 14, 4, 4)),
+        );
+        let key_255 = [b'a'; 255];
+        let key_256 = [b'b'; 256];
+        let giant = vec![7u8; 1 << 24];
+        let items: [(&[u8], Vec<u8>, bool); 3] = [
+            (&key_255, b"slab".to_vec(), false),
+            (&key_256, b"heap".to_vec(), true),
+            (b"giant", giant, true),
+        ];
+        for (key, value, _) in &items {
+            assert!(c.put(key, value.clone(), T0).stored);
+        }
+        assert_eq!(c.slab_stats().unwrap().heap_fallbacks, 2);
+        for (key, value, on_heap) in &items {
+            let idx = c.find_slot(key, hash_key(key)).unwrap();
+            let place = c.slots[idx].loc.place();
+            assert_eq!(matches!(place, Place::Heap(_)), *on_heap, "{place:?}");
+            assert_eq!(c.peek(key), Some(&value[..]));
+            assert_eq!(&c.get_shared(key, T0).unwrap()[..], &value[..]);
+            assert_eq!(c.keys().filter(|k| k == key).count(), 1);
+        }
+        c.assert_storage_consistent();
+        for (key, _, _) in &items {
+            assert!(c.delete(key));
+            assert!(!c.digest().contains(key));
+        }
+        assert_eq!(c.bytes_used(), 0);
+        assert_eq!(c.slab_stats().unwrap().live_bytes(), 0);
+        c.assert_storage_consistent();
     }
 
     #[test]

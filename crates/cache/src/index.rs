@@ -11,8 +11,9 @@
 //!
 //! Collision policy is linear probing with backward-shift deletion (no
 //! tombstones, so long-lived churn cannot degrade probe lengths), at a
-//! maximum load factor of 7/8. The engine stores each slot's full
-//! 64-bit hash, so growth and deletion never have to touch key bytes.
+//! maximum load factor of 7/8. The engine stores each slot's 32-bit
+//! hash, the same bits the index reads its home buckets from, so growth
+//! and deletion never have to touch key bytes.
 
 /// Sentinel for an empty bucket.
 const EMPTY: u32 = u32::MAX;
@@ -24,7 +25,7 @@ const MIN_CAPACITY: usize = 16;
 #[derive(Debug)]
 pub(crate) struct KeyIndex {
     buckets: Box<[u32]>,
-    mask: u64,
+    mask: u32,
     len: usize,
 }
 
@@ -32,7 +33,7 @@ impl KeyIndex {
     pub(crate) fn new() -> KeyIndex {
         KeyIndex {
             buckets: vec![EMPTY; MIN_CAPACITY].into_boxed_slice(),
-            mask: (MIN_CAPACITY - 1) as u64,
+            mask: (MIN_CAPACITY - 1) as u32,
             len: 0,
         }
     }
@@ -43,10 +44,10 @@ impl KeyIndex {
     }
 
     /// Finds the slot whose key hashes to `hash` and satisfies
-    /// `matches` (full hash + key-byte comparison, supplied by the
+    /// `matches` (stored hash + key-byte comparison, supplied by the
     /// engine). Probes stop at the first empty bucket — correct
     /// because deletion backward-shifts instead of leaving tombstones.
-    pub(crate) fn find(&self, hash: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn find(&self, hash: u32, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
         let mut i = hash & self.mask;
         loop {
             let slot = self.buckets[i as usize];
@@ -63,7 +64,7 @@ impl KeyIndex {
     /// Inserts `slot` under `hash`. The caller guarantees the key is
     /// not already present. `slot_hash` reports the stored hash of an
     /// arbitrary slot and is only consulted when the table grows.
-    pub(crate) fn insert(&mut self, hash: u64, slot: u32, slot_hash: impl Fn(u32) -> u64) {
+    pub(crate) fn insert(&mut self, hash: u32, slot: u32, slot_hash: impl Fn(u32) -> u32) {
         if (self.len + 1) * 8 > self.buckets.len() * 7 {
             self.grow(&slot_hash);
         }
@@ -78,7 +79,7 @@ impl KeyIndex {
     /// Removes `slot` (stored under `hash`), back-shifting any
     /// displaced followers so probe chains stay tombstone-free.
     /// Returns whether the slot was present.
-    pub(crate) fn remove(&mut self, hash: u64, slot: u32, slot_hash: impl Fn(u32) -> u64) -> bool {
+    pub(crate) fn remove(&mut self, hash: u32, slot: u32, slot_hash: impl Fn(u32) -> u32) -> bool {
         // Locate the bucket actually holding `slot`.
         let mut i = hash & self.mask;
         loop {
@@ -124,10 +125,15 @@ impl KeyIndex {
         self.len = 0;
     }
 
-    fn grow(&mut self, slot_hash: impl Fn(u32) -> u64) {
+    /// Bytes the bucket table holds: 4 a bucket.
+    pub(crate) fn bytes(&self) -> u64 {
+        std::mem::size_of_val(&*self.buckets) as u64
+    }
+
+    fn grow(&mut self, slot_hash: impl Fn(u32) -> u32) {
         let new_cap = self.buckets.len() * 2;
         let old = std::mem::replace(&mut self.buckets, vec![EMPTY; new_cap].into_boxed_slice());
-        self.mask = (new_cap - 1) as u64;
+        self.mask = u32::try_from(new_cap - 1).expect("index capacity exceeds u32");
         for &slot in old.iter().filter(|&&s| s != EMPTY) {
             let mut i = slot_hash(slot) & self.mask;
             while self.buckets[i as usize] != EMPTY {
@@ -147,7 +153,7 @@ mod tests {
     /// the index maps hash→slot exactly as the engine uses it.
     struct Harness {
         index: KeyIndex,
-        slots: Vec<u64>, // slot id -> hash
+        slots: Vec<u32>, // slot id -> hash
     }
 
     impl Harness {
@@ -158,7 +164,7 @@ mod tests {
             }
         }
 
-        fn insert(&mut self, hash: u64) -> u32 {
+        fn insert(&mut self, hash: u32) -> u32 {
             let slot = self.slots.len() as u32;
             self.slots.push(hash);
             let slots = &self.slots;
@@ -166,11 +172,11 @@ mod tests {
             slot
         }
 
-        fn find(&self, hash: u64, want: u32) -> Option<u32> {
+        fn find(&self, hash: u32, want: u32) -> Option<u32> {
             self.index.find(hash, |s| s == want)
         }
 
-        fn remove(&mut self, hash: u64, slot: u32) -> bool {
+        fn remove(&mut self, hash: u32, slot: u32) -> bool {
             let slots = &self.slots;
             self.index.remove(hash, slot, |s| slots[s as usize])
         }
@@ -197,14 +203,14 @@ mod tests {
         let mut h = Harness::new();
         let slots: Vec<u32> = (0..8).map(|i| h.insert(16 * i)).collect();
         for (i, &s) in slots.iter().enumerate() {
-            assert_eq!(h.find(16 * i as u64, s), Some(s), "entry {i}");
+            assert_eq!(h.find(16 * i as u32, s), Some(s), "entry {i}");
         }
         // Removing from the middle of the chain keeps the rest findable
         // (backward shift, no tombstones).
         assert!(h.remove(16 * 3, slots[3]));
         for (i, &s) in slots.iter().enumerate() {
             if i != 3 {
-                assert_eq!(h.find(16 * i as u64, s), Some(s), "entry {i} after removal");
+                assert_eq!(h.find(16 * i as u32, s), Some(s), "entry {i} after removal");
             }
         }
     }
@@ -212,12 +218,12 @@ mod tests {
     #[test]
     fn growth_preserves_every_entry() {
         let mut h = Harness::new();
-        let n = 10_000u64;
-        let hash_of = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let n = 10_000u32;
+        let hash_of = |i: u32| i.wrapping_mul(0x9e37_79b9);
         let slots: Vec<u32> = (0..n).map(|i| h.insert(hash_of(i))).collect();
         assert_eq!(h.index.len(), n as usize);
         for (i, &s) in slots.iter().enumerate() {
-            assert_eq!(h.find(hash_of(i as u64), s), Some(s), "entry {i}");
+            assert_eq!(h.find(hash_of(i as u32), s), Some(s), "entry {i}");
         }
     }
 
@@ -234,8 +240,10 @@ mod tests {
         let mut h = Harness::new();
         let mut reference: HashMap<u64, u32> = HashMap::new();
         for _ in 0..50_000 {
-            let key = rand() % 512; // small key space forces collisions
-            let hash = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) & !0xf; // cluster homes
+            // A small key space forces collisions; the mask clusters
+            // their homes.
+            let key = rand() % 512;
+            let hash = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u32 & !0xf;
             match rand() % 3 {
                 0 => {
                     if let std::collections::hash_map::Entry::Vacant(e) = reference.entry(key) {

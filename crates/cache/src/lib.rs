@@ -48,4 +48,4 @@ pub use config::{CacheConfig, StorageKind};
 pub use engine::{CacheEngine, Keys, StoreOutcome};
 pub use sharded::{MruPage, ShardedEngine};
 pub use slab::{SlabClassStats, SlabStats};
-pub use stats::CacheStats;
+pub use stats::{CacheStats, MemBytes};

@@ -7,7 +7,7 @@ use proteus_sim::{SimDuration, SimTime};
 use crate::config::CacheConfig;
 use crate::engine::{CacheEngine, Keys, StoreOutcome};
 use crate::slab::SlabStats;
-use crate::stats::CacheStats;
+use crate::stats::{CacheStats, MemBytes};
 use crate::SharedBytes;
 
 /// One page of one shard's keys, hottest first (see
@@ -324,6 +324,19 @@ impl ShardedEngine {
             }
         }
         merged
+    }
+
+    /// The shards' [`MemBytes`], summed, each read under its lock.
+    #[must_use]
+    pub fn mem_bytes(&self) -> MemBytes {
+        self.shards
+            .iter()
+            .fold(MemBytes::default(), |mut sum, shard| {
+                let m = shard.lock().mem_bytes();
+                sum.slot_table += m.slot_table;
+                sum.key_index += m.key_index;
+                sum
+            })
     }
 
     /// Empties every shard (one at a time).

@@ -5,10 +5,14 @@
 //! fragmentation, and an allocator-bound eviction path. The slab store
 //! instead carves fixed-size **pages** (sized to the engine's capacity
 //! by default: 64 KiB for an 8 MiB shard, 1 MiB from 128 MiB up) into
-//! chunks of geometric size classes (~1.25 growth factor) and places
-//! each item's `[key][value]` bytes into the smallest chunk that fits.
-//! Worst-case internal waste is bounded by the growth factor; pages
-//! are the only allocation unit the system allocator ever sees.
+//! chunks of geometric size classes (×1.125 growth) and places each
+//! item's `[key][value]` bytes into the smallest chunk that fits. Above
+//! the 64-byte floor a chunk rounds its item up by at most ⅛ (plus the
+//! rounding of chunk sizes to 8 bytes); pages are the only allocation
+//! unit the system allocator ever sees. Finer classes mean more classes
+//! with a partly filled last page, which lazy commit (below) makes
+//! cheap: the unfilled tail of a page costs only the 4 KiB pieces it
+//! wrote.
 //!
 //! # Ownership model (one `unsafe` call)
 //!
@@ -45,13 +49,13 @@
 //! A page belongs to a class only while it holds a live item: the
 //! [`SlabStore::free`] that takes its last item moves it into the
 //! store's pool at once, and [`SlabStore::clear`] (`flush_all`) pools
-//! every page the same way. The pool keeps [`POOL_RESERVE`] pages
-//! resident and hands the physical memory of every other one back to
-//! the kernel with `madvise(MADV_DONTNEED)` on the whole 4 KiB kernel
-//! pages inside it. The `Box` itself is kept, so the address space
-//! stays reserved, `pages_allocated` does not move, and the page comes
-//! back zero-filled and unbacked, committing again chunk by chunk as in
-//! "Lazy commit". Releasing is done on Linux on x86-64 only, where the
+//! every page with its memory released. The pool keeps
+//! [`POOL_RESERVE`] pages resident and hands the physical memory of
+//! every other one back to the kernel with `madvise(MADV_DONTNEED)` on
+//! the whole 4 KiB kernel pages inside it. The `Box` itself is kept, so
+//! the address space stays reserved, `pages_allocated` does not move,
+//! and the page comes back zero-filled and unbacked, committing again
+//! chunk by chunk as in "Lazy commit". Releasing is done on Linux on x86-64 only, where the
 //! kernel's base page is always 4 KiB: `madvise` rounds a length up to
 //! the kernel's page, so on a kernel with larger pages a 4 KiB-aligned
 //! range could reach past the buffer. A page the kernel does not take —
@@ -64,7 +68,8 @@
 //! The reserve exists for the lone key whose page empties and refills
 //! on every overwrite (the engine unlinks the old value before it
 //! places the new one): the page goes to the reserve and straight back,
-//! with no syscall.
+//! with no syscall. A flush is never in the middle of such an
+//! overwrite, so `clear` keeps no reserve.
 //!
 //! # Page reassignment
 //!
@@ -83,21 +88,26 @@
 /// minimum chunk (48-byte memcached floor rounded to 64).
 const MIN_CHUNK: u32 = 64;
 
-/// Size-class growth factor: 1.25, expressed as a ratio.
-const GROWTH_NUM: u64 = 5;
-const GROWTH_DEN: u64 = 4;
+/// Size-class growth factor: 1.125, expressed as a ratio.
+const GROWTH_NUM: u64 = 9;
+const GROWTH_DEN: u64 = 8;
+
+/// Largest page size. A page holds at most `MAX_PAGE_BYTES / MIN_CHUNK`
+/// = 2²⁴ chunks, so a chunk index fits the 24 bits the engine's slot
+/// keeps for it, and the class table stays under 150 classes.
+const MAX_PAGE_BYTES: u32 = 1 << 30;
 
 /// Empty pages the pool keeps resident; every other pooled page has
 /// its memory released (see "Page release" in the module docs).
 const POOL_RESERVE: usize = 1;
 
 /// Where an item's bytes live: size class, page within the class, and
-/// chunk within the page. The item's key/value lengths are stored by
-/// the owner (the engine slot), not in the page, so chunks carry no
-/// headers.
+/// chunk within the page (below 2²⁴, see [`MAX_PAGE_BYTES`]). The
+/// item's key/value lengths are stored by the owner (the engine slot),
+/// not in the page, so chunks carry no headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkLoc {
-    pub(crate) class: u16,
+    pub(crate) class: u8,
     pub(crate) page: u32,
     pub(crate) chunk: u32,
 }
@@ -291,7 +301,7 @@ struct PooledPage {
     buf: Box<[u8]>,
     /// The class the page left when its last item was freed; `None`
     /// for a page [`SlabStore::clear`] pooled.
-    left: Option<u16>,
+    left: Option<u8>,
 }
 
 /// The cross-class pool: resident pages, at most [`POOL_RESERVE`] of
@@ -306,8 +316,10 @@ struct PagePool {
 }
 
 impl PagePool {
-    fn put(&mut self, mut page: PooledPage) {
-        if self.resident.len() >= POOL_RESERVE && kernel::release(&mut page.buf) {
+    /// Pools `page`, releasing its memory once `reserve` pages are
+    /// resident.
+    fn put(&mut self, mut page: PooledPage, reserve: usize) {
+        if self.resident.len() >= reserve && kernel::release(&mut page.buf) {
             self.releases += 1;
             self.released.push(page);
         } else {
@@ -411,7 +423,7 @@ pub struct SlabStore {
 }
 
 /// The size-class chunk table for a page size: MIN_CHUNK growing by
-/// ×1.25 (rounded up to 8) until one chunk fills the page.
+/// ×1.125 (rounded up to 8) until one chunk fills the page.
 fn class_table(page_bytes: u32) -> Vec<u32> {
     let mut sizes = Vec::new();
     let mut size = MIN_CHUNK.min(page_bytes);
@@ -426,13 +438,23 @@ fn class_table(page_bytes: u32) -> Vec<u32> {
     sizes
 }
 
+/// The page size a store asked for `page_bytes` uses: 1 KiB ..= 1 GiB.
+fn clamp_page_bytes(page_bytes: u32) -> u32 {
+    page_bytes.clamp(1024, MAX_PAGE_BYTES)
+}
+
+/// The number of size classes of a store asked for `page_bytes`.
+pub(crate) fn class_count(page_bytes: u32) -> u64 {
+    class_table(clamp_page_bytes(page_bytes)).len() as u64
+}
+
 impl SlabStore {
     /// A store with the given page size and a budget of `max_pages`
-    /// pages. `page_bytes` is clamped to at least 1 KiB.
+    /// pages. `page_bytes` is clamped to 1 KiB ..= 1 GiB.
     #[must_use]
     pub fn new(page_bytes: u32, max_pages: u64) -> SlabStore {
-        let page_bytes = page_bytes.max(1024);
-        let classes = class_table(page_bytes)
+        let page_bytes = clamp_page_bytes(page_bytes);
+        let classes: Vec<SizeClass> = class_table(page_bytes)
             .into_iter()
             .map(|chunk_size| SizeClass {
                 chunk_size,
@@ -445,6 +467,9 @@ impl SlabStore {
                 live_bytes: 0,
             })
             .collect();
+        // The engine tags its location words with the two class bytes
+        // above every real class.
+        assert!(classes.len() < 0xFE, "{} size classes", classes.len());
         SlabStore {
             page_bytes,
             classes,
@@ -460,19 +485,19 @@ impl SlabStore {
     /// The size class an item of `len` bytes lands in, or `None` if it
     /// exceeds the largest class (→ heap path).
     #[must_use]
-    pub fn class_of(&self, len: usize) -> Option<u16> {
+    pub fn class_of(&self, len: usize) -> Option<u8> {
         if len > self.page_bytes as usize {
             return None;
         }
         // Chunk sizes ascend to `page_bytes`, so the first class that
         // fits exists.
         let len = len as u32;
-        Some(self.classes.partition_point(|c| c.chunk_size < len) as u16)
+        Some(self.classes.partition_point(|c| c.chunk_size < len) as u8)
     }
 
     /// Chunk size of class `class`.
     #[cfg(test)]
-    pub fn chunk_size(&self, class: u16) -> u32 {
+    pub fn chunk_size(&self, class: u8) -> u32 {
         self.classes[class as usize].chunk_size
     }
 
@@ -548,7 +573,7 @@ impl SlabStore {
     }
 
     /// Installs `page` as a new, empty candidate page of `class`.
-    fn install_page(&mut self, class: u16, page: PooledPage) {
+    fn install_page(&mut self, class: u8, page: PooledPage) {
         if page.left.is_some_and(|left| left != class) {
             self.pages_reassigned += 1;
         }
@@ -589,10 +614,13 @@ impl SlabStore {
             let page = entry.take().expect("checked Some");
             c.vacant.push(loc.page);
             c.page_count -= 1;
-            self.pool.put(PooledPage {
-                buf: page.buf,
-                left: Some(loc.class),
-            });
+            self.pool.put(
+                PooledPage {
+                    buf: page.buf,
+                    left: Some(loc.class),
+                },
+                POOL_RESERVE,
+            );
             return;
         }
         page.free.push(loc.chunk);
@@ -627,18 +655,23 @@ impl SlabStore {
     }
 
     /// Forgets every item and moves every page into the pool
-    /// (`flush_all` / server power-off): the pool keeps its reserve
-    /// resident and releases the rest, as it does for a page that
-    /// empties. The refill takes them back before asking the allocator
-    /// for more, and `pages_allocated` keeps counting them. A chunk is
+    /// (`flush_all` / server power-off), releasing the memory of every
+    /// pooled page, the reserve's included: the reserve is there for a
+    /// lone key's overwrite, and a flush is never in the middle of one.
+    /// The refill takes the pages back before asking the allocator for
+    /// more, and `pages_allocated` keeps counting them. A chunk is
     /// always written before it is read, so a pooled page is not zeroed.
     pub fn clear(&mut self) {
+        for page in std::mem::take(&mut self.pool.resident) {
+            self.pool.put(page, 0);
+        }
         for c in &mut self.classes {
             for page in c.pages.drain(..).flatten() {
-                self.pool.put(PooledPage {
+                let page = PooledPage {
                     buf: page.buf,
                     left: None,
-                });
+                };
+                self.pool.put(page, 0);
             }
             c.vacant.clear();
             c.page_count = 0;
@@ -748,11 +781,13 @@ mod tests {
         assert_eq!(*sizes.last().unwrap(), 1 << 20);
         for w in sizes.windows(2) {
             assert!(w[1] > w[0]);
-            // Growth never exceeds ×1.25 by more than rounding-to-8.
-            assert!(u64::from(w[1]) <= u64::from(w[0]) * 5 / 4 + 8);
+            // Growth never exceeds ×1.125 by more than rounding-to-8.
+            assert!(u64::from(w[1]) <= u64::from(w[0]) * 9 / 8 + 8);
         }
-        // ~45 classes for 1 MiB pages; u16 class ids are ample.
-        assert!(sizes.len() < 60, "unexpected class count {}", sizes.len());
+        // 81 classes for 1 MiB pages, 139 at the largest page: u8
+        // class ids leave the engine its two tag bytes.
+        assert_eq!(sizes.len(), 81);
+        assert_eq!(class_table(MAX_PAGE_BYTES).len(), 139);
     }
 
     #[test]

@@ -40,6 +40,18 @@ impl CacheStats {
     }
 }
 
+/// Bytes an engine's bookkeeping holds, one field a structure: what a
+/// server exports as `proteus_mem_bytes{component=…}`. Item bytes are
+/// not here; the slab's are in [`SlabStats`](crate::SlabStats).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemBytes {
+    /// The slot table's blocks, filled or not: 32 B a slot, 1 024
+    /// slots a block.
+    pub slot_table: u64,
+    /// The key index's bucket table: 4 B a bucket.
+    pub key_index: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

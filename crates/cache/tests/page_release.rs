@@ -6,6 +6,8 @@
 //! second batch that needs pages of its own, and loses that batch
 //! again. The pages the second batch emptied must leave the resident
 //! set, and a lone key overwritten in place must not cost a release.
+//! Last, a flush (`flush_all`, the benchmark's power-off) must leave no
+//! page resident, the pool's reserve included.
 
 use proteus_cache::{CacheConfig, ShardedEngine, StorageKind};
 use proteus_sim::SimTime;
@@ -96,5 +98,19 @@ fn pages_a_deleted_batch_empties_leave_the_resident_set() {
         (before.pages_released, before.pages_allocated),
         "{REWRITES} overwrites of a lone key released or added pages"
     );
+    engine.assert_storage_consistent();
+
+    // A flush is never in the middle of an overwrite, so it keeps no
+    // reserve: every page's memory goes back, its address space stays.
+    engine.clear();
+    let flushed = engine.slab_stats().expect("slab backend");
+    assert_eq!(flushed.pages_allocated, after.pages_allocated);
+    assert_eq!(flushed.pages_pooled, flushed.pages_allocated);
+    if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+        assert_eq!(
+            flushed.pages_resident, 0,
+            "a flushed default engine kept pages resident"
+        );
+    }
     engine.assert_storage_consistent();
 }

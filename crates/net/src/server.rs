@@ -676,6 +676,13 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         Metric::counter("proteus_rejected_sets_total", stats.rejected),
         Metric::counter("proteus_plane_syscalls_total", m.plane_syscalls.get()),
     ];
+    // Resident bytes by structure, read from the engine at scrape time.
+    let mem = shared.engine.mem_bytes();
+    for (component, bytes) in [("slot_table", mem.slot_table), ("key_index", mem.key_index)] {
+        out.push(
+            Metric::gauge("proteus_mem_bytes", bytes as i64).with_label("component", component),
+        );
+    }
     if let Some(slab) = slab {
         out.push(Metric::gauge(
             "proteus_slab_pages_allocated",

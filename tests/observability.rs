@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 
 use parking_lot::Mutex;
-use proteus::cache::CacheConfig;
+use proteus::cache::{CacheConfig, StorageKind};
 use proteus::net::{CacheClient, CacheServer, ClusterClient, ClusterFetch};
 use proteus::obs::{FetchClassKind, MetricsServer, TraceKind};
 use proteus::ring::ProteusPlacement;
@@ -227,6 +227,48 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     conn.read_to_string(&mut response).unwrap();
     let (head, body) = response.split_once("\r\n\r\n").expect("header terminator");
     (head.to_string(), body.to_string())
+}
+
+/// `proteus_mem_bytes` reports the slot table and the key index as the
+/// engine holds them: 1 024-slot blocks of 32-byte slots, and 4-byte
+/// buckets at a load of at most 7/8.
+#[test]
+fn metrics_report_the_slot_table_and_the_key_index() {
+    const ITEMS: u64 = 2_500;
+    let config = CacheConfig::with_capacity(8 << 20)
+        .storage(StorageKind::Slab)
+        .shards(1);
+    let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
+    let mut metrics = MetricsServer::spawn("127.0.0.1:0", server.metric_source()).unwrap();
+    let client = CacheClient::connect(server.addr()).unwrap();
+    for i in 0..ITEMS {
+        client.set(format!("key:{i}").as_bytes(), b"value").unwrap();
+    }
+
+    let (_, body) = http_get(metrics.local_addr(), "/metrics");
+    let families = prom_text::read(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let mem = families
+        .iter()
+        .find(|f| f.name == "proteus_mem_bytes")
+        .expect("proteus_mem_bytes family");
+    let component = |name: &str| -> u64 {
+        let sample = mem
+            .samples
+            .iter()
+            .find(|s| s.labels == [("component".to_string(), name.to_string())])
+            .unwrap_or_else(|| panic!("no {name} series in\n{body}"));
+        sample.value as u64
+    };
+    let blocks = ITEMS.div_ceil(1024);
+    assert_eq!(component("slot_table"), blocks * 1024 * 32);
+    let mut buckets = 16;
+    while ITEMS * 8 > buckets * 7 {
+        buckets *= 2;
+    }
+    assert_eq!(component("key_index"), buckets * 4);
+
+    metrics.stop();
+    server.stop();
 }
 
 /// The HTTP scrape endpoint serves the same registry as `stats
