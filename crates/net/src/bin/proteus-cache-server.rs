@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! proteus-cache-server [--bind ADDR] [--capacity-mb N] [--metrics-addr ADDR]
-//!                      [--engine threaded|reactor] [--loops N]
 //! ```
 //!
 //! Speaks the memcached-flavoured text protocol on `ADDR`
@@ -17,19 +16,21 @@
 //! registry over HTTP: `GET /metrics` returns Prometheus text
 //! exposition, `GET /metrics.json` the same registry as JSON. The
 //! identical data is also available in-band via `stats proteus`.
+//!
+//! The server runs its platform's data plane: the epoll reactor on
+//! Linux, with one event loop per core up to four, and one thread per
+//! connection elsewhere. The startup line names the plane it resolved.
 
 use std::process::ExitCode;
 
 use proteus_cache::{CacheConfig, StorageKind};
-use proteus_net::{CacheServer, EngineKind, ServerConfig};
+use proteus_net::{CacheServer, EngineKind};
 use proteus_obs::MetricsServer;
 
 struct Options {
     bind: String,
     capacity_bytes: u64,
     metrics_addr: Option<String>,
-    engine: Option<String>,
-    loops: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -37,8 +38,6 @@ fn parse_args() -> Result<Options, String> {
         bind: "127.0.0.1:11211".to_string(),
         capacity_bytes: 64 << 20,
         metrics_addr: None,
-        engine: None,
-        loops: 0,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -57,25 +56,9 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--capacity-mb must be under 2^44 (its bytes must fit 64 bits)")?;
             }
             "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?),
-            "--engine" => {
-                let engine = value("--engine")?;
-                if engine != "threaded" && engine != "reactor" {
-                    return Err("--engine must be `threaded` or `reactor`".to_string());
-                }
-                opts.engine = Some(engine);
-            }
-            "--loops" => {
-                opts.loops = value("--loops")?
-                    .parse()
-                    .map_err(|_| "--loops must be a number".to_string())?;
-            }
             "--help" | "-h" => {
                 return Err("usage: proteus-cache-server [--bind ADDR] \
-                            [--capacity-mb N] [--metrics-addr ADDR] \
-                            [--engine threaded|reactor] [--loops N]\n\
-                            --engine: `reactor` (epoll) is the default on Linux; \
-                            `threaded` is the reference plane the reactor is \
-                            tested against and the only one off Linux, not tuned"
+                            [--capacity-mb N] [--metrics-addr ADDR]"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),
@@ -99,18 +82,7 @@ fn main() -> ExitCode {
         // Always the slab: a long-running server wants bounded
         // fragmentation at tens of millions of resident items.
         .storage(StorageKind::Slab);
-    // Default: the platform's preferred data plane (the reactor on
-    // Linux, threaded elsewhere); `--engine` forces one explicitly. The
-    // startup line below reports the plane actually running.
-    let engine = match opts.engine.as_deref() {
-        Some("threaded") => EngineKind::Threaded,
-        Some(_) => EngineKind::Reactor { loops: opts.loops },
-        None => match EngineKind::default() {
-            EngineKind::Reactor { .. } => EngineKind::Reactor { loops: opts.loops },
-            other => other,
-        },
-    };
-    let server = match CacheServer::spawn_with(&*opts.bind, config, ServerConfig { engine }) {
+    let server = match CacheServer::spawn(&*opts.bind, config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failed to bind {}: {e}", opts.bind);

@@ -1,30 +1,39 @@
-//! The event loop's connection state machine.
+//! One connection's state machine, driven by both data planes.
 //!
-//! The epoll reactor ([`reactor`]) drives a ReadingCommand → Executing
-//! → WritingResponse cycle over each connection; it owns how bytes move
-//! between the socket and the buffers. This module holds the middle:
-//! the input buffer with its parse cursor, the per-connection
-//! [`WireBuf`] parse scratch, the [`ResponseWriter`] over a drainable
-//! output buffer, and the execute loop that turns buffered bytes into
-//! queued responses through the same [`serve_command`] the threaded
-//! plane uses.
-//!
-//! [`reactor`]: crate::reactor
+//! A connection cycles ReadingCommand → Executing → WritingResponse.
+//! [`ConnCore`] is that cycle without a socket: the input buffer with
+//! its parse cursor, the per-connection [`WireBuf`] parse scratch, the
+//! [`ResponseWriter`] over a drainable output buffer, and the execute
+//! loop that turns buffered bytes into queued responses through
+//! [`serve_command`]. A data plane is only how a connection waits for
+//! bytes: the epoll reactor (`reactor.rs`, Linux) calls
+//! [`ConnCore::read_from`] and [`ConnCore::serve`] when a non-blocking
+//! socket is ready, the threaded plane calls them in a blocking loop on
+//! the connection's own thread. One core, two drivers: both planes
+//! frame and answer a byte stream the same way by construction.
 
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
 use std::time::Instant;
 
 use crate::protocol::{parse_raw_command, storage_command_len, Response, ResponseWriter, WireBuf};
-use crate::server::{op_class_of, serve_command, OutBuf, Shared, OUT_HIGH_WATER};
+use crate::server::{op_class_of, serve_command, OutBuf, Shared};
 
-/// One connection's state on the reactor. The phases of the
-/// ReadingCommand → Executing → WritingResponse cycle are encoded in
-/// the buffers: unparsed input waits in `rbuf[rpos..]`, queued output
-/// waits in the writer's [`OutBuf`], and the `eof`/`closing` flags
-/// steer the endgame (serve everything already buffered, flush, then
-/// close — exactly the threaded plane's semantics).
+/// Output high-water mark: above this many pending response bytes a
+/// connection stops reading and parsing until the peer drains its
+/// socket — bounding per-connection memory against a client that
+/// pipelines requests without reading responses.
+pub(crate) const OUT_HIGH_WATER: usize = 1 << 20;
+
+/// Socket read granularity: the size of the scratch buffer every
+/// `read` is offered (one per event loop, one per connection thread).
+pub(crate) const READ_CHUNK: usize = 64 << 10;
+
+/// One connection's state. The phases of the ReadingCommand →
+/// Executing → WritingResponse cycle are encoded in the buffers:
+/// unparsed input waits in `rbuf[rpos..]`, queued output waits in the
+/// writer's [`OutBuf`], and the `eof`/`closing` flags steer the endgame
+/// (serve everything already buffered, flush, then close).
 pub(crate) struct ConnCore {
-    pub(crate) stream: TcpStream,
     /// Raw bytes off the socket; `rpos` is the parse cursor.
     pub(crate) rbuf: Vec<u8>,
     rpos: usize,
@@ -33,8 +42,7 @@ pub(crate) struct ConnCore {
     /// 0 when nothing is known to be missing. `parse_raw_command`
     /// starts from the first byte and sizes its scratch to the declared
     /// length on every call, so retrying per arrival would cost a value
-    /// of `n` chunks `n` parses — on a loop thread that serves nothing
-    /// else meanwhile.
+    /// of `n` chunks `n` parses.
     need: usize,
     /// Per-connection parse scratch: keys borrow this in place, so a
     /// warmed connection parses without allocating.
@@ -49,9 +57,8 @@ pub(crate) struct ConnCore {
 }
 
 impl ConnCore {
-    pub(crate) fn new(stream: TcpStream) -> ConnCore {
+    pub(crate) fn new() -> ConnCore {
         ConnCore {
-            stream,
             rbuf: Vec::new(),
             rpos: 0,
             need: 0,
@@ -65,6 +72,63 @@ impl ConnCore {
     /// Response bytes queued in the output buffer.
     pub(crate) fn out_pending(&self) -> usize {
         self.writer.get_ref().pending()
+    }
+
+    /// Issues one `read` into `scratch` and appends what arrived to the
+    /// input; a read of 0 bytes marks EOF. Returns the bytes read.
+    pub(crate) fn read_from(
+        &mut self,
+        source: &mut impl Read,
+        scratch: &mut [u8],
+        shared: &Shared,
+    ) -> std::io::Result<usize> {
+        shared.metrics.plane_syscalls.inc();
+        let n = source.read(scratch)?;
+        self.eof |= n == 0;
+        self.rbuf.extend_from_slice(&scratch[..n]);
+        Ok(n)
+    }
+
+    /// Drains queued response bytes to `sink`, resuming where the last
+    /// partial write stopped. Stops early on `WouldBlock` (the reactor
+    /// waits for EPOLLOUT); a hard error is `Err`.
+    pub(crate) fn flush_to(&mut self, sink: &mut impl Write, shared: &Shared) -> Result<(), ()> {
+        let out = self.writer.get_mut();
+        while out.pos < out.buf.len() {
+            shared.metrics.plane_syscalls.inc();
+            match sink.write(&out.buf[out.pos..]) {
+                Ok(0) => return Err(()),
+                Ok(n) => out.pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(()),
+            }
+        }
+        if out.pos == out.buf.len() && out.pos > 0 {
+            out.buf.clear();
+            out.pos = 0;
+        }
+        Ok(())
+    }
+
+    /// Serves every complete command buffered and flushes the replies
+    /// to `sink`. `Ok(true)` keeps the connection, `Ok(false)` is a
+    /// graceful close (`closing` with everything flushed), `Err` is a
+    /// fatal write error.
+    pub(crate) fn serve(&mut self, sink: &mut impl Write, shared: &Shared) -> Result<bool, ()> {
+        loop {
+            self.process(shared);
+            let stopped_over_mark = self.out_pending() > OUT_HIGH_WATER;
+            self.flush_to(sink, shared)?;
+            // Backpressure may have stopped the parse with whole
+            // commands still buffered. If the sink then took enough to
+            // get back under the mark, serve on: no read will ever
+            // announce input that has already been read.
+            if !stopped_over_mark || self.out_pending() > OUT_HIGH_WATER {
+                break;
+            }
+        }
+        Ok(!(self.closing && self.out_pending() == 0))
     }
 
     /// Drops the parsed prefix of the input buffer so it never grows
@@ -84,9 +148,8 @@ impl ConnCore {
     }
 
     /// Parses and executes every complete command buffered on the
-    /// connection, stopping at backpressure (the 1 MiB high-water mark
-    /// the threaded plane applies too), incomplete input, or a close
-    /// condition.
+    /// connection, stopping at backpressure (the output high-water
+    /// mark), incomplete input, or a close condition.
     pub(crate) fn process(&mut self, shared: &Shared) {
         // EOF parses once more regardless: that attempt is what closes
         // a connection whose peer gave up mid-block.
@@ -106,14 +169,12 @@ impl ConnCore {
                 writer,
                 closing,
                 eof,
-                ..
             } = &mut *self;
             match parse_raw_command(&rbuf[*rpos..], wire) {
                 Ok(Some((command, used))) => {
                     *rpos += used;
-                    // Same timing rule as the threaded plane: the
-                    // serve (engine + response assembly), not the wait
-                    // for bytes.
+                    // Time the serve (engine + response assembly), not
+                    // the wait for bytes.
                     let class = op_class_of(&command);
                     let begin = Instant::now();
                     let quit = serve_command(command, shared, writer);
@@ -124,8 +185,7 @@ impl ConnCore {
                 Ok(None) => {
                     // Incomplete: wait for more bytes — unless the
                     // peer already finished sending, in which case a
-                    // trailing partial command drops exactly as the
-                    // threaded plane's mid-command EOF does.
+                    // trailing partial command is dropped.
                     if *eof {
                         *closing = true;
                     } else {
@@ -134,8 +194,8 @@ impl ConnCore {
                     break;
                 }
                 Err(e) => {
-                    // Threaded-plane parity: malformed input earns an
-                    // ERROR line, then the connection closes.
+                    // Malformed input earns an ERROR line, then the
+                    // connection closes.
                     let _ = writer.write(&Response::Error(e.to_string()));
                     *closing = true;
                     break;

@@ -8,12 +8,13 @@
 //! - [`CacheServer`] — a cache server wrapping a lock-striped
 //!   [`proteus_cache::ShardedEngine`] (no global engine mutex),
 //!   speaking a memcached-flavoured text protocol (`get` / multi-key
-//!   `get k1 k2 ...` / `set` / `delete` / `stats` / `quit`). Two data
-//!   planes, selected by [`ServerConfig`]: a non-blocking **epoll
-//!   reactor** (the Linux default — a handful of event-loop threads
-//!   absorb thousands of mostly-idle web-tier connections) and the
-//!   portable thread-per-connection plane, kept as the correctness
-//!   oracle the reactor is property-tested against.
+//!   `get k1 k2 ...` / `set` / `delete` / `stats` / `quit`). One
+//!   connection state machine frames and answers the byte stream;
+//!   two data planes, selected by [`ServerConfig`], drive it: a
+//!   non-blocking **epoll reactor** (the Linux default — a handful of
+//!   event-loop threads absorb thousands of mostly-idle web-tier
+//!   connections) and the portable thread-per-connection plane (the
+//!   only one off Linux).
 //!   Like the paper's modified memcached, the reserved keys
 //!   `SET_BLOOM_FILTER` and `BLOOM_FILTER` snapshot and retrieve the
 //!   server's digest **through the ordinary data protocol**, so any
@@ -58,7 +59,6 @@
 
 mod client;
 mod cluster_client;
-#[cfg(target_os = "linux")]
 mod conn;
 mod error;
 mod fault;

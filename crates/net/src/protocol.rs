@@ -438,7 +438,6 @@ fn parse_storage_header<'a>(
 /// was told "incomplete" asks this how long to wait before calling it
 /// again, so a large value arriving in pieces is parsed once, not once
 /// per piece.
-#[cfg(target_os = "linux")]
 pub(crate) fn storage_command_len(input: &[u8]) -> Option<usize> {
     let line_len = input.iter().position(|&b| b == b'\n')? + 1;
     let text = std::str::from_utf8(&input[..line_len]).ok()?;
@@ -452,8 +451,9 @@ pub(crate) fn storage_command_len(input: &[u8]) -> Option<usize> {
 }
 
 /// Attempts to parse one command from a byte slice without consuming
-/// it — the resumable entry point the epoll reactor uses on its
-/// per-connection input buffers.
+/// it — the resumable entry point the server's connection state
+/// machine uses on its per-connection input buffer, whichever data
+/// plane drives it.
 ///
 /// Returns `Ok(Some((command, used)))` when `input` starts with a
 /// complete command (`used` is how many bytes it spans), `Ok(None)`
@@ -461,9 +461,9 @@ pub(crate) fn storage_command_len(input: &[u8]) -> Option<usize> {
 /// needed, and `Err` on malformed input.
 ///
 /// This is a thin wrapper over [`read_raw_command`] driven by the
-/// slice itself, so it accepts and rejects exactly the same byte
-/// streams as the threaded server's parser — the equivalence holds by
-/// construction, not by a parallel implementation.
+/// slice itself, so it accepts and rejects exactly the byte streams
+/// the blocking reader does — the equivalence holds by construction,
+/// not by a parallel implementation.
 ///
 /// # Errors
 ///

@@ -8,29 +8,27 @@
 //! zero-copy engine saturates. This module replaces that plane with a
 //! small, fixed set of event-loop threads:
 //!
-//! - An **accept thread** owns the listener and round-robins new
-//!   sockets across loops via a mutex-protected mailbox, waking the
-//!   target loop through an [`EventFd`] doorbell.
+//! - An **accept thread** runs the server's accept loop and
+//!   round-robins new sockets across loops via a mutex-protected
+//!   mailbox, waking the target loop through an [`EventFd`] doorbell.
 //! - Each **event loop** owns one epoll instance and the connections
 //!   routed to it; a connection never migrates, so all per-connection
 //!   state is single-threaded and lock-free.
-//! - Each **connection** is a [`ConnCore`] state machine: *reading*
-//!   bytes into a growable input buffer, *executing* every complete
-//!   command it holds (through the same `serve_command` the threaded
-//!   plane uses), and *writing* the queued responses, resuming partial
-//!   writes when the socket backs up.
+//! - Each **connection** is a non-blocking socket plus a [`ConnCore`],
+//!   the one connection state machine both planes drive. On
+//!   readiness the loop reads what the socket holds into the core,
+//!   lets it serve every complete command and flush the replies, and
+//!   re-arms EPOLLOUT while a partial write is pending.
 //!
-//! The hot path is the threaded plane's: commands are parsed in place
-//! by [`parse_raw_command`](crate::protocol::parse_raw_command)
-//! (borrowed keys and data blocks, one long-lived `WireBuf` per
-//! connection) and responses are assembled by `ResponseWriter` into a
-//! reused output buffer, so a warmed connection serves gets and sets
-//! without allocating.
+//! One core, two drivers: framing, parsing, serving and backpressure
+//! are the core's, so this module holds only how a connection waits
+//! for bytes — epoll interest, the doorbell, one scratch buffer per
+//! loop.
 //!
 //! [`EngineKind::Threaded`]: crate::EngineKind::Threaded
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
@@ -41,10 +39,10 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use proteus_obs::{Counter, Gauge};
 
-use crate::conn::ConnCore;
+use crate::conn::{ConnCore, OUT_HIGH_WATER, READ_CHUNK};
 use crate::error::NetError;
 use crate::poll::{Epoll, EventFd, Events, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::server::{accept_retry_delay, Shared, OUT_HIGH_WATER};
+use crate::server::{accept_loop, Shared};
 
 /// Token reserved for the loop's eventfd doorbell; connection tokens
 /// count up from zero and never collide with it.
@@ -55,23 +53,28 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// timeout does (the doorbell usually wakes loops sooner).
 const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Socket read granularity: the size of each loop's scratch buffer,
-/// which is what every `read` call is offered.
-const READ_CHUNK: usize = 64 << 10;
-
 /// Reactor telemetry: per-loop connection gauges plus accept,
 /// read-`EAGAIN`, and wait/event batch counters, surfaced through the
 /// server's registry (`stats proteus` and the metrics endpoint).
 /// `events / waits` is the mean readiness batch one `epoll_wait`
 /// syscall delivers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ReactorStats {
-    per_loop_connections: Vec<Gauge>,
-    accepted: Counter,
-    read_eagain: Counter,
-    wakeups: Counter,
-    waits: Counter,
-    events: Counter,
+    /// Connections currently owned by each loop, in loop order.
+    pub(crate) per_loop_connections: Vec<Gauge>,
+    /// Sockets accepted and routed to a loop.
+    pub(crate) accepted: Counter,
+    /// Socket reads that returned `EAGAIN`. A short read is the usual
+    /// "drained" signal, so this counts only reads that found nothing
+    /// (a full buffer's worth arrived exactly, or a spurious wake-up).
+    pub(crate) read_eagain: Counter,
+    /// Doorbell wake-ups delivered to event loops.
+    pub(crate) wakeups: Counter,
+    /// `epoll_wait` syscalls issued (the submit side of a batch).
+    pub(crate) waits: Counter,
+    /// Readiness events delivered across all waits (the complete side
+    /// of a batch).
+    pub(crate) events: Counter,
 }
 
 impl ReactorStats {
@@ -79,45 +82,8 @@ impl ReactorStats {
     pub(crate) fn new(loops: usize) -> Self {
         ReactorStats {
             per_loop_connections: (0..loops).map(|_| Gauge::new()).collect(),
-            accepted: Counter::new(),
-            read_eagain: Counter::new(),
-            wakeups: Counter::new(),
-            waits: Counter::new(),
-            events: Counter::new(),
+            ..ReactorStats::default()
         }
-    }
-
-    /// Connections currently owned by each loop, in loop order.
-    pub(crate) fn loop_connections(&self) -> Vec<i64> {
-        self.per_loop_connections.iter().map(Gauge::get).collect()
-    }
-
-    /// Sockets accepted and routed to a loop.
-    pub(crate) fn accepted(&self) -> u64 {
-        self.accepted.get()
-    }
-
-    /// Socket reads that returned `EAGAIN`. A short read is the usual
-    /// "drained" signal, so this counts only reads that found nothing
-    /// (a full buffer's worth arrived exactly, or a spurious wake-up).
-    pub(crate) fn read_eagain(&self) -> u64 {
-        self.read_eagain.get()
-    }
-
-    /// Doorbell wake-ups delivered to event loops.
-    pub(crate) fn wakeups(&self) -> u64 {
-        self.wakeups.get()
-    }
-
-    /// `epoll_wait` syscalls issued (the submit side of a batch).
-    pub(crate) fn waits(&self) -> u64 {
-        self.waits.get()
-    }
-
-    /// Readiness events delivered across all waits (the complete side
-    /// of a batch).
-    pub(crate) fn events(&self) -> u64 {
-        self.events.get()
     }
 }
 
@@ -225,31 +191,14 @@ impl Reactor {
             .name("proteus-accept".into())
             .spawn(move || {
                 let mut next = 0usize;
-                for stream in listener.incoming() {
-                    // One blocking `accept` syscall per iteration.
-                    accept_shared.metrics.plane_syscalls.inc();
-                    if accept_shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            let mailbox = &mailboxes[next % mailboxes.len()];
-                            next = next.wrapping_add(1);
-                            stats.accepted.inc();
-                            mailbox.queue.lock().push(stream);
-                            mailbox.wake.notify();
-                            accept_shared.metrics.plane_syscalls.inc(); // eventfd write
-                        }
-                        // Same policy as the threaded plane: no accept
-                        // error kills the listener; exhaustion backs
-                        // off, aborts retry immediately.
-                        Err(e) => {
-                            if let Some(delay) = accept_retry_delay(&e) {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                    }
-                }
+                accept_loop(listener, &accept_shared, |stream| {
+                    let mailbox = &mailboxes[next % mailboxes.len()];
+                    next = next.wrapping_add(1);
+                    stats.accepted.inc();
+                    mailbox.queue.lock().push(stream);
+                    mailbox.wake.notify();
+                    accept_shared.metrics.plane_syscalls.inc(); // eventfd write
+                });
             })?;
         self.accept_thread = Some(accept_thread);
         Ok(())
@@ -274,9 +223,10 @@ impl Reactor {
     }
 }
 
-/// One connection on the epoll plane: the shared state machine plus
-/// the epoll interest bits currently registered for it.
+/// One connection on the epoll plane: its non-blocking socket, the
+/// shared state machine, and the epoll interest bits registered for it.
 struct Conn {
+    stream: TcpStream,
     core: ConnCore,
     /// The epoll interest bits currently registered.
     interest: u32,
@@ -285,7 +235,8 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
-            core: ConnCore::new(stream),
+            stream,
+            core: ConnCore::new(),
             interest: EPOLLIN | EPOLLRDHUP,
         }
     }
@@ -396,27 +347,36 @@ impl Worker {
             return Err(());
         }
         if bits & EPOLLOUT != 0 {
-            flush_out(&mut conn.core, &self.shared)?;
+            conn.core.flush_to(&mut conn.stream, &self.shared)?;
         }
         if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
-            fill_in(&mut conn.core, &mut self.scratch, &self.stats, &self.shared)?;
+            self.fill_in(conn)?;
         }
-        loop {
-            conn.core.process(&self.shared);
-            let stopped_over_mark = conn.core.out_pending() > OUT_HIGH_WATER;
-            flush_out(&mut conn.core, &self.shared)?;
-            // Backpressure may have stopped the parse with whole
-            // commands still buffered. If the socket then took enough
-            // to get back under the mark, serve on: no readiness event
-            // will ever announce input that has already been read.
-            if !stopped_over_mark || conn.core.out_pending() > OUT_HIGH_WATER {
-                break;
+        conn.core.serve(&mut conn.stream, &self.shared)
+    }
+
+    /// Reads until the socket is drained, EOF, or the output high-water
+    /// mark says to stop pulling in more work. A read shorter than the
+    /// scratch buffer means the socket had no more to give: stopping
+    /// there saves the `read` that would return `EAGAIN`, and
+    /// level-triggered epoll reports any bytes that arrive later.
+    fn fill_in(&mut self, conn: &mut Conn) -> Result<(), ()> {
+        while conn.core.out_pending() <= OUT_HIGH_WATER {
+            match conn
+                .core
+                .read_from(&mut conn.stream, &mut self.scratch, &self.shared)
+            {
+                Ok(n) if n < self.scratch.len() => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.stats.read_eagain.inc();
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(()),
             }
         }
-        if conn.core.closing && conn.core.out_pending() == 0 {
-            return Ok(false);
-        }
-        Ok(true)
+        Ok(())
     }
 
     /// Re-arms epoll for what the connection now cares about: always
@@ -434,68 +394,8 @@ impl Worker {
         }
         if want != conn.interest {
             self.shared.metrics.plane_syscalls.inc();
-            let _ = self.epoll.modify(conn.core.stream.as_raw_fd(), token, want);
+            let _ = self.epoll.modify(conn.stream.as_raw_fd(), token, want);
             conn.interest = want;
         }
     }
-}
-
-/// Reads until the socket is drained, EOF, or the output high-water
-/// mark says to stop pulling in more work. A read shorter than the
-/// scratch buffer means the socket had no more to give: stopping there
-/// saves the `read` that would return `EAGAIN`, and level-triggered
-/// epoll reports any bytes that arrive later.
-fn fill_in(
-    conn: &mut ConnCore,
-    scratch: &mut [u8],
-    stats: &ReactorStats,
-    shared: &Shared,
-) -> Result<(), ()> {
-    loop {
-        if conn.out_pending() > OUT_HIGH_WATER {
-            return Ok(());
-        }
-        shared.metrics.plane_syscalls.inc();
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                conn.eof = true;
-                return Ok(());
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&scratch[..n]);
-                if n < scratch.len() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                stats.read_eagain.inc();
-                return Ok(());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(()),
-        }
-    }
-}
-
-/// Drains queued response bytes to the socket, resuming where the
-/// last partial write stopped; backs off on `EAGAIN` (EPOLLOUT will
-/// re-arm) and reports hard errors.
-fn flush_out(conn: &mut ConnCore, shared: &Shared) -> Result<(), ()> {
-    let ConnCore { stream, writer, .. } = conn;
-    let out = writer.get_mut();
-    while out.pos < out.buf.len() {
-        shared.metrics.plane_syscalls.inc();
-        match stream.write(&out.buf[out.pos..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => out.pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(()),
-        }
-    }
-    if out.pos == out.buf.len() && out.pos > 0 {
-        out.buf.clear();
-        out.pos = 0;
-    }
-    Ok(())
 }

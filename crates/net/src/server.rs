@@ -1,7 +1,8 @@
 //! The TCP cache server.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,14 +18,15 @@ use proteus_obs::{
 };
 use proteus_sim::{SimDuration, SimTime};
 
+use crate::conn::{ConnCore, READ_CHUNK};
 use crate::error::NetError;
 use crate::protocol::{
-    parse_mru_keys_page, read_raw_command, RawCommand, Response, ResponseWriter, WireBuf,
-    DIGEST_KEY, DIGEST_SNAPSHOT_KEY, MRU_KEYS_PAGE, MRU_KEYS_PREFIX,
+    parse_mru_keys_page, RawCommand, Response, ResponseWriter, DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
+    MRU_KEYS_PAGE, MRU_KEYS_PREFIX,
 };
 
-/// How long an idle connection blocks in `read` before re-checking the
-/// shutdown flag. Bounds how long `CacheServer::stop()` waits for
+/// How long a connection thread blocks in `read` before re-checking
+/// the shutdown flag. Bounds how long `CacheServer::stop()` waits for
 /// parked connection threads to quiesce.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(100);
 
@@ -32,13 +34,6 @@ const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// (`EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`): gives the process a beat to
 /// shed file descriptors instead of spinning.
 const ACCEPT_EXHAUSTED_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Output high-water mark: above this many pending response bytes a
-/// connection stops reading and parsing until the peer drains its
-/// socket — bounding per-connection memory against a client that
-/// pipelines requests without reading responses. Shared by both
-/// planes so backpressure behaves identically.
-pub(crate) const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// A connection's response buffer, and the only thing
 /// [`serve_command`] can write to: commands are served under engine
@@ -220,6 +215,29 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// A fresh engine plus the server state around it, for a data plane
+    /// already resolved to `engine_kind`.
+    fn new(config: CacheConfig, engine_kind: EngineKind) -> Shared {
+        Shared {
+            engine: ShardedEngine::new(config),
+            snapshot: Mutex::new(None),
+            started: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            metrics: ServerMetrics::default(),
+            tracer: Arc::new(EventTracer::new()),
+            engine_kind,
+            conns: Mutex::new(HashMap::new()),
+            next_conn_id: AtomicU64::new(0),
+            #[cfg(target_os = "linux")]
+            reactor_stats: match engine_kind {
+                EngineKind::Reactor { loops } => {
+                    Some(Arc::new(crate::reactor::ReactorStats::new(loops)))
+                }
+                EngineKind::Threaded | EngineKind::Uring { .. } => None,
+            },
+        }
+    }
+
     pub(crate) fn now(&self) -> SimTime {
         SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
     }
@@ -234,7 +252,7 @@ impl Shared {
 ///
 /// EMFILE(24) and ENFILE(23) surface as Uncategorized on stable, so
 /// they are matched by raw code, with ENOBUFS(105) and ENOMEM(12).
-pub(crate) fn accept_retry_delay(e: &std::io::Error) -> Option<Duration> {
+fn accept_retry_delay(e: &std::io::Error) -> Option<Duration> {
     let exhausted = match e.raw_os_error() {
         Some(code) => matches!(code, 23 | 24 | 12 | 105),
         None => matches!(
@@ -327,24 +345,7 @@ impl CacheServer {
             let _ = server_config;
             EngineKind::Threaded
         };
-        let shared = Arc::new(Shared {
-            engine: ShardedEngine::new(config),
-            snapshot: Mutex::new(None),
-            started: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            metrics: ServerMetrics::default(),
-            tracer: Arc::new(EventTracer::new()),
-            engine_kind,
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-            #[cfg(target_os = "linux")]
-            reactor_stats: match engine_kind {
-                EngineKind::Reactor { loops } => {
-                    Some(Arc::new(crate::reactor::ReactorStats::new(loops)))
-                }
-                EngineKind::Threaded | EngineKind::Uring { .. } => None,
-            },
-        });
+        let shared = Arc::new(Shared::new(config, engine_kind));
         let data_plane = match engine_kind {
             #[cfg(target_os = "linux")]
             EngineKind::Reactor { loops } => {
@@ -449,42 +450,49 @@ impl CacheServer {
     }
 }
 
-/// Starts the thread-per-connection data plane: an accept loop that
-/// spawns one serving thread per connection.
+/// The accept loop both data planes run, each handing every accepted
+/// socket to its own `admit`. A failed accept never kills the
+/// listener: the connection-level errors (ECONNABORTED & friends) retry
+/// immediately, resource exhaustion backs off first. Only shutdown
+/// ends the loop.
+pub(crate) fn accept_loop(
+    listener: TcpListener,
+    shared: &Shared,
+    mut admit: impl FnMut(TcpStream),
+) {
+    for stream in listener.incoming() {
+        // One blocking `accept` syscall per iteration.
+        shared.metrics.plane_syscalls.inc();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(stream) => admit(stream),
+            Err(e) => {
+                if let Some(delay) = accept_retry_delay(&e) {
+                    std::thread::sleep(delay);
+                }
+            }
+        }
+    }
+}
+
+/// Starts the thread-per-connection data plane: the accept loop spawns
+/// one serving thread per connection.
 fn spawn_threaded(listener: TcpListener, shared: &Arc<Shared>) -> DataPlane {
     let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let accept_shared = Arc::clone(shared);
     let accept_conn_threads = Arc::clone(&conn_threads);
     let accept_thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            // One blocking `accept` syscall per iteration.
-            accept_shared.metrics.plane_syscalls.inc();
-            if accept_shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match stream {
-                Ok(stream) => {
-                    let conn_shared = Arc::clone(&accept_shared);
-                    let handle = std::thread::spawn(move || {
-                        serve_connection(stream, &conn_shared);
-                    });
-                    let mut threads = accept_conn_threads.lock();
-                    // Reap finished handles so long-running servers
-                    // don't accumulate one entry per past connection.
-                    threads.retain(|h| !h.is_finished());
-                    threads.push(handle);
-                }
-                // A failed accept never kills the listener: the
-                // connection-level errors (ECONNABORTED & friends)
-                // retry immediately, resource exhaustion backs off
-                // first. Only shutdown ends the loop.
-                Err(e) => {
-                    if let Some(delay) = accept_retry_delay(&e) {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-        }
+        accept_loop(listener, &accept_shared, |stream| {
+            let conn_shared = Arc::clone(&accept_shared);
+            let handle = std::thread::spawn(move || serve_connection(stream, &conn_shared));
+            let mut threads = accept_conn_threads.lock();
+            // Reap finished handles so long-running servers don't
+            // accumulate one entry per past connection.
+            threads.retain(|h| !h.is_finished());
+            threads.push(handle);
+        });
     });
     DataPlane::Threaded {
         accept_thread: Some(accept_thread),
@@ -524,116 +532,33 @@ pub(crate) fn op_class_of(cmd: &RawCommand<'_>) -> OpClass {
     }
 }
 
-/// A [`TcpStream`] that counts every read and write against the
-/// server's `plane_syscalls` metric, so the thread-per-connection
-/// plane's syscall rate is measured at the same granularity as the
-/// event-driven planes'. (`flush` on a raw socket is a no-op, not a
-/// syscall, and is not counted.)
-struct CountedStream {
-    inner: TcpStream,
-    shared: Arc<Shared>,
-}
-
-impl std::io::Read for CountedStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.shared.metrics.plane_syscalls.inc();
-        self.inner.read(buf)
-    }
-}
-
-impl Write for CountedStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.shared.metrics.plane_syscalls.inc();
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+/// The threaded plane's driver of one connection: block in `read`,
+/// then let the [`ConnCore`] serve and flush, until it says the
+/// connection is done.
+fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = stream.try_clone() {
         shared.conns.lock().insert(conn_id, clone);
     }
     shared.metrics.total_connections.inc();
     shared.metrics.curr_connections.inc();
-    // Idle read timeout: a parked reader wakes every IDLE_READ_TIMEOUT
-    // to re-check the shutdown flag, so `stop()` quiesces instead of
-    // waiting for the peer to hang up.
+    // A parked reader wakes every IDLE_READ_TIMEOUT to re-check the
+    // shutdown flag, so `stop()` quiesces instead of waiting for the
+    // peer to hang up.
     let _ = stream.set_read_timeout(Some(IDLE_READ_TIMEOUT));
-    let peer = stream.try_clone();
-    if let Ok(write_half) = peer {
-        let mut reader = BufReader::new(CountedStream {
-            inner: stream,
-            shared: Arc::clone(shared),
-        });
-        let mut socket = CountedStream {
-            inner: write_half,
-            shared: Arc::clone(shared),
-        };
-        let mut writer = ResponseWriter::new(OutBuf::default());
-        // Everything queued goes out in one blocking write; a peer that
-        // stopped reading stalls this thread here, not inside a serve.
-        let mut drain = |out: &mut OutBuf| {
-            let sent = socket.write_all(&out.buf[out.pos..]);
-            out.buf.clear();
-            sent
-        };
-        // One buffer pool per connection: after the first few commands
-        // parsing stops allocating (keys borrow the pool in place).
-        let mut buf = WireBuf::new();
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            // Wait for the first byte of the next command *before*
-            // parsing: a timeout here is mere idleness (keep waiting); a
-            // timeout mid-command below is a genuinely stalled peer.
-            match reader.fill_buf() {
-                Ok([]) => break, // clean EOF
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue;
-                }
-                Err(_) => break,
-            }
-            let quit = match read_raw_command(&mut reader, &mut buf) {
-                Ok(command) => {
-                    // Time the serve (engine + response assembly), not
-                    // the idle wait for the command's first byte.
-                    let class = op_class_of(&command);
-                    let begin = Instant::now();
-                    let quit = serve_command(command, shared, &mut writer);
-                    shared.metrics.ops.record(class, begin.elapsed());
-                    quit
-                }
-                Err(NetError::Io(_)) => break, // disconnect
-                Err(e) => {
-                    let _ = writer.write(&Response::Error(e.to_string()));
-                    true
-                }
-            };
-            // Coalesced flush: while more pipelined input is already
-            // buffered, keep the responses queued; send once per
-            // drained input buffer instead of once per response — or
-            // sooner, when the queue passes the high-water mark. `quit`
-            // (and a protocol error) push out whatever earlier
-            // pipelined commands queued before closing.
-            let out = writer.get_mut();
-            let due = quit || reader.buffer().is_empty() || out.pending() > OUT_HIGH_WATER;
-            if (due && drain(out).is_err()) || quit {
-                break;
-            }
+    let mut core = ConnCore::new();
+    let mut scratch = vec![0; READ_CHUNK];
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        match core.read_from(&mut stream, &mut scratch, shared) {
+            // A timeout only re-checks the shutdown flag, whether or
+            // not a command is half-read.
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+            Err(_) => break,
+            Ok(_) if core.serve(&mut stream, shared) != Ok(true) => break,
+            Ok(_) => {}
         }
-        let _ = reader.get_ref().inner.shutdown(Shutdown::Both);
     }
+    let _ = stream.shutdown(Shutdown::Both);
     shared.metrics.curr_connections.dec();
     shared.conns.lock().remove(&conn_id);
 }
@@ -756,24 +681,19 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
     out.extend(trace_metrics(&shared.tracer));
     #[cfg(target_os = "linux")]
     if let Some(rs) = &shared.reactor_stats {
-        out.push(Metric::counter(
-            "proteus_reactor_accepted_total",
-            rs.accepted(),
-        ));
-        out.push(Metric::counter(
-            "proteus_reactor_read_eagain_total",
-            rs.read_eagain(),
-        ));
-        out.push(Metric::counter(
-            "proteus_reactor_wakeups_total",
-            rs.wakeups(),
-        ));
         // events / waits = mean readiness batch per epoll_wait.
-        out.push(Metric::counter("proteus_reactor_waits_total", rs.waits()));
-        out.push(Metric::counter("proteus_reactor_events_total", rs.events()));
-        for (index, conns) in rs.loop_connections().into_iter().enumerate() {
+        for (name, counter) in [
+            ("proteus_reactor_accepted_total", &rs.accepted),
+            ("proteus_reactor_read_eagain_total", &rs.read_eagain),
+            ("proteus_reactor_wakeups_total", &rs.wakeups),
+            ("proteus_reactor_waits_total", &rs.waits),
+            ("proteus_reactor_events_total", &rs.events),
+        ] {
+            out.push(Metric::counter(name, counter.get()));
+        }
+        for (index, conns) in rs.per_loop_connections.iter().enumerate() {
             out.push(
-                Metric::gauge("proteus_reactor_loop_connections", conns)
+                Metric::gauge("proteus_reactor_loop_connections", conns.get())
                     .with_label("loop", index.to_string()),
             );
         }
@@ -1043,6 +963,8 @@ fn execute(command: RawCommand<'_>, shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use crate::client::CacheClient;
+    use crate::protocol::WireBuf;
+    use std::io::BufReader;
 
     fn test_server() -> CacheServer {
         CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(1 << 20))
@@ -1243,7 +1165,6 @@ mod tests {
     /// `parse_raw_command` starts from byte 0 and sizes its scratch to
     /// the declared length on every call, so a connection retrying per
     /// arrival parsed a value of n pieces n times (513 for 32 MiB).
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_set_arriving_in_pieces_is_parsed_when_it_starts_and_when_it_is_whole() {
         use crate::conn::ConnCore;
@@ -1260,7 +1181,7 @@ mod tests {
         let mut pieces = command.chunks(PIECE);
         let last = pieces.next_back().unwrap();
 
-        let mut core = ConnCore::new(TcpStream::connect(server.addr()).unwrap());
+        let mut core = ConnCore::new();
         core.rbuf.extend_from_slice(pieces.next().unwrap());
         core.process(&server.shared);
         assert_eq!(
@@ -1281,7 +1202,7 @@ mod tests {
             assert_eq!(core.out_pending(), 0);
         }
         // A peer that hangs up mid-block still closes silently.
-        let mut hung_up = ConnCore::new(TcpStream::connect(server.addr()).unwrap());
+        let mut hung_up = ConnCore::new();
         hung_up.rbuf.extend_from_slice(&core.rbuf);
         hung_up.process(&server.shared);
         hung_up.eof = true;
@@ -1295,6 +1216,89 @@ mod tests {
         let stored = server.with_engine(|e| e.get(b"big", SimTime::ZERO));
         assert_eq!(stored.as_deref(), Some(&value[..]));
         server.stop();
+    }
+
+    /// One generated command's wire bytes: a `get`, a multi-key `get`,
+    /// a `set` of up to 100 KiB (or of a number, for `incr` to find), a
+    /// `delete` or an `incr`, over six keys so they meet.
+    fn wire_command() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let key = || (0u8..6).prop_map(|k| format!("k{k}"));
+        let value = prop_oneof![
+            (0usize..100 << 10, any::<u8>())
+                .prop_map(|(len, seed)| (0..len).map(|i| seed.wrapping_add(i as u8)).collect()),
+            any::<u32>().prop_map(|n| n.to_string().into_bytes()),
+        ];
+        prop_oneof![
+            key().prop_map(|k| format!("get {k}\r\n").into_bytes()),
+            prop::collection::vec(key(), 2..5)
+                .prop_map(|k| format!("get {}\r\n", k.join(" ")).into()),
+            (key(), value).prop_map(|(k, value)| {
+                let mut bytes = format!("set {k} 0 0 {}\r\n", value.len()).into_bytes();
+                bytes.extend_from_slice(&value);
+                bytes.extend_from_slice(b"\r\n");
+                bytes
+            }),
+            key().prop_map(|k| format!("delete {k}\r\n").into_bytes()),
+            (key(), 0u64..1000).prop_map(|(k, d)| format!("incr {k} {d}\r\n").into_bytes()),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A connection owes the replies of exactly the commands that
+        /// have wholly arrived, at every split point and before any EOF.
+        /// The reference is a second server's core fed one command at a
+        /// time; a malformed line then earns `ERROR` and a close on both.
+        #[test]
+        fn replies_are_due_for_exactly_the_commands_that_have_arrived(
+            commands in proptest::collection::vec(wire_command(), 1..8),
+            cuts in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..24),
+            header_cuts in proptest::collection::vec(0usize..24, 8),
+        ) {
+            use proptest::prelude::*;
+            let config = CacheConfig::with_capacity(64 << 20);
+            let shared = Shared::new(config, EngineKind::Threaded);
+            let reference = Shared::new(config, EngineKind::Threaded);
+            let (mut oracle, mut expected) = (ConnCore::new(), Vec::new());
+            // `owed[i]`: reply bytes due once the first `i` commands arrived.
+            let (mut stream, mut ends, mut owed) = (Vec::new(), Vec::new(), vec![0]);
+            let mut splits = Vec::new();
+            for (command, cut) in commands.iter().zip(&header_cuts) {
+                // A split inside each command's first line, and at its end.
+                splits.push(stream.len() + cut % command.len());
+                stream.extend_from_slice(command);
+                ends.push(stream.len());
+                oracle.rbuf.extend_from_slice(command);
+                prop_assert_eq!(oracle.serve(&mut expected, &reference), Ok(true));
+                owed.push(expected.len());
+            }
+            splits.extend(cuts.iter().map(|cut| cut % stream.len()).chain(ends.clone()));
+            splits.sort_unstable();
+            splits.dedup();
+
+            let (mut core, mut got, mut fed) = (ConnCore::new(), Vec::new(), 0);
+            for split in splits {
+                core.rbuf.extend_from_slice(&stream[fed..split]);
+                fed = split;
+                prop_assert_eq!(core.serve(&mut got, &shared), Ok(true));
+                let arrived = ends.iter().filter(|&&end| end <= fed).count();
+                prop_assert!(got == expected[..owed[arrived]], "{fed} of {} bytes", stream.len());
+            }
+
+            let malformed = b"frobnicate now\r\nget k0\r\n";
+            for (conn, shared, replies) in
+                [(&mut core, &shared, &mut got), (&mut oracle, &reference, &mut expected)]
+            {
+                conn.rbuf.extend_from_slice(malformed);
+                prop_assert_eq!(conn.serve(replies, shared), Ok(false));
+            }
+            prop_assert_eq!(&got, &expected);
+            let error = &got[owed[commands.len()]..];
+            prop_assert!(error.starts_with(b"ERROR") && error.ends_with(b"\r\n"));
+            prop_assert_eq!(error.iter().filter(|&&b| b == b'\n').count(), 1);
+        }
     }
 
     #[test]

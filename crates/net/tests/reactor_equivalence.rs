@@ -1,13 +1,26 @@
 //! The epoll reactor serves exactly the same bytes as the threaded
 //! data plane.
 //!
-//! The threaded server is the correctness oracle: every property here
-//! spawns one server per plane — threaded and epoll reactor — over
-//! identically configured engines, drives the **same byte stream** into
-//! each over fresh sockets — well-formed pipelines under random
-//! chunking, arbitrary garbage, mutated valid streams, and a
-//! deterministic split-at-every-boundary sweep — and requires
-//! byte-identical responses.
+//! Both planes drive one connection core (`ConnCore`): they differ only
+//! in how a connection waits for bytes — epoll readiness on a few
+//! event-loop threads, or a blocking read with a 100 ms timeout on a
+//! thread of its own. So this suite diffs two drivers of one core.
+//! Every property here spawns one server per plane over identically
+//! configured engines, drives the **same byte stream** into each over
+//! fresh sockets — well-formed pipelines under random chunking,
+//! arbitrary garbage, mutated valid streams, a deterministic
+//! split-at-every-boundary sweep, and a command that pauses longer than
+//! the read timeout mid-way — and requires byte-identical responses.
+//!
+//! Framing is checked in three places, each independently of the
+//! others:
+//!
+//! - parse decisions, against a transplanted reference parser
+//!   (`parser_equivalence.rs`);
+//! - resumption at every split point, with no socket: a property in
+//!   `server.rs`'s unit tests requires that a core has answered exactly
+//!   the commands wholly inside each prefix of a split pipeline;
+//! - the two drivers, over sockets: this file.
 //!
 //! Stream constraints that keep the comparison deterministic:
 //!
@@ -17,7 +30,7 @@
 //!   on one server and not the other across a tick boundary.
 //! - Streams that can provoke an error-close (garbage, mutations) are
 //!   written whole before the server looks at them and kept well under
-//!   one reader-buffer fill, so the server always drains its socket
+//!   one read's worth, so the server always drains its socket
 //!   before closing (close-with-unread-input would RST the response
 //!   away nondeterministically on either plane).
 
@@ -310,6 +323,28 @@ fn every_split_point_is_byte_identical() {
             );
         }
         assert_eq!(replies[0], whole[0], "split {split} changed the responses");
+    }
+    stop_all(planes);
+}
+
+/// A command whose bytes pause for longer than the threaded plane's
+/// 100 ms idle read timeout, once inside its header line and once inside
+/// its data block, is still served — alike on both planes.
+#[test]
+fn a_command_that_pauses_mid_way_is_served_on_both_planes() {
+    let stream: &[u8] = b"set k 0 0 5\r\nhello\r\nget k\r\n";
+    let planes = spawn_planes();
+    // "set " | 250 ms | "k 0 0 5\r\nhel" | 250 ms | "lo\r\nget k\r\n"
+    let replies: Vec<Vec<u8>> = planes
+        .iter()
+        .map(|(_, s)| drive(s.addr(), stream, &[4, 12], Some(Duration::from_millis(250))))
+        .collect();
+    for (i, (name, _)) in planes.iter().enumerate() {
+        assert_eq!(
+            String::from_utf8_lossy(&replies[i]),
+            "STORED\r\nVALUE k 0 5\r\nhello\r\nEND\r\n",
+            "{name} dropped a command that paused mid-way"
+        );
     }
     stop_all(planes);
 }
