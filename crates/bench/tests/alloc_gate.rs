@@ -24,7 +24,9 @@ use std::time::{Duration, Instant};
 use proteus_agg::{build_request, http_get_into, ClusterObserver, ObserverConfig, METRICS_PATH};
 use proteus_bench::alloc_track::{is_counting, live_bytes, measure, CountingAlloc};
 use proteus_cache::{CacheConfig, CacheEngine, ShardedEngine, StorageKind};
-use proteus_net::{read_raw_command, CacheClient, CacheServer, RawCommand, SharedBytes, WireBuf};
+use proteus_net::{
+    parse_raw_command, CacheClient, CacheServer, NetError, RawCommand, SharedBytes, WireBuf,
+};
 use proteus_obs::{
     to_json, Counter, HistogramSnapshot, LatencyHistogram, MetricsServer, OpClass, OpLatencies,
 };
@@ -40,6 +42,13 @@ const PARSE_COMMANDS: u64 = 1_000;
 /// key list of a multi-key `get` — every third command of the stream —
 /// plus the boxed end-of-stream error that ends the drain.
 const PARSE_BUDGET: u64 = PARSE_COMMANDS.div_ceil(3) + 4;
+
+/// What the parser may ask the allocator for before it refuses a `get`
+/// line of just under 1 MiB that names too many keys: at most the list
+/// of the `MAX_GET_KEYS` keys a `get` may name. Measured 32 728 B (that
+/// list as it grew, and the error); 16 777 176 B in 19 allocations when
+/// the parser listed every key before counting them.
+const OVERSIZED_GET_BUDGET_BYTES: u64 = 64 << 10;
 
 /// Pipelined commands of each kind the live-server section sends, and
 /// what the whole process may allocate while serving both batches:
@@ -593,7 +602,8 @@ fn hot_paths_stay_within_allocation_budget() {
     let drain = |buf: &mut WireBuf| {
         let mut input = &stream[..];
         let mut parsed = 0u64;
-        while let Ok(cmd) = read_raw_command(&mut input, buf) {
+        while let Some((cmd, used)) = parse_raw_command(input, buf).expect("a valid stream") {
+            input = &input[used..];
             assert!(!matches!(cmd, RawCommand::Quit));
             std::hint::black_box(&cmd);
             parsed += 1;
@@ -607,6 +617,24 @@ fn hot_paths_stay_within_allocation_budget() {
         parse <= PARSE_BUDGET,
         "borrowed parser allocated {parse} times over {PARSE_COMMANDS} commands \
          (budget {PARSE_BUDGET}) — per-command buffers are no longer reused"
+    );
+
+    // A `get` naming 524 285 keys in a 1 048 575-byte line is refused
+    // for naming more than `MAX_GET_KEYS`, without listing them all.
+    let mut oversized = b"get".to_vec();
+    while oversized.len() + 4 <= 1_048_575 {
+        oversized.extend_from_slice(b" a");
+    }
+    oversized.extend_from_slice(b"\r\n");
+    assert_eq!(oversized.len(), 1_048_575);
+    let refused = min_bytes(3, || {
+        let verdict = parse_raw_command(&oversized, &mut buf);
+        assert!(matches!(verdict, Err(NetError::Protocol(_))), "{verdict:?}");
+    });
+    assert!(
+        refused < OVERSIZED_GET_BUDGET_BYTES,
+        "refusing an oversized get asked for {refused} B \
+         (budget {OVERSIZED_GET_BUDGET_BYTES}) — it lists every key before counting them"
     );
 
     // The whole server path on a live default server (slab storage,

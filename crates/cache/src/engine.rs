@@ -545,29 +545,31 @@ impl CacheEngine {
         }
     }
 
-    /// Shared hit path: reaps an expired item, refreshes recency on a
-    /// hit, and moves the hit/miss counters. Returns the slot index on
-    /// a hit.
-    fn hit_slot(&mut self, key: &[u8], now: SimTime) -> Option<u32> {
-        let hash = hash_key(key);
-        match self.find_slot(key, hash) {
-            Some(idx) if self.slots[idx].expires_at <= now => {
-                self.remove_slot(idx);
-                self.stats.expired += 1;
-                self.stats.misses += 1;
-                None
-            }
-            Some(idx) => {
-                self.detach(idx);
-                self.push_front(idx);
-                self.stats.hits += 1;
-                Some(idx)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// The slot holding `key` if it has not expired by `now`. An
+    /// expired item is reaped here (unlinked, digest updated, counted
+    /// as expired); nothing else moves.
+    fn live_slot(&mut self, key: &[u8], now: SimTime) -> Option<u32> {
+        let idx = self.find_slot(key, hash_key(key))?;
+        if self.slots[idx].expires_at <= now {
+            self.remove_slot(idx);
+            self.stats.expired += 1;
+            return None;
         }
+        Some(idx)
+    }
+
+    /// Shared hit path: a [`live_slot`](Self::live_slot) lookup that
+    /// refreshes recency on a hit and moves the hit/miss counters.
+    /// Returns the slot index on a hit.
+    fn hit_slot(&mut self, key: &[u8], now: SimTime) -> Option<u32> {
+        let Some(idx) = self.live_slot(key, now) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.detach(idx);
+        self.push_front(idx);
+        self.stats.hits += 1;
+        Some(idx)
     }
 
     /// The memcached `touch` command: refreshes `key`'s recency without
@@ -576,21 +578,13 @@ impl CacheEngine {
     /// [`put_with_expiry`](Self::put_with_expiry)). Returns whether the
     /// key was present. Does not count as a hit or miss.
     pub fn touch(&mut self, key: &[u8], now: SimTime, ttl: Option<SimDuration>) -> bool {
-        let hash = hash_key(key);
-        match self.find_slot(key, hash) {
-            Some(idx) if self.slots[idx].expires_at <= now => {
-                self.remove_slot(idx);
-                self.stats.expired += 1;
-                false
-            }
-            Some(idx) => {
-                self.detach(idx);
-                self.push_front(idx);
-                self.slots[idx].expires_at = deadline(now, ttl);
-                true
-            }
-            None => false,
-        }
+        let Some(idx) = self.live_slot(key, now) else {
+            return false;
+        };
+        self.detach(idx);
+        self.push_front(idx);
+        self.slots[idx].expires_at = deadline(now, ttl);
+        true
     }
 
     /// Non-mutating lookup: neither recency nor statistics change.
@@ -617,16 +611,7 @@ impl CacheEngine {
     /// `add` on a present key is not a cache read and must not count as
     /// a `get` hit.
     pub fn probe(&mut self, key: &[u8], now: SimTime) -> bool {
-        let hash = hash_key(key);
-        match self.find_slot(key, hash) {
-            Some(idx) if self.slots[idx].expires_at <= now => {
-                self.remove_slot(idx);
-                self.stats.expired += 1;
-                false
-            }
-            Some(_) => true,
-            None => false,
-        }
+        self.live_slot(key, now).is_some()
     }
 
     /// The absolute expiry instant of `key`, if cached:

@@ -2,20 +2,22 @@
 //!
 //! A connection cycles ReadingCommand → Executing → WritingResponse.
 //! [`ConnCore`] is that cycle without a socket: the input buffer with
-//! its parse cursor, the per-connection [`WireBuf`] parse scratch, the
-//! [`ResponseWriter`] over a drainable output buffer, and the execute
-//! loop that turns buffered bytes into queued responses through
-//! [`serve_command`]. A data plane is only how a connection waits for
-//! bytes: the epoll reactor (`reactor.rs`, Linux) calls
-//! [`ConnCore::read_from`] and [`ConnCore::serve`] when a non-blocking
-//! socket is ready, the threaded plane calls them in a blocking loop on
-//! the connection's own thread. One core, two drivers: both planes
-//! frame and answer a byte stream the same way by construction.
+//! its parse cursor, the [`ResponseWriter`] over a drainable output
+//! buffer, and the execute loop that parses each command where it lies
+//! in the input buffer and turns it into queued responses through
+//! [`serve_command`]. A command still arriving is parsed again, header
+//! line only, each time more bytes come. A data plane is only how a
+//! connection waits for bytes: the epoll reactor (`reactor.rs`, Linux)
+//! calls [`ConnCore::read_from`] and [`ConnCore::serve`] when a
+//! non-blocking socket is ready, the threaded plane calls them in a
+//! blocking loop on the connection's own thread. One core, two drivers:
+//! both planes frame and answer a byte stream the same way by
+//! construction.
 
 use std::io::{ErrorKind, Read, Write};
 use std::time::Instant;
 
-use crate::protocol::{parse_raw_command, storage_command_len, Response, ResponseWriter, WireBuf};
+use crate::protocol::{parse_command, Response, ResponseWriter};
 use crate::server::{op_class_of, serve_command, OutBuf, Shared};
 
 /// Output high-water mark: above this many pending response bytes a
@@ -37,16 +39,6 @@ pub(crate) struct ConnCore {
     /// Raw bytes off the socket; `rpos` is the parse cursor.
     pub(crate) rbuf: Vec<u8>,
     rpos: usize,
-    /// Unparsed bytes to have buffered before parsing again: the whole
-    /// length of a storage command whose data block is still arriving,
-    /// 0 when nothing is known to be missing. `parse_raw_command`
-    /// starts from the first byte and sizes its scratch to the declared
-    /// length on every call, so retrying per arrival would cost a value
-    /// of `n` chunks `n` parses.
-    need: usize,
-    /// Per-connection parse scratch: keys borrow this in place, so a
-    /// warmed connection parses without allocating.
-    pub(crate) wire: WireBuf,
     /// Response assembly over the connection's output buffer.
     pub(crate) writer: ResponseWriter<OutBuf>,
     /// Peer finished sending (clean EOF or RDHUP).
@@ -61,8 +53,6 @@ impl ConnCore {
         ConnCore {
             rbuf: Vec::new(),
             rpos: 0,
-            need: 0,
-            wire: WireBuf::new(),
             writer: ResponseWriter::new(OutBuf::default()),
             eof: false,
             closing: false,
@@ -151,12 +141,6 @@ impl ConnCore {
     /// connection, stopping at backpressure (the output high-water
     /// mark), incomplete input, or a close condition.
     pub(crate) fn process(&mut self, shared: &Shared) {
-        // EOF parses once more regardless: that attempt is what closes
-        // a connection whose peer gave up mid-block.
-        if self.rbuf.len() - self.rpos < self.need && !self.eof {
-            return;
-        }
-        self.need = 0;
         loop {
             if self.closing || self.out_pending() > OUT_HIGH_WATER {
                 break;
@@ -164,13 +148,11 @@ impl ConnCore {
             let ConnCore {
                 rbuf,
                 rpos,
-                need,
-                wire,
                 writer,
                 closing,
                 eof,
             } = &mut *self;
-            match parse_raw_command(&rbuf[*rpos..], wire) {
+            match parse_command(&rbuf[*rpos..]) {
                 Ok(Some((command, used))) => {
                     *rpos += used;
                     // Time the serve (engine + response assembly), not
@@ -186,11 +168,7 @@ impl ConnCore {
                     // Incomplete: wait for more bytes — unless the
                     // peer already finished sending, in which case a
                     // trailing partial command is dropped.
-                    if *eof {
-                        *closing = true;
-                    } else {
-                        *need = storage_command_len(&rbuf[*rpos..]).unwrap_or(0);
-                    }
+                    *closing |= *eof;
                     break;
                 }
                 Err(e) => {

@@ -77,10 +77,9 @@ pub use cluster_client::{
 pub use error::NetError;
 pub use fault::{FaultMode, FaultProxy};
 pub use protocol::{
-    mru_keys_key, parse_raw_command, read_raw_command, read_response_buffered,
-    write_command_unflushed, write_response_unflushed, RawCommand, Response, ResponseWriter,
-    ValueItem, WireBuf, DIGEST_KEY, DIGEST_SNAPSHOT_KEY, MAX_GET_KEYS, MRU_KEYS_PAGE,
-    MRU_KEYS_PREFIX, PULL_BATCH,
+    mru_keys_key, parse_raw_command, read_response_buffered, write_command_unflushed,
+    write_response_unflushed, RawCommand, Response, ResponseWriter, ValueItem, WireBuf, DIGEST_KEY,
+    DIGEST_SNAPSHOT_KEY, MAX_GET_KEYS, MRU_KEYS_PAGE, MRU_KEYS_PREFIX, PULL_BATCH,
 };
 pub use server::{CacheServer, EngineKind, ServerConfig, ServerMetrics};
 

@@ -47,6 +47,13 @@
 //! no byte ≤ 32). The value is empty once `<skip>` is past the shard's
 //! last key, and the key misses when there is no such shard — which is
 //! how a client learns the shard count. The server keeps no cursor.
+//!
+//! The two directions are read differently. A server parses each
+//! command where it lies in the connection's input buffer
+//! ([`parse_raw_command`]): keys and data blocks borrow that buffer,
+//! and a command still arriving is "not yet", not an error. A client
+//! reads each reply off a `BufRead` ([`read_response_buffered`]),
+//! staging it in the connection's [`WireBuf`].
 
 use std::io::{BufRead, Write};
 
@@ -101,17 +108,19 @@ const _: () = assert!(PULL_BATCH <= MAX_GET_KEYS);
 /// Values larger than this are rejected on read.
 const MAX_VALUE_BYTES: usize = 64 << 20;
 
-/// Reusable per-connection scratch buffers for wire parsing.
+/// Longest line either side accepts: more bytes than this before the
+/// LF, a CR included, is a protocol error.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// A client connection's staging buffers for reading replies.
 ///
-/// One `WireBuf` lives for the whole life of a connection: after the
-/// first few commands its `Vec`s have warmed up to the connection's
-/// working sizes and parsing stops allocating entirely. Command lines
-/// are read into `line` and data blocks into `data`; the borrow-based
-/// [`RawCommand`] slices both in place, so a stored value is copied
-/// only where it comes to rest — a slab chunk, or the heap backend's
-/// own buffer (DESIGN.md §9). The client's response reader stages
-/// value payloads in `data` the same way before promoting them to
-/// [`SharedBytes`].
+/// [`read_response_buffered`] reads each reply line into `line` and
+/// each value's data block into `data` before promoting it to
+/// [`SharedBytes`]. One `WireBuf` lives as long as the connection, so
+/// after the first few replies its `Vec`s have warmed up to the
+/// connection's working sizes and stop growing. (The server needs no
+/// such buffer: it parses a command where it lies in the connection's
+/// input buffer.)
 #[derive(Debug, Default)]
 pub struct WireBuf {
     line: Vec<u8>,
@@ -123,12 +132,6 @@ impl WireBuf {
     #[must_use]
     pub fn new() -> Self {
         WireBuf::default()
-    }
-
-    /// Length of the data-block scratch: what the last parse sized it to.
-    #[cfg(test)]
-    pub(crate) fn data_len(&self) -> usize {
-        self.data.len()
     }
 }
 
@@ -191,10 +194,10 @@ fn valid_key(key: &[u8]) -> bool {
 }
 
 /// A command parsed without copying its keys or its data block: both
-/// borrow the [`WireBuf`] they were read into, so single-key `get` and
-/// the storage commands parse with zero allocations once the
-/// connection's buffers have warmed up (a multi-key `get` allocates
-/// the `Vec` that lists its keys).
+/// borrow the bytes it was parsed from ([`parse_raw_command`]), so
+/// single-key `get` and the storage commands parse with zero
+/// allocations (a multi-key `get` allocates the `Vec` that lists its
+/// keys).
 ///
 /// It is the only command type: the client encodes one from the keys
 /// and values its caller holds ([`write_command_unflushed`]), so a
@@ -203,7 +206,7 @@ fn valid_key(key: &[u8]) -> bool {
 pub enum RawCommand<'a> {
     /// `get <key>`
     Get {
-        /// The requested key (borrowed from the wire buffer).
+        /// The requested key (borrowed from the parsed bytes).
         key: &'a [u8],
     },
     /// `get <key> <key> ...` (at least two keys).
@@ -219,7 +222,7 @@ pub enum RawCommand<'a> {
         flags: u32,
         /// Expiry in seconds (advisory).
         exptime: u32,
-        /// The value bytes (borrowed from the wire buffer).
+        /// The value bytes (borrowed from the parsed bytes).
         data: &'a [u8],
     },
     /// `add <key> ...`: store only if the key is absent.
@@ -282,29 +285,39 @@ pub enum RawCommand<'a> {
     Quit,
 }
 
-/// Reads one command, borrowing keys from `buf` instead of copying
-/// them. `buf` is a per-connection scratch pool: reusing it across
-/// calls makes a warmed `get` parse allocation-free.
+/// Parses the command at the start of `input` where it lies: keys and
+/// data blocks borrow `input`, so a stored value is copied once, from
+/// the connection's input buffer to where it comes to rest.
+///
+/// Returns `Ok(Some((command, used)))` when `input` starts with a
+/// complete command (`used` is how many bytes it spans) and `Ok(None)`
+/// when more bytes are needed: the command line has no LF yet, or a
+/// storage command's data block has not wholly arrived — found by
+/// reading only the header line, so a retry per arriving piece costs
+/// one header parse.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Protocol`] on malformed input and
-/// [`NetError::Io`] on socket errors (including clean EOF, surfaced as
-/// `UnexpectedEof` before any bytes of a command are read — callers
-/// treat that as connection close).
-pub fn read_raw_command<'a, R: BufRead>(
-    reader: &mut R,
-    buf: &'a mut WireBuf,
-) -> Result<RawCommand<'a>, NetError> {
-    let WireBuf { line, data } = buf;
-    read_line(reader, line)?;
-    let text = std::str::from_utf8(line)
+/// [`NetError::Protocol`] on malformed input, including a command line
+/// of more than [`MAX_LINE_BYTES`] bytes before its LF.
+pub(crate) fn parse_command(input: &[u8]) -> Result<Option<(RawCommand<'_>, usize)>, NetError> {
+    let scan = &input[..input.len().min(MAX_LINE_BYTES + 1)];
+    let Some(lf) = scan.iter().position(|&b| b == b'\n') else {
+        return if input.len() > MAX_LINE_BYTES {
+            Err(NetError::Protocol("line too long".into()))
+        } else {
+            Ok(None)
+        };
+    };
+    let line = &input[..lf];
+    let text = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line))
         .map_err(|_| NetError::Protocol("command line is not UTF-8".into()))?;
+    let used = lf + 1;
     let mut parts = text.split_ascii_whitespace();
     let verb = parts
         .next()
         .ok_or_else(|| NetError::Protocol("empty command".into()))?;
-    match verb {
+    let command = match verb {
         "get" => {
             let mut keys = parts.map(str::as_bytes);
             let key = keys
@@ -313,25 +326,35 @@ pub fn read_raw_command<'a, R: BufRead>(
             // Only a second key pays for the list.
             let Some(second) = keys.next() else {
                 return if valid_key(key) {
-                    Ok(RawCommand::Get { key })
+                    Ok(Some((RawCommand::Get { key }, used)))
                 } else {
                     Err(NetError::Protocol("invalid key".into()))
                 };
             };
-            let keys: Vec<&[u8]> = [key, second].into_iter().chain(keys).collect();
-            if keys.len() > MAX_GET_KEYS {
+            // The list never holds more keys than a `get` may name, so
+            // an oversized line is refused before it costs memory.
+            let listed: Vec<&[u8]> = [key, second]
+                .into_iter()
+                .chain(keys.by_ref().take(MAX_GET_KEYS - 2))
+                .collect();
+            if keys.next().is_some() {
                 return Err(NetError::Protocol("too many keys in one get".into()));
             }
-            if keys.iter().any(|k| !valid_key(k)) {
+            if listed.iter().any(|k| !valid_key(k)) {
                 return Err(NetError::Protocol("invalid key".into()));
             }
-            Ok(RawCommand::MultiGet { keys })
+            RawCommand::MultiGet { keys: listed }
         }
         "set" | "add" | "replace" => {
             let (key, flags, exptime, bytes) = parse_storage_header(verb, &mut parts)?;
-            read_data_block(reader, data, bytes)?;
-            let data = data.as_slice();
-            Ok(match verb {
+            let Some(block) = input[used..].get(..bytes + 2) else {
+                return Ok(None);
+            };
+            let (data, crlf) = block.split_at(bytes);
+            if crlf != b"\r\n" {
+                return Err(NetError::Protocol("data block not CRLF-terminated".into()));
+            }
+            let command = match verb {
                 "set" => RawCommand::Set {
                     key,
                     flags,
@@ -350,7 +373,8 @@ pub fn read_raw_command<'a, R: BufRead>(
                     exptime,
                     data,
                 },
-            })
+            };
+            return Ok(Some((command, used + block.len())));
         }
         "delete" => {
             let key = parts
@@ -360,7 +384,7 @@ pub fn read_raw_command<'a, R: BufRead>(
             if !valid_key(key) {
                 return Err(NetError::Protocol("invalid key".into()));
             }
-            Ok(RawCommand::Delete { key })
+            RawCommand::Delete { key }
         }
         "touch" => {
             let key = parts
@@ -371,7 +395,7 @@ pub fn read_raw_command<'a, R: BufRead>(
                 return Err(NetError::Protocol("invalid key".into()));
             }
             let exptime: u32 = parse_field(parts.next(), "exptime")?;
-            Ok(RawCommand::Touch { key, exptime })
+            RawCommand::Touch { key, exptime }
         }
         "incr" | "decr" => {
             let key = parts
@@ -383,23 +407,24 @@ pub fn read_raw_command<'a, R: BufRead>(
             }
             let delta: u64 = parse_field(parts.next(), "delta")?;
             if verb == "incr" {
-                Ok(RawCommand::Incr { key, delta })
+                RawCommand::Incr { key, delta }
             } else {
-                Ok(RawCommand::Decr { key, delta })
+                RawCommand::Decr { key, delta }
             }
         }
         // `stats proteus` selects the full telemetry registry; any
         // other (or absent) argument keeps the historical behaviour of
         // plain `stats` ignoring trailing tokens.
         "stats" => match parts.next() {
-            Some("proteus") => Ok(RawCommand::StatsProteus),
-            _ => Ok(RawCommand::Stats),
+            Some("proteus") => RawCommand::StatsProteus,
+            _ => RawCommand::Stats,
         },
-        "flush_all" => Ok(RawCommand::FlushAll),
-        "version" => Ok(RawCommand::Version),
-        "quit" => Ok(RawCommand::Quit),
-        other => Err(NetError::Protocol(format!("unknown verb {other:?}"))),
-    }
+        "flush_all" => RawCommand::FlushAll,
+        "version" => RawCommand::Version,
+        "quit" => RawCommand::Quit,
+        other => return Err(NetError::Protocol(format!("unknown verb {other:?}"))),
+    };
+    Ok(Some((command, used)))
 }
 
 /// The header of a storage command after its verb: `<key> <flags>
@@ -429,61 +454,28 @@ fn parse_storage_header<'a>(
     Ok((key, flags, exptime, bytes))
 }
 
-/// How many bytes the storage command at the start of `input` spans —
-/// header line, data block, closing CRLF — once its header line is all
-/// there and [`read_raw_command`] would accept it. `None` for anything
-/// else: an unfinished line, another verb, a header the parser rejects.
+/// Parses one command from a byte slice without consuming it, as the
+/// server does on a connection's input buffer: `Ok(Some((command,
+/// used)))` when `input` starts with a complete command of `used`
+/// bytes, `Ok(None)` when more bytes are needed. The command borrows
+/// `input`.
 ///
-/// [`parse_raw_command`] starts over on every call; a connection that
-/// was told "incomplete" asks this how long to wait before calling it
-/// again, so a large value arriving in pieces is parsed once, not once
-/// per piece.
-pub(crate) fn storage_command_len(input: &[u8]) -> Option<usize> {
-    let line_len = input.iter().position(|&b| b == b'\n')? + 1;
-    let text = std::str::from_utf8(&input[..line_len]).ok()?;
-    let mut parts = text.split_ascii_whitespace();
-    let verb = parts.next()?;
-    if !matches!(verb, "set" | "add" | "replace") {
-        return None;
-    }
-    let (_, _, _, bytes) = parse_storage_header(verb, &mut parts).ok()?;
-    Some(line_len + bytes + 2)
-}
-
-/// Attempts to parse one command from a byte slice without consuming
-/// it — the resumable entry point the server's connection state
-/// machine uses on its per-connection input buffer, whichever data
-/// plane drives it.
-///
-/// Returns `Ok(Some((command, used)))` when `input` starts with a
-/// complete command (`used` is how many bytes it spans), `Ok(None)`
-/// when `input` is a prefix of a valid command and more bytes are
-/// needed, and `Err` on malformed input.
-///
-/// This is a thin wrapper over [`read_raw_command`] driven by the
-/// slice itself, so it accepts and rejects exactly the byte streams
-/// the blocking reader does — the equivalence holds by construction,
-/// not by a parallel implementation.
+/// `_scratch` is unused: the parser no longer copies into a
+/// [`WireBuf`], and the parameter stays so that callers written
+/// against that signature keep compiling.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Protocol`] on malformed input. (`NetError::Io`
-/// cannot escape: the only I/O error a slice produces is
-/// `UnexpectedEof`, which maps to `Ok(None)`.)
+/// Returns [`NetError::Protocol`] on malformed input.
 pub fn parse_raw_command<'a>(
-    input: &[u8],
-    buf: &'a mut WireBuf,
+    input: &'a [u8],
+    _scratch: &mut WireBuf,
 ) -> Result<Option<(RawCommand<'a>, usize)>, NetError> {
-    let mut reader: &[u8] = input;
-    match read_raw_command(&mut reader, buf) {
-        Ok(cmd) => Ok(Some((cmd, input.len() - reader.len()))),
-        Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-        Err(e) => Err(e),
-    }
+    parse_command(input)
 }
 
-/// Reads a `<bytes>`-long data block into `scratch` (the socket→pool
-/// copy) and checks its CRLF terminator.
+/// Reads a `<bytes>`-long data block into `scratch` and checks its CRLF
+/// terminator.
 fn read_data_block<R: BufRead>(
     reader: &mut R,
     scratch: &mut Vec<u8>,
@@ -921,9 +913,9 @@ fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> Result<(), NetErr
             }
         };
         reader.consume(used);
-        // The cap counts every byte before the newline — including the
-        // CR about to be stripped — matching the old per-byte parser.
-        if out.len() > 1 << 20 {
+        // The cap counts every byte before the newline, including the
+        // CR about to be stripped.
+        if out.len() > MAX_LINE_BYTES {
             return Err(NetError::Protocol("line too long".into()));
         }
         if found {
@@ -939,9 +931,12 @@ fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> Result<(), NetErr
 mod tests {
     use super::*;
 
-    /// One parse of `bytes`; the command borrows `buf`.
-    fn parse<'a>(mut bytes: &[u8], buf: &'a mut WireBuf) -> Result<RawCommand<'a>, NetError> {
-        read_raw_command(&mut bytes, buf)
+    /// One parse of `bytes`; the command borrows `bytes`. A command
+    /// still missing bytes is the end of input.
+    fn parse<'a>(bytes: &'a [u8], _buf: &mut WireBuf) -> Result<RawCommand<'a>, NetError> {
+        parse_command(bytes)?
+            .map(|(cmd, _)| cmd)
+            .ok_or_else(|| NetError::Io(std::io::ErrorKind::UnexpectedEof.into()))
     }
 
     fn encode(cmd: &RawCommand<'_>) -> Vec<u8> {
@@ -1152,33 +1147,20 @@ mod tests {
     }
 
     #[test]
-    fn raw_commands_borrow_and_reuse_one_buffer() {
-        let stream = b"get hot\r\nset k 1 0 3\r\nabc\r\nget a b\r\ndelete k\r\n";
-        let mut reader = &stream[..];
-        let mut buf = WireBuf::new();
-        assert_eq!(
-            read_raw_command(&mut reader, &mut buf).unwrap(),
-            RawCommand::Get { key: b"hot" }
-        );
-        match read_raw_command(&mut reader, &mut buf).unwrap() {
-            RawCommand::Set {
-                key, flags, data, ..
-            } => {
-                assert_eq!((key, flags), (&b"k"[..], 1));
-                assert_eq!(data, b"abc");
-            }
-            other => panic!("expected set, got {other:?}"),
-        }
-        assert_eq!(
-            read_raw_command(&mut reader, &mut buf).unwrap(),
-            RawCommand::MultiGet {
-                keys: vec![b"a", b"b"]
-            }
-        );
-        assert_eq!(
-            read_raw_command(&mut reader, &mut buf).unwrap(),
-            RawCommand::Delete { key: b"k" }
-        );
+    fn a_set_borrows_its_key_and_data_block_from_the_input() {
+        let input = b"set k 1 0 3\r\nabc\r\nget next\r\n";
+        let (command, used) = parse_command(input).unwrap().unwrap();
+        assert_eq!(used, 18);
+        let RawCommand::Set {
+            key, flags, data, ..
+        } = command
+        else {
+            panic!("expected set, got {command:?}");
+        };
+        assert_eq!((key, flags, data), (&b"k"[..], 1, &b"abc"[..]));
+        // Where they lie in `input`, not copies.
+        assert!(std::ptr::eq(key, &input[4..5]));
+        assert!(std::ptr::eq(data, &input[13..16]));
     }
 
     #[test]
@@ -1234,17 +1216,18 @@ mod tests {
     #[test]
     fn resumable_parse_matches_streaming_parse_at_every_split() {
         // For every prefix of a pipelined stream, parse_raw_command
-        // must either yield exactly the commands read_raw_command sees
-        // or report Incomplete — never an error, never a different
-        // command.
+        // must either yield exactly the commands a parse of the whole
+        // stream sees or report Incomplete — never an error, never a
+        // different command.
         let stream = b"get hot\r\nset k 1 0 3\r\nabc\r\nget a b\r\nincr k 2\r\nquit\r\n";
         let mut expected = Vec::new();
         {
-            let mut reader = &stream[..];
-            let mut buf = WireBuf::new();
-            while let Ok(cmd) = read_raw_command(&mut reader, &mut buf) {
+            let mut pos = 0;
+            while let Some((cmd, used)) = parse_command(&stream[pos..]).unwrap() {
                 expected.push(format!("{cmd:?}"));
+                pos += used;
             }
+            assert_eq!(pos, stream.len());
         }
         for split in 0..=stream.len() {
             let mut got = Vec::new();

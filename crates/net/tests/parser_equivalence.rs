@@ -13,7 +13,7 @@ mod common;
 
 use common::Command;
 use proptest::prelude::*;
-use proteus_net::{read_raw_command, NetError, WireBuf};
+use proteus_net::{parse_raw_command, NetError, RawCommand, WireBuf};
 
 /// The pre-rewrite parser, kept as the behavioral oracle.
 mod reference {
@@ -196,6 +196,20 @@ fn classify(err: &NetError) -> ErrClass {
     }
 }
 
+/// The parser under test, driven as a connection drives it: one command
+/// off the front of `input`, which then starts past it. A command still
+/// missing bytes is the end of input, as the reference reports it.
+fn next_command<'a>(input: &mut &'a [u8], buf: &mut WireBuf) -> Result<RawCommand<'a>, NetError> {
+    let rest: &'a [u8] = input;
+    match parse_raw_command(rest, buf)? {
+        Some((cmd, used)) => {
+            *input = &rest[used..];
+            Ok(cmd)
+        }
+        None => Err(NetError::Io(std::io::ErrorKind::UnexpectedEof.into())),
+    }
+}
+
 /// Drives both parsers over `stream` in lockstep until the first
 /// rejection, asserting identical commands, identical bytes consumed
 /// after every accepted command, and the same error class at the end.
@@ -205,7 +219,7 @@ fn assert_parsers_agree(stream: &[u8]) -> Result<(), TestCaseError> {
     let mut buf = WireBuf::new();
     loop {
         let old = reference::read_command(&mut old_input);
-        let new = read_raw_command(&mut new_input, &mut buf);
+        let new = next_command(&mut new_input, &mut buf);
         match (old, new) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a.raw(), &b, "parsers disagree on the command");
@@ -303,7 +317,7 @@ proptest! {
         let mut input = &stream[..];
         let mut buf = WireBuf::new();
         for cmd in &cmds {
-            let parsed = read_raw_command(&mut input, &mut buf).unwrap();
+            let parsed = next_command(&mut input, &mut buf).unwrap();
             prop_assert_eq!(parsed, cmd.raw());
         }
     }
@@ -347,5 +361,37 @@ proptest! {
 
         let truncated = &stream[..cut % (stream.len() + 1)];
         assert_parsers_agree(truncated)?;
+    }
+}
+
+/// The 1 MiB line cap at its edge: a line of exactly `1 << 20` bytes
+/// before its LF, a CR counted among them, is accepted; one byte more
+/// is refused; and so is an unfinished line once it has more than
+/// `1 << 20` bytes, while one of exactly that many is still waiting.
+#[test]
+fn the_line_cap_holds_at_its_boundary() {
+    const CAP: usize = 1 << 20;
+    // `get k` padded with spaces to `len` bytes, then `tail`.
+    let line = |len: usize, tail: &[u8]| {
+        let mut bytes = b"get k".to_vec();
+        bytes.resize(len, b' ');
+        bytes.extend_from_slice(tail);
+        bytes
+    };
+    for (name, stream, verdict) in [
+        ("cap, LF", line(CAP, b"\nversion\r\n"), "accepted"),
+        ("cap, CR LF", line(CAP - 1, b"\r\nversion\r\n"), "accepted"),
+        ("cap + 1, LF", line(CAP + 1, b"\nversion\r\n"), "refused"),
+        ("cap + 1, CR LF", line(CAP, b"\r\nversion\r\n"), "refused"),
+        ("cap, no LF", line(CAP, b""), "waiting"),
+        ("cap + 1, no LF", line(CAP + 1, b""), "refused"),
+    ] {
+        assert_parsers_agree(&stream).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let got = match parse_raw_command(&stream, &mut WireBuf::new()) {
+            Ok(Some(_)) => "accepted",
+            Ok(None) => "waiting",
+            Err(_) => "refused",
+        };
+        assert_eq!(got, verdict, "{name}");
     }
 }

@@ -5,13 +5,16 @@ mod common;
 use common::Command;
 use proptest::prelude::*;
 use proteus_net::{
-    read_raw_command, read_response_buffered, write_response_unflushed, NetError, RawCommand,
+    parse_raw_command, read_response_buffered, write_response_unflushed, NetError, RawCommand,
     Response, WireBuf,
 };
 
-/// One parse of `bytes`; the command borrows `buf`.
-fn parse<'a>(mut bytes: &[u8], buf: &'a mut WireBuf) -> Result<RawCommand<'a>, NetError> {
-    read_raw_command(&mut bytes, buf)
+/// One parse of `bytes`; the command borrows `bytes`. A command still
+/// missing bytes is the end of input.
+fn parse<'a>(bytes: &'a [u8], buf: &mut WireBuf) -> Result<RawCommand<'a>, NetError> {
+    parse_raw_command(bytes, buf)?
+        .map(|(cmd, _)| cmd)
+        .ok_or_else(|| NetError::Io(std::io::ErrorKind::UnexpectedEof.into()))
 }
 
 fn read_response(mut bytes: &[u8]) -> Result<Response, NetError> {

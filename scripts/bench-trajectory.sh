@@ -11,20 +11,35 @@
 #   scripts/bench-trajectory.sh --append ROWS_FILE
 #       appends such rows to BENCH_trajectory.json in the working directory
 #
+# A PR's rows name their own commit by the placeholder `PR<n>` (it has
+# no SHA until it is committed). The next PR's rows carry that SHA as
+# their PARENT_COMMIT, so --append gives it to the rows of PR n-1 still
+# marked `PR<n-1>`, and warns on stderr about any older placeholder it
+# leaves alone.
+#
 # HOST is `quiet` or `slow`: timings on this host are bimodal and a
 # trajectory that mixes the two states without saying so reads as a
 # regression (ROADMAP, "Conventions").
 set -eu
 
 if [ "${1:-}" = "--append" ]; then
-    [ $# -eq 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
-    { jq -c '.[]' BENCH_trajectory.json; cat "$2"; } |
-        jq -c . | sed -e '1s/^/[\n/' -e '$!s/$/,/' -e '$s/$/\n]/' > BENCH_trajectory.json.tmp
-    mv BENCH_trajectory.json.tmp BENCH_trajectory.json
+    [ $# -eq 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+    jq -c -n --slurpfile old BENCH_trajectory.json --slurpfile new "$2" '
+      ($new[0] | {pr, parent}) as $n
+      | $old[0][]
+      | if .pr == $n.pr - 1 and .commit == "PR\(.pr)" then .commit = $n.parent else . end' \
+        > BENCH_trajectory.json.tmp
+    jq -r 'select(.commit | test("^PR[0-9]+$")) | .commit' BENCH_trajectory.json.tmp |
+        sort | uniq -c | while read -r rows placeholder; do
+            echo "bench-trajectory: left $rows rows at the placeholder $placeholder" >&2
+        done
+    { cat BENCH_trajectory.json.tmp; jq -c . "$2"; } |
+        sed -e '1s/^/[\n/' -e '$!s/$/,/' -e '$s/$/\n]/' > BENCH_trajectory.json
+    rm BENCH_trajectory.json.tmp
     exit 0
 fi
 
-[ $# -eq 6 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
+[ $# -eq 6 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 case $2 in quiet | slow) ;; *) echo "HOST must be quiet or slow" >&2; exit 2 ;; esac
 
 jq -c -n --argjson pr "$1" --arg host "$2" --arg parent "$3" --arg commit "$5" \
