@@ -70,10 +70,12 @@ const CLIENT_GET_BUDGET: u64 = 2 * CLIENT_OPS;
 const CLIENT_BATCH_BUDGET: u64 = 4 * CLIENT_BATCHES;
 /// A `get_many` keeps the same two per hit as a `get`, plus per batch
 /// the borrowed key list, the answers, the lookup table that lines
-/// answers up with keys and the doubling of the reply's item list.
-/// Measured: 272 a batch, 2.13 per key, against the 3.15 per key of
-/// the client that copied every key it sent; the budget is 2.25.
-const CLIENT_GET_MANY_BUDGET: u64 = CLIENT_BATCHES * CLIENT_BATCH_KEYS * 9 / 4;
+/// answers up with keys and the reply's item list, sized once its run
+/// has been counted. Measured: 266 a batch, 2.08 per key (272 while the
+/// item list doubled as it filled, 3.15 per key for the client that
+/// copied every key it sent); the budget is 12 a batch over the hits,
+/// under what a doubling list would cost.
+const CLIENT_GET_MANY_BUDGET: u64 = CLIENT_BATCHES * (2 * CLIENT_BATCH_KEYS + 12);
 
 /// A warmed scrape over a recycled buffer is socket I/O into existing
 /// capacity: connect, write a prebuilt request, read into the reused
@@ -366,10 +368,10 @@ fn scrape_path_stays_within_budget() {
 
 /// The client half of the wire, against a live server: a command is
 /// encoded from the caller's slices into the pooled connection's buffer
-/// and a reply parsed out of the connection's reader, so a warmed
-/// exchange allocates only what it hands back. 1 KiB values; the window
-/// counts the server's threads too, which allocate nothing per command
-/// (the section above).
+/// and a reply parsed where it lands in the connection's input buffer,
+/// so a warmed exchange allocates only what it hands back. 1 KiB
+/// values; the window counts the server's threads too, which allocate
+/// nothing per command (the section above).
 fn client_stays_within_allocation_budget(server: &CacheServer) {
     let client = CacheClient::connect(server.addr()).expect("connect to the server");
     let value = [b'v'; 1024];

@@ -1,7 +1,7 @@
 //! Blocking cache client with connection pooling, bounded retries, and
 //! a per-server circuit breaker.
 
-use std::io::{BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,8 +14,8 @@ use proteus_obs::{EventTracer, TraceKind};
 
 use crate::error::NetError;
 use crate::protocol::{
-    read_response_buffered, write_command_unflushed, RawCommand, Response, ValueItem, WireBuf,
-    DIGEST_KEY, DIGEST_SNAPSHOT_KEY, MAX_GET_KEYS,
+    parse_response, write_command_unflushed, RawCommand, Response, ValueItem, DIGEST_KEY,
+    DIGEST_SNAPSHOT_KEY, MAX_GET_KEYS,
 };
 
 /// Tunables for one [`CacheClient`]'s fault-tolerance machinery.
@@ -199,48 +199,80 @@ impl Breaker {
     }
 }
 
-/// One pooled connection and what an exchange on it needs, kept for the
-/// connection's life so a warmed exchange allocates nothing of its own:
-/// commands are encoded into `out` and leave in one `write`, replies
-/// are parsed out of `reader` through `wire`. Like a server
-/// connection's, the buffers keep the capacity of the largest exchange
-/// they have carried.
-///
-/// `reader` may hold bytes past the reply last read, so a connection
-/// goes back to the pool only after an exchange that read every reply
-/// it was owed; anything else drops it.
-#[derive(Debug)]
-struct Conn {
-    reader: BufReader<TcpStream>,
-    wire: WireBuf,
+/// A connection's input buffer before its first reply, std's default
+/// read-buffer size. It doubles only for a reply that does not fit: a
+/// large value, or a long `VALUE` run such as a pull batch.
+const INPUT_BYTES: usize = 8 << 10;
+
+/// One client connection without its socket, kept for the connection's
+/// life so a warmed exchange allocates nothing of its own: commands are
+/// encoded into `out` and leave in one `write`, and each reply is parsed
+/// where it lands in `input` (what `ConnCore` is to a server
+/// connection). Like a server connection's, the buffers keep the
+/// capacity of the largest exchange they have carried.
+#[derive(Debug, Default)]
+pub(crate) struct ClientCore {
+    /// Zeroed when it grows, not per read: the bytes read end at `end`,
+    /// and `pos` is the parse cursor.
+    input: Vec<u8>,
+    pos: usize,
+    end: usize,
     out: Vec<u8>,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            reader: BufReader::new(stream),
-            wire: WireBuf::new(),
-            out: Vec::new(),
-        }
-    }
-
+impl ClientCore {
     /// Encodes `cmd` behind whatever is already queued.
-    fn queue(&mut self, cmd: &RawCommand<'_>) {
+    pub(crate) fn queue(&mut self, cmd: &RawCommand<'_>) {
         write_command_unflushed(&mut self.out, cmd).expect("writing to a Vec cannot fail");
     }
 
     /// Sends everything queued.
-    fn send(&mut self) -> Result<(), NetError> {
-        let sent = self.reader.get_ref().write_all(&self.out);
+    pub(crate) fn flush_to(&mut self, sink: &mut impl Write) -> Result<(), NetError> {
+        let sent = sink.write_all(&self.out);
         self.out.clear();
         Ok(sent?)
     }
 
-    fn recv(&mut self) -> Result<Response, NetError> {
-        read_response_buffered(&mut self.reader, &mut self.wire)
+    /// Issues one `read` into the input buffer's unused tail, after
+    /// dropping the replies already parsed, and returns the bytes read.
+    /// The buffer grows only when the one reply it holds fills it.
+    pub(crate) fn read_from(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
+        if self.pos > 0 {
+            self.input.copy_within(self.pos..self.end, 0);
+            (self.end, self.pos) = (self.end - self.pos, 0);
+        }
+        if self.end == self.input.len() {
+            self.input.resize((2 * self.end).max(INPUT_BYTES), 0);
+        }
+        let n = source.read(&mut self.input[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next reply if it has wholly arrived, `Ok(None)` if not.
+    pub(crate) fn next_reply(&mut self) -> Result<Option<Response>, NetError> {
+        let Some((reply, used)) = parse_response(&self.input[self.pos..self.end])? else {
+            return Ok(None);
+        };
+        self.pos += used;
+        Ok(Some(reply))
+    }
+
+    /// Reads from `source` until the next reply has wholly arrived.
+    pub(crate) fn recv(&mut self, source: &mut impl Read) -> Result<Response, NetError> {
+        loop {
+            if let Some(reply) = self.next_reply()? {
+                return Ok(reply);
+            }
+            if self.read_from(source)? == 0 {
+                return Err(NetError::Io(ErrorKind::UnexpectedEof.into()));
+            }
+        }
     }
 }
+
+/// A pooled connection: its socket beside its core.
+type Conn = (TcpStream, ClientCore);
 
 /// `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys.
 fn get_command<'a>(keys: &[&'a [u8]]) -> RawCommand<'a> {
@@ -402,7 +434,7 @@ impl CacheClient {
         stream.set_read_timeout(Some(self.config.op_timeout))?;
         stream.set_write_timeout(Some(self.config.op_timeout))?;
         stream.set_nodelay(true)?;
-        Ok(Conn::new(stream))
+        Ok((stream, ClientCore::default()))
     }
 
     fn checkout(&self) -> Result<Conn, NetError> {
@@ -412,10 +444,12 @@ impl CacheClient {
         self.dial()
     }
 
-    fn checkin(&self, conn: Conn) {
+    /// Pools `conn` again, unless it holds bytes past the last reply it
+    /// was owed: those would be read as the reply to the next command.
+    fn checkin(&self, (stream, core): Conn) {
         let mut pool = self.pool.lock();
-        if pool.len() < 8 {
-            pool.push(conn);
+        if pool.len() < 8 && core.pos == core.end {
+            pool.push((stream, core));
         }
     }
 
@@ -496,12 +530,12 @@ impl CacheClient {
 
     fn round_trip(&self, cmd: &RawCommand<'_>) -> Result<Response, NetError> {
         let response = self.with_failover(|| {
-            let mut conn = self.checkout()?;
-            conn.queue(cmd);
-            conn.send()?;
-            let response = conn.recv()?;
+            let (mut stream, mut core) = self.checkout()?;
+            core.queue(cmd);
+            core.flush_to(&mut stream)?;
+            let response = core.recv(&mut stream)?;
             // Only reusable if the exchange completed cleanly.
-            self.checkin(conn);
+            self.checkin((stream, core));
             Ok(response)
         })?;
         match response {
@@ -544,12 +578,12 @@ impl CacheClient {
             return Ok(Vec::new());
         }
         self.with_failover(|| {
-            let mut conn = self.checkout()?;
+            let (mut stream, mut core) = self.checkout()?;
             let mut values = Vec::with_capacity(keys.len());
             for chunk in keys.chunks(MAX_GET_KEYS) {
-                conn.queue(&get_command(chunk));
-                conn.send()?;
-                let items = match conn.recv()? {
+                core.queue(&get_command(chunk));
+                core.flush_to(&mut stream)?;
+                let items = match core.recv(&mut stream)? {
                     Response::Error(msg) => return Err(NetError::ServerError(msg)),
                     Response::Miss => Vec::new(),
                     Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
@@ -561,7 +595,7 @@ impl CacheClient {
                 values.extend(chunk.iter().map(|k| found.get(*k).cloned()));
             }
             // Only reusable if every chunk's reply was read.
-            self.checkin(conn);
+            self.checkin((stream, core));
             Ok(values)
         })
     }
@@ -601,14 +635,14 @@ impl CacheClient {
             return Ok(0);
         }
         self.with_failover(|| {
-            let mut conn = self.checkout()?;
+            let (mut stream, mut core) = self.checkout()?;
             for command in commands {
-                conn.queue(command);
+                core.queue(command);
             }
-            conn.send()?;
+            core.flush_to(&mut stream)?;
             let mut count = 0;
             for _ in commands {
-                let reply = conn.recv()?;
+                let reply = core.recv(&mut stream)?;
                 match (took_effect(&reply), reply) {
                     (Some(yes), _) => count += u64::from(yes),
                     (None, Response::Error(msg)) => return Err(NetError::ServerError(msg)),
@@ -618,8 +652,8 @@ impl CacheClient {
                 }
             }
             // Only reusable if every reply was read: an early return
-            // above leaves the rest of the batch's replies on `conn`.
-            self.checkin(conn);
+            // above leaves the rest of the batch's replies unread.
+            self.checkin((stream, core));
             Ok(count)
         })
     }
@@ -1072,9 +1106,10 @@ mod tests {
         server.stop();
     }
 
-    /// A pooled connection owns its reader, so replies left unread on
-    /// it would be handed to whoever checks it out next: a batch that
-    /// stops at the first `ERROR` must drop the connection instead.
+    /// A pooled connection outlives its exchanges, so replies left
+    /// unread on it would be handed to whoever checks it out next: a
+    /// batch that stops at the first `ERROR` must drop the connection
+    /// instead.
     #[test]
     fn a_batch_aborted_by_an_error_does_not_pool_its_connection() {
         // One shard of 64 KiB: a 128 KiB value is refused with `ERROR`
@@ -1103,6 +1138,73 @@ mod tests {
         assert_eq!(client.fault_stats().connects, 2);
         assert_eq!(client.fault_stats().retries, 0);
         server.stop();
+    }
+
+    /// A reply no command asked for, written behind the one that was
+    /// owed, is never read as the next command's reply: a connection
+    /// that holds unread bytes is dropped, not pooled.
+    #[test]
+    fn a_stray_reply_is_not_served_to_the_next_command() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One canned answer per connection, sent once its command came
+        // in: one write on loopback, so one read.
+        let fake = std::thread::spawn(move || {
+            let answers = [
+                &b"STORED\r\nVALUE other 0 5\r\nstale\r\nEND\r\n"[..],
+                b"END\r\n",
+            ];
+            answers.map(|answer| {
+                let mut stream = listener.accept().unwrap().0;
+                assert!(stream.read(&mut [0; 256]).unwrap() > 0);
+                stream.write_all(answer).unwrap();
+                stream
+            })
+        });
+        let client = CacheClient::connect(addr).unwrap();
+        client.set(b"k", b"v").unwrap();
+        assert_eq!(client.get(b"other").unwrap(), None);
+        assert_eq!(client.fault_stats().connects, 2, "the get dialled afresh");
+        drop(fake.join().unwrap());
+    }
+
+    /// The client twin of the server's
+    /// `replies_are_due_for_exactly_the_commands_that_have_arrived`: a
+    /// reply stream fed to a core in three pieces, cut anywhere (inside
+    /// a reply's first line and inside a run included), yields after
+    /// each piece exactly the replies that have wholly arrived, in
+    /// order, and then "not yet". The reference is the stream parsed
+    /// whole, one reply after another.
+    #[test]
+    fn replies_come_out_exactly_when_they_have_wholly_arrived() {
+        let stream: &[u8] = b"VALUE k 1 4\r\nv\r\nw\r\nEND\r\n\
+            VALUE a 0 1\r\n1\r\nVALUE b 2 0\r\n\r\nVALUE c 0 2\r\n22\r\nEND\r\nEND\r\n\
+            STORED\r\nNOT_STORED\r\nDELETED\r\nNOT_FOUND\r\nTOUCHED\r\n42\r\nOK\r\n\
+            VERSION 1.6 proteus\r\nSTAT pid 7\r\nSTAT version 1 2\r\nEND\r\nERROR no such verb\r\n";
+        let (mut expected, mut ends, mut pos) = (Vec::new(), Vec::new(), 0);
+        while let Some((reply, used)) = parse_response(&stream[pos..]).unwrap() {
+            pos += used;
+            expected.push(reply);
+            ends.push(pos);
+        }
+        assert_eq!((expected.len(), pos), (13, stream.len()));
+        for first in 0..=stream.len() {
+            for second in first..=stream.len() {
+                let (mut core, mut got, mut fed) = (ClientCore::default(), Vec::new(), 0);
+                for cut in [first, second, stream.len()] {
+                    let mut piece = &stream[fed..cut];
+                    while !piece.is_empty() {
+                        core.read_from(&mut piece).unwrap();
+                    }
+                    fed = cut;
+                    while let Some(reply) = core.next_reply().unwrap() {
+                        got.push(reply);
+                    }
+                    let arrived = ends.iter().filter(|&&end| end <= fed).count();
+                    assert_eq!(got, expected[..arrived], "cut at {first} and {second}");
+                }
+            }
+        }
     }
 
     #[test]

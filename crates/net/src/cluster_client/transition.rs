@@ -189,7 +189,7 @@ impl ClusterClient {
 
 #[cfg(test)]
 mod tests {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -198,6 +198,7 @@ mod tests {
     use super::super::testing::{cluster, page_keys, stop};
     use super::super::ClusterFetch;
     use super::*;
+    use crate::protocol::{parse_command, RawCommand, DIGEST_KEY};
 
     /// A cache server that stores nothing — every `get` misses, every
     /// `set` is acknowledged and dropped — and answers the digest keys
@@ -237,27 +238,21 @@ mod tests {
         }
 
         fn serve(mut stream: TcpStream) {
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
+            let (mut input, mut chunk) = (Vec::new(), [0; 4096]);
+            while let Ok(n @ 1..) = stream.read(&mut chunk) {
+                input.extend_from_slice(&chunk[..n]);
+                while let Some((command, used)) = parse_command(&input).unwrap() {
+                    let reply: &[u8] = match command {
+                        RawCommand::MultiGet { keys } if keys.contains(&DIGEST_KEY) => {
+                            b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\nVALUE BLOOM_FILTER 0 3\r\nxyz\r\nEND\r\n"
+                        }
+                        RawCommand::Get { .. } | RawCommand::MultiGet { .. } => b"END\r\n",
+                        RawCommand::Set { .. } | RawCommand::Add { .. } => b"STORED\r\n",
+                        other => panic!("stub server got {other:?}"),
+                    };
+                    stream.write_all(reply).unwrap();
+                    input.drain(..used);
                 }
-                let mut words = line.split_whitespace();
-                let reply: &[u8] = match words.next() {
-                    Some("get") if line.contains("BLOOM_FILTER") => {
-                        b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\nVALUE BLOOM_FILTER 0 3\r\nxyz\r\nEND\r\n"
-                    }
-                    Some("get") => b"END\r\n",
-                    Some("set" | "add") => {
-                        let len: usize = words.nth(3).unwrap().parse().unwrap();
-                        reader.read_exact(&mut vec![0; len + 2]).unwrap();
-                        b"STORED\r\n"
-                    }
-                    other => panic!("stub server got {other:?}"),
-                };
-                stream.write_all(reply).unwrap();
             }
         }
 

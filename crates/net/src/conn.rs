@@ -124,16 +124,7 @@ impl ConnCore {
     /// Drops the parsed prefix of the input buffer so it never grows
     /// past one command plus whatever arrived pipelined behind it.
     fn compact(&mut self) {
-        if self.rpos == 0 {
-            return;
-        }
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-        } else {
-            self.rbuf.copy_within(self.rpos.., 0);
-            let remaining = self.rbuf.len() - self.rpos;
-            self.rbuf.truncate(remaining);
-        }
+        self.rbuf.drain(..self.rpos);
         self.rpos = 0;
     }
 

@@ -48,14 +48,16 @@
 //! last key, and the key misses when there is no such shard — which is
 //! how a client learns the shard count. The server keeps no cursor.
 //!
-//! The two directions are read differently. A server parses each
-//! command where it lies in the connection's input buffer
-//! ([`parse_raw_command`]): keys and data blocks borrow that buffer,
-//! and a command still arriving is "not yet", not an error. A client
-//! reads each reply off a `BufRead` ([`read_response_buffered`]),
-//! staging it in the connection's [`WireBuf`].
+//! Both directions are read one way: each end parses what it receives
+//! where it lies in the connection's input buffer, and a message still
+//! arriving is "not yet", not an error. A server parses a command
+//! ([`parse_raw_command`]), whose keys and data blocks borrow that
+//! buffer; a client parses a reply, whose values are copied once, from
+//! that buffer into their [`SharedBytes`]. The two parsers find lines
+//! and data blocks through the same helpers, so the line cap, the CR
+//! strip and the data block's CRLF rule are one rule each.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 use proteus_cache::SharedBytes;
 
@@ -112,23 +114,19 @@ const MAX_VALUE_BYTES: usize = 64 << 20;
 /// LF, a CR included, is a protocol error.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// A client connection's staging buffers for reading replies.
-///
-/// [`read_response_buffered`] reads each reply line into `line` and
-/// each value's data block into `data` before promoting it to
-/// [`SharedBytes`]. One `WireBuf` lives as long as the connection, so
-/// after the first few replies its `Vec`s have warmed up to the
-/// connection's working sizes and stop growing. (The server needs no
-/// such buffer: it parses a command where it lies in the connection's
-/// input buffer.)
+/// Staging for [`read_response_buffered`]: the bytes of a reply that
+/// spans more than one of its reader's buffers. A reply that arrives
+/// whole in one buffer is parsed where it lies and never staged. (A
+/// pooled client connection needs no `WireBuf`: it parses each reply
+/// where it lies in its own input buffer.)
 #[derive(Debug, Default)]
 pub struct WireBuf {
-    line: Vec<u8>,
-    data: Vec<u8>,
+    staged: Vec<u8>,
 }
 
 impl WireBuf {
-    /// Creates an empty buffer pool (grows on first use, then steadies).
+    /// Creates an empty staging buffer (grows on first use, then
+    /// steadies).
     #[must_use]
     pub fn new() -> Self {
         WireBuf::default()
@@ -159,11 +157,9 @@ pub enum Response {
         /// The value bytes.
         data: SharedBytes,
     },
-    /// Two or more `VALUE` blocks from a multi-key get. An empty or
-    /// single-item list is never produced by
-    /// [`read_response_buffered`]: zero hits
-    /// parse as [`Miss`](Response::Miss), one as
-    /// [`Value`](Response::Value).
+    /// Two or more `VALUE` blocks from a multi-key get. A reply is
+    /// never parsed into an empty or single-item list: zero hits parse
+    /// as [`Miss`](Response::Miss), one as [`Value`](Response::Value).
     Values(Vec<ValueItem>),
     /// A `get` miss.
     Miss,
@@ -301,18 +297,11 @@ pub enum RawCommand<'a> {
 /// [`NetError::Protocol`] on malformed input, including a command line
 /// of more than [`MAX_LINE_BYTES`] bytes before its LF.
 pub(crate) fn parse_command(input: &[u8]) -> Result<Option<(RawCommand<'_>, usize)>, NetError> {
-    let scan = &input[..input.len().min(MAX_LINE_BYTES + 1)];
-    let Some(lf) = scan.iter().position(|&b| b == b'\n') else {
-        return if input.len() > MAX_LINE_BYTES {
-            Err(NetError::Protocol("line too long".into()))
-        } else {
-            Ok(None)
-        };
+    let Some((line, used)) = next_line(input)? else {
+        return Ok(None);
     };
-    let line = &input[..lf];
-    let text = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line))
+    let text = std::str::from_utf8(line)
         .map_err(|_| NetError::Protocol("command line is not UTF-8".into()))?;
-    let used = lf + 1;
     let mut parts = text.split_ascii_whitespace();
     let verb = parts
         .next()
@@ -346,14 +335,17 @@ pub(crate) fn parse_command(input: &[u8]) -> Result<Option<(RawCommand<'_>, usiz
             RawCommand::MultiGet { keys: listed }
         }
         "set" | "add" | "replace" => {
-            let (key, flags, exptime, bytes) = parse_storage_header(verb, &mut parts)?;
-            let Some(block) = input[used..].get(..bytes + 2) else {
+            let missing_key = if verb == "set" {
+                "set needs a key"
+            } else {
+                "storage command needs a key"
+            };
+            let key = key_field(parts.next(), missing_key)?;
+            let flags: u32 = parse_field(parts.next(), "flags")?;
+            let exptime: u32 = parse_field(parts.next(), "exptime")?;
+            let Some(data) = data_block(&input[used..], parts.next())? else {
                 return Ok(None);
             };
-            let (data, crlf) = block.split_at(bytes);
-            if crlf != b"\r\n" {
-                return Err(NetError::Protocol("data block not CRLF-terminated".into()));
-            }
             let command = match verb {
                 "set" => RawCommand::Set {
                     key,
@@ -374,37 +366,17 @@ pub(crate) fn parse_command(input: &[u8]) -> Result<Option<(RawCommand<'_>, usiz
                     data,
                 },
             };
-            return Ok(Some((command, used + block.len())));
+            return Ok(Some((command, used + data.len() + 2)));
         }
-        "delete" => {
-            let key = parts
-                .next()
-                .ok_or_else(|| NetError::Protocol("delete needs a key".into()))?
-                .as_bytes();
-            if !valid_key(key) {
-                return Err(NetError::Protocol("invalid key".into()));
-            }
-            RawCommand::Delete { key }
-        }
-        "touch" => {
-            let key = parts
-                .next()
-                .ok_or_else(|| NetError::Protocol("touch needs a key".into()))?
-                .as_bytes();
-            if !valid_key(key) {
-                return Err(NetError::Protocol("invalid key".into()));
-            }
-            let exptime: u32 = parse_field(parts.next(), "exptime")?;
-            RawCommand::Touch { key, exptime }
-        }
+        "delete" => RawCommand::Delete {
+            key: key_field(parts.next(), "delete needs a key")?,
+        },
+        "touch" => RawCommand::Touch {
+            key: key_field(parts.next(), "touch needs a key")?,
+            exptime: parse_field(parts.next(), "exptime")?,
+        },
         "incr" | "decr" => {
-            let key = parts
-                .next()
-                .ok_or_else(|| NetError::Protocol("incr/decr needs a key".into()))?
-                .as_bytes();
-            if !valid_key(key) {
-                return Err(NetError::Protocol("invalid key".into()));
-            }
+            let key = key_field(parts.next(), "incr/decr needs a key")?;
             let delta: u64 = parse_field(parts.next(), "delta")?;
             if verb == "incr" {
                 RawCommand::Incr { key, delta }
@@ -427,31 +399,43 @@ pub(crate) fn parse_command(input: &[u8]) -> Result<Option<(RawCommand<'_>, usiz
     Ok(Some((command, used)))
 }
 
-/// The header of a storage command after its verb: `<key> <flags>
-/// <exptime> <bytes>`, with the key and the declared length checked.
-fn parse_storage_header<'a>(
-    verb: &str,
-    parts: &mut std::str::SplitAsciiWhitespace<'a>,
-) -> Result<(&'a [u8], u32, u32, usize), NetError> {
-    let missing_key = if verb == "set" {
-        "set needs a key"
-    } else {
-        "storage command needs a key"
+/// The line at the start of `input` without its LF and one CR before
+/// it, and the bytes it spans with the LF; `Ok(None)` until the LF has
+/// arrived.
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] once more than [`MAX_LINE_BYTES`] bytes, a CR
+/// included, have arrived without an LF among them.
+fn next_line(input: &[u8]) -> Result<Option<(&[u8], usize)>, NetError> {
+    let scan = &input[..input.len().min(MAX_LINE_BYTES + 1)];
+    let Some(lf) = scan.iter().position(|&b| b == b'\n') else {
+        return if input.len() > MAX_LINE_BYTES {
+            Err(NetError::Protocol("line too long".into()))
+        } else {
+            Ok(None)
+        };
     };
-    let key = parts
-        .next()
-        .ok_or_else(|| NetError::Protocol(missing_key.into()))?
-        .as_bytes();
-    if !valid_key(key) {
-        return Err(NetError::Protocol("invalid key".into()));
-    }
-    let flags: u32 = parse_field(parts.next(), "flags")?;
-    let exptime: u32 = parse_field(parts.next(), "exptime")?;
-    let bytes: usize = parse_field(parts.next(), "bytes")?;
+    let line = &input[..lf];
+    Ok(Some((line.strip_suffix(b"\r").unwrap_or(line), lf + 1)))
+}
+
+/// The data block at the start of `input` whose length `field`, its
+/// header's last field, declares: refused over [`MAX_VALUE_BYTES`], and
+/// `Ok(None)` until it and the CRLF that must close it have arrived.
+fn data_block<'a>(input: &'a [u8], field: Option<&str>) -> Result<Option<&'a [u8]>, NetError> {
+    let bytes: usize = parse_field(field, "bytes")?;
     if bytes > MAX_VALUE_BYTES {
         return Err(NetError::Protocol("value too large".into()));
     }
-    Ok((key, flags, exptime, bytes))
+    let Some(block) = input.get(..bytes + 2) else {
+        return Ok(None);
+    };
+    let (data, crlf) = block.split_at(bytes);
+    if crlf != b"\r\n" {
+        return Err(NetError::Protocol("data block not CRLF-terminated".into()));
+    }
+    Ok(Some(data))
 }
 
 /// Parses one command from a byte slice without consuming it, as the
@@ -474,22 +458,15 @@ pub fn parse_raw_command<'a>(
     parse_command(input)
 }
 
-/// Reads a `<bytes>`-long data block into `scratch` and checks its CRLF
-/// terminator.
-fn read_data_block<R: BufRead>(
-    reader: &mut R,
-    scratch: &mut Vec<u8>,
-    bytes: usize,
-) -> Result<(), NetError> {
-    scratch.clear();
-    scratch.resize(bytes, 0);
-    std::io::Read::read_exact(reader, scratch)?;
-    let mut crlf = [0u8; 2];
-    std::io::Read::read_exact(reader, &mut crlf)?;
-    if &crlf != b"\r\n" {
-        return Err(NetError::Protocol("data block not CRLF-terminated".into()));
-    }
-    Ok(())
+/// A command's key argument: `missing` if there is none, "invalid key"
+/// if it is not a valid key.
+fn key_field<'a>(field: Option<&'a str>, missing: &str) -> Result<&'a [u8], NetError> {
+    let key = field
+        .ok_or_else(|| NetError::Protocol(missing.into()))?
+        .as_bytes();
+    valid_key(key)
+        .then_some(key)
+        .ok_or_else(|| NetError::Protocol("invalid key".into()))
 }
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, name: &str) -> Result<T, NetError> {
@@ -754,176 +731,189 @@ impl<W: Write> ResponseWriter<W> {
     }
 }
 
-/// Reads one response using `buf` as the line/data staging pool.
-/// Value payloads are promoted to [`SharedBytes`] (one pool→Arc copy);
-/// everything else parses without allocating once `buf` has warmed up.
+/// Parses the reply at the start of `input` where it lies, as a pooled
+/// client connection does on its input buffer: `Ok(Some((reply,
+/// used)))` when `input` starts with a whole reply of `used` bytes and
+/// `Ok(None)` when more bytes are needed. A `VALUE … END` or `STAT …
+/// END` run is whole only at its `END`; until then the parse walks the
+/// block headers already buffered and copies nothing. Each value is
+/// then copied once, into its [`SharedBytes`].
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] on a malformed reply, including a line of
+/// more than [`MAX_LINE_BYTES`] bytes before its LF.
+pub(crate) fn parse_response(input: &[u8]) -> Result<Option<(Response, usize)>, NetError> {
+    let Some((line, used)) = next_line(input)? else {
+        return Ok(None);
+    };
+    let text = std::str::from_utf8(line)
+        .map_err(|_| NetError::Protocol("response line is not UTF-8".into()))?;
+    let response = match text {
+        "END" => Response::Miss,
+        "STORED" => Response::Stored,
+        "NOT_STORED" => Response::NotStored,
+        "DELETED" => Response::Deleted,
+        "NOT_FOUND" => Response::NotFound,
+        "TOUCHED" => Response::Touched,
+        "OK" => Response::Ok,
+        "ERROR" => Response::Error(String::new()),
+        _ if text.starts_with("VALUE ") => return parse_values(input),
+        _ if text.starts_with("STAT ") => {
+            let Some(used) = walk_stats(input, |_, _| {})? else {
+                return Ok(None);
+            };
+            let mut pairs = Vec::new();
+            walk_stats(input, |name, value| pairs.push((name.into(), value.into())))?;
+            return Ok(Some((Response::Stats(pairs), used)));
+        }
+        _ if !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) => Response::Numeric(
+            text.parse()
+                .map_err(|_| NetError::Protocol("numeric response out of range".into()))?,
+        ),
+        _ => match (text.strip_prefix("VERSION "), text.strip_prefix("ERROR ")) {
+            (Some(version), _) => Response::Version(version.into()),
+            (_, Some(message)) => Response::Error(message.into()),
+            _ => {
+                return Err(NetError::Protocol(format!(
+                    "unrecognized response {text:?}"
+                )))
+            }
+        },
+    };
+    Ok(Some((response, used)))
+}
+
+/// A `get` reply: one or more `VALUE` blocks and a lone `END`. One
+/// block parses as [`Response::Value`] in one walk; a longer run is
+/// walked once to find its end and count it, then again to copy it.
+fn parse_values(input: &[u8]) -> Result<Option<(Response, usize)>, NetError> {
+    let mut first = None;
+    let Some((used, blocks)) = walk_values(input, |key, flags, data| {
+        first.get_or_insert((key, flags, data));
+    })?
+    else {
+        return Ok(None);
+    };
+    let item = |key: &[u8], flags, data: &[u8]| ValueItem {
+        key: key.to_vec(),
+        flags,
+        data: data.into(),
+    };
+    let response = match first {
+        Some((key, flags, data)) if blocks == 1 => {
+            let ValueItem { key, flags, data } = item(key, flags, data);
+            Response::Value { key, flags, data }
+        }
+        _ => {
+            let mut items = Vec::with_capacity(blocks);
+            walk_values(input, |key, flags, data| items.push(item(key, flags, data)))?;
+            Response::Values(items)
+        }
+    };
+    Ok(Some((response, used)))
+}
+
+/// Walks the `VALUE <key> <flags> <bytes>` blocks at the start of
+/// `input` up to the `END` that closes them, handing each block's key,
+/// flags and data to `each`: `Ok(Some((used, blocks)))` once the `END`
+/// has arrived, `Ok(None)` before.
+fn walk_values<'a>(
+    input: &'a [u8],
+    mut each: impl FnMut(&'a [u8], u32, &'a [u8]),
+) -> Result<Option<(usize, usize)>, NetError> {
+    let (mut pos, mut blocks) = (0, 0);
+    loop {
+        let Some((line, used)) = next_line(&input[pos..])? else {
+            return Ok(None);
+        };
+        pos += used;
+        if line == b"END" {
+            return Ok(Some((pos, blocks)));
+        }
+        let header = std::str::from_utf8(line)
+            .map_err(|_| NetError::Protocol("value line is not UTF-8".into()))?;
+        let mut parts = header
+            .strip_prefix("VALUE ")
+            .ok_or_else(|| NetError::Protocol(format!("bad value line {header:?}")))?
+            .split_ascii_whitespace();
+        let key = parts
+            .next()
+            .ok_or_else(|| NetError::Protocol("VALUE missing key".into()))?;
+        let flags: u32 = parse_field(parts.next(), "flags")?;
+        let Some(data) = data_block(&input[pos..], parts.next())? else {
+            return Ok(None);
+        };
+        blocks += 1;
+        if blocks > MAX_GET_KEYS {
+            return Err(NetError::Protocol("too many VALUE blocks".into()));
+        }
+        each(key.as_bytes(), flags, data);
+        pos += data.len() + 2;
+    }
+}
+
+/// Walks the `STAT <name> <value>` lines at the start of `input` up to
+/// the `END` that closes them, handing each pair to `each`: the bytes
+/// they span once the `END` has arrived, `Ok(None)` before.
+fn walk_stats<'a>(
+    input: &'a [u8],
+    mut each: impl FnMut(&'a str, &'a str),
+) -> Result<Option<usize>, NetError> {
+    let mut pos = 0;
+    loop {
+        let Some((line, used)) = next_line(&input[pos..])? else {
+            return Ok(None);
+        };
+        pos += used;
+        if line == b"END" {
+            return Ok(Some(pos));
+        }
+        let line = std::str::from_utf8(line)
+            .map_err(|_| NetError::Protocol("stats line is not UTF-8".into()))?;
+        let (name, value) = line
+            .strip_prefix("STAT ")
+            .ok_or_else(|| NetError::Protocol(format!("bad stats line {line:?}")))?
+            .split_once(' ')
+            .ok_or_else(|| NetError::Protocol("stats line missing value".into()))?;
+        each(name, value);
+    }
+}
+
+/// Reads one reply off `reader`, consuming exactly its bytes: each
+/// buffer the reader fills is parsed where it lies, and a reply that
+/// spans several is staged in `buf` and parsed again from its start
+/// each time a buffer is added, until it is whole.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::Protocol`] on malformed responses and
-/// [`NetError::Io`] on socket errors.
+/// [`NetError::Io`] on read errors, a stream that ends mid-reply
+/// included.
 pub fn read_response_buffered<R: BufRead>(
     reader: &mut R,
     buf: &mut WireBuf,
 ) -> Result<Response, NetError> {
-    let WireBuf { line, data } = buf;
-    read_line(reader, line)?;
-    let text = std::str::from_utf8(line)
-        .map_err(|_| NetError::Protocol("response line is not UTF-8".into()))?;
-    if text == "END" {
-        return Ok(Response::Miss);
-    }
-    if text == "STORED" {
-        return Ok(Response::Stored);
-    }
-    if text == "NOT_STORED" {
-        return Ok(Response::NotStored);
-    }
-    if text == "DELETED" {
-        return Ok(Response::Deleted);
-    }
-    if text == "NOT_FOUND" {
-        return Ok(Response::NotFound);
-    }
-    if text == "TOUCHED" {
-        return Ok(Response::Touched);
-    }
-    if text == "OK" {
-        return Ok(Response::Ok);
-    }
-    if let Some(v) = text.strip_prefix("VERSION ") {
-        return Ok(Response::Version(v.to_string()));
-    }
-    if !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) {
-        let value = text
-            .parse()
-            .map_err(|_| NetError::Protocol("numeric response out of range".into()))?;
-        return Ok(Response::Numeric(value));
-    }
-    if let Some(msg) = text.strip_prefix("ERROR ") {
-        return Ok(Response::Error(msg.to_string()));
-    }
-    if text == "ERROR" {
-        return Ok(Response::Error(String::new()));
-    }
-    let is_stats = text.starts_with("STAT ");
-    let is_value = text.starts_with("VALUE ");
-    if is_stats {
-        let mut pairs = Vec::new();
-        loop {
-            if line.as_slice() == b"END" {
-                return Ok(Response::Stats(pairs));
-            }
-            let current = std::str::from_utf8(line)
-                .map_err(|_| NetError::Protocol("stats line is not UTF-8".into()))?;
-            let rest = current
-                .strip_prefix("STAT ")
-                .ok_or_else(|| NetError::Protocol(format!("bad stats line {current:?}")))?;
-            let (name, value) = rest
-                .split_once(' ')
-                .ok_or_else(|| NetError::Protocol("stats line missing value".into()))?;
-            pairs.push((name.to_string(), value.to_string()));
-            read_line(reader, line)?;
-        }
-    }
-    if is_value {
-        // One or more VALUE blocks, then a lone END. Zero blocks never
-        // reach here (that is the bare-END Miss case above); one block
-        // parses as Value, and only a second pays for the list.
-        let first = read_value_block(reader, line, data)?;
-        read_line(reader, line)?;
-        if line.as_slice() == b"END" {
-            let ValueItem { key, flags, data } = first;
-            return Ok(Response::Value { key, flags, data });
-        }
-        let mut items = vec![first];
-        loop {
-            items.push(read_value_block(reader, line, data)?);
-            if items.len() > MAX_GET_KEYS {
-                return Err(NetError::Protocol("too many VALUE blocks".into()));
-            }
-            read_line(reader, line)?;
-            if line.as_slice() == b"END" {
-                return Ok(Response::Values(items));
-            }
-        }
-    }
-    // Neither loop ran, so `line` still holds the (UTF-8-validated)
-    // response line; re-borrow it for the error message.
-    let text = std::str::from_utf8(line).expect("validated above");
-    Err(NetError::Protocol(format!(
-        "unrecognized response {text:?}"
-    )))
-}
-
-/// One block of a `get` reply: parses the `VALUE <key> <flags> <bytes>`
-/// header held in `line`, then reads the data block through `scratch`
-/// into the one [`SharedBytes`] the caller keeps.
-fn read_value_block<R: BufRead>(
-    reader: &mut R,
-    line: &[u8],
-    scratch: &mut Vec<u8>,
-) -> Result<ValueItem, NetError> {
-    let current = std::str::from_utf8(line)
-        .map_err(|_| NetError::Protocol("value line is not UTF-8".into()))?;
-    let rest = current
-        .strip_prefix("VALUE ")
-        .ok_or_else(|| NetError::Protocol(format!("bad value line {current:?}")))?;
-    let mut parts = rest.split_ascii_whitespace();
-    let key = parts
-        .next()
-        .ok_or_else(|| NetError::Protocol("VALUE missing key".into()))?
-        .as_bytes()
-        .to_vec();
-    let flags: u32 = parse_field(parts.next(), "flags")?;
-    let bytes: usize = parse_field(parts.next(), "bytes")?;
-    if bytes > MAX_VALUE_BYTES {
-        return Err(NetError::Protocol("value too large".into()));
-    }
-    read_data_block(reader, scratch, bytes)?;
-    Ok(ValueItem {
-        key,
-        flags,
-        data: SharedBytes::from(scratch.as_slice()),
-    })
-}
-
-/// Reads a CRLF-terminated line (without the terminator) into `out`,
-/// scanning the reader's internal buffer in chunks rather than one
-/// byte at a time.
-fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> Result<(), NetError> {
-    out.clear();
+    let staged = &mut buf.staged;
+    staged.clear();
     loop {
-        let (found, used) = {
-            let available = reader.fill_buf()?;
-            if available.is_empty() {
-                // A bare kind, not a boxed message: the event planes hit
-                // this once per drained input buffer ("need more bytes").
-                return Err(NetError::Io(std::io::ErrorKind::UnexpectedEof.into()));
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    out.extend_from_slice(&available[..pos]);
-                    (true, pos + 1)
-                }
-                None => {
-                    out.extend_from_slice(available);
-                    (false, available.len())
-                }
-            }
-        };
-        reader.consume(used);
-        // The cap counts every byte before the newline, including the
-        // CR about to be stripped.
-        if out.len() > MAX_LINE_BYTES {
-            return Err(NetError::Protocol("line too long".into()));
+        let input = reader.fill_buf()?;
+        if input.is_empty() {
+            return Err(NetError::Io(ErrorKind::UnexpectedEof.into()));
         }
-        if found {
-            if out.last() == Some(&b'\r') {
-                out.pop();
-            }
-            return Ok(());
+        let (taken, fresh) = (staged.len(), input.len());
+        if taken > 0 {
+            staged.extend_from_slice(input);
         }
+        match parse_response(if taken == 0 { input } else { staged })? {
+            Some((response, used)) => {
+                reader.consume(used - taken);
+                return Ok(response);
+            }
+            None if taken == 0 => staged.extend_from_slice(input),
+            None => {}
+        }
+        reader.consume(fresh);
     }
 }
 
@@ -933,7 +923,7 @@ mod tests {
 
     /// One parse of `bytes`; the command borrows `bytes`. A command
     /// still missing bytes is the end of input.
-    fn parse<'a>(bytes: &'a [u8], _buf: &mut WireBuf) -> Result<RawCommand<'a>, NetError> {
+    fn parse(bytes: &[u8]) -> Result<RawCommand<'_>, NetError> {
         parse_command(bytes)?
             .map(|(cmd, _)| cmd)
             .ok_or_else(|| NetError::Io(std::io::ErrorKind::UnexpectedEof.into()))
@@ -945,8 +935,12 @@ mod tests {
         out
     }
 
-    fn read_response(mut bytes: &[u8]) -> Result<Response, NetError> {
-        read_response_buffered(&mut bytes, &mut WireBuf::new())
+    /// One parse of `bytes`; a reply still missing bytes is the end of
+    /// input.
+    fn read_response(bytes: &[u8]) -> Result<Response, NetError> {
+        parse_response(bytes)?
+            .map(|(resp, _)| resp)
+            .ok_or_else(|| NetError::Io(std::io::ErrorKind::UnexpectedEof.into()))
     }
 
     fn roundtrip_response(resp: Response) -> Response {
@@ -970,25 +964,19 @@ mod tests {
             RawCommand::StatsProteus,
             RawCommand::Quit,
         ] {
-            assert_eq!(parse(&encode(&cmd), &mut WireBuf::new()).unwrap(), cmd);
+            assert_eq!(parse(&encode(&cmd)).unwrap(), cmd);
         }
     }
 
     #[test]
     fn stats_argument_selects_registry_or_is_ignored() {
         assert_eq!(
-            parse(b"stats proteus\r\n", &mut WireBuf::new()).unwrap(),
+            parse(b"stats proteus\r\n").unwrap(),
             RawCommand::StatsProteus
         );
         // Unknown arguments keep the historical plain-stats behaviour.
-        assert_eq!(
-            parse(b"stats items\r\n", &mut WireBuf::new()).unwrap(),
-            RawCommand::Stats
-        );
-        assert_eq!(
-            parse(b"stats\r\n", &mut WireBuf::new()).unwrap(),
-            RawCommand::Stats
-        );
+        assert_eq!(parse(b"stats items\r\n").unwrap(), RawCommand::Stats);
+        assert_eq!(parse(b"stats\r\n").unwrap(), RawCommand::Stats);
     }
 
     #[test]
@@ -1024,46 +1012,31 @@ mod tests {
         ] {
             // Either a protocol error or (for trailing garbage) a clean
             // first parse — never a panic.
-            let _ = parse(bad.as_bytes(), &mut WireBuf::new());
+            let _ = parse(bad.as_bytes());
         }
+        assert!(matches!(parse(b"frob k\r\n"), Err(NetError::Protocol(_))));
         assert!(matches!(
-            parse(b"frob k\r\n", &mut WireBuf::new()),
-            Err(NetError::Protocol(_))
-        ));
-        assert!(matches!(
-            parse(b"set k 0 0 abc\r\n", &mut WireBuf::new()),
+            parse(b"set k 0 0 abc\r\n"),
             Err(NetError::Protocol(_))
         ));
     }
 
     #[test]
     fn rejects_invalid_keys() {
-        assert!(matches!(
-            parse(b"get \r\n", &mut WireBuf::new()),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(parse(b"get \r\n"), Err(NetError::Protocol(_))));
         let long = format!("get {}\r\n", "k".repeat(300));
-        assert!(matches!(
-            parse(long.as_bytes(), &mut WireBuf::new()),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(parse(long.as_bytes()), Err(NetError::Protocol(_))));
     }
 
     #[test]
     fn set_data_block_must_be_crlf_terminated() {
         let bad = b"set k 0 0 2\r\nhiXX".to_vec();
-        assert!(matches!(
-            parse(&bad, &mut WireBuf::new()),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(parse(&bad), Err(NetError::Protocol(_))));
     }
 
     #[test]
     fn eof_surfaces_as_io() {
-        assert!(matches!(
-            parse(b"", &mut WireBuf::new()),
-            Err(NetError::Io(_))
-        ));
+        assert!(matches!(parse(b""), Err(NetError::Io(_))));
     }
 
     #[test]
@@ -1073,26 +1046,20 @@ mod tests {
         };
         let buf = encode(&cmd);
         assert_eq!(buf, b"get a b c\r\n");
-        assert_eq!(parse(&buf, &mut WireBuf::new()).unwrap(), cmd);
+        assert_eq!(parse(&buf).unwrap(), cmd);
     }
 
     #[test]
     fn single_key_get_stays_get() {
         // `get k` must keep parsing to Get, not a one-key MultiGet, so
         // single-key traffic is byte-identical to the previous protocol.
-        assert_eq!(
-            parse(b"get k\r\n", &mut WireBuf::new()).unwrap(),
-            RawCommand::Get { key: b"k" }
-        );
+        assert_eq!(parse(b"get k\r\n").unwrap(), RawCommand::Get { key: b"k" });
     }
 
     #[test]
     fn multi_get_rejects_any_invalid_key() {
         let long = format!("get ok {}\r\n", "k".repeat(300));
-        assert!(matches!(
-            parse(long.as_bytes(), &mut WireBuf::new()),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(parse(long.as_bytes()), Err(NetError::Protocol(_))));
     }
 
     #[test]
@@ -1215,8 +1182,7 @@ mod tests {
 
     #[test]
     fn resumable_parse_matches_streaming_parse_at_every_split() {
-        // For every prefix of a pipelined stream, parse_raw_command
-        // must either yield exactly the commands a parse of the whole
+        // For every prefix of a pipelined stream, parse_command must either yield exactly the commands a parse of the whole
         // stream sees or report Incomplete — never an error, never a
         // different command.
         let stream = b"get hot\r\nset k 1 0 3\r\nabc\r\nget a b\r\nincr k 2\r\nquit\r\n";
@@ -1232,11 +1198,8 @@ mod tests {
         for split in 0..=stream.len() {
             let mut got = Vec::new();
             let mut pos = 0;
-            let mut buf = WireBuf::new();
             for end in [split, stream.len()] {
-                while let Some((cmd, used)) =
-                    parse_raw_command(&stream[pos..end], &mut buf).unwrap()
-                {
+                while let Some((cmd, used)) = parse_command(&stream[pos..end]).unwrap() {
                     got.push(format!("{cmd:?}"));
                     pos += used;
                 }
@@ -1247,19 +1210,15 @@ mod tests {
 
     #[test]
     fn resumable_parse_surfaces_protocol_errors() {
-        let mut buf = WireBuf::new();
         assert!(matches!(
-            parse_raw_command(b"frob k\r\n", &mut buf),
+            parse_command(b"frob k\r\n"),
             Err(NetError::Protocol(_))
         ));
         // A prefix with no newline is incomplete, not an error...
-        assert!(parse_raw_command(b"get parti", &mut buf).unwrap().is_none());
+        assert!(parse_command(b"get parti").unwrap().is_none());
         // ...until it blows the line-length cap.
         let long = vec![b'a'; (1 << 20) + 2];
-        assert!(matches!(
-            parse_raw_command(&long, &mut buf),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(parse_command(&long), Err(NetError::Protocol(_))));
     }
 
     #[test]
@@ -1287,7 +1246,7 @@ mod tests {
         // The digest keys must be parseable as plain gets — that is the
         // paper's compatibility trick.
         assert_eq!(
-            parse(b"get SET_BLOOM_FILTER\r\n", &mut WireBuf::new()).unwrap(),
+            parse(b"get SET_BLOOM_FILTER\r\n").unwrap(),
             RawCommand::Get {
                 key: DIGEST_SNAPSHOT_KEY
             }

@@ -2,10 +2,13 @@
 //! its bytes, and the crate's one command type borrows them, so the
 //! tests keep this owned form — the type the pre-rewrite parser in
 //! `parser_equivalence.rs` returns — and hand the crate its borrowed
-//! view.
+//! view. [`reply`] holds the other direction's oracle, the reply reader
+//! the client used before it parsed replies where they land.
 
 // Each test crate generates its own subset of the verbs.
 #![allow(dead_code)]
+
+pub mod reply;
 
 use proteus_net::{write_command_unflushed, RawCommand};
 

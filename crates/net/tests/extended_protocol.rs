@@ -1,5 +1,7 @@
 //! Tests of the extended memcached command surface over live sockets.
 
+mod common;
+
 use proteus_cache::{CacheConfig, StorageKind};
 use proteus_net::{CacheClient, CacheServer, EngineKind, NetError};
 
@@ -51,10 +53,7 @@ fn touch_refreshes_and_reports_presence() {
 /// does: exptime 0 clears the deadline, a positive one sets it from now.
 #[test]
 fn touch_sets_the_items_new_expiry_on_every_plane() {
-    use proteus_net::{
-        read_response_buffered, write_command_unflushed, RawCommand, Response, ServerConfig,
-        WireBuf,
-    };
+    use proteus_net::{write_command_unflushed, RawCommand, Response, ServerConfig};
     use proteus_sim::SimTime;
     use std::io::BufReader;
     for engine in planes() {
@@ -63,10 +62,9 @@ fn touch_sets_the_items_new_expiry_on_every_plane() {
             CacheServer::spawn_with("127.0.0.1:0", config, ServerConfig { engine }).unwrap();
         let mut writer = std::net::TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(writer.try_clone().unwrap());
-        let mut wire = WireBuf::new();
         let mut send = |command: RawCommand<'_>| {
             write_command_unflushed(&mut writer, &command).unwrap();
-            read_response_buffered(&mut reader, &mut wire).unwrap()
+            common::reply::read_response(&mut reader).unwrap()
         };
         let expiry_of =
             |key: &[u8]| server.with_engine(|e| e.with_key_shard(key, |se| se.expiry_of(key)));
@@ -348,15 +346,12 @@ fn a_served_digest_sets_no_bit_past_its_last_counter() {
 
 #[test]
 fn exptime_is_honored_over_the_wire() {
-    use proteus_net::{
-        read_response_buffered, write_command_unflushed, RawCommand, Response, WireBuf,
-    };
+    use proteus_net::{write_command_unflushed, RawCommand, Response};
     use std::io::BufReader;
     let server = server();
     let mut writer = std::net::TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(writer.try_clone().unwrap());
-    let mut wire = WireBuf::new();
-    let mut reply = || read_response_buffered(&mut reader, &mut wire).unwrap();
+    let mut reply = || common::reply::read_response(&mut reader).unwrap();
     // Store with a 1-second expiry.
     write_command_unflushed(
         &mut writer,

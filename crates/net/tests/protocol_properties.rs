@@ -5,8 +5,7 @@ mod common;
 use common::Command;
 use proptest::prelude::*;
 use proteus_net::{
-    parse_raw_command, read_response_buffered, write_response_unflushed, NetError, RawCommand,
-    Response, WireBuf,
+    parse_raw_command, write_response_unflushed, NetError, RawCommand, Response, WireBuf,
 };
 
 /// One parse of `bytes`; the command borrows `bytes`. A command still
@@ -18,7 +17,7 @@ fn parse<'a>(bytes: &'a [u8], buf: &mut WireBuf) -> Result<RawCommand<'a>, NetEr
 }
 
 fn read_response(mut bytes: &[u8]) -> Result<Response, NetError> {
-    read_response_buffered(&mut bytes, &mut WireBuf::new())
+    common::reply::read_response(&mut bytes)
 }
 
 /// Strategy for protocol-legal keys (printable, no whitespace, ≤250).

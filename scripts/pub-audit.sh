@@ -7,7 +7,9 @@
 #   scripts/pub-audit.sh
 #
 # A caller-less function is deleted, made private, or kept here with
-# the reason it stays public.
+# the reason it stays public. After that check it also lists, for
+# information only, the `pub fn`s that only benchmark/src calls from
+# outside their own file: the pins the frozen benchmark holds in place.
 set -eu
 
 KEEP='
@@ -26,15 +28,27 @@ done
 cd "$tmp"
 
 found=0
+pins=
 for f in $(find crates/*/src -name '*.rs' ! -path '*/src/bin/*' | sort); do
     for name in $(sed -n 's/^ *pub \(const \|unsafe \)\{0,1\}fn \([A-Za-z0-9_]*\).*/\2/p' "$f" | sort -u); do
         if echo "$KEEP" | grep -q "^$name "; then
             continue
         fi
-        if ! grep -rlw "$name" crates tests examples src benchmark/src | grep -qvxF "$f"; then
+        callers=$(grep -rlw "$name" crates tests examples src benchmark/src | grep -vxF "$f" || true)
+        if [ -z "$callers" ]; then
             echo "$f: $name"
             found=1
+        elif ! echo "$callers" | grep -qv '^benchmark/src/'; then
+            pins="$pins$f: $name
+"
         fi
     done
 done
+# Information only: the functions whose only callers outside their own
+# file are in benchmark/src. They stay public for as long as the frozen
+# benchmark names them.
+if [ -n "$pins" ]; then
+    echo "called only from benchmark/src:"
+    printf '%s' "$pins"
+fi
 exit $found
