@@ -5,7 +5,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 use proteus_bloom::{BloomFilter, DigestSnapshot};
@@ -274,21 +274,19 @@ impl ClientCore {
 /// A pooled connection: its socket beside its core.
 type Conn = (TcpStream, ClientCore);
 
-/// `get k1 k2 ...` for at most [`MAX_GET_KEYS`] keys.
-fn get_command<'a>(keys: &[&'a [u8]]) -> RawCommand<'a> {
-    match keys {
-        [key] => RawCommand::Get { key },
-        _ => RawCommand::MultiGet {
-            keys: keys.to_vec(),
-        },
-    }
-}
+/// Clients this process has built, mixed into each one's jitter seed.
+static CLIENTS_BUILT: AtomicU64 = AtomicU64::new(0);
 
 /// A pooled, blocking client for one cache server.
 ///
 /// Connections are created lazily, checked out per call, and returned
 /// to the pool afterwards — the paper's web tier does the same with
 /// Apache Commons Pool so servlet threads share connections.
+///
+/// Every operation is one exchange on one pooled connection: its
+/// commands leave in one write and one reply per command is read back,
+/// in order. So a batch (`set_many`, `add_many`, `delete_many`) pays
+/// one round trip, and `get_many` one per [`MAX_GET_KEYS`] keys.
 ///
 /// Every operation is fault tolerant:
 ///
@@ -300,8 +298,9 @@ fn get_command<'a>(keys: &[&'a [u8]]) -> RawCommand<'a> {
 ///   fast with [`NetError::CircuitOpen`] — no connect timeout is paid —
 ///   until a cooldown elapses and a single probe tests the server
 ///   again;
-/// - semantic errors ([`NetError::ServerError`], protocol violations)
-///   never retry and never trip the breaker.
+/// - any answer, a semantic error ([`NetError::ServerError`], a
+///   protocol violation) included, means the server is up: it never
+///   retries, never trips the breaker, and closes a half-open one.
 ///
 /// `CacheClient` is `Send + Sync`; clone-free sharing via `&` works
 /// from multiple threads.
@@ -366,14 +365,17 @@ impl CacheClient {
     /// start-up.
     #[must_use]
     pub fn disconnected(addr: SocketAddr, config: ClientConfig) -> CacheClient {
-        // Decorrelate jitter streams across clients without consuming
-        // an RNG dependency: hash the address and a wall-clock sample.
+        // Decorrelate jitter streams across clients without an RNG
+        // dependency: hash the port, a wall-clock sample (which sets
+        // processes apart) and the count of clients this process has
+        // built (which sets apart two built in one clock tick).
+        let wall = SystemTime::now().duration_since(UNIX_EPOCH);
         let seed = {
             let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-            h ^= u64::from(addr.port());
+            h ^= u64::from(addr.port()) ^ wall.map_or(0, |d| d.as_nanos() as u64);
             h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            h ^= Instant::now().elapsed().as_nanos() as u64 ^ (&h as *const u64 as u64);
-            h | 1
+            h ^= CLIENTS_BUILT.fetch_add(1, Ordering::Relaxed);
+            h.wrapping_mul(0x94d0_49bb_1331_11eb) | 1
         };
         CacheClient {
             addr,
@@ -480,8 +482,9 @@ impl CacheClient {
 
     /// Runs `attempt` under the retry + circuit-breaker policy:
     /// transport failures poison the pool, feed the breaker, and retry
-    /// with backoff; anything else passes through. An open breaker
-    /// fails fast with [`NetError::CircuitOpen`].
+    /// with backoff. Any other outcome, an error included, means the
+    /// server answered: it closes the breaker and passes through. An
+    /// open breaker fails fast with [`NetError::CircuitOpen`].
     fn with_failover<T>(
         &self,
         mut attempt: impl FnMut() -> Result<T, NetError>,
@@ -500,13 +503,7 @@ impl CacheClient {
                 self.trace_breaker(|server| TraceKind::BreakerProbe { server });
             }
             match attempt() {
-                Ok(value) => {
-                    if self.breaker.record_success() {
-                        self.trace_breaker(|server| TraceKind::BreakerClose { server });
-                    }
-                    return Ok(value);
-                }
-                Err(e) if matches!(e, NetError::Io(_)) => {
+                Err(e @ NetError::Io(_)) => {
                     self.poison_pool();
                     if self.breaker.record_failure(&self.config) {
                         self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
@@ -523,25 +520,60 @@ impl CacheClient {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
                     self.jitter_sleep(retry);
                 }
-                Err(e) => return Err(e),
+                answered => {
+                    if self.breaker.record_success() {
+                        self.trace_breaker(|server| TraceKind::BreakerClose { server });
+                    }
+                    return answered;
+                }
             }
         }
     }
 
-    fn round_trip(&self, cmd: &RawCommand<'_>) -> Result<Response, NetError> {
-        let response = self.with_failover(|| {
-            let (mut stream, mut core) = self.checkout()?;
-            core.queue(cmd);
-            core.flush_to(&mut stream)?;
-            let response = core.recv(&mut stream)?;
-            // Only reusable if the exchange completed cleanly.
-            self.checkin((stream, core));
-            Ok(response)
-        })?;
-        match response {
-            Response::Error(msg) => Err(NetError::ServerError(msg)),
-            ok => Ok(ok),
+    /// The one exchange every operation makes: checks out a connection,
+    /// sends `commands` in one write and reads one reply per command, in
+    /// order. `read` folds each reply into what the replies before it
+    /// came to, starting from `init`, or hands back a reply its command
+    /// cannot have, which ends the exchange with [`NetError::Protocol`].
+    /// An `ERROR` reply ends it with [`NetError::ServerError`] before
+    /// `read` sees it. The connection is pooled again only when every
+    /// reply it was owed has been read and none was one its command
+    /// cannot have: a batch cut short, or a server out of step, would
+    /// hand a reply to the next command.
+    ///
+    /// The exchange retries under the failover policy on transport
+    /// failures, each attempt folding from `init` afresh, so the
+    /// commands must be harmless to replay.
+    fn exchange<T: Clone>(
+        &self,
+        commands: &[RawCommand<'_>],
+        init: T,
+        read: impl Fn(T, Response) -> Result<T, Response>,
+    ) -> Result<T, NetError> {
+        if commands.is_empty() {
+            return Ok(init);
         }
+        self.with_failover(|| {
+            let (mut stream, mut core) = self.checkout()?;
+            commands.iter().for_each(|command| core.queue(command));
+            core.flush_to(&mut stream)?;
+            let mut folded = init.clone();
+            for still_owed in (0..commands.len()).rev() {
+                folded = match core.recv(&mut stream)? {
+                    Response::Error(msg) => {
+                        if still_owed == 0 {
+                            self.checkin((stream, core));
+                        }
+                        return Err(NetError::ServerError(msg));
+                    }
+                    reply => read(folded, reply).map_err(|other| {
+                        NetError::Protocol(format!("unexpected reply {other:?}"))
+                    })?,
+                };
+            }
+            self.checkin((stream, core));
+            Ok(folded)
+        })
     }
 
     /// Fetches `key`, returning its value if cached.
@@ -555,49 +587,43 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn get(&self, key: &[u8]) -> Result<Option<SharedBytes>, NetError> {
-        match self.round_trip(&RawCommand::Get { key })? {
+        self.exchange(&[RawCommand::Get { key }], None, |_, reply| match reply {
             Response::Value { data, .. } => Ok(Some(data)),
             Response::Miss => Ok(None),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
-    /// Fetches several keys, one request/response round trip per
-    /// [`MAX_GET_KEYS`] of them (memcached `get k1 k2 ...`), on one
-    /// connection. Results align with `keys`: position `i` holds
-    /// `Some(value)` if `keys[i]` was cached, `None` if not.
+    /// Fetches several keys (memcached `get k1 k2 ...`), one exchange
+    /// per [`MAX_GET_KEYS`] of them. Results align with `keys`:
+    /// position `i` holds `Some(value)` if `keys[i]` was cached, `None`
+    /// if not. The server answers a chunk's hits in key order and
+    /// leaves its misses out, so each `VALUE` block answers the first
+    /// key left that it names; a block that names no key left fails the
+    /// call with [`NetError::Protocol`].
     ///
-    /// The whole exchange retries under the failover policy on
-    /// transport failures (a `get` is harmless to replay).
+    /// Each chunk retries on its own under the failover policy on
+    /// transport failures, as a `get` does.
     ///
     /// # Errors
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn get_many(&self, keys: &[&[u8]]) -> Result<Vec<Option<SharedBytes>>, NetError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
+        let mut chunks = keys.chunks(MAX_GET_KEYS).map(|chunk| {
+            let command = match chunk {
+                [key] => RawCommand::Get { key },
+                keys => RawCommand::MultiGet {
+                    keys: keys.to_vec(),
+                },
+            };
+            self.exchange(&[command], Vec::new(), |_, reply| line_up(chunk, reply))
+        });
+        // The first chunk's answers grow into the whole batch's.
+        let mut values = chunks.next().transpose()?.unwrap_or_default();
+        for answers in chunks {
+            values.extend(answers?);
         }
-        self.with_failover(|| {
-            let (mut stream, mut core) = self.checkout()?;
-            let mut values = Vec::with_capacity(keys.len());
-            for chunk in keys.chunks(MAX_GET_KEYS) {
-                core.queue(&get_command(chunk));
-                core.flush_to(&mut stream)?;
-                let items = match core.recv(&mut stream)? {
-                    Response::Error(msg) => return Err(NetError::ServerError(msg)),
-                    Response::Miss => Vec::new(),
-                    Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
-                    Response::Values(items) => items,
-                    other => return Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-                };
-                let found: std::collections::HashMap<Vec<u8>, SharedBytes> =
-                    items.into_iter().map(|i| (i.key, i.data)).collect();
-                values.extend(chunk.iter().map(|k| found.get(*k).cloned()));
-            }
-            // Only reusable if every chunk's reply was read.
-            self.checkin((stream, core));
-            Ok(values)
-        })
+        Ok(values)
     }
 
     /// Stores `value` under `key`.
@@ -606,56 +632,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn set(&self, key: &[u8], value: &[u8]) -> Result<(), NetError> {
-        match self.round_trip(&RawCommand::Set {
-            key,
-            flags: 0,
-            exptime: 0,
-            data: value,
-        })? {
-            Response::Stored => Ok(()),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// One pipelined exchange: every command is written before any
-    /// reply is read, so N commands pay one round trip instead of N.
-    /// `took_effect` reads each reply — did the command do what it was
-    /// sent to do, or is this a reply it cannot have (`None`) — and the
-    /// exchange returns how many did.
-    ///
-    /// The whole exchange retries under the failover policy on
-    /// transport failures, so the commands must be harmless to replay.
-    /// The first `ERROR` reply ends it with [`NetError::ServerError`].
-    fn pipelined(
-        &self,
-        commands: &[RawCommand<'_>],
-        took_effect: impl Fn(&Response) -> Option<bool>,
-    ) -> Result<u64, NetError> {
-        if commands.is_empty() {
-            return Ok(0);
-        }
-        self.with_failover(|| {
-            let (mut stream, mut core) = self.checkout()?;
-            for command in commands {
-                core.queue(command);
-            }
-            core.flush_to(&mut stream)?;
-            let mut count = 0;
-            for _ in commands {
-                let reply = core.recv(&mut stream)?;
-                match (took_effect(&reply), reply) {
-                    (Some(yes), _) => count += u64::from(yes),
-                    (None, Response::Error(msg)) => return Err(NetError::ServerError(msg)),
-                    (None, other) => {
-                        return Err(NetError::Protocol(format!("unexpected reply {other:?}")))
-                    }
-                }
-            }
-            // Only reusable if every reply was read: an early return
-            // above leaves the rest of the batch's replies unread.
-            self.checkin((stream, core));
-            Ok(count)
-        })
+        self.exchange(&[set_command(key, value)], (), |(), reply| stored(reply))
     }
 
     /// Stores several `(key, value)` pairs in one pipelined exchange:
@@ -672,19 +649,10 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn set_many(&self, pairs: &[(&[u8], SharedBytes)]) -> Result<(), NetError> {
-        let sets: Vec<RawCommand<'_>> = pairs
-            .iter()
-            .map(|(key, value)| RawCommand::Set {
-                key,
-                flags: 0,
-                exptime: 0,
-                data: value,
-            })
+        let sets: Vec<RawCommand<'_>> = (pairs.iter())
+            .map(|(key, value)| set_command(key, value))
             .collect();
-        self.pipelined(&sets, |reply| {
-            matches!(reply, Response::Stored).then_some(true)
-        })?;
-        Ok(())
+        self.exchange(&sets, (), |(), reply| stored(reply))
     }
 
     /// [`set_many`](Self::set_many) with `add`: each pair is stored only
@@ -701,20 +669,10 @@ impl CacheClient {
     /// Returns transport errors or the first [`NetError::ServerError`]
     /// in the batch.
     pub fn add_many(&self, pairs: &[(&[u8], SharedBytes)]) -> Result<u64, NetError> {
-        let adds: Vec<RawCommand<'_>> = pairs
-            .iter()
-            .map(|(key, value)| RawCommand::Add {
-                key,
-                flags: 0,
-                exptime: 0,
-                data: value,
-            })
+        let adds: Vec<RawCommand<'_>> = (pairs.iter())
+            .map(|(key, value)| add_command(key, value))
             .collect();
-        self.pipelined(&adds, |reply| match reply {
-            Response::Stored => Some(true),
-            Response::NotStored => Some(false),
-            _ => None,
-        })
+        self.exchange(&adds, 0, |n, reply| Ok(n + u64::from(added(reply)?)))
     }
 
     /// Stores `value` only if `key` is absent (`add`); returns whether
@@ -724,16 +682,7 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn add(&self, key: &[u8], value: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&RawCommand::Add {
-            key,
-            flags: 0,
-            exptime: 0,
-            data: value,
-        })? {
-            Response::Stored => Ok(true),
-            Response::NotStored => Ok(false),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(&[add_command(key, value)], false, |_, reply| added(reply))
     }
 
     /// Stores `value` only if `key` is present (`replace`); returns
@@ -743,16 +692,13 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn replace(&self, key: &[u8], value: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&RawCommand::Replace {
+        let replace = RawCommand::Replace {
             key,
             flags: 0,
             exptime: 0,
             data: value,
-        })? {
-            Response::Stored => Ok(true),
-            Response::NotStored => Ok(false),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        };
+        self.exchange(&[replace], false, |_, reply| added(reply))
     }
 
     /// Refreshes `key`'s recency (`touch` with exptime 0, which also
@@ -762,11 +708,12 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn touch(&self, key: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&RawCommand::Touch { key, exptime: 0 })? {
+        let touch = RawCommand::Touch { key, exptime: 0 };
+        self.exchange(&[touch], false, |_, reply| match reply {
             Response::Touched => Ok(true),
             Response::NotFound => Ok(false),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Adds `delta` to the numeric value under `key`, returning the new
@@ -777,11 +724,9 @@ impl CacheClient {
     /// Returns transport errors or a [`NetError::ServerError`] (e.g.
     /// a non-numeric stored value).
     pub fn incr(&self, key: &[u8], delta: u64) -> Result<Option<u64>, NetError> {
-        match self.round_trip(&RawCommand::Incr { key, delta })? {
-            Response::Numeric(v) => Ok(Some(v)),
-            Response::NotFound => Ok(None),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(&[RawCommand::Incr { key, delta }], None, |_, reply| {
+            numeric(reply)
+        })
     }
 
     /// Subtracts `delta` from the numeric value under `key` (floored at
@@ -791,11 +736,9 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn decr(&self, key: &[u8], delta: u64) -> Result<Option<u64>, NetError> {
-        match self.round_trip(&RawCommand::Decr { key, delta })? {
-            Response::Numeric(v) => Ok(Some(v)),
-            Response::NotFound => Ok(None),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(&[RawCommand::Decr { key, delta }], None, |_, reply| {
+            numeric(reply)
+        })
     }
 
     /// Clears the server's cache (`flush_all`).
@@ -804,10 +747,10 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn flush_all(&self) -> Result<(), NetError> {
-        match self.round_trip(&RawCommand::FlushAll)? {
+        self.exchange(&[RawCommand::FlushAll], (), |(), reply| match reply {
             Response::Ok => Ok(()),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// The server's version string.
@@ -816,10 +759,14 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn version(&self) -> Result<String, NetError> {
-        match self.round_trip(&RawCommand::Version)? {
-            Response::Version(v) => Ok(v),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(
+            &[RawCommand::Version],
+            String::new(),
+            |_, reply| match reply {
+                Response::Version(v) => Ok(v),
+                other => Err(other),
+            },
+        )
     }
 
     /// Deletes `key`, returning whether it existed.
@@ -828,11 +775,9 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn delete(&self, key: &[u8]) -> Result<bool, NetError> {
-        match self.round_trip(&RawCommand::Delete { key })? {
-            Response::Deleted => Ok(true),
-            Response::NotFound => Ok(false),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(&[RawCommand::Delete { key }], false, |_, reply| {
+            deleted(reply)
+        })
     }
 
     /// Deletes several keys in one pipelined exchange: every `delete`
@@ -851,11 +796,7 @@ impl CacheClient {
     pub fn delete_many(&self, keys: &[&[u8]]) -> Result<u64, NetError> {
         let deletes: Vec<RawCommand<'_>> =
             keys.iter().map(|key| RawCommand::Delete { key }).collect();
-        self.pipelined(&deletes, |reply| match reply {
-            Response::Deleted => Some(true),
-            Response::NotFound => Some(false),
-            _ => None,
-        })
+        self.exchange(&deletes, 0, |n, reply| Ok(n + u64::from(deleted(reply)?)))
     }
 
     /// Retrieves the server's statistics as `(name, value)` pairs.
@@ -864,10 +805,9 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn stats(&self) -> Result<Vec<(String, String)>, NetError> {
-        match self.round_trip(&RawCommand::Stats)? {
-            Response::Stats(pairs) => Ok(pairs),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(&[RawCommand::Stats], Vec::new(), |_, reply| {
+            stat_pairs(reply)
+        })
     }
 
     /// Retrieves the server's full telemetry registry (`stats proteus`):
@@ -878,10 +818,9 @@ impl CacheClient {
     ///
     /// Returns transport errors or a [`NetError::ServerError`].
     pub fn stats_proteus(&self) -> Result<Vec<(String, String)>, NetError> {
-        match self.round_trip(&RawCommand::StatsProteus)? {
-            Response::Stats(pairs) => Ok(pairs),
-            other => Err(NetError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.exchange(&[RawCommand::StatsProteus], Vec::new(), |_, reply| {
+            stat_pairs(reply)
+        })
     }
 
     /// Takes a fresh digest snapshot on the server and downloads it in
@@ -911,6 +850,91 @@ impl CacheClient {
         self.get(DIGEST_KEY)?
             .map(|bytes| decode_digest(&bytes))
             .transpose()
+    }
+}
+
+/// `set` of `data` under `key`, with no flags and no expiry.
+fn set_command<'a>(key: &'a [u8], data: &'a [u8]) -> RawCommand<'a> {
+    RawCommand::Set {
+        key,
+        flags: 0,
+        exptime: 0,
+        data,
+    }
+}
+
+/// [`set_command`] with `add`.
+fn add_command<'a>(key: &'a [u8], data: &'a [u8]) -> RawCommand<'a> {
+    RawCommand::Add {
+        key,
+        flags: 0,
+        exptime: 0,
+        data,
+    }
+}
+
+/// The reply to a `set`.
+fn stored(reply: Response) -> Result<(), Response> {
+    match reply {
+        Response::Stored => Ok(()),
+        other => Err(other),
+    }
+}
+
+/// The reply to an `add` or a `replace`: whether it stored.
+fn added(reply: Response) -> Result<bool, Response> {
+    match reply {
+        Response::Stored => Ok(true),
+        Response::NotStored => Ok(false),
+        other => Err(other),
+    }
+}
+
+/// The reply to a `delete`: whether the key existed.
+fn deleted(reply: Response) -> Result<bool, Response> {
+    match reply {
+        Response::Deleted => Ok(true),
+        Response::NotFound => Ok(false),
+        other => Err(other),
+    }
+}
+
+/// The reply to an `incr` or a `decr`: the new value, `None` if the key
+/// is absent.
+fn numeric(reply: Response) -> Result<Option<u64>, Response> {
+    match reply {
+        Response::Numeric(v) => Ok(Some(v)),
+        Response::NotFound => Ok(None),
+        other => Err(other),
+    }
+}
+
+/// The reply to `stats` or `stats proteus`.
+fn stat_pairs(reply: Response) -> Result<Vec<(String, String)>, Response> {
+    match reply {
+        Response::Stats(pairs) => Ok(pairs),
+        other => Err(other),
+    }
+}
+
+/// The reply to a `get` of `keys`, lined up with them: the server
+/// answers hits in key order and leaves misses out, so each `VALUE`
+/// block answers the first key left that it names. A block that names
+/// no key left is handed back as a reply the command cannot have.
+fn line_up(keys: &[&[u8]], reply: Response) -> Result<Vec<Option<SharedBytes>>, Response> {
+    let items = match reply {
+        Response::Miss => Vec::new(),
+        Response::Value { key, flags, data } => vec![ValueItem { key, flags, data }],
+        Response::Values(items) => items,
+        other => return Err(other),
+    };
+    let mut hits = items.into_iter().peekable();
+    let values = (keys.iter())
+        .map(|&key| hits.next_if(|hit| hit.key == key).map(|hit| hit.data))
+        .collect();
+    match hits.next() {
+        None => Ok(values),
+        Some(ValueItem { key, flags, data }) => Err(Response::Value { key, flags, data }),
     }
 }
 
@@ -1168,6 +1192,32 @@ mod tests {
         drop(fake.join().unwrap());
     }
 
+    /// A `VALUE` block for a key the `get` did not ask for is not
+    /// dropped: it fails the call, which does not retry, and the
+    /// connection that carried it is not pooled.
+    #[test]
+    fn a_get_many_reply_must_line_up_with_its_keys() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let answers = [&b"VALUE c 0 1\r\nx\r\nEND\r\n"[..], b"END\r\n"];
+            answers.map(|answer| {
+                let mut stream = listener.accept().unwrap().0;
+                assert!(stream.read(&mut [0; 256]).unwrap() > 0);
+                stream.write_all(answer).unwrap();
+                stream
+            })
+        });
+        let client = CacheClient::connect(addr).unwrap();
+        let keys = [b"a".as_slice(), b"b".as_slice()];
+        assert!(matches!(client.get_many(&keys), Err(NetError::Protocol(_))));
+        assert_eq!(client.fault_stats().retries, 0);
+        assert!(client.pool.lock().is_empty());
+        assert_eq!(client.get_many(&keys).unwrap(), vec![None, None]);
+        assert_eq!(client.fault_stats().connects, 2, "the retry dialled afresh");
+        drop(fake.join().unwrap());
+    }
+
     /// The client twin of the server's
     /// `replies_are_due_for_exactly_the_commands_that_have_arrived`: a
     /// reply stream fed to a core in three pieces, cut anywhere (inside
@@ -1321,5 +1371,80 @@ mod tests {
         assert_eq!(stats.breaker_trips, 0);
         assert!(!client.breaker_open());
         server.stop();
+    }
+
+    /// A breaker closes on the probe the server answers, whatever the
+    /// answer: here an `ERROR` to a batch's only `set` (a 128 KiB value
+    /// for a 64 KiB shard).
+    #[test]
+    fn a_probe_answered_with_an_error_closes_the_breaker() {
+        let cache = CacheConfig::with_capacity(64 << 10)
+            .shards(1)
+            .storage(proteus_cache::StorageKind::Slab)
+            .slab_page_bytes(16 << 10);
+        let server = CacheServer::spawn("127.0.0.1:0", cache).unwrap();
+        let addr = server.addr();
+        let mut config = ClientConfig::fast_failover();
+        config.breaker_cooldown = Duration::from_millis(100);
+        let client = CacheClient::connect_with(addr, config).unwrap();
+        server.stop();
+        for attempt in 0.. {
+            assert!(attempt < 10, "breaker never opened");
+            if client.breaker_open() {
+                break;
+            }
+            assert!(matches!(client.get(b"k"), Err(NetError::Io(_))));
+        }
+        let server = CacheServer::spawn(addr, cache).unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        let huge = SharedBytes::from(vec![0xAB; 128 << 10]);
+        assert!(matches!(
+            client.set_many(&[(&b"too-big"[..], huge)]),
+            Err(NetError::ServerError(_))
+        ));
+        assert!(
+            !client.breaker_open(),
+            "the answered probe left it half-open"
+        );
+        assert_eq!(client.get(b"k").unwrap(), None);
+        assert!(!client.breaker_open());
+        assert_eq!(client.fault_stats().probes, 1);
+        server.stop();
+    }
+
+    /// The same for a probe answered with bytes that are no reply.
+    #[test]
+    fn a_probe_answered_with_garbage_closes_the_breaker() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap().0;
+            assert!(stream.read(&mut [0; 256]).unwrap() > 0);
+            stream.write_all(b"GARBAGE\r\n").unwrap();
+            stream
+        });
+        let client = CacheClient::disconnected(addr, ClientConfig::fast_failover());
+        *client.breaker.state.lock() = BreakerState::Open {
+            until: Instant::now(),
+        };
+        assert!(matches!(client.get(b"k"), Err(NetError::Protocol(_))));
+        assert!(
+            !client.breaker_open(),
+            "the answered probe left it half-open"
+        );
+        assert_eq!(client.fault_stats().probes, 1);
+        drop(fake.join().unwrap());
+    }
+
+    /// Two clients built on one code path for one server back off on
+    /// different schedules.
+    #[test]
+    fn clients_for_one_address_draw_different_jitter() {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let [a, b] = [(); 2].map(|()| CacheClient::disconnected(addr, ClientConfig::default()));
+        assert_ne!(
+            a.jitter.load(Ordering::Relaxed),
+            b.jitter.load(Ordering::Relaxed)
+        );
     }
 }

@@ -714,13 +714,132 @@ pub(crate) fn serve_command(
     writer: &mut ResponseWriter<OutBuf>,
 ) -> bool {
     // Writes to an `OutBuf` cannot fail.
-    let queued = match command {
-        RawCommand::Quit => return true,
-        RawCommand::Get { key } => serve_get(shared, &[key], writer),
-        // Memcached semantics: each key is served independently
-        // (misses omitted), in one response round trip.
-        RawCommand::MultiGet { keys } => serve_get(shared, &keys, writer),
-        other => writer.write(&execute(other, shared)),
+    let queued = 'reply: {
+        let response = match command {
+            RawCommand::Quit => return true,
+            // A `get` queues each hit as it finds it; every other
+            // command's one reply is queued below.
+            RawCommand::Get { key } => break 'reply serve_get(shared, &[key], writer),
+            // Memcached semantics: each key is served independently
+            // (misses omitted), in one response round trip.
+            RawCommand::MultiGet { keys } => break 'reply serve_get(shared, &keys, writer),
+            RawCommand::Set {
+                key, data, exptime, ..
+            } => {
+                let now = shared.now();
+                // The data block is still in the connection's input buffer:
+                // the slab backend copies it into a chunk, the heap backend
+                // into a buffer of the value's own.
+                let outcome = shared
+                    .engine
+                    .put_with_expiry(key, data, now, expiry(exptime));
+                stored_reply(outcome)
+            }
+            RawCommand::Add {
+                key, data, exptime, ..
+            } => {
+                let now = shared.now();
+                // `probe` reaps expired-but-unreaped items (so `add`
+                // succeeds after expiry) but, unlike a get, moves no
+                // hit/miss statistics: a storage command's presence check
+                // is not a cache read. Probe and store share one shard
+                // lock.
+                shared.engine.with_key_shard(key, |engine| {
+                    if engine.probe(key, now) {
+                        Response::NotStored
+                    } else {
+                        stored_reply(engine.put_with_expiry(key, data, now, expiry(exptime)))
+                    }
+                })
+            }
+            RawCommand::Replace {
+                key, data, exptime, ..
+            } => {
+                let now = shared.now();
+                shared.engine.with_key_shard(key, |engine| {
+                    if engine.probe(key, now) {
+                        stored_reply(engine.put_with_expiry(key, data, now, expiry(exptime)))
+                    } else {
+                        Response::NotStored
+                    }
+                })
+            }
+            RawCommand::Touch { key, exptime } => {
+                let now = shared.now();
+                if shared.engine.touch(key, now, expiry(exptime)) {
+                    Response::Touched
+                } else {
+                    Response::NotFound
+                }
+            }
+            RawCommand::Incr { key, delta } => numeric_op(shared, key, |v| v.saturating_add(delta)),
+            RawCommand::Decr { key, delta } => numeric_op(shared, key, |v| v.saturating_sub(delta)),
+            RawCommand::Delete { key } => {
+                if shared.engine.delete(key) {
+                    Response::Deleted
+                } else {
+                    Response::NotFound
+                }
+            }
+            RawCommand::FlushAll => {
+                shared.engine.clear();
+                // The held snapshot describes the keys just dropped.
+                *shared.snapshot.lock() = None;
+                Response::Ok
+            }
+            RawCommand::Version => {
+                Response::Version(format!("proteus-cache {}", env!("CARGO_PKG_VERSION")))
+            }
+            RawCommand::Stats => {
+                let stats = shared.engine.stats();
+                let m = &shared.metrics;
+                let mut pairs = vec![
+                    (
+                        "uptime".into(),
+                        shared.started.elapsed().as_secs().to_string(),
+                    ),
+                    ("curr_items".into(), shared.engine.len().to_string()),
+                    ("bytes".into(), shared.engine.bytes_used().to_string()),
+                    (
+                        "curr_connections".into(),
+                        m.curr_connections.get().to_string(),
+                    ),
+                    (
+                        "total_connections".into(),
+                        m.total_connections.get().to_string(),
+                    ),
+                    ("get_hits".into(), stats.hits.to_string()),
+                    ("get_misses".into(), stats.misses.to_string()),
+                    ("cmd_set".into(), stats.sets.to_string()),
+                    ("delete_hits".into(), stats.deletes.to_string()),
+                    ("evictions".into(), stats.evictions.to_string()),
+                    ("expirations".into(), stats.expired.to_string()),
+                    ("rejected_sets".into(), stats.rejected.to_string()),
+                    (
+                        "digest_estimated_items".into(),
+                        shared
+                            .engine
+                            .digest_estimate()
+                            .map_or_else(|| "saturated".into(), |e| format!("{e:.0}")),
+                    ),
+                ];
+                // Headline percentiles for the two hot classes; the full
+                // per-class breakdown lives behind `stats proteus`.
+                for class in [OpClass::Get, OpClass::Set] {
+                    if let Some(p) = m.ops.snapshot(class).percentiles() {
+                        let name = class.name();
+                        pairs.push((format!("{name}_p50_us"), p.p50.as_micros().to_string()));
+                        pairs.push((format!("{name}_p99_us"), p.p99.as_micros().to_string()));
+                        pairs.push((format!("{name}_p999_us"), p.p999.as_micros().to_string()));
+                    }
+                }
+                Response::Stats(pairs)
+            }
+            RawCommand::StatsProteus => {
+                Response::Stats(to_stat_pairs(&registry(shared)).into_iter().collect())
+            }
+        };
+        writer.write(&response)
     };
     debug_assert!(queued.is_ok(), "in-memory write failed: {queued:?}");
     false
@@ -833,129 +952,6 @@ fn stored_reply(outcome: proteus_cache::StoreOutcome) -> Response {
         Response::Stored
     } else {
         Response::Error("object too large for cache".into())
-    }
-}
-
-fn execute(command: RawCommand<'_>, shared: &Shared) -> Response {
-    match command {
-        RawCommand::Set {
-            key, data, exptime, ..
-        } => {
-            let now = shared.now();
-            // The data block is still in the connection's input buffer:
-            // the slab backend copies it into a chunk, the heap backend
-            // into a buffer of the value's own.
-            let outcome = shared
-                .engine
-                .put_with_expiry(key, data, now, expiry(exptime));
-            stored_reply(outcome)
-        }
-        RawCommand::Add {
-            key, data, exptime, ..
-        } => {
-            let now = shared.now();
-            // `probe` reaps expired-but-unreaped items (so `add`
-            // succeeds after expiry) but, unlike a get, moves no
-            // hit/miss statistics: a storage command's presence check
-            // is not a cache read. Probe and store share one shard
-            // lock.
-            shared.engine.with_key_shard(key, |engine| {
-                if engine.probe(key, now) {
-                    Response::NotStored
-                } else {
-                    stored_reply(engine.put_with_expiry(key, data, now, expiry(exptime)))
-                }
-            })
-        }
-        RawCommand::Replace {
-            key, data, exptime, ..
-        } => {
-            let now = shared.now();
-            shared.engine.with_key_shard(key, |engine| {
-                if engine.probe(key, now) {
-                    stored_reply(engine.put_with_expiry(key, data, now, expiry(exptime)))
-                } else {
-                    Response::NotStored
-                }
-            })
-        }
-        RawCommand::Touch { key, exptime } => {
-            let now = shared.now();
-            if shared.engine.touch(key, now, expiry(exptime)) {
-                Response::Touched
-            } else {
-                Response::NotFound
-            }
-        }
-        RawCommand::Incr { key, delta } => numeric_op(shared, key, |v| v.saturating_add(delta)),
-        RawCommand::Decr { key, delta } => numeric_op(shared, key, |v| v.saturating_sub(delta)),
-        RawCommand::Delete { key } => {
-            if shared.engine.delete(key) {
-                Response::Deleted
-            } else {
-                Response::NotFound
-            }
-        }
-        RawCommand::FlushAll => {
-            shared.engine.clear();
-            // The held snapshot describes the keys just dropped.
-            *shared.snapshot.lock() = None;
-            Response::Ok
-        }
-        RawCommand::Version => {
-            Response::Version(format!("proteus-cache {}", env!("CARGO_PKG_VERSION")))
-        }
-        RawCommand::Stats => {
-            let stats = shared.engine.stats();
-            let m = &shared.metrics;
-            let mut pairs = vec![
-                (
-                    "uptime".into(),
-                    shared.started.elapsed().as_secs().to_string(),
-                ),
-                ("curr_items".into(), shared.engine.len().to_string()),
-                ("bytes".into(), shared.engine.bytes_used().to_string()),
-                (
-                    "curr_connections".into(),
-                    m.curr_connections.get().to_string(),
-                ),
-                (
-                    "total_connections".into(),
-                    m.total_connections.get().to_string(),
-                ),
-                ("get_hits".into(), stats.hits.to_string()),
-                ("get_misses".into(), stats.misses.to_string()),
-                ("cmd_set".into(), stats.sets.to_string()),
-                ("delete_hits".into(), stats.deletes.to_string()),
-                ("evictions".into(), stats.evictions.to_string()),
-                ("expirations".into(), stats.expired.to_string()),
-                ("rejected_sets".into(), stats.rejected.to_string()),
-                (
-                    "digest_estimated_items".into(),
-                    shared
-                        .engine
-                        .digest_estimate()
-                        .map_or_else(|| "saturated".into(), |e| format!("{e:.0}")),
-                ),
-            ];
-            // Headline percentiles for the two hot classes; the full
-            // per-class breakdown lives behind `stats proteus`.
-            for class in [OpClass::Get, OpClass::Set] {
-                if let Some(p) = m.ops.snapshot(class).percentiles() {
-                    let name = class.name();
-                    pairs.push((format!("{name}_p50_us"), p.p50.as_micros().to_string()));
-                    pairs.push((format!("{name}_p99_us"), p.p99.as_micros().to_string()));
-                    pairs.push((format!("{name}_p999_us"), p.p999.as_micros().to_string()));
-                }
-            }
-            Response::Stats(pairs)
-        }
-        RawCommand::StatsProteus => {
-            Response::Stats(to_stat_pairs(&registry(shared)).into_iter().collect())
-        }
-        RawCommand::Get { .. } | RawCommand::MultiGet { .. } | RawCommand::Quit => {
-            unreachable!("handled by serve_command")
-        }
     }
 }
 
