@@ -142,6 +142,18 @@ pub fn false_positive_rate(l: usize, h: u32, kappa: u64) -> f64 {
     (1.0 - exponent.exp()).powi(h as i32)
 }
 
+/// Eq. 4 read backwards: the distinct keys behind `zeros` of `l`
+/// counters still zero, `-l/h · ln(zeros/l)` (the classic Bloom
+/// cardinality estimator; Swamidass & Baldi 2007). `None` when no
+/// counter is zero, where the estimate has no finite value.
+pub(crate) fn estimate_cardinality(config: &BloomConfig, zeros: usize) -> Option<f64> {
+    if zeros == 0 {
+        return None;
+    }
+    let l = config.counters as f64;
+    Some(-(l / f64::from(config.hashes)) * (zeros as f64 / l).ln())
+}
+
 /// Eq. 5: upper bound on the probability that *any* counter reaches
 /// `2^b` (and may then underflow to a false negative):
 /// `l · (e κ h / (2^b l))^{2^b}`.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::config::BloomConfig;
+use crate::config::{estimate_cardinality, BloomConfig};
 use crate::filter::BloomFilter;
 use crate::indexing::IndexPlan;
 
@@ -205,11 +205,7 @@ impl CountingBloomFilter {
     #[must_use]
     pub fn estimate_cardinality(&self) -> Option<f64> {
         let zeros = self.config.counters - count_nonzero(&self.words, self.config.counter_bits);
-        if zeros == 0 {
-            return None;
-        }
-        let l = self.config.counters as f64;
-        Some(-(l / f64::from(self.config.hashes)) * (zeros as f64 / l).ln())
+        estimate_cardinality(&self.config, zeros)
     }
 
     /// Collapses the counters to a plain bit-array [`BloomFilter`] —
@@ -508,7 +504,7 @@ mod tests {
 
     #[test]
     fn collapse_matches_oracle_for_arbitrary_counter_values() {
-        use crate::indexing::splitmix64;
+        use proteus_ring::hash::splitmix64;
         for b in 1..=16u32 {
             for l in [1, 2, 63, 64, 65, 127, 1000, straddling_len(b)] {
                 let mut f = CountingBloomFilter::new(BloomConfig::new(l, b, 1));

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::config::BloomConfig;
+use crate::config::{estimate_cardinality, BloomConfig};
 use crate::indexing::IndexPlan;
 
 /// A standard Bloom filter over `l` bits with `h` hash functions.
@@ -95,12 +95,7 @@ impl BloomFilter {
     /// Returns `None` if every bit is set.
     #[must_use]
     pub fn estimate_cardinality(&self) -> Option<f64> {
-        let zeros = self.config.counters - self.set_bits;
-        if zeros == 0 {
-            return None;
-        }
-        let l = self.config.counters as f64;
-        Some(-(l / f64::from(self.config.hashes)) * (zeros as f64 / l).ln())
+        estimate_cardinality(&self.config, self.config.counters - self.set_bits)
     }
 
     /// The raw bit words (for serialization).

@@ -2,28 +2,11 @@
 //!
 //! Counting filters (on cache servers) and plain filters (broadcast to
 //! web servers) must agree bit-for-bit on which counters/bits a key
-//! touches; both derive indices from this one plan.
+//! touches; both derive indices from this one plan, over the
+//! workspace's one FNV-1a and SplitMix64 in `proteus_ring::hash`.
 
 use crate::config::BloomConfig;
-
-/// FNV-1a, 64-bit (kept local so this crate stays dependency-free).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use proteus_ring::hash::{fnv1a64, splitmix64};
 
 /// Which of `partitions` (a power of two) equal slices of a digest
 /// `key` hashes into: FNV-1a, xor-folded so the low bits see the whole
@@ -137,6 +120,25 @@ mod tests {
             let moved: Vec<usize> = slice.indices(&key).map(|i| first + i).collect();
             assert_eq!(whole.indices(&key).collect::<Vec<_>>(), moved);
         }
+    }
+
+    /// Partitions and digest bits for a fixed key set: a change to the
+    /// hash functions or the index derivation moves this value, and a
+    /// web tier holding the old functions would misread every digest.
+    #[test]
+    fn partitions_and_digest_bits_match_their_known_answer() {
+        let config = BloomConfig::new(4096, 4, 4).with_seed(7).with_partitions(8);
+        let mut filter = crate::CountingBloomFilter::new(config);
+        let mut acc = 0u64;
+        for i in 0..1000 {
+            let key = format!("page:{i}");
+            filter.insert(key.as_bytes());
+            acc = acc.rotate_left(5) ^ partition_of(key.as_bytes(), 8) as u64;
+        }
+        for &w in filter.snapshot().words() {
+            acc = acc.rotate_left(7) ^ w;
+        }
+        assert_eq!(acc, 0x2a2f_bdea_3f3f_1ffd);
     }
 
     #[test]

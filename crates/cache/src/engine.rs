@@ -3,6 +3,7 @@
 use std::fmt;
 
 use proteus_bloom::{BloomFilter, CountingBloomFilter};
+use proteus_ring::hash::{fnv1a64, splitmix64};
 use proteus_sim::{SimDuration, SimTime};
 
 use crate::config::{CacheConfig, StorageKind};
@@ -40,23 +41,14 @@ fn derived_page_bytes(capacity: u64) -> u32 {
     1 << target.ilog2()
 }
 
-/// FNV-1a with a splitmix64-style finalizer, narrowed to its low 32
+/// FNV-1a through the SplitMix64 finalizer, narrowed to its low 32
 /// bits. The finalizer matters: `ShardedEngine::shard_of` picks shards
 /// from folded FNV bits, and the per-shard index must not see hashes
 /// correlated with that fold or every key in a shard would share home
 /// buckets. A slot keeps these 32 bits, which the index also uses for
 /// home buckets, growth and removal.
 fn hash_key(key: &[u8]) -> u32 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    (h ^ (h >> 31)) as u32
+    splitmix64(fnv1a64(key)) as u32
 }
 
 /// The absolute expiry of an item given `ttl` at `now`: `SimTime::MAX`

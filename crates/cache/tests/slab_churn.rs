@@ -12,16 +12,8 @@
 //! not the pages.
 
 use proteus_cache::{CacheConfig, CacheEngine, ShardedEngine, StorageKind};
+use proteus_ring::hash::splitmix64;
 use proteus_sim::SimTime;
-
-/// Local copy of the splitmix64 mix (`proteus-ring` is not a
-/// dependency of this crate).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 const CAPACITY: u64 = 1 << 20;
 

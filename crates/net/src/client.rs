@@ -11,6 +11,7 @@ use parking_lot::Mutex;
 use proteus_bloom::{BloomFilter, DigestSnapshot};
 use proteus_cache::SharedBytes;
 use proteus_obs::{EventTracer, TraceKind};
+use proteus_ring::hash::splitmix64;
 
 use crate::error::NetError;
 use crate::protocol::{
@@ -370,13 +371,9 @@ impl CacheClient {
         // processes apart) and the count of clients this process has
         // built (which sets apart two built in one clock tick).
         let wall = SystemTime::now().duration_since(UNIX_EPOCH);
-        let seed = {
-            let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-            h ^= u64::from(addr.port()) ^ wall.map_or(0, |d| d.as_nanos() as u64);
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            h ^= CLIENTS_BUILT.fetch_add(1, Ordering::Relaxed);
-            h.wrapping_mul(0x94d0_49bb_1331_11eb) | 1
-        };
+        let sample = u64::from(addr.port()) ^ wall.map_or(0, |d| d.as_nanos() as u64);
+        let seed =
+            splitmix64(splitmix64(sample) ^ CLIENTS_BUILT.fetch_add(1, Ordering::Relaxed)) | 1;
         CacheClient {
             addr,
             pool: Mutex::new(Vec::new()),

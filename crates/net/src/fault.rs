@@ -21,6 +21,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::error::NetError;
+use crate::server::accept_retry_delay;
 
 /// How the proxy treats traffic right now. Switch at runtime with
 /// [`FaultProxy::set_mode`]; the mode applies to new connections and,
@@ -208,12 +209,16 @@ impl std::fmt::Debug for FaultProxy {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((downstream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let downstream = match listener.accept() {
+            Ok((downstream, _)) => downstream,
+            Err(e) => {
+                // Back off as the server does, or fd exhaustion spins.
+                if let Some(delay) = accept_retry_delay(&e) {
+                    std::thread::sleep(delay);
+                }
+                continue;
             }
-            continue;
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;

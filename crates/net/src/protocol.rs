@@ -312,27 +312,29 @@ pub(crate) fn parse_command(input: &[u8]) -> Result<Option<(RawCommand<'_>, usiz
             let key = keys
                 .next()
                 .ok_or_else(|| NetError::Protocol("get needs a key".into()))?;
-            // Only a second key pays for the list.
-            let Some(second) = keys.next() else {
-                return if valid_key(key) {
-                    Ok(Some((RawCommand::Get { key }, used)))
-                } else {
-                    Err(NetError::Protocol("invalid key".into()))
-                };
-            };
-            // The list never holds more keys than a `get` may name, so
-            // an oversized line is refused before it costs memory.
-            let listed: Vec<&[u8]> = [key, second]
-                .into_iter()
-                .chain(keys.by_ref().take(MAX_GET_KEYS - 2))
-                .collect();
-            if keys.next().is_some() {
+            // Counting the other keys before listing them refuses an
+            // oversized line before any list exists, and sizes the list
+            // of a multi-key `get` once.
+            let (others, all_valid) = keys
+                .clone()
+                .take(MAX_GET_KEYS)
+                .fold((0, valid_key(key)), |(n, ok), k| {
+                    (n + 1, ok && valid_key(k))
+                });
+            if others == MAX_GET_KEYS {
                 return Err(NetError::Protocol("too many keys in one get".into()));
             }
-            if listed.iter().any(|k| !valid_key(k)) {
+            if !all_valid {
                 return Err(NetError::Protocol("invalid key".into()));
             }
-            RawCommand::MultiGet { keys: listed }
+            if others == 0 {
+                RawCommand::Get { key }
+            } else {
+                let mut listed = Vec::with_capacity(1 + others);
+                listed.push(key);
+                listed.extend(keys);
+                RawCommand::MultiGet { keys: listed }
+            }
         }
         "set" | "add" | "replace" => {
             let missing_key = if verb == "set" {

@@ -252,7 +252,7 @@ impl Shared {
 ///
 /// EMFILE(24) and ENFILE(23) surface as Uncategorized on stable, so
 /// they are matched by raw code, with ENOBUFS(105) and ENOMEM(12).
-fn accept_retry_delay(e: &std::io::Error) -> Option<Duration> {
+pub(crate) fn accept_retry_delay(e: &std::io::Error) -> Option<Duration> {
     let exhausted = match e.raw_os_error() {
         Some(code) => matches!(code, 23 | 24 | 12 | 105),
         None => matches!(

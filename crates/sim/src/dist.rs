@@ -1,7 +1,7 @@
 //! Latency and workload distributions.
 //!
-//! Implemented from first principles (inverse-CDF, Box–Muller) so the
-//! workspace only needs `rand`'s uniform source. Every distribution
+//! Implemented from first principles (inverse-CDF, Box–Muller) over
+//! [`SimRng`]'s uniform draws. Every distribution
 //! samples a *duration*; parameters are expressed in seconds for
 //! readability at construction sites.
 

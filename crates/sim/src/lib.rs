@@ -16,8 +16,7 @@
 //!   database connection pools and server service capacity).
 //! - [`SimRng`] and [`dist`] — seedable randomness and the latency /
 //!   workload distributions used by the experiments (implemented via
-//!   inverse-CDF and Box–Muller so only `rand`'s uniform source is
-//!   required).
+//!   inverse-CDF and Box–Muller over the generator's uniform draws).
 //! - [`Histogram`] — log-bucketed latency histogram with quantile
 //!   queries (the evaluation reports 99.9th-percentile response times).
 //! - [`TimeSeries`] — slot-bucketed counters for per-slot figures.

@@ -1,6 +1,6 @@
 //! Deterministic synthetic page content.
 
-use proteus_ring::hash::splitmix64;
+use proteus_ring::hash::{fnv1a64, splitmix64};
 
 /// Generates `size` bytes of page content for `key`, deterministically.
 ///
@@ -25,9 +25,7 @@ pub fn generate_page_content(key: &[u8], size: usize) -> Vec<u8> {
     out.extend_from_slice(b"WIKI:");
     out.extend_from_slice(&key[..key.len().min(32)]);
     out.push(b':');
-    let mut state = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let mut state = fnv1a64(key);
     while out.len() < size {
         state = splitmix64(state);
         out.extend_from_slice(&state.to_le_bytes());
