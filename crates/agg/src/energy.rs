@@ -70,12 +70,6 @@ impl WallEnergyMeter {
         }
     }
 
-    /// Number of servers being metered.
-    #[must_use]
-    pub fn servers(&self) -> usize {
-        self.states.len()
-    }
-
     /// Adds a server in `state` to the metered set. Like
     /// [`set_state`](Self::set_state), it participates from the next
     /// sample; the in-flight interval keeps the draw it started with.
@@ -105,15 +99,11 @@ impl WallEnergyMeter {
         self.states[idx]
     }
 
-    /// Records a sample now. `utilizations[i]` is server `i`'s observed
-    /// utilization in `[0, 1]`; missing entries read as idle.
-    pub fn sample(&mut self, utilizations: &[f64]) {
-        self.sample_at(Instant::now(), utilizations);
-    }
-
-    /// [`sample`](Self::sample) at an explicit instant — the seam that
-    /// makes energy tests deterministic (`t0 + Duration::from_secs(n)`
-    /// arithmetic instead of real sleeps). Out-of-order instants are
+    /// Records a sample at `now`. `utilizations[i]` is server `i`'s
+    /// observed utilization in `[0, 1]`; missing entries read as idle.
+    /// The explicit instant makes energy tests deterministic
+    /// (`t0 + Duration::from_secs(n)` arithmetic instead of real
+    /// sleeps). Out-of-order instants are
     /// treated as zero-length intervals rather than panicking, since
     /// `Instant` is monotonic in production and only tests synthesize
     /// timelines.
@@ -207,14 +197,6 @@ impl WallEnergyMeter {
         self.last.map(|r| r.cluster_w)
     }
 
-    /// Mean measured watts over the sampled span, or `None` before two
-    /// samples.
-    #[must_use]
-    pub fn mean_watts(&self) -> Option<f64> {
-        let span = self.elapsed()?.as_secs_f64();
-        (span > 0.0).then(|| self.joules / span)
-    }
-
     /// Wall time between the first and latest sample.
     #[must_use]
     pub fn elapsed(&self) -> Option<Duration> {
@@ -239,7 +221,6 @@ mod tests {
         m.sample_at(t0 + Duration::from_secs(10), &[0.0]); // was 95 W for 10 s
         m.sample_at(t0 + Duration::from_secs(30), &[0.0]); // was 60 W for 20 s
         assert!((m.joules() - (950.0 + 1200.0)).abs() < 1e-6);
-        assert!((m.mean_watts().unwrap() - 2150.0 / 30.0).abs() < 1e-6);
         assert_eq!(m.elapsed(), Some(Duration::from_secs(30)));
         assert!((m.server_seconds() - 30.0).abs() < 1e-6);
     }
@@ -329,7 +310,6 @@ mod tests {
     fn empty_meter_reports_none() {
         let m = WallEnergyMeter::new(model(), 0, 1000.0);
         assert_eq!(m.watts(), None);
-        assert_eq!(m.mean_watts(), None);
         assert_eq!(m.proportionality(), None);
         assert_eq!(m.elapsed(), None);
     }

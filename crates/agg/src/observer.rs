@@ -221,12 +221,6 @@ impl ClusterObserver {
         }
     }
 
-    /// The configuration this observer runs with.
-    #[must_use]
-    pub fn config(&self) -> ObserverConfig {
-        self.config
-    }
-
     /// Registers a server's metrics endpoint. Idempotent: re-adding a
     /// known address is a no-op. New servers join as
     /// [`PowerState::On`] and are scraped from the next tick.
@@ -246,12 +240,6 @@ impl ClusterObserver {
             scrape_buf: Vec::new(),
         });
         inner.meter.push_server(PowerState::On);
-    }
-
-    /// Registered server addresses, in registration order.
-    #[must_use]
-    pub fn servers(&self) -> Vec<SocketAddr> {
-        self.inner.lock().entries.iter().map(|e| e.addr).collect()
     }
 
     /// Tells the observer about a server's power state (the cluster
@@ -786,8 +774,14 @@ mod tests {
         observer.add_server(a);
         observer.add_server(a); // idempotent
         observer.add_server(b);
-        assert_eq!(observer.servers(), vec![a, b]);
-        assert_eq!(observer.energy().servers(), 2);
+        let servers: Vec<SocketAddr> = observer
+            .inner
+            .lock()
+            .entries
+            .iter()
+            .map(|e| e.addr)
+            .collect();
+        assert_eq!(servers, vec![a, b]);
         assert!(observer.set_power_state(b, PowerState::Draining));
         assert!(!observer.set_power_state("127.0.0.1:1".parse().unwrap(), PowerState::Off));
         assert_eq!(observer.energy().state(1), PowerState::Draining);

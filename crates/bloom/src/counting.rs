@@ -82,18 +82,6 @@ impl CountingBloomFilter {
         self.config
     }
 
-    /// The overflow policy in effect.
-    #[must_use]
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// Net number of items inserted (inserts minus removes).
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.items
-    }
-
     /// Whether no items are currently tracked.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -366,7 +354,7 @@ mod tests {
         for i in 0..1000u64 {
             assert!(f.contains(&i.to_le_bytes()), "key {i}");
         }
-        assert_eq!(f.len(), 1000);
+        assert_eq!(f.items, 1000);
     }
 
     #[test]
@@ -387,7 +375,7 @@ mod tests {
             still_present < 10,
             "only false positives may remain: {still_present}"
         );
-        assert_eq!(f.len(), 250);
+        assert_eq!(f.items, 250);
     }
 
     #[test]

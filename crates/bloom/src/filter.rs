@@ -170,12 +170,6 @@ impl BloomFilter {
         };
         BloomFilter::from_words(config, words)
     }
-
-    /// Clears all bits.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.set_bits = 0;
-    }
 }
 
 /// The bits `words` sets at or past bit `counters` of its last word.
@@ -305,14 +299,5 @@ mod tests {
         let b = snap.estimate_cardinality().unwrap();
         assert!((a - b).abs() < 1e-9, "counting {a} vs snapshot {b}");
         assert!((b - 2_000.0).abs() / 2_000.0 < 0.05);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = BloomFilter::new(BloomConfig::new(512, 1, 2));
-        f.insert(b"x");
-        f.clear();
-        assert!(!f.contains(b"x"));
-        assert_eq!(f.set_bits(), 0);
     }
 }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// let a = SharedBytes::from(vec![1u8, 2, 3]);
 /// let b = SharedBytes::clone(&a);
 /// assert_eq!(&a[..], &[1, 2, 3]);
-/// assert!(SharedBytes::ptr_eq(&a, &b), "clones alias one buffer");
+/// assert_eq!(a.as_ptr(), b.as_ptr(), "clones alias one buffer");
 /// ```
 #[derive(Clone)]
 pub struct SharedBytes {
@@ -48,14 +48,6 @@ impl SharedBytes {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Whether two handles alias one allocation — the zero-copy
-    /// assertion. A clone is `ptr_eq` to its source; equal bytes in
-    /// different buffers are not.
-    #[must_use]
-    pub fn ptr_eq(a: &SharedBytes, b: &SharedBytes) -> bool {
-        Arc::ptr_eq(&a.buf, &b.buf)
     }
 }
 
@@ -110,9 +102,7 @@ impl<const N: usize> From<&[u8; N]> for SharedBytes {
 }
 
 /// Content equality: two buffers are equal when their bytes are
-/// equal. Identity is [`ptr_eq`].
-///
-/// [`ptr_eq`]: SharedBytes::ptr_eq
+/// equal. Identity is the bytes' address (`a.as_ptr() == b.as_ptr()`).
 impl PartialEq for SharedBytes {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
@@ -154,10 +144,10 @@ mod tests {
     fn clone_is_aliasing_not_copying() {
         let a = SharedBytes::from(&b"shared"[..]);
         let b = SharedBytes::clone(&a);
-        assert!(SharedBytes::ptr_eq(&a, &b));
-        // Equal bytes in a different buffer are == but not ptr_eq.
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        // Equal bytes in a different buffer are == but not aliased.
         let c = SharedBytes::from(&b"shared"[..]);
         assert_eq!(a, c);
-        assert!(!SharedBytes::ptr_eq(&a, &c));
+        assert_ne!(a.as_ptr(), c.as_ptr());
     }
 }

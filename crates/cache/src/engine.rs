@@ -381,12 +381,6 @@ impl CacheEngine {
         }
     }
 
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Number of cached items.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -587,14 +581,6 @@ impl CacheEngine {
     pub fn peek(&self, key: &[u8]) -> Option<&[u8]> {
         self.find_slot(key, hash_key(key))
             .map(|idx| self.value_of(idx))
-    }
-
-    /// [`peek`](Self::peek) returning an owned value (no side effects;
-    /// costs what [`get_shared`](Self::get_shared) costs).
-    #[must_use]
-    pub fn peek_shared(&self, key: &[u8]) -> Option<SharedBytes> {
-        self.find_slot(key, hash_key(key))
-            .map(|idx| self.owned_value(idx))
     }
 
     /// Presence probe for compound storage commands (`add`/`replace`):
@@ -1153,11 +1139,10 @@ mod tests {
         let a = c.get_shared(b"k", T0).unwrap();
         let b = c.get_shared(b"k", T0).unwrap();
         assert!(
-            SharedBytes::ptr_eq(&a, &b),
+            a.as_ptr() == b.as_ptr(),
             "repeated hits must share one allocation"
         );
-        let p = c.peek_shared(b"k").unwrap();
-        assert!(SharedBytes::ptr_eq(&a, &p));
+        assert_eq!(c.peek(b"k").unwrap().as_ptr(), a.as_ptr());
         assert_eq!(&a[..], b"shared");
         assert_eq!(c.stats().hits, 2);
         // The buffer outlives deletion for whoever holds a clone.
@@ -1386,13 +1371,13 @@ mod tests {
         c.put(b"k", b"slabbed".to_vec(), T0);
         let a = c.get_shared(b"k", T0).unwrap();
         let b = c.get_shared(b"k", T0).unwrap();
-        assert!(!SharedBytes::ptr_eq(&a, &b), "each hit copies out");
+        assert_ne!(a.as_ptr(), b.as_ptr(), "each hit copies out");
         assert_eq!((&a[..], &b[..]), (&b"slabbed"[..], &b"slabbed"[..]));
         // The copy outlives deletion and the chunk's reuse.
         assert!(c.delete(b"k"));
         c.put(b"x", b"rewrite".to_vec(), T0);
         assert_eq!(&a[..], b"slabbed");
-        assert_eq!(&c.peek_shared(b"x").unwrap()[..], b"rewrite");
+        assert_eq!(c.peek(b"x").unwrap(), b"rewrite");
     }
 
     #[test]

@@ -201,13 +201,6 @@ impl ShardedEngine {
         self.with_key_shard(key, |e| e.touch(key, now, ttl))
     }
 
-    /// Non-mutating lookup returning an owned value (see
-    /// [`CacheEngine::peek_shared`]).
-    #[must_use]
-    pub fn peek(&self, key: &[u8]) -> Option<SharedBytes> {
-        self.with_key_shard(key, |e| e.peek_shared(key))
-    }
-
     /// Whether `key` is cached (no side effects).
     #[must_use]
     pub fn contains(&self, key: &[u8]) -> bool {
@@ -275,15 +268,6 @@ impl ShardedEngine {
                 sum.rejected += s.rejected;
                 sum
             })
-    }
-
-    /// Reaps expired items in every shard (one shard locked at a
-    /// time; see [`CacheEngine::sweep_expired`]). Returns the number
-    /// reaped.
-    pub fn sweep_expired(&self, now: SimTime) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.with_shard(i, |e| e.sweep_expired(now)))
-            .sum()
     }
 
     /// Snapshot of the whole engine's digest. Shards are visited **one
@@ -370,6 +354,11 @@ mod tests {
                 .shards(shards)
                 .digest(BloomConfig::new(1 << 14, 4, 4)),
         )
+    }
+
+    /// A copy of `key`'s value, read without touching recency or stats.
+    fn peek(c: &ShardedEngine, key: &[u8]) -> Option<Vec<u8>> {
+        c.with_key_shard(key, |e| e.peek(key).map(<[u8]>::to_vec))
     }
 
     #[test]
@@ -712,7 +701,10 @@ mod tests {
             c.put(&i.to_le_bytes(), vec![0; 8], T0);
         }
         let later = T0 + SimDuration::from_secs(11);
-        assert_eq!(c.sweep_expired(later), 100);
+        let swept: u64 = (0..c.shards.len())
+            .map(|i| c.with_shard(i, |e| e.sweep_expired(later)))
+            .sum();
+        assert_eq!(swept, 100);
         assert_eq!(c.len(), 100);
         assert_eq!(c.stats().expired, 100);
         // Lazy expiry path through get() as well.
@@ -729,8 +721,8 @@ mod tests {
         let before = c.stats();
         assert!(c.touch(b"k", T0, None));
         assert!(!c.touch(b"missing", T0, None));
-        assert_eq!(c.peek(b"k").as_deref(), Some(&[1u8, 2][..]));
-        assert_eq!(c.peek(b"missing"), None);
+        assert_eq!(peek(&c, b"k").as_deref(), Some(&[1u8, 2][..]));
+        assert_eq!(peek(&c, b"missing"), None);
         assert_eq!(c.stats(), before);
     }
 
@@ -742,10 +734,10 @@ mod tests {
         let a = c.get(b"k", T0).unwrap();
         let b = c.get(b"k", T0).unwrap();
         assert!(
-            SharedBytes::ptr_eq(&stored, &a) && SharedBytes::ptr_eq(&a, &b),
+            stored.as_ptr() == a.as_ptr() && a.as_ptr() == b.as_ptr(),
             "shared puts and gets must alias one allocation"
         );
-        assert_eq!(c.peek(b"k").map(|v| v.len()), Some(128));
+        assert_eq!(peek(&c, b"k").map(|v| v.len()), Some(128));
     }
 
     #[test]
@@ -801,7 +793,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(
-            c.peek(b"counter").as_deref(),
+            peek(&c, b"counter").as_deref(),
             Some((threads * per_thread).to_string().as_bytes())
         );
     }

@@ -75,12 +75,8 @@ impl FetchCounters {
 /// Everything a [`ClusterSim`](crate::ClusterSim) run measures.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// Scenario name the run used.
-    pub scenario: String,
     /// Slot width.
     pub slot: SimDuration,
-    /// Requests that arrived in each slot.
-    pub requests_per_slot: Vec<u64>,
     /// Active cache servers in each slot (the applied plan).
     pub active_per_slot: Vec<usize>,
     /// Requests handled by each cache server per slot
@@ -163,15 +159,6 @@ impl ClusterReport {
     pub fn cache_energy_wh(&self) -> f64 {
         self.cache_energy_j / 3600.0
     }
-
-    /// Mean active cache servers over the run.
-    #[must_use]
-    pub fn mean_active_servers(&self) -> f64 {
-        if self.active_per_slot.is_empty() {
-            return 0.0;
-        }
-        self.active_per_slot.iter().sum::<usize>() as f64 / self.active_per_slot.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -190,9 +177,7 @@ mod tests {
         counters.record(FetchClass::Migrated);
         counters.record(FetchClass::Database);
         ClusterReport {
-            scenario: "test".into(),
             slot: SimDuration::from_secs(10),
-            requests_per_slot: vec![3, 1],
             active_per_slot: vec![2, 1],
             per_server_per_slot: vec![vec![2, 1, 0], vec![1, 0, 0]],
             latency_buckets: vec![h0, h1],
@@ -237,7 +222,6 @@ mod tests {
         let r = sample_report();
         assert!((r.total_energy_wh() - 2.0).abs() < 1e-12);
         assert!((r.cache_energy_wh() - 1.0).abs() < 1e-12);
-        assert!((r.mean_active_servers() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -143,14 +143,6 @@ impl EnergyMeter {
     pub fn joules(&self) -> f64 {
         self.joules
     }
-
-    /// Mean power over the sampled span, or `None` before two samples.
-    #[must_use]
-    pub fn mean_watts(&self, start: SimTime) -> Option<f64> {
-        let (last_t, _) = self.last?;
-        let span = last_t.checked_since(start)?.as_secs_f64();
-        (span > 0.0).then(|| self.joules / span)
-    }
 }
 
 #[cfg(test)]
@@ -187,8 +179,6 @@ mod tests {
         meter.sample(SimTime::from_secs(20), 0.0);
         // 50 W for 10 s + 150 W for 10 s.
         assert!((meter.joules() - 2000.0).abs() < 1e-9);
-        let mean = meter.mean_watts(SimTime::from_secs(0)).unwrap();
-        assert!((mean - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -196,7 +186,6 @@ mod tests {
         let mut meter = EnergyMeter::new();
         meter.sample(SimTime::from_secs(5), 100.0);
         assert_eq!(meter.joules(), 0.0);
-        assert_eq!(meter.mean_watts(SimTime::from_secs(5)), None);
     }
 
     #[test]

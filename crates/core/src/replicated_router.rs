@@ -72,25 +72,6 @@ impl ReplicatedRouter {
         }
     }
 
-    /// The underlying replicated placement.
-    #[must_use]
-    pub fn placement(&self) -> &ReplicatedPlacement {
-        &self.placement
-    }
-
-    /// Number of replica rings.
-    #[must_use]
-    pub fn replicas(&self) -> usize {
-        self.placement.replicas()
-    }
-
-    /// The replica servers for `key` with `active` servers on, in ring
-    /// order (may contain duplicates on hash conflicts).
-    #[must_use]
-    pub fn servers_for(&self, key: &[u8], active: usize) -> Vec<ServerId> {
-        self.placement.servers_for(key, active)
-    }
-
     /// Fetches `key`: replicas are probed in ring order, skipping
     /// servers flagged in `down`; a miss everywhere falls back to the
     /// database and re-installs the value on every *distinct, live*
@@ -203,7 +184,7 @@ mod tests {
         let all_up = vec![false; 8];
         let (value, how) = router.fetch(b"page:1", T, &mut caches, &mut db, &all_up, 8);
         assert_eq!(how, ReplicaFetch::Database);
-        let replicas = router.servers_for(b"page:1", 8);
+        let replicas = router.placement.servers_for(b"page:1", 8);
         for &s in &replicas {
             assert_eq!(caches[s.index()].peek(b"page:1"), Some(&value[..]));
         }
@@ -251,7 +232,7 @@ mod tests {
     fn no_replication_degenerates_to_single_ring() {
         let (router, mut caches, mut db) = setup(4, 1);
         let all_up = vec![false; 4];
-        assert_eq!(router.replicas(), 1);
+        assert_eq!(router.placement.replicas(), 1);
         router.fetch(b"k", T, &mut caches, &mut db, &all_up, 4);
         let cached: usize = caches.iter().filter(|c| c.contains(b"k")).count();
         assert_eq!(cached, 1, "exactly one copy with r = 1");
@@ -268,7 +249,7 @@ mod tests {
             other => panic!("expected hit, got {other:?}"),
         }
         // With ring 0's server down, ring 1 takes over.
-        let primary = router.servers_for(b"page:9", 6)[0];
+        let primary = router.placement.servers_for(b"page:9", 6)[0];
         let mut down = vec![false; 6];
         down[primary.index()] = true;
         let (_, how) = router.fetch(b"page:9", T, &mut caches, &mut db, &down, 6);
@@ -280,7 +261,7 @@ mod tests {
             ReplicaFetch::Database => {
                 // Legal only if all replicas co-located on the primary.
                 let distinct = router
-                    .placement()
+                    .placement
                     .distinct_servers_for(b"page:9", 6)
                     .into_iter()
                     .filter(|s| *s != primary)

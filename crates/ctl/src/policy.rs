@@ -134,18 +134,6 @@ pub enum Decision {
     },
 }
 
-impl Decision {
-    /// Signed requested movement: `to - from` for a scale, 0 for a
-    /// hold. Monotonicity tests order decisions by this.
-    #[must_use]
-    pub fn delta(&self) -> i64 {
-        match *self {
-            Decision::Hold(_) => 0,
-            Decision::Scale { from, to } => to as i64 - from as i64,
-        }
-    }
-}
-
 /// The wall-clock feedback policy. Pure decision logic: no sockets, no
 /// clocks of its own — the caller supplies `now` and the measurements,
 /// which is what makes the hysteresis/cooldown/ramp properties unit-
@@ -361,7 +349,10 @@ mod tests {
                     p99: Some(Duration::from_micros(p99_us)),
                 },
             );
-            let delta = decision.delta();
+            let delta = match decision {
+                Decision::Hold(_) => 0,
+                Decision::Scale { from, to } => to as i64 - from as i64,
+            };
             assert!(
                 delta >= last_delta,
                 "delay {p99_us}µs produced Δ{delta} after Δ{last_delta}"

@@ -194,10 +194,6 @@ impl Breaker {
             _ => false,
         }
     }
-
-    fn is_open(&self) -> bool {
-        !matches!(*self.state.lock(), BreakerState::Closed)
-    }
 }
 
 /// A connection's input buffer before its first reply, std's default
@@ -400,31 +396,12 @@ impl CacheClient {
         }
     }
 
-    /// The server address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The client's fault-tolerance configuration.
-    #[must_use]
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
-    }
-
     /// Snapshot of the client-side fault-tolerance counters (retries,
     /// reconnects, breaker activity). The server's own `stats` command
     /// is [`stats`](Self::stats).
     #[must_use]
     pub fn fault_stats(&self) -> ClientStats {
         self.stats.load()
-    }
-
-    /// Whether the circuit breaker currently refuses (or probes)
-    /// traffic instead of flowing normally.
-    #[must_use]
-    pub fn breaker_open(&self) -> bool {
-        self.breaker.is_open()
     }
 
     fn dial(&self) -> Result<Conn, NetError> {
@@ -1302,6 +1279,10 @@ mod tests {
         server3.stop();
     }
 
+    fn breaker_closed(client: &CacheClient) -> bool {
+        matches!(*client.breaker.state.lock(), BreakerState::Closed)
+    }
+
     #[test]
     fn breaker_opens_after_consecutive_failures_and_recovers() {
         let server =
@@ -1315,7 +1296,7 @@ mod tests {
 
         // Failures accumulate until the breaker trips...
         let mut saw_io = 0;
-        while !client.breaker_open() {
+        while client.fault_stats().breaker_trips == 0 {
             match client.get(b"k") {
                 Err(NetError::Io(_)) => saw_io += 1,
                 other => panic!("expected Io failure against dead server, got {other:?}"),
@@ -1343,7 +1324,7 @@ mod tests {
         let server2 = CacheServer::spawn(addr, CacheConfig::with_capacity(1 << 20)).unwrap();
         std::thread::sleep(Duration::from_millis(150));
         assert_eq!(client.get(b"k").unwrap(), None);
-        assert!(!client.breaker_open());
+        assert!(breaker_closed(&client));
         assert!(client.fault_stats().probes >= 1);
         client.set(b"k2", b"v2").unwrap();
         assert_eq!(client.get(b"k2").unwrap().as_deref(), Some(&b"v2"[..]));
@@ -1366,7 +1347,7 @@ mod tests {
         let stats = client.fault_stats();
         assert_eq!(stats.retries, 0, "semantic errors must not retry");
         assert_eq!(stats.breaker_trips, 0);
-        assert!(!client.breaker_open());
+        assert!(breaker_closed(&client));
         server.stop();
     }
 
@@ -1387,7 +1368,7 @@ mod tests {
         server.stop();
         for attempt in 0.. {
             assert!(attempt < 10, "breaker never opened");
-            if client.breaker_open() {
+            if client.fault_stats().breaker_trips == 1 {
                 break;
             }
             assert!(matches!(client.get(b"k"), Err(NetError::Io(_))));
@@ -1400,11 +1381,11 @@ mod tests {
             Err(NetError::ServerError(_))
         ));
         assert!(
-            !client.breaker_open(),
+            breaker_closed(&client),
             "the answered probe left it half-open"
         );
         assert_eq!(client.get(b"k").unwrap(), None);
-        assert!(!client.breaker_open());
+        assert!(breaker_closed(&client));
         assert_eq!(client.fault_stats().probes, 1);
         server.stop();
     }
@@ -1426,7 +1407,7 @@ mod tests {
         };
         assert!(matches!(client.get(b"k"), Err(NetError::Protocol(_))));
         assert!(
-            !client.breaker_open(),
+            breaker_closed(&client),
             "the answered probe left it half-open"
         );
         assert_eq!(client.fault_stats().probes, 1);

@@ -7,7 +7,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 use proteus_bloom::DigestSnapshot;
@@ -772,7 +772,7 @@ pub(crate) fn serve_command(
                     Response::NotFound
                 }
             }
-            RawCommand::Incr { key, delta } => numeric_op(shared, key, |v| v.saturating_add(delta)),
+            RawCommand::Incr { key, delta } => numeric_op(shared, key, |v| v.wrapping_add(delta)),
             RawCommand::Decr { key, delta } => numeric_op(shared, key, |v| v.saturating_sub(delta)),
             RawCommand::Delete { key } => {
                 if shared.engine.delete(key) {
@@ -937,9 +937,23 @@ fn serve_get(
     writer.write_end()
 }
 
-/// Maps the protocol's `exptime` seconds to an engine TTL
-/// (0 = never expires, memcached semantics).
+/// The largest `exptime` read as seconds from now; a larger one is an
+/// absolute Unix time (memcached's `protocol.txt`).
+const MAX_RELATIVE_EXPTIME: u32 = 60 * 60 * 24 * 30;
+
+/// Maps the protocol's `exptime` to an engine TTL, memcached semantics:
+/// 0 never expires, up to 30 days it counts seconds from now, and above
+/// that it is an absolute Unix time, where one already past gives a TTL
+/// of zero (the item is stored expired).
 fn expiry(exptime: u32) -> Option<SimDuration> {
+    if exptime > MAX_RELATIVE_EXPTIME {
+        let now = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or_default();
+        let left = Duration::from_secs(u64::from(exptime)).saturating_sub(now);
+        // An exptime of at most 2^32 s is under 2^64 ns.
+        return Some(SimDuration::from_nanos(left.as_nanos() as u64));
+    }
     (exptime > 0).then(|| SimDuration::from_secs(u64::from(exptime)))
 }
 

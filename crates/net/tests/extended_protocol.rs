@@ -378,6 +378,58 @@ fn exptime_is_honored_over_the_wire() {
     server.stop();
 }
 
+/// An `exptime` above 30 days is an absolute Unix time: one a second
+/// ahead expires within about two seconds, one already past is a miss
+/// at once, and either is `STORED`.
+#[test]
+fn an_exptime_past_thirty_days_is_a_unix_time() {
+    use proteus_net::{write_command_unflushed, RawCommand, Response};
+    use std::io::BufReader;
+    use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+    let server = server();
+    let mut writer = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut ask = |command: &RawCommand| {
+        write_command_unflushed(&mut writer, command).unwrap();
+        common::reply::read_response(&mut reader).unwrap()
+    };
+    let now_unix = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap()
+        .as_secs() as u32;
+    let set = |key, exptime| RawCommand::Set {
+        key,
+        flags: 0,
+        exptime,
+        data: b"v",
+    };
+    assert_eq!(ask(&set(b"past", now_unix - 10)), Response::Stored);
+    assert_eq!(ask(&RawCommand::Get { key: b"past" }), Response::Miss);
+    assert_eq!(ask(&set(b"soon", now_unix + 1)), Response::Stored);
+    let start = Instant::now();
+    while ask(&RawCommand::Get { key: b"soon" }) != Response::Miss {
+        assert!(
+            start.elapsed() < Duration::from_millis(2500),
+            "an exptime one second ahead outlived two seconds"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    server.stop();
+}
+
+/// `incr` wraps at 2^64, as memcached's `protocol.txt` says; `decr`
+/// floors at 0.
+#[test]
+fn incr_wraps_at_two_to_the_64() {
+    let server = server();
+    let client = CacheClient::connect(server.addr()).unwrap();
+    client.set(b"n", b"18446744073709551615").unwrap();
+    assert_eq!(client.incr(b"n", 2).unwrap(), Some(1));
+    assert_eq!(client.get(b"n").unwrap().as_deref(), Some(&b"1"[..]));
+    assert_eq!(client.decr(b"n", 5).unwrap(), Some(0));
+    server.stop();
+}
+
 #[test]
 fn stats_expose_digest_estimate() {
     let server = server();

@@ -65,12 +65,6 @@ impl Gauge {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
     pub fn get(&self) -> i64 {
@@ -174,12 +168,6 @@ impl OpLatencies {
     #[inline]
     pub fn record(&self, class: OpClass, d: Duration) {
         self.hists[class.index()].record(d);
-    }
-
-    /// The live histogram for `class`.
-    #[must_use]
-    pub fn histogram(&self, class: OpClass) -> &LatencyHistogram {
-        &self.hists[class.index()]
     }
 
     /// Snapshots one class.
@@ -327,8 +315,6 @@ mod tests {
         g.inc();
         g.dec();
         assert_eq!(g.get(), 1);
-        g.set(-3);
-        assert_eq!(g.get(), -3);
     }
 
     #[test]

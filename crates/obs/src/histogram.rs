@@ -131,12 +131,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Number of stripes backing this histogram.
-    #[must_use]
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
     /// Records one duration sample. Lock-free and allocation-free once
     /// this thread's stripe exists: one acquire load to find it, then
     /// five relaxed atomic operations on it.
@@ -466,7 +460,7 @@ mod tests {
     fn stripes_materialise_on_first_record() {
         let live = |h: &LatencyHistogram| h.stripes.iter().filter(|s| s.get().is_some()).count();
         let h = LatencyHistogram::new();
-        assert_eq!(h.stripes(), DEFAULT_STRIPES);
+        assert_eq!(h.stripes.len(), DEFAULT_STRIPES);
         // A snapshot taken before any record is empty and builds nothing.
         assert_eq!(h.snapshot(), HistogramSnapshot::empty());
         assert_eq!(live(&h), 0);
@@ -568,9 +562,9 @@ mod tests {
 
     #[test]
     fn stripe_count_rounds_to_power_of_two() {
-        assert_eq!(LatencyHistogram::with_stripes(0).stripes(), 1);
-        assert_eq!(LatencyHistogram::with_stripes(3).stripes(), 4);
-        assert_eq!(LatencyHistogram::with_stripes(8).stripes(), 8);
+        assert_eq!(LatencyHistogram::with_stripes(0).stripes.len(), 1);
+        assert_eq!(LatencyHistogram::with_stripes(3).stripes.len(), 4);
+        assert_eq!(LatencyHistogram::with_stripes(8).stripes.len(), 8);
     }
 
     #[test]

@@ -250,12 +250,6 @@ impl EventTracer {
         self.len() == 0
     }
 
-    /// Ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events ever recorded (including dropped ones).
     #[must_use]
     pub fn recorded(&self) -> u64 {
@@ -266,11 +260,6 @@ impl EventTracer {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Discards all retained events (sequence numbers keep counting).
-    pub fn clear(&self) {
-        self.ring.lock().clear();
     }
 }
 
@@ -406,15 +395,5 @@ mod tests {
         assert_eq!(rest.first().map(|e| e.seq), Some(15));
         assert_eq!(rest.len(), 5);
         assert!(t.events_since(Some(19)).is_empty());
-    }
-
-    #[test]
-    fn clear_keeps_counting() {
-        let t = EventTracer::new();
-        t.record(TraceKind::BreakerOpen { server: 1 });
-        t.clear();
-        assert!(t.is_empty());
-        t.record(TraceKind::BreakerClose { server: 1 });
-        assert_eq!(t.events()[0].seq, 1);
     }
 }

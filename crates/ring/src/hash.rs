@@ -72,22 +72,10 @@ impl KeyHasher {
         KeyHasher { seed }
     }
 
-    /// The hasher's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Hashes a byte string.
     #[must_use]
     pub fn hash_bytes(&self, bytes: &[u8]) -> u64 {
         splitmix64(fnv1a64(bytes) ^ self.seed)
-    }
-
-    /// Hashes an integer key (e.g. a page ID).
-    #[must_use]
-    pub fn hash_u64(&self, key: u64) -> u64 {
-        splitmix64(key ^ splitmix64(self.seed))
     }
 }
 
@@ -139,19 +127,19 @@ mod tests {
     #[test]
     fn hasher_is_deterministic_and_seed_sensitive() {
         let a = KeyHasher::new(7);
-        assert_eq!(a.hash_u64(42), KeyHasher::new(7).hash_u64(42));
-        assert_ne!(a.hash_u64(42), KeyHasher::new(8).hash_u64(42));
+        assert_eq!(a.hash_bytes(b"42"), KeyHasher::new(7).hash_bytes(b"42"));
+        assert_ne!(a.hash_bytes(b"42"), KeyHasher::new(8).hash_bytes(b"42"));
         assert_ne!(a.hash_bytes(b"x"), a.hash_bytes(b"y"));
     }
 
     #[test]
-    fn hash_u64_distributes_uniformly_across_buckets() {
+    fn hash_bytes_distributes_uniformly_across_buckets() {
         let hasher = KeyHasher::new(3);
         let buckets = 16usize;
         let mut counts = vec![0u32; buckets];
         let n = 160_000u64;
         for k in 0..n {
-            counts[(hasher.hash_u64(k) % buckets as u64) as usize] += 1;
+            counts[(hasher.hash_bytes(&k.to_le_bytes()) % buckets as u64) as usize] += 1;
         }
         let expect = n as f64 / buckets as f64;
         for (i, &c) in counts.iter().enumerate() {
@@ -162,6 +150,9 @@ mod tests {
 
     #[test]
     fn default_hasher_is_seed_zero() {
-        assert_eq!(KeyHasher::default().seed(), 0);
+        assert_eq!(
+            KeyHasher::default().hash_bytes(b"x"),
+            KeyHasher::new(0).hash_bytes(b"x")
+        );
     }
 }

@@ -403,7 +403,7 @@ mod tests {
         let total: Ratio = p.nodes.iter().fold(Ratio::ZERO, |acc, v| acc + v.range.len);
         assert_eq!(total, Ratio::ONE);
         // No zero-length ranges (the footnote's degenerate case).
-        assert!(p.nodes.iter().all(|v| !v.range.len.is_zero()));
+        assert!(p.nodes.iter().all(|v| v.range.len != Ratio::ZERO));
         // Starts are unique.
         let mut starts: Vec<Ratio> = p.nodes.iter().map(|v| v.range.start).collect();
         starts.sort();

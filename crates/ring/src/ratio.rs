@@ -67,31 +67,9 @@ impl Ratio {
         }
     }
 
-    /// The denominator (lowest terms, always positive).
-    #[must_use]
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
-    /// Whether this is exactly zero.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.num == 0
-    }
-
     /// Lossy conversion to `f64`.
     fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
-    }
-
-    /// Subtracts, returning `None` if the result would be negative.
-    #[must_use]
-    pub fn checked_sub(self, rhs: Ratio) -> Option<Ratio> {
-        if self < rhs {
-            None
-        } else {
-            Some(self - rhs)
-        }
     }
 
     /// Reduces the value modulo 1 (wraps ring positions ≥ 1 around).
@@ -254,7 +232,7 @@ mod tests {
     fn construction_reduces_to_lowest_terms() {
         let r = Ratio::new(4, 8);
         assert_eq!(r.num, 1);
-        assert_eq!(r.denom(), 2);
+        assert_eq!(r.den, 2);
         assert_eq!(Ratio::new(0, 5), Ratio::ZERO);
         assert_eq!(Ratio::new(-3, -6), Ratio::new(1, 2));
     }
@@ -279,15 +257,6 @@ mod tests {
         assert!(Ratio::new(1, 3) < Ratio::new(1, 2));
         assert!(Ratio::new(2, 3) > Ratio::new(3, 5));
         assert_eq!(Ratio::new(2, 4).cmp(&Ratio::new(1, 2)), Ordering::Equal);
-    }
-
-    #[test]
-    fn checked_sub_guards_negative() {
-        assert_eq!(Ratio::new(1, 4).checked_sub(Ratio::new(1, 2)), None);
-        assert_eq!(
-            Ratio::new(1, 2).checked_sub(Ratio::new(1, 4)),
-            Some(Ratio::new(1, 4))
-        );
     }
 
     #[test]

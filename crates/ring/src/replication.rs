@@ -59,12 +59,6 @@ impl ReplicatedPlacement {
         self.hashers.len()
     }
 
-    /// The shared underlying placement.
-    #[must_use]
-    pub fn placement(&self) -> &ProteusPlacement {
-        &self.placement
-    }
-
     /// The servers holding each replica of `key` when `active` servers
     /// are on — one entry per ring, in ring order. Entries may repeat
     /// (a hash conflict, Section III-E); use

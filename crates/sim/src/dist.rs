@@ -23,8 +23,6 @@ use crate::time::SimDuration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Distribution {
-    // (Empirical sampling lives in [`Empirical`]; this enum stays Copy
-    // for cheap embedding in configs.)
     /// Always the same duration.
     Constant {
         /// The fixed value in seconds.
@@ -64,20 +62,6 @@ impl Distribution {
     pub fn constant(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid constant {secs}");
         Distribution::Constant { secs }
-    }
-
-    /// Uniform over `[lo, hi)` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= lo <= hi` and both are finite.
-    #[must_use]
-    pub fn uniform(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi,
-            "invalid uniform bounds [{lo}, {hi})"
-        );
-        Distribution::Uniform { lo, hi }
     }
 
     /// Exponential with mean `mean` seconds.
@@ -137,66 +121,6 @@ impl Distribution {
     }
 }
 
-/// A distribution backed by recorded samples: draws uniformly from the
-/// sample set (the bootstrap). Useful for replaying measured latency
-/// distributions — e.g. database service times captured from a real
-/// MySQL install — through the simulator.
-///
-/// # Example
-///
-/// ```
-/// use proteus_sim::{dist::Empirical, SimDuration, SimRng};
-/// let observed = vec![
-///     SimDuration::from_millis(10),
-///     SimDuration::from_millis(20),
-///     SimDuration::from_millis(40),
-/// ];
-/// let dist = Empirical::new(observed.clone());
-/// let mut rng = SimRng::seed_from_u64(1);
-/// assert!(observed.contains(&dist.sample(&mut rng)));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Empirical {
-    samples: Vec<SimDuration>,
-}
-
-impl Empirical {
-    /// Creates a distribution over the recorded samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    #[must_use]
-    pub fn new(samples: Vec<SimDuration>) -> Self {
-        assert!(!samples.is_empty(), "need at least one recorded sample");
-        Empirical { samples }
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the sample set is empty (never true by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Draws one sample (uniform over the recorded set).
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        self.samples[rng.index(self.samples.len())]
-    }
-
-    /// The exact mean of the recorded samples.
-    #[must_use]
-    pub fn mean(&self) -> SimDuration {
-        let total: u128 = self.samples.iter().map(|d| u128::from(d.as_nanos())).sum();
-        SimDuration::from_nanos((total / self.samples.len() as u128) as u64)
-    }
-}
-
 /// One standard-normal sample via Box–Muller.
 fn standard_normal(rng: &mut SimRng) -> f64 {
     let u1 = rng.positive_uniform_f64();
@@ -224,7 +148,10 @@ mod tests {
 
     #[test]
     fn uniform_within_bounds_and_mean() {
-        let d = Distribution::uniform(0.010, 0.020);
+        let d = Distribution::Uniform {
+            lo: 0.010,
+            hi: 0.020,
+        };
         let mut rng = SimRng::seed_from_u64(2);
         for _ in 0..1000 {
             let s = d.sample_secs(&mut rng);
@@ -267,33 +194,5 @@ mod tests {
     #[should_panic(expected = "invalid exponential mean")]
     fn exponential_rejects_zero_mean() {
         let _ = Distribution::exponential(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid uniform bounds")]
-    fn uniform_rejects_inverted_bounds() {
-        let _ = Distribution::uniform(2.0, 1.0);
-    }
-
-    #[test]
-    fn empirical_samples_only_recorded_values() {
-        let observed: Vec<SimDuration> = (1..=5).map(SimDuration::from_millis).collect();
-        let dist = Empirical::new(observed.clone());
-        let mut rng = SimRng::seed_from_u64(8);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            let s = dist.sample(&mut rng);
-            assert!(observed.contains(&s));
-            seen.insert(s.as_nanos());
-        }
-        assert_eq!(seen.len(), 5, "all recorded values eventually drawn");
-        assert_eq!(dist.mean(), SimDuration::from_millis(3));
-        assert_eq!(dist.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one recorded sample")]
-    fn empirical_rejects_empty() {
-        let _ = Empirical::new(vec![]);
     }
 }

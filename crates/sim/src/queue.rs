@@ -23,7 +23,7 @@ use crate::time::SimTime;
 /// q.schedule(t, "second");
 /// assert_eq!(q.pop(), Some((t, "first")));
 /// assert_eq!(q.pop(), Some((t, "second")));
-/// assert!(q.is_empty());
+/// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -93,23 +93,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -155,14 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn len_clear_and_default() {
+    fn default_queue_is_empty() {
         let mut q: EventQueue<u8> = EventQueue::default();
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
         q.schedule(SimTime::ZERO, 1);
-        q.schedule(SimTime::ZERO, 2);
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 1)));
         assert_eq!(q.pop(), None);
     }
 }

@@ -36,7 +36,6 @@ pub struct Resource {
     servers: usize,
     busy_until: BinaryHeap<Reverse<SimTime>>,
     busy_time: SimDuration,
-    completed: u64,
 }
 
 /// The outcome of admitting one job to a [`Resource`].
@@ -46,14 +45,6 @@ pub struct Grant {
     pub start: SimTime,
     /// When service completes.
     pub end: SimTime,
-}
-
-impl Grant {
-    /// Time the job spent waiting for a free server.
-    #[must_use]
-    pub fn wait(&self, arrival: SimTime) -> SimDuration {
-        self.start.saturating_since(arrival)
-    }
 }
 
 impl Resource {
@@ -69,14 +60,7 @@ impl Resource {
             servers,
             busy_until: BinaryHeap::with_capacity(servers),
             busy_time: SimDuration::ZERO,
-            completed: 0,
         }
-    }
-
-    /// Number of parallel servers.
-    #[must_use]
-    pub fn servers(&self) -> usize {
-        self.servers
     }
 
     /// Admits a job arriving at `now` with service demand `service`,
@@ -103,7 +87,6 @@ impl Resource {
         let end = start + service;
         self.busy_until.push(Reverse(end));
         self.busy_time += service;
-        self.completed += 1;
         Grant { start, end }
     }
 
@@ -117,21 +100,6 @@ impl Resource {
     #[must_use]
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
-    }
-
-    /// Number of admitted jobs.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Mean utilization over `[SimTime::ZERO, now]` across all servers.
-    #[must_use]
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_time.as_secs_f64() / (now.as_secs_f64() * self.servers as f64)
     }
 }
 
@@ -147,7 +115,10 @@ mod tests {
         let g = r.acquire(SimTime::from_secs(1), MS * 10);
         assert_eq!(g.start, SimTime::from_secs(1));
         assert_eq!(g.end, SimTime::from_secs(1) + MS * 10);
-        assert_eq!(g.wait(SimTime::from_secs(1)), SimDuration::ZERO);
+        assert_eq!(
+            g.start.saturating_since(SimTime::from_secs(1)),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
@@ -179,11 +150,13 @@ mod tests {
     fn wait_accumulates_under_overload() {
         let mut r = Resource::new(1);
         let waited = (0..10).fold(SimDuration::ZERO, |sum, _| {
-            sum + r.acquire(SimTime::ZERO, MS * 10).wait(SimTime::ZERO)
+            sum + r
+                .acquire(SimTime::ZERO, MS * 10)
+                .start
+                .saturating_since(SimTime::ZERO)
         });
         // Jobs 2..10 wait 10, 20, ..., 90 ms = 450 ms total.
         assert_eq!(waited, MS * 450);
-        assert_eq!(r.completed(), 10);
         assert_eq!(r.busy_time(), MS * 100);
     }
 
@@ -202,7 +175,7 @@ mod tests {
         let mut r = Resource::new(2);
         r.acquire(SimTime::ZERO, SimDuration::from_secs(1));
         // 1 busy server-second over 2 servers * 1 second = 0.5
-        let u = r.utilization(SimTime::from_secs(1));
+        let u = r.busy_time().as_secs_f64() / (2.0 * 1.0);
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
     }
 

@@ -7,7 +7,7 @@ use crate::time::{SimDuration, SimTime};
 /// Every per-slot curve in the paper's evaluation — requests per slot
 /// (Fig. 4), load-balance ratio (Fig. 5), power draw (Fig. 10) — is a
 /// `TimeSeries`: observations are added at simulation timestamps and read
-/// back as per-slot sums, counts, or means.
+/// back as per-slot sums or counts.
 ///
 /// Observations past the configured horizon are counted into the last
 /// slot rather than dropped, so totals remain exact.
@@ -56,18 +56,6 @@ impl TimeSeries {
         idx.min(self.sums.len() - 1)
     }
 
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// Whether the series has zero slots (never true by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
-    }
-
     /// Records `value` at time `t`.
     pub fn add(&mut self, t: SimTime, value: f64) {
         let i = self.slot_of(t);
@@ -83,28 +71,6 @@ impl TimeSeries {
     #[must_use]
     pub fn sum(&self, i: usize) -> f64 {
         self.sums[i]
-    }
-
-    /// Number of observations recorded in slot `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Mean of values in slot `i`, or `None` if the slot is empty.
-    #[must_use]
-    pub fn mean(&self, i: usize) -> Option<f64> {
-        (self.counts[i] > 0).then(|| self.sums[i] / self.counts[i] as f64)
-    }
-
-    /// All per-slot sums.
-    #[must_use]
-    pub fn sums(&self) -> &[f64] {
-        &self.sums
     }
 
     /// All per-slot observation counts.
@@ -131,8 +97,7 @@ mod tests {
         assert_eq!(s.slot_of(SimTime::from_secs(29)), 0);
         assert_eq!(s.slot_of(SimTime::from_secs(30)), 1);
         assert_eq!(s.slot_of(SimTime::from_secs(30 * 48 + 5)), 47, "clamped");
-        assert_eq!(s.len(), 48);
-        assert!(!s.is_empty());
+        assert_eq!(s.counts().len(), 48);
     }
 
     #[test]
@@ -142,16 +107,9 @@ mod tests {
         s.add(SimTime::from_nanos(999_999_999), 2.5);
         s.add(SimTime::from_secs(1), 4.0);
         assert_eq!(s.sum(0), 4.0);
-        assert_eq!(s.count(0), 2);
+        assert_eq!(s.counts()[0], 2);
         assert_eq!(s.sum(1), 4.0);
-        assert_eq!(s.mean(0), Some(2.0));
         assert_eq!(s.total(), 8.0);
-    }
-
-    #[test]
-    fn mean_of_empty_slot_is_none() {
-        let s = TimeSeries::new(SimDuration::from_secs(1), 3);
-        assert_eq!(s.mean(1), None);
     }
 
     #[test]

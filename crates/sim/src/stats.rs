@@ -24,8 +24,6 @@ pub struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
@@ -36,8 +34,6 @@ impl Welford {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -52,8 +48,6 @@ impl Welford {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of samples.
@@ -66,18 +60,6 @@ impl Welford {
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// The smallest sample, or `None` before any samples.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// The largest sample, or `None` before any samples.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
     }
 
     /// Sample variance (divides by `n − 1`; 0 before two samples).
@@ -133,19 +115,14 @@ mod tests {
     }
 
     #[test]
-    fn extremes_and_empty() {
+    fn empty_and_single_sample() {
         let mut w = Welford::new();
-        assert_eq!(w.min(), None);
-        assert_eq!(w.max(), None);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.ci95_half_width(), 0.0);
         w.push(3.0);
-        assert_eq!(w.min(), Some(3.0));
-        assert_eq!(w.max(), Some(3.0));
+        assert_eq!(w.mean(), 3.0);
         assert_eq!(w.sample_variance(), 0.0);
-        w.push(-1.0);
-        assert_eq!(w.min(), Some(-1.0));
-        assert_eq!(w.max(), Some(3.0));
+        assert_eq!(w.ci95_half_width(), 0.0);
     }
 
     #[test]

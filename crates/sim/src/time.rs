@@ -30,7 +30,7 @@ pub struct SimTime(u64);
 ///
 /// ```
 /// use proteus_sim::SimDuration;
-/// let d = SimDuration::from_millis(1) + SimDuration::from_micros(500);
+/// let d = SimDuration::from_millis(1) + SimDuration::from_nanos(500_000);
 /// assert_eq!(d.as_nanos(), 1_500_000);
 /// assert_eq!(d.as_secs_f64(), 0.0015);
 /// ```
@@ -89,12 +89,6 @@ impl SimDuration {
     #[must_use]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
-    }
-
-    /// Creates a duration from microseconds.
-    #[must_use]
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
     }
 
     /// Creates a duration from milliseconds.
@@ -264,8 +258,10 @@ mod tests {
     #[test]
     fn duration_conversions_are_consistent() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
-        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
-        assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
+        assert_eq!(
+            SimDuration::from_millis(1),
+            SimDuration::from_nanos(1_000_000)
+        );
         assert_eq!(
             SimDuration::from_secs_f64(0.25),
             SimDuration::from_millis(250)

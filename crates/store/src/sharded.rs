@@ -12,12 +12,6 @@ use crate::content::generate_page_content;
 pub struct ShardId(u32);
 
 impl ShardId {
-    /// Creates a shard ID from a zero-based index.
-    #[must_use]
-    pub fn new(index: u32) -> Self {
-        ShardId(index)
-    }
-
     /// Zero-based shard index.
     #[must_use]
     pub fn index(self) -> usize {
@@ -108,12 +102,6 @@ impl ShardedStore {
             overlay: HashMap::new(),
             stats: vec![ShardStats::default(); config.shards],
         }
-    }
-
-    /// The store configuration.
-    #[must_use]
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
     }
 
     /// The shard holding `key` (`hash mod shards` — the paper's

@@ -29,7 +29,6 @@ use proteus_sim::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalCurve {
     mean_rate: f64,
-    peak_to_nadir: f64,
     period: SimDuration,
     /// Second-harmonic strength relative to the fundamental.
     shoulder: f64,
@@ -80,24 +79,11 @@ impl DiurnalCurve {
         };
         DiurnalCurve {
             mean_rate,
-            peak_to_nadir,
             period,
             shoulder,
             shape_mean,
             amplitude,
         }
-    }
-
-    /// Mean rate in requests/second.
-    #[must_use]
-    pub fn mean_rate(&self) -> f64 {
-        self.mean_rate
-    }
-
-    /// The configured peak-to-nadir ratio.
-    #[must_use]
-    pub fn peak_to_nadir(&self) -> f64 {
-        self.peak_to_nadir
     }
 
     /// The period (simulated day length).
@@ -202,8 +188,7 @@ mod tests {
     #[test]
     fn accessors_report_configuration() {
         let c = DiurnalCurve::new(250.0, 2.0, day());
-        assert_eq!(c.mean_rate(), 250.0);
-        assert_eq!(c.peak_to_nadir(), 2.0);
+        assert_eq!(c.mean_rate, 250.0);
         assert_eq!(c.period(), day());
     }
 

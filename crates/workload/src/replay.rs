@@ -50,18 +50,6 @@ impl CompressedDay {
         CompressedDay { curve, compression }
     }
 
-    /// The curve being replayed.
-    #[must_use]
-    pub fn curve(&self) -> &DiurnalCurve {
-        &self.curve
-    }
-
-    /// The time-compression factor.
-    #[must_use]
-    pub fn compression(&self) -> f64 {
-        self.compression
-    }
-
     /// How long one simulated day takes on the wall clock.
     #[must_use]
     pub fn wall_day(&self) -> Duration {
@@ -109,12 +97,6 @@ impl ReplayPacer {
             carry: 0.0,
             issued: 0,
         }
-    }
-
-    /// The compressed day being paced.
-    #[must_use]
-    pub fn day(&self) -> &CompressedDay {
-        &self.day
     }
 
     /// How many requests to issue now, given that `elapsed` wall time
@@ -177,7 +159,7 @@ mod tests {
         }
         let total = pacer.issued() as f64;
         // One compressed day issues mean_rate × wall_day requests.
-        let expected = curve().mean_rate() * day.wall_day().as_secs_f64();
+        let expected = 400.0 * day.wall_day().as_secs_f64();
         let rel = (total - expected).abs() / expected;
         assert!(
             rel < 0.01,

@@ -80,12 +80,6 @@ impl SessionWorkload {
         SessionWorkload { config, zipf }
     }
 
-    /// The model configuration.
-    #[must_use]
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
-    }
-
     /// Draws one user's personal page set (1-based page ranks).
     fn draw_page_set(&self, rng: &mut SimRng) -> Vec<u64> {
         (0..self.config.pages_per_user)

@@ -67,18 +67,6 @@ impl ZipfSampler {
         }
     }
 
-    /// Number of pages.
-    #[must_use]
-    pub fn pages(&self) -> u64 {
-        self.n
-    }
-
-    /// The Zipf exponent.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-
     fn h_integral(&self, x: f64) -> f64 {
         (x.powf(1.0 - self.s) - 1.0) / (1.0 - self.s)
     }

@@ -13,9 +13,10 @@
 #
 # A PR's rows name their own commit by the placeholder `PR<n>` (it has
 # no SHA until it is committed). The next PR's rows carry that SHA as
-# their PARENT_COMMIT, so --append gives it to the rows of PR n-1 still
-# marked `PR<n-1>`, and warns on stderr about any older placeholder it
-# leaves alone.
+# their PARENT_COMMIT, so --append gives it to the rows of the latest
+# earlier PR still marked by its placeholder (PR n-1, or an earlier one
+# when the PRs between did not land), and warns on stderr about any
+# older placeholder it leaves alone.
 #
 # HOST is `quiet` or `slow`: timings on this host are bimodal and a
 # trajectory that mixes the two states without saying so reads as a
@@ -23,11 +24,12 @@
 set -eu
 
 if [ "${1:-}" = "--append" ]; then
-    [ $# -eq 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+    [ $# -eq 2 ] || { sed -n '2,23p' "$0" >&2; exit 2; }
     jq -c -n --slurpfile old BENCH_trajectory.json --slurpfile new "$2" '
       ($new[0] | {pr, parent}) as $n
+      | ([$old[0][] | select(.commit == "PR\(.pr)" and .pr < $n.pr) | .pr] | max) as $prev
       | $old[0][]
-      | if .pr == $n.pr - 1 and .commit == "PR\(.pr)" then .commit = $n.parent else . end' \
+      | if .pr == $prev and .commit == "PR\(.pr)" then .commit = $n.parent else . end' \
         > BENCH_trajectory.json.tmp
     jq -r 'select(.commit | test("^PR[0-9]+$")) | .commit' BENCH_trajectory.json.tmp |
         sort | uniq -c | while read -r rows placeholder; do
@@ -39,7 +41,7 @@ if [ "${1:-}" = "--append" ]; then
     exit 0
 fi
 
-[ $# -eq 6 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+[ $# -eq 6 ] || { sed -n '2,23p' "$0" >&2; exit 2; }
 case $2 in quiet | slow) ;; *) echo "HOST must be quiet or slow" >&2; exit 2 ;; esac
 
 jq -c -n --argjson pr "$1" --arg host "$2" --arg parent "$3" --arg commit "$5" \
