@@ -85,8 +85,6 @@ pub struct ServerStatus {
 /// One merged view of the whole cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
-    /// When the tick that produced this snapshot ran.
-    pub at: Instant,
     /// All fresh servers' metrics merged by `(name, labels)`, original
     /// per-server names preserved.
     pub merged: Vec<Metric>,
@@ -442,7 +440,6 @@ impl ClusterObserver {
         inner.prev_latency = Some(cumulative);
 
         let snapshot = ClusterSnapshot {
-            at: now,
             merged,
             ops_per_sec,
             hit_ratio,

@@ -553,7 +553,6 @@ impl ClusterSim {
         self.total_meter.sample(end, last_total);
         self.cache_meter.sample(end, last_cache);
         ClusterReport {
-            slot: self.config.slot,
             active_per_slot: self.active_per_slot,
             per_server_per_slot: self.per_server_per_slot,
             latency_buckets: self.latency_buckets,

@@ -75,8 +75,6 @@ impl FetchCounters {
 /// Everything a [`ClusterSim`](crate::ClusterSim) run measures.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// Slot width.
-    pub slot: SimDuration,
     /// Active cache servers in each slot (the applied plan).
     pub active_per_slot: Vec<usize>,
     /// Requests handled by each cache server per slot
@@ -177,7 +175,6 @@ mod tests {
         counters.record(FetchClass::Migrated);
         counters.record(FetchClass::Database);
         ClusterReport {
-            slot: SimDuration::from_secs(10),
             active_per_slot: vec![2, 1],
             per_server_per_slot: vec![vec![2, 1, 0], vec![1, 0, 0]],
             latency_buckets: vec![h0, h1],

@@ -26,7 +26,7 @@
 //!
 //! The `proteus-controller` binary runs the loop as a daemon against a
 //! deployed cluster; paired with
-//! [`proteus_workload::CompressedDay`] it replays the paper's 24-hour
+//! `proteus_workload::CompressedDay` it replays the paper's 24-hour
 //! experiment in minutes (Figs. 10–11).
 
 #![forbid(unsafe_code)]

@@ -19,9 +19,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use proteus_obs::accept_retry_delay;
 
 use crate::error::NetError;
-use crate::server::accept_retry_delay;
 
 /// How the proxy treats traffic right now. Switch at runtime with
 /// [`FaultProxy::set_mode`]; the mode applies to new connections and,

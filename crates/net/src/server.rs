@@ -13,8 +13,8 @@ use parking_lot::Mutex;
 use proteus_bloom::DigestSnapshot;
 use proteus_cache::{CacheConfig, ShardedEngine, SharedBytes};
 use proteus_obs::{
-    to_stat_pairs, trace_metrics, Counter, EventTracer, Gauge, Metric, MetricSource, OpClass,
-    OpLatencies, TraceKind,
+    accept_retry_delay, to_stat_pairs, trace_metrics, Counter, EventTracer, Gauge, Metric,
+    MetricSource, OpClass, OpLatencies, TraceKind,
 };
 use proteus_sim::{SimDuration, SimTime};
 
@@ -29,11 +29,6 @@ use crate::protocol::{
 /// the shutdown flag. Bounds how long `CacheServer::stop()` waits for
 /// parked connection threads to quiesce.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Backoff before re-trying `accept` after a resource-exhaustion error
-/// (`EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`): gives the process a beat to
-/// shed file descriptors instead of spinning.
-const ACCEPT_EXHAUSTED_BACKOFF: Duration = Duration::from_millis(50);
 
 /// A connection's response buffer, and the only thing
 /// [`serve_command`] can write to: commands are served under engine
@@ -241,26 +236,6 @@ impl Shared {
     pub(crate) fn now(&self) -> SimTime {
         SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
     }
-}
-
-/// Classifies an `accept` error: `None` means retry immediately (the
-/// aborted-connection family — the listener itself is fine), `Some(d)`
-/// means back off for `d` first (resource exhaustion — retrying in a
-/// tight loop would spin at 100% CPU). No error kills the accept loop:
-/// a transient `EMFILE` must not permanently silence a server that
-/// keeps running and holding its cache.
-///
-/// EMFILE(24) and ENFILE(23) surface as Uncategorized on stable, so
-/// they are matched by raw code, with ENOBUFS(105) and ENOMEM(12).
-pub(crate) fn accept_retry_delay(e: &std::io::Error) -> Option<Duration> {
-    let exhausted = match e.raw_os_error() {
-        Some(code) => matches!(code, 23 | 24 | 12 | 105),
-        None => matches!(
-            e.kind(),
-            std::io::ErrorKind::OutOfMemory | std::io::ErrorKind::WouldBlock
-        ),
-    };
-    exhausted.then_some(ACCEPT_EXHAUSTED_BACKOFF)
 }
 
 /// A running cache server: an accept thread plus a data plane —
@@ -1073,35 +1048,6 @@ mod tests {
             "incr must not reset or drop the original expiry"
         );
         server.stop();
-    }
-
-    #[test]
-    fn accept_errors_never_kill_the_listener() {
-        use std::io::{Error, ErrorKind};
-        // Connection-level aborts retry immediately...
-        assert_eq!(
-            accept_retry_delay(&Error::from(ErrorKind::ConnectionAborted)),
-            None
-        );
-        assert_eq!(
-            accept_retry_delay(&Error::from(ErrorKind::ConnectionReset)),
-            None
-        );
-        // ...resource exhaustion backs off first (EMFILE/ENFILE land in
-        // Uncategorized, so raw OS codes are what's matched).
-        for code in [23, 24, 12, 105] {
-            assert_eq!(
-                accept_retry_delay(&Error::from_raw_os_error(code)),
-                Some(ACCEPT_EXHAUSTED_BACKOFF),
-                "os error {code}"
-            );
-        }
-        assert_eq!(
-            accept_retry_delay(&Error::from(ErrorKind::OutOfMemory)),
-            Some(ACCEPT_EXHAUSTED_BACKOFF)
-        );
-        // ECONNABORTED as a raw code: retry now.
-        assert_eq!(accept_retry_delay(&Error::from_raw_os_error(103)), None);
     }
 
     #[test]

@@ -454,6 +454,33 @@ const MAX_CONCURRENT_SCRAPES: u64 = 4;
 /// request head, or a scraper that stops reading, holds a serving slot.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Backoff before re-trying `accept` after a resource-exhaustion error
+/// (`EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`): gives the process a beat to
+/// shed file descriptors instead of spinning.
+const ACCEPT_EXHAUSTED_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Classifies an `accept` error: `None` means retry immediately (the
+/// aborted-connection family — the listener itself is fine), `Some(d)`
+/// means back off for `d` first (resource exhaustion — retrying in a
+/// tight loop would spin at 100% CPU). No error kills an accept loop:
+/// a transient `EMFILE` must not permanently silence a server that
+/// keeps running. The cache server, the fault proxy and
+/// [`MetricsServer`] all follow it.
+///
+/// EMFILE(24) and ENFILE(23) surface as Uncategorized on stable, so
+/// they are matched by raw code, with ENOBUFS(105) and ENOMEM(12).
+#[must_use]
+pub fn accept_retry_delay(e: &io::Error) -> Option<Duration> {
+    let exhausted = match e.raw_os_error() {
+        Some(code) => matches!(code, 23 | 24 | 12 | 105),
+        None => matches!(
+            e.kind(),
+            io::ErrorKind::OutOfMemory | io::ErrorKind::WouldBlock
+        ),
+    };
+    exhausted.then_some(ACCEPT_EXHAUSTED_BACKOFF)
+}
+
 /// Cumulative scrape-admission counters (see
 /// [`MetricsServer::scrape_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -574,14 +601,14 @@ impl MetricsServer {
                                 }
                             }
                         }
-                        // Out of descriptors or memory (EMFILE, ENFILE,
-                        // ENOMEM, ENOBUFS): retrying at once would spin,
-                        // so wait — `stop` unparks — for some to free up.
-                        Err(e) if matches!(e.raw_os_error(), Some(23 | 24 | 12 | 105)) => {
-                            std::thread::park_timeout(Duration::from_millis(10));
+                        // Out of descriptors or memory: wait — `stop`
+                        // unparks — for some to free up. A connection
+                        // that died in the backlog retries at once.
+                        Err(e) => {
+                            if let Some(delay) = accept_retry_delay(&e) {
+                                std::thread::park_timeout(delay);
+                            }
                         }
-                        // A connection that died in the backlog.
-                        Err(_) => {}
                     }
                 }
                 // Let in-flight scrapes finish (each is bounded by the
@@ -749,6 +776,35 @@ fn parse_since_seq(query: &str) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::histogram::LatencyHistogram;
+
+    #[test]
+    fn accept_errors_never_kill_the_listener() {
+        use std::io::{Error, ErrorKind};
+        // Connection-level aborts retry immediately...
+        assert_eq!(
+            accept_retry_delay(&Error::from(ErrorKind::ConnectionAborted)),
+            None
+        );
+        assert_eq!(
+            accept_retry_delay(&Error::from(ErrorKind::ConnectionReset)),
+            None
+        );
+        // ...resource exhaustion backs off first (EMFILE/ENFILE land in
+        // Uncategorized, so raw OS codes are what's matched).
+        for code in [23, 24, 12, 105] {
+            assert_eq!(
+                accept_retry_delay(&Error::from_raw_os_error(code)),
+                Some(ACCEPT_EXHAUSTED_BACKOFF),
+                "os error {code}"
+            );
+        }
+        assert_eq!(
+            accept_retry_delay(&Error::from(ErrorKind::OutOfMemory)),
+            Some(ACCEPT_EXHAUSTED_BACKOFF)
+        );
+        // ECONNABORTED as a raw code: retry now.
+        assert_eq!(accept_retry_delay(&Error::from_raw_os_error(103)), None);
+    }
 
     fn sample_metrics() -> Vec<Metric> {
         let h = LatencyHistogram::new();

@@ -40,8 +40,8 @@ mod tracer;
 
 pub use counters::{Counter, FetchClassKind, FetchLatencies, Gauge, OpClass, OpLatencies};
 pub use export::{
-    to_json, to_prometheus, to_stat_pairs, trace_metrics, trace_to_jsonl, Metric, MetricSource,
-    MetricValue, MetricsServer, ScrapeStats,
+    accept_retry_delay, to_json, to_prometheus, to_stat_pairs, trace_metrics, trace_to_jsonl,
+    Metric, MetricSource, MetricValue, MetricsServer, ScrapeStats,
 };
 pub use histogram::{HistogramSnapshot, LatencyHistogram, Percentiles};
 pub use proteus_sim::histogram::relative_error_bound;

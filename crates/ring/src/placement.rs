@@ -89,12 +89,7 @@ impl VirtualNode {
 pub struct ProteusPlacement {
     servers: usize,
     nodes: Vec<VirtualNode>,
-    /// `tables[n-1]` = sorted `(ring_position, server)` pairs for the
-    /// prefix of `n` active servers.
-    tables: Vec<Vec<(u64, ServerId)>>,
-    /// `flats[n-1]` = flat successor index over `tables[n-1]`, making
-    /// `server_for` O(1) expected instead of O(log v).
-    flats: Vec<FlatLookup>,
+    tables: PrefixTables,
 }
 
 impl ProteusPlacement {
@@ -148,13 +143,15 @@ impl ProteusPlacement {
                 });
             }
         }
-        let tables = build_tables(servers, &nodes);
-        let flats = tables.iter().map(|t| FlatLookup::build(t)).collect();
+        let positions: Vec<(u64, ServerId)> = nodes
+            .iter()
+            .map(|v| (v.position().to_ring_position(), v.server))
+            .collect();
+        let tables = PrefixTables::build(servers, &positions);
         ProteusPlacement {
             servers,
             nodes,
             tables,
-            flats,
         }
     }
 
@@ -226,30 +223,54 @@ impl ProteusPlacement {
     /// Panics if `n == 0` or `n > max_servers()`.
     #[must_use]
     pub fn lookup_table(&self, n: usize) -> &[(u64, ServerId)] {
-        assert!(n >= 1 && n <= self.servers, "invalid active count {n}");
-        &self.tables[n - 1]
+        self.tables.table(n)
     }
 }
 
-fn build_tables(servers: usize, nodes: &[VirtualNode]) -> Vec<Vec<(u64, ServerId)>> {
-    (1..=servers)
-        .map(|n| {
-            let mut table: Vec<(u64, ServerId)> = nodes
-                .iter()
-                .filter(|v| v.server.is_active(n))
-                .map(|v| (v.position().to_ring_position(), v.server))
-                .collect();
-            table.sort_unstable();
-            table
-        })
-        .collect()
+/// One sorted `(ring position, server)` table per active prefix, the
+/// `n`-th holding the nodes of servers `s1..sn`. Both placements route
+/// through it, so every ring has one lookup: a binary search.
+#[derive(Clone)]
+pub(crate) struct PrefixTables(Vec<Vec<(u64, ServerId)>>);
+
+impl PrefixTables {
+    /// Builds the table of every prefix `n = 1..=servers` from all
+    /// `servers` servers' nodes.
+    pub(crate) fn build(servers: usize, nodes: &[(u64, ServerId)]) -> PrefixTables {
+        PrefixTables(
+            (1..=servers)
+                .map(|n| {
+                    let mut table: Vec<(u64, ServerId)> = nodes
+                        .iter()
+                        .copied()
+                        .filter(|(_, s)| s.is_active(n))
+                        .collect();
+                    table.sort_unstable();
+                    table
+                })
+                .collect(),
+        )
+    }
+
+    /// The table for `n` active servers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n` exceeds the servers built for.
+    pub(crate) fn table(&self, n: usize) -> &[(u64, ServerId)] {
+        assert!(n >= 1 && n <= self.0.len(), "invalid active count {n}");
+        &self.0[n - 1]
+    }
+
+    /// The server owning `key_hash` when `n` servers are active.
+    pub(crate) fn server_for(&self, key_hash: u64, n: usize) -> ServerId {
+        successor(self.table(n), key_hash)
+    }
 }
 
 /// Successor lookup on a sorted `(position, server)` table: the first
-/// node at or after `key`, wrapping to the smallest position. The
-/// binary search `FlatLookup` is tested against.
-#[cfg(test)]
-pub(crate) fn successor(table: &[(u64, ServerId)], key: u64) -> ServerId {
+/// node at or after `key`, wrapping to the smallest position.
+fn successor(table: &[(u64, ServerId)], key: u64) -> ServerId {
     debug_assert!(!table.is_empty());
     match table.binary_search_by(|&(pos, _)| pos.cmp(&key)) {
         Ok(i) => table[i].1,
@@ -258,63 +279,9 @@ pub(crate) fn successor(table: &[(u64, ServerId)], key: u64) -> ServerId {
     }
 }
 
-/// Flat successor index over one sorted `(position, server)` table.
-///
-/// The ring is cut into a power-of-two number of equal buckets (twice
-/// the table length, so buckets hold half an entry on average). The
-/// top bits of a key hash select its bucket directly; `starts[b]` is
-/// the index of the first table entry at or past the bucket's floor
-/// position, so a lookup lands there and scans forward only past the
-/// entries sharing the bucket. That makes `server_for` O(1) expected —
-/// one shift, one array read, a short neighbor scan — while returning
-/// exactly what a binary search over the same table returns.
-#[derive(Clone, Debug)]
-pub(crate) struct FlatLookup {
-    /// `64 - log2(buckets)`: `key >> shift` is the key's bucket.
-    shift: u32,
-    /// `starts[b]` = first table index with position ≥ `b << shift`.
-    starts: Vec<u32>,
-}
-
-impl FlatLookup {
-    pub(crate) fn build(table: &[(u64, ServerId)]) -> FlatLookup {
-        assert!(
-            table.len() < u32::MAX as usize / 2,
-            "lookup table too large for a flat index"
-        );
-        // At least 2 buckets, so shift ≤ 63 and `b << shift` is sound
-        // for every bucket index.
-        let buckets = (table.len().max(1) * 2).next_power_of_two();
-        let shift = 64 - buckets.trailing_zeros();
-        let mut starts = Vec::with_capacity(buckets);
-        let mut idx: u32 = 0;
-        for b in 0..buckets as u64 {
-            let floor = b << shift;
-            while (idx as usize) < table.len() && table[idx as usize].0 < floor {
-                idx += 1;
-            }
-            starts.push(idx);
-        }
-        FlatLookup { shift, starts }
-    }
-
-    /// The first node at or after `key`, wrapping to the smallest
-    /// position — bit-identical to a binary search on the same table.
-    pub(crate) fn successor(&self, table: &[(u64, ServerId)], key: u64) -> ServerId {
-        debug_assert!(!table.is_empty());
-        let mut j = self.starts[(key >> self.shift) as usize] as usize;
-        while j < table.len() && table[j].0 < key {
-            j += 1;
-        }
-        table.get(j).unwrap_or(&table[0]).1
-    }
-}
-
 impl PlacementStrategy for ProteusPlacement {
     fn server_for(&self, key_hash: u64, active: usize) -> ServerId {
-        // The assert inside lookup_table also validates `active` here.
-        let table = self.lookup_table(active);
-        self.flats[active - 1].successor(table, key_hash)
+        self.tables.server_for(key_hash, active)
     }
 
     fn max_servers(&self) -> usize {
@@ -534,61 +501,5 @@ mod tests {
     fn debug_is_nonempty() {
         let p = ProteusPlacement::generate(3);
         assert!(format!("{p:?}").contains("ProteusPlacement"));
-    }
-
-    #[test]
-    fn flat_lookup_matches_binary_search_at_every_boundary() {
-        // The adversarial keys are the vnode positions themselves and
-        // their ±1 neighbors (where the successor changes), plus the
-        // ring's own edges (0, MAX — the wrap cases) and bucket floors.
-        for total in [1usize, 2, 3, 5, 10, 17, 64] {
-            let p = ProteusPlacement::generate(total);
-            for n in 1..=total {
-                let table = p.lookup_table(n);
-                let flat = &p.flats[n - 1];
-                let mut keys = vec![0u64, 1, u64::MAX - 1, u64::MAX];
-                for &(pos, _) in table {
-                    keys.extend([pos.wrapping_sub(1), pos, pos.wrapping_add(1)]);
-                }
-                for b in 0..flat.starts.len() as u64 {
-                    keys.push(b << flat.shift);
-                }
-                for key in keys {
-                    assert_eq!(
-                        flat.successor(table, key),
-                        successor(table, key),
-                        "N={total} n={n} key={key:#x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn flat_lookup_matches_binary_search_on_random_keys() {
-        let p = ProteusPlacement::generate(32);
-        for n in 1..=32usize {
-            let table = p.lookup_table(n);
-            let flat = &p.flats[n - 1];
-            for k in 0..20_000u64 {
-                let key = crate::hash::splitmix64(k.wrapping_mul(n as u64 + 1));
-                assert_eq!(
-                    flat.successor(table, key),
-                    successor(table, key),
-                    "n={n} key={key:#x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn server_for_is_the_binary_search_routing_function() {
-        let p = ProteusPlacement::generate(16);
-        for k in 0..10_000u64 {
-            let key = crate::hash::splitmix64(k ^ 0xF1A7);
-            for n in [1usize, 2, 7, 16] {
-                assert_eq!(p.server_for(key, n), successor(p.lookup_table(n), key));
-            }
-        }
     }
 }

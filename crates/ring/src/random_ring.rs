@@ -4,7 +4,7 @@
 use std::fmt;
 
 use crate::hash::splitmix64;
-use crate::placement::FlatLookup;
+use crate::placement::PrefixTables;
 use crate::server::ServerId;
 use crate::strategy::PlacementStrategy;
 
@@ -35,11 +35,7 @@ use crate::strategy::PlacementStrategy;
 pub struct RandomRing {
     servers: usize,
     vnodes_per_server: usize,
-    seed: u64,
-    tables: Vec<Vec<(u64, ServerId)>>,
-    /// `flats[n-1]` = flat successor index over `tables[n-1]` (O(1)
-    /// expected lookups, same as `ProteusPlacement`).
-    flats: Vec<FlatLookup>,
+    tables: PrefixTables,
 }
 
 impl RandomRing {
@@ -56,27 +52,16 @@ impl RandomRing {
             vnodes_per_server > 0,
             "need at least one virtual node per server"
         );
-        let tables: Vec<Vec<(u64, ServerId)>> = (1..=servers)
-            .map(|n| {
-                let mut table: Vec<(u64, ServerId)> = (0..n)
-                    .flat_map(|j| {
-                        (0..vnodes_per_server).map(move |k| {
-                            let pos = vnode_position(seed, j, k);
-                            (pos, ServerId::new(j as u32))
-                        })
-                    })
-                    .collect();
-                table.sort_unstable();
-                table
+        let nodes: Vec<(u64, ServerId)> = (0..servers)
+            .flat_map(|j| {
+                (0..vnodes_per_server)
+                    .map(move |k| (vnode_position(seed, j, k), ServerId::new(j as u32)))
             })
             .collect();
-        let flats = tables.iter().map(|t| FlatLookup::build(t)).collect();
         RandomRing {
             servers,
             vnodes_per_server,
-            seed,
-            tables,
-            flats,
+            tables: PrefixTables::build(servers, &nodes),
         }
     }
 
@@ -102,11 +87,7 @@ fn vnode_position(seed: u64, server: usize, replica: usize) -> u64 {
 
 impl PlacementStrategy for RandomRing {
     fn server_for(&self, key_hash: u64, active: usize) -> ServerId {
-        assert!(
-            active >= 1 && active <= self.servers,
-            "invalid active count {active}"
-        );
-        self.flats[active - 1].successor(&self.tables[active - 1], key_hash)
+        self.tables.server_for(key_hash, active)
     }
 
     fn max_servers(&self) -> usize {
@@ -123,7 +104,6 @@ impl fmt::Debug for RandomRing {
         f.debug_struct("RandomRing")
             .field("servers", &self.servers)
             .field("vnodes_per_server", &self.vnodes_per_server)
-            .field("seed", &self.seed)
             .finish()
     }
 }
@@ -211,31 +191,5 @@ mod tests {
     #[should_panic(expected = "at least one virtual node")]
     fn zero_vnodes_rejected() {
         let _ = RandomRing::new(3, 0, 0);
-    }
-
-    #[test]
-    fn flat_lookup_matches_binary_search() {
-        let ring = RandomRing::new(12, 32, 7);
-        for n in 1..=12usize {
-            let table = &ring.tables[n - 1];
-            for k in 0..10_000u64 {
-                let key = splitmix64(k ^ 0xBEEF);
-                assert_eq!(
-                    ring.flats[n - 1].successor(table, key),
-                    crate::placement::successor(table, key),
-                    "n={n} key={key:#x}"
-                );
-            }
-            // Boundary keys where the successor flips.
-            for &(pos, _) in table.iter() {
-                for key in [pos.wrapping_sub(1), pos, pos.wrapping_add(1)] {
-                    assert_eq!(
-                        ring.flats[n - 1].successor(table, key),
-                        crate::placement::successor(table, key),
-                        "n={n} key={key:#x}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -28,13 +28,6 @@ pub enum Distribution {
         /// The fixed value in seconds.
         secs: f64,
     },
-    /// Uniform between `lo` and `hi` seconds.
-    Uniform {
-        /// Lower bound in seconds (inclusive).
-        lo: f64,
-        /// Upper bound in seconds (exclusive).
-        hi: f64,
-    },
     /// Exponential with the given mean (seconds).
     Exponential {
         /// Mean in seconds.
@@ -102,7 +95,6 @@ impl Distribution {
     fn sample_secs(&self, rng: &mut SimRng) -> f64 {
         match *self {
             Distribution::Constant { secs } => secs,
-            Distribution::Uniform { lo, hi } => lo + (hi - lo) * rng.uniform_f64(),
             Distribution::Exponential { mean } => {
                 // Inverse CDF: -mean * ln(U), U in (0, 1].
                 -mean * rng.positive_uniform_f64().ln()
@@ -144,21 +136,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(d.sample(&mut rng), SimDuration::from_millis(5));
         }
-    }
-
-    #[test]
-    fn uniform_within_bounds_and_mean() {
-        let d = Distribution::Uniform {
-            lo: 0.010,
-            hi: 0.020,
-        };
-        let mut rng = SimRng::seed_from_u64(2);
-        for _ in 0..1000 {
-            let s = d.sample_secs(&mut rng);
-            assert!((0.010..0.020).contains(&s));
-        }
-        let m = mean_of(d, 50_000, 3);
-        assert!((m - 0.015).abs() < 0.0003, "mean {m}");
     }
 
     #[test]

@@ -60,9 +60,9 @@ impl Default for StoreConfig {
 /// explicit-write overlay, partitioned by key hash over `shards`
 /// shards.
 ///
-/// Every fetch conceptually performs the paper's three lookups
-/// (`page` → revision → text); [`ShardedStore::LOOKUP_STAGES`] exposes
-/// that constant so the latency model can charge per-stage time.
+/// Every fetch conceptually performs the paper's three sequential
+/// index lookups, `page → page_latest → rev_text_id → old_text`
+/// (Section V-A4).
 ///
 /// # Example
 ///
@@ -83,10 +83,6 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Each fetch walks `page → page_latest → rev_text_id → old_text`:
-    /// three sequential index lookups, as in Section V-A4.
-    pub const LOOKUP_STAGES: u32 = 3;
-
     /// Creates a store.
     ///
     /// # Panics
@@ -189,11 +185,6 @@ mod tests {
         }
         assert_eq!(store.total_fetches(), 300);
         assert!(store.shard_stats().iter().all(|s| s.fetches > 50));
-    }
-
-    #[test]
-    fn lookup_stages_match_paper() {
-        assert_eq!(ShardedStore::LOOKUP_STAGES, 3);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   ([`SessionWorkload`]).
 //!
 //! Traces are materialized ([`Trace`]) so all four Table II scenarios
-//! replay the *identical* request sequence, as the paper does, and can
-//! be saved/loaded as CSV for external tooling.
+//! replay the *identical* request sequence, as the paper does.
 //!
 //! # Example
 //!
@@ -51,5 +50,5 @@ mod zipf;
 pub use diurnal::DiurnalCurve;
 pub use replay::{CompressedDay, ReplayPacer};
 pub use session::{SessionConfig, SessionWorkload};
-pub use trace::{PageId, Trace, TraceConfig, TraceError, TraceRecord};
+pub use trace::{PageId, Trace, TraceConfig, TraceRecord};
 pub use zipf::ZipfSampler;

@@ -1,9 +1,5 @@
 //! Materialized request traces.
 
-use std::error::Error;
-use std::fmt;
-use std::io::{BufRead, Write};
-
 use proteus_sim::{SimDuration, SimRng, SimTime};
 
 use crate::diurnal::DiurnalCurve;
@@ -49,42 +45,6 @@ impl Default for TraceConfig {
             zipf_exponent: 0.8,
             session: SessionConfig::default(),
         }
-    }
-}
-
-/// Errors loading a trace from its CSV form.
-#[derive(Debug)]
-pub enum TraceError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A malformed line, with its 1-based line number.
-    Parse {
-        /// 1-based line number of the offending record.
-        line: usize,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
-            TraceError::Parse { line } => write!(f, "malformed trace record at line {line}"),
-        }
-    }
-}
-
-impl Error for TraceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TraceError::Io(e) => Some(e),
-            TraceError::Parse { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for TraceError {
-    fn from(e: std::io::Error) -> Self {
-        TraceError::Io(e)
     }
 }
 
@@ -202,46 +162,6 @@ impl Trace {
         }
         counts
     }
-
-    /// Writes the trace as `nanos,page` CSV lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the writer.
-    pub fn save_csv<W: Write>(&self, mut writer: W) -> Result<(), TraceError> {
-        for r in &self.records {
-            writeln!(writer, "{},{}", r.at.as_nanos(), r.page)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a trace from `nanos,page` CSV lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Parse`] on malformed lines and
-    /// [`TraceError::Io`] on read failures.
-    pub fn load_csv<R: BufRead>(reader: R) -> Result<Self, TraceError> {
-        let mut records = Vec::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(2, ',');
-            let parse = |s: Option<&str>| -> Option<u64> { s?.trim().parse().ok() };
-            let at = parse(parts.next());
-            let page = parse(parts.next());
-            match (at, page) {
-                (Some(at), Some(page)) => records.push(TraceRecord {
-                    at: SimTime::from_nanos(at),
-                    page,
-                }),
-                _ => return Err(TraceError::Parse { line: i + 1 }),
-            }
-        }
-        Ok(Trace::from_records(records))
-    }
 }
 
 #[cfg(test)]
@@ -310,31 +230,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Trace::synthesize(&quick_config(), 5);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let trace = Trace::synthesize(&quick_config(), 6);
-        let mut buf = Vec::new();
-        trace.save_csv(&mut buf).unwrap();
-        let loaded = Trace::load_csv(&buf[..]).unwrap();
-        assert_eq!(loaded, trace);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_lines() {
-        let bad = b"123,45\nnot-a-record\n" as &[u8];
-        match Trace::load_csv(bad) {
-            Err(TraceError::Parse { line }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn csv_skips_blank_lines() {
-        let ok = b"100,1\n\n200,2\n" as &[u8];
-        let t = Trace::load_csv(ok).unwrap();
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! 60:1-compressed day).
 
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{self, BufRead};
 
 use proteus_sim::{SimDuration, SimTime};
 
-use crate::trace::{Trace, TraceError, TraceRecord};
+use crate::trace::{Trace, TraceRecord};
 
 /// One parsed article request.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +155,7 @@ pub fn distill<R: BufRead>(
     reader: R,
     host: &str,
     compression: f64,
-) -> Result<(Trace, Vec<String>, DistillStats), TraceError> {
+) -> io::Result<(Trace, Vec<String>, DistillStats)> {
     assert!(
         compression.is_finite() && compression >= 1.0,
         "compression must be >= 1"

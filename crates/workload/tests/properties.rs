@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use proteus_sim::{SimDuration, SimRng, SimTime};
 use proteus_workload::{
-    lru_model, DiurnalCurve, SessionConfig, SessionWorkload, Trace, TraceConfig, TraceRecord,
-    ZipfSampler,
+    lru_model, DiurnalCurve, SessionConfig, SessionWorkload, Trace, TraceConfig, ZipfSampler,
 };
 
 proptest! {
@@ -109,23 +108,6 @@ proptest! {
             prop_assert!(pair[0].at <= pair[1].at);
         }
         prop_assert!(a.records().iter().all(|r| r.at < horizon));
-    }
-
-    /// CSV round-trips preserve any trace.
-    #[test]
-    fn trace_csv_roundtrip(
-        records in prop::collection::vec((0u64..1_000_000_000, 1u64..1_000_000), 0..200),
-    ) {
-        let trace = Trace::from_records(
-            records
-                .into_iter()
-                .map(|(at, page)| TraceRecord { at: SimTime::from_nanos(at), page })
-                .collect(),
-        );
-        let mut buf = Vec::new();
-        trace.save_csv(&mut buf).unwrap();
-        let loaded = Trace::load_csv(&buf[..]).unwrap();
-        prop_assert_eq!(loaded, trace);
     }
 
     /// Che's approximation is a valid, monotone hit-ratio curve for any

@@ -1,29 +1,30 @@
 #!/bin/sh
-# Public-surface audit: asks the compiler which `pub fn` under
-# crates/*/src (bins excluded) nothing outside its own crate calls, prints
-# each one, and exits 1 if it finds one. Run it from the repository root:
+# Public-surface audit: asks the compiler which `pub fn`, `pub const` and
+# `pub static` under crates/*/src (bins excluded) nothing outside its own
+# crate uses, prints each one, and exits 1 if it finds one. Run it from
+# the repository root:
 #
 #   scripts/pub-audit.sh
 #
 # It works on a copy of the sources in a temporary directory and leaves
-# the tree as it found it. There it makes every such function
+# the tree as it found it. There it makes every such item
 # `pub(crate)`, checks the workspace (`cargo check --workspace
 # --all-targets --keep-going`, so integration tests, examples, bins and
-# the facade crate are callers), and makes public again each function a
+# the facade crate are callers), and makes public again each item a
 # privacy error names: by the definition span in the error or its notes,
-# or, for a free function whose `pub use` re-export breaks, by its name
-# in that crate. It repeats until no privacy error is left, since a crate
+# or, for a free item whose `pub use` re-export breaks, by its name in
+# that crate. It repeats until no privacy error is left, since a crate
 # that fails to build hides the calls of the crates built on it. Then
-# rustc's `dead_code` lint names the functions that only their own
-# crate's unit tests call, or nothing at all. A doc example is not a
-# caller. A `len` and the `is_empty` of the same type count as one
-# function: an `is_empty` is not reported while its `len` has a caller,
-# since clippy's `len_without_is_empty` wants the pair.
+# rustc's `dead_code` lint names the items that only their own crate's
+# unit tests use, or nothing at all. A doc example is not a caller. A
+# `len` and the `is_empty` of the same type count as one function: an
+# `is_empty` is not reported while its `len` has a caller, since
+# clippy's `len_without_is_empty` wants the pair.
 #
-# A caller-less function is deleted, made private, or kept here with the
+# A caller-less item is deleted, made private, or kept here with the
 # reason it stays public. The audit then checks benchmark/ the same way
-# and lists, for information only, the functions that only benchmark/src
-# calls from outside their crate: the pins the frozen benchmark holds in
+# and lists, for information only, the items that only benchmark/src
+# uses from outside their crate: the pins the frozen benchmark holds in
 # place (ROADMAP item 20).
 #
 # Every run checks the workspace from scratch in the temporary directory:
@@ -41,14 +42,15 @@ tar -cf - Cargo.toml Cargo.lock crates stubs src tests examples \
 cd "$tmp"
 export CARGO_TARGET_DIR="$tmp/target" RUSTFLAGS='--force-warn=dead_code' CARGO_TERM_COLOR=never
 
-# Make every audited function `pub(crate)` and list it in `sites`, one
-# line each: file, line, name and the type of its `impl` block (`-` for
-# a free function).
+# Make every audited function, constant and static `pub(crate)` and list
+# it in `sites`, one line each: file, line, name and the type of its
+# `impl` block (`-` for a free item). A `const fn` is a function.
 keep_names=$(echo "$KEEP" | awk 'NF { print $1 }')
 for f in $(find crates/*/src -name '*.rs' ! -path '*/src/bin/*' | sort); do
     KEEP_NAMES="$keep_names" FILE="$f" perl -i -ne '
         BEGIN { %keep = map { $_ => 1 } split " ", $ENV{KEEP_NAMES} }
-        if (/^(\s*)pub ((?:const |unsafe |async )*fn (\w+))/ && !$keep{$3}) {
+        if ((/^(\s*)pub ((?:const |unsafe |async )*fn (\w+))/
+                || /^(\s*)pub ((?:const|static(?: mut)?) (\w+)\s*:)/) && !$keep{$3}) {
             my ($indent, $name, $owner) = (length $1, $3, "-");
             # The enclosing block is the nearest line above indented less.
             for my $l (reverse @seen) {
@@ -155,11 +157,11 @@ while IFS='	' read -r file line name owner; do
     found=1
 done <dead
 
-# Information only: the functions whose only callers outside their crate
+# Information only: the items whose only users outside their crate
 # are in benchmark/src. They stay public for as long as the frozen
 # benchmark names them.
 if [ -s pins ]; then
-    echo "called only from benchmark/src:"
+    echo "used only from benchmark/src:"
     sort -t'	' -k1,1 -k2,2n pins | while IFS='	' read -r file line name owner; do
         [ "$owner" = - ] && owner= || owner="$owner::"
         echo "$file:$line: $owner$name"
