@@ -320,11 +320,8 @@ fn scrape_path_stays_within_budget() {
 
     let servers: Vec<CacheServer> = (0..4)
         .map(|_| {
-            let server = CacheServer::spawn(
-                "127.0.0.1:0",
-                CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab),
-            )
-            .expect("bind an ephemeral port");
+            let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(64 << 20))
+                .expect("bind an ephemeral port");
             let client = CacheClient::connect(server.addr()).expect("connect to the server");
             for i in 0..SCRAPE_FIXTURE_OPS {
                 client.set(format!("k:{i}").as_bytes(), b"value").unwrap();
@@ -451,8 +448,7 @@ fn client_stays_within_allocation_budget(server: &CacheServer) {
 /// first fill did.
 fn a_flushed_engine_refills_from_its_own_pages() {
     let value = [b'v'; 1500];
-    let engine =
-        ShardedEngine::new(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    let engine = ShardedEngine::new(CacheConfig::with_capacity(64 << 20));
     let fill = || {
         for i in 0..FLUSH_ITEMS {
             let len = FLUSH_VALUE_BYTES[(i % 4) as usize];
@@ -489,7 +485,7 @@ fn a_flushed_engine_refills_from_its_own_pages() {
 /// slot block a 1 024 items and its index: no doubled slot table.
 fn a_growing_shard_adds_slot_blocks() {
     let value = [b'v'; 100];
-    let config = CacheConfig::with_capacity(8 << 20).storage(StorageKind::Slab);
+    let config = CacheConfig::with_capacity(8 << 20);
     let mut shard = CacheEngine::new(config);
     let created = live_bytes();
     for i in 0..GROWN_ITEMS {
@@ -526,7 +522,8 @@ fn hot_paths_stay_within_allocation_budget() {
     // is a refcount bump, so the budget is zero. No slack: a single
     // allocation per get is exactly the regression this gate exists to
     // catch.
-    let engine = ShardedEngine::new(CacheConfig::with_capacity(64 << 20));
+    let engine =
+        ShardedEngine::new(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Heap));
     for i in 0..512u64 {
         engine.put(&i.to_le_bytes(), vec![9u8; 128], SimTime::ZERO);
     }
@@ -549,7 +546,7 @@ fn hot_paths_stay_within_allocation_budget() {
     // output buffer inside `with_key_shard`. That path — not the
     // owned-copy convenience `ShardedEngine::get` — is what must stay
     // allocation-free.
-    let slab = ShardedEngine::new(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    let slab = ShardedEngine::new(CacheConfig::with_capacity(64 << 20));
     for i in 0..512u64 {
         slab.put(&i.to_le_bytes(), vec![7u8; 128], SimTime::ZERO);
     }
@@ -658,11 +655,8 @@ fn hot_paths_stay_within_allocation_budget() {
     // runs from `spawn` to the first reply, so it holds the engine, the
     // loops and the first histogram stripe.
     let (server, spawn) = measure(|| {
-        let server = CacheServer::spawn(
-            "127.0.0.1:0",
-            CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab),
-        )
-        .expect("bind an ephemeral port");
+        let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(64 << 20))
+            .expect("bind an ephemeral port");
         let mut sock = TcpStream::connect(server.addr()).expect("connect to the server");
         sock.write_all(b"get nothing-yet\r\n").unwrap();
         let mut end = [0u8; 5];

@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use proteus_bench::alloc_track::{is_counting, measure, CountingAlloc};
-use proteus_cache::{CacheConfig, ShardedEngine, StorageKind};
+use proteus_cache::{CacheConfig, ShardedEngine};
 use proteus_ring::hash::splitmix64;
 use proteus_sim::SimTime;
 use proteus_store::content_size_for;
@@ -82,8 +82,7 @@ fn a_million_small_items_stay_within_their_memory_bars() {
     );
     let per_item = KEY_LEN as u64 + VALUE_LEN as u64 + ITEM_OVERHEAD;
     let capacity = ITEMS * per_item * 12 / 10;
-    let slab =
-        || ShardedEngine::new(CacheConfig::with_capacity(capacity).storage(StorageKind::Slab));
+    let slab = || ShardedEngine::new(CacheConfig::with_capacity(capacity));
 
     // Phase 1: populate.
     let engine = slab();

@@ -5,23 +5,30 @@ use proteus_bloom::BloomConfig;
 /// Which value-storage backend a [`CacheEngine`](crate::CacheEngine)
 /// places item bytes in.
 ///
-/// Both backends are behaviourally identical — same eviction order,
-/// same accounting, same digest — and stay proptest-equivalent (see
-/// `tests/storage_equivalence.rs`). `Heap` is the original one-
-/// allocation-per-value path, kept as the correctness oracle; `Slab`
-/// packs items into size-classed pages (sized to the engine's
-/// capacity, see [`CacheConfig::slab_page_bytes`]) for
-/// multi-million-item residency (DESIGN.md §12). The server binary
-/// always runs the slab; this stays a library type because
-/// `storage_equivalence` diffs the slab against `Heap`, a value over
-/// one page takes the heap path inside the slab backend, and
-/// `benchmark/` names `StorageKind::Slab`.
+/// `Slab`, the default, packs items into size-classed pages (sized to
+/// the engine's capacity, see [`CacheConfig::slab_page_bytes`]) so a
+/// server's footprint tracks the capacity it is provisioned by
+/// (DESIGN.md §12); the server binary, the simulator and the examples
+/// all run it. `Heap` is one allocation per value, kept for three
+/// jobs: it is the correctness oracle `storage_equivalence` and
+/// `slab_churn` diff the slab against; it is the path a value over
+/// one page, or with lengths that do not pack into a slot, takes
+/// inside the slab backend; and it is an ideal byte-budget LRU, which
+/// the slab is only while its pages outlast its byte budget.
+///
+/// The two keep the same accounting, digest and eviction order, and
+/// are proptest-equivalent (`tests/storage_equivalence.rs`). Item for
+/// item they agree only while no set finds its size class starved of
+/// pages (`proteus_slab_starved_sets_total` reads 0): a starved set
+/// evicts from its own class, so on a wide mix of sizes the resident
+/// set drifts (DESIGN.md §12's replay keeps 22 031 items against the
+/// heap's 22 027).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// One heap allocation per item (the PR-1 layout).
-    #[default]
+    /// One heap allocation per item: the oracle and the fallback path.
     Heap,
     /// Memcached-style slab pages with ×1.125-growth size classes.
+    #[default]
     Slab,
 }
 
@@ -75,10 +82,14 @@ pub struct CacheConfig {
     /// default) derives the budget from `capacity_bytes`: 1.3× the
     /// accounted capacity, which covers size-class rounding at the
     /// default `item_overhead`. Set explicitly when payload accounting
-    /// and physical layout diverge badly — e.g. tiny pages with
-    /// `item_overhead = 0` — and the slab should never run out of
-    /// pages before LRU eviction frees them. Ignored by
-    /// [`StorageKind::Heap`].
+    /// and physical layout diverge badly and the slab should never run
+    /// out of pages before LRU eviction frees them. Tiny items at
+    /// `item_overhead = 0` are that case: a 9-byte item is charged 9
+    /// bytes but fills a 64-byte chunk, so the derived budget runs out
+    /// long before the byte budget does. A test that wants an ideal
+    /// byte-budget LRU of such items (the Che cross-check in
+    /// `proteus-workload`) runs [`StorageKind::Heap`], which ignores
+    /// this.
     pub slab_page_budget: u64,
     /// Digest (counting Bloom filter) configuration.
     pub digest: BloomConfig,
@@ -91,9 +102,11 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A configuration with the given payload capacity and defaults
-    /// matching the paper's evaluation: 64-byte item overhead, heap
-    /// storage, and a digest sized for the item count the capacity
-    /// implies at 4 KB objects (h = 4, as in Section VI-B).
+    /// matching the paper's evaluation: 64-byte item overhead, slab
+    /// storage with pages derived from the capacity, and a digest
+    /// sized for the item count the capacity implies at 4 KB objects
+    /// (h = 4, as in Section VI-B). Name [`StorageKind::Heap`] only to
+    /// get the oracle or an ideal byte-budget LRU.
     #[must_use]
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         let expected_items = (capacity_bytes / 4096).max(1024);
@@ -102,7 +115,7 @@ impl CacheConfig {
             item_overhead: 64,
             digest: BloomConfig::optimal(expected_items, 4, 1e-4, 1e-4),
             shards: 8,
-            storage: StorageKind::Heap,
+            storage: StorageKind::Slab,
             slab_page_bytes: 0,
             slab_page_budget: 0,
         }
@@ -179,12 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn storage_defaults_to_heap_and_builds_to_slab() {
+    fn storage_defaults_to_slab_and_builds_to_heap() {
+        assert_eq!(StorageKind::default(), StorageKind::Slab);
         let cfg = CacheConfig::with_capacity(1 << 20);
-        assert_eq!(cfg.storage, StorageKind::Heap);
-        assert_eq!(cfg.slab_page_bytes, 0, "derived from the capacity");
-        let cfg = cfg.storage(StorageKind::Slab).slab_page_bytes(1 << 16);
         assert_eq!(cfg.storage, StorageKind::Slab);
+        assert_eq!(cfg.slab_page_bytes, 0, "derived from the capacity");
+        let cfg = cfg.slab_page_bytes(1 << 16).storage(StorageKind::Heap);
+        assert_eq!(cfg.storage, StorageKind::Heap);
         assert_eq!(cfg.slab_page_bytes, 1 << 16);
     }
 }

@@ -898,22 +898,23 @@ mod tests {
     use super::*;
     use proteus_bloom::BloomConfig;
 
+    fn config(capacity: u64) -> CacheConfig {
+        CacheConfig::with_capacity(capacity)
+            .item_overhead(0)
+            .digest(BloomConfig::new(1 << 14, 4, 4))
+    }
+
     fn engine(capacity: u64) -> CacheEngine {
-        CacheEngine::new(
-            CacheConfig::with_capacity(capacity)
-                .item_overhead(0)
-                .digest(BloomConfig::new(1 << 14, 4, 4)),
-        )
+        CacheEngine::new(config(capacity))
     }
 
     fn slab_engine(capacity: u64) -> CacheEngine {
-        CacheEngine::new(
-            CacheConfig::with_capacity(capacity)
-                .item_overhead(0)
-                .storage(StorageKind::Slab)
-                .slab_page_bytes(4096)
-                .digest(BloomConfig::new(1 << 14, 4, 4)),
-        )
+        CacheEngine::new(config(capacity).slab_page_bytes(4096))
+    }
+
+    /// The oracle: one allocation per value, reads are refcount bumps.
+    fn heap_engine(capacity: u64) -> CacheEngine {
+        CacheEngine::new(config(capacity).storage(StorageKind::Heap))
     }
 
     const T0: SimTime = SimTime::ZERO;
@@ -1084,13 +1085,7 @@ mod tests {
     fn lengths_that_do_not_pack_take_the_heap_path_and_read_back() {
         // 32 MiB pages, so a value of 2^24 B fits a chunk but not the
         // 24 bits a slot keeps for its length.
-        let mut c = CacheEngine::new(
-            CacheConfig::with_capacity(1 << 26)
-                .item_overhead(0)
-                .storage(StorageKind::Slab)
-                .slab_page_bytes(32 << 20)
-                .digest(BloomConfig::new(1 << 14, 4, 4)),
-        );
+        let mut c = CacheEngine::new(config(1 << 26).slab_page_bytes(32 << 20));
         let key_255 = [b'a'; 255];
         let key_256 = [b'b'; 256];
         let giant = vec![7u8; 1 << 24];
@@ -1134,7 +1129,7 @@ mod tests {
 
     #[test]
     fn get_shared_hands_out_the_same_buffer() {
-        let mut c = engine(1 << 16);
+        let mut c = heap_engine(1 << 16);
         c.put(b"k", b"shared".to_vec(), T0);
         let a = c.get_shared(b"k", T0).unwrap();
         let b = c.get_shared(b"k", T0).unwrap();
@@ -1267,14 +1262,7 @@ mod tests {
         // so that result is a copy: even with a single-page budget the
         // rewrite reuses the counter's own chunk — no heap fallback, no
         // second page — and the reader's copy keeps the old bytes.
-        let mut c = CacheEngine::new(
-            CacheConfig::with_capacity(1 << 16)
-                .item_overhead(0)
-                .storage(StorageKind::Slab)
-                .slab_page_bytes(1024)
-                .slab_page_budget(1)
-                .digest(BloomConfig::new(1 << 14, 4, 4)),
-        );
+        let mut c = CacheEngine::new(config(1 << 16).slab_page_bytes(1024).slab_page_budget(1));
         c.put(b"ctr", b"41".to_vec(), T0);
         let held = c.get_shared(b"ctr", T0).unwrap();
 
@@ -1396,7 +1384,7 @@ mod tests {
 
     #[test]
     fn slab_eviction_and_rejection_match_heap_semantics() {
-        let mut heap = engine(1000);
+        let mut heap = heap_engine(1000);
         let mut slab = slab_engine(1000);
         for c in [&mut heap, &mut slab] {
             for i in 0..200u64 {

@@ -342,18 +342,26 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StorageKind;
     use proteus_bloom::BloomConfig;
     use std::sync::Arc;
 
     const T0: SimTime = SimTime::ZERO;
 
+    fn config(capacity: u64, shards: usize) -> CacheConfig {
+        CacheConfig::with_capacity(capacity)
+            .item_overhead(0)
+            .shards(shards)
+            .digest(BloomConfig::new(1 << 14, 4, 4))
+    }
+
     fn engine(capacity: u64, shards: usize) -> ShardedEngine {
-        ShardedEngine::new(
-            CacheConfig::with_capacity(capacity)
-                .item_overhead(0)
-                .shards(shards)
-                .digest(BloomConfig::new(1 << 14, 4, 4)),
-        )
+        ShardedEngine::new(config(capacity, shards))
+    }
+
+    /// [`engine`] on the heap backend, whose reads are refcount bumps.
+    fn heap_engine(capacity: u64, shards: usize) -> ShardedEngine {
+        ShardedEngine::new(config(capacity, shards).storage(StorageKind::Heap))
     }
 
     /// A copy of `key`'s value, read without touching recency or stats.
@@ -728,7 +736,7 @@ mod tests {
 
     #[test]
     fn heap_get_is_a_refcount_bump_not_a_copy() {
-        let c = engine(1 << 20, 4);
+        let c = heap_engine(1 << 20, 4);
         let stored: SharedBytes = SharedBytes::from(vec![7u8; 128]);
         c.put(b"k", SharedBytes::clone(&stored), T0);
         let a = c.get(b"k", T0).unwrap();
@@ -742,15 +750,7 @@ mod tests {
 
     #[test]
     fn slab_backend_roundtrips_and_reports_merged_stats() {
-        use crate::config::StorageKind;
-        let c = ShardedEngine::new(
-            CacheConfig::with_capacity(1 << 20)
-                .item_overhead(0)
-                .shards(4)
-                .storage(StorageKind::Slab)
-                .slab_page_bytes(4096)
-                .digest(BloomConfig::new(1 << 14, 4, 4)),
-        );
+        let c = ShardedEngine::new(config(1 << 20, 4).slab_page_bytes(4096));
         for i in 0..500u64 {
             c.put(&i.to_le_bytes(), i.to_string().into_bytes(), T0);
         }
@@ -764,7 +764,7 @@ mod tests {
         assert_eq!(slab.classes.iter().map(|cl| cl.items).sum::<u64>(), 500);
         assert!(slab.pages_allocated > 0);
         assert!(slab.page_bytes_total() >= slab.live_bytes());
-        assert_eq!(engine(1 << 20, 4).slab_stats(), None, "heap backend");
+        assert_eq!(heap_engine(1 << 20, 4).slab_stats(), None, "heap backend");
     }
 
     #[test]

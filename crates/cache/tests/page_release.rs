@@ -9,7 +9,7 @@
 //! Last, a flush (`flush_all`, the benchmark's power-off) must leave no
 //! page resident, the pool's reserve included.
 
-use proteus_cache::{CacheConfig, ShardedEngine, StorageKind};
+use proteus_cache::{CacheConfig, ShardedEngine};
 use proteus_sim::SimTime;
 
 /// What `proteus-cache-server` runs with when given no flags.
@@ -41,8 +41,7 @@ fn key(batch: u8, i: u64) -> [u8; 9] {
 
 #[test]
 fn pages_a_deleted_batch_empties_leave_the_resident_set() {
-    let engine =
-        ShardedEngine::new(CacheConfig::with_capacity(CAPACITY).storage(StorageKind::Slab));
+    let engine = ShardedEngine::new(CacheConfig::with_capacity(CAPACITY));
     let now = SimTime::ZERO;
     let value = [b'v'; LONE_LEN];
     let fill = |batch: u8| {

@@ -43,11 +43,7 @@ fn default_shaped(storage: StorageKind) -> ShardedEngine {
 
 #[test]
 fn churn_at_twice_capacity_keeps_slab_accounting_exact() {
-    let mut engine = CacheEngine::new(
-        CacheConfig::with_capacity(CAPACITY)
-            .storage(StorageKind::Slab)
-            .slab_page_bytes(4096),
-    );
+    let mut engine = CacheEngine::new(CacheConfig::with_capacity(CAPACITY).slab_page_bytes(4096));
     let mut written = 0u64;
     let mut i = 0u64;
     // Write until 2x capacity has flowed through: every byte past the
@@ -101,7 +97,6 @@ fn sharded_churn_cycle_survives_and_reads_back() {
     let engine = ShardedEngine::new(
         CacheConfig::with_capacity(CAPACITY)
             .shards(4)
-            .storage(StorageKind::Slab)
             .slab_page_bytes(4096),
     );
     let mut written = 0u64;
@@ -143,7 +138,6 @@ fn value_larger_than_shard_budget_is_rejected_cleanly() {
     let engine = ShardedEngine::new(
         CacheConfig::with_capacity(CAPACITY)
             .shards(4)
-            .storage(StorageKind::Slab)
             .slab_page_bytes(4096),
     );
     for i in 0..500u32 {
@@ -162,7 +156,11 @@ fn value_larger_than_shard_budget_is_rejected_cleanly() {
     assert!(!engine.contains(b"whale"));
     assert_eq!(engine.stats().rejected, 1);
     // The same value is rejected identically on the heap backend.
-    let heap = ShardedEngine::new(CacheConfig::with_capacity(CAPACITY).shards(4));
+    let heap = ShardedEngine::new(
+        CacheConfig::with_capacity(CAPACITY)
+            .shards(4)
+            .storage(StorageKind::Heap),
+    );
     let outcome = heap.put(b"whale", &huge[..], SimTime::ZERO);
     assert!(!outcome.stored);
     assert_eq!(heap.stats().rejected, 1);
@@ -343,7 +341,6 @@ fn a_starved_set_evicts_one_item_of_its_own_class_or_nobody() {
     let mut engine = CacheEngine::new(
         CacheConfig::with_capacity(1 << 20)
             .item_overhead(0)
-            .storage(StorageKind::Slab)
             .slab_page_bytes(1024)
             .slab_page_budget(2),
     );

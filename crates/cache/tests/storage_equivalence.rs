@@ -120,7 +120,7 @@ fn engine_pair() -> (CacheEngine, CacheEngine) {
             .item_overhead(0)
             .digest(BloomConfig::new(1 << 12, 4, 4))
     };
-    let heap = CacheEngine::new(base());
+    let heap = CacheEngine::new(base().storage(StorageKind::Heap));
     // An ample explicit page budget: with `item_overhead 0` and tiny
     // 1 KiB pages, chunk rounding can exceed the default 1.3× slack,
     // and a page-starved slab evicts *extra* items (correct, but a
@@ -128,12 +128,7 @@ fn engine_pair() -> (CacheEngine, CacheEngine) {
     // under test is the storage substitution itself, so pages are
     // plentiful here; the starved regime is covered by the engine's
     // own unit tests and the churn suite.
-    let slab = CacheEngine::new(
-        base()
-            .storage(StorageKind::Slab)
-            .slab_page_bytes(1024)
-            .slab_page_budget(4096),
-    );
+    let slab = CacheEngine::new(base().slab_page_bytes(1024).slab_page_budget(4096));
     (heap, slab)
 }
 

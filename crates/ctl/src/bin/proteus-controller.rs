@@ -15,8 +15,10 @@
 //! i-th `--metrics` address must belong to the i-th `--cache` server
 //! (provisioning order).
 //!
-//! Its own listener re-exposes the merged `proteus_cluster_*` series
-//! and the decision/transition trace at `/trace.jsonl`.
+//! Its own listener re-exposes the merged `proteus_cluster_*` series,
+//! then its cluster client's `proteus_client_*` series (fetch classes,
+//! pulls, faults) and trace ring health, and serves the
+//! decision/transition trace at `/trace.jsonl`.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -27,7 +29,7 @@ use parking_lot::RwLock;
 use proteus_agg::{ClusterObserver, ObserverConfig};
 use proteus_ctl::{ActuationConfig, ClusterController, PolicyConfig, StepAction, WallPolicy};
 use proteus_net::ClusterClient;
-use proteus_obs::MetricsServer;
+use proteus_obs::{MetricSource, MetricsServer};
 
 struct Options {
     cache: Vec<SocketAddr>,
@@ -149,6 +151,13 @@ fn main() -> ExitCode {
         observer.add_server(addr);
     }
     let tracer = Arc::clone(client.read().tracer());
+    let observer_source = observer.metric_source();
+    let client_source = client.read().metric_source();
+    let source: MetricSource = Arc::new(move || {
+        let mut out = observer_source();
+        out.extend(client_source());
+        out
+    });
     let policy = WallPolicy::new(PolicyConfig {
         min_servers: opts.min_servers.clamp(1, n),
         max_step: opts.max_step.max(1),
@@ -162,7 +171,6 @@ fn main() -> ExitCode {
         policy,
         opts.actuation,
     );
-    let source = observer.metric_source();
     let _exposition = match MetricsServer::spawn_traced(&opts.bind, source, tracer) {
         Ok(m) => {
             println!(

@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use proteus_cache::{CacheConfig, StorageKind};
+use proteus_cache::CacheConfig;
 use proteus_net::{CacheServer, EngineKind};
 use proteus_obs::MetricsServer;
 
@@ -78,10 +78,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = CacheConfig::with_capacity(opts.capacity_bytes)
-        // Always the slab: a long-running server wants bounded
-        // fragmentation at tens of millions of resident items.
-        .storage(StorageKind::Slab);
+    let config = CacheConfig::with_capacity(opts.capacity_bytes);
     let server = match CacheServer::spawn(&*opts.bind, config) {
         Ok(s) => s,
         Err(e) => {

@@ -79,7 +79,7 @@ impl ClientConfig {
 }
 
 /// Cumulative fault-tolerance counters for one [`CacheClient`]
-/// (a snapshot of lock-free atomics; see [`CacheClient::stats`]).
+/// (a snapshot of lock-free atomics; see [`CacheClient::fault_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientStats {
     /// Operations retried after a transport failure.
@@ -1114,7 +1114,6 @@ mod tests {
         // and the connection stays open for the commands behind it.
         let config = CacheConfig::with_capacity(64 << 10)
             .shards(1)
-            .storage(proteus_cache::StorageKind::Slab)
             .slab_page_bytes(16 << 10);
         let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
         let client = CacheClient::connect(server.addr()).unwrap();
@@ -1358,7 +1357,6 @@ mod tests {
     fn a_probe_answered_with_an_error_closes_the_breaker() {
         let cache = CacheConfig::with_capacity(64 << 10)
             .shards(1)
-            .storage(proteus_cache::StorageKind::Slab)
             .slab_page_bytes(16 << 10);
         let server = CacheServer::spawn("127.0.0.1:0", cache).unwrap();
         let addr = server.addr();

@@ -21,7 +21,7 @@ use proteus_obs::{
 use proteus_ring::{PlacementStrategy, ServerId};
 use proteus_store::ShardedStore;
 
-use crate::client::{CacheClient, ClientConfig, ClientStats};
+use crate::client::{CacheClient, ClientConfig};
 use crate::error::NetError;
 
 pub use pull::{PullProgress, PullState};
@@ -162,6 +162,31 @@ struct AtomicClusterStats {
     pulls_incomplete: AtomicU64,
 }
 
+impl AtomicClusterStats {
+    /// One snapshot of these counters, with `clients`' retries,
+    /// breaker trips and fast fails summed in.
+    fn load(&self, clients: &[CacheClient]) -> ClusterStats {
+        let mut out = ClusterStats {
+            degraded_fetches: self.degraded_fetches.load(Ordering::Relaxed),
+            skipped_migrations: self.skipped_migrations.load(Ordering::Relaxed),
+            dropped_installs: self.dropped_installs.load(Ordering::Relaxed),
+            fills_superseded: self.fills_superseded.load(Ordering::Relaxed),
+            missing_digests: self.missing_digests.load(Ordering::Relaxed),
+            pulled_keys: self.pulled_keys.load(Ordering::Relaxed),
+            pull_batches: self.pull_batches.load(Ordering::Relaxed),
+            pulls_incomplete: self.pulls_incomplete.load(Ordering::Relaxed),
+            ..ClusterStats::default()
+        };
+        for client in clients {
+            let c = client.fault_stats();
+            out.retries += c.retries;
+            out.breaker_trips += c.breaker_trips;
+            out.fast_fails += c.fast_fails;
+        }
+        out
+    }
+}
+
 /// A web server's view of the live cache cluster: one pooled client
 /// per cache server, the placement [`Router`], and the
 /// [`TransitionManager`] holding the current and previous active
@@ -177,7 +202,8 @@ struct AtomicClusterStats {
 /// [`CacheClient`] retries, reconnects, and fails fast through its
 /// circuit breaker.
 pub struct ClusterClient {
-    clients: Vec<CacheClient>,
+    /// Shared with the metric source, which sums their fault counters.
+    clients: Arc<[CacheClient]>,
     /// Shared with the open window's puller thread.
     router: Arc<Router>,
     window: TransitionManager,
@@ -231,7 +257,7 @@ impl ClusterClient {
         let clients = addrs
             .iter()
             .map(|&a| CacheClient::connect_with(a, config))
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Arc<[_]>, _>>()?;
         let tracer = Arc::new(EventTracer::default());
         for (i, client) in clients.iter().enumerate() {
             // One shared ring: breaker transitions interleave with the
@@ -273,21 +299,7 @@ impl ClusterClient {
     /// counters (retries, breaker trips, fast fails) summed in.
     #[must_use]
     pub fn fault_stats(&self) -> ClusterStats {
-        let per_server: Vec<ClientStats> =
-            self.clients.iter().map(CacheClient::fault_stats).collect();
-        ClusterStats {
-            degraded_fetches: self.stats.degraded_fetches.load(Ordering::Relaxed),
-            skipped_migrations: self.stats.skipped_migrations.load(Ordering::Relaxed),
-            dropped_installs: self.stats.dropped_installs.load(Ordering::Relaxed),
-            fills_superseded: self.stats.fills_superseded.load(Ordering::Relaxed),
-            missing_digests: self.stats.missing_digests.load(Ordering::Relaxed),
-            pulled_keys: self.stats.pulled_keys.load(Ordering::Relaxed),
-            pull_batches: self.stats.pull_batches.load(Ordering::Relaxed),
-            pulls_incomplete: self.stats.pulls_incomplete.load(Ordering::Relaxed),
-            retries: per_server.iter().map(|s| s.retries).sum(),
-            breaker_trips: per_server.iter().map(|s| s.breaker_trips).sum(),
-            fast_fails: per_server.iter().map(|s| s.fast_fails).sum(),
-        }
+        self.stats.load(&self.clients)
     }
 
     /// Per-fetch-class latency histograms: every
@@ -313,13 +325,16 @@ impl ClusterClient {
     /// (pair with [`MetricsServer::spawn_traced`] and
     /// [`tracer`](Self::tracer) to also serve the transition trace at
     /// `/trace.jsonl`): per-fetch-class counters and latency
-    /// histograms, the cluster fault and pull counters, and trace ring
+    /// histograms, one [`fault_stats`](Self::fault_stats) snapshot
+    /// (the cluster's fault and pull counters and the per-server
+    /// clients' retries, breaker trips and fast fails), and trace ring
     /// health.
     ///
     /// [`MetricsServer::spawn_traced`]: proteus_obs::MetricsServer::spawn_traced
     #[must_use]
     pub fn metric_source(&self) -> MetricSource {
         let stats = Arc::clone(&self.stats);
+        let clients = Arc::clone(&self.clients);
         let fetches = Arc::clone(&self.fetches);
         let tracer = Arc::clone(&self.tracer);
         Arc::new(move || {
@@ -334,38 +349,25 @@ impl ClusterClient {
                         .with_label("class", class.name()),
                 );
             }
-            out.push(Metric::counter(
-                "proteus_client_degraded_fetches_total",
-                stats.degraded_fetches.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_skipped_migrations_total",
-                stats.skipped_migrations.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_dropped_installs_total",
-                stats.dropped_installs.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_fills_superseded_total",
-                stats.fills_superseded.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_missing_digests_total",
-                stats.missing_digests.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_pulled_keys_total",
-                stats.pulled_keys.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_pull_batches_total",
-                stats.pull_batches.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "proteus_client_pulls_incomplete_total",
-                stats.pulls_incomplete.load(Ordering::Relaxed),
-            ));
+            let s = stats.load(&clients);
+            for (name, value) in [
+                ("proteus_client_degraded_fetches_total", s.degraded_fetches),
+                (
+                    "proteus_client_skipped_migrations_total",
+                    s.skipped_migrations,
+                ),
+                ("proteus_client_dropped_installs_total", s.dropped_installs),
+                ("proteus_client_fills_superseded_total", s.fills_superseded),
+                ("proteus_client_missing_digests_total", s.missing_digests),
+                ("proteus_client_pulled_keys_total", s.pulled_keys),
+                ("proteus_client_pull_batches_total", s.pull_batches),
+                ("proteus_client_pulls_incomplete_total", s.pulls_incomplete),
+                ("proteus_client_retries_total", s.retries),
+                ("proteus_client_breaker_trips_total", s.breaker_trips),
+                ("proteus_client_fast_fails_total", s.fast_fails),
+            ] {
+                out.push(Metric::counter(name, value));
+            }
             out.extend(trace_metrics(&tracer));
             out
         })

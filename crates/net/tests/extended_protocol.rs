@@ -2,7 +2,7 @@
 
 mod common;
 
-use proteus_cache::{CacheConfig, StorageKind};
+use proteus_cache::CacheConfig;
 use proteus_net::{CacheClient, CacheServer, EngineKind, NetError};
 
 fn server() -> CacheServer {
@@ -449,9 +449,7 @@ fn stats_expose_digest_estimate() {
 
 #[test]
 fn slab_backend_serves_the_full_protocol() {
-    let config = CacheConfig::with_capacity(1 << 20)
-        .storage(StorageKind::Slab)
-        .slab_page_bytes(64 << 10);
+    let config = CacheConfig::with_capacity(1 << 20).slab_page_bytes(64 << 10);
     let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
     let client = CacheClient::connect(server.addr()).unwrap();
     for i in 0..300u32 {
@@ -523,7 +521,6 @@ fn oversized_set_is_rejected_with_a_server_error() {
     // it cleanly instead of evicting everything or looping.
     let config = CacheConfig::with_capacity(64 << 10)
         .shards(1)
-        .storage(StorageKind::Slab)
         .slab_page_bytes(16 << 10);
     let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
     let client = CacheClient::connect(server.addr()).unwrap();

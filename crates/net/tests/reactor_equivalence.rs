@@ -44,7 +44,7 @@ mod common;
 
 use common::Command;
 use proptest::prelude::*;
-use proteus_cache::{CacheConfig, StorageKind};
+use proteus_cache::CacheConfig;
 use proteus_net::{
     mru_keys_key, CacheServer, EngineKind, ServerConfig, DIGEST_KEY, DIGEST_SNAPSHOT_KEY,
 };
@@ -379,7 +379,7 @@ fn replies_past_the_high_water_mark_are_bounded_and_byte_identical() {
     reply.extend_from_slice(b"END\r\n");
     assert!(reply.len() > 1 << 20, "one reply must pass the mark");
 
-    let planes = spawn_planes_with(CacheConfig::with_capacity(64 << 20).storage(StorageKind::Slab));
+    let planes = spawn_planes_with(CacheConfig::with_capacity(64 << 20));
     for (name, server) in &planes {
         let mut sock = TcpStream::connect(server.addr()).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(30)))

@@ -3,9 +3,11 @@
 //! These are the building blocks of the telemetry registry: a
 //! [`Counter`] is a monotone relaxed `AtomicU64`, a [`Gauge`] an
 //! `AtomicI64` that may move both ways, and the two class enums
-//! ([`OpClass`], [`FetchClassKind`]) index fixed arrays of
-//! [`LatencyHistogram`]s so the record path stays allocation-free.
+//! ([`OpClass`], [`FetchClassKind`]) index the fixed array of
+//! [`LatencyHistogram`]s a [`ClassLatencies`] holds, so the record
+//! path stays allocation-free.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -139,67 +141,6 @@ impl OpClass {
             OpClass::Other => "other",
         }
     }
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// A fixed family of per-[`OpClass`] latency histograms.
-///
-/// `record` is as cheap as a bare histogram record: one array index
-/// plus the atomic bumps — no map lookup, no allocation.
-#[derive(Debug)]
-pub struct OpLatencies {
-    hists: [LatencyHistogram; OpClass::ALL.len()],
-}
-
-impl OpLatencies {
-    /// Creates one histogram per op class.
-    #[must_use]
-    pub fn new() -> Self {
-        OpLatencies {
-            hists: std::array::from_fn(|_| LatencyHistogram::new()),
-        }
-    }
-
-    /// Records one latency sample for `class`.
-    #[inline]
-    pub fn record(&self, class: OpClass, d: Duration) {
-        self.hists[class.index()].record(d);
-    }
-
-    /// Snapshots one class.
-    #[must_use]
-    pub fn snapshot(&self, class: OpClass) -> HistogramSnapshot {
-        self.hists[class.index()].snapshot()
-    }
-
-    /// Snapshots every class in [`OpClass::ALL`] order.
-    #[must_use]
-    pub fn snapshot_all(&self) -> Vec<(OpClass, HistogramSnapshot)> {
-        OpClass::ALL
-            .iter()
-            .map(|&c| (c, self.snapshot(c)))
-            .collect()
-    }
-
-    /// Merges every class into one combined snapshot.
-    #[must_use]
-    pub fn snapshot_merged(&self) -> HistogramSnapshot {
-        let mut acc = HistogramSnapshot::empty();
-        for h in &self.hists {
-            acc.merge(&h.snapshot());
-        }
-        acc
-    }
-}
-
-impl Default for OpLatencies {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// How a cluster fetch was ultimately satisfied, as observed by the
@@ -241,6 +182,20 @@ impl FetchClassKind {
             FetchClassKind::FalsePositive => "false_positive",
         }
     }
+}
+
+/// A dense class enum: a [`ClassLatencies`] keeps one histogram per
+/// value, at the value's position in [`ALL`](Self::ALL).
+pub trait LatencyClass: Copy + 'static {
+    /// Every class, in display order.
+    const ALL: &'static [Self];
+
+    /// The class's position in [`ALL`](Self::ALL).
+    fn index(self) -> usize;
+}
+
+impl LatencyClass for OpClass {
+    const ALL: &'static [Self] = &OpClass::ALL;
 
     #[inline]
     fn index(self) -> usize {
@@ -248,52 +203,74 @@ impl FetchClassKind {
     }
 }
 
-/// One latency histogram per [`FetchClassKind`] for the client side of
-/// the cluster. Every fetch is timed, so a class's fetch count is its
-/// histogram's sample count.
-#[derive(Debug)]
-pub struct FetchLatencies {
-    hists: [LatencyHistogram; FetchClassKind::ALL.len()],
+impl LatencyClass for FetchClassKind {
+    const ALL: &'static [Self] = &FetchClassKind::ALL;
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
-impl FetchLatencies {
-    /// Creates one histogram per fetch class.
+/// One latency histogram per class `C`, `N` of them.
+///
+/// `record` is as cheap as a bare histogram record: one array index
+/// plus the atomic bumps — no map lookup, no allocation.
+#[derive(Debug)]
+pub struct ClassLatencies<C, const N: usize> {
+    hists: [LatencyHistogram; N],
+    class: PhantomData<C>,
+}
+
+/// The server's per-[`OpClass`] command latencies.
+pub type OpLatencies = ClassLatencies<OpClass, { OpClass::ALL.len() }>;
+
+/// The cluster client's per-[`FetchClassKind`] fetch latencies. Every
+/// fetch is timed, so a class's fetch count is its histogram's sample
+/// count.
+pub type FetchLatencies = ClassLatencies<FetchClassKind, { FetchClassKind::ALL.len() }>;
+
+impl<C: LatencyClass, const N: usize> ClassLatencies<C, N> {
+    /// Creates one histogram per class.
     #[must_use]
     pub fn new() -> Self {
-        FetchLatencies {
+        const { assert!(N == C::ALL.len(), "one histogram per class") };
+        ClassLatencies {
             hists: std::array::from_fn(|_| LatencyHistogram::new()),
+            class: PhantomData,
         }
     }
 
-    /// Records one classified fetch with its end-to-end latency.
+    /// Records one latency sample for `class`.
     #[inline]
-    pub fn record(&self, class: FetchClassKind, d: Duration) {
+    pub fn record(&self, class: C, d: Duration) {
         self.hists[class.index()].record(d);
     }
 
-    /// Total fetches recorded for `class`.
+    /// Snapshots one class.
     #[must_use]
-    pub fn count(&self, class: FetchClassKind) -> u64 {
-        self.snapshot(class).count()
-    }
-
-    /// Snapshots the latency histogram for `class`.
-    #[must_use]
-    pub fn snapshot(&self, class: FetchClassKind) -> HistogramSnapshot {
+    pub fn snapshot(&self, class: C) -> HistogramSnapshot {
         self.hists[class.index()].snapshot()
     }
 
-    /// Snapshots every class in [`FetchClassKind::ALL`] order.
+    /// Snapshots every class in [`LatencyClass::ALL`] order.
     #[must_use]
-    pub fn snapshot_all(&self) -> Vec<(FetchClassKind, HistogramSnapshot)> {
-        FetchClassKind::ALL
-            .iter()
-            .map(|&c| (c, self.snapshot(c)))
-            .collect()
+    pub fn snapshot_all(&self) -> Vec<(C, HistogramSnapshot)> {
+        C::ALL.iter().map(|&c| (c, self.snapshot(c))).collect()
+    }
+
+    /// Merges every class into one combined snapshot.
+    #[must_use]
+    pub fn snapshot_merged(&self) -> HistogramSnapshot {
+        let mut acc = HistogramSnapshot::empty();
+        for h in &self.hists {
+            acc.merge(&h.snapshot());
+        }
+        acc
     }
 }
 
-impl Default for FetchLatencies {
+impl<C: LatencyClass, const N: usize> Default for ClassLatencies<C, N> {
     fn default() -> Self {
         Self::new()
     }
@@ -353,13 +330,13 @@ mod tests {
         f.record(FetchClassKind::NewHit, Duration::from_micros(5));
         f.record(FetchClassKind::NewHit, Duration::from_micros(7));
         f.record(FetchClassKind::Degraded, Duration::from_millis(2));
-        assert_eq!(f.count(FetchClassKind::NewHit), 2);
-        assert_eq!(f.count(FetchClassKind::Degraded), 1);
-        assert_eq!(f.count(FetchClassKind::Database), 0);
+        assert_eq!(f.snapshot(FetchClassKind::NewHit).count(), 2);
+        assert_eq!(f.snapshot(FetchClassKind::Degraded).count(), 1);
+        assert_eq!(f.snapshot(FetchClassKind::Database).count(), 0);
         let all = f.snapshot_all();
         assert_eq!(all.len(), FetchClassKind::ALL.len());
         for (class, snap) in all {
-            assert_eq!(snap.count(), f.count(class), "{}", class.name());
+            assert_eq!(snap.count(), f.snapshot(class).count(), "{}", class.name());
         }
     }
 }

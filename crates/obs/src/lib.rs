@@ -13,7 +13,7 @@
 //!   (wire commands) and [`FetchClassKind`] (how a cluster fetch was
 //!   satisfied: NewHit / Migrated / Database / Degraded /
 //!   FalsePositive) with their fixed histogram families
-//!   [`OpLatencies`] and [`FetchLatencies`].
+//!   [`OpLatencies`] and [`FetchLatencies`], one [`ClassLatencies`].
 //! - [`EventTracer`] — a bounded ring buffer of transition lifecycle
 //!   events ([`TraceKind`]: begin, digest broadcast, per-key
 //!   migration, drain, power-off, breaker transitions) stamped with a
@@ -38,7 +38,10 @@ mod export;
 mod histogram;
 mod tracer;
 
-pub use counters::{Counter, FetchClassKind, FetchLatencies, Gauge, OpClass, OpLatencies};
+pub use counters::{
+    ClassLatencies, Counter, FetchClassKind, FetchLatencies, Gauge, LatencyClass, OpClass,
+    OpLatencies,
+};
 pub use export::{
     accept_retry_delay, to_json, to_prometheus, to_stat_pairs, trace_metrics, trace_to_jsonl,
     Metric, MetricSource, MetricValue, MetricsServer, ScrapeStats,

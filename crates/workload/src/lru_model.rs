@@ -146,7 +146,7 @@ mod tests {
     fn prediction_matches_simulated_lru_engine() {
         // Cross-validation: an IRM Zipf request stream against the real
         // CacheEngine must land on Che's curve.
-        use proteus_cache::{CacheConfig, CacheEngine};
+        use proteus_cache::{CacheConfig, CacheEngine, StorageKind};
         use proteus_sim::SimTime;
 
         let pages = 20_000u64;
@@ -155,8 +155,14 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         for capacity in [500usize, 2000, 8000] {
             // object size 1 (key-only accounting) so capacity = items.
-            let mut cache =
-                CacheEngine::new(CacheConfig::with_capacity(capacity as u64 * 9).item_overhead(0));
+            // Che models an ideal byte-budget LRU: the heap backend is
+            // one. On the slab each 9-byte item fills a 64-byte chunk,
+            // so pages would run out before the byte budget does.
+            let mut cache = CacheEngine::new(
+                CacheConfig::with_capacity(capacity as u64 * 9)
+                    .item_overhead(0)
+                    .storage(StorageKind::Heap),
+            );
             let mut hits = 0u64;
             let requests = 300_000u64;
             for _ in 0..requests {

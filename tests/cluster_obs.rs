@@ -10,8 +10,9 @@
 //!    histograms matches the servers' own merged snapshots.
 //! 3. The wall-clock energy meter prices the post-transition (n−1)
 //!    window strictly below an all-on baseline of the same duration.
-//! 4. The observer's `/metrics` body and the cluster client's are
-//!    valid exposition text for a strict reader.
+//! 4. The observer's `/metrics` body, the cluster client's, and the
+//!    two joined as `proteus-controller` serves them are valid
+//!    exposition text for a strict reader.
 //! 5. In an optimised build, opening a warmed transition window holds
 //!    the client for at most 10 ms.
 
@@ -26,7 +27,7 @@ use proteus::agg::{http_get, json, ClusterObserver, ObserverConfig, WallEnergyMe
 use proteus::cache::CacheConfig;
 use proteus::core::{PowerState, Scenario};
 use proteus::net::{CacheServer, ClusterClient, ClusterFetch};
-use proteus::obs::{HistogramSnapshot, MetricValue, MetricsServer, TraceKind};
+use proteus::obs::{HistogramSnapshot, MetricSource, MetricValue, MetricsServer, TraceKind};
 use proteus::store::{ShardedStore, StoreConfig};
 
 const N: usize = 4;
@@ -232,13 +233,24 @@ fn cluster_observability_end_to_end() {
     assert!(observer.energy().server_seconds() > 0.0);
     assert_eq!(observer.scrape_totals().1, 0, "no scrape may fail");
 
-    // --- Claim 4: the cluster's two expositions read strictly: the
-    // observer's, as `proteus-cluster-obs` and `proteus-controller`
-    // serve it, and the cluster client's.
+    // --- Claim 4: the cluster's expositions read strictly: the
+    // observer's, as `proteus-cluster-obs` serves it, the cluster
+    // client's, and the observer's followed by the client's, as
+    // `proteus-controller` serves them: the two bodies' families, none
+    // merged into another or lost.
     let observer_obs = MetricsServer::spawn("127.0.0.1:0", observer.metric_source()).unwrap();
+    let (observer_source, client_source) = (observer.metric_source(), cluster.metric_source());
+    let joined: MetricSource = Arc::new(move || {
+        let mut out = observer_source();
+        out.extend(client_source());
+        out
+    });
+    let controller_obs = MetricsServer::spawn("127.0.0.1:0", joined).unwrap();
+    let mut names = Vec::new();
     for (what, addr) in [
         ("observer", observer_obs.local_addr()),
         ("cluster client", client_obs.local_addr()),
+        ("controller", controller_obs.local_addr()),
     ] {
         let body = http_get(
             addr,
@@ -249,8 +261,10 @@ fn cluster_observability_end_to_end() {
         .unwrap();
         let families = prom_text::read(&body).unwrap_or_else(|e| panic!("{what}: {e}\n{body}"));
         assert!(!families.is_empty(), "{what} exposes no family");
+        names.push(families.into_iter().map(|f| f.name).collect::<Vec<_>>());
     }
-    drop(observer_obs);
+    assert_eq!(names[2], [&names[0][..], &names[1][..]].concat());
+    drop((observer_obs, controller_obs));
 
     // --- Claim 5: the client serves nothing while a window opens, so
     // this is the delay spike a transition costs. It comes last because

@@ -7,9 +7,13 @@
 //! blackhole or reset one "server" at any moment without touching the
 //! real process.
 
+#[path = "../crates/obs/tests/prom_text/mod.rs"]
+mod prom_text;
+
 use parking_lot::Mutex;
 use proteus::cache::CacheConfig;
 use proteus::net::{CacheServer, ClientConfig, ClusterClient, ClusterFetch, FaultMode, FaultProxy};
+use proteus::obs::to_prometheus;
 use proteus::ring::ProteusPlacement;
 use proteus::store::{ShardedStore, StoreConfig};
 
@@ -170,11 +174,24 @@ fn server_death_mid_transition_degrades_but_never_errors() {
         "breaker should bound dials to the dead server, saw {dials}"
     );
     let stats = r.cluster.fault_stats();
+    assert!(stats.breaker_trips > 0, "the dead server's breaker opened");
     assert!(
         stats.fast_fails > 0,
         "later requests must fast-fail through the open breaker"
     );
     assert_eq!(stats.degraded_fetches, u64::from(degraded));
+    // The client's exposition carries the same snapshot, strictly typed.
+    let body = to_prometheus(&r.cluster.metric_source()());
+    let families = prom_text::read(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    for (name, value) in [
+        ("proteus_client_retries_total", stats.retries),
+        ("proteus_client_breaker_trips_total", stats.breaker_trips),
+        ("proteus_client_fast_fails_total", stats.fast_fails),
+    ] {
+        let family = families.iter().find(|f| f.name == name);
+        let family = family.unwrap_or_else(|| panic!("no {name} in\n{body}"));
+        assert_eq!(family.samples[0].value, value as f64, "{name}");
+    }
 
     // A second sweep is served without the dead server at all: every
     // key is now installed at its new-mapping server.

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 
 use parking_lot::Mutex;
-use proteus::cache::{CacheConfig, StorageKind};
+use proteus::cache::CacheConfig;
 use proteus::net::{CacheClient, CacheServer, ClusterClient, ClusterFetch};
 use proteus::obs::{FetchClassKind, MetricsServer, TraceKind};
 use proteus::ring::ProteusPlacement;
@@ -197,13 +197,16 @@ fn transition_emits_ordered_lifecycle_trace() {
 
     // Client-side fetch-class counters tell the same story.
     let fetches = cluster.fetch_stats();
-    assert_eq!(fetches.count(FetchClassKind::Database), keys.len() as u64);
-    assert_eq!(fetches.count(FetchClassKind::Migrated), migrated);
     assert_eq!(
-        fetches.count(FetchClassKind::NewHit),
+        fetches.snapshot(FetchClassKind::Database).count(),
+        keys.len() as u64
+    );
+    assert_eq!(fetches.snapshot(FetchClassKind::Migrated).count(), migrated);
+    assert_eq!(
+        fetches.snapshot(FetchClassKind::NewHit).count(),
         keys.len() as u64 - migrated
     );
-    assert_eq!(fetches.count(FetchClassKind::Degraded), 0);
+    assert_eq!(fetches.snapshot(FetchClassKind::Degraded).count(), 0);
     let (_, hit_snap) = fetches
         .snapshot_all()
         .into_iter()
@@ -235,9 +238,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn metrics_report_the_slot_table_and_the_key_index() {
     const ITEMS: u64 = 2_500;
-    let config = CacheConfig::with_capacity(8 << 20)
-        .storage(StorageKind::Slab)
-        .shards(1);
+    let config = CacheConfig::with_capacity(8 << 20).shards(1);
     let server = CacheServer::spawn("127.0.0.1:0", config).unwrap();
     let mut metrics = MetricsServer::spawn("127.0.0.1:0", server.metric_source()).unwrap();
     let client = CacheClient::connect(server.addr()).unwrap();
@@ -272,7 +273,8 @@ fn metrics_report_the_slot_table_and_the_key_index() {
 }
 
 /// The HTTP scrape endpoint serves the same registry as `stats
-/// proteus`, in Prometheus text exposition and in JSON.
+/// proteus`, in Prometheus text exposition and in JSON. A server built
+/// from `CacheConfig::with_capacity` alone runs the slab.
 #[test]
 fn metrics_endpoint_serves_prometheus_and_json() {
     let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(8 << 20)).unwrap();
@@ -299,6 +301,8 @@ fn metrics_endpoint_serves_prometheus_and_json() {
     assert!(body.contains("proteus_get_hits_total 50"));
     assert!(body.contains("proteus_sets_total 50"));
     assert!(body.contains("proteus_curr_items 50"));
+    assert!(body.contains(",storage=\"slab\"} 1\n"), "{body}");
+    assert!(body.contains("\nproteus_slab_pages_allocated "), "{body}");
 
     let (head, json) = http_get(metrics.local_addr(), "/metrics.json");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");

@@ -223,7 +223,10 @@ fn shrink_and_grow_cost_no_database_fetch() {
     assert_eq!(stats.pulls_incomplete, 0);
     assert_eq!(stats.dropped_installs, 0);
     assert_eq!(
-        r.cluster.fetch_stats().count(FetchClassKind::Migrated),
+        r.cluster
+            .fetch_stats()
+            .snapshot(FetchClassKind::Migrated)
+            .count(),
         0,
         "nothing was left to migrate on demand"
     );
