@@ -94,28 +94,31 @@ impl PullWindow {
 /// alone, and the thread of the open window with its record (kept after
 /// the window closes, until the next one opens).
 pub(super) struct Puller {
-    clients: Arc<Vec<CacheClient>>,
+    clients: Arc<[CacheClient]>,
     window: Option<Arc<PullWindow>>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Puller {
-    /// Nothing is dialled until the first window's puller needs it, so
-    /// connecting a cluster client costs what it did; the connections
-    /// then live as long as the client. Separate from the foreground
-    /// clients so that a source failing under the pull trips a breaker
-    /// no request depends on.
+    /// One disconnected client a server: nothing is dialled until the
+    /// first window's puller needs it, so connecting a cluster client
+    /// costs what it did; the connections then live as long as the
+    /// client. Separate from the foreground clients so that a source
+    /// failing under the pull trips a breaker no request depends on.
     pub(super) fn new(addrs: &[SocketAddr], config: ClientConfig) -> Puller {
         Puller {
-            clients: Arc::new(
-                addrs
-                    .iter()
-                    .map(|&addr| CacheClient::disconnected(addr, config))
-                    .collect(),
-            ),
+            clients: addrs
+                .iter()
+                .map(|&addr| CacheClient::disconnected(addr, config))
+                .collect(),
             window: None,
             thread: None,
         }
+    }
+
+    /// The puller's own clients, one a server in provisioning order.
+    pub(super) fn clients(&self) -> &Arc<[CacheClient]> {
+        &self.clients
     }
 
     /// Starts the pull of a window that just opened. If no thread can
@@ -237,7 +240,7 @@ enum Stop {
 
 /// Everything the puller thread owns.
 struct Worker {
-    clients: Arc<Vec<CacheClient>>,
+    clients: Arc<[CacheClient]>,
     router: Arc<Router>,
     stats: Arc<AtomicClusterStats>,
     tracer: Arc<EventTracer>,
