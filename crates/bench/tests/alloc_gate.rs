@@ -108,21 +108,32 @@ const TICK_BUDGET_BYTES: u64 = 1 << 20;
 const RECORDS: u64 = 2_000_000;
 const RECORD_BUDGET_NS: f64 = 1_000.0;
 const RECORD_THREADS: u64 = 4;
+/// The samples the record loops sweep, `100 + i % 100_000` ns: eleven
+/// octaves.
+const SWEEP_NS: std::ops::RangeInclusive<u64> = 100..=100_099;
 
 /// What a default server (64 MiB, 8 shards, slab storage) may ask the
 /// allocator for between `spawn` and its first reply, before it holds a
 /// key: one digest of `l·b` bits split across the shards (228 KiB), the
-/// shards' empty indexes, the loops' buffers, and the histogram stripes
-/// the first command touches. Measured 0.61 MiB; 4.95 MiB when every
-/// shard held a whole digest and every histogram stripe was built up
-/// front.
-const SPAWN_BUDGET_BYTES: u64 = 1 << 20;
+/// shards' empty indexes, the loops, the first connection's 8 KiB input
+/// buffer, and the stripe and bucket group the first command touches.
+/// Measured 513 785 B with two loops; the budget leaves 74 KiB for up
+/// to four loops and allocator noise. 0.61 MiB when each loop kept a
+/// 64 KiB read scratch and a stripe built all 30 KiB of its buckets,
+/// 4.95 MiB when every shard held a whole digest and every histogram
+/// stripe was built up front.
+const SPAWN_BUDGET_BYTES: u64 = 576 << 10;
 /// A histogram registry nobody has recorded into is cells, not buckets.
 const FRESH_OPS_BUDGET_BYTES: u64 = 8 << 10;
-/// Two threads recording into two classes build four 30 KiB stripes
-/// (2.81 MiB when all 96 were built up front).
-const RECORDED_OPS_BUDGET_BYTES: u64 = 160 << 10;
-const STRIPE_BYTES: u64 = 30 << 10;
+/// Two threads recording into two classes build four stripes and the
+/// bucket groups of the octaves each one's samples span: measured
+/// 20 136 B with the fresh registry (28 groups of 512 B); the budget
+/// leaves 4 KiB, eight groups, of margin. 160 KiB when a stripe built
+/// all 3 840 buckets (30 KiB) on its first record, 2.81 MiB when all 96
+/// stripes were built up front.
+const RECORDED_OPS_BUDGET_BYTES: u64 = 24 << 10;
+/// One octave's 64 bucket counters.
+const GROUP_BYTES: u64 = 64 * 8;
 
 /// Items a default engine holds before it is flushed and refilled, and
 /// the value sizes they cycle through (several size classes). Measured:
@@ -192,9 +203,10 @@ fn record_cost(mut record: impl FnMut(u64)) -> (u64, f64) {
 /// after it closes — stacks and `JoinHandle`s are not the record path —
 /// so the window brackets only the record loops.
 ///
-/// Each worker records one sample before the window: a thread's first
-/// record may build the stripe it landed on, and that is the only
-/// allocation the path is allowed.
+/// Each worker records its octaves before the window: a thread's first
+/// record may build the stripe it landed on, and the first in an octave
+/// that octave's bucket group, and those are the only allocations the
+/// path is allowed.
 fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
     let start = Barrier::new(RECORD_THREADS as usize + 1);
     let done = Barrier::new(RECORD_THREADS as usize + 1);
@@ -202,7 +214,7 @@ fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
         for t in 0..RECORD_THREADS {
             let (start, done) = (&start, &done);
             s.spawn(move || {
-                hist.record_nanos(1);
+                warm_octaves(|ns| hist.record_nanos(ns));
                 start.wait();
                 for i in 0..RECORDS / RECORD_THREADS {
                     hist.record_nanos(100 + ((i + t * 7919) % 100_000));
@@ -213,6 +225,18 @@ fn contended_record_allocations(hist: &LatencyHistogram) -> u64 {
         start.wait();
         measure(|| done.wait()).1.allocations
     })
+}
+
+/// Records one sample in every octave of `SWEEP_NS`, the range the
+/// record loops below sweep: after it, recording there allocates
+/// nothing.
+fn warm_octaves(record: impl Fn(u64)) {
+    let octaves = (0..64).map(|bit| 1u64 << bit);
+    let inside = octaves.filter(|ns| SWEEP_NS.contains(ns));
+    [*SWEEP_NS.start(), *SWEEP_NS.end()]
+        .into_iter()
+        .chain(inside)
+        .for_each(record);
 }
 
 /// The telemetry record path is safe to leave on in production: zero
@@ -230,8 +254,9 @@ fn telemetry_records_without_allocating() {
     };
 
     let hist = LatencyHistogram::new();
-    // The first record assigns this thread its stripe and builds it.
-    hist.record_nanos(1);
+    // The first records assign this thread its stripe and build it and
+    // the octaves the sweep below touches.
+    warm_octaves(|ns| hist.record_nanos(ns));
     // Spread across buckets so the sweep is not one cache line.
     let (allocations, ns) = record_cost(|i| hist.record_nanos(100 + (i % 100_000)));
     assert_eq!(allocations, 0, "histogram record path allocated");
@@ -244,8 +269,9 @@ fn telemetry_records_without_allocating() {
     );
 
     let ops = OpLatencies::default();
-    ops.record(OpClass::Get, Duration::from_nanos(1));
-    ops.record(OpClass::Set, Duration::from_nanos(1));
+    for class in [OpClass::Get, OpClass::Set] {
+        warm_octaves(|ns| ops.record(class, Duration::from_nanos(ns)));
+    }
     let (allocations, ns) = record_cost(|i| {
         let class = if i % 10 == 0 {
             OpClass::Set
@@ -265,7 +291,8 @@ fn telemetry_records_without_allocating() {
 /// Telemetry costs memory where it is used: a fresh per-op-class
 /// registry is a cell a stripe, and after two threads recorded into two
 /// classes it holds the (at most) four stripes they touched — not the 96
-/// a registry of 12 classes × 8 stripes could.
+/// a registry of 12 classes × 8 stripes could — and in those only the
+/// bucket groups of the octaves they recorded.
 fn histograms_materialise_where_they_are_recorded() {
     let (ops, fresh) = measure(OpLatencies::default);
     assert!(
@@ -289,9 +316,9 @@ fn histograms_materialise_where_they_are_recorded() {
     });
     let total = fresh.bytes + recorded.bytes;
     assert!(
-        (2 * STRIPE_BYTES..=RECORDED_OPS_BUDGET_BYTES).contains(&total),
+        (2 * GROUP_BYTES..=RECORDED_OPS_BUDGET_BYTES).contains(&total),
         "two threads recording into two classes left {total} B allocated \
-         (a stripe a class at least, budget {RECORDED_OPS_BUDGET_BYTES})"
+         (a bucket group a class at least, budget {RECORDED_OPS_BUDGET_BYTES})"
     );
     assert_eq!(ops.snapshot(OpClass::Get).count(), 50_000);
     assert_eq!(ops.snapshot(OpClass::Set).count(), 50_000);

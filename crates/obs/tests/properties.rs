@@ -12,11 +12,13 @@
 //!
 //! Both are driven by proptest over adversarial sample sets: tiny
 //! values in the exact region, huge values deep in the octave region,
-//! duplicates, and heavy-tailed mixtures.
+//! duplicates, and heavy-tailed mixtures. A stripe builds its buckets
+//! one octave group at a time, so a third set of properties holds
+//! snapshots to a plain dense array of every bucket in the layout.
 
 use proptest::prelude::*;
 use proteus_obs::{relative_error_bound, HistogramSnapshot, LatencyHistogram};
-use proteus_sim::histogram::{bucket_floor, bucket_value, MAX_BUCKETS};
+use proteus_sim::histogram::{bucket_floor, bucket_index, bucket_value, MAX_BUCKETS};
 
 /// A snapshot's buckets spread over the whole layout, zeros included:
 /// the dense form snapshots were stored in before they kept only their
@@ -56,6 +58,53 @@ fn oracle_snapshot(values: &[u64]) -> HistogramSnapshot {
         h.record_nanos(v);
     }
     h.snapshot()
+}
+
+/// The dense-array oracle: a counter for every bucket of the layout,
+/// the sum as the stripes keep it (wrapping `u64`), and the extremes.
+struct Dense {
+    counts: Vec<u64>,
+    sum: u64,
+    min: Option<u64>,
+    max: Option<u64>,
+}
+
+impl Dense {
+    fn of(values: &[u64]) -> Dense {
+        let mut counts = vec![0; MAX_BUCKETS];
+        values.iter().for_each(|&v| counts[bucket_index(v)] += 1);
+        Dense {
+            counts,
+            sum: values.iter().fold(0u64, |sum, &v| sum.wrapping_add(v)),
+            min: values.iter().copied().min(),
+            max: values.iter().copied().max(),
+        }
+    }
+
+    /// Whether `snap` holds exactly these samples. A snapshot adds the
+    /// stripes' wrapped sums, so the sums agree modulo 2^64.
+    fn matches(&self, snap: &HistogramSnapshot) -> bool {
+        dense(snap) == self.counts
+            && snap.sum_nanos() as u64 == self.sum
+            && nanos(snap.min()) == self.min
+            && nanos(snap.max()) == self.max
+    }
+}
+
+/// Samples that reach both ends of the layout: 0, 1 and `u64::MAX`
+/// beside every bucket regime.
+fn edge_samples() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(0u64),
+            Just(1u64),
+            Just(u64::MAX),
+            0u64..64,
+            64u64..100_000,
+            any::<u64>(),
+        ],
+        0..300,
+    )
 }
 
 /// True order statistic under the same rank rule the histogram uses:
@@ -217,5 +266,36 @@ proptest! {
             snap.max().map(|d| d.as_nanos() as u64),
             values.iter().copied().max()
         );
+    }
+
+    /// One recorder's snapshot is the dense array's, bucket for bucket,
+    /// with its sum, min and max, for every stripe count.
+    #[test]
+    fn snapshots_equal_the_dense_oracle(values in edge_samples(), stripes in 1usize..9) {
+        let h = LatencyHistogram::with_stripes(stripes);
+        values.iter().for_each(|&v| h.record_nanos(v));
+        let snap = h.snapshot();
+        prop_assert!(Dense::of(&values).matches(&snap), "{:?}", snap.nonzero_buckets());
+        prop_assert_eq!(snap.count(), values.len() as u64);
+    }
+
+    /// Snapshots taken while four threads record never lose a sample
+    /// they already showed: every bucket only grows from one read to
+    /// the next, and the last read is the dense array's.
+    #[test]
+    fn snapshots_grow_monotonically_under_concurrent_recorders(values in edge_samples()) {
+        let h = LatencyHistogram::with_stripes(4);
+        let chunk = values.len().div_ceil(4).max(1);
+        let reads = std::thread::scope(|s| {
+            for part in values.chunks(chunk) {
+                let h = &h;
+                s.spawn(move || part.iter().for_each(|&v| h.record_nanos(v)));
+            }
+            (0..20).map(|_| dense(&h.snapshot())).collect::<Vec<_>>()
+        });
+        for (earlier, later) in reads.iter().zip(&reads[1..]) {
+            prop_assert!(earlier.iter().zip(later).all(|(a, b)| a <= b), "a bucket shrank");
+        }
+        prop_assert!(Dense::of(&values).matches(&h.snapshot()));
     }
 }

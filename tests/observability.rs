@@ -8,13 +8,14 @@
 #[path = "../crates/obs/tests/prom_text/mod.rs"]
 mod prom_text;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use proteus::cache::CacheConfig;
 use proteus::net::{CacheClient, CacheServer, ClusterClient, ClusterFetch};
-use proteus::obs::{FetchClassKind, MetricsServer, TraceKind};
+use proteus::obs::{to_prometheus, FetchClassKind, Metric, MetricsServer, TraceKind};
 use proteus::ring::ProteusPlacement;
 use proteus::store::{ShardedStore, StoreConfig};
 
@@ -269,6 +270,121 @@ fn metrics_report_the_slot_table_and_the_key_index() {
     assert_eq!(component("key_index"), buckets * 4);
 
     metrics.stop();
+    server.stop();
+}
+
+/// One `proteus_mem_bytes` component of a registry, read the way a
+/// scraper reads it.
+fn mem_component(registry: Vec<Metric>, component: &str) -> u64 {
+    let body = to_prometheus(&registry);
+    let families = prom_text::read(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let mem = families.iter().find(|f| f.name == "proteus_mem_bytes");
+    let sample = mem.and_then(|f| {
+        (f.samples.iter()).find(|s| s.labels == [("component".to_string(), component.to_string())])
+    });
+    sample
+        .unwrap_or_else(|| panic!("no {component} series in\n{body}"))
+        .value as u64
+}
+
+/// `proteus_mem_bytes{component="histograms"}` is the stripe cells of
+/// every command class plus, for each class recorded into, the stripe
+/// and one 512-byte bucket group an octave its samples span. One
+/// connection is served by one thread, so by one stripe a class.
+#[test]
+fn metrics_report_the_histogram_stripes_and_groups() {
+    /// 12 command classes × 8 stripes, a 16-byte cell each.
+    const CELLS: u64 = 12 * 8 * 16;
+    /// 60 group cells of 16 bytes and four 8-byte totals.
+    const STRIPE: u64 = 60 * 16 + 4 * 8;
+    /// 64 bucket counters.
+    const GROUP: u64 = 64 * 8;
+    let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(8 << 20)).unwrap();
+    assert_eq!(mem_component(server.metric_source()(), "histograms"), CELLS);
+    let client = CacheClient::connect(server.addr()).unwrap();
+    for i in 0..300u32 {
+        client
+            .set(format!("key:{i}").as_bytes(), &[b'v'; 700])
+            .unwrap();
+        client.get(format!("key:{i}").as_bytes()).unwrap();
+    }
+    client.delete(b"key:0").unwrap();
+
+    let mut expected = CELLS;
+    for (_, snap) in server.metrics().ops().snapshot_all() {
+        let octaves: HashSet<usize> = (snap.nonzero_buckets().iter())
+            .map(|&(index, _)| index / 64)
+            .collect();
+        if !octaves.is_empty() {
+            expected += STRIPE + GROUP * octaves.len() as u64;
+        }
+    }
+    assert!(
+        expected > CELLS + 3 * STRIPE,
+        "get, set and delete were recorded"
+    );
+    assert_eq!(
+        mem_component(server.metric_source()(), "histograms"),
+        expected
+    );
+    server.stop();
+}
+
+/// Polls `read` until it returns `want`, for at most ten seconds: a
+/// connection settles its buffers just after it has flushed the reply
+/// that tells the test it may look.
+fn settles_at(want: u64, mut read: impl FnMut() -> u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut got = read();
+    while got != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+        got = read();
+    }
+    assert_eq!(got, want);
+}
+
+/// A server connection and the client at its other end that carried
+/// one 1 MiB value give the excess back at the next exchange that
+/// fits their buffers at rest — 64 KiB each way on both ends — and a
+/// pipelined batch of small `set`s then takes none of them past it:
+/// `conn_buffers` on the server, `client_buffers` on the cluster
+/// client, both at rest.
+#[test]
+fn a_connection_that_carried_a_mebibyte_returns_to_rest() {
+    const REST: u64 = 64 << 10;
+    let server = CacheServer::spawn("127.0.0.1:0", CacheConfig::with_capacity(64 << 20)).unwrap();
+    let cluster =
+        ClusterClient::connect(&[server.addr()], Box::new(ProteusPlacement::generate(1))).unwrap();
+    let client = cluster.client(0);
+    let conn_buffers = || mem_component(server.metric_source()(), "conn_buffers");
+    let client_buffers = || mem_component(cluster.metric_source()(), "client_buffers");
+
+    let big = vec![b'b'; 1 << 20];
+    client.set(b"big", &big).unwrap();
+    assert_eq!(client.get(b"big").unwrap().as_deref(), Some(&big[..]));
+    assert!(
+        client_buffers() > 2 << 20,
+        "the 1 MiB went through both client buffers"
+    );
+    assert!(conn_buffers() > 2 << 20, "and through both server buffers");
+
+    client.set(b"small", b"value").unwrap();
+    settles_at(2 * REST, conn_buffers);
+    assert_eq!(client_buffers(), 2 * REST);
+
+    let keys: Vec<String> = (0..2_000).map(|i| format!("pipelined:{i}")).collect();
+    let pairs: Vec<(&[u8], proteus::net::SharedBytes)> = (keys.iter())
+        .map(|key| (key.as_bytes(), vec![b'p'; 100].into()))
+        .collect();
+    client.set_many(&pairs).unwrap();
+    assert_eq!(
+        client.get(b"pipelined:1999").unwrap().as_deref(),
+        Some(&[b'p'; 100][..])
+    );
+    settles_at(2 * REST, conn_buffers);
+    assert_eq!(client_buffers(), 2 * REST);
+    drop(cluster);
+    settles_at(0, conn_buffers);
     server.stop();
 }
 

@@ -452,3 +452,39 @@ fn departing_server_reset_mid_pull() {
 fn departing_server_blackholed_mid_pull() {
     departing_server_fails_mid_pull(FaultMode::Blackhole);
 }
+
+/// The pull's own clients are instrumented like the foreground ones: a
+/// departing server blackholed under the pull costs the puller a retry
+/// and a breaker trip, and both reach `fault_stats()`, the client's
+/// exposition and the trace, while no foreground client saw a fault.
+#[test]
+fn a_blackholed_pull_source_reaches_the_counters() {
+    let mut r = rig(4000, true);
+    r.proxies[N - 1].set_mode(FaultMode::Latency(Duration::from_millis(5)));
+    r.cluster.begin_transition(N - 1).unwrap();
+    r.proxies[N - 1].set_mode(FaultMode::Blackhole);
+    assert_eq!(pull_finished(&r.cluster).state, PullState::GaveUp);
+
+    for server in 0..N {
+        let foreground = r.cluster.client(server).fault_stats();
+        assert_eq!((foreground.retries, foreground.breaker_trips), (0, 0));
+    }
+    // `fast_failover`: one retry, and the second timeout trips.
+    let stats = r.cluster.fault_stats();
+    assert_eq!((stats.retries, stats.breaker_trips), (1, 1), "{stats:?}");
+    assert!(kinds(&r.cluster).contains(&TraceKind::BreakerOpen {
+        server: N as u32 - 1
+    }));
+    let body = proteus::obs::to_prometheus(&r.cluster.metric_source()());
+    assert!(
+        body.contains("\nproteus_client_retries_total 1\n"),
+        "{body}"
+    );
+    assert!(
+        body.contains("\nproteus_client_breaker_trips_total 1\n"),
+        "{body}"
+    );
+
+    r.cluster.end_transition().expect("the window was open");
+    r.teardown();
+}
