@@ -6,9 +6,10 @@
 //! those observations cheap enough to leave on in production:
 //!
 //! - [`LatencyHistogram`] — a striped log-linear histogram whose
-//!   record path is lock-free and allocation-free (a handful of
-//!   relaxed atomics), with mergeable [`HistogramSnapshot`]s and
-//!   p50/p90/p99/p999 extraction at ~1.6% relative error.
+//!   record path is lock-free and, once the octaves it records into
+//!   exist, allocation-free (a handful of relaxed atomics), with
+//!   mergeable [`HistogramSnapshot`]s and p50/p90/p99/p999 extraction
+//!   at ~1.6% relative error.
 //! - [`Counter`] / [`Gauge`] and the typed class enums [`OpClass`]
 //!   (wire commands) and [`FetchClassKind`] (how a cluster fetch was
 //!   satisfied: NewHit / Migrated / Database / Degraded /
