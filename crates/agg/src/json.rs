@@ -1,13 +1,17 @@
-//! A minimal recursive-descent JSON parser for the metrics wire.
+//! A minimal JSON reader for the metrics wire.
 //!
 //! The build environment has no serde, and the aggregator only ever
 //! parses one producer's output — `proteus_obs::to_json` — so a small
-//! hand-rolled parser is the honest dependency-free choice. Integers
-//! are kept as `i128` (not folded into `f64`), because histogram
-//! `sum_ns` values exceed 2^53 on long runs and the merge identity
-//! (satellite: aggregator merge == in-process merge, *exactly*) would
-//! silently break at the first rounding.
+//! hand-rolled reader is the honest dependency-free choice. One cursor,
+//! `Reader`, tokenizes in a single linear pass: [`parse`] builds a
+//! [`Json`] tree on it, and `scrape::parse_metrics` decodes a scrape
+//! body on it straight into metrics, with no tree. Integers are kept as
+//! `i128` (not folded into `f64`), because histogram `sum_ns` values
+//! exceed 2^53 on long runs and the merge identity (aggregator merge ==
+//! in-process merge, *exactly*) would silently break at the first
+//! rounding.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -123,25 +127,34 @@ const MAX_DEPTH: usize = 32;
 ///
 /// Returns a [`ParseError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after document"));
-    }
+    let mut reader = Reader::new(input);
+    reader.skip_ws();
+    let value = reader.value(0)?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over one JSON text: the one tokenizer behind [`parse`] and
+/// the scrape decoder, which reads `to_json`'s shape straight into
+/// metrics without building a [`Json`] tree.
+///
+/// Every method consumes exactly the bytes of what it reads, so the
+/// whole text is scanned once. A string is scanned as runs between
+/// escapes and comes back borrowed from the input when it has none.
+/// Containers are walked with callbacks ([`members`](Self::members),
+/// [`elements`](Self::elements)) that must consume one value each;
+/// [`skip`](Self::skip) consumes a value the caller does not want,
+/// checked exactly as [`value`](Self::value) would check it.
+pub(crate) struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0 }
+    }
+
     fn err(&self, message: &'static str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -149,13 +162,23 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
+        }
+    }
+
+    /// Requires nothing but whitespace after the document.
+    pub(crate) fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing data after document"))
         }
     }
 
@@ -168,14 +191,29 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads the value at the cursor, `depth` containers deep.
     fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.members(depth, |r, key, depth| {
+                    map.insert(key.into_owned(), r.value(depth)?);
+                    Ok(())
+                })?;
+                Ok(Json::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(depth, |r, depth| {
+                    items.push(r.value(depth)?);
+                    Ok(())
+                })?;
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal(b"true", Json::Bool(true)),
             Some(b'f') => self.literal(b"false", Json::Bool(false)),
             Some(b'n') => self.literal(b"null", Json::Null),
@@ -184,8 +222,45 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes the value at the cursor without keeping it: accepts and
+    /// refuses exactly what [`value`](Self::value) does.
+    pub(crate) fn skip(&mut self, depth: usize) -> Result<(), ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => self.members(depth, |r, _, depth| r.skip(depth)),
+            Some(b'[') => self.elements(depth, |r, depth| r.skip(depth)),
+            Some(b'"') => self.string().map(drop),
+            _ => self.value(depth).map(drop),
+        }
+    }
+
+    /// The string at the cursor, or `None` (the value skipped) if the
+    /// value there is not a string.
+    pub(crate) fn string_or_skip(
+        &mut self,
+        depth: usize,
+    ) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip(depth).map(|()| None)
+        }
+    }
+
+    /// The number at the cursor ([`Json::Int`] or [`Json::Float`]), or
+    /// `None` (the value skipped) if the value there is not a number.
+    pub(crate) fn number_or_skip(&mut self, depth: usize) -> Result<Option<Json>, ParseError> {
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.number().map(Some)
+        } else {
+            self.skip(depth).map(|()| None)
+        }
+    }
+
     fn literal(&mut self, word: &'static [u8], value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word) {
+        if self.text.as_bytes()[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -193,13 +268,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Walks the object at the cursor (itself `depth` deep): `member`
+    /// gets each key with the cursor on its value, and the value's
+    /// depth, and must consume the value.
+    pub(crate) fn members(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>, usize) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.eat(b'{', "expected '{'")?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -207,114 +288,127 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            member(self, key, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(map));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Walks the array at the cursor (itself `depth` deep): `element`
+    /// gets the cursor on each element, and its depth, and must
+    /// consume it.
+    pub(crate) fn elements(
+        &mut self,
+        depth: usize,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.eat(b'[', "expected '['")?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            element(self, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// The string at the cursor, escapes decoded. The text between
+    /// escapes is copied a run at a time; with no escape at all the
+    /// string is borrowed from the input.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.eat(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut decoded: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escaped = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match escaped {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs never occur in the
-                            // metrics exposition (names and labels are
-                            // ASCII); reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            let run_start = self.pos;
+            // `"` and `\` are ASCII and never occur inside a multi-byte
+            // UTF-8 sequence, so a run ends on a character boundary.
+            let Some(run_len) = bytes[run_start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += run_len;
+            let run = self
+                .text
+                .get(run_start..self.pos)
+                .ok_or_else(|| self.err("bad utf-8"))?;
+            if bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match decoded {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar. The input arrived as a
-                    // &str and the cursor only ever advances by whole
-                    // characters or ASCII bytes, so `pos` is always on
-                    // a character boundary.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("bad utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("bad utf-8"))?;
+                });
+            }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.pos += 1;
+            let escaped = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+            self.pos += 1;
+            match escaped {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs never occur in the metrics
+                    // exposition (names and labels are ASCII); reject
+                    // rather than mis-decode.
+                    let c = char::from_u32(hex)
+                        .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
 
+    /// The number at the cursor: [`Json::Int`] without a fraction or
+    /// exponent, else [`Json::Float`].
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.digits();
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -322,12 +416,9 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse()
                 .map(Json::Float)
@@ -336,6 +427,12 @@ impl<'a> Parser<'a> {
             text.parse()
                 .map(Json::Int)
                 .map_err(|_| self.err("bad integer"))
+        }
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
         }
     }
 }

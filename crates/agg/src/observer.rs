@@ -1,9 +1,10 @@
 //! The cluster observer: periodic concurrent scrapes of every server's
 //! metrics endpoint, merged into one cluster-wide view.
 //!
-//! Each tick connects to all known servers in parallel (each scrape
-//! individually deadline-bounded, so one blackholed server delays a
-//! tick by at most `connect_timeout + read_timeout`), decodes their
+//! Each tick connects to all known servers in parallel, each from its
+//! endpoint's own long-lived scrape thread (each scrape individually
+//! deadline-bounded, so one blackholed server delays a tick by at most
+//! `connect_timeout + read_timeout`), decodes their
 //! `/metrics.json` expositions, and merges them by `(name, labels)`:
 //! counters and integer gauges sum, fractional gauges average, and
 //! histograms merge bucket-by-bucket — so the cluster p99 is computed
@@ -17,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -167,11 +169,80 @@ struct ServerEntry {
     ops_per_sec: f64,
     hit_delta: u64,
     lookup_delta: u64,
-    /// Response buffer recycled across this server's scrapes: taken
-    /// out for the tick's scoped scrape thread, handed back after.
+    /// Response buffer recycled across this server's scrapes: sent to
+    /// the scrape worker with each job, handed back with the outcome.
     /// Once grown to the exposition size, steady-state scrapes stop
     /// allocating for I/O entirely.
     scrape_buf: Vec<u8>,
+    /// The endpoint's scrape thread, started by its first tick and
+    /// kept until the observer is dropped.
+    worker: Option<ScrapeWorker>,
+}
+
+/// One endpoint's scrape thread: it takes a job, scrapes into the job's
+/// buffer and sends the buffer back with the outcome, job after job,
+/// so a tick starts no thread.
+#[derive(Debug)]
+struct ScrapeWorker {
+    jobs: Sender<ScrapeJob>,
+    handle: JoinHandle<()>,
+}
+
+/// One scrape asked of a [`ScrapeWorker`]: the entry's index, its
+/// recycled buffer, and where the tick collects the outcome.
+struct ScrapeJob {
+    slot: usize,
+    buf: Vec<u8>,
+    done: Sender<ScrapeDone>,
+}
+
+/// A finished scrape: the entry's index, its buffer (the response in
+/// it) and where the body starts, or why there is none.
+type ScrapeDone = (usize, Vec<u8>, Result<usize, ScrapeError>);
+
+impl ScrapeWorker {
+    fn spawn(addr: SocketAddr, config: &ObserverConfig) -> std::io::Result<ScrapeWorker> {
+        let (jobs, queue) = mpsc::channel::<ScrapeJob>();
+        let (connect, read) = (config.connect_timeout, config.read_timeout);
+        let handle = std::thread::Builder::new()
+            .name("proteus-agg-scrape".into())
+            .spawn(move || {
+                // The request never varies: rendered once per endpoint.
+                let request = build_request(METRICS_PATH);
+                for ScrapeJob {
+                    slot,
+                    mut buf,
+                    done,
+                } in queue
+                {
+                    let body = http_get_into(addr, &request, connect, read, &mut buf);
+                    // A tick that is no longer waiting dropped its end.
+                    let _ = done.send((slot, buf, body));
+                }
+            })?;
+        Ok(ScrapeWorker { jobs, handle })
+    }
+}
+
+impl ServerEntry {
+    /// Hands `job` to this endpoint's scrape thread, starting one if it
+    /// has none yet or its last one is gone.
+    fn scrape(&mut self, job: ScrapeJob, config: &ObserverConfig) -> Result<(), ScrapeError> {
+        let job = match &self.worker {
+            Some(worker) => match worker.jobs.send(job) {
+                Ok(()) => return Ok(()),
+                Err(mpsc::SendError(job)) => job,
+            },
+            None => job,
+        };
+        if let Some(dead) = self.worker.take() {
+            let _ = dead.handle.join();
+        }
+        let worker = ScrapeWorker::spawn(self.addr, config)?;
+        let sent = worker.jobs.send(job);
+        self.worker = Some(worker);
+        sent.map_err(|_| ScrapeError::Parse("scrape thread exited".into()))
+    }
 }
 
 #[derive(Debug)]
@@ -195,9 +266,6 @@ struct Inner {
 #[derive(Debug)]
 pub struct ClusterObserver {
     config: ObserverConfig,
-    /// Prebuilt `GET /metrics.json` request bytes, rendered once: the
-    /// request never varies, so per-tick formatting is pure churn.
-    request: Vec<u8>,
     inner: Mutex<Inner>,
 }
 
@@ -214,7 +282,6 @@ impl ClusterObserver {
                 scrape_failures_total: 0,
                 prev_latency: None,
             }),
-            request: build_request(METRICS_PATH),
             config,
         }
     }
@@ -236,6 +303,7 @@ impl ClusterObserver {
             hit_delta: 0,
             lookup_delta: 0,
             scrape_buf: Vec::new(),
+            worker: None,
         });
         inner.meter.push_server(PowerState::On);
     }
@@ -278,66 +346,63 @@ impl ClusterObserver {
     /// integral. Returns the snapshot it produced.
     ///
     /// Wall-clock cost is bounded by the slowest single scrape
-    /// (`connect_timeout + read_timeout`), not the sum over servers.
+    /// (`connect_timeout + read_timeout`), not the sum over servers:
+    /// each endpoint's scrape runs on its own long-lived thread.
     pub fn tick(&self) -> ClusterSnapshot {
-        // Snapshot the membership without holding the lock across
-        // network I/O; results re-match by address afterwards, and a
-        // server added mid-scrape is first scraped on the next tick.
-        // Each server's recycled response buffer travels with its
-        // scrape job and is handed back below, so steady-state ticks
-        // reuse the same heap blocks tick after tick.
-        let jobs: Vec<(SocketAddr, Vec<u8>)> = {
+        // Hand every registered server's scrape to its worker without
+        // holding the lock across network I/O. A server added
+        // mid-scrape is first scraped on the next tick. Each server's
+        // recycled response buffer travels with its job and is handed
+        // back below, so steady-state ticks reuse the same heap blocks
+        // tick after tick.
+        let (done, finished) = mpsc::channel();
+        // Per entry, once its scrape is back: the buffer and the decode.
+        type Scraped = (Vec<u8>, Result<Vec<Metric>, ScrapeError>);
+        let mut results: Vec<Option<Scraped>> = {
             let mut inner = self.inner.lock();
-            inner
-                .entries
-                .iter_mut()
-                .map(|e| (e.addr, std::mem::take(&mut e.scrape_buf)))
+            (inner.entries.iter_mut().enumerate())
+                .map(|(slot, entry)| {
+                    let buf = std::mem::take(&mut entry.scrape_buf);
+                    let job = ScrapeJob {
+                        slot,
+                        buf,
+                        done: done.clone(),
+                    };
+                    match entry.scrape(job, &self.config) {
+                        Ok(()) => None,
+                        Err(e) => Some((Vec::new(), Err(e))),
+                    }
+                })
                 .collect()
         };
-        let addrs: Vec<SocketAddr> = jobs.iter().map(|&(addr, _)| addr).collect();
-        let connect = self.config.connect_timeout;
-        let read = self.config.read_timeout;
-        let request = self.request.as_slice();
+        drop(done);
         // The waiting is done in parallel — the tick is bounded by the
         // slowest server, not the sum — the decoding one body after the
-        // other on this thread: N decoders at once are a burst of CPU
-        // that, on a host shared with the servers, stalls their
-        // requests for the length of the tick.
-        type ScrapeResult = (SocketAddr, Vec<u8>, Result<Vec<Metric>, ScrapeError>);
-        let mut results: Vec<ScrapeResult> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(addr, mut buf)| {
-                    scope.spawn(move || {
-                        let body = http_get_into(addr, request, connect, read, &mut buf);
-                        (buf, body)
-                    })
-                })
-                .collect();
-            for (&addr, handle) in addrs.iter().zip(handles) {
-                let (buf, body) = handle.join().unwrap_or_else(|_| {
-                    (
-                        Vec::new(),
-                        Err(ScrapeError::Parse("scrape thread panicked".into())),
-                    )
-                });
-                let result = body.and_then(|body| {
-                    let text = std::str::from_utf8(&buf[body..])
-                        .map_err(|_| ScrapeError::Parse("body is not valid UTF-8".into()))?;
-                    parse_metrics(text)
-                });
-                results.push((addr, buf, result));
-            }
-        });
+        // other on this thread, each as its scrape finishes: N decoders
+        // at once are a burst of CPU that, on a host shared with the
+        // servers, stalls their requests for the length of the tick.
+        // The loop ends when every worker has answered (or, should one
+        // have died mid-job, dropped its sender).
+        for (slot, buf, body) in finished {
+            let result = body.and_then(|body| {
+                let text = std::str::from_utf8(&buf[body..])
+                    .map_err(|_| ScrapeError::Parse("body is not valid UTF-8".into()))?;
+                parse_metrics(text)
+            });
+            results[slot] = Some((buf, result));
+        }
         let now = Instant::now();
 
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        for (addr, buf, result) in results {
-            let entry = (inner.entries.iter_mut())
-                .find(|e| e.addr == addr)
-                .expect("membership only grows, so a scraped server is still registered");
+        // Membership only grows, so slot `i` is still the i-th entry.
+        for (entry, result) in inner.entries.iter_mut().zip(results) {
+            let (buf, result) = result.unwrap_or_else(|| {
+                (
+                    Vec::new(),
+                    Err(ScrapeError::Parse("scrape thread exited".into())),
+                )
+            });
             entry.scrape_buf = buf;
             inner.scrapes_total += 1;
             match result {
@@ -593,6 +658,20 @@ impl ClusterObserver {
             observer,
             stop,
             handle: Some(handle),
+        }
+    }
+}
+
+impl Drop for ClusterObserver {
+    /// Stops and joins the scrape threads. No tick can be running (it
+    /// would hold a borrow), so each one is waiting for a job and ends
+    /// as soon as its queue closes.
+    fn drop(&mut self) {
+        for entry in self.inner.get_mut().entries.drain(..) {
+            if let Some(ScrapeWorker { jobs, handle }) = entry.worker {
+                drop(jobs);
+                let _ = handle.join();
+            }
         }
     }
 }

@@ -6,18 +6,24 @@
 //! `connect_timeout + read_timeout`, because ticks over N servers run
 //! concurrently but the tick barrier waits for the slowest scrape.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use proteus_obs::{HistogramSnapshot, Metric, MetricValue};
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, ParseError, Reader};
 
 /// Upper bound on a scrape body. A full server exposition is a few KiB;
 /// 4 MiB leaves three orders of magnitude of headroom while keeping a
 /// misbehaving endpoint from exhausting aggregator memory.
 pub const MAX_BODY_BYTES: usize = 4 << 20;
+
+/// The least and the most room a scrape read is offered in the
+/// response buffer.
+const READ_MIN_ROOM: usize = 4 << 10;
+const READ_MAX_ROOM: usize = 64 << 10;
 
 /// Why a scrape failed.
 #[derive(Debug)]
@@ -122,20 +128,24 @@ pub fn http_get_into(
     stream.set_write_timeout(Some(read_timeout)).ok();
     stream.write_all(request)?;
 
-    let mut buf = [0u8; 16 * 1024];
     loop {
         let remaining = deadline
             .checked_duration_since(Instant::now())
             .ok_or(ScrapeError::DeadlineExceeded)?;
         stream.set_read_timeout(Some(remaining)).ok();
-        match stream.read(&mut buf) {
+        // Read straight into `raw`, with no stack buffer to copy
+        // through: a kept scrape thread would hold that buffer's pages
+        // for good. `raw` grows by doubling; a read is offered at least
+        // `READ_MIN_ROOM` and at most `READ_MAX_ROOM` of it.
+        let filled = raw.len();
+        raw.reserve(READ_MIN_ROOM);
+        raw.resize(raw.capacity().min(filled + READ_MAX_ROOM), 0);
+        let read = stream.read(&mut raw[filled..]);
+        raw.truncate(filled + read.as_ref().map_or(0, |&n| n));
+        match read {
             Ok(0) => break,
-            Ok(n) => {
-                raw.extend_from_slice(&buf[..n]);
-                if raw.len() > MAX_BODY_BYTES {
-                    return Err(ScrapeError::BodyTooLarge);
-                }
-            }
+            Ok(_) if raw.len() > MAX_BODY_BYTES => return Err(ScrapeError::BodyTooLarge),
+            Ok(_) => {}
             Err(e) => return Err(e.into()),
         }
     }
@@ -155,74 +165,205 @@ pub fn http_get_into(
     Ok(header_end + 4)
 }
 
+/// The shortest object that decodes to a metric,
+/// `{"name":"","type":"gauge","value":0}`.
+const MIN_METRIC_BYTES: usize = 36;
+
 /// Decodes a `/metrics.json` body back into [`Metric`] samples.
 ///
-/// Histograms are rebuilt losslessly from their sparse buckets via
-/// [`HistogramSnapshot::from_sparse`], so merging decoded snapshots
-/// across servers is bit-identical to merging in-process. Entries that
-/// do not decode (unknown type, corrupt buckets) are skipped rather
-/// than failing the whole scrape — one bad sample should not blind the
-/// aggregator to a server's remaining series.
+/// One linear pass over `to_json`'s array of metric objects, straight
+/// into [`Metric`]s with no JSON tree in between: a member is kept only
+/// if the decoder reads it, and a key or string without escapes is
+/// borrowed from the body. It decodes what parsing the body with
+/// [`json::parse`] and walking the tree would: a duplicated key's last
+/// value wins, labels come out sorted by key, and integers stay exact
+/// (`sum_ns` is a `u128`). Histograms are rebuilt losslessly from their
+/// sparse buckets via [`HistogramSnapshot::from_sparse`], so merging
+/// decoded snapshots across servers is bit-identical to merging
+/// in-process. Entries that do not decode (unknown type, corrupt
+/// buckets) are skipped rather than failing the whole scrape — one bad
+/// sample should not blind the aggregator to a server's remaining
+/// series.
 ///
 /// # Errors
 ///
-/// Returns [`ScrapeError::Parse`] when the body is not a JSON array of
-/// objects at all.
+/// Returns [`ScrapeError::Parse`] when the body is not JSON, or not a
+/// JSON array.
 pub fn parse_metrics(body: &str) -> Result<Vec<Metric>, ScrapeError> {
-    let doc = json::parse(body).map_err(|e| ScrapeError::Parse(e.to_string()))?;
-    let items = doc
-        .as_array()
-        .ok_or_else(|| ScrapeError::Parse("top level is not an array".into()))?;
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        if let Some(metric) = decode_metric(item) {
-            out.push(metric);
-        }
+    let mut reader = Reader::new(body);
+    reader.skip_ws();
+    if reader.peek() != Some(b'[') {
+        // Name the first syntax error, as a full parse would, or the
+        // shape.
+        return Err(ScrapeError::Parse(match json::parse(body) {
+            Err(e) => e.to_string(),
+            Ok(_) => "top level is not an array".into(),
+        }));
     }
+    // Every metric has a `"name":` key, and a string's own quotes are
+    // escaped, so this sizes the output once (a label called `name`
+    // only adds room). Repeated keys cannot make a body reserve more
+    // metrics than it has room to hold.
+    let metrics = body.matches("\"name\":").count();
+    let mut out = Vec::with_capacity(metrics.min(body.len() / MIN_METRIC_BYTES));
+    let mut buckets = Vec::new();
+    reader
+        .elements(0, |r, depth| {
+            if let Some(metric) = decode_metric(r, depth, &mut buckets)? {
+                out.push(metric);
+            }
+            Ok(())
+        })
+        .and_then(|()| reader.finish())
+        .map_err(|e| ScrapeError::Parse(e.to_string()))?;
     Ok(out)
 }
 
-fn decode_metric(item: &Json) -> Option<Metric> {
-    let name = item.get("name")?.as_str()?.to_string();
-    let mut labels = Vec::new();
-    if let Some(Json::Object(map)) = item.get("labels") {
-        for (k, v) in map {
-            labels.push((k.clone(), v.as_str()?.to_string()));
-        }
+/// The members of one metric object the decoder reads, each as its
+/// last occurrence left it; `None` where that value has the wrong
+/// type (or the member is absent).
+#[derive(Default)]
+struct Members {
+    name: Option<String>,
+    kind: Option<Kind>,
+    /// `None` values are labels whose value is not a string.
+    labels: Vec<(String, Option<String>)>,
+    value: Option<Json>,
+    sum_ns: Option<u128>,
+    min_ns: Option<u64>,
+    max_ns: Option<u64>,
+    /// Whether the last `buckets` member was an array of `[index,
+    /// count]` pairs, held in the caller's scratch.
+    buckets: bool,
+}
+
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+/// Reads one element of the top-level array: `Ok(None)` for one that is
+/// valid JSON but not a metric this decoder knows.
+fn decode_metric(
+    r: &mut Reader<'_>,
+    depth: usize,
+    buckets: &mut Vec<(usize, u64)>,
+) -> Result<Option<Metric>, ParseError> {
+    if r.peek() != Some(b'{') {
+        return r.skip(depth).map(|()| None);
     }
-    let value = match item.get("type")?.as_str()? {
-        "counter" => MetricValue::Counter(item.get("value")?.as_u64()?),
-        // Both integer and fractional gauges expose `"type":"gauge"`;
-        // a fractional rendering (`0.250000`) decodes as Float.
-        "gauge" => match item.get("value")? {
-            Json::Int(_) => MetricValue::Gauge(item.get("value")?.as_i64()?),
-            Json::Float(f) => MetricValue::FloatGauge(*f),
-            _ => return None,
-        },
-        "histogram" => MetricValue::Histogram(decode_histogram(item)?),
-        _ => return None,
-    };
-    Some(Metric {
-        name,
-        labels,
-        value,
+    let mut m = Members::default();
+    r.members(depth, |r, key, depth| {
+        match &*key {
+            "name" => m.name = r.string_or_skip(depth)?.map(Cow::into_owned),
+            "type" => {
+                m.kind = r.string_or_skip(depth)?.and_then(|t| match &*t {
+                    "counter" => Some(Kind::Counter),
+                    // Both integer and fractional gauges expose
+                    // `"type":"gauge"`; a fractional rendering
+                    // (`0.250000`) decodes as a float gauge.
+                    "gauge" => Some(Kind::Gauge),
+                    "histogram" => Some(Kind::Histogram),
+                    _ => None,
+                });
+            }
+            "labels" => {
+                m.labels.clear();
+                if r.peek() != Some(b'{') {
+                    return r.skip(depth);
+                }
+                r.members(depth, |r, key, depth| {
+                    let value = r.string_or_skip(depth)?.map(Cow::into_owned);
+                    m.labels.push((key.into_owned(), value));
+                    Ok(())
+                })?;
+            }
+            "value" => m.value = r.number_or_skip(depth)?,
+            "sum_ns" => m.sum_ns = r.number_or_skip(depth)?.and_then(|n| n.as_u128()),
+            "min_ns" => m.min_ns = r.number_or_skip(depth)?.and_then(|n| n.as_u64()),
+            "max_ns" => m.max_ns = r.number_or_skip(depth)?.and_then(|n| n.as_u64()),
+            "buckets" => {
+                buckets.clear();
+                m.buckets = r.peek() == Some(b'[');
+                if !m.buckets {
+                    return r.skip(depth);
+                }
+                r.elements(depth, |r, depth| {
+                    let pair = decode_bucket(r, depth)?;
+                    match pair {
+                        Some(pair) => buckets.push(pair),
+                        None => m.buckets = false,
+                    }
+                    Ok(())
+                })?;
+            }
+            _ => r.skip(depth)?,
+        }
+        Ok(())
+    })?;
+    Ok(m.into_metric(buckets))
+}
+
+/// Reads one `[index, count]` bucket: `Ok(None)` for a value of any
+/// other shape.
+fn decode_bucket(r: &mut Reader<'_>, depth: usize) -> Result<Option<(usize, u64)>, ParseError> {
+    if r.peek() != Some(b'[') {
+        return r.skip(depth).map(|()| None);
+    }
+    let mut pair = [None; 2];
+    let mut len = 0;
+    r.elements(depth, |r, depth| {
+        let n = r.number_or_skip(depth)?.and_then(|n| n.as_u64());
+        if let Some(slot) = pair.get_mut(len) {
+            *slot = n;
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok(match (len, pair) {
+        (2, [Some(idx), Some(count)]) => usize::try_from(idx).ok().map(|idx| (idx, count)),
+        _ => None,
     })
 }
 
-fn decode_histogram(item: &Json) -> Option<HistogramSnapshot> {
-    let sum_ns = item.get("sum_ns")?.as_u128()?;
-    let min_ns = item.get("min_ns")?.as_u64()?;
-    let max_ns = item.get("max_ns")?.as_u64()?;
-    let mut pairs = Vec::new();
-    for entry in item.get("buckets")?.as_array()? {
-        let pair = entry.as_array()?;
-        if pair.len() != 2 {
-            return None;
-        }
-        let idx = usize::try_from(pair[0].as_u64()?).ok()?;
-        pairs.push((idx, pair[1].as_u64()?));
+impl Members {
+    fn into_metric(self, buckets: &[(usize, u64)]) -> Option<Metric> {
+        let name = self.name?;
+        let mut labels = self.labels;
+        // Sorted by key, the last of a duplicated key kept: an object's
+        // members as a map holds them.
+        labels.sort_by(|a, b| a.0.cmp(&b.0));
+        labels.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        let labels = (labels.into_iter())
+            .map(|(k, v)| Some((k, v?)))
+            .collect::<Option<Vec<_>>>()?;
+        let value = match self.kind? {
+            Kind::Counter => MetricValue::Counter(self.value?.as_u64()?),
+            Kind::Gauge => match self.value? {
+                Json::Float(f) => MetricValue::FloatGauge(f),
+                int => MetricValue::Gauge(int.as_i64()?),
+            },
+            Kind::Histogram => MetricValue::Histogram(HistogramSnapshot::from_sparse(
+                self.buckets.then_some(buckets)?,
+                self.sum_ns?,
+                self.min_ns?,
+                self.max_ns?,
+            )?),
+        };
+        Some(Metric {
+            name,
+            labels,
+            value,
+        })
     }
-    HistogramSnapshot::from_sparse(&pairs, sum_ns, min_ns, max_ns)
 }
 
 #[cfg(test)]

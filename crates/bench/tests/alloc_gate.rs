@@ -6,7 +6,8 @@
 //! histogram record starts allocating again, if a server that holds
 //! no key yet asks for more than a mebibyte (a digest per shard or
 //! eagerly built histogram stripes), or if a scrape costs more than its
-//! body (dense snapshots, a string per rendered bucket). It also holds
+//! body (dense snapshots, a string per rendered bucket, a JSON tree, a
+//! thread per scrape). It also holds
 //! an engine to the memory it already has: a flushed engine refills
 //! from its own pages, and a growing one adds slot blocks instead of
 //! copying its table. Unlike the throughput numbers, these counts are
@@ -16,9 +17,10 @@
 //! sibling tests on concurrent threads, and their allocations would
 //! bleed into our measurement windows otherwise.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use proteus_agg::{build_request, http_get_into, ClusterObserver, ObserverConfig, METRICS_PATH};
@@ -28,7 +30,8 @@ use proteus_net::{
     parse_raw_command, CacheClient, CacheServer, NetError, RawCommand, SharedBytes, WireBuf,
 };
 use proteus_obs::{
-    to_json, Counter, HistogramSnapshot, LatencyHistogram, MetricsServer, OpClass, OpLatencies,
+    to_json, Counter, HistogramSnapshot, LatencyHistogram, MetricSource, MetricsServer, OpClass,
+    OpLatencies,
 };
 use proteus_sim::SimTime;
 
@@ -92,13 +95,17 @@ const SCRAPE_BUDGET: u64 = 8;
 /// The read side of the scrape plane, on four default servers that each
 /// served `SCRAPE_FIXTURE_OPS` `set`s, as many `get`s and one `delete`:
 /// one server's registry rendered as JSON, and one observer tick across
-/// every thread — four scrape threads, four renders, four decodes and
-/// the merge. Measured 667 520 + 78 847 B and 7.0 MB when every
-/// snapshot was a dense 30 KiB bucket vector and the renderers built a
-/// string per label, quantile and bucket.
+/// every thread — four scrapes on the observer's and the endpoints'
+/// kept scrape threads, four renders, four one-pass decodes and the
+/// merge. The tick measured 380–445 KB (debug and release); the budget
+/// leaves 79 KB, about a sixth, for the renders' spread. 892 370 B
+/// while each tick started four scrape threads, each endpoint one per
+/// scrape, and each body was decoded through a JSON tree; 667 520 + 78 847 B
+/// and 7.0 MB when every snapshot was a dense 30 KiB bucket vector and
+/// the renderers built a string per label, quantile and bucket.
 const SCRAPE_FIXTURE_OPS: u64 = 2_000;
 const RENDER_BUDGET_BYTES: u64 = 80 << 10;
-const TICK_BUDGET_BYTES: u64 = 1 << 20;
+const TICK_BUDGET_BYTES: u64 = 512 << 10;
 
 /// Records per telemetry section, and the mean cost one may have in an
 /// optimised build. The path is about five relaxed atomic RMWs and sits
@@ -328,9 +335,10 @@ fn histograms_materialise_where_they_are_recorded() {
 /// A scrape costs its body: an untouched histogram's snapshot, and an
 /// empty one, build nothing; a server's registry and its JSON rendering
 /// allocate the occupied buckets and one output buffer; and an observer
-/// tick over four servers stays under a mebibyte across every thread,
+/// tick over four servers stays under 512 KiB across every thread,
 /// serving side included. Each figure is the least of three runs, after
-/// two warm-up ticks have sized the observer's recycled buffers.
+/// two warm-up ticks have sized the observer's recycled buffers. Once
+/// warm, ten ticks start no thread on either side.
 fn scrape_path_stays_within_budget() {
     let (_, empty) = measure(HistogramSnapshot::empty);
     let untouched = LatencyHistogram::new();
@@ -386,6 +394,7 @@ fn scrape_path_stays_within_budget() {
         let snap = observer.tick();
         assert_eq!(snap.servers.iter().filter(|s| s.fresh).count(), 4);
     });
+    let created = threads_ten_ticks_create(&servers);
     drop(endpoints);
     servers.into_iter().for_each(CacheServer::stop);
     assert!(
@@ -393,6 +402,59 @@ fn scrape_path_stays_within_budget() {
         "an observer tick over four servers allocated {tick} B across every thread \
          (budget {TICK_BUDGET_BYTES}) — a scrape costs more than its body again"
     );
+    assert!(
+        created.is_empty(),
+        "ten warmed observer ticks over four endpoints started {} threads — \
+         a scrape starts a thread again",
+        created.len()
+    );
+}
+
+/// The ids of this process's live threads.
+fn live_threads() -> BTreeSet<u64> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|entry| entry.ok()?.file_name().to_str()?.parse().ok())
+        .collect()
+}
+
+/// The threads that ten warmed observer ticks over `servers`' four
+/// endpoints started: thread ids in `/proc/self/task` after the ticks,
+/// or while an endpoint rendered a scrape (when the scraping thread
+/// and the serving thread are both alive), that were not there before
+/// them. A tick that starts its scrape threads, or an endpoint that
+/// starts one per scrape, leaves none behind, so the listing taken
+/// during each render is what catches them.
+fn threads_ten_ticks_create(servers: &[CacheServer]) -> Vec<u64> {
+    let seen = Arc::new(Mutex::new(BTreeSet::new()));
+    let endpoints: Vec<MetricsServer> = servers
+        .iter()
+        .map(|s| {
+            let registry = s.metric_source();
+            let seen = Arc::clone(&seen);
+            let source: MetricSource = Arc::new(move || {
+                seen.lock().unwrap().extend(live_threads());
+                registry()
+            });
+            MetricsServer::spawn("127.0.0.1:0", source).expect("bind")
+        })
+        .collect();
+    let observer = ClusterObserver::new(ObserverConfig::default());
+    for endpoint in &endpoints {
+        observer.add_server(endpoint.local_addr());
+    }
+    for _ in 0..2 {
+        observer.tick();
+    }
+    let before = live_threads();
+    seen.lock().unwrap().clear();
+    for _ in 0..10 {
+        let snap = observer.tick();
+        assert_eq!(snap.servers.iter().filter(|s| s.fresh).count(), 4);
+    }
+    let mut during = live_threads();
+    during.extend(seen.lock().unwrap().iter());
+    during.difference(&before).copied().collect()
 }
 
 /// The client half of the wire, against a live server: a command is

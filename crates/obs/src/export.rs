@@ -10,7 +10,8 @@ use std::fmt::{self, Write as _};
 use std::io::{self, IoSlice, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -444,10 +445,10 @@ pub fn trace_metrics(tracer: &EventTracer) -> Vec<Metric> {
 /// A closure that materialises the current registry.
 pub type MetricSource = Arc<dyn Fn() -> Vec<Metric> + Send + Sync>;
 
-/// Scrapes served concurrently; further connections are answered
-/// `503 Service Unavailable` inline and counted as rejected. A stalled
-/// or malicious scraper can therefore pin at most this many threads,
-/// never one per connection.
+/// Scrapes served concurrently, and the most scrape threads a server
+/// keeps; further connections are answered `503 Service Unavailable`
+/// inline and counted as rejected. A stalled or malicious scraper can
+/// therefore pin at most this many threads, never one per connection.
 const MAX_CONCURRENT_SCRAPES: u64 = 4;
 
 /// Per-scrape socket read and write timeout: bounds how long a stalled
@@ -485,7 +486,7 @@ pub fn accept_retry_delay(e: &io::Error) -> Option<Duration> {
 /// [`MetricsServer::scrape_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrapeStats {
-    /// Scrapes accepted and handed to a serving thread.
+    /// Scrapes accepted and handed to a scrape thread.
     pub served: u64,
     /// Connections refused with `503` because four scrapes were already
     /// in flight.
@@ -504,11 +505,12 @@ struct AtomicScrapeStats {
 /// A minimal HTTP/1.1 server exposing `/metrics` (Prometheus text)
 /// and `/metrics.json` (JSON array).
 ///
-/// Scrapes are served by short-lived worker threads, at most four in
-/// flight, each socket under a 2 s read and write timeout: connections
-/// beyond the cap get an inline `503` instead of a thread, so a
-/// misbehaving scraper cannot exhaust the process. The server stops
-/// when dropped or on [`MetricsServer::stop`].
+/// Scrapes are served by at most four worker threads, each started the
+/// first time every existing one is busy and then kept, each socket
+/// under a 2 s read and write timeout: a connection beyond four in
+/// flight gets an inline `503`, so a misbehaving scraper cannot exhaust
+/// the process, and a scraper that comes back each second starts no
+/// thread. The server stops when dropped or on [`MetricsServer::stop`].
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -561,6 +563,10 @@ impl MetricsServer {
         let handle = std::thread::Builder::new()
             .name("proteus-metrics".into())
             .spawn(move || {
+                // Accepted connections queue here for the workers; the
+                // queue is dropped below to stop them.
+                let (queue, incoming) = mpsc::channel::<TcpStream>();
+                let incoming = Arc::new(Mutex::new(incoming));
                 let mut workers: Vec<JoinHandle<()>> = Vec::new();
                 loop {
                     // Blocks until a scraper connects; `stop` raises
@@ -571,35 +577,40 @@ impl MetricsServer {
                     }
                     match accepted {
                         Ok((stream, _)) => {
-                            // Reap finished workers before admitting.
-                            workers.retain(|w| !w.is_finished());
-                            if loop_stats.active.load(Ordering::Relaxed) >= MAX_CONCURRENT_SCRAPES {
+                            // Only this thread raises `active`.
+                            let active = loop_stats.active.load(Ordering::SeqCst);
+                            if active >= MAX_CONCURRENT_SCRAPES {
                                 loop_stats.rejected.fetch_add(1, Ordering::Relaxed);
                                 let _ = reject_scrape(stream);
                                 continue;
                             }
-                            loop_stats.active.fetch_add(1, Ordering::Relaxed);
-                            let source = Arc::clone(&source);
-                            let tracer = tracer.clone();
-                            let stats = Arc::clone(&loop_stats);
-                            let worker = std::thread::Builder::new()
-                                .name("proteus-scrape".into())
-                                .spawn(move || {
-                                    // Serve errors (client hangup etc.)
-                                    // only affect that one scrape.
-                                    let _ = serve_scrape(stream, &source, tracer.as_deref());
-                                    stats.served.fetch_add(1, Ordering::Relaxed);
-                                    stats.active.fetch_sub(1, Ordering::Relaxed);
-                                });
-                            match worker {
-                                Ok(w) => workers.push(w),
-                                Err(_) => {
-                                    // Spawn failure: release the slot;
-                                    // the dropped stream reads as a
-                                    // failed scrape at the client.
-                                    loop_stats.active.fetch_sub(1, Ordering::Relaxed);
+                            loop_stats.active.fetch_add(1, Ordering::SeqCst);
+                            // A worker lowers `active` before it closes
+                            // its connection and waits for the next, so
+                            // with fewer scrapes in flight than live
+                            // workers one is free, or about to be.
+                            workers.retain(|w| !w.is_finished());
+                            if active >= workers.len() as u64 {
+                                let worker = spawn_scrape_worker(
+                                    Arc::clone(&incoming),
+                                    Arc::clone(&source),
+                                    tracer.clone(),
+                                    Arc::clone(&loop_stats),
+                                );
+                                match worker {
+                                    Ok(w) => workers.push(w),
+                                    Err(_) => {
+                                        // Release the slot; the dropped
+                                        // stream reads as a failed
+                                        // scrape at the client.
+                                        loop_stats.active.fetch_sub(1, Ordering::SeqCst);
+                                        continue;
+                                    }
                                 }
                             }
+                            queue
+                                .send(stream)
+                                .expect("this thread holds the receiving end too");
                         }
                         // Out of descriptors or memory: wait — `stop`
                         // unparks — for some to free up. A connection
@@ -612,7 +623,9 @@ impl MetricsServer {
                     }
                 }
                 // Let in-flight scrapes finish (each is bounded by the
-                // socket timeouts) before the server reports stopped.
+                // socket timeouts) before the server reports stopped;
+                // the closed queue ends every worker's loop.
+                drop(queue);
                 for w in workers {
                     let _ = w.join();
                 }
@@ -667,6 +680,36 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Starts one scrape worker: it serves connections from `incoming`
+/// one after another until the queue closes.
+fn spawn_scrape_worker(
+    incoming: Arc<Mutex<Receiver<TcpStream>>>,
+    source: MetricSource,
+    tracer: Option<Arc<EventTracer>>,
+    stats: Arc<AtomicScrapeStats>,
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("proteus-scrape".into())
+        .spawn(move || loop {
+            let next = incoming
+                .lock()
+                .expect("a scrape worker panicked holding the queue")
+                .recv();
+            let Ok(stream) = next else {
+                return;
+            };
+            // Serve errors (client hangup etc.) only affect that one
+            // scrape.
+            let _ = serve_scrape(&stream, &source, tracer.as_deref());
+            stats.served.fetch_add(1, Ordering::Relaxed);
+            // The slot is free before the scraper sees the connection
+            // close, so a scraper that comes straight back finds this
+            // worker free.
+            stats.active.fetch_sub(1, Ordering::SeqCst);
+            drop(stream);
+        })
+}
+
 /// Refuses a connection over the concurrency cap with an inline `503`
 /// (best effort: a scraper that cannot even take the refusal is simply
 /// dropped).
@@ -686,7 +729,7 @@ const MAX_REQUEST_HEAD: usize = 8192;
 
 /// Reads one HTTP request head and writes the matching exposition.
 fn serve_scrape(
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     source: &MetricSource,
     tracer: Option<&EventTracer>,
 ) -> io::Result<()> {
