@@ -439,12 +439,6 @@ impl CacheEngine {
         );
     }
 
-    /// The live counting-Bloom digest.
-    #[must_use]
-    pub fn digest(&self) -> &CountingBloomFilter {
-        &self.digest
-    }
-
     /// Snapshot of the digest as a broadcast-ready bit filter — the
     /// engine-level equivalent of `get("SET_BLOOM_FILTER")` followed by
     /// `get("BLOOM_FILTER")`.
@@ -939,7 +933,7 @@ mod tests {
         assert_eq!(c.bytes_used(), before - 90);
         assert_eq!(c.get(b"k", T0).unwrap().len(), 10);
         assert_eq!(c.len(), 1);
-        assert!(c.digest().contains(b"k"));
+        assert!(c.digest_snapshot().contains(b"k"));
     }
 
     #[test]
@@ -978,7 +972,7 @@ mod tests {
         assert!(!outcome.stored);
         assert_eq!(outcome.evicted, 0);
         assert!(!c.contains(b"huge"));
-        assert!(!c.digest().contains(b"huge"));
+        assert!(!c.digest_snapshot().contains(b"huge"));
         assert_eq!(c.peek(b"small"), Some(&[0u8; 10][..]), "survivor intact");
         assert_eq!(c.stats().rejected, 1);
         assert_eq!(c.stats().evictions, 0);
@@ -998,20 +992,15 @@ mod tests {
         // Only a handful fit; digest must agree with contents for all
         // current keys and report evicted ones absent (small filter
         // false-positive rate aside, which the wide test filter avoids).
+        let digest = c.digest_snapshot();
         let mut present = 0;
         for i in 0..50u64 {
             let key = i.to_le_bytes();
             if c.contains(&key) {
-                assert!(
-                    c.digest().contains(&key),
-                    "cached key {i} missing from digest"
-                );
+                assert!(digest.contains(&key), "cached key {i} missing from digest");
                 present += 1;
             } else {
-                assert!(
-                    !c.digest().contains(&key),
-                    "evicted key {i} still in digest"
-                );
+                assert!(!digest.contains(&key), "evicted key {i} still in digest");
             }
         }
         assert!(present > 0);
@@ -1024,7 +1013,7 @@ mod tests {
         assert!(c.delete(b"k"));
         assert!(!c.delete(b"k"));
         assert!(!c.contains(b"k"));
-        assert!(!c.digest().contains(b"k"));
+        assert!(!c.digest_snapshot().contains(b"k"));
         assert_eq!(c.stats().deletes, 1);
         assert_eq!(c.bytes_used(), 0);
     }
@@ -1109,7 +1098,7 @@ mod tests {
         c.assert_storage_consistent();
         for (key, _, _) in &items {
             assert!(c.delete(key));
-            assert!(!c.digest().contains(key));
+            assert!(!c.digest_snapshot().contains(key));
         }
         assert_eq!(c.bytes_used(), 0);
         assert_eq!(c.slab_stats().unwrap().live_bytes(), 0);
@@ -1218,7 +1207,7 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.bytes_used(), 0);
-        assert!(!c.digest().contains(b"k"));
+        assert!(!c.digest_snapshot().contains(b"k"));
         assert_eq!(c.keys().count(), 0);
     }
 
@@ -1345,9 +1334,9 @@ mod tests {
         assert!(c.get(b"k", T0).is_none());
         c.put(b"k", b"v".to_vec(), T0);
         assert_eq!(c.get(b"k", T0).unwrap(), b"v");
-        assert!(c.digest().contains(b"k"));
+        assert!(c.digest_snapshot().contains(b"k"));
         assert!(c.delete(b"k"));
-        assert!(!c.digest().contains(b"k"));
+        assert!(!c.digest_snapshot().contains(b"k"));
         let slab = c.slab_stats().expect("slab backend");
         assert_eq!(slab.classes.iter().map(|cl| cl.items).sum::<u64>(), 0);
         assert!(slab.pages_allocated >= 1, "a page was touched");

@@ -24,9 +24,9 @@
 //! let t = SimTime::ZERO;
 //! cache.put(b"page:1", vec![0u8; 4096], t);
 //! assert!(cache.get(b"page:1", t).is_some());
-//! assert!(cache.digest().contains(b"page:1"));
+//! assert!(cache.digest_snapshot().contains(b"page:1"));
 //! cache.delete(b"page:1");
-//! assert!(!cache.digest().contains(b"page:1"));
+//! assert!(!cache.digest_snapshot().contains(b"page:1"));
 //! ```
 
 // One `madvise` call in `slab` (a pooled page's memory back to the

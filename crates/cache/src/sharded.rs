@@ -282,18 +282,6 @@ impl ShardedEngine {
         BloomFilter::concat(self.shards.iter().map(|s| s.lock().digest_snapshot()))
     }
 
-    /// Estimated distinct-item count: the sum of the shards' own
-    /// estimates, each read from its counters under its lock with no
-    /// snapshot built. `None` if any shard's digest is saturated (no
-    /// counter left at zero).
-    #[must_use]
-    pub fn digest_estimate(&self) -> Option<f64> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().digest().estimate_cardinality())
-            .sum()
-    }
-
     /// Merged slab-store snapshot across shards (per-class counters
     /// summed, shards locked one at a time), or `None` on the heap
     /// backend.
@@ -542,19 +530,14 @@ mod tests {
                 digest: resolved,
                 ..config
             });
-            let mut resident = 0;
             for i in 0..2000u64 {
                 if sharded.contains(&i.to_le_bytes()) {
                     single.put(&i.to_le_bytes(), vec![0; 16], T0);
-                    resident += 1;
                 }
             }
             let snapshot = sharded.digest_snapshot();
             assert_eq!(snapshot, single.digest_snapshot(), "{shards} shards");
             assert_eq!(snapshot.config(), single.digest_snapshot().config());
-            let est = sharded.digest_estimate().unwrap();
-            let resident = f64::from(resident);
-            assert!((est - resident).abs() / resident < 0.05, "estimate {est}");
         }
     }
 
@@ -570,9 +553,9 @@ mod tests {
         }
     }
 
-    /// The shards hold the digest's `l·b` bits between them, not a copy
-    /// each: within a word a shard of the resolved configuration's size,
-    /// which is itself within a word a shard of the configured one.
+    /// The shards' snapshots make one digest of `l` bits between them,
+    /// not one each: the resolved configuration's size, which is within
+    /// a word a shard of the configured one.
     #[test]
     fn digest_memory_is_one_digest_not_one_per_shard() {
         let configured = CacheConfig::with_capacity(64 << 20).digest;
@@ -580,25 +563,14 @@ mod tests {
         for shards in [1, 2, 4, 8, 16, 32, 64] {
             let c = ShardedEngine::new(CacheConfig::with_capacity(64 << 20).shards(shards));
             let resolved = c.config().digest;
-            let held: u64 = c
-                .shards
-                .iter()
-                .map(|s| s.lock().digest().config().memory_bytes())
-                .sum();
-            let slack = 8 * shards as u64;
+            let snapshot = c.digest_snapshot();
+            let words = snapshot.words().len();
+            assert_eq!(words, resolved.counters.div_ceil(64), "{shards} shards");
             assert!(
-                held.abs_diff(resolved.memory_bytes()) <= slack,
-                "{shards} shards hold {held} B, resolved {resolved:?}"
-            );
-            let rounding = u64::from(resolved.counter_bits) * slack;
-            assert!(
-                resolved.memory_bytes() - configured.memory_bytes() <= rounding,
+                resolved.snapshot_bytes() - configured.snapshot_bytes() <= 8 * shards as u64,
                 "{shards} shards: {resolved:?}"
             );
-            assert_eq!(
-                c.digest_snapshot().config(),
-                BloomFilter::new(resolved).config()
-            );
+            assert_eq!(snapshot.config(), BloomFilter::new(resolved).config());
         }
     }
 

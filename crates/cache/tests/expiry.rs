@@ -23,7 +23,10 @@ fn items_expire_lazily_on_get() {
     assert_eq!(c.get(b"k", T0 + SimDuration::from_secs(9)), Some(&b"v"[..]));
     assert_eq!(c.get(b"k", T0 + SimDuration::from_secs(10)), None);
     assert!(!c.contains(b"k"), "expired item was unlinked");
-    assert!(!c.digest().contains(b"k"), "digest updated on lazy expiry");
+    assert!(
+        !c.digest_snapshot().contains(b"k"),
+        "digest updated on lazy expiry"
+    );
     assert_eq!(c.stats().expired, 1);
     assert_eq!(c.bytes_used(), 0);
 }
@@ -75,9 +78,10 @@ fn sweep_reaps_everything_due() {
     assert_eq!(c.len(), 51);
     assert_eq!(c.stats().expired, 50);
     // Digest agrees with the survivors.
+    let digest = c.digest_snapshot();
     for i in 0..100u32 {
         let key = i.to_le_bytes();
-        assert_eq!(c.contains(&key), c.digest().contains(&key), "key {i}");
+        assert_eq!(c.contains(&key), digest.contains(&key), "key {i}");
     }
     // A later sweep takes the rest but not the immortal item.
     let reaped = c.sweep_expired(T0 + SimDuration::from_secs(100));

@@ -48,7 +48,7 @@ fn digest_snapshot_is_stable_while_serving_reads() {
         "reads must not perturb the digest"
     );
     c.clear();
-    assert!(!c.digest().contains(b"page:0"));
+    assert!(!c.digest_snapshot().contains(b"page:0"));
 }
 
 /// Eviction order interacts correctly with touch: touching an item
@@ -105,6 +105,7 @@ fn churn_maintains_all_invariants() {
     }
     // Every cached key is in the digest; count matches iterator.
     assert_eq!(c.keys().count(), c.len());
-    let all_in_digest = c.keys().all(|key| c.digest().contains(key));
+    let digest = c.digest_snapshot();
+    let all_in_digest = c.keys().all(|key| digest.contains(key));
     assert!(all_in_digest);
 }

@@ -149,12 +149,13 @@ proptest! {
                 }
             }
         }
+        let digest = engine.digest_snapshot();
         let mut false_positives = 0;
         for k in 0..=255u8 {
             let key = key_bytes(k);
             if engine.contains(&key) {
-                prop_assert!(engine.digest().contains(&key), "cached key {k} absent from digest");
-            } else if engine.digest().contains(&key) {
+                prop_assert!(digest.contains(&key), "cached key {k} absent from digest");
+            } else if digest.contains(&key) {
                 false_positives += 1;
             }
         }

@@ -575,10 +575,10 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         Metric::gauge("proteus_curr_items", shared.engine.len() as i64),
         Metric::gauge("proteus_bytes", shared.engine.bytes_used() as i64),
         // The digest as resolved for this shard count: l, P, and the
-        // l·b/8 bytes of counters the shards hold between them.
+        // l/8 bytes of its broadcast form.
         Metric::gauge("proteus_digest_counters", digest.counters as i64),
         Metric::gauge("proteus_digest_partitions", digest.partitions as i64),
-        Metric::gauge("proteus_digest_bytes", digest.memory_bytes() as i64),
+        Metric::gauge("proteus_digest_bytes", digest.snapshot_bytes() as i64),
         Metric::gauge("proteus_curr_connections", m.curr_connections.get()),
         Metric::counter("proteus_total_connections", m.total_connections.get()),
         Metric::counter("proteus_get_hits_total", stats.hits),
@@ -591,11 +591,13 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         Metric::counter("proteus_plane_syscalls_total", m.plane_syscalls.get()),
     ];
     // Resident bytes by structure, read at scrape time: the engine's
-    // tables, the latency stripes built so far, the connections' buffers.
+    // tables, the digest's counters (l·b bits across the shards), the
+    // latency stripes built so far, the connections' buffers.
     let mem = shared.engine.mem_bytes();
     for (component, bytes) in [
         ("slot_table", mem.slot_table as i64),
         ("key_index", mem.key_index as i64),
+        ("digest", digest.memory_bytes() as i64),
         ("histograms", m.ops.heap_bytes() as i64),
         ("conn_buffers", m.conn_buffers.get()),
     ] {
@@ -808,12 +810,11 @@ pub(crate) fn serve_command(
                     ("evictions".into(), stats.evictions.to_string()),
                     ("expirations".into(), stats.expired.to_string()),
                     ("rejected_sets".into(), stats.rejected.to_string()),
+                    // The items a digest built now would hold: the
+                    // index's own count, which no estimate can beat.
                     (
                         "digest_estimated_items".into(),
-                        shared
-                            .engine
-                            .digest_estimate()
-                            .map_or_else(|| "saturated".into(), |e| format!("{e:.0}")),
+                        shared.engine.len().to_string(),
                     ),
                 ];
                 // Headline percentiles for the two hot classes; the full

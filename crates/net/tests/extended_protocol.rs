@@ -488,15 +488,12 @@ fn slab_backend_serves_the_full_protocol() {
     assert_eq!(lookup("proteus_slab_page_bytes"), "65536");
     // The digest as resolved for the default eight shards: Eq. 10 for
     // the 1 024 items the capacity implies, l rounded up to whole words
-    // a shard, b = 3 bits each.
+    // a shard, and one bit a counter in its broadcast form.
     let counters: u64 = lookup("proteus_digest_counters").parse().unwrap();
     assert_eq!(lookup("proteus_digest_partitions"), "8");
     assert_eq!(counters % (8 * 64), 0);
     assert!(counters - config.digest.counters as u64 <= 8 * 64);
-    assert_eq!(
-        lookup("proteus_digest_bytes"),
-        (counters * 3 / 8).to_string()
-    );
+    assert_eq!(lookup("proteus_digest_bytes"), (counters / 8).to_string());
     // Five pages a shard cannot give each of this mix's classes one:
     // the starved sets that evicted or went to the heap are counted
     // apart from the total of heap fallbacks.

@@ -21,7 +21,7 @@ fn every_subsystem_is_reachable_and_composes() {
         4,
     )));
     cache.put(b"k", b"v".to_vec(), SimTime::ZERO);
-    assert!(cache.digest().contains(b"k"));
+    assert!(cache.digest_snapshot().contains(b"k"));
     // store
     let mut store = ShardedStore::new(StoreConfig::default());
     assert_eq!(store.fetch(b"k").len(), 4096);

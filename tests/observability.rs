@@ -235,7 +235,8 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 /// `proteus_mem_bytes` reports the slot table and the key index as the
 /// engine holds them: 1 024-slot blocks of 32-byte slots, and 4-byte
-/// buckets at a load of at most 7/8.
+/// buckets at a load of at most 7/8. The digest's share is its `l·b`
+/// bits of counters.
 #[test]
 fn metrics_report_the_slot_table_and_the_key_index() {
     const ITEMS: u64 = 2_500;
@@ -268,6 +269,7 @@ fn metrics_report_the_slot_table_and_the_key_index() {
         buckets *= 2;
     }
     assert_eq!(component("key_index"), buckets * 4);
+    assert_eq!(component("digest"), config.digest.memory_bytes());
 
     metrics.stop();
     server.stop();
