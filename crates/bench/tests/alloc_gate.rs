@@ -4,11 +4,11 @@
 //! Counts heap acquisitions with the crate's counting global allocator
 //! and fails if the warmed read path, the borrowing parser or a
 //! histogram record starts allocating again, if a server that holds
-//! no key yet asks for more than a mebibyte (a digest per shard or
-//! eagerly built histogram stripes), or if a scrape costs more than its
-//! body (dense snapshots, a string per rendered bucket, a JSON tree, a
-//! thread per scrape). It also holds
-//! an engine to the memory it already has: a flushed engine refills
+//! no key yet asks for more than a third of a mebibyte (a digest kept
+//! between windows or eagerly built histogram stripes), or if a scrape
+//! costs more than its body (dense snapshots, a string per rendered
+//! bucket, a JSON tree, a thread per scrape). It also holds an engine
+//! to the memory it already has: a flushed engine refills
 //! from its own pages, and a growing one adds slot blocks instead of
 //! copying its table. Unlike the throughput numbers, these counts are
 //! exact and identical on any hardware, so the budgets are tight.
@@ -121,15 +121,17 @@ const SWEEP_NS: std::ops::RangeInclusive<u64> = 100..=100_099;
 
 /// What a default server (64 MiB, 8 shards, slab storage) may ask the
 /// allocator for between `spawn` and its first reply, before it holds a
-/// key: one digest of `l·b` bits split across the shards (228 KiB), the
-/// shards' empty indexes, the loops, the first connection's 8 KiB input
-/// buffer, and the stripe and bucket group the first command touches.
-/// Measured 513 785 B with two loops; the budget leaves 74 KiB for up
-/// to four loops and allocator noise. 0.61 MiB when each loop kept a
-/// 64 KiB read scratch and a stripe built all 30 KiB of its buckets,
-/// 4.95 MiB when every shard held a whole digest and every histogram
-/// stripe was built up front.
-const SPAWN_BUDGET_BYTES: u64 = 576 << 10;
+/// key: the shards' empty indexes, the loops, the first connection's
+/// 8 KiB input buffer, and the stripe and bucket group the first
+/// command touches. No digest: it is built when a window asks for one.
+/// Measured 279 561 B with two loops (debug and release); the budget
+/// leaves 74 KiB for up to four loops and allocator noise. 513 785 B
+/// while the shards kept a counting digest of `l·b` bits between them
+/// (228 KiB), 0.61 MiB when each loop also kept a 64 KiB read scratch
+/// and a stripe built all 30 KiB of its buckets, 4.95 MiB when every
+/// shard held a whole digest and every histogram stripe was built up
+/// front.
+const SPAWN_BUDGET_BYTES: u64 = 347 << 10;
 /// A histogram registry nobody has recorded into is cells, not buckets.
 const FRESH_OPS_BUDGET_BYTES: u64 = 8 << 10;
 /// Two threads recording into two classes build four stripes and the
@@ -658,10 +660,10 @@ fn hot_paths_stay_within_allocation_budget() {
     );
 
     // Warmed overwriting puts on the slab backend copy the value into
-    // a page and update the digest twice (the old item's remove, the
-    // new item's insert) by iterating the key's counter indices in
-    // place. Budget zero: an index `Vec` per digest update — two per
-    // put — is the regression this pins.
+    // a page, and touch no digest: the digest is built from the keys
+    // when a window asks for it. Budget zero: an allocation per put in
+    // the index, the slot table or the slab write path is the
+    // regression this pins.
     let value = [5u8; 128];
     let slab_put = min_allocations(3, || {
         for i in 0..GET_OPS {
@@ -673,7 +675,7 @@ fn hot_paths_stay_within_allocation_budget() {
     assert_eq!(
         slab_put, 0,
         "warmed slab puts allocated {slab_put} times over {GET_OPS} ops — \
-         the digest update or the slab write path allocates again"
+         the slab write path allocates again"
     );
 
     // Borrowed parsing over a reused buffer pool: after a warm-up
@@ -756,7 +758,7 @@ fn hot_paths_stay_within_allocation_budget() {
     assert!(
         spawn.bytes <= SPAWN_BUDGET_BYTES,
         "a default server allocated {} B before its first key (budget {SPAWN_BUDGET_BYTES}) — \
-         a whole digest a shard, or histograms built before they are recorded into",
+         a digest kept between windows, or histograms built before they are recorded into",
         spawn.bytes
     );
     let mut gets = Vec::new();

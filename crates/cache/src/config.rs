@@ -91,7 +91,9 @@ pub struct CacheConfig {
     /// `proteus-workload`) runs [`StorageKind::Heap`], which ignores
     /// this.
     pub slab_page_budget: u64,
-    /// Digest (counting Bloom filter) configuration.
+    /// The broadcast digest's shape: `l` bits, `h` hashes and the seed.
+    /// The engine builds the digest from its keys when asked, so it
+    /// keeps no counters and ignores `counter_bits`.
     pub digest: BloomConfig,
     /// Number of independent shards a
     /// [`ShardedEngine`](crate::ShardedEngine) splits the capacity

@@ -1,8 +1,8 @@
-//! The LRU cache engine with digest integration.
+//! The LRU cache engine and the digest built from its keys.
 
 use std::fmt;
 
-use proteus_bloom::{BloomFilter, CountingBloomFilter};
+use proteus_bloom::BloomFilter;
 use proteus_ring::hash::{fnv1a64, splitmix64};
 use proteus_sim::{SimDuration, SimTime};
 
@@ -294,15 +294,17 @@ fn slot_value<'a>(store: &'a Option<SlabStore>, heap: &'a HeapItems, slot: &Slot
 }
 
 /// A single cache server's storage engine: an LRU-evicting key-value
-/// store with byte-capacity accounting and a counting-Bloom digest kept
-/// exactly consistent with the contents.
+/// store with byte-capacity accounting, and a digest of its keys built
+/// when a transition asks for one.
 ///
-/// Digest maintenance mirrors the paper's memcached modification: the
-/// digest inserts on the item-link path ([`put`](Self::put)) and
-/// removes on the item-unlink path (explicit [`delete`](Self::delete),
-/// LRU eviction, and value replacement re-links), so
-/// `digest().contains(k)` is `true` exactly for cached keys (modulo
-/// Bloom false positives).
+/// The paper's modified memcached keeps a counting Bloom filter in step
+/// with its contents from `do_item_link` and `do_item_unlink`. This
+/// engine keeps no digest between windows: its key index already lists
+/// every resident key, so [`digest_snapshot`](Self::digest_snapshot)
+/// builds the broadcast bit filter from it on demand, and a write pays
+/// nothing for the digest. The snapshot's `contains(k)` is `true`
+/// exactly for the keys resident when it was built (modulo Bloom false
+/// positives).
 ///
 /// Item bytes live in one of two backends selected by
 /// [`CacheConfig::storage`]: the heap path (one allocation per item)
@@ -333,7 +335,6 @@ pub struct CacheEngine {
     bytes_used: u64,
     store: Option<SlabStore>,
     heap: HeapItems,
-    digest: CountingBloomFilter,
     stats: CacheStats,
 }
 
@@ -376,7 +377,6 @@ impl CacheEngine {
             bytes_used: 0,
             store,
             heap: HeapItems::default(),
-            digest: CountingBloomFilter::new(config.digest),
             stats: CacheStats::default(),
         }
     }
@@ -439,12 +439,25 @@ impl CacheEngine {
         );
     }
 
-    /// Snapshot of the digest as a broadcast-ready bit filter — the
-    /// engine-level equivalent of `get("SET_BLOOM_FILTER")` followed by
-    /// `get("BLOOM_FILTER")`.
+    /// The digest as a broadcast-ready bit filter, built now from the
+    /// resident keys — the engine-level equivalent of
+    /// `get("SET_BLOOM_FILTER")` followed by `get("BLOOM_FILTER")`.
+    ///
+    /// The filter has the configured `(l, h, seed)` and one key set for
+    /// every live slot, on the slab path and the heap path alike; an
+    /// expired item no read has reaped yet is still resident, so it is
+    /// in. The slot table is walked in index order, one contiguous scan
+    /// that skips free slots, so the time it takes grows with the slots
+    /// the table holds, not with the order of the LRU chain.
     #[must_use]
     pub fn digest_snapshot(&self) -> BloomFilter {
-        self.digest.snapshot()
+        let mut digest = BloomFilter::new(self.config.digest);
+        for slot in self.slots.blocks.iter().flatten() {
+            if slot.loc != Loc::FREE {
+                digest.insert(slot_key(&self.store, &self.heap, slot));
+            }
+        }
+        digest
     }
 
     fn entry_cost(&self, klen: usize, vlen: usize) -> u64 {
@@ -500,7 +513,7 @@ impl CacheEngine {
     /// if present and not expired.
     ///
     /// Expiry is lazy, memcached-style: an expired item is unlinked
-    /// (digest updated) the first time anything looks at it.
+    /// the first time anything looks at it.
     pub fn get(&mut self, key: &[u8], now: SimTime) -> Option<&[u8]> {
         self.hit_slot(key, now).map(|idx| self.value_of(idx))
     }
@@ -526,8 +539,8 @@ impl CacheEngine {
     }
 
     /// The slot holding `key` if it has not expired by `now`. An
-    /// expired item is reaped here (unlinked, digest updated, counted
-    /// as expired); nothing else moves.
+    /// expired item is reaped here (unlinked and counted as expired);
+    /// nothing else moves.
     fn live_slot(&mut self, key: &[u8], now: SimTime) -> Option<u32> {
         let idx = self.find_slot(key, hash_key(key))?;
         if self.slots[idx].expires_at <= now {
@@ -569,8 +582,8 @@ impl CacheEngine {
 
     /// Non-mutating lookup: neither recency nor statistics change.
     /// Expired-but-not-yet-reaped items still show here (they are
-    /// physically present until something touches them), matching
-    /// digest semantics.
+    /// physically present until something touches them), as they do in
+    /// a [`digest_snapshot`](Self::digest_snapshot).
     #[must_use]
     pub fn peek(&self, key: &[u8]) -> Option<&[u8]> {
         self.find_slot(key, hash_key(key))
@@ -628,8 +641,8 @@ impl CacheEngine {
     /// until the new item fits.
     ///
     /// A replacement is an unlink of the old item plus a link of the
-    /// new one, exactly as memcached's `do_item_unlink`/`do_item_link`
-    /// pair would drive the digest. An item whose accounted cost
+    /// new one, as memcached's `do_item_unlink`/`do_item_link` pair. An
+    /// item whose accounted cost
     /// exceeds the engine's entire capacity is **rejected** (memcached's
     /// `SERVER_ERROR object too large`): nothing is evicted for it and
     /// a pre-existing value under the key survives untouched.
@@ -731,7 +744,6 @@ impl CacheEngine {
         self.index.insert(hash, idx, |s| slots[s].hash);
         self.push_front(idx);
         self.bytes_used += cost;
-        self.digest.insert(key);
         StoreOutcome {
             stored: true,
             evicted,
@@ -783,13 +795,11 @@ impl CacheEngine {
         let (klen, vlen) = match std::mem::replace(&mut slot.loc, Loc::FREE).place() {
             Place::Heap(i) => {
                 let item = self.heap.remove(i);
-                self.digest.remove(&item.key);
                 (item.key.len(), item.value.len())
             }
             Place::Slab(loc) => {
                 let (klen, vlen) = unpack_lens(lens);
                 let store = self.store.as_mut().expect("slab slot without slab store");
-                self.digest.remove(store.key_slice(loc, klen));
                 store.free(loc, klen + vlen);
                 (klen, vlen)
             }
@@ -841,7 +851,6 @@ impl CacheEngine {
         if let Some(store) = &mut self.store {
             store.clear();
         }
-        self.digest.clear();
     }
 }
 

@@ -1,18 +1,20 @@
-//! The cache-server engine: a memcached-like LRU key-value store with
-//! a built-in counting Bloom filter digest.
+//! The cache-server engine: a memcached-like LRU key-value store whose
+//! Bloom filter digest is built from its key index on demand.
 //!
 //! This is the reproduction's analogue of the paper's modified
-//! memcached (Section V-A3): every item link updates the digest, every
-//! unlink (delete *or* eviction) removes from it, so the digest is
-//! always exactly consistent with the cache contents — the property
-//! Algorithm 2 depends on.
+//! memcached (Section V-A3), with one deviation. The paper keeps a
+//! counting filter in step with every item link and unlink; here a
+//! write touches no digest, and a snapshot sets the bits of the keys
+//! resident when it is built. Either way the broadcast digest is
+//! exactly the cache's contents at snapshot time — the property
+//! Algorithm 2 depends on — and a built one has no counter to saturate.
 //!
 //! [`CacheEngine`] is deliberately single-threaded and deterministic;
 //! the discrete-event simulator drives one engine per simulated cache
 //! server. The TCP tier (`proteus-net`) uses [`ShardedEngine`], which
 //! stripes keys across independent per-shard engines so concurrent
 //! connections rarely contend, sums the shards' own statistics on
-//! demand, and answers digest snapshots one shard at a time.
+//! demand, and builds digest snapshots one shard at a time.
 //!
 //! # Example
 //!

@@ -26,20 +26,20 @@ pub type MruPage<'a> = std::iter::Take<std::iter::Skip<Keys<'a>>>;
 ///   them, one shard locked at a time, so an operation writes no
 ///   counter that another shard's threads share.
 /// - [`digest_snapshot`](Self::digest_snapshot) visits shards *one at
-///   a time*, collapsing each one's counters to bits and concatenating
-///   the results, so a snapshot (the paper's `get SET_BLOOM_FILTER`)
-///   never stops the world — at most one shard is locked, for one pass
-///   over its 1/N of the counter words, while the other N−1 keep
-///   serving.
+///   a time*, building each one's slice of the digest from its keys and
+///   concatenating the results, so a snapshot (the paper's
+///   `get SET_BLOOM_FILTER`) never stops the world — at most one shard
+///   is locked, for one scan of its slot table, while the other N−1
+///   keep serving.
 ///
 /// The digest is partitioned, not copied: the configured
 /// [`BloomConfig`] is split with
 /// [`with_partitions`](BloomConfig::with_partitions)`(N)`, shard `s`
-/// owns slice `s` as an ordinary filter of `l / N` counters, and
-/// [`shard_of`](Self::shard_of) is [`partition_of`] — so the shards
-/// hold `l·b` bits between them (what Eq. 10 provisions for the whole
-/// server), and their concatenation is bit-identical to one whole
-/// `partitions = N` filter fed the same keys.
+/// builds slice `s` as an ordinary filter of `l / N` bits, and
+/// [`shard_of`](Self::shard_of) is [`partition_of`] — so the slices
+/// hold `l` bits between them, and their concatenation is
+/// bit-identical to one whole `partitions = N` filter fed the same
+/// keys. Between snapshots the shards hold no digest at all.
 ///
 /// Capacity is partitioned statically: each shard evicts independently
 /// against `capacity_bytes / shards`, which bounds total usage by
@@ -66,7 +66,7 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Creates an empty sharded engine. `config.shards` is rounded up
     /// to a power of two (minimum 1); each shard gets an equal slice
-    /// of `capacity_bytes` and an equal slice of the digest's counters.
+    /// of `capacity_bytes` and builds an equal slice of the digest.
     #[must_use]
     pub fn new(mut config: CacheConfig) -> Self {
         let shard_count = config.shards.max(1).next_power_of_two();
@@ -92,8 +92,8 @@ impl ShardedEngine {
     /// The engine's configuration as given, before the per-shard split,
     /// except that `digest` is resolved: the partitioned shape (`l`
     /// rounded up to whole words a shard, `partitions` = shard count)
-    /// the shards hold between them and
-    /// [`digest_snapshot`](Self::digest_snapshot) broadcasts.
+    /// that [`digest_snapshot`](Self::digest_snapshot) builds and a
+    /// window broadcasts.
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -271,11 +271,11 @@ impl ShardedEngine {
     }
 
     /// Snapshot of the whole engine's digest. Shards are visited **one
-    /// at a time**, each locked only while its slice of the counters is
-    /// collapsed to bits (one word-parallel pass over `l·b / N` bits),
-    /// so ongoing operations on other shards never wait on the
-    /// snapshot; the slices are concatenated in shard order. The result
-    /// is bit-identical to one whole filter of
+    /// at a time**, each locked only while its slice is built from the
+    /// keys it holds ([`CacheEngine::digest_snapshot`], one scan of its
+    /// slot table), so ongoing operations on other shards never wait on
+    /// the snapshot; the slices are concatenated in shard order. The
+    /// result is bit-identical to one whole filter of
     /// [`config().digest`](Self::config) fed the same keys.
     #[must_use]
     pub fn digest_snapshot(&self) -> BloomFilter {

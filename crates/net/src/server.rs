@@ -259,8 +259,9 @@ impl Shared {
 /// there is no global engine lock.
 ///
 /// Digest protocol, exactly as in the paper's modified memcached:
-/// `get SET_BLOOM_FILTER` snapshots the counting Bloom filter digest
-/// (built one shard at a time, so unrelated gets keep flowing);
+/// `get SET_BLOOM_FILTER` snapshots the Bloom filter digest (built from
+/// the resident keys one shard at a time, so unrelated gets keep
+/// flowing);
 /// `get BLOOM_FILTER` returns the snapshot bytes as a normal value.
 /// Multi-key `get k1 k2 ...` answers all keys in one round trip.
 ///
@@ -591,13 +592,15 @@ pub(crate) fn registry(shared: &Shared) -> Vec<Metric> {
         Metric::counter("proteus_plane_syscalls_total", m.plane_syscalls.get()),
     ];
     // Resident bytes by structure, read at scrape time: the engine's
-    // tables, the digest's counters (l·b bits across the shards), the
-    // latency stripes built so far, the connections' buffers.
+    // tables, the encoded digest the last window's snapshot left (0
+    // before any), the latency stripes built so far, the connections'
+    // buffers.
     let mem = shared.engine.mem_bytes();
+    let held_digest = shared.snapshot.lock().as_ref().map_or(0, SharedBytes::len);
     for (component, bytes) in [
         ("slot_table", mem.slot_table as i64),
         ("key_index", mem.key_index as i64),
-        ("digest", digest.memory_bytes() as i64),
+        ("digest", held_digest as i64),
         ("histograms", m.ops.heap_bytes() as i64),
         ("conn_buffers", m.conn_buffers.get()),
     ] {

@@ -235,8 +235,9 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 /// `proteus_mem_bytes` reports the slot table and the key index as the
 /// engine holds them: 1 024-slot blocks of 32-byte slots, and 4-byte
-/// buckets at a load of at most 7/8. The digest's share is its `l·b`
-/// bits of counters.
+/// buckets at a load of at most 7/8. The digest's share is the encoded
+/// snapshot the last window left: nothing before one, then the 24-byte
+/// header and `l` bits.
 #[test]
 fn metrics_report_the_slot_table_and_the_key_index() {
     const ITEMS: u64 = 2_500;
@@ -269,7 +270,16 @@ fn metrics_report_the_slot_table_and_the_key_index() {
         buckets *= 2;
     }
     assert_eq!(component("key_index"), buckets * 4);
-    assert_eq!(component("digest"), config.digest.memory_bytes());
+    assert_eq!(component("digest"), 0, "no window has asked for one");
+
+    assert!(client.snapshot_digest().unwrap().is_some());
+    let held = client
+        .get(b"BLOOM_FILTER")
+        .unwrap()
+        .expect("a held snapshot");
+    let encoded = 24 + config.digest.counters.div_ceil(64) as u64 * 8;
+    assert_eq!(held.len() as u64, encoded);
+    assert_eq!(mem_component(server.metric_source()(), "digest"), encoded);
 
     metrics.stop();
     server.stop();
