@@ -18,18 +18,33 @@
 //! assert_eq!(delta.allocations, 0);
 //! ```
 //!
-//! Counting costs three relaxed atomic adds per allocation, which is
-//! negligible next to the allocation itself. A deallocation is not an
+//! Counting costs three relaxed atomic adds and a thread-local add per
+//! allocation, which is negligible next to the allocation itself. A deallocation is not an
 //! acquisition (the hot-path claim is about acquiring memory, and frees
 //! of shared buffers happen on whichever thread drops the last
 //! reference); it only lowers [`live_bytes`], the bytes held right now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's acquisitions (see [`thread_allocations`]). A
+    /// `const` cell with nothing to drop: reading it never allocates
+    /// and works until the thread is gone.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one acquisition, process-wide and for the calling thread.
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// The system allocator plus three relaxed counters. Register with
 /// `#[global_allocator]` in the binary that wants accounting; code
@@ -42,15 +57,13 @@ pub struct CountingAlloc;
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -58,8 +71,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a fresh acquisition of `new_size` bytes as far as
         // hot-path accounting is concerned.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // The block now holds `new_size` bytes instead of `layout.size()`
         // (a wrapping add of the difference, which may be negative).
         LIVE.fetch_add(
@@ -111,6 +123,14 @@ pub fn snapshot() -> AllocSnapshot {
 #[must_use]
 pub fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Heap acquisitions the calling thread has made so far. Two readings
+/// bracket what one thread allocated while other threads of the process
+/// (a server in the same process, the test harness) go on allocating.
+#[must_use]
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Runs `f` and returns its result together with the allocations it
