@@ -19,10 +19,11 @@
 //! ```
 //!
 //! Counting costs three relaxed atomic adds and a thread-local add per
-//! allocation, which is negligible next to the allocation itself. A deallocation is not an
-//! acquisition (the hot-path claim is about acquiring memory, and frees
-//! of shared buffers happen on whichever thread drops the last
-//! reference); it only lowers [`live_bytes`], the bytes held right now.
+//! allocation, which is negligible next to the allocation itself. A
+//! deallocation is not an acquisition (the hot-path claim is about
+//! acquiring memory, and frees of shared buffers happen on whichever
+//! thread drops the last reference); it only lowers [`live_bytes`], the
+//! bytes held right now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -46,10 +47,10 @@ fn count(bytes: usize) {
     let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
-/// The system allocator plus three relaxed counters. Register with
-/// `#[global_allocator]` in the binary that wants accounting; code
-/// linked into a binary that does *not* register it simply reads
-/// counters frozen at zero (see [`is_counting`]).
+/// The system allocator plus three relaxed counters and a per-thread
+/// count. Register with `#[global_allocator]` in the binary that wants
+/// accounting; code linked into a binary that does *not* register it
+/// simply reads counters frozen at zero (see [`is_counting`]).
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards verbatim to `System`, which upholds

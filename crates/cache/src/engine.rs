@@ -642,8 +642,8 @@ impl CacheEngine {
     ///
     /// A replacement is an unlink of the old item plus a link of the
     /// new one, as memcached's `do_item_unlink`/`do_item_link` pair. An
-    /// item whose accounted cost
-    /// exceeds the engine's entire capacity is **rejected** (memcached's
+    /// item whose accounted cost exceeds the engine's entire capacity
+    /// is **rejected** (memcached's
     /// `SERVER_ERROR object too large`): nothing is evicted for it and
     /// a pre-existing value under the key survives untouched.
     pub fn put(
